@@ -140,12 +140,14 @@ func TestE2EClientRetryAfterFullQueue(t *testing.T) {
 		return fmt.Sprintf(`{"bench":"superblue19","scale":%g,"options":{"eps":0.000001}}`,
 			0.02-float64(scaleSeq)*0.0001)
 	}
-	postSlow := func() (*http.Response, error) {
-		return http.Post(url+"/v1/legalize", "application/json", strings.NewReader(nextSlowBody()))
+	post := func(body string) (*http.Response, error) {
+		return http.Post(url+"/v1/legalize", "application/json", strings.NewReader(body))
 	}
+	postSlow := func() (*http.Response, error) { return post(nextSlowBody()) }
 	launchSlow := func() {
+		body := nextSlowBody() // on this goroutine: scaleSeq is not shared
 		go func() {
-			resp, err := postSlow()
+			resp, err := post(body)
 			if err != nil {
 				return
 			}

@@ -181,7 +181,7 @@ func TestClusterFallsBackLocalWhenNoWorkerUsable(t *testing.T) {
 	if got := regress.PositionHash(d); got != want {
 		t.Fatalf("placement %s != standalone %s", got, want)
 	}
-	if coord.Metrics().localFallbacks.get() == 0 {
+	if coord.Metrics().localFallbacks.Get() == 0 {
 		t.Fatal("expected coordinator-local fallbacks")
 	}
 
@@ -219,7 +219,7 @@ func TestClusterCacheHits(t *testing.T) {
 	if got := regress.PositionHash(d2); got != want {
 		t.Fatalf("repeat placement %s != %s", got, want)
 	}
-	if coord.Metrics().cacheLocalHits.get() == 0 {
+	if coord.Metrics().cacheLocalHits.Get() == 0 {
 		t.Fatal("repeat dispatch produced no coordinator-cache hits")
 	}
 	if coord.Metrics().RoutedTotal() != routedBefore {
@@ -337,7 +337,7 @@ func TestClusterHedgeWinsOnSecondOwner(t *testing.T) {
 	if st.HedgesWon == 0 {
 		t.Fatalf("no hedge won against the stalled primary (%+v)", st)
 	}
-	if coord.Metrics().hedgedRemote.get() == 0 {
+	if coord.Metrics().hedgedRemote.Get() == 0 {
 		t.Fatal("hedge attempts were not routed remotely")
 	}
 }
@@ -385,7 +385,7 @@ func TestWorkerDrainFlipsReadyzAndRefusesSolves(t *testing.T) {
 	if solveResp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("solve during drain = %d, want 503", solveResp.StatusCode)
 	}
-	if wk.m.refusedDrain.get() == 0 {
+	if wk.m.refusedDrain.Get() == 0 {
 		t.Fatal("refused-while-draining counter not bumped")
 	}
 
@@ -420,7 +420,7 @@ func TestCoordinatorRoutesAwayFromDrainingWorker(t *testing.T) {
 	if got := regress.PositionHash(d); got != want {
 		t.Fatalf("placement %s != standalone %s", got, want)
 	}
-	if coord.Metrics().refusedDrain.get() != 0 {
+	if coord.Metrics().refusedDrain.Get() != 0 {
 		t.Fatal("coordinator still dispatched to the draining worker")
 	}
 	routed := coord.Metrics().RoutedByWorker()
@@ -542,7 +542,7 @@ func TestCoordinatorRejectsCorruptShardResponse(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	m.routedTo("http://w1:9", 0.01)
-	m.cacheRemoteHits.inc()
+	m.cacheRemoteHits.Inc()
 	var sb strings.Builder
 	m.WritePrometheus(&sb)
 	out := sb.String()

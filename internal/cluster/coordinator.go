@@ -16,6 +16,7 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/eco"
+	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/window"
 )
@@ -77,7 +78,7 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	ring  *Ring
-	cache *windowCache
+	cache *lru.Cache[string, []window.CellPos] // by WindowKey: a hit is bit-identical to a solve
 	m     *Metrics
 	log   *slog.Logger
 
@@ -98,7 +99,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	return &Coordinator{
 		cfg:      cfg,
 		ring:     NewRing(cfg.Peers, cfg.VNodes),
-		cache:    newWindowCache(cfg.CacheCap),
+		cache:    lru.New[string, []window.CellPos](cfg.CacheCap),
 		m:        cfg.Metrics,
 		log:      cfg.Logger,
 		down:     make(map[string]time.Time),
@@ -229,23 +230,23 @@ func (c *Coordinator) DispatchWindows(ctx context.Context, d *design.Design, opt
 // owner, so a straggling primary and its hedge race on different machines.
 func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.Plan, wi, attempt int, sig uint64, wopts WireOptions, cascade core.ResilientOptions) (*window.Result, error) {
 	key := WindowKey(sig, wi)
-	if cells, ok := c.cache.get(key); ok {
-		c.m.cacheLocalHits.inc()
+	if cells, ok := c.cache.Get(key); ok {
+		c.m.cacheLocalHits.Inc()
 		return &window.Result{Window: wi, Cells: cells}, nil
 	}
 
 	owners := c.usable(c.ring.Owners(key))
 	if len(owners) == 0 {
-		c.m.localFallbacks.inc()
+		c.m.localFallbacks.Inc()
 		return c.solveLocal(ctx, d, p, wi, key, cascade)
 	}
 	pick := attempt
 	switch {
 	case attempt == window.HedgeAttempt:
 		pick = 1 // race the hedge on a different machine than the primary
-		c.m.hedgedRemote.inc()
+		c.m.hedgedRemote.Inc()
 	case attempt > 0:
-		c.m.failovers.inc()
+		c.m.failovers.Inc()
 	}
 	addr := owners[pick%len(owners)]
 
@@ -265,12 +266,12 @@ func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.
 	}
 	c.m.routedTo(addr, time.Since(t0).Seconds())
 	if resp.Cached {
-		c.m.cacheRemoteHits.inc()
+		c.m.cacheRemoteHits.Inc()
 	}
 	if err := checkOwned(b, resp.Cells); err != nil {
 		return nil, err
 	}
-	c.cache.put(key, resp.Cells)
+	c.cache.Put(key, resp.Cells)
 	return &window.Result{Window: wi, Cells: resp.Cells}, nil
 }
 
@@ -285,7 +286,7 @@ func (c *Coordinator) solveLocal(ctx context.Context, d *design.Design, p *windo
 	if err != nil {
 		return nil, err
 	}
-	c.cache.put(key, res.Cells)
+	c.cache.Put(key, res.Cells)
 	return res, nil
 }
 
@@ -481,14 +482,14 @@ func (c *Coordinator) DrainWorker(ctx context.Context, addr string) ([]string, e
 	var firstErr error
 	for _, id := range hosted {
 		if err := c.migrateSession(ctx, id, addr); err != nil {
-			c.m.migrationErrors.inc()
+			c.m.migrationErrors.Inc()
 			c.log.Warn("session migration failed", "session", id, "from", addr, "err", err)
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		c.m.migratedSessions.inc()
+		c.m.migratedSessions.Inc()
 		migrated = append(migrated, id)
 	}
 	return migrated, firstErr

@@ -1,205 +1,98 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
+
+	"mclg/internal/prom"
 )
-
-// counter is a monotonically increasing uint64.
-type counter struct{ v atomic.Uint64 }
-
-func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) add(n uint64) { c.v.Add(n) }
-func (c *counter) get() uint64  { return c.v.Load() }
-
-// shardBuckets are the upper bounds (seconds) of the per-shard round-trip
-// latency histograms: 1 ms to 60 s, matching the daemon's stage buckets so
-// dashboards can overlay shard time onto solve time.
-var shardBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// histogram is a fixed-bucket latency histogram in Prometheus semantics.
-type histogram struct {
-	mu     sync.Mutex
-	counts []uint64
-	inf    uint64
-	sum    float64
-	total  uint64
-}
-
-func newHistogram() *histogram {
-	return &histogram{counts: make([]uint64, len(shardBuckets))}
-}
-
-func (h *histogram) observe(seconds float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, ub := range shardBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
-	h.inf++
-	h.sum += seconds
-	h.total++
-}
 
 // Metrics is the cluster observability registry, shared by the coordinator
 // (routing, cache, failover, migration series) and the worker (served-solve
 // series). WritePrometheus appends its series to a daemon's /metrics
 // exposition via the serve.Config.ExtraMetrics hook.
 type Metrics struct {
-	routed       sync.Map // worker -> *counter: window jobs dispatched
-	shardLatency sync.Map // worker -> *histogram: round-trip seconds
+	reg prom.Registry
 
-	hedgedRemote   counter // hedge attempts routed to a different worker
-	failovers      counter // attempts re-routed after a worker refusal/failure
-	localFallbacks counter // windows solved on the coordinator (no worker usable)
+	routed       *prom.Vec[prom.Counter]   // worker: window jobs dispatched
+	shardLatency *prom.Vec[prom.Histogram] // worker: round-trip seconds
 
-	cacheLocalHits  counter // coordinator cache hits (no dispatch at all)
-	cacheRemoteHits counter // worker-side cache hits (dispatched, not solved)
+	hedgedRemote   *prom.Counter // hedge attempts routed to a different worker
+	failovers      *prom.Counter // attempts re-routed after a worker refusal/failure
+	localFallbacks *prom.Counter // windows solved on the coordinator (no worker usable)
 
-	served       counter // worker: shard solves answered (cache hits included)
-	solveErrors  counter // worker: shard solves that failed
-	refusedDrain counter // worker: shard solves refused while draining
+	cacheLocalHits  *prom.Counter // coordinator cache hits (no dispatch at all)
+	cacheRemoteHits *prom.Counter // worker-side cache hits (dispatched, not solved)
 
-	warmHits   counter // worker: shard solves that reused pooled warm state
-	warmMisses counter // worker: shard solves that ran cold through the pool
+	served       *prom.Counter // worker: shard solves answered (cache hits included)
+	solveErrors  *prom.Counter // worker: shard solves that failed
+	refusedDrain *prom.Counter // worker: shard solves refused while draining
 
-	migratedSessions counter // ECO sessions migrated between workers
-	migrationErrors  counter // ECO migrations that failed verification
+	warmHits   *prom.Counter // worker: shard solves that reused pooled warm state
+	warmMisses *prom.Counter // worker: shard solves that ran cold through the pool
+
+	migratedSessions *prom.Counter // ECO sessions migrated between workers
+	migrationErrors  *prom.Counter // ECO migrations that failed verification
 }
 
 // NewMetrics builds an empty registry.
-func NewMetrics() *Metrics { return &Metrics{} }
+func NewMetrics() *Metrics {
+	m := &Metrics{}
+	r := &m.reg
+	m.routed = r.CounterVec("mclgd_cluster_routed_total", "Window jobs dispatched to each worker.", "worker")
+	m.hedgedRemote = r.Counter("mclgd_cluster_hedged_total", "Hedge attempts routed to a secondary worker.")
+	m.failovers = r.Counter("mclgd_cluster_failovers_total", "Attempts re-routed to the next owner after a worker refusal or failure.")
+	m.localFallbacks = r.Counter("mclgd_cluster_local_fallbacks_total", "Windows solved on the coordinator because no worker was usable.")
+	hits := r.CounterVec("mclgd_cluster_cache_hits_total", "Window-result cache hits by location (local = coordinator, remote = worker).", "location",
+		"local", "remote")
+	m.cacheLocalHits, m.cacheRemoteHits = hits.With("local"), hits.With("remote")
+	m.served = r.Counter("mclgd_cluster_served_total", "Shard solves answered by this worker (cache hits included).")
+	m.solveErrors = r.Counter("mclgd_cluster_solve_errors_total", "Shard solves that failed on this worker.")
+	m.refusedDrain = r.Counter("mclgd_cluster_refused_draining_total", "Shard solves refused because the worker was draining.")
+	warm := r.CounterVec("mclgd_cluster_warm_total", "Shard solves through the worker's warm-state pool, by outcome (hit = cached factorizations reused).", "result",
+		"hit", "miss")
+	m.warmHits, m.warmMisses = warm.With("hit"), warm.With("miss")
+	m.migratedSessions = r.Counter("mclgd_cluster_migrated_sessions_total", "ECO sessions migrated between workers via delta-log replay.")
+	m.migrationErrors = r.Counter("mclgd_cluster_migration_errors_total", "ECO migrations that failed replay verification.")
+	m.shardLatency = r.HistogramVec("mclgd_cluster_shard_seconds", "Per-worker shard round-trip latency.", "worker")
+	return m
+}
 
 func (m *Metrics) routedTo(worker string, seconds float64) {
-	c, _ := m.routed.LoadOrStore(worker, &counter{})
-	c.(*counter).inc()
-	h, _ := m.shardLatency.LoadOrStore(worker, newHistogram())
-	h.(*histogram).observe(seconds)
+	m.routed.With(worker).Inc()
+	m.shardLatency.With(worker).Observe(seconds)
 }
 
 // Routed returns the dispatch count for one worker (test/smoke helper).
-func (m *Metrics) Routed(worker string) uint64 {
-	c, ok := m.routed.Load(worker)
-	if !ok {
-		return 0
-	}
-	return c.(*counter).get()
-}
+func (m *Metrics) Routed(worker string) uint64 { return m.RoutedByWorker()[worker] }
 
 // RoutedTotal returns the dispatch count summed over all workers.
 func (m *Metrics) RoutedTotal() uint64 {
 	var total uint64
-	m.routed.Range(func(_, c any) bool {
-		total += c.(*counter).get()
-		return true
-	})
+	for _, n := range m.RoutedByWorker() {
+		total += n
+	}
 	return total
 }
 
 // RoutedByWorker snapshots the per-worker dispatch counts.
 func (m *Metrics) RoutedByWorker() map[string]uint64 {
 	out := make(map[string]uint64)
-	m.routed.Range(func(k, c any) bool {
-		out[k.(string)] = c.(*counter).get()
-		return true
-	})
+	m.routed.Each(func(worker string, c *prom.Counter) { out[worker] = c.Get() })
 	return out
 }
 
 // RemoteCacheHits returns the worker-side cache-hit count observed by the
 // coordinator (test/smoke helper).
-func (m *Metrics) RemoteCacheHits() uint64 { return m.cacheRemoteHits.get() }
+func (m *Metrics) RemoteCacheHits() uint64 { return m.cacheRemoteHits.Get() }
 
 // WarmHits and WarmMisses return the worker warm-pool outcome counts
 // (test/smoke helpers).
-func (m *Metrics) WarmHits() uint64   { return m.warmHits.get() }
-func (m *Metrics) WarmMisses() uint64 { return m.warmMisses.get() }
+func (m *Metrics) WarmHits() uint64   { return m.warmHits.Get() }
+func (m *Metrics) WarmMisses() uint64 { return m.warmMisses.Get() }
 
 // MigratedSessions returns the completed ECO migration count.
-func (m *Metrics) MigratedSessions() uint64 { return m.migratedSessions.get() }
+func (m *Metrics) MigratedSessions() uint64 { return m.migratedSessions.Get() }
 
 // WritePrometheus renders every cluster series in the Prometheus text
-// exposition format, sorted for scrape stability.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# HELP mclgd_cluster_routed_total Window jobs dispatched to each worker.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_routed_total counter\n")
-	for _, worker := range sortedMapKeys(&m.routed) {
-		c, _ := m.routed.Load(worker)
-		fmt.Fprintf(w, "mclgd_cluster_routed_total{worker=%q} %d\n", worker, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_hedged_total Hedge attempts routed to a secondary worker.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_hedged_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_hedged_total %d\n", m.hedgedRemote.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_failovers_total Attempts re-routed to the next owner after a worker refusal or failure.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_failovers_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_failovers_total %d\n", m.failovers.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_local_fallbacks_total Windows solved on the coordinator because no worker was usable.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_local_fallbacks_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_local_fallbacks_total %d\n", m.localFallbacks.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_cache_hits_total Window-result cache hits by location (local = coordinator, remote = worker).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_cache_hits_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_cache_hits_total{location=\"local\"} %d\n", m.cacheLocalHits.get())
-	fmt.Fprintf(w, "mclgd_cluster_cache_hits_total{location=\"remote\"} %d\n", m.cacheRemoteHits.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_served_total Shard solves answered by this worker (cache hits included).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_served_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_served_total %d\n", m.served.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_solve_errors_total Shard solves that failed on this worker.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_solve_errors_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_solve_errors_total %d\n", m.solveErrors.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_refused_draining_total Shard solves refused because the worker was draining.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_refused_draining_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_refused_draining_total %d\n", m.refusedDrain.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_warm_total Shard solves through the worker's warm-state pool, by outcome (hit = cached factorizations reused).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_warm_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_warm_total{result=\"hit\"} %d\n", m.warmHits.get())
-	fmt.Fprintf(w, "mclgd_cluster_warm_total{result=\"miss\"} %d\n", m.warmMisses.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_migrated_sessions_total ECO sessions migrated between workers via delta-log replay.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_migrated_sessions_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_migrated_sessions_total %d\n", m.migratedSessions.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_migration_errors_total ECO migrations that failed replay verification.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_migration_errors_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_migration_errors_total %d\n", m.migrationErrors.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cluster_shard_seconds Per-worker shard round-trip latency.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_shard_seconds histogram\n")
-	for _, worker := range sortedMapKeys(&m.shardLatency) {
-		v, _ := m.shardLatency.Load(worker)
-		h := v.(*histogram)
-		h.mu.Lock()
-		for i, ub := range shardBuckets {
-			fmt.Fprintf(w, "mclgd_cluster_shard_seconds_bucket{worker=%q,le=\"%g\"} %d\n", worker, ub, h.counts[i])
-		}
-		fmt.Fprintf(w, "mclgd_cluster_shard_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", worker, h.inf)
-		fmt.Fprintf(w, "mclgd_cluster_shard_seconds_sum{worker=%q} %g\n", worker, h.sum)
-		fmt.Fprintf(w, "mclgd_cluster_shard_seconds_count{worker=%q} %d\n", worker, h.total)
-		h.mu.Unlock()
-	}
-}
-
-func sortedMapKeys(m *sync.Map) []string {
-	var keys []string
-	m.Range(func(k, _ any) bool {
-		keys = append(keys, k.(string))
-		return true
-	})
-	sort.Strings(keys)
-	return keys
-}
+// exposition format, workers sorted for scrape stability.
+func (m *Metrics) WritePrometheus(w io.Writer) { m.reg.Write(w) }

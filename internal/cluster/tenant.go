@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mclg/internal/mclgerr"
+	"mclg/internal/prom"
 )
 
 // Priority tiers at the coordinator admission queue. Interactive work (ECO
@@ -100,8 +101,8 @@ type TenantGate struct {
 	buckets map[string]*bucket
 	now     func() time.Time // injectable for deterministic tests
 
-	admitted  counter
-	throttled counter
+	reg                 prom.Registry
+	admitted, throttled *prom.Counter
 }
 
 type bucket struct {
@@ -113,7 +114,11 @@ type bucket struct {
 // NewTenantGate builds a gate from parsed limits. A nil or empty map admits
 // everything (the gate still counts admissions).
 func NewTenantGate(limits map[string]TenantLimit) *TenantGate {
-	return &TenantGate{limits: limits, buckets: make(map[string]*bucket), now: time.Now}
+	g := &TenantGate{limits: limits, buckets: make(map[string]*bucket), now: time.Now}
+	d := g.reg.CounterVec("mclgd_cluster_admissions_total", "Tenant-gate decisions at the admission queue.", "decision",
+		"admitted", "throttled")
+	g.admitted, g.throttled = d.With("admitted"), d.With("throttled")
+	return g
 }
 
 // limitFor resolves a tenant's limit: exact entry, then the "*" default,
@@ -138,7 +143,7 @@ func (g *TenantGate) Admit(tenant, priority string) (ok bool, retryAfter time.Du
 
 	limit, limited := g.limitFor(tenant)
 	if !limited {
-		g.admitted.inc()
+		g.admitted.Inc()
 		return true, 0
 	}
 	now := g.now()
@@ -161,23 +166,18 @@ func (g *TenantGate) Admit(tenant, priority string) (ok bool, retryAfter time.Du
 	}
 	if b.tokens >= need {
 		b.tokens--
-		g.admitted.inc()
+		g.admitted.Inc()
 		return true, 0
 	}
-	g.throttled.inc()
+	g.throttled.Inc()
 	wait := (need - b.tokens) / limit.Rate
 	return false, time.Duration(math.Ceil(wait * float64(time.Second)))
 }
 
 // Counts reports lifetime admissions and throttles (metrics/test helper).
 func (g *TenantGate) Counts() (admitted, throttled uint64) {
-	return g.admitted.get(), g.throttled.get()
+	return g.admitted.Get(), g.throttled.Get()
 }
 
 // WritePrometheus appends the gate's series to a /metrics exposition.
-func (g *TenantGate) WritePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# HELP mclgd_cluster_admissions_total Tenant-gate decisions at the admission queue.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cluster_admissions_total counter\n")
-	fmt.Fprintf(w, "mclgd_cluster_admissions_total{decision=\"admitted\"} %d\n", g.admitted.get())
-	fmt.Fprintf(w, "mclgd_cluster_admissions_total{decision=\"throttled\"} %d\n", g.throttled.get())
-}
+func (g *TenantGate) WritePrometheus(w io.Writer) { g.reg.Write(w) }

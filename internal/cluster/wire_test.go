@@ -9,6 +9,7 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/gen"
+	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/window"
 )
@@ -115,29 +116,29 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 }
 
 func TestWindowCacheLRU(t *testing.T) {
-	c := newWindowCache(2)
-	put := func(k string, id int) { c.put(k, []window.CellPos{{ID: id}}) }
+	c := lru.New[string, []window.CellPos](2)
+	put := func(k string, id int) { c.Put(k, []window.CellPos{{ID: id}}) }
 	put("a", 1)
 	put("b", 2)
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted prematurely")
 	}
 	put("c", 3) // b is now LRU and must fall out
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived past capacity")
 	}
-	if got, ok := c.get("a"); !ok || got[0].ID != 1 {
+	if got, ok := c.Get("a"); !ok || got[0].ID != 1 {
 		t.Fatal("a lost or corrupted")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if newWindowCache(-1).len() != 0 {
+	if lru.New[string, []window.CellPos](-1).Len() != 0 {
 		t.Fatal("disabled cache must hold nothing")
 	}
-	disabled := newWindowCache(-1)
-	disabled.put("x", nil)
-	if _, ok := disabled.get("x"); ok {
+	disabled := lru.New[string, []window.CellPos](-1)
+	disabled.Put("x", nil)
+	if _, ok := disabled.Get("x"); ok {
 		t.Fatal("disabled cache must not store")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/eco"
+	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/par"
 	"mclg/internal/window"
@@ -84,8 +85,8 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // in-flight solves finish.
 type Worker struct {
 	cfg   WorkerConfig
-	cache *windowCache
-	warm  *core.WarmPool // nil when WarmCap < 0
+	cache *lru.Cache[string, []window.CellPos]
+	warm  *lru.Cache[string, *core.WarmState] // nil when WarmCap < 0
 	m     *Metrics
 	log   *slog.Logger
 
@@ -104,14 +105,14 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	cfg = cfg.withDefaults()
 	wk := &Worker{
 		cfg:      cfg,
-		cache:    newWindowCache(cfg.CacheCap),
+		cache:    lru.New[string, []window.CellPos](cfg.CacheCap),
 		m:        cfg.Metrics,
 		log:      cfg.Logger,
 		sem:      make(chan struct{}, cfg.Solves),
 		sessions: make(map[string]*eco.Session),
 	}
 	if cfg.WarmCap > 0 {
-		wk.warm = core.NewWarmPool(cfg.WarmCap)
+		wk.warm = lru.New[string, *core.WarmState](cfg.WarmCap)
 	}
 	return wk
 }
@@ -200,7 +201,7 @@ func (wk *Worker) handleDrain(w http.ResponseWriter, _ *http.Request) {
 
 func (wk *Worker) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if wk.Draining() {
-		wk.m.refusedDrain.inc()
+		wk.m.refusedDrain.Inc()
 		writeShardErr(w, http.StatusServiceUnavailable, "draining", "worker is draining; route elsewhere")
 		return
 	}
@@ -217,8 +218,8 @@ func (wk *Worker) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if cells, ok := wk.cache.get(req.Key); ok {
-		wk.m.served.inc()
+	if cells, ok := wk.cache.Get(req.Key); ok {
+		wk.m.served.Inc()
 		writeJSON(w, solveResponse{Cells: cells, Cached: true, Worker: wk.cfg.ID})
 		return
 	}
@@ -249,24 +250,24 @@ func (wk *Worker) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// cascade's base rung (fallback rungs always run cold). A topology
 		// mismatch inside the state re-primes it — the key only routes
 		// likely matches, it never gates correctness.
-		opts.Base.Warm = wk.warm.Get(shardWarmKey(sub, req.Window, &opts.Base))
+		opts.Base.Warm = wk.warm.GetOrCreate(shardWarmKey(sub, req.Window, &opts.Base), core.NewWarmState)
 	}
 	t0 := time.Now()
 	res, err := window.SolveSubDesign(r.Context(), sub, req.Idx, req.Window, opts)
 	if err != nil {
-		wk.m.solveErrors.inc()
+		wk.m.solveErrors.Inc()
 		writeSolverErr(w, err)
 		return
 	}
 	if wk.warm != nil {
 		if res.WarmReused {
-			wk.m.warmHits.inc()
+			wk.m.warmHits.Inc()
 		} else {
-			wk.m.warmMisses.inc()
+			wk.m.warmMisses.Inc()
 		}
 	}
-	wk.cache.put(req.Key, res.Cells)
-	wk.m.served.inc()
+	wk.cache.Put(req.Key, res.Cells)
+	wk.m.served.Inc()
 	wk.log.Info("shard solve", "key", req.Key, "window", req.Window,
 		"cells", len(res.Cells), "warm", res.WarmReused,
 		"ms", float64(time.Since(t0))/float64(time.Millisecond))
@@ -337,7 +338,7 @@ func (wk *Worker) ecoOptions(req *ecoShardRequest) eco.Options {
 
 func (wk *Worker) ecoCreate(w http.ResponseWriter, r *http.Request, req *ecoShardRequest) {
 	if wk.Draining() {
-		wk.m.refusedDrain.inc()
+		wk.m.refusedDrain.Inc()
 		writeShardErr(w, http.StatusServiceUnavailable, "draining", "worker is draining; route elsewhere")
 		return
 	}
@@ -379,7 +380,7 @@ func (wk *Worker) ecoCreate(w http.ResponseWriter, r *http.Request, req *ecoShar
 			ID: req.Session, Base: base, Log: req.Batches, PosHash: req.WantPosHash,
 		}, opts)
 		if err != nil {
-			wk.m.migrationErrors.inc()
+			wk.m.migrationErrors.Inc()
 		}
 	} else {
 		sess, err = eco.Create(r.Context(), req.Session, base, opts)
@@ -408,7 +409,7 @@ func (wk *Worker) session(id string) (*eco.Session, bool) {
 
 func (wk *Worker) ecoApply(w http.ResponseWriter, r *http.Request, req *ecoShardRequest) {
 	if wk.Draining() {
-		wk.m.refusedDrain.inc()
+		wk.m.refusedDrain.Inc()
 		writeShardErr(w, http.StatusServiceUnavailable, "draining", "worker is draining; route elsewhere")
 		return
 	}

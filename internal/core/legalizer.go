@@ -393,7 +393,7 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 			// run real iterations; the solve below reuses it.
 			aMat = p.AssembleLCPMatrix()
 			key := warmSig(p, &opts)
-			if e, ok := sharedTuner.lookup(key); ok {
+			if e, ok := sharedTuner.Get(key); ok {
 				st.ThetaBound = e.bound
 				if e.theta != theta {
 					theta = e.theta
@@ -409,7 +409,7 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 				if terr != nil {
 					return nil, nil, terr
 				}
-				sharedTuner.store(key, e)
+				sharedTuner.Put(key, e)
 				theta, sp = e.theta, tunedSp
 				st.ThetaBound = e.bound
 			}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"mclg/internal/lcp"
+	"mclg/internal/lru"
 	"mclg/internal/sparse"
 )
 
@@ -42,10 +41,10 @@ const (
 	// overestimating) μmax estimate.
 	autoTuneSafety = 0.9
 
-	// tunerCacheCap bounds the shared cache; entries are evicted FIFO. A
-	// long-running server cycling through more than this many distinct
-	// topologies re-tunes on wraparound — correctness is unaffected because
-	// tuning is deterministic per structure.
+	// tunerCacheCap bounds the shared cache; the least recently used entry
+	// is evicted past it. A long-running server cycling through more than
+	// this many distinct topologies re-tunes evicted ones — correctness is
+	// unaffected because tuning is deterministic per structure.
 	tunerCacheCap = 512
 )
 
@@ -55,45 +54,13 @@ type tunerEntry struct {
 	score float64 // probe ‖Δz‖∞ of the winning candidate (smaller = faster)
 }
 
-// tunerCache memoizes tuned parameters by structure+options signature.
-type tunerCache struct {
-	mu    sync.Mutex
-	m     map[uint64]tunerEntry
-	order []uint64 // insertion order for FIFO eviction
-	cap   int
-}
-
-var sharedTuner = &tunerCache{m: make(map[uint64]tunerEntry), cap: tunerCacheCap}
-
-func (c *tunerCache) lookup(key uint64) (tunerEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	return e, ok
-}
-
-func (c *tunerCache) store(key uint64, e tunerEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok {
-		for len(c.order) >= c.cap {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-		}
-		c.order = append(c.order, key)
-	}
-	c.m[key] = e
-}
+// sharedTuner memoizes tuned parameters by structure+options signature.
+var sharedTuner = lru.New[uint64, tunerEntry](tunerCacheCap)
 
 // ResetTunerCache drops all memoized tuning results. Tuning is deterministic
 // per structure, so this never changes solver output — it only restores the
 // one-time tuning cost, which the determinism tests rely on.
-func ResetTunerCache() {
-	sharedTuner.mu.Lock()
-	defer sharedTuner.mu.Unlock()
-	sharedTuner.m = make(map[uint64]tunerEntry)
-	sharedTuner.order = nil
-}
+func ResetTunerCache() { sharedTuner.Clear() }
 
 // tuneTheta ranks a fixed grid of θ* candidates — multiples of the
 // configured value, clamped under the safety-factored Theorem-2 bound — by

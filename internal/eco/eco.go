@@ -12,7 +12,7 @@
 // process restart. That holds because every stage is deterministic — the
 // dirty-band selection, the run merge, the resilient cascade each run is
 // solved with, and the chow local-repair fallback — and because warm-state
-// reuse (per-run, via core.WarmPool) only changes iteration counts, never
+// reuse (per-run, via a pool of core.WarmState) only changes iteration counts, never
 // placements. The replay property is what audit.ReplayCertificate certifies.
 //
 // A batch is atomic: it either commits a whole-design checker-verified
@@ -91,7 +91,7 @@ type Options struct {
 	ContextRows int
 	MarginRows  int
 
-	// WarmCap bounds the per-run warm-state pool (core.WarmPool) — one
+	// WarmCap bounds the per-run warm-state pool (an LRU of core.WarmState) — one
 	// state per dirty-run row range, reused when the run's structure
 	// signature still matches. 0 means 16; negative disables warm starts.
 	WarmCap int

@@ -1,28 +1,13 @@
 package eco
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"sync"
 
 	"mclg/internal/mclgerr"
+	"mclg/internal/wal"
 )
-
-// fileLog is the durable half of the session journal: an append-only,
-// fsync'd, checksummed JSON-lines file, structured like window.FileJournal
-// — one header line binding the log to a (base design, options) signature,
-// then one record per accepted batch. Appends are write-ahead with respect
-// to the in-memory commit; a torn final line from a crash mid-append is
-// detected by checksum and truncated on resume.
-type fileLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
 
 // logHeader is the first line of a session log. Sig content-addresses the
 // base design and the session options (Session.logSig), so a log never
@@ -60,178 +45,23 @@ func (r logRecord) sum() string {
 // the caller's Meta payload. A daemon restart scans its log directory with
 // this to learn which sessions to rebuild before it can replay them.
 func ReadLogMeta(path string) (id string, meta json.RawMessage, err error) {
-	f, err := os.Open(path)
-	if err != nil {
+	var hdr logHeader
+	if err := wal.ReadHeader(path, &hdr); err != nil {
 		return "", nil, mclgerr.Stage("eco-log", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	if !sc.Scan() {
-		return "", nil, mclgerr.Invalidf("eco-log %s: empty file", path)
-	}
-	var hdr logHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.V != 1 {
+	if hdr.V != 1 {
 		return "", nil, mclgerr.Invalidf("eco-log %s: unreadable header", path)
 	}
 	return hdr.ID, hdr.Meta, nil
 }
 
-// openFileLog opens (or creates) the session log at path. An existing file
-// whose header matches (id, sig, baseHash) has its intact records returned
-// for replay and is truncated past the last intact line; anything else —
+// openFileLog opens (or creates) the durable half of the session journal:
+// a write-ahead log (internal/wal) with one header line binding it to
+// (id, sig, baseHash), then one checksummed record per accepted batch, in
+// sequence. The intact records are returned for replay; anything else —
 // missing, torn header, mismatching signature — is reset to a fresh header.
-func openFileLog(path, id, sig, baseHash string, meta []byte) (*fileLog, []logRecord, error) {
-	var records []logRecord
-	if data, err := os.ReadFile(path); err == nil {
-		records = loadLog(data, id, sig, baseHash)
-	}
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, mclgerr.Stage("eco-log", err)
-	}
-	fail := func(err error) (*fileLog, []logRecord, error) {
-		f.Close()
-		return nil, nil, mclgerr.Stage("eco-log", err)
-	}
-	if len(records) == 0 {
-		if err := f.Truncate(0); err != nil {
-			return fail(err)
-		}
-		hdr, err := json.Marshal(logHeader{V: 1, ID: id, Sig: sig, BaseHash: baseHash, Meta: meta})
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(append(hdr, '\n')); err != nil {
-			return fail(err)
-		}
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	} else {
-		// Resume after the last intact record; a torn tail is overwritten,
-		// not extended.
-		data, _ := os.ReadFile(path)
-		n := intactLogLen(data, id, sig, baseHash)
-		if err := f.Truncate(int64(n)); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Seek(int64(n), 0); err != nil {
-			return fail(err)
-		}
-	}
-	return &fileLog{f: f, path: path}, records, nil
-}
-
-// loadLog parses the log bytes, returning records up to the first torn or
-// out-of-order line. A header mismatch discards everything.
-func loadLog(data []byte, id, sig, baseHash string) []logRecord {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	if !sc.Scan() {
-		return nil
-	}
-	var hdr logHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil ||
-		hdr.V != 1 || hdr.ID != id || hdr.Sig != sig || hdr.BaseHash != baseHash {
-		return nil
-	}
-	var out []logRecord
-	for sc.Scan() {
-		var rec logRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return out // torn tail
-		}
-		if rec.Sum != rec.sum() || rec.Seq != len(out)+1 {
-			return out
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// intactLogLen returns the byte length of the header plus every intact
-// record — the offset appends resume from.
-func intactLogLen(data []byte, id, sig, baseHash string) int {
-	n := 0
-	line := 0
-	start := 0
-	seq := 0
-	for i := 0; i <= len(data); i++ {
-		if i == len(data) || data[i] == '\n' {
-			if i == len(data) && start == i {
-				break
-			}
-			chunk := data[start:i]
-			ok := false
-			if line == 0 {
-				var hdr logHeader
-				ok = json.Unmarshal(chunk, &hdr) == nil &&
-					hdr.V == 1 && hdr.ID == id && hdr.Sig == sig && hdr.BaseHash == baseHash
-			} else {
-				var rec logRecord
-				ok = json.Unmarshal(chunk, &rec) == nil &&
-					rec.Sum == rec.sum() && rec.Seq == seq+1
-				if ok {
-					seq++
-				}
-			}
-			if !ok || i == len(data) {
-				if ok {
-					n = i // intact but unterminated final line: keep it
-				}
-				break
-			}
-			n = i + 1
-			line++
-			start = i + 1
-		}
-	}
-	return n
-}
-
-// Append durably persists one batch record: marshal with checksum, write
-// one line, flush, fsync. The caller commits in memory only after Append
-// returns nil.
-func (l *fileLog) Append(rec logRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return mclgerr.Invalidf("eco-log: closed")
-	}
-	rec.Sum = rec.sum()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return mclgerr.Stage("eco-log", err)
-	}
-	if _, err := l.f.Write(append(line, '\n')); err != nil {
-		return mclgerr.Stage("eco-log", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return mclgerr.Stage("eco-log", err)
-	}
-	return nil
-}
-
-// Close closes the underlying file; further Appends fail.
-func (l *fileLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
-}
-
-// Remove closes and deletes the log — called when the session is closed,
-// so a finished session never resumes.
-func (l *fileLog) Remove() error {
-	l.Close()
-	if err := os.Remove(l.path); err != nil && !os.IsNotExist(err) {
-		return mclgerr.Stage("eco-log", err)
-	}
-	return nil
+func openFileLog(path, id, sig, baseHash string, meta []byte) (*wal.Log[logRecord], []logRecord, error) {
+	return wal.Open(path, "eco-log", logHeader{V: 1, ID: id, Sig: sig, BaseHash: baseHash, Meta: meta},
+		func(h logHeader) bool { return h.V == 1 && h.ID == id && h.Sig == sig && h.BaseHash == baseHash },
+		func(n int, r logRecord) bool { return r.Seq == n+1 && r.Sum == r.sum() })
 }

@@ -1,7 +1,10 @@
 package eco
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -140,6 +143,118 @@ func TestResumeAcrossRestart(t *testing.T) {
 	}
 	if !cert.Pass {
 		t.Fatalf("resumed session certificate failed: %s", cert.Summary())
+	}
+}
+
+// TestResumeUnterminatedTail covers a crash that lands the last record on
+// disk without its newline: the intact record still resumes, and the next
+// accepted batch must survive a second restart instead of fusing with it
+// into one unreadable line.
+func TestResumeUnterminatedTail(t *testing.T) {
+	base := testDesign(t, "fft_2", 0.004)
+	path := filepath.Join(t.TempDir(), "s.ecolog")
+	batches := sampleBatches(base)
+	ctx := context.Background()
+
+	s1, err := Create(ctx, "s", base.Clone(), Options{LogPath: path})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := s1.Apply(ctx, batches[0]); err != nil {
+		t.Fatalf("batch 1: %v", err)
+	}
+	s1.flog.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Create(ctx, "s", base.Clone(), Options{LogPath: path})
+	if err != nil {
+		t.Fatalf("resume Create: %v", err)
+	}
+	if s2.Seq() != 1 {
+		t.Fatalf("resumed at seq %d, want 1", s2.Seq())
+	}
+	if _, err := s2.Apply(ctx, batches[1]); err != nil {
+		t.Fatalf("batch 2: %v", err)
+	}
+	want := s2.PosHash()
+	s2.flog.Close()
+
+	s3, err := Create(ctx, "s", base.Clone(), Options{LogPath: path})
+	if err != nil {
+		t.Fatalf("second resume Create: %v", err)
+	}
+	defer s3.Close()
+	if s3.Seq() != 2 || s3.PosHash() != want {
+		t.Fatalf("second resume at seq %d hash %s, want seq 2 hash %s", s3.Seq(), s3.PosHash(), want)
+	}
+}
+
+var updateFixture = flag.Bool("update", false, "rewrite testdata/session_v1.ecolog from the current writer")
+
+// fixturePosHash is the committed placement hash after the two batches
+// recorded in testdata/session_v1.ecolog.
+const fixturePosHash = "7529d4e43cfcba37"
+
+// TestLogFixtureResumes pins the session log format: a checked-in log from
+// the version-1 writer resumes to the same seq and placement hash, and a
+// fresh session applying the same batches writes the same bytes.
+func TestLogFixtureResumes(t *testing.T) {
+	ctx := context.Background()
+	base := testDesign(t, "fft_2", 0.004)
+	batches := sampleBatches(base)[:2]
+	meta := []byte(`{"bench":"fft_2","scale":0.004}`)
+	fixture := filepath.Join("testdata", "session_v1.ecolog")
+
+	fresh := filepath.Join(t.TempDir(), "fresh.ecolog")
+	s1, err := Create(ctx, "fx", base.Clone(), Options{LogPath: fresh, LogMeta: meta})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	for i, b := range batches {
+		if _, err := s1.Apply(ctx, b); err != nil {
+			t.Fatalf("batch %d: %v", i+1, err)
+		}
+	}
+	s1.flog.Close()
+	got, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateFixture {
+		if err := os.WriteFile(fixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fresh log bytes differ from %s:\n%s\nwant:\n%s", fixture, got, want)
+	}
+
+	id, gotMeta, err := ReadLogMeta(fixture)
+	if err != nil || id != "fx" || !bytes.Equal(gotMeta, meta) {
+		t.Fatalf("ReadLogMeta = %q, %s, %v; want fx, %s", id, gotMeta, err, meta)
+	}
+	path := filepath.Join(t.TempDir(), "resume.ecolog")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Create(ctx, "fx", base.Clone(), Options{LogPath: path, LogMeta: meta})
+	if err != nil {
+		t.Fatalf("resume Create: %v", err)
+	}
+	defer s2.Close()
+	if s2.Resumed() != 2 || s2.Seq() != 2 || s2.PosHash() != fixturePosHash {
+		t.Fatalf("resumed %d batches to seq %d hash %s; want 2, 2, %s",
+			s2.Resumed(), s2.Seq(), s2.PosHash(), fixturePosHash)
 	}
 }
 

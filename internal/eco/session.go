@@ -8,8 +8,10 @@ import (
 	"mclg/internal/baselines/chow"
 	"mclg/internal/core"
 	"mclg/internal/design"
+	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/regress"
+	"mclg/internal/wal"
 	"mclg/internal/window"
 )
 
@@ -31,9 +33,9 @@ type Session struct {
 	posHash  string
 	baseHash string // state-zero hash (legalized base, before any batch)
 
-	warm *core.WarmPool // one WarmState per dirty-run row range
+	warm *lru.Cache[string, *core.WarmState] // one WarmState per dirty-run row range
 
-	flog    *fileLog
+	flog    *wal.Log[logRecord] // nil for a memory-only session
 	resumed int
 
 	closed bool
@@ -84,7 +86,7 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 		opts: opts,
 		base: d.Clone(),
 		cur:  d.Clone(),
-		warm: core.NewWarmPool(opts.WarmCap),
+		warm: lru.New[string, *core.WarmState](opts.WarmCap),
 	}
 	if !design.CheckLegal(s.cur).Legal() {
 		rl := core.NewResilient(core.ResilientOptions{Base: opts.Core})
@@ -253,7 +255,9 @@ func (s *Session) applyLocked(ctx context.Context, deltas []Delta, persist bool)
 	// the append replays the batch on resume; a crash before it loses the
 	// batch entirely — never a half-state.
 	if persist && s.flog != nil {
-		if err := s.flog.Append(logRecord{Seq: res.Seq, Deltas: deltas, PosHash: res.PosHash}); err != nil {
+		rec := logRecord{Seq: res.Seq, Deltas: deltas, PosHash: res.PosHash}
+		rec.Sum = rec.sum()
+		if err := s.flog.Append(rec); err != nil {
 			s.stats.Rejected++
 			return nil, err
 		}
@@ -392,7 +396,7 @@ func mergeRuns(p *window.Plan, dirty []int) []run {
 func (s *Session) solveRun(ctx context.Context, av *design.Design, p *window.Plan, r run, touched map[int]bool) ([]window.CellPos, bool, error) {
 	sub, idx := p.BuildRun(av, r.bands)
 	cascade := core.ResilientOptions{Base: s.opts.Core}
-	cascade.Base.Warm = s.warm.Get(fmt.Sprintf("rows[%d,%d)", r.lo, r.hi))
+	cascade.Base.Warm = s.warm.GetOrCreate(fmt.Sprintf("rows[%d,%d)", r.lo, r.hi), core.NewWarmState)
 
 	var solveErr error
 	if solveErr = sub.Validate(); solveErr == nil {

@@ -1,35 +1,10 @@
 package lcp
 
 import (
-	"fmt"
 	"math"
 
 	"mclg/internal/sparse"
 )
-
-// IterationRho estimates the spectral radius of the MMSIM linear iteration
-// operator T = (M + Ω)⁻¹ N for a splitting, via a few deterministic power
-// iteration steps (sparse.PowerIteration's fixed quasi-random start). ρ(T)
-// bounds the asymptotic contraction of the s iterates on the smooth part of
-// the dynamics — the modulus nonlinearity only tightens it for H₊-matrices
-// — so comparing ρ across candidate splitting parameters ranks their
-// convergence speed without running solves. The estimate is a pure function
-// of the splitting structure and (maxIter, tol); n is the operator
-// dimension.
-func IterationRho(sp Splitting, n, maxIter int, tol float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	scratch := make([]float64, n)
-	rho := sparse.PowerIteration(n, func(dst, src []float64) {
-		sp.ApplyN(scratch, src)
-		sp.SolveMOmega(dst, scratch)
-	}, maxIter, tol)
-	if rho < 0 {
-		rho = -rho
-	}
-	return rho
-}
 
 // ProbeContraction scores a candidate splitting by running a short real
 // MMSIM probe against a synthetic right-hand side: a fixed Weyl-sequence q
@@ -70,34 +45,4 @@ func ProbeContraction(a *sparse.CSR, sp Splitting, iters int) float64 {
 		last = dz
 	}
 	return last
-}
-
-// TuneDiagAlpha picks the relaxation parameter α for DiagSplitting from a
-// fixed deterministic candidate grid by minimizing the estimated iteration
-// spectral radius ρ((M+Ω)⁻¹N). Ties (within 1e-12) break toward the smaller
-// α, keeping the choice deterministic. steps caps the power iterations per
-// candidate; a couple dozen suffices to rank candidates. Returns the chosen
-// α and its ρ estimate.
-func TuneDiagAlpha(a *sparse.CSR, steps int) (alpha, rho float64, err error) {
-	if a.Rows != a.Cols {
-		return 0, 0, fmt.Errorf("lcp: TuneDiagAlpha requires square A, got %dx%d", a.Rows, a.Cols)
-	}
-	if steps <= 0 {
-		steps = 24
-	}
-	// The grid spans the usual SOR-style range; values ≥ 2 break the
-	// modulus convergence theory for diagonally dominant A.
-	candidates := [...]float64{0.6, 0.8, 1.0, 1.2, 1.4}
-	bestAlpha, bestRho := 0.0, 0.0
-	for i, cand := range candidates {
-		sp, err := NewDiagSplitting(a, cand)
-		if err != nil {
-			return 0, 0, err
-		}
-		r := IterationRho(sp, a.Rows, steps, 1e-3)
-		if i == 0 || r < bestRho-1e-12 {
-			bestAlpha, bestRho = cand, r
-		}
-	}
-	return bestAlpha, bestRho, nil
 }

@@ -30,7 +30,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.lookup("k64"); !ok {
+		if _, ok := c.Get("k64"); !ok {
 			b.Fatal("lookup missed")
 		}
 	}

@@ -1,17 +1,11 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
+	"mclg/internal/lru"
 	"mclg/internal/serve/report"
 )
-
-// cacheEntry is one completed result resident in the LRU.
-type cacheEntry struct {
-	key string
-	rep *report.Report
-}
 
 // flight is one in-progress solve that concurrent identical requests join.
 // The leader closes done exactly once after filling rep or err.
@@ -21,46 +15,28 @@ type flight struct {
 	err  error
 }
 
-// resultCache is a content-addressed result store with LRU eviction plus
+// resultCache is a content-addressed LRU of completed results plus
 // singleflight semantics: while a key is being solved, identical requests
 // wait for the in-flight solve instead of enqueueing a duplicate job. Only
 // successful results are cached; a failed flight propagates its error to the
 // joined waiters and leaves the cache unchanged, so a transient failure
-// (deadline, saturation) does not poison the key.
+// (deadline, saturation) does not poison the key. Get serves lookups; hits
+// are counted by the handler so dedup-joins and store-hits share one
+// meaning: "served without a new solve".
 type resultCache struct {
-	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recently used; values are *cacheEntry
-	entries  map[string]*list.Element
-	inflight map[string]*flight
+	*lru.Cache[string, *report.Report]
 
-	hits, misses, evictions counter
+	mu       sync.Mutex // orders joins against completions
+	inflight map[string]*flight
 }
 
 // newResultCache builds a cache holding up to cap completed results.
 // cap <= 0 disables storage (every lookup misses) but dedup still works.
 func newResultCache(cap int) *resultCache {
 	return &resultCache{
-		cap:      cap,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
+		Cache:    lru.New[string, *report.Report](cap),
 		inflight: make(map[string]*flight),
 	}
-}
-
-// lookup returns the cached report for key, bumping it to most recently
-// used. The boolean reports a hit; counters are the caller's job (a hit here
-// is counted by the handler so dedup-joins and store-hits share one meaning:
-// "served without a new solve").
-func (c *resultCache) lookup(key string) (*report.Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).rep, true
 }
 
 // join registers interest in key. The first caller since the last completion
@@ -71,9 +47,8 @@ func (c *resultCache) lookup(key string) (*report.Report, bool) {
 func (c *resultCache) join(key string) (f *flight, leader bool, rep *report.Report) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		return nil, false, el.Value.(*cacheEntry).rep
+	if rep, ok := c.Get(key); ok {
+		return nil, false, rep
 	}
 	if f, ok := c.inflight[key]; ok {
 		return f, false, nil
@@ -84,26 +59,12 @@ func (c *resultCache) join(key string) (f *flight, leader bool, rep *report.Repo
 }
 
 // complete publishes the leader's successful result: it is stored in the
-// LRU (evicting the least recently used entry past capacity) and broadcast
-// to every joined waiter.
+// LRU and broadcast to every joined waiter.
 func (c *resultCache) complete(key string, f *flight, rep *report.Report) {
 	c.mu.Lock()
 	f.rep = rep
 	delete(c.inflight, key)
-	if c.cap > 0 {
-		if el, ok := c.entries[key]; ok {
-			el.Value.(*cacheEntry).rep = rep
-			c.ll.MoveToFront(el)
-		} else {
-			c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep})
-			for c.ll.Len() > c.cap {
-				last := c.ll.Back()
-				c.ll.Remove(last)
-				delete(c.entries, last.Value.(*cacheEntry).key)
-				c.evictions.inc()
-			}
-		}
-	}
+	c.Put(key, rep)
 	c.mu.Unlock()
 	close(f.done)
 }
@@ -116,12 +77,4 @@ func (c *resultCache) abort(key string, f *flight, err error) {
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
-}
-
-// stats returns the current entry count alongside lifetime counters.
-func (c *resultCache) stats() (entries int, hits, misses, evictions uint64) {
-	c.mu.Lock()
-	entries = c.ll.Len()
-	c.mu.Unlock()
-	return entries, c.hits.get(), c.misses.get(), c.evictions.get()
 }

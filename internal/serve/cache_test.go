@@ -21,21 +21,21 @@ func TestCacheLRUEviction(t *testing.T) {
 		c.complete(k, f, rep(k))
 	}
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if _, ok := c.lookup("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("lookup(a) missed")
 	}
 	f, _, _ := c.join("c")
 	c.complete("c", f, rep("c"))
 
-	if _, ok := c.lookup("b"); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.lookup(k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Errorf("%s should be resident", k)
 		}
 	}
-	entries, _, _, evictions := c.stats()
+	entries, evictions := c.Len(), c.Evictions()
 	if entries != 2 || evictions != 1 {
 		t.Errorf("entries=%d evictions=%d, want 2, 1", entries, evictions)
 	}
@@ -104,7 +104,7 @@ func TestCacheAbortDoesNotPoison(t *testing.T) {
 	if _, leader3, cached := c.join("k"); !leader3 || cached != nil {
 		t.Fatal("abort must leave the key solvable")
 	}
-	if entries, _, _, _ := c.stats(); entries != 0 {
+	if entries := c.Len(); entries != 0 {
 		t.Fatalf("entries = %d after abort, want 0", entries)
 	}
 }
@@ -116,10 +116,10 @@ func TestCacheDisabledStillDedups(t *testing.T) {
 		t.Fatal("expected leadership")
 	}
 	c.complete("k", f, rep("x"))
-	if _, ok := c.lookup("k"); ok {
+	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache must not store results")
 	}
-	if entries, _, _, _ := c.stats(); entries != 0 {
+	if entries := c.Len(); entries != 0 {
 		t.Error("disabled cache reported entries")
 	}
 }
@@ -131,11 +131,11 @@ func TestCacheCapacityOne(t *testing.T) {
 		f, _, _ := c.join(k)
 		c.complete(k, f, rep(k))
 	}
-	entries, _, _, evictions := c.stats()
+	entries, evictions := c.Len(), c.Evictions()
 	if entries != 1 || evictions != 4 {
 		t.Errorf("entries=%d evictions=%d, want 1, 4", entries, evictions)
 	}
-	if _, ok := c.lookup("k4"); !ok {
+	if _, ok := c.Get("k4"); !ok {
 		t.Error("most recent entry should survive")
 	}
 }

@@ -242,8 +242,8 @@ func (s *Server) recoverSessions() {
 			continue
 		}
 		s.eco.install(id, sess)
-		s.stats.ecoSessions.add(1)
-		s.stats.ecoEvent("resumed", 1)
+		s.stats.ecoSessions.Add(1)
+		s.stats.ecoEvents.With("resumed").Inc()
 		s.log.Info("eco session recovered", "id", id, "seq", sess.Seq(), "resumed", sess.Resumed())
 	}
 }
@@ -273,7 +273,7 @@ func (s *Server) createSession(ctx context.Context, id string, req *ecoRequest) 
 func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.refuse(w, http.StatusServiceUnavailable, "draining", "server is draining; durable sessions resume on restart")
-		s.stats.rejectedDraining.inc()
+		s.stats.rejectedDraining.Inc()
 		return
 	}
 	var req ecoRequest
@@ -293,7 +293,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	// the interactive tier; commit/close only read or release state.
 	if s.cfg.Gate != nil && (req.Action == "create" || req.Action == "apply") {
 		if ok, after := s.cfg.Gate.Admit(req.Tenant, "interactive"); !ok {
-			s.stats.rejectedLimited.inc()
+			s.stats.rejectedLimited.Inc()
 			s.fail(w, &rateLimitedError{tenant: req.Tenant, after: after})
 			return
 		}
@@ -328,9 +328,9 @@ func (s *Server) ecoCreate(ctx context.Context, w http.ResponseWriter, req *ecoR
 		return
 	}
 	s.eco.install(id, sess)
-	s.stats.ecoSessions.add(1)
-	s.stats.ecoEvent("created", 1)
-	s.stats.observeStage("eco_create", time.Since(t0).Seconds())
+	s.stats.ecoSessions.Add(1)
+	s.stats.ecoEvents.With("created").Inc()
+	s.stats.stages.With("eco_create").Observe(time.Since(t0).Seconds())
 	s.log.Info("eco session created", "id", id, "cells", sess.Statistics().Cells,
 		"resumed", sess.Resumed(), "durable", s.eco.dir != "")
 	s.ecoRespond(w, req.Action, sess, &ecoResponse{Resumed: sess.Resumed()})
@@ -344,13 +344,13 @@ func (s *Server) ecoApply(ctx context.Context, w http.ResponseWriter, req *ecoRe
 	}
 	t0 := time.Now()
 	res, err := sess.Apply(ctx, req.Deltas)
-	s.stats.observeStage("eco_apply", time.Since(t0).Seconds())
-	s.stats.ecoApplyDone(mclgerr.Class(err))
+	s.stats.stages.With("eco_apply").Observe(time.Since(t0).Seconds())
+	s.stats.ecoApplies.With(mclgerr.Class(err)).Inc()
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.stats.ecoEvent("deltas", len(req.Deltas))
+	s.stats.ecoEvents.With("deltas").Add(uint64(len(req.Deltas)))
 	s.log.Info("eco batch applied", "id", req.Session, "seq", res.Seq,
 		"deltas", res.Deltas, "bands", res.Bands, "runs", res.Runs, "repaired", res.Repaired,
 		"ms", float64(time.Since(t0))/float64(time.Millisecond))
@@ -365,15 +365,15 @@ func (s *Server) ecoCommit(ctx context.Context, w http.ResponseWriter, req *ecoR
 	}
 	t0 := time.Now()
 	cert, err := sess.Certify(ctx)
-	s.stats.observeStage("eco_commit", time.Since(t0).Seconds())
+	s.stats.stages.With("eco_commit").Observe(time.Since(t0).Seconds())
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	if cert.Pass {
-		s.stats.ecoEvent("committed", 1)
+		s.stats.ecoEvents.With("committed").Inc()
 	} else {
-		s.stats.ecoEvent("commit_failed", 1)
+		s.stats.ecoEvents.With("commit_failed").Inc()
 	}
 	st := sess.Statistics()
 	resp := &ecoResponse{Certificate: cert, Stats: &st}
@@ -396,8 +396,8 @@ func (s *Server) ecoClose(w http.ResponseWriter, req *ecoRequest) {
 		return
 	}
 	s.eco.remove(req.Session)
-	s.stats.ecoSessions.add(-1)
-	s.stats.ecoEvent("closed", 1)
+	s.stats.ecoSessions.Add(-1)
+	s.stats.ecoEvents.With("closed").Inc()
 	s.log.Info("eco session closed", "id", req.Session)
 	s.ecoRespond(w, req.Action, sess, &ecoResponse{})
 }

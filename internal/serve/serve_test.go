@@ -114,7 +114,7 @@ func TestConcurrentIdenticalJobsSingleSolve(t *testing.T) {
 		t.Fatal("a request failed")
 	}
 
-	_, hits, misses, _ := s.cache.stats()
+	hits, misses := s.stats.cacheHits.Get(), s.stats.cacheMisses.Get()
 	if misses != 1 || hits != 1 {
 		t.Errorf("cache traffic: %d misses, %d hits, want exactly 1 and 1", misses, hits)
 	}
@@ -164,9 +164,9 @@ func TestQueueSaturation(t *testing.T) {
 	}
 
 	go submit(slow(0.02))
-	waitFor(t, "worker busy", func() bool { return s.stats.inflight.get() == 1 })
+	waitFor(t, "worker busy", func() bool { return s.stats.inflight.Get() == 1 })
 	go submit(slow(0.019))
-	waitFor(t, "queue occupied", func() bool { return s.stats.queueDepth.get() == 1 })
+	waitFor(t, "queue occupied", func() bool { return s.stats.queueDepth.Get() == 1 })
 
 	var eb errorBody
 	resp := post(t, ts.URL, slow(0.018), &eb)
@@ -179,8 +179,8 @@ func TestQueueSaturation(t *testing.T) {
 	if eb.Class != "queue_full" {
 		t.Errorf("429 class = %q, want queue_full", eb.Class)
 	}
-	if s.stats.rejectedFull.get() != 1 {
-		t.Errorf("rejected_total{queue_full} = %d, want 1", s.stats.rejectedFull.get())
+	if s.stats.rejectedFull.Get() != 1 {
+		t.Errorf("rejected_total{queue_full} = %d, want 1", s.stats.rejectedFull.Get())
 	}
 
 	// Hard drain: the grace period expires immediately, so the in-flight
@@ -223,13 +223,12 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		done <- &rep
 	}()
 	waitFor(t, "job admitted", func() bool {
-		if s.stats.inflight.get() == 1 || s.stats.queueDepth.get() == 1 {
+		if s.stats.inflight.Get() == 1 || s.stats.queueDepth.Get() == 1 {
 			return true
 		}
 		// The job may already have finished — that still exercises the
 		// drain-after-work path below.
-		c, _ := s.stats.jobs.Load("ok")
-		return c.(*counter).get() >= 1
+		return s.stats.jobs.With("ok").Get() >= 1
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

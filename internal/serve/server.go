@@ -36,6 +36,7 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/faults"
+	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
 	"mclg/internal/window"
@@ -54,7 +55,7 @@ type Config struct {
 	CacheCap int
 	// WarmCap bounds the warm-start store (topologies whose solver state is
 	// retained for near-match acceleration); 0 means 32, negative disables
-	// warm starting. See warmStore.
+	// warm starting. See Server.warm.
 	WarmCap int
 	// DefaultJobTimeout applies when a request has no timeout_ms;
 	// MaxJobTimeout caps whatever the request asks for.
@@ -190,7 +191,14 @@ type job struct {
 type Server struct {
 	cfg   Config
 	cache *resultCache
-	warm  *warmStore
+	// warm keys core.WarmState by topology fingerprint, so a re-submit of
+	// a perturbed design — same netlist, same row structure, moved cells —
+	// lands on the state primed by the previous solve and is seeded from
+	// its solution. The result cache answers bit-identical requests without
+	// solving; the warm store accelerates the near-matches that do solve.
+	// Each WarmState serializes the solves that share it, so two concurrent
+	// jobs on one topology run one after the other through the warm path.
+	warm  *lru.Cache[string, *core.WarmState]
 	eco   *ecoRegistry
 	stats *serverStats
 	log   *slog.Logger
@@ -215,12 +223,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
+	cache := newResultCache(cfg.CacheCap)
+	warm := lru.New[string, *core.WarmState](cfg.WarmCap)
 	s := &Server{
 		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheCap),
-		warm:     newWarmStore(cfg.WarmCap),
+		cache:    cache,
+		warm:     warm,
 		eco:      newEcoRegistry(cfg.ECOSessionCap, cfg.ECODir),
-		stats:    newServerStats(),
+		stats:    newServerStats(cache, warm),
 		log:      cfg.Logger,
 		queue:    make(chan *job, cfg.QueueCap),
 		baseCtx:  ctx,
@@ -285,7 +295,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
-		s.stats.queueDepth.add(-1)
+		s.stats.queueDepth.Add(-1)
 		s.runJob(j)
 	}
 }
@@ -295,8 +305,8 @@ func (s *Server) worker() {
 func (s *Server) runJob(j *job) {
 	defer s.jobsWG.Done()
 	defer j.cancel()
-	s.stats.inflight.add(1)
-	defer s.stats.inflight.add(-1)
+	s.stats.inflight.Add(1)
+	defer s.stats.inflight.Add(-1)
 
 	queueWait := time.Since(j.queuedAt)
 	t0 := time.Now()
@@ -308,7 +318,7 @@ func (s *Server) runJob(j *job) {
 		tp := time.Now()
 		d, derr := j.req.loadDesign()
 		parseDur = time.Since(tp)
-		s.stats.observeStage("parse", parseDur.Seconds())
+		s.stats.stages.With("parse").Observe(parseDur.Seconds())
 		if derr != nil {
 			err = mclgerr.Invalid(derr)
 		} else {
@@ -320,7 +330,7 @@ func (s *Server) runJob(j *job) {
 			var warm *core.WarmState
 			var coldIters int
 			if !j.req.Windows && j.req.Method == "ours" {
-				if warm = s.warm.get(j.req.topoKey()); warm != nil {
+				if warm = s.warm.GetOrCreate(j.req.topoKey(), core.NewWarmState); warm != nil {
 					coldIters = warm.ColdIterations()
 				}
 			}
@@ -334,21 +344,21 @@ func (s *Server) runJob(j *job) {
 			}
 			runtime.ReadMemStats(&m1)
 			solveDur = time.Since(ts)
-			s.stats.observeStage("solve", solveDur.Seconds())
+			s.stats.stages.With("solve").Observe(solveDur.Seconds())
 			// Allocation accounting is process-wide (Mallocs is a global
 			// counter), so with overlapping jobs the per-solve attribution
 			// is approximate; at steady state it trends to the true
 			// allocs/solve and a regression shows up as a trend break.
-			s.stats.solveAllocs.add(m1.Mallocs - m0.Mallocs)
-			s.stats.solveSamples.inc()
+			s.stats.solveAllocs.Add(m1.Mallocs - m0.Mallocs)
+			s.stats.solveSamples.Inc()
 			if warm != nil && err == nil && rep != nil {
 				if rep.Warm {
-					s.warm.hits.inc()
+					s.stats.warmHits.Inc()
 					if saved := coldIters - rep.Iterations; saved > 0 {
-						s.warm.iterSaved.add(uint64(saved))
+						s.stats.warmIterSaved.Add(uint64(saved))
 					}
 				} else {
-					s.warm.misses.inc()
+					s.stats.warmMisses.Inc()
 				}
 			}
 			// Audit-on-commit: certify the solved result before it is
@@ -361,26 +371,26 @@ func (s *Server) runJob(j *job) {
 			if err == nil && rep != nil && doAudit {
 				ta := time.Now()
 				cert, aerr := j.req.runAudit(j.ctx, d, rep)
-				s.stats.observeStage("audit", time.Since(ta).Seconds())
+				s.stats.stages.With("audit").Observe(time.Since(ta).Seconds())
 				if aerr != nil {
-					s.stats.auditDone("error")
+					s.stats.audits.With("error").Inc()
 					err = aerr
 				} else {
 					rep.Certificate = cert
 					if cert.Pass {
-						s.stats.auditDone("pass")
+						s.stats.audits.With("pass").Inc()
 					} else {
-						s.stats.auditDone("fail")
+						s.stats.audits.With("fail").Inc()
 					}
 				}
 			}
 		}
 	}
 	total := time.Since(t0)
-	s.stats.observeStage("total", total.Seconds())
+	s.stats.stages.With("total").Observe(total.Seconds())
 
 	class := mclgerr.Class(err)
-	s.stats.jobDone(class)
+	s.stats.jobs.With(class).Inc()
 	s.log.Info("job done",
 		"id", j.id,
 		"key", short(j.key),
@@ -429,16 +439,16 @@ func (s *Server) admit(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.stats.rejectedDraining.inc()
+		s.stats.rejectedDraining.Inc()
 		return errDraining
 	}
 	select {
 	case s.queue <- j:
 		s.jobsWG.Add(1)
-		s.stats.queueDepth.add(1)
+		s.stats.queueDepth.Add(1)
 		return nil
 	default:
-		s.stats.rejectedFull.inc()
+		s.stats.rejectedFull.Inc()
 		return errQueueFull
 	}
 }
@@ -446,7 +456,7 @@ func (s *Server) admit(j *job) error {
 func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		s.refuse(w, http.StatusServiceUnavailable, "draining", "server is draining; resubmit elsewhere")
-		s.stats.rejectedDraining.inc()
+		s.stats.rejectedDraining.Inc()
 		return
 	}
 	var req Request
@@ -478,15 +488,15 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := req.key()
-	if rep, ok := s.cache.lookup(key); ok {
-		s.cache.hits.inc()
+	if rep, ok := s.cache.Get(key); ok {
+		s.stats.cacheHits.Inc()
 		s.respond(w, &req, rep, "hit")
 		return
 	}
 
 	fl, leader, rep := s.cache.join(key)
 	if rep != nil { // completed between lookup and join
-		s.cache.hits.inc()
+		s.stats.cacheHits.Inc()
 		s.respond(w, &req, rep, "hit")
 		return
 	}
@@ -501,7 +511,7 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 				s.fail(w, fl.err)
 				return
 			}
-			s.cache.hits.inc()
+			s.stats.cacheHits.Inc()
 			s.respond(w, &req, fl.rep, "hit")
 		case <-time.After(timeout):
 			s.refuse(w, http.StatusGatewayTimeout, "canceled", "deadline expired waiting for the in-flight solve")
@@ -516,7 +526,7 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Gate != nil {
 		if ok, after := s.cfg.Gate.Admit(req.Tenant, req.priority()); !ok {
 			err := &rateLimitedError{tenant: req.Tenant, after: after}
-			s.stats.rejectedLimited.inc()
+			s.stats.rejectedLimited.Inc()
 			s.cache.abort(key, fl, err)
 			s.fail(w, err)
 			return
@@ -552,7 +562,7 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, j.err)
 		return
 	}
-	s.cache.misses.inc()
+	s.stats.cacheMisses.Inc()
 	s.cache.complete(key, fl, j.rep)
 	s.respond(w, &req, j.rep, "miss")
 }
@@ -574,7 +584,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.stats.writePrometheus(w, s.cache, s.warm)
+	s.stats.reg.Write(w)
 	if s.cfg.ExtraMetrics != nil {
 		s.cfg.ExtraMetrics(w)
 	}

@@ -1,209 +1,133 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"mclg/internal/core"
+	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
+	"mclg/internal/prom"
 	"mclg/internal/window"
 )
 
-// counter is a monotonically increasing uint64.
-type counter struct{ v atomic.Uint64 }
-
-func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) add(n uint64) { c.v.Add(n) }
-func (c *counter) get() uint64  { return c.v.Load() }
-
-// gauge is a signed instantaneous value (queue depth, in-flight jobs).
-type gauge struct{ v atomic.Int64 }
-
-func (g *gauge) add(d int64) { g.v.Add(d) }
-func (g *gauge) get() int64  { return g.v.Load() }
-
-// stageBuckets are the upper bounds (seconds) of the per-stage latency
-// histograms: 1 ms to 60 s, roughly ×2.5 per step — wide enough to cover
-// both a cache-warm parse and a full superblue solve.
-var stageBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
-// histogram is a fixed-bucket latency histogram in Prometheus semantics:
-// counts[i] observations ≤ stageBuckets[i], plus a +Inf overflow.
-type histogram struct {
-	mu     sync.Mutex
-	counts []uint64
-	inf    uint64
-	sum    float64
-	total  uint64
-}
-
-func newHistogram() *histogram {
-	return &histogram{counts: make([]uint64, len(stageBuckets))}
-}
-
-func (h *histogram) observe(seconds float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, ub := range stageBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
-	h.inf++
-	h.sum += seconds
-	h.total++
-}
-
 // serverStats is the daemon's observability registry. Everything it exposes
 // is required by the serving contract: queue depth, in-flight jobs, cache
-// traffic, admission rejections, terminal jobs by mclgerr class, and
-// per-stage latency histograms.
+// and warm-store traffic, admission rejections, terminal jobs by mclgerr
+// class, and per-stage latency histograms. Every labelled series is
+// pre-registered so it exists (at zero) from the first scrape — dashboards
+// should never see gaps appear.
 type serverStats struct {
-	queueDepth gauge
-	inflight   gauge
+	reg prom.Registry
 
-	rejectedFull     counter // 429: queue at capacity
-	rejectedDraining counter // 503: submitted during drain
-	rejectedLimited  counter // 429: tenant over its admission rate limit
+	queueDepth, inflight *prom.Gauge
+
+	cacheHits, cacheMisses *prom.Counter
+	warmHits, warmMisses   *prom.Counter // hit = a solve that was warm-seeded
+	warmIterSaved          *prom.Counter // cold-baseline iterations minus warm iterations
 
 	// solveAllocs accumulates the process-wide Mallocs delta observed
 	// around each solve; solveSamples counts the solves sampled, so
 	// allocs/solve = solveAllocs / solveSamples. Approximate under
 	// concurrency (see runJob), exact when jobs do not overlap.
-	solveAllocs  counter
-	solveSamples counter
+	solveAllocs, solveSamples *prom.Counter
 
-	jobs sync.Map // class string -> *counter
+	rejectedFull     *prom.Counter // 429: queue at capacity
+	rejectedDraining *prom.Counter // 503: submitted during drain
+	rejectedLimited  *prom.Counter // 429: tenant over its admission rate limit
 
-	windows sync.Map // event string -> *counter (windowed-run supervision)
-
-	// Exact refinement post-pass surface: outcome counters plus the worst
-	// measured optimality gap seen since start (atomic float64 bits).
-	exacts      sync.Map // event string -> *counter
+	audits  *prom.Vec[prom.Counter] // result: pass | fail | error
+	windows *prom.Vec[prom.Counter] // windowed-run supervision events
+	exacts  *prom.Vec[prom.Counter] // exact refinement post-pass outcomes
+	// exactMaxGap is the worst measured optimality gap seen since start
+	// (atomic float64 bits).
 	exactMaxGap atomic.Uint64
-
-	audits sync.Map // result string ("pass" | "fail" | "error") -> *counter
-
-	stages sync.Map // stage string -> *histogram
 
 	// ECO session surface: live session gauge, lifecycle event counters,
 	// and per-apply outcomes by mclgerr class.
-	ecoSessions gauge
-	ecoEvents   sync.Map // event string -> *counter
-	ecoApplies  sync.Map // class string -> *counter
+	ecoSessions *prom.Gauge
+	ecoEvents   *prom.Vec[prom.Counter]
+	ecoApplies  *prom.Vec[prom.Counter]
+
+	jobs   *prom.Vec[prom.Counter] // terminal jobs by mclgerr class
+	stages *prom.Vec[prom.Histogram]
 }
 
-func newServerStats() *serverStats {
+// newServerStats registers every series in exposition order; the cache and
+// warm-store sizes are read from the LRUs at scrape time.
+func newServerStats(cache *resultCache, warm *lru.Cache[string, *core.WarmState]) *serverStats {
 	s := &serverStats{}
-	// Pre-register every class and stage so the series exist (at zero)
-	// from the first scrape — dashboards should never see gaps appear.
-	for _, class := range mclgerr.Classes() {
-		s.jobs.Store(class, &counter{})
-	}
-	for _, result := range []string{"pass", "fail", "error"} {
-		s.audits.Store(result, &counter{})
-	}
-	for _, ev := range windowEvents {
-		s.windows.Store(ev, &counter{})
-	}
-	for _, ev := range exactEvents {
-		s.exacts.Store(ev, &counter{})
-	}
-	for _, st := range []string{"parse", "solve", "audit", "total", "eco_create", "eco_apply", "eco_commit"} {
-		s.stages.Store(st, newHistogram())
-	}
-	for _, ev := range ecoEventNames {
-		s.ecoEvents.Store(ev, &counter{})
-	}
-	for _, class := range mclgerr.Classes() {
-		s.ecoApplies.Store(class, &counter{})
-	}
+	r := &s.reg
+	classes := mclgerr.Classes()
+	sort.Strings(classes)
+
+	s.queueDepth = r.Gauge("mclgd_queue_depth", "Jobs admitted but not yet picked up by a worker.")
+	s.inflight = r.Gauge("mclgd_inflight_jobs", "Jobs currently being solved.")
+
+	r.Func("mclgd_cache_entries", "Completed results resident in the LRU.", "gauge",
+		func() float64 { return float64(cache.Len()) })
+	s.cacheHits = r.Counter("mclgd_cache_hits_total", "Requests served without a new solve (store hit or in-flight join).")
+	s.cacheMisses = r.Counter("mclgd_cache_misses_total", "Requests that required a new solve.")
+	r.Func("mclgd_cache_evictions_total", "LRU entries dropped past capacity.", "counter",
+		func() float64 { return float64(cache.Evictions()) })
+
+	r.Func("mclgd_warm_entries", "Topologies with resident warm-start solver state.", "gauge",
+		func() float64 { return float64(warm.Len()) })
+	s.warmHits = r.Counter("mclgd_warm_hits_total", "Solves seeded from a previous same-topology solution.")
+	s.warmMisses = r.Counter("mclgd_warm_misses_total", "Solves through the warm store that ran cold (first sight or structure change).")
+	r.Func("mclgd_warm_evictions_total", "Warm states dropped past capacity.", "counter",
+		func() float64 { return float64(warm.Evictions()) })
+	s.warmIterSaved = r.Counter("mclgd_warm_iterations_saved_total", "MMSIM iterations saved by warm seeding vs the cold baseline of each topology.")
+
+	s.solveAllocs = r.Counter("mclgd_solve_allocs_total", "Heap allocations attributed to solves (process-wide Mallocs delta; approximate under concurrency).")
+	s.solveSamples = r.Counter("mclgd_solve_alloc_samples_total", "Solves sampled for allocation accounting (allocs/solve = allocs_total / samples_total).")
+
+	rejected := r.CounterVec("mclgd_rejected_total", "Admissions refused, by reason.", "reason",
+		"queue_full", "draining", "rate_limited")
+	s.rejectedFull, s.rejectedDraining, s.rejectedLimited =
+		rejected.With("queue_full"), rejected.With("draining"), rejected.With("rate_limited")
+
+	s.audits = r.CounterVec("mclgd_audit_total", "Audit-on-commit outcomes (pass/fail = sealed certificate verdict, error = audit could not complete).", "result",
+		"error", "fail", "pass")
+	s.windows = r.CounterVec("mclgd_windows_total", "Windowed-run supervision events (solved/resumed = how each window completed; retried/panicked/hedge_issued/hedge_won/degraded = fault handling).", "event",
+		"degraded", "hedge_issued", "hedge_won", "panicked", "resumed", "retried", "solved")
+	s.exacts = r.CounterVec("mclgd_exact_total", "Exact refinement post-pass outcomes (selected = windows re-solved by branch-and-bound; improved = checker-verified strict improvements committed; proven = windows proven optimal; skipped = solver could not finish).", "event",
+		"improved", "proven", "selected", "skipped")
+	r.Func("mclgd_exact_max_gap", "Largest normalized optimality gap measured by any exact post-pass since start (0 = every refined window proven optimal).", "gauge",
+		func() float64 { return math.Float64frombits(s.exactMaxGap.Load()) })
+
+	s.ecoSessions = r.Gauge("mclgd_eco_sessions", "Live ECO delta sessions.")
+	s.ecoEvents = r.CounterVec("mclgd_eco_events_total", "ECO session lifecycle events (created/resumed/closed = sessions; deltas = accepted deltas; committed/commit_failed = replay-certification verdicts).", "event",
+		"closed", "commit_failed", "committed", "created", "deltas", "resumed")
+	s.ecoApplies = r.CounterVec("mclgd_eco_applies_total", "Delta-batch applies by mclgerr class (ok = committed checker-verified).", "class", classes...)
+
+	s.jobs = r.CounterVec("mclgd_jobs_total", "Terminal jobs by mclgerr class (ok = verified legal).", "class", classes...)
+	s.stages = r.HistogramVec("mclgd_stage_seconds", "Per-stage job latency.", "stage",
+		"audit", "eco_apply", "eco_commit", "eco_create", "parse", "solve", "total")
 	return s
-}
-
-// ecoEventNames are the pre-registered ECO session lifecycle series.
-var ecoEventNames = []string{
-	"created", "resumed", "deltas", "committed", "commit_failed", "closed",
-}
-
-// ecoEvent bumps one session lifecycle counter by n.
-func (s *serverStats) ecoEvent(event string, n int) {
-	if n <= 0 {
-		return
-	}
-	c, _ := s.ecoEvents.LoadOrStore(event, &counter{})
-	c.(*counter).add(uint64(n))
-}
-
-// ecoApplyDone records one delta-batch apply outcome by mclgerr class.
-func (s *serverStats) ecoApplyDone(class string) {
-	c, _ := s.ecoApplies.LoadOrStore(class, &counter{})
-	c.(*counter).inc()
-}
-
-func (s *serverStats) jobDone(class string) {
-	c, _ := s.jobs.LoadOrStore(class, &counter{})
-	c.(*counter).inc()
-}
-
-func (s *serverStats) auditDone(result string) {
-	c, _ := s.audits.LoadOrStore(result, &counter{})
-	c.(*counter).inc()
-}
-
-// windowEvents are the pre-registered windowed-run supervision series.
-var windowEvents = []string{
-	"solved", "resumed", "retried", "panicked",
-	"hedge_issued", "hedge_won", "degraded",
-}
-
-// windowAdd bumps one windowed-run event counter by n.
-func (s *serverStats) windowAdd(event string, n int) {
-	if n <= 0 {
-		return
-	}
-	c, _ := s.windows.LoadOrStore(event, &counter{})
-	c.(*counter).add(uint64(n))
 }
 
 // windowDone folds one windowed run's supervision stats into the registry.
 func (s *serverStats) windowDone(st *window.Stats) {
-	s.windowAdd("solved", st.Solved)
-	s.windowAdd("resumed", st.Resumed)
-	s.windowAdd("retried", st.Retries)
-	s.windowAdd("panicked", st.Panics)
-	s.windowAdd("hedge_issued", st.HedgesIssued)
-	s.windowAdd("hedge_won", st.HedgesWon)
-	s.windowAdd("degraded", st.Degraded)
+	s.windows.With("solved").Add(uint64(st.Solved))
+	s.windows.With("resumed").Add(uint64(st.Resumed))
+	s.windows.With("retried").Add(uint64(st.Retries))
+	s.windows.With("panicked").Add(uint64(st.Panics))
+	s.windows.With("hedge_issued").Add(uint64(st.HedgesIssued))
+	s.windows.With("hedge_won").Add(uint64(st.HedgesWon))
+	s.windows.With("degraded").Add(uint64(st.Degraded))
 	if st.Exact != nil {
 		s.exactDone(st.Exact)
 	}
 }
 
-// exactEvents are the pre-registered exact refinement post-pass series.
-var exactEvents = []string{"selected", "improved", "proven", "skipped"}
-
-// exactAdd bumps one exact post-pass event counter by n.
-func (s *serverStats) exactAdd(event string, n int) {
-	if n <= 0 {
-		return
-	}
-	c, _ := s.exacts.LoadOrStore(event, &counter{})
-	c.(*counter).add(uint64(n))
-}
-
 // exactDone folds one exact refinement post-pass into the registry.
 func (s *serverStats) exactDone(ex *window.ExactStats) {
-	s.exactAdd("selected", ex.Selected)
-	s.exactAdd("improved", ex.Improved)
-	s.exactAdd("proven", ex.Proven)
-	s.exactAdd("skipped", ex.Skipped)
+	s.exacts.With("selected").Add(uint64(ex.Selected))
+	s.exacts.With("improved").Add(uint64(ex.Improved))
+	s.exacts.With("proven").Add(uint64(ex.Proven))
+	s.exacts.With("skipped").Add(uint64(ex.Skipped))
 	// High-water max over the measured gaps: CAS so concurrent jobs never
 	// lose a larger observation.
 	for {
@@ -215,147 +139,4 @@ func (s *serverStats) exactDone(ex *window.ExactStats) {
 			return
 		}
 	}
-}
-
-func (s *serverStats) observeStage(stage string, seconds float64) {
-	h, _ := s.stages.LoadOrStore(stage, newHistogram())
-	h.(*histogram).observe(seconds)
-}
-
-// writePrometheus renders the registry (and the cache and warm-store
-// counters) in the Prometheus text exposition format, series sorted for
-// scrape stability.
-func (s *serverStats) writePrometheus(w io.Writer, cache *resultCache, warm *warmStore) {
-	entries, hits, misses, evictions := cache.stats()
-	wEntries, wHits, wMisses, wEvictions, wSaved := warm.stats()
-
-	fmt.Fprintf(w, "# HELP mclgd_queue_depth Jobs admitted but not yet picked up by a worker.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_queue_depth gauge\n")
-	fmt.Fprintf(w, "mclgd_queue_depth %d\n", s.queueDepth.get())
-	fmt.Fprintf(w, "# HELP mclgd_inflight_jobs Jobs currently being solved.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_inflight_jobs gauge\n")
-	fmt.Fprintf(w, "mclgd_inflight_jobs %d\n", s.inflight.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_cache_entries Completed results resident in the LRU.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cache_entries gauge\n")
-	fmt.Fprintf(w, "mclgd_cache_entries %d\n", entries)
-	fmt.Fprintf(w, "# HELP mclgd_cache_hits_total Requests served without a new solve (store hit or in-flight join).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "mclgd_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# HELP mclgd_cache_misses_total Requests that required a new solve.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "mclgd_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "# HELP mclgd_cache_evictions_total LRU entries dropped past capacity.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "mclgd_cache_evictions_total %d\n", evictions)
-
-	fmt.Fprintf(w, "# HELP mclgd_warm_entries Topologies with resident warm-start solver state.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_warm_entries gauge\n")
-	fmt.Fprintf(w, "mclgd_warm_entries %d\n", wEntries)
-	fmt.Fprintf(w, "# HELP mclgd_warm_hits_total Solves seeded from a previous same-topology solution.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_warm_hits_total counter\n")
-	fmt.Fprintf(w, "mclgd_warm_hits_total %d\n", wHits)
-	fmt.Fprintf(w, "# HELP mclgd_warm_misses_total Solves through the warm store that ran cold (first sight or structure change).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_warm_misses_total counter\n")
-	fmt.Fprintf(w, "mclgd_warm_misses_total %d\n", wMisses)
-	fmt.Fprintf(w, "# HELP mclgd_warm_evictions_total Warm states dropped past capacity.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_warm_evictions_total counter\n")
-	fmt.Fprintf(w, "mclgd_warm_evictions_total %d\n", wEvictions)
-	fmt.Fprintf(w, "# HELP mclgd_warm_iterations_saved_total MMSIM iterations saved by warm seeding vs the cold baseline of each topology.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_warm_iterations_saved_total counter\n")
-	fmt.Fprintf(w, "mclgd_warm_iterations_saved_total %d\n", wSaved)
-
-	fmt.Fprintf(w, "# HELP mclgd_solve_allocs_total Heap allocations attributed to solves (process-wide Mallocs delta; approximate under concurrency).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_solve_allocs_total counter\n")
-	fmt.Fprintf(w, "mclgd_solve_allocs_total %d\n", s.solveAllocs.get())
-	fmt.Fprintf(w, "# HELP mclgd_solve_alloc_samples_total Solves sampled for allocation accounting (allocs/solve = allocs_total / samples_total).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_solve_alloc_samples_total counter\n")
-	fmt.Fprintf(w, "mclgd_solve_alloc_samples_total %d\n", s.solveSamples.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_rejected_total Admissions refused, by reason.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_rejected_total counter\n")
-	fmt.Fprintf(w, "mclgd_rejected_total{reason=\"queue_full\"} %d\n", s.rejectedFull.get())
-	fmt.Fprintf(w, "mclgd_rejected_total{reason=\"draining\"} %d\n", s.rejectedDraining.get())
-	fmt.Fprintf(w, "mclgd_rejected_total{reason=\"rate_limited\"} %d\n", s.rejectedLimited.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_audit_total Audit-on-commit outcomes (pass/fail = sealed certificate verdict, error = audit could not complete).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_audit_total counter\n")
-	for _, result := range sortedKeys(&s.audits) {
-		c, _ := s.audits.Load(result)
-		fmt.Fprintf(w, "mclgd_audit_total{result=%q} %d\n", result, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_windows_total Windowed-run supervision events (solved/resumed = how each window completed; retried/panicked/hedge_issued/hedge_won/degraded = fault handling).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_windows_total counter\n")
-	for _, ev := range sortedKeys(&s.windows) {
-		c, _ := s.windows.Load(ev)
-		fmt.Fprintf(w, "mclgd_windows_total{event=%q} %d\n", ev, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_exact_total Exact refinement post-pass outcomes (selected = windows re-solved by branch-and-bound; improved = checker-verified strict improvements committed; proven = windows proven optimal; skipped = solver could not finish).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_exact_total counter\n")
-	for _, ev := range sortedKeys(&s.exacts) {
-		c, _ := s.exacts.Load(ev)
-		fmt.Fprintf(w, "mclgd_exact_total{event=%q} %d\n", ev, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_exact_max_gap Largest normalized optimality gap measured by any exact post-pass since start (0 = every refined window proven optimal).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_exact_max_gap gauge\n")
-	fmt.Fprintf(w, "mclgd_exact_max_gap %g\n", math.Float64frombits(s.exactMaxGap.Load()))
-
-	fmt.Fprintf(w, "# HELP mclgd_eco_sessions Live ECO delta sessions.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_eco_sessions gauge\n")
-	fmt.Fprintf(w, "mclgd_eco_sessions %d\n", s.ecoSessions.get())
-
-	fmt.Fprintf(w, "# HELP mclgd_eco_events_total ECO session lifecycle events (created/resumed/closed = sessions; deltas = accepted deltas; committed/commit_failed = replay-certification verdicts).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_eco_events_total counter\n")
-	for _, ev := range sortedKeys(&s.ecoEvents) {
-		c, _ := s.ecoEvents.Load(ev)
-		fmt.Fprintf(w, "mclgd_eco_events_total{event=%q} %d\n", ev, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_eco_applies_total Delta-batch applies by mclgerr class (ok = committed checker-verified).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_eco_applies_total counter\n")
-	for _, class := range sortedKeys(&s.ecoApplies) {
-		c, _ := s.ecoApplies.Load(class)
-		fmt.Fprintf(w, "mclgd_eco_applies_total{class=%q} %d\n", class, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_jobs_total Terminal jobs by mclgerr class (ok = verified legal).\n")
-	fmt.Fprintf(w, "# TYPE mclgd_jobs_total counter\n")
-	for _, class := range sortedKeys(&s.jobs) {
-		c, _ := s.jobs.Load(class)
-		fmt.Fprintf(w, "mclgd_jobs_total{class=%q} %d\n", class, c.(*counter).get())
-	}
-
-	fmt.Fprintf(w, "# HELP mclgd_stage_seconds Per-stage job latency.\n")
-	fmt.Fprintf(w, "# TYPE mclgd_stage_seconds histogram\n")
-	for _, stage := range sortedKeys(&s.stages) {
-		v, _ := s.stages.Load(stage)
-		h := v.(*histogram)
-		h.mu.Lock()
-		for i, ub := range stageBuckets {
-			fmt.Fprintf(w, "mclgd_stage_seconds_bucket{stage=%q,le=%q} %d\n", stage, trimFloat(ub), h.counts[i])
-		}
-		fmt.Fprintf(w, "mclgd_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", stage, h.inf)
-		fmt.Fprintf(w, "mclgd_stage_seconds_sum{stage=%q} %g\n", stage, h.sum)
-		fmt.Fprintf(w, "mclgd_stage_seconds_count{stage=%q} %d\n", stage, h.total)
-		h.mu.Unlock()
-	}
-}
-
-func sortedKeys(m *sync.Map) []string {
-	var keys []string
-	m.Range(func(k, _ any) bool {
-		keys = append(keys, k.(string))
-		return true
-	})
-	sort.Strings(keys)
-	return keys
-}
-
-// trimFloat formats a bucket bound the way Prometheus clients expect
-// (no exponent, no trailing zeros).
-func trimFloat(v float64) string {
-	return fmt.Sprintf("%g", v)
 }

@@ -1,16 +1,12 @@
 package window
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"sync"
 
-	"mclg/internal/mclgerr"
+	"mclg/internal/wal"
 )
 
 // Journal persists verified window results so a crashed or killed job can
@@ -28,15 +24,10 @@ type Journal interface {
 // the plan (design geometry + global positions + window/solver parameters):
 // records are replayed only under an identical signature, so a changed
 // input or configuration silently invalidates the journal instead of
-// resurrecting stale placements. Tag carries an optional caller scope — an
-// ECO session stores its delta-log digest and batch sequence here, so a
-// journal written while applying one delta batch never resumes into the
-// re-solve of a different batch even when the design geometry (and hence
-// Sig) happens to match.
+// resurrecting stale placements.
 type journalHeader struct {
 	V       int    `json:"v"`
 	Sig     string `json:"sig"`
-	Tag     string `json:"tag,omitempty"`
 	Windows int    `json:"windows"`
 }
 
@@ -73,15 +64,14 @@ func recordSum(w int, cells []CellPos) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// FileJournal is the append-only, fsync'd write-ahead implementation of
-// Journal. The file is one JSON object per line: a header, then one record
-// per completed window. Appends are flushed and fsync'd before Record
-// returns, so every acknowledged window survives a process kill; a torn
+// FileJournal is the write-ahead implementation of Journal on an
+// append-only, fsync'd JSON-lines log (internal/wal): a header, then one
+// record per completed window. Record returns only after its line is
+// fsync'd, so every acknowledged window survives a process kill; a torn
 // final line from a crash mid-write is detected by checksum and ignored.
 type FileJournal struct {
+	log       *wal.Log[journalRecord]
 	mu        sync.Mutex
-	f         *os.File
-	path      string
 	completed map[int][]CellPos
 	resumed   int
 }
@@ -89,124 +79,23 @@ type FileJournal struct {
 // OpenFileJournal opens (or creates) the journal at path for a plan with
 // the given signature and window count. An existing file with a matching
 // header has its intact records loaded for replay; a missing, unreadable,
-// torn, or mismatching file is reset to a fresh header — resuming is an
-// optimization, never a correctness risk.
+// torn, or mismatching file is reset to a fresh header.
 func OpenFileJournal(path string, sig uint64, windows int) (*FileJournal, error) {
-	return OpenFileJournalTagged(path, sig, "", windows)
-}
-
-// OpenFileJournalTagged is OpenFileJournal with a caller-scoped header tag:
-// records resume only when the on-disk tag matches tag exactly, on top of
-// the signature and window-count checks. ECO sessions use the tag to bind a
-// dirty-window journal to one delta batch of one session log (see
-// journalHeader).
-func OpenFileJournalTagged(path string, sig uint64, tag string, windows int) (*FileJournal, error) {
-	j := &FileJournal{path: path, completed: map[int][]CellPos{}}
-	wantSig := fmt.Sprintf("%016x", sig)
-
-	if data, err := os.ReadFile(path); err == nil {
-		j.load(data, wantSig, tag, windows)
+	hdr := journalHeader{V: 1, Sig: fmt.Sprintf("%016x", sig), Windows: windows}
+	log, recs, err := wal.Open(path, "journal", hdr,
+		func(h journalHeader) bool { return h == hdr },
+		func(_ int, r journalRecord) bool {
+			return r.W >= 0 && r.W < windows && r.Sum == recordSum(r.W, r.Cells)
+		})
+	if err != nil {
+		return nil, err
+	}
+	j := &FileJournal{log: log, completed: make(map[int][]CellPos, len(recs))}
+	for _, r := range recs {
+		j.completed[r.W] = r.Cells
 	}
 	j.resumed = len(j.completed)
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, mclgerr.Stage("journal", err)
-	}
-	if j.resumed == 0 {
-		// Fresh or invalidated journal: truncate and write a new header.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, mclgerr.Stage("journal", err)
-		}
-		hdr, _ := json.Marshal(journalHeader{V: 1, Sig: wantSig, Tag: tag, Windows: windows})
-		if _, err := f.Write(append(hdr, '\n')); err != nil {
-			f.Close()
-			return nil, mclgerr.Stage("journal", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, mclgerr.Stage("journal", err)
-		}
-	} else {
-		// Valid journal: append after the last intact record. Re-derive
-		// the intact length rather than seeking to EOF so a torn tail is
-		// overwritten, not extended.
-		data, _ := os.ReadFile(path)
-		n := intactLen(data, wantSig, tag, windows)
-		if err := f.Truncate(int64(n)); err != nil {
-			f.Close()
-			return nil, mclgerr.Stage("journal", err)
-		}
-		if _, err := f.Seek(int64(n), 0); err != nil {
-			f.Close()
-			return nil, mclgerr.Stage("journal", err)
-		}
-	}
-	j.f = f
 	return j, nil
-}
-
-// load parses the journal bytes, keeping records up to the first torn or
-// invalid line. A header mismatch discards everything.
-func (j *FileJournal) load(data []byte, wantSig, wantTag string, windows int) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	if !sc.Scan() {
-		return
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil ||
-		hdr.V != 1 || hdr.Sig != wantSig || hdr.Tag != wantTag || hdr.Windows != windows {
-		return
-	}
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return // torn tail
-		}
-		if rec.Sum != recordSum(rec.W, rec.Cells) || rec.W < 0 || rec.W >= windows {
-			return
-		}
-		j.completed[rec.W] = rec.Cells
-	}
-}
-
-// intactLen returns the byte length of the header plus every intact record,
-// i.e. the offset appends must resume from.
-func intactLen(data []byte, wantSig, wantTag string, windows int) int {
-	n := 0
-	line := 0
-	start := 0
-	for i := 0; i <= len(data); i++ {
-		if i == len(data) || data[i] == '\n' {
-			if i == len(data) && start == i {
-				break
-			}
-			chunk := data[start:i]
-			ok := false
-			if line == 0 {
-				var hdr journalHeader
-				ok = json.Unmarshal(chunk, &hdr) == nil &&
-					hdr.V == 1 && hdr.Sig == wantSig && hdr.Tag == wantTag && hdr.Windows == windows
-			} else {
-				var rec journalRecord
-				ok = json.Unmarshal(chunk, &rec) == nil &&
-					rec.Sum == recordSum(rec.W, rec.Cells) &&
-					rec.W >= 0 && rec.W < windows
-			}
-			if !ok || i == len(data) {
-				if ok {
-					n = i // intact but unterminated final line: keep it
-				}
-				break
-			}
-			n = i + 1
-			line++
-			start = i + 1
-		}
-	}
-	return n
 }
 
 // Lookup implements Journal.
@@ -221,21 +110,11 @@ func (j *FileJournal) Lookup(window int) ([]CellPos, bool) {
 func (j *FileJournal) Record(window int, cells []CellPos) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return mclgerr.Invalidf("journal: closed")
-	}
 	if _, ok := j.completed[window]; ok {
 		return nil
 	}
-	line, err := json.Marshal(journalRecord{W: window, Cells: cells, Sum: recordSum(window, cells)})
-	if err != nil {
-		return mclgerr.Stage("journal", err)
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return mclgerr.Stage("journal", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return mclgerr.Stage("journal", err)
+	if err := j.log.Append(journalRecord{W: window, Cells: cells, Sum: recordSum(window, cells)}); err != nil {
+		return err
 	}
 	j.completed[window] = cells
 	return nil
@@ -249,20 +128,8 @@ func (j *FileJournal) Resumed() int {
 }
 
 // Close closes the underlying file. Further Records fail.
-func (j *FileJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+func (j *FileJournal) Close() error { return j.log.Close() }
 
 // Remove closes and deletes the journal file — called when the job it
 // backs has committed, so a completed job never resumes.
-func (j *FileJournal) Remove() error {
-	j.Close()
-	return os.Remove(j.path)
-}
+func (j *FileJournal) Remove() error { return j.log.Remove() }

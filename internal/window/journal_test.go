@@ -3,13 +3,81 @@ package window
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mclg/internal/design"
 	"mclg/internal/regress"
 )
+
+var updateFixture = flag.Bool("update", false, "rewrite testdata/journal_v1.wal from the current writer")
+
+// fixtureRecords are the windows recorded in testdata/journal_v1.wal.
+var fixtureRecords = []struct {
+	w     int
+	cells []CellPos
+}{
+	{0, []CellPos{{ID: 1, X: 2.5, Y: 10}, {ID: 4, X: -0.1, Y: 20, Flipped: true}}},
+	{2, []CellPos{{ID: 9, X: 1e-7, Y: 1234.000001}}},
+}
+
+// TestJournalFixtureResumes pins the on-disk format: a checked-in journal
+// from the version-1 writer resumes with the same windows and cells, and a
+// fresh journal recording the same windows writes the same bytes.
+func TestJournalFixtureResumes(t *testing.T) {
+	fixture := filepath.Join("testdata", "journal_v1.wal")
+	fresh := filepath.Join(t.TempDir(), "fresh.wal")
+	j, err := OpenFileJournal(fresh, 42, 3)
+	if err != nil {
+		t.Fatalf("OpenFileJournal: %v", err)
+	}
+	for _, r := range fixtureRecords {
+		if err := j.Record(r.w, r.cells); err != nil {
+			t.Fatalf("Record(%d): %v", r.w, err)
+		}
+	}
+	j.Close()
+	got, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateFixture {
+		if err := os.WriteFile(fixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fresh journal bytes differ from %s:\n%s\nwant:\n%s", fixture, got, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "resume.wal")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenFileJournal(path, 42, 3)
+	if err != nil {
+		t.Fatalf("reopen fixture: %v", err)
+	}
+	defer j2.Close()
+	if j2.Resumed() != len(fixtureRecords) {
+		t.Fatalf("Resumed() = %d, want %d", j2.Resumed(), len(fixtureRecords))
+	}
+	for _, r := range fixtureRecords {
+		if got, ok := j2.Lookup(r.w); !ok || !reflect.DeepEqual(got, r.cells) {
+			t.Fatalf("Lookup(%d) = %v, %v; want %v", r.w, got, ok, r.cells)
+		}
+	}
+	if _, ok := j2.Lookup(1); ok {
+		t.Fatal("window 1 was never recorded")
+	}
+}
 
 // journaledRun solves the benchmark with a FileJournal at path and returns
 // the run stats and final hash.
@@ -95,56 +163,66 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
-// TestJournalTornTail verifies a crash mid-append is harmless: the torn
+// TestJournalTornTail verifies a crash mid-append is harmless. A torn
 // final line is detected by checksum, dropped on replay, and overwritten by
-// the next Record.
+// the next Record; an intact final record that lost only its newline is
+// kept, and the next Record starts on a fresh line after it.
 func TestJournalTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.wal")
-	j, err := OpenFileJournal(path, 42, 3)
-	if err != nil {
-		t.Fatalf("OpenFileJournal: %v", err)
-	}
 	cells0 := []CellPos{{ID: 1, X: 2, Y: 3}, {ID: 4, X: 5, Y: 6, Flipped: true}}
-	if err := j.Record(0, cells0); err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-	j.Close()
+	for _, tc := range []struct {
+		name    string
+		tamper  func([]byte) []byte
+		resumed int // windows replayed from the tampered file
+	}{
+		{"torn record", func(b []byte) []byte { return append(b, `{"w":1,"cells":[{"id":9,`...) }, 1},
+		{"unterminated record", func(b []byte) []byte { return bytes.TrimSuffix(b, []byte("\n")) }, 1},
+		{"unterminated header", func(b []byte) []byte { return b[:bytes.IndexByte(b, '\n')] }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.wal")
+			j, err := OpenFileJournal(path, 42, 3)
+			if err != nil {
+				t.Fatalf("OpenFileJournal: %v", err)
+			}
+			if err := j.Record(0, cells0); err != nil {
+				t.Fatalf("Record: %v", err)
+			}
+			j.Close()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.tamper(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Simulate a torn append: half a record at the tail.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	f.WriteString(`{"w":1,"cells":[{"id":9,`)
-	f.Close()
-
-	j2, err := OpenFileJournal(path, 42, 3)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != 1 {
-		t.Fatalf("Resumed() = %d, want 1 (torn record must be dropped)", j2.Resumed())
-	}
-	got, ok := j2.Lookup(0)
-	if !ok || len(got) != 2 || got[0] != cells0[0] || got[1] != cells0[1] {
-		t.Fatalf("Lookup(0) = %v, %v; want %v", got, ok, cells0)
-	}
-	if _, ok := j2.Lookup(1); ok {
-		t.Fatalf("torn record for window 1 must not replay")
-	}
-	// The tail was truncated, so a fresh record lands on a clean line.
-	cells1 := []CellPos{{ID: 7, X: 8, Y: 9}}
-	if err := j2.Record(1, cells1); err != nil {
-		t.Fatalf("Record after torn tail: %v", err)
-	}
-	j3, err := OpenFileJournal(path, 42, 3)
-	if err != nil {
-		t.Fatalf("reopen after repair: %v", err)
-	}
-	defer j3.Close()
-	if j3.Resumed() != 2 {
-		t.Fatalf("Resumed() = %d after repair, want 2", j3.Resumed())
+			j2, err := OpenFileJournal(path, 42, 3)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if j2.Resumed() != tc.resumed {
+				t.Fatalf("Resumed() = %d, want %d", j2.Resumed(), tc.resumed)
+			}
+			if got, ok := j2.Lookup(0); tc.resumed == 1 && (!ok || !reflect.DeepEqual(got, cells0)) {
+				t.Fatalf("Lookup(0) = %v, %v; want %v", got, ok, cells0)
+			}
+			if _, ok := j2.Lookup(1); ok {
+				t.Fatalf("torn record for window 1 must not replay")
+			}
+			// The next acknowledged record must survive another reopen.
+			if err := j2.Record(1, []CellPos{{ID: 7, X: 8, Y: 9}}); err != nil {
+				t.Fatalf("Record after tampered tail: %v", err)
+			}
+			j2.Close()
+			j3, err := OpenFileJournal(path, 42, 3)
+			if err != nil {
+				t.Fatalf("reopen after repair: %v", err)
+			}
+			defer j3.Close()
+			if j3.Resumed() != tc.resumed+1 {
+				t.Fatalf("Resumed() = %d after repair, want %d", j3.Resumed(), tc.resumed+1)
+			}
+		})
 	}
 }
 
@@ -168,60 +246,6 @@ func TestJournalSigMismatch(t *testing.T) {
 	defer j2.Close()
 	if j2.Resumed() != 0 {
 		t.Fatalf("Resumed() = %d under a different signature, want 0", j2.Resumed())
-	}
-}
-
-// TestJournalTaggedResume pins the header-tag contract OpenFileJournalTagged
-// adds for delta-log-scoped journals (the ECO path tags each re-solve with
-// the delta batch it serves): a journal resumes only under the exact tag it
-// was written with — a different tag, or the untagged open, resets it.
-func TestJournalTaggedResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tagged.wal")
-	j, err := OpenFileJournalTagged(path, 7, "eco:3f9a.b4", 2)
-	if err != nil {
-		t.Fatalf("OpenFileJournalTagged: %v", err)
-	}
-	cells := []CellPos{{ID: 2, X: 10, Y: 20}}
-	if err := j.Record(0, cells); err != nil {
-		t.Fatalf("Record: %v", err)
-	}
-	j.Close()
-
-	// Same tag: the record replays.
-	j2, err := OpenFileJournalTagged(path, 7, "eco:3f9a.b4", 2)
-	if err != nil {
-		t.Fatalf("reopen same tag: %v", err)
-	}
-	if j2.Resumed() != 1 {
-		t.Fatalf("Resumed() = %d under matching tag, want 1", j2.Resumed())
-	}
-	if got, ok := j2.Lookup(0); !ok || len(got) != 1 || got[0] != cells[0] {
-		t.Fatalf("Lookup(0) = %v, %v; want %v", got, ok, cells)
-	}
-	j2.Close()
-
-	// A different tag — e.g. the journal belongs to another delta batch —
-	// invalidates the file even though sig and window count match.
-	j3, err := OpenFileJournalTagged(path, 7, "eco:3f9a.b5", 2)
-	if err != nil {
-		t.Fatalf("reopen new tag: %v", err)
-	}
-	if j3.Resumed() != 0 {
-		t.Fatalf("Resumed() = %d under a different tag, want 0", j3.Resumed())
-	}
-	if err := j3.Record(1, cells); err != nil {
-		t.Fatalf("Record under new tag: %v", err)
-	}
-	j3.Close()
-
-	// The untagged open must not resurrect a tagged journal either.
-	j4, err := OpenFileJournal(path, 7, 2)
-	if err != nil {
-		t.Fatalf("untagged reopen: %v", err)
-	}
-	defer j4.Close()
-	if j4.Resumed() != 0 {
-		t.Fatalf("Resumed() = %d from untagged open of tagged journal, want 0", j4.Resumed())
 	}
 }
 
