@@ -119,26 +119,38 @@ func BenchmarkTable2Legalizers(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkersScaling measures the parallel hot path: the full pipeline
-// on the largest suite benchmark at fixed worker counts plus all cores.
-// Every variant produces the identical placement (the determinism contract
-// of internal/par), so only wall-clock may differ; compare against the
-// serial numbers in BENCH_baseline.json with cmd/benchdiff. On a 4+ core
-// machine workers=all is the speedup check over workers=1.
+// BenchmarkWorkersScaling measures the worker count on the full pipeline on
+// superblue19: at the suite scale with workers 1, 2, 4 and auto (the default
+// 0: a serial MMSIM iteration, every core for the row assignment and Tetris
+// scans), and at scales 0.05 and 0.1 with workers 1 and 2, the sizes where a
+// sharded iteration would have the most work per sweep. Every variant
+// produces the identical placement (the determinism contract of
+// internal/par), so only wall-clock and allocations may differ; DESIGN.md's
+// "Parallel decomposition & determinism" records the medians behind the
+// serial default.
 func BenchmarkWorkersScaling(b *testing.B) {
+	run := func(b *testing.B, base *design.Design, w int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := base.Clone()
+			if _, err := core.New(core.Options{Workers: w}).Legalize(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	base := genBench(b, "superblue19", benchScale)
 	for _, w := range []int{1, 2, 4, 0} {
 		name := fmt.Sprintf("workers=%d", w)
 		if w == 0 {
-			name = "workers=all"
+			name = "workers=auto"
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d := base.Clone()
-				if _, err := core.New(core.Options{Workers: w}).Legalize(d); err != nil {
-					b.Fatal(err)
-				}
+		b.Run(name, func(b *testing.B) { run(b, base, w) })
+	}
+	for _, scale := range []float64{0.05, 0.1} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			big := genBench(b, "superblue19", scale)
+			for _, w := range []int{1, 2} {
+				b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, big, w) })
 			}
 		})
 	}

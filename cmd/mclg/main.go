@@ -64,7 +64,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print per-stage details")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		resilient  = flag.Bool("resilient", false, "with -method ours: run the fallback cascade (mmsim -> retuned -> pgs -> greedy)")
-		workers    = flag.Int("workers", 0, "worker goroutines for the hot stages: 0 = all cores, 1 = serial (any value gives identical output)")
+		workers    = flag.Int("workers", 0, "worker goroutines for the hot stages: 0 = all cores except for the MMSIM iteration, which runs serial; 1 = serial (any value gives identical output)")
 		serverURL  = flag.String("server", "", "submit the job to a running mclgd at this base URL instead of solving locally")
 		retryN     = flag.Int("retry", 0, "with -server: retry a 429 (queue full / rate-limited) up to N times, honoring the daemon's Retry-After hint with jitter")
 		jsonOut    = flag.Bool("json", false, "emit the machine-readable run report (mclgd schema) on stdout")

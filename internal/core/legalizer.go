@@ -83,10 +83,13 @@ type Options struct {
 	OnIter func(k int, dz float64)
 
 	// Workers shards the hot stages (row assignment, the MMSIM per-iteration
-	// kernels and block solves, and the Tetris allocation's per-row scans)
-	// across goroutines: 0 means GOMAXPROCS, 1 means serial. Any worker
-	// count produces bit-identical placements — see internal/par and
-	// DESIGN.md's "Parallel decomposition & determinism".
+	// kernels and block solves, the Tetris allocation's per-row scans and
+	// the resilient cascade's fallback race) across goroutines. 1 means
+	// serial and larger counts are taken literally. 0 means GOMAXPROCS for
+	// every stage except the MMSIM iteration, which runs serially at 0
+	// because forking around each O(n) sweep never paid at a measured size
+	// (DESIGN.md, "Parallel decomposition & determinism"). Any worker count
+	// produces bit-identical placements — see internal/par.
 	Workers int
 
 	// Warm, when non-nil, carries cached solver state across repeated

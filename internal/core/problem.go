@@ -569,33 +569,81 @@ func (p *Problem) SchurTridiag() *sparse.Tridiag {
 }
 
 // AssembleLCPMatrix builds the full saddle-point matrix
-// A = [[H, −Bᵀ], [B, 0]] in CSR form for the MMSIM rhs products.
+// A = [[H, −Bᵀ], [B, 0]] in CSR form for the MMSIM rhs products. Every
+// entry's row and column follow from the problem structure, so the CSR
+// arrays are filled directly, as B and E are in BuildProblemBounded, instead
+// of through the triplet-sorting Builder. A cell's variables are consecutive
+// and increasing, so variable row v is column-sorted when written as the
+// previous subcell's −λ, the diagonal, the next subcell's −λ, then −Bᵀ by
+// constraint (columns n+i ascending). The diagonal adds its λ terms to 1 in
+// the order a triplet assembly sums them, which keeps every value
+// bit-identical to one (pinned by TestAssembleLCPMatrixMatchesTriplets).
 func (p *Problem) AssembleLCPMatrix() *sparse.CSR {
 	n, m := p.NumVars, p.NumCons
-	b := sparse.NewBuilder(n+m, n+m)
-	// H = I + λ EᵀE.
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 1)
+	// Row lengths: a variable row holds its diagonal, one −λ per chain link
+	// and one −Bᵀ entry per constraint on the variable; constraint row i is
+	// B's row i.
+	rowPtr := make([]int, n+m+1)
+	for v := 0; v < n; v++ {
+		rowPtr[v+1] = 1
 	}
 	for _, vars := range p.CellVars {
 		for k := 0; k+1 < len(vars); k++ {
-			lo, hi := vars[k], vars[k+1]
-			b.Add(lo, lo, p.Lambda)
-			b.Add(hi, hi, p.Lambda)
-			b.Add(lo, hi, -p.Lambda)
-			b.Add(hi, lo, -p.Lambda)
+			rowPtr[vars[k]+1]++
+			rowPtr[vars[k+1]+1]++
 		}
 	}
-	// −Bᵀ (top right) and B (bottom left).
-	for i, c := range p.Cons {
-		b.Add(c.Left, n+i, -(-1.0)) // −(Bᵀ)[left][i] = −(−1) = +1
-		b.Add(n+i, c.Left, -1)
+	for _, c := range p.Cons {
+		rowPtr[c.Left+1]++
 		if c.Right >= 0 {
-			b.Add(c.Right, n+i, -1.0) // −(Bᵀ)[right][i] = −(+1) = −1
-			b.Add(n+i, c.Right, 1)
+			rowPtr[c.Right+1]++
 		}
 	}
-	return b.Build()
+	for i := 0; i < m; i++ {
+		rowPtr[n+i+1] = p.B.RowPtr[i+1] - p.B.RowPtr[i]
+	}
+	for r := 0; r < n+m; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	col := make([]int, rowPtr[n+m])
+	val := make([]float64, rowPtr[n+m])
+
+	// H = I + λEᵀE, cell by cell; next[v] is where variable row v's −Bᵀ
+	// entries start.
+	next := make([]int, n)
+	for _, vars := range p.CellVars {
+		for k, v := range vars {
+			at := rowPtr[v]
+			diag := 1.0
+			if k > 0 {
+				col[at], val[at] = vars[k-1], -p.Lambda
+				at++
+				diag += p.Lambda
+			}
+			diagAt := at
+			at++
+			if k+1 < len(vars) {
+				col[at], val[at] = vars[k+1], -p.Lambda
+				at++
+				diag += p.Lambda
+			}
+			col[diagAt], val[diagAt] = v, diag
+			next[v] = at
+		}
+	}
+	// −Bᵀ: B has −1 at Left and +1 at Right.
+	for i, c := range p.Cons {
+		col[next[c.Left]], val[next[c.Left]] = n+i, 1
+		next[c.Left]++
+		if c.Right >= 0 {
+			col[next[c.Right]], val[next[c.Right]] = n+i, -1
+			next[c.Right]++
+		}
+	}
+	// B, whose rows are already column-sorted.
+	copy(col[rowPtr[n]:], p.B.ColIdx)
+	copy(val[rowPtr[n]:], p.B.Val)
+	return &sparse.CSR{Rows: n + m, Cols: n + m, RowPtr: rowPtr, ColIdx: col, Val: val}
 }
 
 // LCPVector builds q = [p; −b].

@@ -61,10 +61,14 @@ type Options struct {
 	OnIter func(k int, dz float64)
 
 	// Workers shards the per-iteration vector kernels (and, when the
-	// splitting supports it, the splitting's own solves) across goroutines:
-	// 0 means GOMAXPROCS, 1 means serial. Every worker count produces
-	// bit-identical iterates — the kernels use fixed chunking with disjoint
-	// writes and order-insensitive max reductions (see internal/par).
+	// splitting supports it, the splitting's own solves) across goroutines.
+	// 0 and 1 both mean serial: each iteration is a handful of O(n) sweeps,
+	// and forking and joining goroutines around every sweep cost more than
+	// it saved at every measured size (DESIGN.md, "Parallel decomposition &
+	// determinism"). Counts above 1 are taken literally. Every worker count
+	// produces bit-identical iterates — the kernels use fixed chunking with
+	// disjoint writes and order-insensitive max reductions (see
+	// internal/par).
 	Workers int
 
 	// Workspace supplies the solve's iterate buffers so repeated solves
@@ -87,6 +91,9 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxIter == 0 {
 		out.MaxIter = 10000
+	}
+	if out.Workers == 0 {
+		out.Workers = 1
 	}
 	return out
 }
@@ -116,7 +123,8 @@ const cancelCheckEvery = 16
 
 // WorkerSettable is implemented by splittings whose operator applications
 // can shard across goroutines (the legalizer's StructuredSplitting). MMSIM
-// forwards its Workers option to such splittings before iterating.
+// forwards its Workers option, with 0 resolved to 1, to such splittings
+// before iterating.
 type WorkerSettable interface {
 	SetWorkers(workers int)
 }
@@ -138,7 +146,7 @@ func MMSIMContext(ctx context.Context, p *Problem, sp Splitting, opts Options) (
 // Algorithm 1; Run drives Step to convergence with cancellation and
 // divergence checks. The stepping form exists so callers (and the
 // steady-state allocation gate) can drive the per-iteration hot path
-// directly — at Workers <= 1 a Step performs zero heap allocations.
+// directly — at Workers 0 or 1 a Step performs zero heap allocations.
 type Solver struct {
 	p     *Problem
 	sp    Splitting
@@ -228,9 +236,9 @@ func (sv *Solver) Iterations() int { return sv.k }
 func (sv *Solver) Z() []float64 { return sv.ws.z }
 
 // Step advances one MMSIM iteration (Eqs. 3–4) and returns the step norm
-// ||z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾||∞. It performs no allocations when Workers resolves to
-// 1: the serial branch calls the closure-free scalar kernels, while the
-// parallel branch shards through internal/par with bit-identical arithmetic.
+// ||z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾||∞. It performs no allocations at Workers 0 or 1: the
+// serial branch calls the closure-free scalar kernels, while an explicit
+// count above 1 shards through internal/par with bit-identical arithmetic.
 //
 // The iteration body is fused into three sweeps (plus the splitting's own
 // solves): the modulus rhs pass folds the Ω|s|, −A|s|, and −γq updates into

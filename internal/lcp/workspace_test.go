@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mclg/internal/mclgerr"
@@ -185,32 +186,52 @@ func TestWarmSeedTransform(t *testing.T) {
 
 // TestSolverStepZeroAllocs is the steady-state allocation gate: after
 // NewSolver binds an explicit workspace, each serial MMSIM iteration must
-// perform zero heap allocations.
+// perform zero heap allocations, both at an explicit Workers 1 and at the
+// default 0. The count is taken with stepAllocs rather than
+// testing.AllocsPerRun, which pins GOMAXPROCS to 1 and would let a default
+// that resolves to every core pass on any machine.
 func TestSolverStepZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(405))
-	p, _ := spdProblem(rng, 64)
-	sp, err := NewDiagSplitting(p.A, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := NewWorkspace(p.N())
-	sv, err := NewSolver(p, sp, Options{Workers: 1, Workspace: ws, MaxIter: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-	// Warm up once so lazy runtime state (e.g. stack growth) settles.
-	if _, err := sv.Step(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, workers := range []int{1, 0} {
+		rng := rand.New(rand.NewSource(405))
+		p, _ := spdProblem(rng, 64)
+		sp, err := NewDiagSplitting(p.A, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWorkspace(p.N())
+		sv, err := NewSolver(p, sp, Options{Workers: workers, Workspace: ws, MaxIter: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm up once so lazy runtime state (e.g. stack growth) settles.
 		if _, err := sv.Step(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("MMSIM Step allocated %.1f objects per iteration, want 0", allocs)
+		allocs, err := stepAllocs(sv, 100)
+		sv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("Workers %d: MMSIM Step allocated %d objects per iteration, want 0", workers, allocs)
+		}
 	}
+}
+
+// stepAllocs returns the heap allocations per solver step over runs steps,
+// read from the process-wide malloc counter at the caller's GOMAXPROCS and
+// rounded down to an integer as testing.AllocsPerRun does, so a stray
+// runtime allocation during the loop does not count as one per step.
+func stepAllocs(sv *Solver, runs int) (uint64, error) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if _, err := sv.Step(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.Mallocs - m0.Mallocs) / uint64(runs), nil
 }
 
 // TestSolverRunMatchesMMSIM pins that the stepping API and the one-shot

@@ -35,9 +35,12 @@ type OptionsJSON struct {
 	AutoTheta  bool    `json:"autotheta,omitempty"`
 	AutoTune   bool    `json:"autotune,omitempty"`
 	BoundRight bool    `json:"boundright,omitempty"`
-	// Workers shards the solver's hot stages. It deliberately does NOT
-	// enter the cache key: the parallel hot path is bit-deterministic, so
-	// any worker count yields the same placement.
+	// Workers shards the solver's hot stages with core.Options.Workers'
+	// meaning: 0 (omitted) uses every core for the row assignment, Tetris
+	// scans and fallback race and runs the MMSIM iteration serially; 1 is
+	// serial throughout. It deliberately does NOT enter the cache key: the
+	// parallel hot path is bit-deterministic, so any worker count yields
+	// the same placement.
 	Workers int `json:"workers,omitempty"`
 }
 

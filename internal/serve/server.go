@@ -306,7 +306,6 @@ func (s *Server) runJob(j *job) {
 	defer s.jobsWG.Done()
 	defer j.cancel()
 	s.stats.inflight.Add(1)
-	defer s.stats.inflight.Add(-1)
 
 	queueWait := time.Since(j.queuedAt)
 	t0 := time.Now()
@@ -402,6 +401,10 @@ func (s *Server) runJob(j *job) {
 	)
 
 	j.rep, j.err = rep, err
+	// The gauge settles before close(j.done) releases the waiters, so a
+	// client that scrapes /metrics right after its response reads the job
+	// as finished.
+	s.stats.inflight.Add(-1)
 	close(j.done)
 }
 

@@ -177,12 +177,13 @@ func chaosSeed(t *testing.T, spec chaosSpec, windows, maxFaulted int) uint64 {
 // TestChaosContainment is the acceptance-criteria test: panics, stalls, and
 // NaN poisoning injected into ≤20% of windows must be fully contained — the
 // placement is still checker-legal and bit-identical to the fault-free
-// windowed run at every worker count, and no goroutine leaks.
+// windowed run at every worker count, and no goroutine leaks. The subtests
+// run one at a time: leakCheck counts every goroutine in the process, so a
+// sibling subtest's windows still solving would read as a leak here.
 func TestChaosContainment(t *testing.T) {
 	for _, tc := range trioCases {
 		tc := tc
 		t.Run(tc.bench, func(t *testing.T) {
-			t.Parallel()
 			clean := genDesign(t, tc.bench, tc.scale)
 			if _, err := Legalize(context.Background(), clean, baseOptions(1)); err != nil {
 				t.Fatalf("fault-free run: %v", err)
