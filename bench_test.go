@@ -127,13 +127,14 @@ func BenchmarkTable2Legalizers(b *testing.B) {
 // produces the identical placement (the determinism contract of
 // internal/par), so only wall-clock and allocations may differ; DESIGN.md's
 // "Parallel decomposition & determinism" records the medians behind the
-// serial default.
+// serial default. The solves run MMSIM only, so the sharded iteration has
+// its full iteration count to amortize over.
 func BenchmarkWorkersScaling(b *testing.B) {
 	run := func(b *testing.B, base *design.Design, w int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			d := base.Clone()
-			if _, err := core.New(core.Options{Workers: w}).Legalize(d); err != nil {
+			if _, err := core.New(core.Options{Workers: w, MMSIMOnly: true}).Legalize(d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,14 +198,15 @@ func BenchmarkSingleRowMMSIMvsPlaceRow(b *testing.B) {
 }
 
 // BenchmarkLambdaSweep is the E7 ablation: the subcell penalty λ vs.
-// solver effort and residual mismatch.
+// solver effort and residual mismatch. Like the other iteration ablations it
+// runs the MMSIM alone (Options.MMSIMOnly), without the active-set finish.
 func BenchmarkLambdaSweep(b *testing.B) {
 	base := genBench(b, "fft_1", benchScale)
 	for _, lambda := range []float64{1, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("lambda=%g", lambda), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := base.Clone()
-				stats, err := core.New(core.Options{Lambda: lambda}).Legalize(d)
+				stats, err := core.New(core.Options{Lambda: lambda, MMSIMOnly: true}).Legalize(d)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -298,16 +300,17 @@ func BenchmarkSolverComparison(b *testing.B) {
 }
 
 // BenchmarkOmegaAblation compares the paper's Ω = I against the scaled
-// variants on a mixed-height instance (DESIGN.md "key design decisions").
+// variants on a mixed-height instance (DESIGN.md "key design decisions"),
+// MMSIM only.
 func BenchmarkOmegaAblation(b *testing.B) {
 	base := genBench(b, "fft_2", benchScale)
 	cases := []struct {
 		name string
 		opts core.Options
 	}{
-		{"paper-omega-I", core.Options{PaperOmega: true}},
-		{"omegaR-0.01", core.Options{OmegaR: 0.01}},
-		{"scaled-omegaX", core.Options{ScaledOmegaX: true}},
+		{"paper-omega-I", core.Options{PaperOmega: true, MMSIMOnly: true}},
+		{"omegaR-0.01", core.Options{OmegaR: 0.01, MMSIMOnly: true}},
+		{"scaled-omegaX", core.Options{ScaledOmegaX: true, MMSIMOnly: true}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -324,15 +327,16 @@ func BenchmarkOmegaAblation(b *testing.B) {
 }
 
 // BenchmarkWarmStartAblation measures the warm start from GP positions
-// against the cold (zero) start of a literal Algorithm 1 reading.
+// against the cold (zero) start of a literal Algorithm 1 reading, MMSIM
+// only.
 func BenchmarkWarmStartAblation(b *testing.B) {
 	base := genBench(b, "superblue19", benchScale)
 	for _, tc := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"warm", core.Options{}},
-		{"cold", core.Options{ColdStart: true}},
+		{"warm", core.Options{MMSIMOnly: true}},
+		{"cold", core.Options{ColdStart: true, MMSIMOnly: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -416,7 +420,7 @@ func BenchmarkTetrisAllocate(b *testing.B) {
 }
 
 // BenchmarkMMSIMIteration measures the per-iteration cost of the structured
-// splitting (the O(n) claim of DESIGN.md).
+// splitting (the O(n) claim of DESIGN.md) over MMSIM-only solves.
 func BenchmarkMMSIMIteration(b *testing.B) {
 	for _, name := range []string{"fft_2", "superblue19"} {
 		b.Run(name, func(b *testing.B) {
@@ -429,7 +433,7 @@ func BenchmarkMMSIMIteration(b *testing.B) {
 				b.Fatal(err)
 			}
 			iters := 0
-			opts := core.New(core.Options{}).Opts
+			opts := core.New(core.Options{MMSIMOnly: true}).Opts
 			opts.MaxIter = 0
 			opts.OnIter = func(k int, dz float64) { iters++ }
 			b.ReportAllocs()

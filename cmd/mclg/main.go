@@ -230,6 +230,10 @@ func main() {
 		if *verbose && stats != nil {
 			fmt.Fprintf(info, "  vars=%d cons=%d iters=%d converged=%v\n",
 				stats.NumVars, stats.NumCons, stats.Iterations, stats.Converged)
+			if f := stats.Finish; f.Outcome != "" {
+				fmt.Fprintf(info, "  active-set finish: %s after %d rounds, %d PCG iterations\n",
+					f.Outcome, f.Rounds, f.PCG)
+			}
 			fmt.Fprintf(info, "  subcell mismatch=%.4g illegal=%d unplaced=%d\n",
 				stats.MaxSubcellMismatch, stats.Illegal, stats.Unplaced)
 			fmt.Fprintf(info, "  build=%v solve=%v tetris=%v\n",
@@ -277,13 +281,7 @@ func main() {
 		rep.Windows = report.WindowsFromStats(winStats)
 	}
 	if stats != nil {
-		rep.Iterations = stats.Iterations
-		rep.Converged = stats.Converged
-		rep.Illegal = stats.Illegal
-		rep.Unplaced = stats.Unplaced
-		rep.BuildMS = float64(stats.BuildTime) / float64(time.Millisecond)
-		rep.SolveMS = float64(stats.SolveTime) / float64(time.Millisecond)
-		rep.TetrisMS = float64(stats.TetrisTime) / float64(time.Millisecond)
+		rep.SetStats(stats)
 	}
 
 	lrep := design.CheckLegal(d)

@@ -86,13 +86,14 @@ func TestE2EClusterSmoke(t *testing.T) {
 
 	// Kill a worker mid-job: a slow windowed job is in flight when worker 1
 	// dies without warning (SIGKILL, no drain). The coordinator must fail
-	// over and still deliver the bit-identical placement.
+	// over and still deliver the bit-identical placement. The job is about
+	// 150 windows of a 100k-cell design, seconds of shard traffic.
 	type result struct {
 		rep rep
 		err error
 		out string
 	}
-	slowArgs := []string{"-server", coordURL, "-bench", "superblue19", "-scale", "0.02", "-eps", "1e-6", "-json"}
+	slowArgs := []string{"-server", coordURL, "-bench", "superblue19", "-scale", fmt.Sprint(slowScale), "-json"}
 	inFlight := make(chan result, 1)
 	go func() {
 		out, err := exec.Command(mclg, slowArgs...).Output()
@@ -102,7 +103,10 @@ func TestE2EClusterSmoke(t *testing.T) {
 		}
 		inFlight <- result{r, err, string(out)}
 	}()
-	time.Sleep(500 * time.Millisecond) // let shard solves reach the workers
+	if !waitMetrics(t, coordURL, 30*time.Second, "mclgd_inflight_jobs 1") {
+		t.Fatal("the windowed job never reached the coordinator's pool")
+	}
+	time.Sleep(300 * time.Millisecond) // let shard solves reach the workers
 	if err := w1.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,7 @@ func TestE2EClusterSmoke(t *testing.T) {
 	if !crashed.rep.Legal {
 		t.Errorf("job across the worker crash returned an illegal result: %+v", crashed.rep)
 	}
-	local := run("-bench", "superblue19", "-scale", "0.02", "-eps", "1e-6",
+	local := run("-bench", "superblue19", "-scale", fmt.Sprint(slowScale),
 		"-windows", "-window-rows", windowRows)
 	if crashed.rep.PosHash != local.PosHash {
 		t.Errorf("worker crash changed the placement: cluster %s != standalone %s",
@@ -164,5 +168,21 @@ func TestE2EClusterSmoke(t *testing.T) {
 	}
 	if routed == 0 {
 		t.Error("coordinator routed no window jobs to its workers")
+	}
+	// The kill must have landed mid-job: some shard bound for the dead
+	// worker failed over to the survivor or fell back to a local solve.
+	recovered := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		for _, series := range []string{"mclgd_cluster_failovers_total", "mclgd_cluster_local_fallbacks_total"} {
+			if strings.HasPrefix(line, series) {
+				var n int
+				if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &n); err == nil {
+					recovered += n
+				}
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Error("no shard failed over or fell back locally: the worker kill missed the job")
 	}
 }

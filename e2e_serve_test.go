@@ -71,6 +71,34 @@ func startDaemon(t *testing.T, bin, readyMsg string, extraArgs ...string) (*exec
 	return nil, "", nil
 }
 
+// waitMetrics polls a daemon's /metrics until every want line is present,
+// reporting whether that happened within the timeout.
+func waitMetrics(t *testing.T, url string, timeout time.Duration, want ...string) bool {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatalf("metrics scrape: %v", err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		all := true
+		for _, w := range want {
+			all = all && strings.Contains(string(raw), w)
+		}
+		if all {
+			return true
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return false
+}
+
+// slowScale is a superblue19 scale (about 100k cells) whose plain solve
+// still takes seconds on a 2-vCPU machine, for tests that need a job in
+// flight and then need it to finish.
+const slowScale = 0.2
+
 // drainLogs consumes the daemon's remaining stderr so the process never
 // blocks on a full pipe, returning everything read.
 func drainLogs(sc *bufio.Scanner) chan string {
@@ -131,14 +159,13 @@ func TestE2EClientRetryAfterFullQueue(t *testing.T) {
 	logs := drainLogs(sc)
 	defer func() { _ = daemon.Process.Kill(); <-logs }()
 
-	// Deliberately slow jobs: superblue19 at a tolerance that takes seconds,
+	// Deliberately slow jobs: superblue19 at a scale that takes seconds,
 	// each at a distinct scale so the daemon's identical-request coalescing
 	// cannot merge them — every post must claim its own pool or queue slot.
 	scaleSeq := 0
 	nextSlowBody := func() string {
 		scaleSeq++
-		return fmt.Sprintf(`{"bench":"superblue19","scale":%g,"options":{"eps":0.000001}}`,
-			0.02-float64(scaleSeq)*0.0001)
+		return fmt.Sprintf(`{"bench":"superblue19","scale":%g}`, slowScale-float64(scaleSeq)*0.001)
 	}
 	post := func(body string) (*http.Response, error) {
 		return http.Post(url+"/v1/legalize", "application/json", strings.NewReader(body))
@@ -161,22 +188,7 @@ func TestE2EClientRetryAfterFullQueue(t *testing.T) {
 	// Wait until the daemon's own gauges show both slots taken, then a raw
 	// probe must be refused. Probing before saturation would be admitted and
 	// block for the whole job — the metrics gauge avoids that race.
-	saturated := false
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		resp, err := http.Get(url + "/metrics")
-		if err != nil {
-			t.Fatalf("metrics scrape: %v", err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if strings.Contains(string(raw), "mclgd_inflight_jobs 1") &&
-			strings.Contains(string(raw), "mclgd_queue_depth 1") {
-			saturated = true
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !saturated {
+	if !waitMetrics(t, url, 10*time.Second, "mclgd_inflight_jobs 1", "mclgd_queue_depth 1") {
 		t.Fatal("daemon with -pool 1 -queue 1 never filled up under two slow jobs")
 	}
 	resp, err := postSlow()
@@ -286,14 +298,16 @@ func TestE2EMclgdServeSubmitAndDrain(t *testing.T) {
 	inFlight := make(chan clientResult, 1)
 	go func() {
 		out, err := exec.Command(mclg, "-server", url, "-bench", "superblue19",
-			"-scale", "0.02", "-eps", "1e-6", "-json").Output()
+			"-scale", fmt.Sprint(slowScale), "-json").Output()
 		var r rep
 		if err == nil {
 			err = json.Unmarshal(out, &r)
 		}
 		inFlight <- clientResult{r, err, string(out)}
 	}()
-	time.Sleep(300 * time.Millisecond) // let the job reach the daemon
+	if !waitMetrics(t, url, 30*time.Second, "mclgd_inflight_jobs 1") {
+		t.Fatal("the heavier job never reached the daemon's pool")
+	}
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

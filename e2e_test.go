@@ -123,9 +123,11 @@ func TestE2EMclgWindowed(t *testing.T) {
 	}
 }
 
-// slowArgs is a CLI invocation that legalizes for ~10s when left alone —
-// long enough that a timeout or signal reliably lands mid-solve.
-var slowArgs = []string{"-bench", "superblue19", "-scale", "0.02", "-eps", "1e-9"}
+// slowArgs is a CLI invocation that runs for about a minute when left alone
+// — long enough that a timeout or signal reliably lands mid-solve. The
+// legalization itself ends in milliseconds; the audit's tight MMSIM-only
+// re-solve is what runs long. Both tests fail if the run ends first.
+var slowArgs = []string{"-bench", "superblue19", "-scale", "0.004", "-audit"}
 
 func TestE2EMclgTimeoutAborts(t *testing.T) {
 	if testing.Short() {

@@ -136,6 +136,9 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 	ao.MaxIter = opts.MaxIter
 	ao.ResidualTol = -1 // residuals are recomputed below, not gated inline
 	ao.Warm = nil
+	// The MMSIM alone: the certificate must not lean on the active-set
+	// finish the production solve used.
+	ao.MMSIMOnly = true
 	if err := core.AssignRowsP(aud, ao.Workers); err != nil {
 		return nil, err
 	}

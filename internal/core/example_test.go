@@ -8,7 +8,10 @@ import (
 )
 
 // ExampleLegalizer_Legalize shows the minimal end-to-end use of the
-// legalizer: two overlapping cells are separated with minimal movement.
+// legalizer: two overlapping cells are separated with minimal movement. The
+// relaxed optimum is x = 3.5 and 7.5, half a site either way; the snap to
+// sites rounds the tie up, to 4 and 8 (3 sites of displacement, as 3 and 7
+// would be).
 func ExampleLegalizer_Legalize() {
 	d := design.NewDesign(design.Config{
 		NumRows: 2, NumSites: 20, RowHeight: 10, SiteW: 1,
@@ -27,7 +30,7 @@ func ExampleLegalizer_Legalize() {
 	fmt.Println("legal:", design.CheckLegal(d).Legal())
 	// Output:
 	// converged: true
-	// cell 0 at x=3, cell 1 at x=7
+	// cell 0 at x=4, cell 1 at x=8
 	// legal: true
 }
 

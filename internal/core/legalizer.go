@@ -92,6 +92,14 @@ type Options struct {
 	// produces bit-identical placements — see internal/par.
 	Workers int
 
+	// MMSIMOnly runs the MMSIM to its own convergence test, without the
+	// active-set finish (finish.go). The finish lands on the same optimum
+	// in a few rounds; this switch keeps the paper's iteration for studies
+	// of the iteration itself (convergence traces, the Ω, β*/θ*, λ, warm-
+	// start and workers ablations, Table 1) and for the audit's independent
+	// tight re-solve.
+	MMSIMOnly bool
+
 	// Warm, when non-nil, carries cached solver state across repeated
 	// solves: when the problem's structure signature matches the cached
 	// one, the solve reuses the assembled LCP matrix and splitting
@@ -181,6 +189,10 @@ type Stats struct {
 
 	Illegal  int // illegal cells repaired by the Tetris stage
 	Unplaced int // cells the Tetris stage could not place (should be 0)
+
+	// Finish reports the active-set finish; its Outcome is empty when the
+	// finish did not run (MMSIMOnly, or the MMSIM stopped first).
+	Finish FinishStats
 
 	// WarmReused reports that the solve reused cached factorizations from
 	// Options.Warm (structure signature match); WarmSeeded additionally
@@ -275,6 +287,7 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 	stats.AutoTuned = solveStats.AutoTuned
 	stats.WarmReused = solveStats.WarmReused
 	stats.WarmSeeded = solveStats.WarmSeeded
+	stats.Finish = solveStats.Finish
 	stats.SolveTime = time.Since(t1)
 
 	stats.MaxSubcellMismatch = Restore(p, x)
@@ -306,6 +319,10 @@ type SolveStats struct {
 	// seed rather than the GP warm start.
 	WarmReused bool
 	WarmSeeded bool
+
+	// Finish reports the active-set finish. Iterations counts MMSIM
+	// iterations only: with an accepted finish, the ones before it.
+	Finish FinishStats
 }
 
 // SolveMMSIM assembles the LCP for an already-built problem and runs the
@@ -491,31 +508,82 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		OnIter:      opts.OnIter,
 		Workers:     opts.Workers,
 	}
+	// The finish's scratch always comes from the pool: a warm state keeps
+	// only the iterate buffers, not a second copy of the finish's.
+	scratch := lcp.GetWorkspace(0)
+	defer lcp.PutWorkspace(scratch)
 	if warm != nil {
 		if warm.ws == nil {
 			warm.ws = lcp.NewWorkspace(n)
 		}
 		lo.Workspace = warm.ws
+	} else {
+		// The pooled workspace serves the iteration too; the solution is
+		// detached below by the one copy every path makes.
+		scratch.Ensure(n)
+		lo.Workspace = scratch
 	}
-	res, err := lcp.MMSIMContext(ctx, prob, sp, lo)
+	sv, err := lcp.NewSolver(prob, sp, lo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: MMSIM: %w", err)
 	}
-	st.Iterations = res.Iterations
-	st.Converged = res.Converged
-	z := res.Z
+	defer sv.Close()
+	z, err := runSolve(ctx, sv, scratch, p, sp, prob, st, opts.MMSIMOnly, warm)
+	if err != nil {
+		return nil, nil, err
+	}
 	if warm != nil {
-		// Retain the solution for the next seed, then detach z from the
-		// shared workspace before the mutex is released (still one
-		// allocation, matching the warm path's alloc budget).
-		warm.prevZ = append(warm.prevZ[:0], res.Z...)
+		// Retain the solution for the next seed.
+		warm.prevZ = append(warm.prevZ[:0], z...)
 		warm.haveZ = true
 		if !st.WarmSeeded {
-			warm.coldIters = res.Iterations
+			warm.coldIters = st.Iterations
 		}
-		z = append([]float64(nil), res.Z...)
 	}
-	return z, st, nil
+	// Detach z from the workspace before it returns to the pool or the warm
+	// state's mutex is released.
+	return append([]float64(nil), z...), st, nil
+}
+
+// runSolve drives the MMSIM and, unless mmsimOnly, pauses it for the
+// active-set finish, whose buffers come from scratch: after finishPause
+// iterations of a cold solve, or at iteration 0 of a warm-seeded one, whose
+// guess then comes from the previous solution. A rejected finish resumes the
+// paused solver, which reproduces the MMSIM-only iterates bit for bit. The
+// returned z aliases a workspace.
+func runSolve(ctx context.Context, sv *lcp.Solver, scratch *lcp.Workspace, p *Problem, sp *StructuredSplitting, prob *lcp.Problem, st *SolveStats, mmsimOnly bool, warm *WarmState) ([]float64, error) {
+	if !mmsimOnly {
+		pause, z0, w0 := finishPause, []float64(nil), []float64(nil)
+		if st.WarmSeeded {
+			pause, z0, w0 = 0, warm.prevZ, warm.wbuf
+		}
+		res, err := sv.RunTo(ctx, pause)
+		if err != nil {
+			return nil, fmt.Errorf("core: MMSIM: %w", err)
+		}
+		if !res.Paused {
+			st.Iterations, st.Converged = res.Iterations, res.Converged
+			return res.Z, nil
+		}
+		if z0 == nil {
+			z0 = sv.Z()
+		}
+		z, fs, err := finishSolve(ctx, p, sp, prob, scratch, z0, w0)
+		st.Finish = fs
+		if err != nil {
+			return nil, err
+		}
+		if z != nil {
+			st.Iterations, st.Converged = sv.Iterations(), true
+			return z, nil
+		}
+	}
+	res, err := sv.Run(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("core: MMSIM: %w", err)
+	}
+	st.Iterations, st.Converged = res.Iterations, res.Converged
+	return res.Z, nil
 }
 
 // Restore writes the solved subcell positions back to the design's cells:

@@ -139,9 +139,10 @@ func BuildProblem(d *design.Design, lambda float64) (*Problem, error) {
 func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Problem, error) {
 	p := &Problem{D: d, Lambda: lambda, CellVars: make([][]int, len(d.Cells))}
 
-	// Create subcells and variables, cells in ID order so blocks are
-	// contiguous.
-	perRow := make([][]int, len(d.Rows)) // subcell indices per row
+	// Size everything first: the variable count is Σ RowSpan, and rowEnd[r]
+	// ends row r's slot in the per-row subcell index array.
+	nv := 0
+	rowEnd := make([]int, len(d.Rows))
 	for _, c := range d.Cells {
 		if c.Fixed {
 			continue
@@ -150,7 +151,36 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 		if row < 0 || row+c.RowSpan > len(d.Rows) {
 			return nil, fmt.Errorf("core: cell %d not assigned to a valid row (y=%g)", c.ID, c.Y)
 		}
-		vars := make([]int, c.RowSpan)
+		nv += c.RowSpan
+		for k := 0; k < c.RowSpan; k++ {
+			rowEnd[row+k]++
+		}
+	}
+	for r := 1; r < len(rowEnd); r++ {
+		rowEnd[r] += rowEnd[r-1]
+	}
+	p.Subcells = make([]Subcell, 0, nv)
+	p.blockOfVar = make([]int, 0, nv)
+	cellVars := make([]int, nv)
+	rowVars := make([]int, nv)
+	perRow := make([][]int, len(d.Rows)) // subcell indices per row
+	for r := range perRow {
+		start := 0
+		if r > 0 {
+			start = rowEnd[r-1]
+		}
+		perRow[r] = rowVars[start:start:rowEnd[r]]
+	}
+
+	// Create subcells and variables, cells in ID order so blocks are
+	// contiguous.
+	for _, c := range d.Cells {
+		if c.Fixed {
+			continue
+		}
+		row := d.RowAt(c.Y + d.RowHeight/2)
+		v0 := len(p.Subcells)
+		vars := cellVars[v0 : v0+c.RowSpan : v0+c.RowSpan]
 		for k := 0; k < c.RowSpan; k++ {
 			v := len(p.Subcells)
 			vars[k] = v
@@ -169,7 +199,9 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 	}
 	p.NumVars = len(p.Subcells)
 
-	// Order each row by global x and emit adjacency constraints row-major.
+	// Order each row by global x and emit adjacency constraints row-major:
+	// at most one chain constraint per subcell and one boundary row per row.
+	p.Cons = make([]Constraint, 0, p.NumVars+len(d.Rows))
 	// With boundRight, each row additionally gets a right-boundary row
 	// −x ≥ −(X_max − w) on its rightmost subcell (Right == -1 encodes the
 	// missing right variable), placed directly after the row's chain so the
@@ -406,6 +438,24 @@ func (p *Problem) solvePathBlock(c1, lam float64, vars []int, dst, rhs []float64
 	}
 }
 
+// hInvDiag returns (H⁻¹)_vv, the diagonal entry of the inverse of v's cell
+// block: 1 for a single-row cell, one unit-vector block solve otherwise.
+func (p *Problem) hInvDiag(v int) float64 {
+	vars := p.CellVars[p.blockOfVar[v]]
+	if len(vars) == 1 {
+		return 1
+	}
+	const maxSpan = 16
+	var rhsA, solA [maxSpan]float64
+	rhs, sol := rhsA[:len(vars)], solA[:len(vars)]
+	if len(vars) > maxSpan {
+		rhs, sol = make([]float64, len(vars)), make([]float64, len(vars))
+	}
+	rhs[v-vars[0]] = 1
+	p.solveBlockDense(1, p.Lambda, vars, sol, rhs)
+	return sol[v-vars[0]]
+}
+
 // HDiag returns diag(H) = 1 + λ·deg(v), where deg is the variable's degree
 // in its cell's subcell chain (0 for single-height cells).
 func (p *Problem) HDiag() []float64 {
@@ -531,15 +581,21 @@ func (p *Problem) ApplyHInvSparse(idx []int, val []float64, emit func(int, float
 }
 
 // solveBlockDense solves one (c1·I + lam·L) block with local index slices
-// (rhs indexed 0..d-1, result written to sol).
+// (rhs indexed 0..d-1, result written to sol). Stack-local scratch keeps it
+// allocation-free for realistic spans.
 func (p *Problem) solveBlockDense(c1, lam float64, vars []int, sol, rhs []float64) {
 	d := len(vars)
 	if d == 1 {
 		sol[0] = rhs[0] / c1
 		return
 	}
-	diag := make([]float64, d)
-	r := append([]float64(nil), rhs...)
+	const maxSpan = 16
+	var diagA, rA [maxSpan]float64
+	diag, r := diagA[:d], rA[:d]
+	if d > maxSpan {
+		diag, r = make([]float64, d), make([]float64, d)
+	}
+	copy(r, rhs)
 	for k := 0; k < d; k++ {
 		deg := 2.0
 		if k == 0 || k == d-1 {

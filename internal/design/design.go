@@ -228,6 +228,15 @@ func (d *Design) NearestCorrectRow(c *Cell, y float64) int {
 // Clone returns a deep copy of the design (cells and nets included) so a
 // legalizer can be run without mutating the input.
 func (d *Design) Clone() *Design {
+	out := d.CloneCells()
+	out.OwnNets()
+	return out
+}
+
+// CloneCells is Clone except that the copy shares d's netlist: for callers
+// that change only cells, or that call OwnNets before their first netlist
+// change.
+func (d *Design) CloneCells() *Design {
 	out := &Design{
 		Name:      d.Name,
 		Core:      d.Core,
@@ -235,16 +244,36 @@ func (d *Design) Clone() *Design {
 		SiteW:     d.SiteW,
 		Rows:      append([]Row(nil), d.Rows...),
 		Cells:     make([]*Cell, len(d.Cells)),
-		Nets:      make([]Net, len(d.Nets)),
+		Nets:      d.Nets,
 	}
+	// One backing array for all cells.
+	cells := make([]Cell, len(d.Cells))
 	for i, c := range d.Cells {
-		cc := *c
-		out.Cells[i] = &cc
-	}
-	for i, n := range d.Nets {
-		out.Nets[i] = Net{Name: n.Name, Weight: n.Weight, Pins: append([]Pin(nil), n.Pins...)}
+		cells[i] = *c
+		out.Cells[i] = &cells[i]
 	}
 	return out
+}
+
+// OwnNets replaces d's netlist with a private deep copy. All pins share one
+// backing array; each net's pin slice is capped at its own length, so an
+// append reallocates instead of writing into the next net's pins.
+func (d *Design) OwnNets() {
+	np := 0
+	for _, n := range d.Nets {
+		np += len(n.Pins)
+	}
+	nets := make([]Net, len(d.Nets))
+	pins := make([]Pin, 0, np)
+	for i, n := range d.Nets {
+		nets[i] = Net{Name: n.Name, Weight: n.Weight}
+		if len(n.Pins) > 0 {
+			at := len(pins)
+			pins = append(pins, n.Pins...)
+			nets[i].Pins = pins[at:len(pins):len(pins)]
+		}
+	}
+	d.Nets = nets
 }
 
 // ResetToGlobal restores every movable cell to its global-placement position.

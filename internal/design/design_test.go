@@ -197,6 +197,24 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// A clone's nets share one pin array, so appending to one net must not
+// write into the next net's pins.
+func TestCloneNetAppendIsolated(t *testing.T) {
+	d := smallDesign()
+	d.Nets = append(d.Nets,
+		Net{Name: "a", Pins: []Pin{{CellID: 0}, {CellID: 1}}},
+		Net{Name: "b", Pins: []Pin{{CellID: 2}}},
+		Net{Name: "empty"})
+	cl := d.Clone()
+	cl.Nets[0].Pins = append(cl.Nets[0].Pins, Pin{CellID: 9})
+	if got := cl.Nets[1].Pins[0].CellID; got != 2 {
+		t.Fatalf("appending to net a rewrote net b's pin: CellID %d, want 2", got)
+	}
+	if cl.Nets[2].Pins != nil {
+		t.Error("clone of a pinless net has a non-nil pin slice")
+	}
+}
+
 func TestResetToGlobal(t *testing.T) {
 	d := smallDesign()
 	c := d.AddCell("c", 4, 10, VSS)

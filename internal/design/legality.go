@@ -81,47 +81,54 @@ func alignTol(coord, origin, unit float64) float64 {
 // still a violation.
 func CheckLegal(d *Design) *LegalityReport {
 	rep := &LegalityReport{}
-	const eps = 1e-6
 	for _, c := range d.Cells {
-		if c.Fixed {
-			continue
-		}
-		b := c.Bounds()
-		if b.Lo.X < d.Core.Lo.X-eps || b.Hi.X > d.Core.Hi.X+eps ||
-			b.Lo.Y < d.Core.Lo.Y-eps || b.Hi.Y > d.Core.Hi.Y+eps {
-			rep.Violations = append(rep.Violations, Violation{
-				Kind: VOutsideCore, Cells: []int{c.ID},
-				Msg: fmt.Sprintf("cell %d at %v outside core %v", c.ID, b, d.Core),
-			})
-		}
-		// Site alignment, tolerance scaled for far-from-origin cores.
-		fs := (c.X - d.Core.Lo.X) / d.SiteW
-		if math.Abs(fs-math.Round(fs)) > alignTol(c.X, d.Core.Lo.X, d.SiteW) {
-			rep.Violations = append(rep.Violations, Violation{
-				Kind: VOffSite, Cells: []int{c.ID},
-				Msg: fmt.Sprintf("cell %d x=%g not on site grid (site width %g)", c.ID, c.X, d.SiteW),
-			})
-		}
-		// Row alignment.
-		fr := (c.Y - d.Core.Lo.Y) / d.RowHeight
-		row := int(math.Round(fr))
-		if math.Abs(fr-float64(row)) > alignTol(c.Y, d.Core.Lo.Y, d.RowHeight) || row < 0 || row+c.RowSpan > len(d.Rows) {
-			rep.Violations = append(rep.Violations, Violation{
-				Kind: VOffRow, Cells: []int{c.ID},
-				Msg: fmt.Sprintf("cell %d y=%g not on a row boundary", c.ID, c.Y),
-			})
-			continue // rail check meaningless without a row
-		}
-		if c.EvenSpan() && d.Rows[row].Rail != c.BottomRail {
-			rep.Violations = append(rep.Violations, Violation{
-				Kind: VRailMismatch, Cells: []int{c.ID},
-				Msg: fmt.Sprintf("cell %d (span %d, bottom %v) on row %d with rail %v",
-					c.ID, c.RowSpan, c.BottomRail, row, d.Rows[row].Rail),
-			})
+		if !c.Fixed {
+			rep.Violations = AppendCellViolations(rep.Violations, d, c)
 		}
 	}
 	rep.Violations = append(rep.Violations, findOverlaps(d)...)
 	return rep
+}
+
+// AppendCellViolations appends the per-cell violations CheckLegal reports
+// for movable cell c — core containment, site and row alignment, and the
+// power rail of an even-span cell — leaving overlaps out. Callers that
+// track occupancy themselves (an ECO commit) check overlaps on their grid.
+func AppendCellViolations(dst []Violation, d *Design, c *Cell) []Violation {
+	const eps = 1e-6
+	b := c.Bounds()
+	if b.Lo.X < d.Core.Lo.X-eps || b.Hi.X > d.Core.Hi.X+eps ||
+		b.Lo.Y < d.Core.Lo.Y-eps || b.Hi.Y > d.Core.Hi.Y+eps {
+		dst = append(dst, Violation{
+			Kind: VOutsideCore, Cells: []int{c.ID},
+			Msg: fmt.Sprintf("cell %d at %v outside core %v", c.ID, b, d.Core),
+		})
+	}
+	// Site alignment, tolerance scaled for far-from-origin cores.
+	fs := (c.X - d.Core.Lo.X) / d.SiteW
+	if math.Abs(fs-math.Round(fs)) > alignTol(c.X, d.Core.Lo.X, d.SiteW) {
+		dst = append(dst, Violation{
+			Kind: VOffSite, Cells: []int{c.ID},
+			Msg: fmt.Sprintf("cell %d x=%g not on site grid (site width %g)", c.ID, c.X, d.SiteW),
+		})
+	}
+	// Row alignment.
+	fr := (c.Y - d.Core.Lo.Y) / d.RowHeight
+	row := int(math.Round(fr))
+	if math.Abs(fr-float64(row)) > alignTol(c.Y, d.Core.Lo.Y, d.RowHeight) || row < 0 || row+c.RowSpan > len(d.Rows) {
+		return append(dst, Violation{
+			Kind: VOffRow, Cells: []int{c.ID},
+			Msg: fmt.Sprintf("cell %d y=%g not on a row boundary", c.ID, c.Y),
+		}) // rail check meaningless without a row
+	}
+	if c.EvenSpan() && d.Rows[row].Rail != c.BottomRail {
+		dst = append(dst, Violation{
+			Kind: VRailMismatch, Cells: []int{c.ID},
+			Msg: fmt.Sprintf("cell %d (span %d, bottom %v) on row %d with rail %v",
+				c.ID, c.RowSpan, c.BottomRail, row, d.Rows[row].Rail),
+		})
+	}
+	return dst
 }
 
 // findOverlaps detects pairwise overlaps with a sweep over x-sorted cells,

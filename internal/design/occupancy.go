@@ -3,52 +3,90 @@ package design
 import (
 	"fmt"
 	"math"
+
+	"mclg/internal/geom"
 )
 
 // Occupancy is a per-row site-occupancy grid. Entry (row, site) holds the
 // ID+1 of the occupying cell, or 0 when free, so overlaps are detected on
 // insertion and the grid doubles as a reverse index for debugging.
 type Occupancy struct {
-	d     *Design
-	grid  [][]int32 // grid[row][site]
-	sites int
+	lo         geom.Point // core origin
+	rowH, site float64    // row height, site width
+	grid       [][]int32  // grid[row][site]
+
+	// undo records the edits of the open transaction (Begin), if tx.
+	undo []occEdit
+	tx   bool
 }
 
-// NewOccupancy allocates an empty grid for the design.
+// occEdit is one recorded grid write: the site and its previous value.
+type occEdit struct {
+	row, site int
+	prev      int32
+}
+
+// NewOccupancy allocates an empty grid for the design's rows. The grid keeps
+// only the row and site geometry, so it serves any design with the same
+// core and rows.
 func NewOccupancy(d *Design) *Occupancy {
-	o := &Occupancy{d: d, sites: 0}
+	o := &Occupancy{lo: d.Core.Lo, rowH: d.RowHeight, site: d.SiteW}
 	o.grid = make([][]int32, len(d.Rows))
 	for i, r := range d.Rows {
 		o.grid[i] = make([]int32, r.NumSites)
-		if r.NumSites > o.sites {
-			o.sites = r.NumSites
-		}
 	}
 	return o
+}
+
+// set writes one grid entry, recording the old value in an open
+// transaction.
+func (o *Occupancy) set(r, s int, v int32) {
+	if o.tx {
+		o.undo = append(o.undo, occEdit{r, s, o.grid[r][s]})
+	}
+	o.grid[r][s] = v
+}
+
+// Begin opens a transaction: every grid write from Place and Clear is
+// recorded until Commit keeps them or Rollback undoes them.
+func (o *Occupancy) Begin() {
+	o.undo = o.undo[:0]
+	o.tx = true
+}
+
+// Commit closes the open transaction, keeping its edits.
+func (o *Occupancy) Commit() { o.tx = false }
+
+// Rollback undoes the open transaction's edits, newest first, and closes it.
+func (o *Occupancy) Rollback() {
+	for i := len(o.undo) - 1; i >= 0; i-- {
+		e := o.undo[i]
+		o.grid[e.row][e.site] = e.prev
+	}
+	o.Commit()
 }
 
 // cellSpan converts a cell position to (rowStart, rowEnd, siteStart, siteEnd)
 // half-open index ranges. Returns an error if the position is off-grid or
 // outside the core.
 func (o *Occupancy) cellSpan(c *Cell, x, y float64) (r0, r1, s0, s1 int, err error) {
-	d := o.d
-	fr := (y - d.Core.Lo.Y) / d.RowHeight
+	fr := (y - o.lo.Y) / o.rowH
 	r0 = int(math.Round(fr))
 	if math.Abs(fr-float64(r0)) > 1e-6 {
 		return 0, 0, 0, 0, fmt.Errorf("cell %d: y=%g not on a row boundary", c.ID, y)
 	}
-	fs := (x - d.Core.Lo.X) / d.SiteW
+	fs := (x - o.lo.X) / o.site
 	s0 = int(math.Round(fs))
 	if math.Abs(fs-float64(s0)) > 1e-6 {
 		return 0, 0, 0, 0, fmt.Errorf("cell %d: x=%g not on a site boundary", c.ID, x)
 	}
 	r1 = r0 + c.RowSpan
-	nw := int(math.Ceil(c.W/d.SiteW - 1e-9))
+	nw := int(math.Ceil(c.W/o.site - 1e-9))
 	s1 = s0 + nw
-	if r0 < 0 || r1 > len(d.Rows) {
+	if r0 < 0 || r1 > len(o.grid) {
 		return 0, 0, 0, 0, fmt.Errorf("cell %d: rows [%d,%d) outside core", c.ID, r0, r1)
 	}
-	if s0 < 0 || s1 > d.Rows[r0].NumSites {
+	if s0 < 0 || s1 > len(o.grid[r0]) {
 		return 0, 0, 0, 0, fmt.Errorf("cell %d: sites [%d,%d) outside row", c.ID, s0, s1)
 	}
 	return r0, r1, s0, s1, nil
@@ -73,10 +111,28 @@ func (o *Occupancy) Place(c *Cell, x, y float64) error {
 	id := int32(c.ID + 1)
 	for r := r0; r < r1; r++ {
 		for s := s0; s < s1; s++ {
-			o.grid[r][s] = id
+			o.set(r, s, id)
 		}
 	}
 	return nil
+}
+
+// Clear frees every site a cell of c's size covers at (x, y), whoever holds
+// it; an off-grid position clears nothing. For a cell of a legal placement
+// that footprint holds only the cell itself, so Clear removes it without
+// consulting the IDs the grid stores.
+func (o *Occupancy) Clear(c *Cell, x, y float64) {
+	r0, r1, s0, s1, err := o.cellSpan(c, x, y)
+	if err != nil {
+		return
+	}
+	for r := r0; r < r1; r++ {
+		for s := s0; s < s1; s++ {
+			if o.grid[r][s] != 0 {
+				o.set(r, s, 0)
+			}
+		}
+	}
 }
 
 // Remove clears the sites covered by cell c at position (x, y). Sites not
@@ -147,11 +203,10 @@ func (o *Occupancy) OwnerAt(row, site int) int {
 // for fixed cells and blockages, which need not be site-aligned. Already
 // occupied sites are left as they are.
 func (o *Occupancy) BlockArea(cellID int, x, y, w, h float64) {
-	d := o.d
-	r0 := int(math.Floor((y - d.Core.Lo.Y) / d.RowHeight))
-	r1 := int(math.Ceil((y+h-d.Core.Lo.Y)/d.RowHeight - 1e-9))
-	s0 := int(math.Floor((x - d.Core.Lo.X) / d.SiteW))
-	s1 := int(math.Ceil((x+w-d.Core.Lo.X)/d.SiteW - 1e-9))
+	r0 := int(math.Floor((y - o.lo.Y) / o.rowH))
+	r1 := int(math.Ceil((y+h-o.lo.Y)/o.rowH - 1e-9))
+	s0 := int(math.Floor((x - o.lo.X) / o.site))
+	s1 := int(math.Ceil((x+w-o.lo.X)/o.site - 1e-9))
 	id := int32(cellID + 1)
 	for r := maxInt(0, r0); r < minInt(len(o.grid), r1); r++ {
 		for s := maxInt(0, s0); s < minInt(len(o.grid[r]), s1); s++ {

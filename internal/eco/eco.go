@@ -15,9 +15,11 @@
 // reuse (per-run, via a pool of core.WarmState) only changes iteration counts, never
 // placements. The replay property is what audit.ReplayCertificate certifies.
 //
-// A batch is atomic: it either commits a whole-design checker-verified
-// placement, or it is rejected with a typed mclgerr error and the session
-// state (placement, occupancy, journal) is untouched.
+// A batch is atomic: it either commits a placement verified against the
+// committed one by the session's diff-driven commit check (which accepts
+// exactly what design.CheckLegal accepts), or it is rejected with a typed
+// mclgerr error and the session state (placement, occupancy, journal) is
+// untouched.
 package eco
 
 import (
@@ -182,10 +184,27 @@ type mutator struct {
 	margin  int
 	dirty   map[int]bool // dirty design rows
 	touched map[int]bool // current-IDs of cells a delta created or altered
+
+	// orig maps each current ID to the cell's ID in the design the mutator
+	// started from (−1 for an inserted cell); deleted lists the original
+	// IDs of deleted cells.
+	orig    []int
+	deleted []int
+
+	// sharedNets marks that d still shares its netlist with the committed
+	// design (design.CloneCells); a delete takes a private copy first.
+	sharedNets bool
 }
 
+// newMutator starts a batch on d, a design.CloneCells copy of the committed
+// design (so its netlist is still shared).
 func newMutator(d *design.Design, margin int) *mutator {
-	return &mutator{d: d, margin: margin, dirty: map[int]bool{}, touched: map[int]bool{}}
+	orig := make([]int, len(d.Cells))
+	for i := range orig {
+		orig[i] = i
+	}
+	return &mutator{d: d, margin: margin, dirty: map[int]bool{}, touched: map[int]bool{},
+		orig: orig, sharedNets: true}
 }
 
 // markRect dirties every row the rectangle overlaps, plus the margin.
@@ -259,6 +278,7 @@ func (m *mutator) apply(i int, dl Delta) error {
 		c.X, c.Y = dl.X, dl.Y
 		m.markRect(dl.Y, dl.H)
 		m.touched[c.ID] = true
+		m.orig = append(m.orig, -1)
 
 	case OpDelete:
 		c, err := movableTarget(d, i, dl)
@@ -302,11 +322,20 @@ func (m *mutator) apply(i int, dl Delta) error {
 }
 
 // removeCell deletes cell id, renumbers the survivors densely (Validate
-// requires cell.ID == slice index), and rewrites the netlist: the deleted
-// cell's pins are dropped and higher CellIDs shift down. Touched IDs shift
+// requires cell.ID == slice index), and rewrites the netlist (a private copy
+// of it, if it was shared): the deleted cell's pins are dropped and higher
+// CellIDs shift down. Touched IDs shift
 // with them. Fixed pins (CellID < 0) are untouched.
 func (m *mutator) removeCell(id int) {
 	d := m.d
+	if m.sharedNets {
+		d.OwnNets()
+		m.sharedNets = false
+	}
+	if o := m.orig[id]; o >= 0 {
+		m.deleted = append(m.deleted, o)
+	}
+	m.orig = append(m.orig[:id], m.orig[id+1:]...)
 	d.Cells = append(d.Cells[:id], d.Cells[id+1:]...)
 	for i := id; i < len(d.Cells); i++ {
 		d.Cells[i].ID = i

@@ -3,6 +3,7 @@ package eco
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mclg/internal/baselines/chow"
@@ -26,7 +27,16 @@ type Session struct {
 
 	base *design.Design // pristine input clone — the replay seed
 	cur  *design.Design // committed: X/Y legal, GX/GY current targets
-	occ  *design.Occupancy
+
+	// occ mirrors cur's occupied sites. Commits update it by difference
+	// (commitCheck), so after a delete the IDs it stores for unchanged cells
+	// may be stale; only occupancy is read from it.
+	occ *design.Occupancy
+
+	// Per-apply scratch, reused across applies (applies serialize).
+	targets []float64        // saved GX/GY of every cell, by ID
+	outs    []window.CellPos // every run's solved positions
+	changed []*design.Cell   // cells commitCheck verifies
 
 	seq      int
 	log      []Batch
@@ -40,6 +50,11 @@ type Session struct {
 
 	closed bool
 	stats  Stats
+
+	// afterRuns, when set, sees each batch's working design after the run
+	// outputs are written and before the commit check; tests use it to
+	// inject bad outputs.
+	afterRuns func(work *design.Design)
 }
 
 // Stats summarizes a session's lifetime activity.
@@ -230,8 +245,8 @@ func (s *Session) Close() error {
 
 // Apply validates and applies one delta batch atomically: either every
 // delta is valid, every dirty run re-legalizes (or locally repairs), the
-// whole-design checker passes, and the batch is journaled and committed —
-// or the session is left exactly as it was and a typed error explains why.
+// commit check passes, and the batch is journaled and committed — or the
+// session is left exactly as it was and a typed error explains why.
 func (s *Session) Apply(ctx context.Context, deltas []Delta) (*ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -258,17 +273,14 @@ func (s *Session) applyLocked(ctx context.Context, deltas []Delta, persist bool)
 		rec := logRecord{Seq: res.Seq, Deltas: deltas, PosHash: res.PosHash}
 		rec.Sum = rec.sum()
 		if err := s.flog.Append(rec); err != nil {
+			s.occ.Rollback()
 			s.stats.Rejected++
 			return nil, err
 		}
 	}
 
+	s.occ.Commit()
 	s.cur = work
-	if err := s.rebuildOcc(); err != nil {
-		// The placement passed the whole-design checker, so the grid must
-		// accept it; failing here is a programming error, not a user input.
-		return nil, err
-	}
 	s.seq = res.Seq
 	s.posHash = res.PosHash
 	s.log = append(s.log, Batch{Seq: res.Seq, Deltas: append([]Delta(nil), deltas...)})
@@ -280,11 +292,14 @@ func (s *Session) applyLocked(ctx context.Context, deltas []Delta, persist bool)
 }
 
 // solveBatch runs the full dirty-window pipeline on a working clone and
-// returns the verified result without touching session state.
+// returns the verified result without touching session state, except that
+// on success the occupancy grid holds the result inside an open transaction
+// for the caller to commit or roll back.
 func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult, *design.Design, error) {
 	// 1. Validate and apply the deltas to a working clone, accumulating
 	// dirty rows and touched cells. Any invalid delta rejects the batch.
-	work := s.cur.Clone()
+	// The netlist stays shared with cur unless a delete rewrites it.
+	work := s.cur.CloneCells()
 	mut := newMutator(work, s.opts.MarginRows)
 	for i, dl := range deltas {
 		if err := mut.apply(i, dl); err != nil {
@@ -295,21 +310,27 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		return nil, nil, err
 	}
 
-	// 2. Build the assignment view: touched cells keep their new targets,
-	// untouched movable cells are pinned to their committed positions (GX/GY
-	// := X/Y), so Partition assigns untouched cells to their committed rows
-	// and the re-solve treats "stay where you are" as their objective.
-	av := work.Clone()
-	for _, c := range av.Cells {
-		if !c.Fixed && !mut.touched[c.ID] {
+	// 2. Turn work into the assignment view: touched cells keep their new
+	// targets, untouched movable cells are pinned to their committed
+	// positions (GX/GY := X/Y), so Partition assigns untouched cells to their
+	// committed rows and the re-solve treats "stay where you are" as their
+	// objective. The targets are restored after the last run.
+	s.targets = slices.Grow(s.targets[:0], 2*len(work.Cells))
+	for _, c := range work.Cells {
+		s.targets = append(s.targets, c.GX, c.GY)
+		if !c.Fixed {
 			c.GX, c.GY = c.X, c.Y
 		}
 	}
-	plan, err := window.Partition(av, s.opts.WindowRows, s.opts.ContextRows)
+	for id := range mut.touched {
+		c := work.Cells[id]
+		c.GX, c.GY = s.targets[2*id], s.targets[2*id+1]
+	}
+	plan, err := window.Partition(work, s.opts.WindowRows, s.opts.ContextRows)
 	if err != nil {
 		return nil, nil, err
 	}
-	dirty := plan.DirtyBands(av, mut.dirty)
+	dirty := plan.DirtyBands(work, mut.dirty)
 
 	// 3. Merge dirty bands whose sub-design row ranges overlap into
 	// contiguous runs; distinct runs own disjoint rows and solve
@@ -319,30 +340,35 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 	// 4. Re-legalize each run through the resilient cascade with per-run
 	// warm-state reuse; fall back to chow-style one-cell-at-a-time local
 	// repair when the cascade fails. Either path yields checker-verified
-	// positions or rejects the batch.
+	// positions or rejects the batch. Every run reads the committed
+	// positions, so the outputs are written only after the last run.
 	repaired := 0
+	s.outs = s.outs[:0]
 	for _, r := range runs {
-		cells, rep, err := s.solveRun(ctx, av, plan, r, mut.touched)
+		cells, rep, err := s.solveRun(ctx, work, plan, r, mut.touched)
 		if err != nil {
 			return nil, nil, err
 		}
 		if rep {
 			repaired++
 		}
-		for _, cp := range cells {
-			c := work.Cells[cp.ID]
-			c.X, c.Y, c.Flipped = cp.X, cp.Y, cp.Flipped
-		}
+		s.outs = append(s.outs, cells...)
+	}
+	for _, cp := range s.outs {
+		c := work.Cells[cp.ID]
+		c.X, c.Y, c.Flipped = cp.X, cp.Y, cp.Flipped
+	}
+	for i, c := range work.Cells {
+		c.GX, c.GY = s.targets[2*i], s.targets[2*i+1]
+	}
+	if s.afterRuns != nil {
+		s.afterRuns(work)
 	}
 
-	// 5. The whole-design checker gates the commit: only fully verified
-	// placements become session state, whatever the per-run solvers claimed.
-	if rep := design.CheckLegal(work); !rep.Legal() {
-		return nil, nil, &mclgerr.StageError{
-			Stage:  "eco-verify",
-			Err:    mclgerr.ErrUnplacedCells,
-			Detail: "re-legalized placement failed the legality checker: " + rep.String(),
-		}
+	// 5. The commit check gates the commit: only fully verified placements
+	// become session state, whatever the per-run solvers claimed.
+	if err := s.commitCheck(work, mut); err != nil {
+		return nil, nil, err
 	}
 
 	res := &ApplyResult{
@@ -356,6 +382,72 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		PosHash:   regress.PositionHash(work),
 	}
 	return res, work, nil
+}
+
+// commitCheck verifies work against the committed placement by difference
+// and moves the occupancy grid to it inside an open transaction; on failure
+// it rolls the grid back and returns the violations. A cell whose footprint
+// matches its committed counterpart was verified when that placement
+// committed and already sits in the grid. Every other cell — inserted, or
+// moved or resized by a delta or a run — gets design.CheckLegal's per-cell
+// checks and is then placed into the grid, after the old footprints of all
+// changed and deleted cells have been cleared, where any overlap shows up
+// as an occupied site. The old footprints are cleared by area, not by ID:
+// deletes renumber the IDs the grid stores, and a legal footprint covers
+// only its own cell's sites. design.CheckLegal remains the evidence where
+// evidence is asked for (Certify).
+func (s *Session) commitCheck(work *design.Design, mut *mutator) error {
+	occ := s.occ
+	occ.Begin()
+	for _, o := range mut.deleted {
+		c := s.cur.Cells[o]
+		occ.Clear(c, c.X, c.Y)
+	}
+	s.changed = s.changed[:0]
+	var vs []design.Violation
+	for i, c := range work.Cells {
+		if o := mut.orig[i]; o >= 0 {
+			old := s.cur.Cells[o]
+			if sameFootprint(c, old) {
+				continue
+			}
+			if c.Fixed || old.Fixed {
+				// Deltas never address fixed cells and the solvers never move
+				// them; the grid blocks their area, it does not place them.
+				vs = append(vs, design.Violation{Kind: design.VOverlap, Cells: []int{c.ID},
+					Msg: fmt.Sprintf("fixed cell %d moved", c.ID)})
+				continue
+			}
+			occ.Clear(old, old.X, old.Y)
+		}
+		s.changed = append(s.changed, c)
+	}
+	for _, c := range s.changed {
+		n := len(vs)
+		if vs = design.AppendCellViolations(vs, work, c); len(vs) > n {
+			continue
+		}
+		if err := occ.Place(c, c.X, c.Y); err != nil {
+			vs = append(vs, design.Violation{Kind: design.VOverlap, Cells: []int{c.ID}, Msg: err.Error()})
+		}
+	}
+	if len(vs) > 0 {
+		occ.Rollback()
+		rep := design.LegalityReport{Violations: vs}
+		return &mclgerr.StageError{
+			Stage:  "eco-verify",
+			Err:    mclgerr.ErrUnplacedCells,
+			Detail: "re-legalized placement failed the legality checker: " + rep.String(),
+		}
+	}
+	return nil
+}
+
+// sameFootprint reports whether two cells cover the same area with the same
+// legality-relevant attributes.
+func sameFootprint(a, b *design.Cell) bool {
+	return a.X == b.X && a.Y == b.Y && a.W == b.W && a.H == b.H &&
+		a.RowSpan == b.RowSpan && a.BottomRail == b.BottomRail && a.Fixed == b.Fixed
 }
 
 // run is a contiguous range of dirty bands: rows [lo, hi) of the sub-design
@@ -391,20 +483,18 @@ func mergeRuns(p *window.Plan, dirty []int) []run {
 // When the cascade cannot produce a verified placement, the fallback
 // rebuilds the run with only the *touched* cells movable and places them
 // one at a time with the chow greedy against the committed surroundings.
-// Both paths return window-verified positions; the caller still runs the
-// whole-design checker before committing.
+// Both paths return window-verified positions; the caller's commit check
+// still verifies them against the committed placement before committing.
 func (s *Session) solveRun(ctx context.Context, av *design.Design, p *window.Plan, r run, touched map[int]bool) ([]window.CellPos, bool, error) {
 	sub, idx := p.BuildRun(av, r.bands)
 	cascade := core.ResilientOptions{Base: s.opts.Core}
 	cascade.Base.Warm = s.warm.GetOrCreate(fmt.Sprintf("rows[%d,%d)", r.lo, r.hi), core.NewWarmState)
 
-	var solveErr error
-	if solveErr = sub.Validate(); solveErr == nil {
-		workSub := sub.Clone()
-		rl := core.NewResilient(cascade)
-		if _, solveErr = rl.LegalizeContext(ctx, workSub); solveErr == nil {
-			return extractOwned(workSub, idx), false, nil
-		}
+	// The cascade validates sub and solves it on clones, committing back
+	// into sub only a verified placement.
+	_, solveErr := core.NewResilient(cascade).LegalizeContext(ctx, sub)
+	if solveErr == nil {
+		return extractOwned(sub, idx), false, nil
 	}
 	if err := mclgerr.FromContext(ctx); err != nil {
 		return nil, false, err

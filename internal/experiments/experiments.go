@@ -69,11 +69,14 @@ type Table1Row struct {
 }
 
 // Table1 runs the MMSIM legalization on every benchmark and reports the
-// illegal-cell statistics the Tetris stage has to repair. Benchmarks run
-// concurrently (each on its own design clone); the output order is the
-// suite order regardless of completion order.
+// illegal-cell statistics the Tetris stage has to repair. The solve is the
+// paper's MMSIM alone (Options.MMSIMOnly), so the counts are those its
+// stopping rule leaves. Benchmarks run concurrently (each on its own design
+// clone); the output order is the suite order regardless of completion
+// order.
 func Table1(cfg Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
+	cfg.Opts.MMSIMOnly = true
 	entries, err := cfg.entries()
 	if err != nil {
 		return nil, err

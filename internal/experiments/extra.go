@@ -89,7 +89,8 @@ type ConvergencePoint struct {
 }
 
 // ConvergenceTrace runs the MMSIM on one benchmark and records the
-// per-iteration step norm — the series behind a convergence plot.
+// per-iteration step norm — the series behind a convergence plot. It runs
+// the iteration alone (Options.MMSIMOnly) to its own stopping rule.
 func ConvergenceTrace(benchName string, scale float64, opts core.Options) ([]ConvergencePoint, error) {
 	if scale == 0 {
 		scale = 0.01
@@ -106,6 +107,7 @@ func ConvergenceTrace(benchName string, scale float64, opts core.Options) ([]Con
 		return nil, err
 	}
 	full := core.New(opts).Opts
+	full.MMSIMOnly = true
 	p, err := core.BuildProblem(d, full.Lambda)
 	if err != nil {
 		return nil, err
@@ -179,7 +181,7 @@ func ParamSweep(benchName string, scale float64, betas, thetas []float64) ([]Par
 			if err != nil {
 				return nil, err
 			}
-			opts := core.New(core.Options{Beta: beta, Theta: theta}).Opts
+			opts := core.New(core.Options{Beta: beta, Theta: theta, MMSIMOnly: true}).Opts
 			pt := ParamPoint{Beta: beta, Theta: theta}
 			_, st, err := core.SolveMMSIM(p, opts)
 			if err != nil {

@@ -104,6 +104,11 @@ type Result struct {
 	Iterations int
 	FinalStep  float64 // last ||z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾||∞
 	Converged  bool
+
+	// Paused reports that Solver.RunTo stopped at its iteration limit before
+	// the iterate converged or exhausted MaxIter; Z is nil and the solver
+	// can resume (see RunTo).
+	Paused bool
 }
 
 // ErrDiverged is returned when the iteration produced non-finite values. It
@@ -414,17 +419,28 @@ var (
 // the convergence tail. Convergence is never declared without a passing
 // residual check when ResidualTol > 0, so the stride can delay termination
 // but never weaken it.
-func (sv *Solver) Run(ctx context.Context) (res *Result, err error) {
+func (sv *Solver) Run(ctx context.Context) (*Result, error) {
+	return sv.RunTo(ctx, sv.o.MaxIter)
+}
+
+// RunTo is Run paused once limit iterations have completed: if the iterate
+// has neither converged nor exhausted MaxIter by then, it returns a Result
+// with Paused set and a nil Z (Solver.Z reads the iterate). A later Run or
+// RunTo resumes from exactly that state — the iterate, the residual-check
+// stride and the cancellation cadence all carry over — so a paused and
+// resumed solve reproduces an uninterrupted one bit for bit. A limit at or
+// below the completed count pauses without stepping.
+func (sv *Solver) RunTo(ctx context.Context, limit int) (res *Result, err error) {
 	pprof.Do(ctx, labelsIterate, func(ctx context.Context) {
-		res, err = sv.run(ctx)
+		res, err = sv.run(ctx, min(limit, sv.o.MaxIter))
 	})
 	return res, err
 }
 
-func (sv *Solver) run(ctx context.Context) (*Result, error) {
+func (sv *Solver) run(ctx context.Context, limit int) (*Result, error) {
 	o := &sv.o
-	res := &Result{}
-	for sv.k < o.MaxIter {
+	res := &Result{Iterations: sv.k}
+	for sv.k < limit {
 		if sv.k%cancelCheckEvery == 0 {
 			if err := mclgerr.FromContext(ctx); err != nil {
 				return nil, fmt.Errorf("lcp: MMSIM aborted at iteration %d: %w", sv.k, err)
@@ -457,6 +473,10 @@ func (sv *Solver) run(ctx context.Context) (*Result, error) {
 				}
 			}
 		}
+	}
+	if !res.Converged && sv.k < o.MaxIter {
+		res.Paused = true
+		return res, nil
 	}
 	if sv.ownWS {
 		res.Z = append([]float64(nil), sv.ws.z...)

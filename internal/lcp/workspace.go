@@ -18,6 +18,39 @@ import (
 // workspace is reused or released.
 type Workspace struct {
 	s, sNext, absS, rhs, z, zPrev, w []float64
+
+	// aux and auxInts back Floats and Ints: scratch for a stage that runs
+	// beside the iteration, kept here so pooled solves reuse it too.
+	aux     [][]float64
+	auxInts [][]int
+}
+
+// Floats returns auxiliary buffer i resized to length n with unspecified
+// contents, reallocating only when it has never been that large. The
+// iteration never touches auxiliary buffers, so a stage may fill them while
+// a solver is paused and the solve resumes unchanged.
+func (ws *Workspace) Floats(i, n int) []float64 {
+	for len(ws.aux) <= i {
+		ws.aux = append(ws.aux, nil)
+	}
+	ws.aux[i] = grow(ws.aux[i], n)
+	return ws.aux[i]
+}
+
+// Ints is Floats for integer scratch.
+func (ws *Workspace) Ints(i, n int) []int {
+	for len(ws.auxInts) <= i {
+		ws.auxInts = append(ws.auxInts, nil)
+	}
+	ws.auxInts[i] = grow(ws.auxInts[i], n)
+	return ws.auxInts[i]
+}
+
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // NewWorkspace returns a workspace sized for n-dimensional problems.

@@ -1,6 +1,7 @@
 package lcp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -301,5 +302,48 @@ func TestZeroDimensionSolve(t *testing.T) {
 	}
 	if len(res.Z) != 0 {
 		t.Errorf("zero-dim Z has length %d", len(res.Z))
+	}
+}
+
+// A solve paused by RunTo and then resumed — with the auxiliary buffers
+// scribbled on in between, as a stage running beside the iteration would —
+// reproduces the uninterrupted solve bit for bit, stride state included.
+func TestRunToPauseResumeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	p, _ := spdProblem(rng, 30)
+	sp, err := NewDiagSplitting(p.A, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Eps: 1e-10, MaxIter: 100000, ResidualTol: 1e-9, CheckEvery: 3}
+	want, err := MMSIM(p, sp, opts)
+	if err != nil || !want.Converged || want.Iterations <= 7 {
+		t.Fatalf("reference solve: %+v, %v", want, err)
+	}
+	ws := NewWorkspace(p.N())
+	opts.Workspace = ws
+	sv, err := NewSolver(p, sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	for _, limit := range []int{0, 5, 7} {
+		res, err := sv.RunTo(context.Background(), limit)
+		if err != nil || !res.Paused || res.Z != nil || res.Iterations != limit {
+			t.Fatalf("RunTo(%d): %+v, %v", limit, res, err)
+		}
+		aux := ws.Floats(0, p.N())
+		for i := range aux {
+			aux[i] = math.NaN()
+		}
+	}
+	got, err := sv.Run(context.Background())
+	if err != nil || got.Paused || got.Iterations != want.Iterations {
+		t.Fatalf("resumed: %+v, %v; want %d iterations", got, err, want.Iterations)
+	}
+	for i := range want.Z {
+		if math.Float64bits(got.Z[i]) != math.Float64bits(want.Z[i]) {
+			t.Fatalf("z[%d] = %v after pausing, %v without", i, got.Z[i], want.Z[i])
+		}
 	}
 }

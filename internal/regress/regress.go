@@ -2,7 +2,8 @@
 // benchmarks and reduces the outcome to a small set of metrics pinned by
 // committed golden values. The fixture serves two purposes: it freezes the
 // quality of results (displacement, ΔHPWL, illegal-cell count, MMSIM
-// iteration count) so an accidental algorithmic change fails loudly, and it
+// iteration count, active-set finish effort) so an accidental algorithmic
+// change fails loudly, and it
 // proves the determinism contract of the parallel hot path — every worker
 // count must reproduce the golden metrics and the exact placement hash.
 package regress
@@ -28,6 +29,8 @@ type Metrics struct {
 	Illegal      int     `json:"illegal"`
 	Unplaced     int     `json:"unplaced"`
 	Iterations   int     `json:"mmsim_iterations"`
+	FinishRounds int     `json:"finish_rounds"`
+	FinishPCG    int     `json:"finish_pcg_iters"`
 	Converged    bool    `json:"converged"`
 	Legal        bool    `json:"legal"`
 	// PosHash is an FNV-1a digest of every cell's final (x, y, flipped)
@@ -62,6 +65,8 @@ func Run(bench string, scale float64, workers int) (*Metrics, error) {
 		Illegal:      stats.Illegal,
 		Unplaced:     stats.Unplaced,
 		Iterations:   stats.Iterations,
+		FinishRounds: stats.Finish.Rounds,
+		FinishPCG:    stats.Finish.PCG,
 		Converged:    stats.Converged,
 		Legal:        design.CheckLegal(d).Legal(),
 		PosHash:      PositionHash(d),

@@ -347,14 +347,7 @@ func (r *Request) solve(ctx context.Context, d *design.Design, warm *core.WarmSt
 	rep := report.FromDesign(d, r.Method, time.Since(t0))
 	rep.Rung, rep.Attempts = rung, attempts
 	if stats != nil {
-		rep.Iterations = stats.Iterations
-		rep.Converged = stats.Converged
-		rep.Warm = stats.WarmSeeded
-		rep.Illegal = stats.Illegal
-		rep.Unplaced = stats.Unplaced
-		rep.BuildMS = float64(stats.BuildTime) / float64(time.Millisecond)
-		rep.SolveMS = float64(stats.SolveTime) / float64(time.Millisecond)
-		rep.TetrisMS = float64(stats.TetrisTime) / float64(time.Millisecond)
+		rep.SetStats(stats)
 	}
 	if !rep.Legal {
 		return rep, &mclgerr.StageError{

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mclg/internal/audit"
+	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/metrics"
 	"mclg/internal/regress"
@@ -37,9 +38,17 @@ type Report struct {
 
 	Iterations int  `json:"iterations"`
 	Converged  bool `json:"converged"`
-	Legal      bool `json:"legal"`
-	Illegal    int  `json:"illegal"`
-	Unplaced   int  `json:"unplaced"`
+
+	// Finish reports the MMSIM's active-set finish: "accepted" or
+	// "fallback" (the MMSIM then ran to convergence), with its rounds and
+	// PCG iterations. All three are absent when the finish did not run.
+	Finish       string `json:"finish,omitempty"`
+	FinishRounds int    `json:"finish_rounds,omitempty"`
+	FinishPCG    int    `json:"finish_pcg_iters,omitempty"`
+
+	Legal    bool `json:"legal"`
+	Illegal  int  `json:"illegal"`
+	Unplaced int  `json:"unplaced"`
 
 	DisplacementSites float64 `json:"displacement_sites"`
 	MaxDispSites      float64 `json:"max_disp_sites"`
@@ -78,6 +87,23 @@ type Report struct {
 	Certificate *audit.Certificate `json:"certificate,omitempty"`
 
 	Placement *Placement `json:"placement,omitempty"`
+}
+
+// SetStats copies an MMSIM legalization's solver figures into the report.
+// Both result surfaces (the mclgd serving layer and the mclg CLI) go through
+// here so the schemas cannot drift.
+func (r *Report) SetStats(st *core.Stats) {
+	r.Iterations = st.Iterations
+	r.Converged = st.Converged
+	r.Finish = st.Finish.Outcome
+	r.FinishRounds = st.Finish.Rounds
+	r.FinishPCG = st.Finish.PCG
+	r.Warm = st.WarmSeeded
+	r.Illegal = st.Illegal
+	r.Unplaced = st.Unplaced
+	r.BuildMS = float64(st.BuildTime) / float64(time.Millisecond)
+	r.SolveMS = float64(st.SolveTime) / float64(time.Millisecond)
+	r.TetrisMS = float64(st.TetrisTime) / float64(time.Millisecond)
 }
 
 // WindowStats is the windowed-run supervision trace. Total == Solved +

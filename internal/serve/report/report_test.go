@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mclg/internal/core"
 	"mclg/internal/design"
 )
 
@@ -83,5 +84,33 @@ func TestApplyPlacementRejectsMismatch(t *testing.T) {
 	small.AddCell("only", 4, 10, design.VSS)
 	if r.ApplyPlacement(small) {
 		t.Error("ApplyPlacement must refuse a cell-count mismatch")
+	}
+}
+
+// The finish fields appear exactly when the active-set finish ran.
+func TestSetStatsFinishFields(t *testing.T) {
+	r := FromDesign(mkDesign(), "ours", 0)
+	r.SetStats(&core.Stats{Iterations: 5, Converged: true,
+		Finish: core.FinishStats{Rounds: 3, PCG: 12, Outcome: core.FinishAccepted}})
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got["finish"] != "accepted" || got["finish_rounds"] != 3.0 || got["finish_pcg_iters"] != 12.0 || got["iterations"] != 5.0 {
+		t.Errorf("finish fields = %v / %v / %v, iterations %v", got["finish"], got["finish_rounds"], got["finish_pcg_iters"], got["iterations"])
+	}
+
+	r.SetStats(&core.Stats{Iterations: 700, Converged: true}) // MMSIM only
+	raw, _ = json.Marshal(r)
+	got = nil
+	_ = json.Unmarshal(raw, &got)
+	for _, k := range []string{"finish", "finish_rounds", "finish_pcg_iters"} {
+		if _, ok := got[k]; ok {
+			t.Errorf("%s present although the finish did not run", k)
+		}
 	}
 }

@@ -146,10 +146,11 @@ func TestQueueSaturation(t *testing.T) {
 	defer ts.Close()
 
 	slow := func(scale float64) *Request {
-		// eps far below achievable → the MMSIM grinds its full budget;
-		// distinct scales → distinct cache keys, so no dedup interferes.
-		return &Request{Bench: "superblue19", Scale: scale,
-			Options: &OptionsJSON{Eps: 1e-12}, TimeoutMS: 60000}
+		// Audited jobs: the audit's tight MMSIM-only re-solve runs for tens
+		// of seconds at these scales, so the jobs are still busy when the
+		// drain cancels them; distinct scales → distinct cache keys, so no
+		// dedup interferes.
+		return &Request{Bench: "superblue19", Scale: scale, Audit: true, TimeoutMS: 60000}
 	}
 
 	type outcome struct {
@@ -163,13 +164,13 @@ func TestQueueSaturation(t *testing.T) {
 		results <- outcome{resp.StatusCode, eb}
 	}
 
-	go submit(slow(0.02))
+	go submit(slow(0.004))
 	waitFor(t, "worker busy", func() bool { return s.stats.inflight.Get() == 1 })
-	go submit(slow(0.019))
+	go submit(slow(0.0039))
 	waitFor(t, "queue occupied", func() bool { return s.stats.queueDepth.Get() == 1 })
 
 	var eb errorBody
-	resp := post(t, ts.URL, slow(0.018), &eb)
+	resp := post(t, ts.URL, slow(0.0038), &eb)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third job: HTTP %d, want 429 (%+v)", resp.StatusCode, eb)
 	}

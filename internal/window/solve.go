@@ -62,39 +62,50 @@ func buildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 	}
 
 	yLo, yHi := sub.Core.Lo.Y, sub.Core.Hi.Y
-	isOwned := make(map[int]bool, len(b.Owned))
+	isOwned := make([]bool, len(d.Cells))
 	for _, id := range b.Owned {
 		isOwned[id] = true
 	}
-	var idx []int
+	// snapshot is a foreign cell's frozen position: fixed cells as placed,
+	// foreign movable cells at (GX, assigned-row Y). It is context when it
+	// vertically overlaps the band.
+	snapshot := func(c *design.Cell) (x, y float64, ok bool) {
+		x, y = c.X, c.Y
+		if !c.Fixed {
+			x, y = c.GX, d.RowY(p.AssignedRow[c.ID])
+		}
+		return x, y, y < yHi && y+c.H > yLo
+	}
+	// Count first, so every sub cell lives in one backing array.
+	n := 0
 	for _, c := range d.Cells {
-		switch {
-		case isOwned[c.ID]:
-			cc := *c
-			cc.ID = len(sub.Cells)
+		if _, _, ok := snapshot(c); ok || isOwned[c.ID] {
+			n++
+		}
+	}
+	cells := make([]design.Cell, 0, n)
+	sub.Cells = make([]*design.Cell, 0, n)
+	idx := make([]int, 0, n)
+	for _, c := range d.Cells {
+		x, y, context := snapshot(c)
+		owned := isOwned[c.ID]
+		if !owned && !context {
+			continue
+		}
+		cells = append(cells, *c)
+		cc := &cells[len(cells)-1]
+		cc.ID = len(sub.Cells)
+		if owned {
 			cc.X, cc.Y = cc.GX, cc.GY
 			cc.Flipped = false
-			sub.Cells = append(sub.Cells, &cc)
 			idx = append(idx, c.ID)
-		default:
-			// Snapshot position: fixed cells as placed, foreign movable
-			// cells at (GX, assigned-row Y). Freeze it as context if it
-			// vertically overlaps the band.
-			x, y := c.X, c.Y
-			if !c.Fixed {
-				x, y = c.GX, d.RowY(p.AssignedRow[c.ID])
-			}
-			if y >= yHi || y+c.H <= yLo {
-				continue
-			}
-			cc := *c
-			cc.ID = len(sub.Cells)
+		} else {
 			cc.X, cc.Y = x, y
 			cc.GX, cc.GY = x, y
 			cc.Fixed = true
-			sub.Cells = append(sub.Cells, &cc)
 			idx = append(idx, -1)
 		}
+		sub.Cells = append(sub.Cells, cc)
 	}
 	return sub, idx
 }

@@ -78,7 +78,7 @@ func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
 		ContextRows: contextRows,
 	}
 	numBands := (len(d.Rows) + windowRows - 1) / windowRows
-	owned := make([][]int, numBands)
+	count := make([]int, numBands+1) // count[b+1]: cells band slot b owns
 	for _, c := range d.Cells {
 		if c.Fixed {
 			p.AssignedRow[c.ID] = -1
@@ -96,7 +96,21 @@ func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
 		p.AssignedRow[c.ID] = row
 		b := row / windowRows
 		p.Owner[c.ID] = b
-		owned[b] = append(owned[b], c.ID)
+		count[b+1]++
+	}
+	// Carve every slot's owned list, in ascending ID order, from one array.
+	for b := 1; b <= numBands; b++ {
+		count[b] += count[b-1]
+	}
+	ids := make([]int, count[numBands])
+	owned := make([][]int, numBands)
+	for b := range owned {
+		owned[b] = ids[count[b]:count[b]:count[b+1]]
+	}
+	for id, b := range p.Owner {
+		if b >= 0 {
+			owned[b] = append(owned[b], id)
+		}
 	}
 	for b := 0; b < numBands; b++ {
 		if len(owned[b]) == 0 {
@@ -121,7 +135,7 @@ func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
 		p.Bands = append(p.Bands, band)
 	}
 	// Re-map owners from raw band slots to compacted Plan.Bands indices.
-	slot2idx := make(map[int]int, len(p.Bands))
+	slot2idx := make([]int, numBands)
 	for i, b := range p.Bands {
 		slot2idx[b.RowLo/windowRows] = i
 	}
