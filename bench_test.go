@@ -15,12 +15,16 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"mclg/internal/abacus"
 	"mclg/internal/baselines/chow"
 	"mclg/internal/baselines/wang"
+	"mclg/internal/bookshelf"
 	"mclg/internal/cluster"
 	"mclg/internal/core"
 	"mclg/internal/dense"
@@ -785,4 +789,40 @@ func BenchmarkClusterDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Windows), "window-dispatch-ns")
+}
+
+// BenchmarkUploadParse measures the daemon's ingest: parsing the in-memory
+// Bookshelf texts of one serve-mix-sized upload (fft_2 at scale 0.03, about
+// 1k cells) into a validated design. The texts are written and read back
+// once in setup, so only the parse is timed.
+func BenchmarkUploadParse(b *testing.B) {
+	d := genBench(b, "fft_2", 0.03)
+	aux := filepath.Join(b.TempDir(), "up.aux")
+	if err := bookshelf.Write(d, aux); err != nil {
+		b.Fatal(err)
+	}
+	read := func(ext string) string {
+		raw, err := os.ReadFile(strings.TrimSuffix(aux, ".aux") + ext)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return string(raw)
+	}
+	texts := bookshelf.Texts{
+		Nodes: read(".nodes"), Nets: read(".nets"), Pl: read(".pl"), Scl: read(".scl"), Wts: read(".wts"),
+	}
+	size := len(texts.Nodes) + len(texts.Nets) + len(texts.Pl) + len(texts.Scl) + len(texts.Wts)
+
+	b.ReportAllocs()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := bookshelf.ReadTexts(texts, "upload")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Cells) != len(d.Cells) {
+			b.Fatalf("parsed %d cells, want %d", len(got.Cells), len(d.Cells))
+		}
+	}
 }

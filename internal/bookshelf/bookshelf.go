@@ -16,6 +16,8 @@ package bookshelf
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,6 +26,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
@@ -34,6 +38,10 @@ import (
 type Files struct {
 	Nodes, Nets, Pl, Scl, Wts string
 }
+
+// Texts holds the contents of the Bookshelf components, field for field as
+// Files names their paths. Nets and Wts may be empty.
+type Texts Files
 
 // ReadAux parses a .aux file and returns the component file names resolved
 // relative to the .aux location.
@@ -90,24 +98,67 @@ func Read(auxPath string) (*design.Design, error) {
 	return ReadFiles(files, strings.TrimSuffix(filepath.Base(auxPath), ".aux"))
 }
 
-// ReadFiles loads a design from explicit component paths. Nets may be empty.
+// ReadFiles loads a design from explicit component paths. Nets and Wts may
+// be empty, and a Wts file that does not exist is skipped. Errors name the
+// file and line ("/path/d.nodes:6").
 func ReadFiles(files Files, name string) (*design.Design, error) {
-	rows, err := readScl(files.Scl)
-	if err != nil {
+	return read(name, files, func(path, comp string, parse parser) error {
+		if path == "" && (comp == "nets" || comp == "wts") {
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			if comp == "wts" && os.IsNotExist(err) {
+				return nil // weights are optional
+			}
+			return err
+		}
+		defer f.Close()
+		return parse(f, path)
+	})
+}
+
+// ReadTexts loads a design from in-memory component texts, such as an
+// upload, with the same parsers and checks as ReadFiles. Errors name the
+// component and line ("nodes:6"); every one matches ErrInvalidInput.
+func ReadTexts(texts Texts, name string) (*design.Design, error) {
+	return read(name, Files(texts), func(text, comp string, parse parser) error {
+		return parse(strings.NewReader(text), comp)
+	})
+}
+
+// A parser reads one component from r; label names it in error messages.
+type parser func(r io.Reader, label string) error
+
+// read runs the component parsers in dependency order. For each component
+// ("scl", "nodes", "pl", "nets", "wts") with gets its field of srcs, a
+// path or a text, and hands parse the content and its label, or returns nil
+// without calling parse when an optional component is absent.
+func read(name string, srcs Files, with func(src, comp string, parse parser) error) (*design.Design, error) {
+	var d *design.Design
+	if err := with(srcs.Scl, "scl", func(r io.Reader, label string) error {
+		rows, err := readScl(r, label)
+		if err != nil {
+			return err
+		}
+		if len(rows) == 0 {
+			return mclgerr.Invalidf("bookshelf: %s: no rows", label)
+		}
+		d, err = designFromRows(name, rows)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("bookshelf: %s: no rows", files.Scl)
-	}
-	d, err := designFromRows(name, rows)
-	if err != nil {
+	var nodeIdx map[string]int
+	if err := with(srcs.Nodes, "nodes", func(r io.Reader, label string) (err error) {
+		nodeIdx, err = readNodes(r, label, d)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	nodeIdx, err := readNodes(files.Nodes, d)
-	if err != nil {
-		return nil, err
-	}
-	if err := readPl(files.Pl, d, nodeIdx); err != nil {
+	if err := with(srcs.Pl, "pl", func(r io.Reader, label string) error {
+		return readPl(r, label, d, nodeIdx)
+	}); err != nil {
 		return nil, err
 	}
 	// Derive rails for even-span cells from their placed row.
@@ -120,15 +171,15 @@ func ReadFiles(files Files, name string) (*design.Design, error) {
 			c.BottomRail = d.Rows[r].Rail
 		}
 	}
-	if files.Nets != "" {
-		if err := readNets(files.Nets, d, nodeIdx); err != nil {
-			return nil, err
-		}
+	if err := with(srcs.Nets, "nets", func(r io.Reader, label string) error {
+		return readNets(r, label, d, nodeIdx)
+	}); err != nil {
+		return nil, err
 	}
-	if files.Wts != "" {
-		if err := readWts(files.Wts, d); err != nil {
-			return nil, err
-		}
+	if err := with(srcs.Wts, "wts", func(r io.Reader, label string) error {
+		return readWts(r, label, d)
+	}); err != nil {
+		return nil, err
 	}
 	// Final structural gate: anything the per-file parsers could not see in
 	// isolation (cells wider than the core, spans taller than the core, …)
@@ -139,46 +190,126 @@ func ReadFiles(files Files, name string) (*design.Design, error) {
 	return d, nil
 }
 
+// maxLine is the longest line the .nodes, .pl, .nets and .wts readers
+// accept; .scl lines keep bufio's 64 KiB default.
+const maxLine = 1 << 20
+
+// newScanner returns a line scanner over r whose buffer starts small and
+// grows on demand up to limit bytes.
+func newScanner(r io.Reader, limit int) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, limit)
+	return sc
+}
+
+// scanErr types a scanner failure at line lineNo: a line over the limit is
+// bad input; any other error comes from the reader and passes through.
+func scanErr(sc *bufio.Scanner, label string, lineNo int) error {
+	err := sc.Err()
+	if errors.Is(err, bufio.ErrTooLong) {
+		return mclgerr.Invalidf("bookshelf: %s:%d: %v", label, lineNo, err)
+	}
+	return err
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends the whitespace-separated fields of line to dst[:0]
+// and returns it: strings.Fields(strings.TrimSpace(line)) without
+// allocating once dst has grown. ASCII bytes are classified by table; other
+// bytes are decoded as UTF-8, and invalid sequences count as non-space.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	start := -1
+	for i := 0; i < len(line); {
+		c, size := line[i], 1
+		space := false
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// hasPrefix is bytes.HasPrefix against a string.
+func hasPrefix(b []byte, prefix string) bool {
+	return len(b) >= len(prefix) && string(b[:len(prefix)]) == prefix
+}
+
+// skipLine reports whether a line, split into fields, is blank, a comment
+// or the format header ("UCLA nodes 1.0").
+func skipLine(fields [][]byte) bool {
+	return len(fields) == 0 || fields[0][0] == '#' || hasPrefix(fields[0], "UCLA")
+}
+
+// lowerPrefix reports whether strings.ToLower(string(b)) starts with lower,
+// an ASCII lower-case word, and returns the rest of b after it.
+func lowerPrefix(b []byte, lower string) ([]byte, bool) {
+	for i := 0; i < len(lower); i++ {
+		r, n := utf8.DecodeRune(b)
+		if n == 0 || unicode.ToLower(r) != rune(lower[i]) {
+			return nil, false
+		}
+		b = b[n:]
+	}
+	return b, true
+}
+
+// lowerIs reports whether strings.ToLower(string(b)) == lower.
+func lowerIs(b []byte, lower string) bool {
+	rest, ok := lowerPrefix(b, lower)
+	return ok && len(rest) == 0
+}
+
+func parseFloat(b []byte) (float64, error) { return strconv.ParseFloat(string(b), 64) }
+
 // readWts parses a net-weights file: lines of "netname weight". Unknown
 // nets are ignored (some generators emit node weights in the same file);
 // missing weights default to 1.
-func readWts(path string, d *design.Design) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // weights are optional
-		}
-		return err
-	}
-	defer f.Close()
-	byName := make(map[string]int, len(d.Nets))
-	for i := range d.Nets {
-		byName[d.Nets[i].Name] = i
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "UCLA") {
+func readWts(r io.Reader, label string, d *design.Design) error {
+	var byName map[string]int // built at the first weight line
+	sc := newScanner(r, maxLine)
+	var f [][]byte
+	lineNo := 1
+	for ; sc.Scan(); lineNo++ {
+		f = splitFields(f, sc.Bytes())
+		if skipLine(f) || len(f) < 2 {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
+		if byName == nil {
+			byName = make(map[string]int, len(d.Nets))
+			for i := range d.Nets {
+				byName[d.Nets[i].Name] = i
+			}
 		}
-		i, ok := byName[fields[0]]
+		i, ok := byName[string(f[0])]
 		if !ok {
 			continue
 		}
-		w, err := strconv.ParseFloat(fields[1], 64)
+		w, err := parseFloat(f[1])
 		if err != nil || w < 0 || !isFinite(w) {
-			return mclgerr.Invalidf("bookshelf: %s:%d: bad weight %q", path, lineNo, fields[1])
+			return mclgerr.Invalidf("bookshelf: %s:%d: bad weight %q", label, lineNo, f[1])
 		}
 		d.Nets[i].Weight = w
 	}
-	return sc.Err()
+	return scanErr(sc, label, lineNo)
 }
 
 type sclRow struct {
@@ -187,75 +318,71 @@ type sclRow struct {
 	numSites                 int
 }
 
-func readScl(path string) ([]sclRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+// readScl parses the row file. Keywords match case-insensitively.
+func readScl(r io.Reader, label string) ([]sclRow, error) {
 	var rows []sclRow
 	var cur *sclRow
-	sc := bufio.NewScanner(f)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "UCLA") {
+	sc := bufio.NewScanner(r)
+	var vals [][]byte
+	var rest []byte
+	lineNo := 1
+	for ; sc.Scan(); lineNo++ {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || hasPrefix(line, "UCLA") {
 			continue
 		}
-		lower := strings.ToLower(line)
-		switch {
-		case strings.HasPrefix(lower, "corerow"):
+		if _, ok := lowerPrefix(line, "corerow"); ok {
 			rows = append(rows, sclRow{siteW: 1})
 			cur = &rows[len(rows)-1]
-		case lower == "end":
+			continue
+		}
+		if lowerIs(line, "end") {
 			cur = nil
-		default:
-			if cur == nil {
-				continue // NumRows etc.
-			}
-			key, vals, ok := splitKV(line)
-			if !ok {
-				continue
-			}
-			switch strings.ToLower(key) {
-			case "coordinate":
-				cur.y, err = strconv.ParseFloat(vals[0], 64)
-			case "height":
-				cur.height, err = strconv.ParseFloat(vals[0], 64)
-			case "sitewidth":
-				cur.siteW, err = strconv.ParseFloat(vals[0], 64)
-			case "sitespacing":
-				cur.spacing, err = strconv.ParseFloat(vals[0], 64)
-			case "subroworigin":
-				cur.origin, err = strconv.ParseFloat(vals[0], 64)
-				if err == nil && len(vals) >= 3 && strings.EqualFold(vals[1], "numsites") {
-					cur.numSites, err = strconv.Atoi(vals[2])
-				}
-			case "numsites":
-				cur.numSites, err = strconv.Atoi(vals[0])
-			}
-			if err != nil {
-				return nil, fmt.Errorf("bookshelf: %s:%d: %v", path, lineNo, err)
+			continue
+		}
+		if cur == nil {
+			continue // NumRows etc.
+		}
+		// "Key : v1 Key2 : v2": the first key, then the value tokens with
+		// later colons read as blanks and later keys kept as tokens.
+		i := bytes.IndexByte(line, ':')
+		if i < 0 {
+			continue
+		}
+		key := bytes.TrimSpace(line[:i])
+		rest = append(rest[:0], line[i+1:]...)
+		for j, c := range rest {
+			if c == ':' {
+				rest[j] = ' '
 			}
 		}
+		vals = splitFields(vals, rest)
+		if len(key) == 0 || len(vals) == 0 {
+			continue
+		}
+		var err error
+		switch {
+		case lowerIs(key, "coordinate"):
+			cur.y, err = parseFloat(vals[0])
+		case lowerIs(key, "height"):
+			cur.height, err = parseFloat(vals[0])
+		case lowerIs(key, "sitewidth"):
+			cur.siteW, err = parseFloat(vals[0])
+		case lowerIs(key, "sitespacing"):
+			cur.spacing, err = parseFloat(vals[0])
+		case lowerIs(key, "subroworigin"):
+			cur.origin, err = parseFloat(vals[0])
+			if err == nil && len(vals) >= 3 && bytes.EqualFold(vals[1], []byte("numsites")) {
+				cur.numSites, err = strconv.Atoi(string(vals[2]))
+			}
+		case lowerIs(key, "numsites"):
+			cur.numSites, err = strconv.Atoi(string(vals[0]))
+		}
+		if err != nil {
+			return nil, mclgerr.Invalidf("bookshelf: %s:%d: %v", label, lineNo, err)
+		}
 	}
-	return rows, sc.Err()
-}
-
-// splitKV splits "Key : v1 Key2 : v2" style lines into the first key and the
-// remaining value tokens (with ":" and later keys kept as tokens).
-func splitKV(line string) (string, []string, bool) {
-	i := strings.Index(line, ":")
-	if i < 0 {
-		return "", nil, false
-	}
-	key := strings.TrimSpace(line[:i])
-	rest := strings.Fields(strings.ReplaceAll(line[i+1:], ":", " "))
-	if key == "" || len(rest) == 0 {
-		return "", nil, false
-	}
-	return key, rest, true
+	return rows, scanErr(sc, label, lineNo)
 }
 
 func designFromRows(name string, rows []sclRow) (*design.Design, error) {
@@ -320,151 +447,140 @@ func designFromRows(name string, rows []sclRow) (*design.Design, error) {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-func readNodes(path string, d *design.Design) (map[string]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+func readNodes(r io.Reader, label string, d *design.Design) (map[string]int, error) {
 	idx := make(map[string]int)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "UCLA") ||
-			strings.HasPrefix(line, "NumNodes") || strings.HasPrefix(line, "NumTerminals") {
+	sc := newScanner(r, maxLine)
+	var f [][]byte
+	lineNo := 1
+	for ; sc.Scan(); lineNo++ {
+		f = splitFields(f, sc.Bytes())
+		if skipLine(f) || hasPrefix(f[0], "NumNodes") || hasPrefix(f[0], "NumTerminals") {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			return nil, mclgerr.Invalidf("bookshelf: %s:%d: bad node line %q", path, lineNo, line)
+		if len(f) < 3 {
+			return nil, mclgerr.Invalidf("bookshelf: %s:%d: bad node line %q", label, lineNo, bytes.TrimSpace(sc.Bytes()))
 		}
-		name := fields[0]
-		if _, dup := idx[name]; dup {
-			return nil, mclgerr.Invalidf("bookshelf: %s:%d: duplicate node %q", path, lineNo, name)
+		if _, dup := idx[string(f[0])]; dup {
+			return nil, mclgerr.Invalidf("bookshelf: %s:%d: duplicate node %q", label, lineNo, f[0])
 		}
-		w, err1 := strconv.ParseFloat(fields[1], 64)
-		h, err2 := strconv.ParseFloat(fields[2], 64)
+		w, err1 := parseFloat(f[1])
+		h, err2 := parseFloat(f[2])
 		if err1 != nil || err2 != nil {
-			return nil, mclgerr.Invalidf("bookshelf: %s:%d: bad node dimensions", path, lineNo)
+			return nil, mclgerr.Invalidf("bookshelf: %s:%d: bad node dimensions", label, lineNo)
 		}
-		terminal := len(fields) > 3 && strings.EqualFold(fields[3], "terminal")
+		name := string(f[0])
 		var c *design.Cell
 		var err error
-		if terminal {
+		if len(f) > 3 && bytes.EqualFold(f[3], []byte("terminal")) {
 			c, err = d.AddTerminalChecked(name, w, h)
 		} else {
 			c, err = d.AddCellChecked(name, w, h, design.VSS)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("bookshelf: %s:%d: %w", path, lineNo, err)
+			return nil, fmt.Errorf("bookshelf: %s:%d: %w", label, lineNo, err)
 		}
 		idx[name] = c.ID
 	}
-	return idx, sc.Err()
+	return idx, scanErr(sc, label, lineNo)
 }
 
-func readPl(path string, d *design.Design, idx map[string]int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "UCLA") {
+func readPl(r io.Reader, label string, d *design.Design, idx map[string]int) error {
+	sc := newScanner(r, maxLine)
+	var f [][]byte
+	lineNo := 1
+	for ; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		f = splitFields(f, line)
+		if skipLine(f) || len(f) < 3 {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		id, ok := idx[fields[0]]
+		id, ok := idx[string(f[0])]
 		if !ok {
-			return mclgerr.Invalidf("bookshelf: %s:%d: unknown node %q", path, lineNo, fields[0])
+			return mclgerr.Invalidf("bookshelf: %s:%d: unknown node %q", label, lineNo, f[0])
 		}
-		x, err1 := strconv.ParseFloat(fields[1], 64)
-		y, err2 := strconv.ParseFloat(fields[2], 64)
+		x, err1 := parseFloat(f[1])
+		y, err2 := parseFloat(f[2])
 		if err1 != nil || err2 != nil {
-			return mclgerr.Invalidf("bookshelf: %s:%d: bad coordinates", path, lineNo)
+			return mclgerr.Invalidf("bookshelf: %s:%d: bad coordinates", label, lineNo)
 		}
 		if !isFinite(x) || !isFinite(y) {
-			return mclgerr.Invalidf("bookshelf: %s:%d: non-finite coordinates (%g, %g)", path, lineNo, x, y)
+			return mclgerr.Invalidf("bookshelf: %s:%d: non-finite coordinates (%g, %g)", label, lineNo, x, y)
 		}
 		c := d.Cells[id]
 		c.GX, c.GY = x, y
 		c.X, c.Y = x, y
-		if strings.Contains(line, "/FIXED") {
+		if bytes.Contains(line, []byte("/FIXED")) {
 			c.Fixed = true
 		}
 	}
-	return sc.Err()
+	return scanErr(sc, label, lineNo)
 }
 
-func readNets(path string, d *design.Design, idx map[string]int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var cur *design.Net
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "UCLA") ||
-			strings.HasPrefix(line, "NumNets") || strings.HasPrefix(line, "NumPins") {
+// readNets appends the nets of the file to d. All their pins share one
+// array, each net's slice capped at its own length (Design.OwnNets' layout).
+func readNets(r io.Reader, label string, d *design.Design, idx map[string]int) error {
+	sc := newScanner(r, maxLine)
+	first := len(d.Nets)
+	var pins []design.Pin
+	start := 0 // index in pins of the current net's first pin
+	var f [][]byte
+	lineNo := 1
+	for ; sc.Scan(); lineNo++ {
+		f = splitFields(f, sc.Bytes())
+		if skipLine(f) || hasPrefix(f[0], "NumNets") || hasPrefix(f[0], "NumPins") {
 			continue
 		}
-		if strings.HasPrefix(line, "NetDegree") {
-			name := fmt.Sprintf("net%d", len(d.Nets))
-			if fields := strings.Fields(line); len(fields) >= 4 {
-				name = fields[3]
+		if hasPrefix(f[0], "NetDegree") {
+			var name string
+			if len(f) >= 4 {
+				name = string(f[3])
+			} else {
+				name = "net" + strconv.Itoa(len(d.Nets))
 			}
 			d.Nets = append(d.Nets, design.Net{Name: name})
-			cur = &d.Nets[len(d.Nets)-1]
+			start = len(pins)
 			continue
 		}
-		if cur == nil {
-			return mclgerr.Invalidf("bookshelf: %s:%d: pin before NetDegree", path, lineNo)
+		if len(d.Nets) == first {
+			return mclgerr.Invalidf("bookshelf: %s:%d: pin before NetDegree", label, lineNo)
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 1 {
-			continue
-		}
-		id, ok := idx[fields[0]]
+		id, ok := idx[string(f[0])]
 		if !ok {
-			return mclgerr.Invalidf("bookshelf: %s:%d: unknown node %q", path, lineNo, fields[0])
+			return mclgerr.Invalidf("bookshelf: %s:%d: unknown node %q", label, lineNo, f[0])
 		}
 		// "name I/O : dx dy" with offsets from the cell center.
 		dx, dy := 0.0, 0.0
-		if len(fields) >= 5 {
+		if len(f) >= 5 {
 			var err1, err2 error
-			dx, err1 = strconv.ParseFloat(fields[3], 64)
-			dy, err2 = strconv.ParseFloat(fields[4], 64)
+			dx, err1 = parseFloat(f[3])
+			dy, err2 = parseFloat(f[4])
 			if err1 != nil || err2 != nil {
-				return mclgerr.Invalidf("bookshelf: %s:%d: bad pin offsets", path, lineNo)
+				return mclgerr.Invalidf("bookshelf: %s:%d: bad pin offsets", label, lineNo)
 			}
 			if !isFinite(dx) || !isFinite(dy) {
-				return mclgerr.Invalidf("bookshelf: %s:%d: non-finite pin offsets (%g, %g)", path, lineNo, dx, dy)
+				return mclgerr.Invalidf("bookshelf: %s:%d: non-finite pin offsets (%g, %g)", label, lineNo, dx, dy)
 			}
 		}
 		c := d.Cells[id]
-		cur.Pins = append(cur.Pins, design.Pin{
+		pins = append(pins, design.Pin{
 			CellID: id,
 			DX:     dx + c.W/2,
 			DY:     dy + c.H/2,
 		})
+		// Growing pins may move it: the nets are re-cut from the final
+		// array below.
+		d.Nets[len(d.Nets)-1].Pins = pins[start:len(pins):len(pins)]
 	}
-	return sc.Err()
+	if err := scanErr(sc, label, lineNo); err != nil {
+		return err
+	}
+	at := 0
+	for i := first; i < len(d.Nets); i++ {
+		n := len(d.Nets[i].Pins)
+		d.Nets[i].Pins = pins[at : at+n : at+n]
+		at += n
+	}
+	return nil
 }
 
 // Write emits the design as Bookshelf files next to the given .aux path.

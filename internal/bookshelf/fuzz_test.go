@@ -1,14 +1,20 @@
 package bookshelf
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mclg/internal/design"
+	"mclg/internal/mclgerr"
 )
 
-// FuzzReadFiles feeds arbitrary bytes through the three core parsers. The
-// invariant: the reader must return either a well-formed design or an
-// error — never panic and never produce a design with invalid geometry.
+// FuzzReadFiles feeds arbitrary bytes through the core parsers, once from
+// files (ReadFiles) and once from memory (ReadTexts). The invariants: the
+// reader must return either a well-formed design or an error — never panic
+// and never produce a design with invalid geometry — and both entry points
+// must agree: the same error class, or equal designs.
 func FuzzReadFiles(f *testing.F) {
 	f.Add(
 		"UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 0\n  a 4 10\n",
@@ -59,9 +65,17 @@ func FuzzReadFiles(f *testing.F) {
 		os.WriteFile(files.Scl, []byte(scl), 0o644)
 		os.WriteFile(files.Nets, []byte(nets), 0o644)
 		d, err := ReadFiles(files, "fuzz")
+		dm, errm := ReadTexts(Texts{Nodes: nodes, Pl: pl, Scl: scl, Nets: nets}, "fuzz")
+		if (err == nil) != (errm == nil) || mclgerr.Class(err) != mclgerr.Class(errm) {
+			t.Fatalf("entry points disagree:\nReadFiles: %v\nReadTexts: %v", err, errm)
+		}
+		if errm != nil && !errors.Is(errm, mclgerr.ErrInvalidInput) {
+			t.Fatalf("in-memory parse failed with %v, which does not match ErrInvalidInput", errm)
+		}
 		if err != nil {
 			return
 		}
+		sameDesign(t, d, dm)
 		if d.RowHeight <= 0 || d.SiteW <= 0 {
 			t.Fatalf("accepted degenerate geometry: h=%g sw=%g", d.RowHeight, d.SiteW)
 		}
@@ -76,4 +90,32 @@ func FuzzReadFiles(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameDesign fails t unless a and b have the same cells (names, sizes,
+// positions, Fixed flags) and the same nets (names, weights, pins).
+func sameDesign(t *testing.T, a, b *design.Design) {
+	t.Helper()
+	if len(a.Cells) != len(b.Cells) || len(a.Nets) != len(b.Nets) {
+		t.Fatalf("ReadFiles: %d cells, %d nets; ReadTexts: %d cells, %d nets",
+			len(a.Cells), len(a.Nets), len(b.Cells), len(b.Nets))
+	}
+	for i, c := range a.Cells {
+		m := b.Cells[i]
+		if c.Name != m.Name || c.W != m.W || c.H != m.H || c.GX != m.GX || c.GY != m.GY || c.Fixed != m.Fixed {
+			t.Fatalf("cell %d: ReadFiles %+v, ReadTexts %+v", i, *c, *m)
+		}
+	}
+	for i, n := range a.Nets {
+		m := b.Nets[i]
+		if n.Name != m.Name || n.Weight != m.Weight || len(n.Pins) != len(m.Pins) {
+			t.Fatalf("net %d: ReadFiles %q weight %g with %d pins, ReadTexts %q weight %g with %d pins",
+				i, n.Name, n.Weight, len(n.Pins), m.Name, m.Weight, len(m.Pins))
+		}
+		for k, p := range n.Pins {
+			if p != m.Pins[k] {
+				t.Fatalf("net %d pin %d: ReadFiles %+v, ReadTexts %+v", i, k, p, m.Pins[k])
+			}
+		}
+	}
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"mclg/internal/design"
 	"mclg/internal/mclgerr"
 )
 
@@ -114,12 +116,22 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 			if tc.nets != "" {
 				nets = "UCLA nets 1.0\n" + tc.nets
 			}
-			_, err := ReadFiles(writeSet(t, nodes, pl, scl, nets), "corrupt")
-			if err == nil {
-				t.Fatalf("corruption %q was accepted", tc.name)
-			}
-			if !errors.Is(err, mclgerr.ErrInvalidInput) {
-				t.Fatalf("corruption %q: error %v does not match ErrInvalidInput", tc.name, err)
+			for _, read := range []struct {
+				entry string
+				read  func() (*design.Design, error)
+			}{
+				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, scl, nets), "corrupt") }},
+				{"ReadTexts", func() (*design.Design, error) {
+					return ReadTexts(Texts{Nodes: nodes, Pl: pl, Scl: scl, Nets: nets}, "corrupt")
+				}},
+			} {
+				_, err := read.read()
+				if err == nil {
+					t.Fatalf("%s: corruption %q was accepted", read.entry, tc.name)
+				}
+				if !errors.Is(err, mclgerr.ErrInvalidInput) {
+					t.Fatalf("%s: corruption %q: error %v does not match ErrInvalidInput", read.entry, tc.name, err)
+				}
 			}
 		})
 	}
@@ -136,5 +148,34 @@ func TestReadAcceptsOddHeightTerminal(t *testing.T) {
 	}
 	if !d.Cells[1].Fixed {
 		t.Fatal("terminal not marked fixed")
+	}
+}
+
+// TestSplitFieldsMatchesStringsFields pins the line splitter to
+// strings.Fields(strings.TrimSpace(line)): Unicode spaces split, and
+// invalid UTF-8 stays inside a field.
+func TestSplitFieldsMatchesStringsFields(t *testing.T) {
+	lines := []string{
+		"", " ", "\t\r\n", "a", "  a 4 10  ", "a\tb\rc\nd",
+		"a\vb\fc", "\va\f",
+		"a\u0085b", "a\u00a0b", "a\u2003b", "a\u3000b", "\u3000a\u00a0",
+		"a\u200bb", // zero-width space is not a space
+		"\xff", "a\xffb c", "a\xe2\x80b", "\xe3\x80", "a \xc2\x85 b", "\xc2 \xa0",
+		"x\u00a0\u0085\u2003\u3000y z",
+	}
+	var got [][]byte
+	for _, line := range lines {
+		got = splitFields(got, []byte(line))
+		want := strings.Fields(strings.TrimSpace(line))
+		if len(got) != len(want) {
+			t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
+			continue
+		}
+		for i := range want {
+			if string(got[i]) != want[i] {
+				t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
+				break
+			}
+		}
 	}
 }

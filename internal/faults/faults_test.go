@@ -138,7 +138,10 @@ func TestCorruptedBookshelfFilesNeverPanic(t *testing.T) {
 
 // TestCancellationAbortsMidSolve cancels a context while the MMSIM is in its
 // hot loop and requires the typed cancellation error to surface promptly —
-// the pipeline must not run to completion or hang.
+// the pipeline must not run to completion or hang. The solve runs the MMSIM
+// alone (MMSIMOnly): the default active-set finish ends this design in about
+// as long as the deadline, so the deadline would race the finish instead of
+// landing in the hot loop.
 func TestCancellationAbortsMidSolve(t *testing.T) {
 	d, err := gen.Generate(gen.Spec{
 		Name:        "cancel-bench",
@@ -153,7 +156,7 @@ func TestCancellationAbortsMidSolve(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, lerr := core.New(core.Options{Eps: 1e-12, MaxIter: 2000000}).LegalizeContext(ctx, d)
+	_, lerr := core.New(core.Options{Eps: 1e-12, MaxIter: 2000000, MMSIMOnly: true}).LegalizeContext(ctx, d)
 	elapsed := time.Since(start)
 	if lerr == nil {
 		t.Skip("solve finished before the deadline; machine too fast for this budget")

@@ -254,7 +254,7 @@ func (s *Server) recoverSessions() {
 func (s *Server) createSession(ctx context.Context, id string, req *ecoRequest) (*eco.Session, error) {
 	d, err := req.legalizeView().loadDesign()
 	if err != nil {
-		return nil, mclgerr.Invalid(err)
+		return nil, err
 	}
 	opts := req.ecoOptions()
 	if p := s.eco.logPath(id); p != "" {

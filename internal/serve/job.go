@@ -5,9 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"io"
 	"time"
 
 	"mclg/internal/audit"
@@ -104,7 +102,16 @@ type Request struct {
 	// it computes — so neither enters the cache key.
 	Tenant   string `json:"tenant,omitempty"`
 	Priority string `json:"priority,omitempty"`
+
+	// sums holds the SHA-256 of each uploaded component in components
+	// order, filled by the first hashFiles call; key and topoKey share it.
+	sums   [len(components)][sha256.Size]byte
+	summed bool
 }
+
+// components lists the upload component names in the sorted order the
+// cache keys hash them in.
+var components = [...]string{"nets", "nodes", "pl", "scl", "wts"}
 
 // priority resolves the admission tier, defaulting to batch.
 func (r *Request) priority() string {
@@ -212,15 +219,7 @@ func (r *Request) key() string {
 	if r.Bench != "" {
 		fmt.Fprintf(h, "bench=%s@%g", r.Bench, r.Scale)
 	} else {
-		comps := make([]string, 0, len(r.Files))
-		for k := range r.Files {
-			comps = append(comps, k)
-		}
-		sort.Strings(comps)
-		for _, k := range comps {
-			sum := sha256.Sum256([]byte(r.Files[k]))
-			fmt.Fprintf(h, "file:%s=%x|", k, sum)
-		}
+		r.hashFiles(h, "")
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -245,57 +244,65 @@ func (r *Request) topoKey() string {
 	if r.Bench != "" {
 		fmt.Fprintf(h, "bench=%s@%g", r.Bench, r.Scale)
 	} else {
-		comps := make([]string, 0, len(r.Files))
-		for k := range r.Files {
-			if k == "pl" {
-				continue // positions are exactly what a near-match perturbs
-			}
-			comps = append(comps, k)
-		}
-		sort.Strings(comps)
-		for _, k := range comps {
-			sum := sha256.Sum256([]byte(r.Files[k]))
-			fmt.Fprintf(h, "file:%s=%x|", k, sum)
-		}
+		r.hashFiles(h, "pl") // positions are exactly what a near-match perturbs
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// hashFiles writes "file:<component>=<sha256 hex>|" into h for each
+// uploaded component except skip, in components order. The texts are
+// hashed on the first call only: the handler's key call does it, and the
+// worker's topoKey reuses the digests.
+func (r *Request) hashFiles(h io.Writer, skip string) {
+	if !r.summed {
+		for i, k := range components {
+			if text, ok := r.Files[k]; ok {
+				r.sums[i] = sumString(text)
+			}
+		}
+		r.summed = true
+	}
+	for i, k := range components {
+		if _, ok := r.Files[k]; ok && k != skip {
+			fmt.Fprintf(h, "file:%s=%x|", k, r.sums[i])
+		}
+	}
+}
+
+// sumString is sha256.Sum256 of s, fed through a small stack buffer
+// instead of a []byte copy of the whole text.
+func sumString(s string) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	var buf [4096]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	h.Sum(sum[:0])
+	return sum
+}
+
 // loadDesign materializes the job's design. Uploaded Bookshelf components
-// are staged into a throwaway directory for the hardened reader.
+// are parsed in memory. Every error traces back to the request and matches
+// ErrInvalidInput.
 func (r *Request) loadDesign() (*design.Design, error) {
 	if r.Bench != "" {
 		e, err := gen.FindEntry(r.Bench)
 		if err != nil {
 			return nil, mclgerr.Invalid(err)
 		}
-		return gen.Generate(gen.SuiteSpec(e, r.Scale))
-	}
-	dir, err := os.MkdirTemp("", "mclgd-upload-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	var files bookshelf.Files
-	for comp, content := range r.Files {
-		p := filepath.Join(dir, "design."+comp)
-		if err := os.WriteFile(p, []byte(content), 0o600); err != nil {
-			return nil, err
+		// The generator refuses only the instances a request's scale picks.
+		d, err := gen.Generate(gen.SuiteSpec(e, r.Scale))
+		if err != nil {
+			return nil, mclgerr.Invalid(err)
 		}
-		switch comp {
-		case "nodes":
-			files.Nodes = p
-		case "nets":
-			files.Nets = p
-		case "pl":
-			files.Pl = p
-		case "scl":
-			files.Scl = p
-		case "wts":
-			files.Wts = p
-		}
+		return d, nil
 	}
-	return bookshelf.ReadFiles(files, "upload")
+	return bookshelf.ReadTexts(bookshelf.Texts{
+		Nodes: r.Files["nodes"], Nets: r.Files["nets"], Pl: r.Files["pl"],
+		Scl: r.Files["scl"], Wts: r.Files["wts"],
+	}, "upload")
 }
 
 // solve runs the requested legalizer on d and returns the report. The

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mclg/internal/core"
@@ -108,5 +109,19 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("/metrics drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestMallocsMatchesMemStats pins what mclgd_solve_allocs_total counts:
+// the runtime/metrics sum mallocs reads is runtime.MemStats.Mallocs. Read
+// back to back they may differ only by what other goroutines allocate in
+// between; a missing counter (tiny allocations, say) is off by thousands.
+func TestMallocsMatchesMemStats(t *testing.T) {
+	s := mallocSamples()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	n := mallocs(s)
+	if n < ms.Mallocs || n-ms.Mallocs > 64 {
+		t.Fatalf("mallocs = %d, MemStats.Mallocs = %d", n, ms.Mallocs)
 	}
 }

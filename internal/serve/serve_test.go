@@ -389,6 +389,123 @@ func TestUploadBookshelf(t *testing.T) {
 	}
 }
 
+// TestUploadErrorNamesComponent posts one malformed upload twice. Uploads
+// parse in memory, so both refusals are byte-identical and name the
+// component and line, with no server path in them.
+func TestUploadErrorNamesComponent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body, err := json.Marshal(&Request{Files: map[string]string{
+		"nodes": "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n\n  a 4 10\n  a 4 10\n",
+		"pl":    "UCLA pl 1.0\na 3 0 : N\n",
+		"scl": "UCLA scl 1.0\nCoreRow Horizontal\n  Coordinate : 0\n  Height : 10\n  Sitewidth : 1\n" +
+			"  SubrowOrigin : 0  NumSites : 50\nEnd\n",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies [2][]byte
+	for i := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/legalize", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); err != nil {
+			t.Fatalf("unmarshal response (HTTP %d): %v\n%s", resp.StatusCode, err, raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Class != "invalid_input" {
+			t.Fatalf("submission %d: HTTP %d class %q, want 400 invalid_input: %s", i, resp.StatusCode, eb.Class, raw)
+		}
+		bodies[i] = raw
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("the same upload got two different refusals:\n%s%s", bodies[0], bodies[1])
+	}
+	if !bytes.Contains(bodies[0], []byte("nodes:6")) {
+		t.Errorf("refusal does not name the component and line nodes:6: %s", bodies[0])
+	}
+	if bytes.Contains(bodies[0], []byte(os.TempDir())) {
+		t.Errorf("refusal leaks the server's temp directory %s: %s", os.TempDir(), bodies[0])
+	}
+}
+
+// TestUploadNeedsNoTempDir submits a valid upload to a daemon whose temp
+// directory does not exist. Nothing on the upload path touches the file
+// system, so it must be legalized, not refused as the client's fault.
+func TestUploadNeedsNoTempDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a benchmark")
+	}
+	e, err := gen.FindEntry("fft_2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.Generate(gen.SuiteSpec(e, 0.004))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := bookshelfFiles(t, d)
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+
+	_, ts := newTestServer(t, Config{})
+	var out struct {
+		report.Report
+		errorBody
+	}
+	if resp := post(t, ts.URL, &Request{Files: files, IncludePlacement: true}, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d %s: %s", resp.StatusCode, out.Class, out.Error)
+	}
+	rep := out.Report
+	if !rep.Legal || rep.Cells != len(d.Cells) || rep.Placement == nil || len(rep.Placement.X) != len(d.Cells) {
+		t.Errorf("legal=%v cells=%d placement=%+v, want a legal placement of %d cells",
+			rep.Legal, rep.Cells, rep.Placement, len(d.Cells))
+	}
+}
+
+// TestRequestKeysPinned pins key and topoKey to exact digests. Window
+// journals are named <key>.wal and the result cache is content-addressed
+// by key, so a change in how either is derived must be deliberate.
+func TestRequestKeysPinned(t *testing.T) {
+	cases := []struct {
+		name      string
+		req       *Request
+		key, topo string
+	}{
+		{
+			name: "upload",
+			req: &Request{Files: map[string]string{
+				"nodes": "UCLA nodes 1.0\n  a 4 10\n", "pl": "UCLA pl 1.0\na 3 0 : N\n",
+				"scl": "s", "nets": "n", "wts": "w",
+			}},
+			key:  "35b408c69076be3793d13a4751b2c74509ec5b2f763fe065925d51964cf47121",
+			topo: "b69a255bed5c7ef0c00ad1f7785a295716908e45509401e80795dc4d339da988",
+		},
+		{
+			name: "bench",
+			req:  &Request{Bench: "fft_2", Scale: 0.004},
+			key:  "9e0f3fbd7a1d2cbd2f4e30b6ffbe5df5bad8ed07858d4bc10c183a95dac46da8",
+			topo: "9cb00e22f736a059b3e78ed6dbf8af4588a392c66a9cd6071de78d9a9e685b99",
+		},
+	}
+	for _, tc := range cases {
+		if err := tc.req.validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// topoKey first: the shared digests must not depend on call order.
+		if got := tc.req.topoKey(); got != tc.topo {
+			t.Errorf("%s: topoKey = %s, want %s", tc.name, got, tc.topo)
+		}
+		if got := tc.req.key(); got != tc.key {
+			t.Errorf("%s: key = %s, want %s", tc.name, got, tc.key)
+		}
+	}
+}
+
 // TestCacheKeyCanonicalization pins the content-addressing rules: omitted
 // options hash like spelled-out defaults, Workers is result-neutral and
 // excluded, and any result-affecting knob or source change changes the key.

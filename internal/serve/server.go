@@ -28,7 +28,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -319,7 +319,7 @@ func (s *Server) runJob(j *job) {
 		parseDur = time.Since(tp)
 		s.stats.stages.With("parse").Observe(parseDur.Seconds())
 		if derr != nil {
-			err = mclgerr.Invalid(derr)
+			err = derr
 		} else {
 			// Near-match acceleration: the warm store keys solver state by
 			// topology, so a perturbed re-submit of a known design seeds the
@@ -334,21 +334,21 @@ func (s *Server) runJob(j *job) {
 				}
 			}
 			ts := time.Now()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
+			samples := mallocSamples()
+			m0 := mallocs(samples)
 			if j.req.Windows {
 				rep, err = s.solveWindowed(j, d)
 			} else {
 				rep, err = j.req.solve(j.ctx, d, warm)
 			}
-			runtime.ReadMemStats(&m1)
+			m1 := mallocs(samples)
 			solveDur = time.Since(ts)
 			s.stats.stages.With("solve").Observe(solveDur.Seconds())
 			// Allocation accounting is process-wide (Mallocs is a global
 			// counter), so with overlapping jobs the per-solve attribution
 			// is approximate; at steady state it trends to the true
 			// allocs/solve and a regression shows up as a trend break.
-			s.stats.solveAllocs.Add(m1.Mallocs - m0.Mallocs)
+			s.stats.solveAllocs.Add(m1 - m0)
 			s.stats.solveSamples.Inc()
 			if warm != nil && err == nil && rep != nil {
 				if rep.Warm {
@@ -406,6 +406,26 @@ func (s *Server) runJob(j *job) {
 	// as finished.
 	s.stats.inflight.Add(-1)
 	close(j.done)
+}
+
+// mallocSamples names the runtime/metrics counters whose sum is
+// runtime.MemStats.Mallocs.
+func mallocSamples() []metrics.Sample {
+	return []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
+}
+
+// mallocs reads the process's cumulative heap allocation count into s, a
+// mallocSamples slice, without stopping the world as
+// runtime.ReadMemStats does.
+func mallocs(s []metrics.Sample) uint64 {
+	metrics.Read(s)
+	var n uint64
+	for _, v := range s {
+		if v.Value.Kind() == metrics.KindUint64 { // KindBad if a runtime drops the metric
+			n += v.Value.Uint64()
+		}
+	}
+	return n
 }
 
 // errQueueFull / errDraining are admission-control refusals.
