@@ -746,6 +746,80 @@ func BenchmarkECOApply(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/coldNS, "eco-vs-cold")
 }
 
+// BenchmarkECOMixedBatch measures an ECO apply under the benchmark's
+// eco-stream mix: 5-delta batches of 80% moves (up to 8 sites and a row),
+// 10% inserts and 10% deletes on superblue19, so the timed applies insert
+// and delete cells and rewrite the netlist the way a live session does.
+// One untimed warm-up batch runs first, so even -benchtime=1x measures an
+// apply that reuses the session's per-apply storage. Each batch is drawn
+// from the committed design, with the draw untimed.
+func BenchmarkECOMixedBatch(b *testing.B) {
+	base := genBench(b, "superblue19", benchScale)
+	ctx := context.Background()
+	s, err := eco.Create(ctx, "bench", base, eco.Options{Core: core.Options{Workers: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	apply := func(i int) {
+		b.StopTimer()
+		batch := ecoMixedBatch(rng, s.Design())
+		b.StartTimer()
+		if _, err := s.Apply(ctx, batch); err != nil {
+			b.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	apply(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(i)
+	}
+}
+
+// ecoMixedBatch draws five deltas against d in the 80/10/10
+// move/insert/delete mix. Deletes renumber the later deltas' cell IDs the
+// way the session does, and moves and inserts stay inside the core.
+func ecoMixedBatch(rng *rand.Rand, d *design.Design) []eco.Delta {
+	type live struct {
+		id int
+		c  *design.Cell
+	}
+	var movable []live
+	for _, c := range d.Cells {
+		if !c.Fixed {
+			movable = append(movable, live{c.ID, c})
+		}
+	}
+	lo, hi := d.Core.Lo, d.Core.Hi
+	out := make([]eco.Delta, 0, 5)
+	for len(out) < 5 {
+		j := rng.Intn(len(movable))
+		m := movable[j]
+		switch p := rng.Float64(); {
+		case p < 0.1:
+			w := float64(4+rng.Intn(9)) * d.SiteW
+			out = append(out, eco.Delta{Op: eco.OpInsert, Name: "eco",
+				X: lo.X + rng.Float64()*(hi.X-lo.X-w), Y: lo.Y + rng.Float64()*(hi.Y-lo.Y-d.RowHeight),
+				W: w, H: d.RowHeight})
+		case p < 0.2:
+			out = append(out, eco.Delta{Op: eco.OpDelete, Cell: m.id})
+			movable = append(movable[:j], movable[j+1:]...)
+			for k := range movable {
+				if movable[k].id > m.id {
+					movable[k].id--
+				}
+			}
+		default:
+			x := m.c.GX + (2*rng.Float64()-1)*8*d.SiteW
+			y := m.c.GY + float64(rng.Intn(3)-1)*d.RowHeight
+			out = append(out, eco.Delta{Op: eco.OpMove, Cell: m.id,
+				X: max(lo.X, min(x, hi.X-m.c.W)), Y: max(lo.Y, min(y, hi.Y-m.c.H))})
+		}
+	}
+	return out
+}
+
 // BenchmarkClusterDispatch measures the coordinator's routing overhead for a
 // windowed job shipped over the shard protocol. The workers' shard caches
 // are warmed first, so each iteration pays ring lookup, HTTP round-trip, and

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"mclg/internal/design"
+	"mclg/internal/gen"
+	"mclg/internal/sparse"
 )
 
 // figure2Design reproduces the placement of Figure 2: five single-row-height
@@ -341,4 +346,115 @@ func TestSchurTridiagClosedFormDoubleHeight(t *testing.T) {
 			t.Errorf("D sub[%d] = %g, closed form %g", i, got.Sub[i], gram(i, i-1))
 		}
 	}
+}
+
+// applyHInvSparseMap is the ApplyHInvSparse that tracked solved blocks in a
+// map and solved into a fresh slice, kept as the bit-for-bit reference.
+func applyHInvSparseMap(p *Problem, idx []int, val []float64, emit func(int, float64)) {
+	done := make(map[int]bool, 2)
+	for n, j := range idx {
+		cell := p.blockOfVar[j]
+		if done[cell] {
+			continue
+		}
+		done[cell] = true
+		vars := p.CellVars[cell]
+		rhs := make([]float64, len(vars))
+		for m := n; m < len(idx); m++ {
+			if p.blockOfVar[idx[m]] == cell {
+				rhs[idx[m]-vars[0]] += val[m]
+			}
+		}
+		sol := make([]float64, len(vars))
+		p.solveBlockDense(1, p.Lambda, vars, sol, rhs)
+		for k, v := range sol {
+			if v != 0 {
+				emit(vars[k], v)
+			}
+		}
+	}
+}
+
+// TestSchurTridiagMatchesMapReference pins ApplyHInvSparse and SchurTridiag
+// to the map-based versions bit for bit on designs with single-, double- and
+// triple-row cells, on B's rows and on random sparse vectors that put
+// several entries in one block, and pins their allocations: none per
+// ApplyHInvSparse call, and a constant per SchurTridiag however large B is.
+func TestSchurTridiagMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var schurAllocs []float64
+	for _, cells := range []int{60, 600} {
+		d, err := gen.Generate(gen.Spec{
+			Name: "triple", SingleCells: cells, DoubleCells: cells / 8, TripleCells: cells / 10,
+			Density: 0.55, Seed: int64(cells),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AssignRows(d); err != nil {
+			t.Fatal(err)
+		}
+		p, err := BuildProblem(d, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < p.B.Rows; i++ {
+			lo, hi := p.B.RowPtr[i], p.B.RowPtr[i+1]
+			if got, ref := hInvRow(p, p.B.ColIdx[lo:hi], p.B.Val[lo:hi]); got != ref {
+				t.Fatalf("%d cells, B row %d: H⁻¹bᵢ = %s, reference %s", cells, i, got, ref)
+			}
+		}
+		for trial := 0; trial < 200; trial++ {
+			idx := make([]int, 1+rng.Intn(4))
+			val := make([]float64, len(idx))
+			for k := range idx {
+				idx[k] = rng.Intn(p.NumVars)
+				if k > 0 && rng.Intn(2) == 0 {
+					// Another subcell of an earlier entry's cell.
+					vars := p.CellVars[p.blockOfVar[idx[rng.Intn(k)]]]
+					idx[k] = vars[rng.Intn(len(vars))]
+				}
+				val[k] = rng.NormFloat64()
+			}
+			if got, ref := hInvRow(p, idx, val); got != ref {
+				t.Fatalf("%d cells, vector %v: H⁻¹x = %s, reference %s", cells, idx, got, ref)
+			}
+		}
+		ref := sparse.GramTridiagApply(p.B, func(idx []int, val []float64, emit func(int, float64)) {
+			applyHInvSparseMap(p, idx, val, emit)
+		})
+		got := p.SchurTridiag()
+		for i := range got.Diag {
+			if math.Float64bits(got.Diag[i]) != math.Float64bits(ref.Diag[i]) ||
+				math.Float64bits(got.Sub[i]) != math.Float64bits(ref.Sub[i]) ||
+				math.Float64bits(got.Sup[i]) != math.Float64bits(ref.Sup[i]) {
+				t.Fatalf("%d cells, row %d: SchurTridiag differs from the map reference", cells, i)
+			}
+		}
+
+		lo, hi := p.B.RowPtr[0], p.B.RowPtr[1]
+		idx, val := p.B.ColIdx[lo:hi], p.B.Val[lo:hi]
+		sink := 0.0
+		emit := func(_ int, v float64) { sink += v }
+		if a := testing.AllocsPerRun(20, func() { p.ApplyHInvSparse(idx, val, emit) }); a != 0 {
+			t.Errorf("%d cells: ApplyHInvSparse allocates %.0f times per call", cells, a)
+		}
+		schurAllocs = append(schurAllocs, testing.AllocsPerRun(5, func() { p.SchurTridiag() }))
+	}
+	if schurAllocs[1] != schurAllocs[0] || schurAllocs[0] > 10 {
+		t.Errorf("SchurTridiag allocations %v per call: want one constant ≤ 10 at both sizes", schurAllocs)
+	}
+}
+
+// hInvRow renders H⁻¹x as computed by ApplyHInvSparse and by the map
+// reference, each as its emitted (variable, value bits) sequence.
+func hInvRow(p *Problem, idx []int, val []float64) (got, ref string) {
+	render := func(apply func(emit func(int, float64))) string {
+		var sb strings.Builder
+		apply(func(j int, v float64) { fmt.Fprintf(&sb, "%d:%x ", j, math.Float64bits(v)) })
+		return sb.String()
+	}
+	got = render(func(emit func(int, float64)) { p.ApplyHInvSparse(idx, val, emit) })
+	ref = render(func(emit func(int, float64)) { applyHInvSparseMap(p, idx, val, emit) })
+	return got, ref
 }

@@ -542,35 +542,34 @@ func (p *Problem) solveHOmegaDiagBlocks(c1, lam, off float64, blocks [][]int, ds
 // ApplyHInvSparse applies H⁻¹ to a sparse vector given as (idx, val) pairs
 // and emits the nonzero results. Because H is block diagonal per cell, only
 // the blocks containing input indices are touched, so the cost is
-// O(Σ span(cell)) over the distinct cells referenced.
+// O(Σ span(cell)) over the distinct cells referenced, and each variable is
+// emitted at most once. Input vectors here are rows of B with ≤ 2 entries,
+// so a block already solved is found by scanning the earlier entries, and
+// stack scratch keeps spans up to 16 allocation-free.
 func (p *Problem) ApplyHInvSparse(idx []int, val []float64, emit func(int, float64)) {
-	// Group by owning cell; input vectors here are rows of B with ≤ 2
-	// entries, so a simple scan is fine.
 	const maxSpan = 16
-	var rhsA [maxSpan]float64
-	done := make(map[int]bool, 2)
+	var rhsA, solA [maxSpan]float64
+next:
 	for n, j := range idx {
 		cell := p.blockOfVar[j]
-		if done[cell] {
-			continue
+		for _, e := range idx[:n] {
+			if p.blockOfVar[e] == cell {
+				continue next
+			}
 		}
-		done[cell] = true
 		vars := p.CellVars[cell]
 		d := len(vars)
-		rhs := rhsA[:d]
+		rhs, sol := rhsA[:d], solA[:d]
 		if d > maxSpan {
-			rhs = make([]float64, d)
+			rhs, sol = make([]float64, d), make([]float64, d)
 		}
-		for k := range rhs {
-			rhs[k] = 0
-		}
+		clear(rhs)
 		// Gather every input entry that falls in this block.
 		for m := n; m < len(idx); m++ {
 			if p.blockOfVar[idx[m]] == cell {
 				rhs[idx[m]-vars[0]] += val[m]
 			}
 		}
-		sol := make([]float64, d)
 		p.solveBlockDense(1, p.Lambda, vars, sol, rhs)
 		for k, v := range sol {
 			if v != 0 {

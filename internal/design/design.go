@@ -3,6 +3,7 @@ package design
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mclg/internal/geom"
 )
@@ -229,42 +230,70 @@ func (d *Design) NearestCorrectRow(c *Cell, y float64) int {
 // legalizer can be run without mutating the input.
 func (d *Design) Clone() *Design {
 	out := d.CloneCells()
-	out.OwnNets()
+	out.OwnNetsIn(new(NetStore))
 	return out
 }
 
 // CloneCells is Clone except that the copy shares d's netlist: for callers
-// that change only cells, or that call OwnNets before their first netlist
+// that change only cells, or that call OwnNetsIn before their first netlist
 // change.
 func (d *Design) CloneCells() *Design {
-	out := &Design{
-		Name:      d.Name,
-		Core:      d.Core,
-		RowHeight: d.RowHeight,
-		SiteW:     d.SiteW,
-		Rows:      append([]Row(nil), d.Rows...),
-		Cells:     make([]*Cell, len(d.Cells)),
-		Nets:      d.Nets,
-	}
-	// One backing array for all cells.
-	cells := make([]Cell, len(d.Cells))
-	for i, c := range d.Cells {
-		cells[i] = *c
-		out.Cells[i] = &cells[i]
-	}
+	out := &Design{}
+	d.CopyCellsTo(out)
 	return out
 }
 
-// OwnNets replaces d's netlist with a private deep copy. All pins share one
-// backing array; each net's pin slice is capped at its own length, so an
-// append reallocates instead of writing into the next net's pins.
-func (d *Design) OwnNets() {
+// CopyCellsTo makes dst a copy of d that shares d's netlist, as CloneCells
+// does, but writes into dst's existing storage: its row array, its cell
+// pointer slice, and the Cell each non-nil pointer slot holds, up to the
+// slice's capacity. Cells with no slot to reuse are allocated in one array.
+// Every non-nil slot of dst.Cells up to capacity must point at a distinct
+// Cell that no other design reads; a design keeps that property as long as
+// whatever shrinks its cell list clears the slots it vacates.
+func (d *Design) CopyCellsTo(dst *Design) {
+	dst.Name, dst.Core = d.Name, d.Core
+	dst.RowHeight, dst.SiteW = d.RowHeight, d.SiteW
+	dst.Rows = append(dst.Rows[:0], d.Rows...)
+	dst.Nets = d.Nets
+	n := len(d.Cells)
+	cells := slices.Grow(dst.Cells[:0], n)[:n]
+	missing := 0
+	for _, c := range cells {
+		if c == nil {
+			missing++
+		}
+	}
+	var fresh []Cell
+	if missing > 0 {
+		fresh = make([]Cell, missing)
+	}
+	for i, c := range d.Cells {
+		if cells[i] == nil {
+			cells[i], fresh = &fresh[0], fresh[1:]
+		}
+		*cells[i] = *c
+	}
+	dst.Cells = cells
+}
+
+// NetStore is reusable storage for a private netlist copy (OwnNetsIn).
+type NetStore struct {
+	nets []Net
+	pins []Pin
+}
+
+// OwnNetsIn replaces d's netlist with a deep copy written into s, growing
+// s as needed. All pins share one backing array; each net's pin slice is
+// capped at its own length, so an append reallocates instead of writing
+// into the next net's pins. s must not hold a netlist that d or any other
+// design still reads: the copy overwrites it.
+func (d *Design) OwnNetsIn(s *NetStore) {
 	np := 0
 	for _, n := range d.Nets {
 		np += len(n.Pins)
 	}
-	nets := make([]Net, len(d.Nets))
-	pins := make([]Pin, 0, np)
+	nets := slices.Grow(s.nets[:0], len(d.Nets))[:len(d.Nets)]
+	pins := slices.Grow(s.pins[:0], np)
 	for i, n := range d.Nets {
 		nets[i] = Net{Name: n.Name, Weight: n.Weight}
 		if len(n.Pins) > 0 {
@@ -273,6 +302,7 @@ func (d *Design) OwnNets() {
 			nets[i].Pins = pins[at:len(pins):len(pins)]
 		}
 	}
+	s.nets, s.pins = nets, pins
 	d.Nets = nets
 }
 

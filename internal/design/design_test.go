@@ -241,3 +241,64 @@ func TestDensity(t *testing.T) {
 		t.Errorf("Density = %g, want 0.1", got)
 	}
 }
+
+// CopyCellsTo must give what CloneCells gives while reusing dst's storage:
+// no cell shared with the source, through growing and shrinking cell
+// lists, and no allocation once dst has room.
+func TestCopyCellsToReusesStorage(t *testing.T) {
+	d := smallDesign()
+	for i := 0; i < 6; i++ {
+		c := d.AddCell("c", float64(2+i), 10, VSS)
+		c.X, c.GX = float64(10*i), float64(10*i+1)
+	}
+	d.Nets = append(d.Nets, Net{Name: "n", Pins: []Pin{{CellID: 1}}})
+	dst := &Design{}
+	for step, n := range []int{6, 9, 4, 7} {
+		for len(d.Cells) < n {
+			d.AddCell("g", 3, 20, VDD).X = float64(len(d.Cells))
+		}
+		d.Cells = d.Cells[:n]
+		d.CopyCellsTo(dst)
+		want := d.CloneCells()
+		if dst.Name != want.Name || dst.Core != want.Core || len(dst.Rows) != len(want.Rows) ||
+			len(dst.Cells) != n || &dst.Nets[0] != &d.Nets[0] {
+			t.Fatalf("step %d: header, rows or shared netlist differ from CloneCells", step)
+		}
+		for i, c := range dst.Cells {
+			if *c != *want.Cells[i] {
+				t.Fatalf("step %d: cell %d = %v, want %v", step, i, c, want.Cells[i])
+			}
+			if c == d.Cells[i] {
+				t.Fatalf("step %d: cell %d shared with the source", step, i)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { d.CopyCellsTo(dst) }); a != 0 {
+		t.Errorf("CopyCellsTo into a design of the same shape: %.0f allocs, want 0", a)
+	}
+}
+
+// OwnNetsIn must deep-copy the netlist into the store, leave the source
+// untouched when the copy is edited, and reuse the store's storage.
+func TestOwnNetsInReusesStore(t *testing.T) {
+	src := smallDesign()
+	src.Nets = append(src.Nets,
+		Net{Name: "a", Pins: []Pin{{CellID: 0}, {CellID: 1}}},
+		Net{Name: "b", Pins: []Pin{{CellID: 2}}})
+	var store NetStore
+	d := src.CloneCells()
+	d.OwnNetsIn(&store)
+	d.Nets[0].Pins[0].CellID = 7
+	if src.Nets[0].Pins[0].CellID != 0 {
+		t.Fatal("OwnNetsIn copy shares pins with the source")
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		d.Nets = src.Nets
+		d.OwnNetsIn(&store)
+	}); a != 0 {
+		t.Errorf("OwnNetsIn into a store of the same size: %.0f allocs, want 0", a)
+	}
+	if d.Nets[0].Pins[0].CellID != 0 || d.Nets[1].Pins[0].CellID != 2 || &d.Nets[0] == &src.Nets[0] {
+		t.Fatal("OwnNetsIn did not refresh a private copy")
+	}
+}

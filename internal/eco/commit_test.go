@@ -174,21 +174,8 @@ func TestCommitCheckMatchesCheckLegal(t *testing.T) {
 		} else {
 			rejected++
 		}
-		fresh := design.NewOccupancy(s.cur)
-		for _, c := range s.cur.Cells {
-			if c.Fixed {
-				fresh.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-			} else if err := fresh.Place(c, c.X, c.Y); err != nil {
-				t.Fatalf("batch %d: committed placement does not fit a fresh grid: %v", i, err)
-			}
-		}
-		for r, row := range s.cur.Rows {
-			for site := 0; site < row.NumSites; site++ {
-				if (s.occ.OwnerAt(r, site) >= 0) != (fresh.OwnerAt(r, site) >= 0) {
-					t.Fatalf("batch %d (%s, accepted %v): session grid and a fresh grid disagree at row %d site %d",
-						i, what, err == nil, r, site)
-				}
-			}
+		if gerr := gridMatchesFresh(s); gerr != nil {
+			t.Fatalf("batch %d (%s, accepted %v): %v", i, what, err == nil, gerr)
 		}
 	}
 	t.Logf("%d accepted, %d rejected by the commit check", accepted, rejected)

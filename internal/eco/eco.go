@@ -11,9 +11,9 @@
 // the committed placement bit-identically, at any worker count and across a
 // process restart. That holds because every stage is deterministic — the
 // dirty-band selection, the run merge, the resilient cascade each run is
-// solved with, and the chow local-repair fallback — and because warm-state
-// reuse (per-run, via a pool of core.WarmState) only changes iteration counts, never
-// placements. The replay property is what audit.ReplayCertificate certifies.
+// solved with, and the chow local-repair fallback — and because every run
+// solves cold, so no state carried between applies reaches a placement. The
+// replay property is what audit.ReplayCertificate certifies.
 //
 // A batch is atomic: it either commits a placement verified against the
 // committed one by the session's diff-driven commit check (which accepts
@@ -24,6 +24,7 @@ package eco
 
 import (
 	"math"
+	"slices"
 
 	"mclg/internal/core"
 	"mclg/internal/design"
@@ -93,11 +94,6 @@ type Options struct {
 	ContextRows int
 	MarginRows  int
 
-	// WarmCap bounds the per-run warm-state pool (an LRU of core.WarmState) — one
-	// state per dirty-run row range, reused when the run's structure
-	// signature still matches. 0 means 16; negative disables warm starts.
-	WarmCap int
-
 	// LogPath, when non-empty, makes the session durable: accepted batches
 	// are appended write-ahead to a checksummed file log at this path, and
 	// Create resumes an existing compatible log by replaying it. LogMeta is
@@ -105,6 +101,12 @@ type Options struct {
 	// session-create request there so a restart can rebuild the base design).
 	LogPath string
 	LogMeta []byte
+
+	// failCascade, when set, is asked before each dirty run's cascade
+	// whether to fail it instead, so tests can drive the local-repair
+	// fallback. It lives in Options so Replay and Certify repair the same
+	// runs as the session they check.
+	failCascade func(rowLo, rowHi int) bool
 }
 
 // DefaultWindowRows is the ECO dirty-window height.
@@ -112,9 +114,6 @@ const DefaultWindowRows = 4
 
 // DefaultMarginRows is the dirty-row margin around each delta.
 const DefaultMarginRows = 1
-
-// DefaultWarmCap bounds the per-run warm pool.
-const DefaultWarmCap = 16
 
 func (o Options) withDefaults() Options {
 	if o.WindowRows == 0 {
@@ -125,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MarginRows == 0 {
 		o.MarginRows = DefaultMarginRows
-	}
-	if o.WarmCap == 0 {
-		o.WarmCap = DefaultWarmCap
 	}
 	return o
 }
@@ -178,7 +174,9 @@ func movableTarget(d *design.Design, i int, dl Delta) (*design.Cell, error) {
 // mutator applies validated deltas to a working design, accumulating dirty
 // rows and touched cell IDs. Deltas are validated and applied sequentially
 // against the evolving design, so each delta sees the IDs and geometry left
-// by its predecessors — the exact view a replay sees.
+// by its predecessors — the exact view a replay sees. A session keeps one
+// mutator and resets it for every batch, so its slices and maps keep their
+// storage across applies.
 type mutator struct {
 	d       *design.Design
 	margin  int
@@ -192,19 +190,30 @@ type mutator struct {
 	deleted []int
 
 	// sharedNets marks that d still shares its netlist with the committed
-	// design (design.CloneCells); a delete takes a private copy first.
+	// design (design.CopyCellsTo); the first delete copies it into nets,
+	// storage the committed design does not read.
 	sharedNets bool
+	nets       *design.NetStore
+
+	keys []int // scratch for renumbering touched on a delete
 }
 
-// newMutator starts a batch on d, a design.CloneCells copy of the committed
-// design (so its netlist is still shared).
-func newMutator(d *design.Design, margin int) *mutator {
-	orig := make([]int, len(d.Cells))
-	for i := range orig {
-		orig[i] = i
+// reset starts a batch on d, a design.CopyCellsTo copy of the committed
+// design (so its netlist is still shared); a delete copies the netlist into
+// nets.
+func (m *mutator) reset(d *design.Design, margin int, nets *design.NetStore) {
+	m.d, m.margin, m.nets = d, margin, nets
+	if m.dirty == nil {
+		m.dirty, m.touched = map[int]bool{}, map[int]bool{}
 	}
-	return &mutator{d: d, margin: margin, dirty: map[int]bool{}, touched: map[int]bool{},
-		orig: orig, sharedNets: true}
+	clear(m.dirty)
+	clear(m.touched)
+	m.orig = slices.Grow(m.orig[:0], len(d.Cells))[:len(d.Cells)]
+	for i := range m.orig {
+		m.orig[i] = i
+	}
+	m.deleted = m.deleted[:0]
+	m.sharedNets = true
 }
 
 // markRect dirties every row the rectangle overlaps, plus the margin.
@@ -324,19 +333,24 @@ func (m *mutator) apply(i int, dl Delta) error {
 // removeCell deletes cell id, renumbers the survivors densely (Validate
 // requires cell.ID == slice index), and rewrites the netlist (a private copy
 // of it, if it was shared): the deleted cell's pins are dropped and higher
-// CellIDs shift down. Touched IDs shift
-// with them. Fixed pins (CellID < 0) are untouched.
+// CellIDs shift down. Touched IDs shift with them. Fixed pins (CellID < 0)
+// are untouched.
 func (m *mutator) removeCell(id int) {
 	d := m.d
 	if m.sharedNets {
-		d.OwnNets()
+		d.OwnNetsIn(m.nets)
 		m.sharedNets = false
 	}
 	if o := m.orig[id]; o >= 0 {
 		m.deleted = append(m.deleted, o)
 	}
 	m.orig = append(m.orig[:id], m.orig[id+1:]...)
-	d.Cells = append(d.Cells[:id], d.Cells[id+1:]...)
+	last := len(d.Cells) - 1
+	copy(d.Cells[id:], d.Cells[id+1:])
+	// Clear the vacated slot: the next CopyCellsTo reuses every slot up to
+	// capacity, and a second pointer to a live cell there would overwrite it.
+	d.Cells[last] = nil
+	d.Cells = d.Cells[:last]
 	for i := id; i < len(d.Cells); i++ {
 		d.Cells[i].ID = i
 	}
@@ -354,15 +368,18 @@ func (m *mutator) removeCell(id int) {
 		}
 		n.Pins = pins
 	}
-	touched := make(map[int]bool, len(m.touched))
+	m.keys = m.keys[:0]
 	for t := range m.touched {
 		switch {
 		case t == id:
 		case t > id:
-			touched[t-1] = true
+			m.keys = append(m.keys, t-1)
 		default:
-			touched[t] = true
+			m.keys = append(m.keys, t)
 		}
 	}
-	m.touched = touched
+	clear(m.touched)
+	for _, t := range m.keys {
+		m.touched[t] = true
+	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // Replay reconstructs a session state from first principles: a fresh
-// session over the base design (fresh warm pool, no durable log), with the
-// journaled batches re-applied in order. Because every pipeline stage is
-// deterministic and warm seeding never changes placements, the replayed
-// session's committed placement is bit-identical to the live session that
-// produced the log — the property Certify turns into a sealed certificate.
+// session over the base design (no durable log), with the journaled batches
+// re-applied in order. Because every pipeline stage is deterministic and
+// every run solves cold, the replayed session's committed placement is
+// bit-identical to the live session that produced the log — the property
+// Certify turns into a sealed certificate.
 func Replay(ctx context.Context, base *design.Design, log []Batch, opts Options) (*Session, error) {
 	opts.LogPath = ""
 	opts.LogMeta = nil

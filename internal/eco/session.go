@@ -2,6 +2,7 @@ package eco
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"mclg/internal/baselines/chow"
 	"mclg/internal/core"
 	"mclg/internal/design"
-	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/regress"
 	"mclg/internal/wal"
@@ -28,12 +28,24 @@ type Session struct {
 	base *design.Design // pristine input clone — the replay seed
 	cur  *design.Design // committed: X/Y legal, GX/GY current targets
 
+	// spare is the working copy's storage: each apply refreshes it from cur
+	// and mutates it, and a commit swaps it with cur, so the two designs
+	// never share a cell. A delete copies the netlist into nets[1-curNets],
+	// which cur never reads: cur reads nets[curNets] once a batch with a
+	// delete has committed, and its own copy before (curNets starts at 1).
+	spare   *design.Design
+	nets    [2]design.NetStore
+	curNets int
+
 	// occ mirrors cur's occupied sites. Commits update it by difference
 	// (commitCheck), so after a delete the IDs it stores for unchanged cells
 	// may be stale; only occupancy is read from it.
 	occ *design.Occupancy
 
 	// Per-apply scratch, reused across applies (applies serialize).
+	mut     mutator
+	plan    window.Plan
+	run     window.SubBuf    // the sub-design of the run being solved
 	targets []float64        // saved GX/GY of every cell, by ID
 	outs    []window.CellPos // every run's solved positions
 	changed []*design.Cell   // cells commitCheck verifies
@@ -42,8 +54,6 @@ type Session struct {
 	log      []Batch
 	posHash  string
 	baseHash string // state-zero hash (legalized base, before any batch)
-
-	warm *lru.Cache[string, *core.WarmState] // one WarmState per dirty-run row range
 
 	flog    *wal.Log[logRecord] // nil for a memory-only session
 	resumed int
@@ -97,11 +107,12 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 		return nil, mclgerr.Stage("eco-create", err)
 	}
 	s := &Session{
-		id:   id,
-		opts: opts,
-		base: d.Clone(),
-		cur:  d.Clone(),
-		warm: lru.New[string, *core.WarmState](opts.WarmCap),
+		id:      id,
+		opts:    opts,
+		base:    d.Clone(),
+		cur:     d.Clone(),
+		spare:   new(design.Design),
+		curNets: 1,
 	}
 	if !design.CheckLegal(s.cur).Legal() {
 		rl := core.NewResilient(core.ResilientOptions{Base: opts.Core})
@@ -260,7 +271,7 @@ func (s *Session) applyLocked(ctx context.Context, deltas []Delta, persist bool)
 	if len(deltas) == 0 {
 		return nil, mclgerr.Invalidf("eco: empty delta batch")
 	}
-	res, work, err := s.solveBatch(ctx, deltas)
+	res, err := s.solveBatch(ctx, deltas)
 	if err != nil {
 		s.stats.Rejected++
 		return nil, err
@@ -280,7 +291,10 @@ func (s *Session) applyLocked(ctx context.Context, deltas []Delta, persist bool)
 	}
 
 	s.occ.Commit()
-	s.cur = work
+	s.cur, s.spare = s.spare, s.cur
+	if !s.mut.sharedNets {
+		s.curNets = 1 - s.curNets
+	}
 	s.seq = res.Seq
 	s.posHash = res.PosHash
 	s.log = append(s.log, Batch{Seq: res.Seq, Deltas: append([]Delta(nil), deltas...)})
@@ -291,30 +305,32 @@ func (s *Session) applyLocked(ctx context.Context, deltas []Delta, persist bool)
 	return res, nil
 }
 
-// solveBatch runs the full dirty-window pipeline on a working clone and
-// returns the verified result without touching session state, except that
-// on success the occupancy grid holds the result inside an open transaction
-// for the caller to commit or roll back.
-func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult, *design.Design, error) {
-	// 1. Validate and apply the deltas to a working clone, accumulating
+// solveBatch runs the full dirty-window pipeline on the working copy
+// (s.spare) and returns the verified result without touching session state,
+// except that on success the occupancy grid holds the result inside an open
+// transaction for the caller to commit or roll back.
+func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult, error) {
+	// 1. Validate and apply the deltas to the working copy, accumulating
 	// dirty rows and touched cells. Any invalid delta rejects the batch.
 	// The netlist stays shared with cur unless a delete rewrites it.
-	work := s.cur.CloneCells()
-	mut := newMutator(work, s.opts.MarginRows)
+	work := s.spare
+	s.cur.CopyCellsTo(work)
+	mut := &s.mut
+	mut.reset(work, s.opts.MarginRows, &s.nets[1-s.curNets])
 	for i, dl := range deltas {
 		if err := mut.apply(i, dl); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := work.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// 2. Turn work into the assignment view: touched cells keep their new
 	// targets, untouched movable cells are pinned to their committed
-	// positions (GX/GY := X/Y), so Partition assigns untouched cells to their
-	// committed rows and the re-solve treats "stay where you are" as their
-	// objective. The targets are restored after the last run.
+	// positions (GX/GY := X/Y), so the partition assigns untouched cells to
+	// their committed rows and the re-solve treats "stay where you are" as
+	// their objective. The targets are restored after the last run.
 	s.targets = slices.Grow(s.targets[:0], 2*len(work.Cells))
 	for _, c := range work.Cells {
 		s.targets = append(s.targets, c.GX, c.GY)
@@ -326,9 +342,9 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		c := work.Cells[id]
 		c.GX, c.GY = s.targets[2*id], s.targets[2*id+1]
 	}
-	plan, err := window.Partition(work, s.opts.WindowRows, s.opts.ContextRows)
-	if err != nil {
-		return nil, nil, err
+	plan := &s.plan
+	if err := plan.Repartition(work, s.opts.WindowRows, s.opts.ContextRows); err != nil {
+		return nil, err
 	}
 	dirty := plan.DirtyBands(work, mut.dirty)
 
@@ -337,22 +353,21 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 	// independently.
 	runs := mergeRuns(plan, dirty)
 
-	// 4. Re-legalize each run through the resilient cascade with per-run
-	// warm-state reuse; fall back to chow-style one-cell-at-a-time local
-	// repair when the cascade fails. Either path yields checker-verified
-	// positions or rejects the batch. Every run reads the committed
-	// positions, so the outputs are written only after the last run.
+	// 4. Re-legalize each run through the resilient cascade; fall back to
+	// chow-style one-cell-at-a-time local repair when the cascade fails.
+	// Either path yields checker-verified positions or rejects the batch.
+	// Every run reads the committed positions, so the outputs are written
+	// only after the last run.
 	repaired := 0
 	s.outs = s.outs[:0]
 	for _, r := range runs {
-		cells, rep, err := s.solveRun(ctx, work, plan, r, mut.touched)
+		rep, err := s.solveRun(ctx, work, r, mut.touched)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if rep {
 			repaired++
 		}
-		s.outs = append(s.outs, cells...)
 	}
 	for _, cp := range s.outs {
 		c := work.Cells[cp.ID]
@@ -368,10 +383,10 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 	// 5. The commit check gates the commit: only fully verified placements
 	// become session state, whatever the per-run solvers claimed.
 	if err := s.commitCheck(work, mut); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	res := &ApplyResult{
+	return &ApplyResult{
 		Seq:       s.seq + 1,
 		Deltas:    len(deltas),
 		DirtyRows: len(mut.dirty),
@@ -380,8 +395,7 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		Repaired:  repaired,
 		Cells:     len(work.Cells),
 		PosHash:   regress.PositionHash(work),
-	}
-	return res, work, nil
+	}, nil
 }
 
 // commitCheck verifies work against the committed placement by difference
@@ -476,43 +490,42 @@ func mergeRuns(p *window.Plan, dirty []int) []run {
 	return runs
 }
 
-// solveRun re-legalizes one dirty run. The primary path is the resilient
-// cascade on the run's sub-design, warm-seeded by the pooled state for this
-// row range (the structure signature inside the state decides whether the
-// seed is actually consulted — a drifted run solves cold and re-primes).
-// When the cascade cannot produce a verified placement, the fallback
-// rebuilds the run with only the *touched* cells movable and places them
-// one at a time with the chow greedy against the committed surroundings.
-// Both paths return window-verified positions; the caller's commit check
-// still verifies them against the committed placement before committing.
-func (s *Session) solveRun(ctx context.Context, av *design.Design, p *window.Plan, r run, touched map[int]bool) ([]window.CellPos, bool, error) {
-	sub, idx := p.BuildRun(av, r.bands)
-	cascade := core.ResilientOptions{Base: s.opts.Core}
-	cascade.Base.Warm = s.warm.GetOrCreate(fmt.Sprintf("rows[%d,%d)", r.lo, r.hi), core.NewWarmState)
-
-	// The cascade validates sub and solves it on clones, committing back
-	// into sub only a verified placement.
-	_, solveErr := core.NewResilient(cascade).LegalizeContext(ctx, sub)
-	if solveErr == nil {
-		return extractOwned(sub, idx), false, nil
+// solveRun re-legalizes one dirty run and appends its owned cells'
+// positions to s.outs. The primary path is the resilient cascade on the
+// run's sub-design. When the cascade cannot produce a verified placement,
+// the fallback takes the same sub-design — a failed cascade leaves its input
+// unchanged — with only the *touched* cells movable and places them one at
+// a time with the chow greedy against the committed surroundings. Both
+// paths return window-verified positions; the caller's commit check still
+// verifies them against the committed placement before committing.
+func (s *Session) solveRun(ctx context.Context, av *design.Design, r run, touched map[int]bool) (bool, error) {
+	sub, idx := s.plan.BuildRun(av, r.bands, &s.run)
+	var solveErr error
+	if s.opts.failCascade != nil && s.opts.failCascade(r.lo, r.hi) {
+		solveErr = errors.New("cascade failed by the failCascade hook")
+	} else {
+		// The cascade validates sub and solves it on clones, committing
+		// back into sub only a verified placement.
+		_, solveErr = core.NewResilient(core.ResilientOptions{Base: s.opts.Core}).LegalizeContext(ctx, sub)
 	}
-	if err := mclgerr.FromContext(ctx); err != nil {
-		return nil, false, err
+	if solveErr != nil {
+		if err := mclgerr.FromContext(ctx); err != nil {
+			return false, err
+		}
+		if err := repairRun(ctx, av, sub, idx, touched); err != nil {
+			return false, mclgerr.Stage("eco-repair",
+				fmt.Errorf("run rows [%d,%d): cascade failed (%v); local repair failed: %w", r.lo, r.hi, solveErr, err))
+		}
 	}
-
-	cells, err := s.repairRun(ctx, av, p, r, touched)
-	if err != nil {
-		return nil, false, mclgerr.Stage("eco-repair",
-			fmt.Errorf("run rows [%d,%d): cascade failed (%v); local repair failed: %w", r.lo, r.hi, solveErr, err))
-	}
-	return cells, true, nil
+	s.outs = appendOwned(s.outs, sub, idx)
+	return solveErr != nil, nil
 }
 
-// repairRun is the chow-style local repair: every cell the batch did not
-// touch is frozen at its committed position, and only the touched cells are
-// placed — one at a time, nearest free run first — into the gaps.
-func (s *Session) repairRun(ctx context.Context, av *design.Design, p *window.Plan, r run, touched map[int]bool) ([]window.CellPos, error) {
-	sub, idx := p.BuildRun(av, r.bands)
+// repairRun is the chow-style local repair of a run's sub-design: every
+// cell the batch did not touch is frozen at its committed position, and only
+// the touched cells are placed — one at a time, nearest free run first —
+// into the gaps.
+func repairRun(ctx context.Context, av, sub *design.Design, idx []int, touched map[int]bool) error {
 	for i, fullID := range idx {
 		if fullID < 0 || touched[fullID] {
 			continue
@@ -526,32 +539,24 @@ func (s *Session) repairRun(ctx context.Context, av *design.Design, p *window.Pl
 		c.Fixed = true
 	}
 	if err := sub.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := chow.LegalizeContext(ctx, sub); err != nil {
-		return nil, err
+		return err
 	}
 	if rep := design.CheckLegal(sub); !rep.Legal() {
-		return nil, &mclgerr.StageError{
+		return &mclgerr.StageError{
 			Stage:  "eco-repair",
 			Err:    mclgerr.ErrUnplacedCells,
 			Detail: "local repair left the run illegal: " + rep.String(),
 		}
 	}
-	out := make([]window.CellPos, 0, len(idx))
-	for i, fullID := range idx {
-		if fullID < 0 {
-			continue
-		}
-		c := sub.Cells[i]
-		out = append(out, window.CellPos{ID: fullID, X: c.X, Y: c.Y, Flipped: c.Flipped})
-	}
-	return out, nil
+	return nil
 }
 
-// extractOwned collects owned-cell positions from a solved run sub-design.
-func extractOwned(sub *design.Design, idx []int) []window.CellPos {
-	out := make([]window.CellPos, 0, len(idx))
+// appendOwned appends the owned cells' positions of a solved run
+// sub-design to out.
+func appendOwned(out []window.CellPos, sub *design.Design, idx []int) []window.CellPos {
 	for i, fullID := range idx {
 		if fullID < 0 {
 			continue

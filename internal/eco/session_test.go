@@ -219,3 +219,64 @@ func min(a, b float64) float64 {
 	}
 	return b
 }
+
+// TestRepairFallbackCommitsAndReplays drives the chow local-repair fallback:
+// the failCascade hook fails the cascade of every run, so each batch commits
+// only through repair. The committed placement must be legal, every run
+// must count as repaired, untouched cells must keep their committed
+// positions, and Replay and Certify — which see the hook through Options —
+// must reproduce the placement.
+func TestRepairFallbackCommitsAndReplays(t *testing.T) {
+	ctx := context.Background()
+	base := testDesign(t, "fft_2", 0.01)
+	opts := Options{failCascade: func(rowLo, rowHi int) bool { return true }}
+	s, err := Create(ctx, "repair", base.Clone(), opts)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	repaired := 0
+	for i, batch := range sampleBatches(s.Design()) {
+		before := s.Design()
+		res, err := s.Apply(ctx, batch)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i+1, err)
+		}
+		if res.Runs == 0 || res.Repaired != res.Runs {
+			t.Fatalf("batch %d: %d of %d runs repaired, want all", i+1, res.Repaired, res.Runs)
+		}
+		repaired += res.Repaired
+		got := s.Design()
+		if rep := design.CheckLegal(got); !rep.Legal() {
+			t.Fatalf("batch %d: repaired placement illegal: %s", i+1, rep.String())
+		}
+		if i == 0 { // moves only: IDs are stable
+			moved := map[int]bool{}
+			for _, dl := range batch {
+				moved[dl.Cell] = true
+			}
+			for id, c := range got.Cells {
+				if b := before.Cells[id]; !moved[id] && (c.X != b.X || c.Y != b.Y) {
+					t.Fatalf("untouched cell %d moved from (%g,%g) to (%g,%g) under local repair", id, b.X, b.Y, c.X, c.Y)
+				}
+			}
+		}
+	}
+	if st := s.Statistics(); st.Repaired != uint64(repaired) {
+		t.Errorf("Stats.Repaired = %d, want %d", st.Repaired, repaired)
+	}
+
+	rs, err := Replay(ctx, base.Clone(), s.Log(), opts)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if rs.PosHash() != s.PosHash() {
+		t.Fatalf("replay hash %s, committed %s", rs.PosHash(), s.PosHash())
+	}
+	cert, err := s.Certify(ctx)
+	if err != nil {
+		t.Fatalf("Certify: %v", err)
+	}
+	if !cert.Pass {
+		t.Fatalf("certificate fails: replay %s, committed %s, legal %v", cert.ReplayHash, cert.PosHash, cert.Legal)
+	}
+}

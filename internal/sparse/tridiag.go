@@ -199,36 +199,43 @@ func weightedRowDot(b *CSR, i, j int, w []float64) float64 {
 // result's nonzero (index, value) pairs via the emit callback. The sparse
 // vectors here are rows of B, which have at most a handful of nonzeros, and
 // W⁻¹ in the legalizer couples only subcells of one multi-row cell, so each
-// application is O(cell height).
+// application is O(cell height). W·bᵢ is scattered into one dense scratch
+// vector whose touched entries are cleared after each row, so the cost does
+// not grow with B's column count and the loop does not allocate.
 func GramTridiagApply(b *CSR, applyW func(idx []int, val []float64, emit func(int, float64))) *Tridiag {
 	m := b.Rows
 	t := NewTridiag(m)
-	// Scatter workspace for W*bᵢ.
-	dense := make(map[int]float64, 8)
+	dense := make([]float64, b.Cols)
+	touched := make([]int, 0, 16)
+	emit := func(j int, v float64) {
+		dense[j] += v
+		touched = append(touched, j)
+	}
 	for i := 0; i < m; i++ {
 		lo, hi := b.RowPtr[i], b.RowPtr[i+1]
-		clear(dense)
-		applyW(b.ColIdx[lo:hi], b.Val[lo:hi], func(j int, v float64) {
-			dense[j] += v
-		})
-		t.Diag[i] = sparseDotMap(b, i, dense)
+		applyW(b.ColIdx[lo:hi], b.Val[lo:hi], emit)
+		t.Diag[i] = sparseDotDense(b, i, dense)
 		if i > 0 {
-			v := sparseDotMap(b, i-1, dense)
+			v := sparseDotDense(b, i-1, dense)
 			t.Sub[i] = v
 			t.Sup[i-1] = v
 		}
-		if i < m-1 {
-			// (i, i+1) will be filled when processing row i+1; nothing to do.
-			_ = i
+		// (i, i+1) is filled when processing row i+1.
+		for _, j := range touched {
+			dense[j] = 0
 		}
+		touched = touched[:0]
 	}
 	return t
 }
 
-func sparseDotMap(b *CSR, row int, v map[int]float64) float64 {
+// sparseDotDense returns Σ_k B[row,k]·v[k] over the row's nonzeros. Zero
+// entries of v are skipped, which is exact: the sum starts at +0 and
+// adding ±0 to it never changes it.
+func sparseDotDense(b *CSR, row int, v []float64) float64 {
 	s := 0.0
 	for k := b.RowPtr[row]; k < b.RowPtr[row+1]; k++ {
-		if x, ok := v[b.ColIdx[k]]; ok {
+		if x := v[b.ColIdx[k]]; x != 0 {
 			s += b.Val[k] * x
 		}
 	}

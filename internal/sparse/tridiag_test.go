@@ -215,3 +215,170 @@ func TestGramTridiagApplyMatchesDiagonalCase(t *testing.T) {
 		}
 	}
 }
+
+// gramTridiagApplyMap is the map-scatter GramTridiagApply that the
+// dense-scratch version replaced, kept as the bit-for-bit reference.
+func gramTridiagApplyMap(b *CSR, applyW func(idx []int, val []float64, emit func(int, float64))) *Tridiag {
+	m := b.Rows
+	t := NewTridiag(m)
+	dense := make(map[int]float64, 8)
+	for i := 0; i < m; i++ {
+		lo, hi := b.RowPtr[i], b.RowPtr[i+1]
+		clear(dense)
+		applyW(b.ColIdx[lo:hi], b.Val[lo:hi], func(j int, v float64) {
+			dense[j] += v
+		})
+		t.Diag[i] = sparseDotMap(b, i, dense)
+		if i > 0 {
+			v := sparseDotMap(b, i-1, dense)
+			t.Sub[i] = v
+			t.Sup[i-1] = v
+		}
+	}
+	return t
+}
+
+func sparseDotMap(b *CSR, row int, v map[int]float64) float64 {
+	s := 0.0
+	for k := b.RowPtr[row]; k < b.RowPtr[row+1]; k++ {
+		if x, ok := v[b.ColIdx[k]]; ok {
+			s += b.Val[k] * x
+		}
+	}
+	return s
+}
+
+// blockW is a block-diagonal SPD W whose blocks span 1–4 consecutive
+// columns, applied the way core.Problem.ApplyHInvSparse applies H⁻¹: every
+// block the input touches is multiplied once and each of its variables is
+// emitted at most once.
+type blockW struct {
+	block []int       // column → block
+	start []int       // block → first column; start[len] = cols
+	w     [][]float64 // block → row-major d×d matrix M·Mᵀ + I
+}
+
+func (bw *blockW) apply(idx []int, val []float64, emit func(int, float64)) {
+	var x [4]float64
+next:
+	for n, j := range idx {
+		blk := bw.block[j]
+		for _, e := range idx[:n] {
+			if bw.block[e] == blk {
+				continue next
+			}
+		}
+		lo := bw.start[blk]
+		d := bw.start[blk+1] - lo
+		x = [4]float64{}
+		for m := n; m < len(idx); m++ {
+			if bw.block[idx[m]] == blk {
+				x[idx[m]-lo] += val[m]
+			}
+		}
+		for r := 0; r < d; r++ {
+			y := 0.0
+			for c := 0; c < d; c++ {
+				y += bw.w[blk][r*d+c] * x[c]
+			}
+			if y != 0 {
+				emit(lo+r, y)
+			}
+		}
+	}
+}
+
+// randomBlockGram draws a block-diagonal W with blocks of 1–4 columns and
+// an m-row B whose rows hold 1–3 entries near the diagonal band, mixing
+// rows that stay inside one block with rows that span two or three.
+func randomBlockGram(rng *rand.Rand, m int) (*CSR, *blockW) {
+	bw := &blockW{}
+	for len(bw.block) < max(2*m, 8) {
+		d := 1 + rng.Intn(4)
+		blk := len(bw.start)
+		bw.start = append(bw.start, len(bw.block))
+		mm := make([]float64, d*d)
+		for i := range mm {
+			mm[i] = rng.NormFloat64()
+		}
+		w := make([]float64, d*d)
+		for r := 0; r < d; r++ {
+			for c := 0; c < d; c++ {
+				for k := 0; k < d; k++ {
+					w[r*d+c] += mm[r*d+k] * mm[c*d+k]
+				}
+			}
+			w[r*d+r]++
+		}
+		bw.w = append(bw.w, w)
+		for k := 0; k < d; k++ {
+			bw.block = append(bw.block, blk)
+		}
+	}
+	cols := len(bw.block)
+	bw.start = append(bw.start, cols)
+	b := NewBuilder(m, cols)
+	for i := 0; i < m; i++ {
+		base := min(cols-6, 2*i+rng.Intn(3))
+		used := map[int]bool{}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			j := base + rng.Intn(6)
+			if used[j] {
+				continue
+			}
+			used[j] = true
+			v := 1.0
+			if rng.Intn(2) == 0 {
+				v = -1
+			}
+			if rng.Intn(3) == 0 {
+				v = rng.NormFloat64()
+			}
+			b.Add(i, j, v)
+		}
+	}
+	return b.Build(), bw
+}
+
+// TestGramTridiagApplyMatchesMapReference pins the dense-scratch scatter to
+// the map-based one bit for bit on random block-structured problems.
+func TestGramTridiagApplyMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	spans := 0
+	for trial := 0; trial < 200; trial++ {
+		b, bw := randomBlockGram(rng, 1+rng.Intn(40))
+		for i := 0; i < b.Rows; i++ {
+			lo, hi := b.RowPtr[i], b.RowPtr[i+1]
+			if hi-lo >= 2 && bw.block[b.ColIdx[lo]] != bw.block[b.ColIdx[hi-1]] {
+				spans++
+			}
+		}
+		want := gramTridiagApplyMap(b, bw.apply)
+		got := GramTridiagApply(b, bw.apply)
+		for i := 0; i < b.Rows; i++ {
+			for _, pair := range [][2]float64{{got.Diag[i], want.Diag[i]}, {got.Sub[i], want.Sub[i]}, {got.Sup[i], want.Sup[i]}} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("trial %d row %d: dense scatter %v, map reference %v", trial, i, pair[0], pair[1])
+				}
+			}
+		}
+	}
+	if spans == 0 {
+		t.Fatal("no row had entries in two blocks")
+	}
+}
+
+// TestGramTridiagApplyAllocsBounded pins the scatter's allocations to a
+// constant: the result, the scratch and the emit closure, however many
+// rows B has.
+func TestGramTridiagApplyAllocsBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, m := range []int{20, 2000} {
+		b, bw := randomBlockGram(rng, m)
+		apply := bw.apply
+		allocs := testing.AllocsPerRun(10, func() { GramTridiagApply(b, apply) })
+		if allocs > 8 {
+			t.Errorf("%d rows: %.0f allocs per call, want ≤ 8", m, allocs)
+		}
+	}
+}

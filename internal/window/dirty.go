@@ -4,41 +4,37 @@ import "mclg/internal/design"
 
 // BuildRun materializes a merged run of bands — typically the contiguous
 // dirty bands of an incremental (ECO) re-solve — as one independent
-// sub-design, exactly as buildSub does for a single band: the union of the
-// bands' sub rows at their absolute coordinates, every cell owned by any of
-// the bands movable (re-IDed, global positions preserved), and every other
-// cell whose snapshot rectangle intersects the run frozen as fixed context.
-// The returned idx maps sub cell index to full-design ID for owned cells
-// (-1 for context).
+// sub-design in buf, exactly as buildSub does for a single band: the union
+// of the bands' sub rows at their absolute coordinates, every cell owned by
+// any of the bands movable (re-IDed, global positions preserved), and every
+// other cell whose snapshot rectangle intersects the run frozen as fixed
+// context. The returned idx maps sub cell index to full-design ID for owned
+// cells (-1 for context). Both live in buf's storage and stay valid until
+// the next build into buf.
 //
 // bands must be non-empty indices into p.Bands in ascending order. Callers
 // merge bands whose sub ranges overlap into one run before building, so
 // distinct runs own disjoint row ranges and can be solved independently.
-func (p *Plan) BuildRun(d *design.Design, bands []int) (*design.Design, []int) {
-	merged := Band{
-		Index: p.Bands[bands[0]].Index,
-		RowLo: p.Bands[bands[0]].RowLo,
-		RowHi: p.Bands[bands[0]].RowHi,
-		SubLo: p.Bands[bands[0]].SubLo,
-		SubHi: p.Bands[bands[0]].SubHi,
+func (p *Plan) BuildRun(d *design.Design, bands []int, buf *SubBuf) (*design.Design, []int) {
+	first := &p.Bands[bands[0]]
+	merged := &buf.band
+	*merged = Band{
+		Index: first.Index,
+		RowLo: first.RowLo,
+		RowHi: first.RowHi,
+		SubLo: first.SubLo,
+		SubHi: first.SubHi,
+		Owned: merged.Owned[:0],
 	}
 	for _, bi := range bands {
-		b := p.Bands[bi]
-		if b.RowLo < merged.RowLo {
-			merged.RowLo = b.RowLo
-		}
-		if b.RowHi > merged.RowHi {
-			merged.RowHi = b.RowHi
-		}
-		if b.SubLo < merged.SubLo {
-			merged.SubLo = b.SubLo
-		}
-		if b.SubHi > merged.SubHi {
-			merged.SubHi = b.SubHi
-		}
+		b := &p.Bands[bi]
+		merged.RowLo = min(merged.RowLo, b.RowLo)
+		merged.RowHi = max(merged.RowHi, b.RowHi)
+		merged.SubLo = min(merged.SubLo, b.SubLo)
+		merged.SubHi = max(merged.SubHi, b.SubHi)
 		merged.Owned = append(merged.Owned, b.Owned...)
 	}
-	return buildSub(d, p, &merged)
+	return buf.build(d, p, merged)
 }
 
 // DirtyBands returns the indices (into p.Bands) of every band that must be

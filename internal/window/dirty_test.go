@@ -1,7 +1,10 @@
 package window
 
 import (
+	"reflect"
 	"testing"
+
+	"mclg/internal/design"
 )
 
 // TestDirtyBandsSelectByRange pins the basic selection contract: a dirty row
@@ -106,7 +109,7 @@ func TestBuildRunMergesBands(t *testing.T) {
 	if len(p.Bands) < 2 {
 		t.Fatalf("need at least 2 bands, got %d", len(p.Bands))
 	}
-	sub, idx := p.BuildRun(d, []int{0, 1})
+	sub, idx := p.BuildRun(d, []int{0, 1}, new(SubBuf))
 
 	want := make(map[int]bool)
 	for _, bi := range []int{0, 1} {
@@ -139,5 +142,85 @@ func TestBuildRunMergesBands(t *testing.T) {
 	}
 	if err := sub.Validate(); err != nil {
 		t.Fatalf("run sub-design invalid: %v", err)
+	}
+}
+
+// TestRepartitionReusesPlan checks that rebuilding one plan in place gives
+// exactly the plan a fresh Partition gives while the design grows, shrinks
+// and moves and the window parameters change between builds, and that a
+// rebuild for a design of the same shape allocates nothing.
+func TestRepartitionReusesPlan(t *testing.T) {
+	d := genDesign(t, "fft_2", 0.004)
+	var p Plan
+	for step := 0; step < 8; step++ {
+		switch step % 3 {
+		case 0:
+			c := d.AddCell("grow", 3*d.SiteW, d.RowHeight, design.VSS)
+			c.GX = d.Core.Lo.X + float64(step)*5*d.SiteW
+			c.GY = d.RowY(step)
+			c.X, c.Y = c.GX, c.GY
+		case 1:
+			if last := d.Cells[len(d.Cells)-1]; !last.Fixed {
+				d.Cells = d.Cells[:len(d.Cells)-1]
+			}
+		case 2:
+			for _, c := range d.Cells[:20] {
+				if !c.Fixed {
+					c.GY = min(c.GY+d.RowHeight, d.Core.Hi.Y-c.H)
+				}
+			}
+		}
+		windowRows, contextRows := 4, 2
+		if step >= 4 {
+			windowRows, contextRows = 2, 1
+		}
+		if err := p.Repartition(d, windowRows, contextRows); err != nil {
+			t.Fatalf("step %d: Repartition: %v", step, err)
+		}
+		want, err := Partition(d, windowRows, contextRows)
+		if err != nil {
+			t.Fatalf("step %d: Partition: %v", step, err)
+		}
+		if !reflect.DeepEqual(p.AssignedRow, want.AssignedRow) || !reflect.DeepEqual(p.Owner, want.Owner) ||
+			!reflect.DeepEqual(p.Bands, want.Bands) || p.WindowRows != want.WindowRows || p.ContextRows != want.ContextRows {
+			t.Fatalf("step %d: plan rebuilt in place differs from a fresh Partition", step)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { _ = p.Repartition(d, 2, 1) }); a != 0 {
+		t.Errorf("Repartition of a design of the same shape: %.0f allocs, want 0", a)
+	}
+}
+
+// TestBuildRunReusesBuffer checks that runs built one after another into
+// one buffer equal runs built into fresh buffers, and that rebuilding a run
+// allocates nothing.
+func TestBuildRunReusesBuffer(t *testing.T) {
+	d := genDesign(t, "fft_2", 0.004)
+	p, err := Partition(d, 4, 2)
+	if err != nil {
+		t.Fatalf("Partition: %v", err)
+	}
+	n := len(p.Bands)
+	if n < 4 {
+		t.Fatalf("need at least 4 bands, got %d", n)
+	}
+	var buf SubBuf
+	runs := [][]int{{0, 1}, {n - 1}, {1, 2, 3}, {2}, {0, 1}}
+	for _, r := range runs {
+		sub, idx := p.BuildRun(d, r, &buf)
+		want, wantIdx := p.BuildRun(d, r, new(SubBuf))
+		if sub.Name != want.Name || sub.Core != want.Core || sub.RowHeight != want.RowHeight ||
+			sub.SiteW != want.SiteW || !reflect.DeepEqual(sub.Rows, want.Rows) || !reflect.DeepEqual(idx, wantIdx) ||
+			len(sub.Cells) != len(want.Cells) {
+			t.Fatalf("run %v: sub-design built into a reused buffer differs from a fresh build", r)
+		}
+		for i, c := range sub.Cells {
+			if *c != *want.Cells[i] {
+				t.Fatalf("run %v: cell %d = %v, want %v", r, i, c, want.Cells[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { p.BuildRun(d, runs[0], &buf) }); a != 0 {
+		t.Errorf("rebuilding a run: %.0f allocs, want 0", a)
 	}
 }

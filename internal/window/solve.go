@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 
 	"mclg/internal/baselines/chow"
 	"mclg/internal/core"
@@ -35,7 +36,30 @@ type Result struct {
 	WarmReused bool
 }
 
-// buildSub materializes band b as an independent sub-design: the sub rows
+// buildSub materializes band b as an independent sub-design in fresh
+// storage; see SubBuf.build.
+func buildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
+	return new(SubBuf).build(d, p, b)
+}
+
+// SubBuf is reusable storage for the sub-designs Plan.BuildRun builds: the
+// sub-design with its cells, cell pointers and rows, the index map, the
+// merged band with its owned list, and an owner mask as long as the full
+// design's cell list. A sub-design built into a SubBuf is valid until the
+// next build into the same buffer.
+type SubBuf struct {
+	sub   design.Design
+	cells []design.Cell
+	idx   []int
+	band  Band
+	owned []bool
+
+	// nameOf and nameIndex key the cached sub-design name.
+	nameOf    string
+	nameIndex int
+}
+
+// build materializes band b as an independent sub-design: the sub rows
 // [SubLo, SubHi) at their absolute coordinates, the owned cells movable
 // (re-IDed 0..n-1, global positions preserved), and every other cell whose
 // snapshot rectangle intersects the band frozen as fixed context. The
@@ -45,24 +69,27 @@ type Result struct {
 // — never from another window's result — so the sub-design, and therefore
 // the window's solution, is identical for every attempt, worker count, and
 // resume history.
-func buildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
-	sub := &design.Design{
-		Name:      fmt.Sprintf("%s.w%d", d.Name, b.Index),
-		Core:      d.Core,
-		RowHeight: d.RowHeight,
-		SiteW:     d.SiteW,
+func (buf *SubBuf) build(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
+	sub := &buf.sub
+	if sub.Name == "" || buf.nameOf != d.Name || buf.nameIndex != b.Index {
+		sub.Name = fmt.Sprintf("%s.w%d", d.Name, b.Index)
+		buf.nameOf, buf.nameIndex = d.Name, b.Index
 	}
+	sub.Core = d.Core
+	sub.RowHeight = d.RowHeight
+	sub.SiteW = d.SiteW
+	sub.Nets = nil
 	sub.Core.Lo.Y = d.RowY(b.SubLo)
 	sub.Core.Hi.Y = d.RowY(b.SubHi)
-	sub.Rows = make([]design.Row, 0, b.SubHi-b.SubLo)
-	for r := b.SubLo; r < b.SubHi; r++ {
-		row := d.Rows[r]
-		row.Index = r - b.SubLo
-		sub.Rows = append(sub.Rows, row)
+	sub.Rows = append(sub.Rows[:0], d.Rows[b.SubLo:b.SubHi]...)
+	for i := range sub.Rows {
+		sub.Rows[i].Index = i
 	}
 
 	yLo, yHi := sub.Core.Lo.Y, sub.Core.Hi.Y
-	isOwned := make([]bool, len(d.Cells))
+	isOwned := slices.Grow(buf.owned[:0], len(d.Cells))[:len(d.Cells)]
+	clear(isOwned)
+	buf.owned = isOwned
 	for _, id := range b.Owned {
 		isOwned[id] = true
 	}
@@ -83,9 +110,10 @@ func buildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 			n++
 		}
 	}
-	cells := make([]design.Cell, 0, n)
-	sub.Cells = make([]*design.Cell, 0, n)
-	idx := make([]int, 0, n)
+	cells := slices.Grow(buf.cells[:0], n)
+	buf.cells = cells
+	sub.Cells = slices.Grow(sub.Cells[:0], n)
+	idx := slices.Grow(buf.idx[:0], n)
 	for _, c := range d.Cells {
 		x, y, context := snapshot(c)
 		owned := isOwned[c.ID]
@@ -107,6 +135,7 @@ func buildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 		}
 		sub.Cells = append(sub.Cells, cc)
 	}
+	buf.idx = idx
 	return sub, idx
 }
 

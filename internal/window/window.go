@@ -18,6 +18,7 @@ package window
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"mclg/internal/core"
 	"mclg/internal/design"
@@ -57,6 +58,10 @@ type Plan struct {
 
 	WindowRows  int
 	ContextRows int
+
+	// ids backs every band's Owned list; slots counts cells per band slot
+	// and then maps slots to Bands indices. Both are reused by Repartition.
+	ids, slots []int
 }
 
 // Partition decomposes the design into bands of windowRows owned rows with
@@ -65,20 +70,34 @@ type Plan struct {
 // uses); a cell with no compatible row is an ErrInfeasibleRow. Bands that
 // own no cells are dropped.
 func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
+	p := new(Plan)
+	if err := p.Repartition(d, windowRows, contextRows); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Repartition rebuilds p in place as Partition(d, windowRows, contextRows),
+// reusing p's slices; the bands and owned lists of the previous build are
+// overwritten. On error p is left partly rebuilt and must be rebuilt again
+// before use.
+func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error {
 	if windowRows < 1 {
-		return nil, mclgerr.Invalidf("window: windowRows %d must be at least 1", windowRows)
+		return mclgerr.Invalidf("window: windowRows %d must be at least 1", windowRows)
 	}
 	if contextRows < 0 {
-		return nil, mclgerr.Invalidf("window: contextRows %d must be non-negative", contextRows)
+		return mclgerr.Invalidf("window: contextRows %d must be non-negative", contextRows)
 	}
-	p := &Plan{
-		AssignedRow: make([]int, len(d.Cells)),
-		Owner:       make([]int, len(d.Cells)),
-		WindowRows:  windowRows,
-		ContextRows: contextRows,
-	}
+	n := len(d.Cells)
+	p.WindowRows, p.ContextRows = windowRows, contextRows
+	p.AssignedRow = slices.Grow(p.AssignedRow[:0], n)[:n]
+	p.Owner = slices.Grow(p.Owner[:0], n)[:n]
+	p.Bands = p.Bands[:0]
 	numBands := (len(d.Rows) + windowRows - 1) / windowRows
-	count := make([]int, numBands+1) // count[b+1]: cells band slot b owns
+	count := slices.Grow(p.slots[:0], numBands)[:numBands] // cells each band slot owns
+	clear(count)
+	p.slots = count
+	owned := 0
 	for _, c := range d.Cells {
 		if c.Fixed {
 			p.AssignedRow[c.ID] = -1
@@ -87,7 +106,7 @@ func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
 		}
 		row := d.NearestCorrectRow(c, c.GY)
 		if row < 0 {
-			return nil, &mclgerr.StageError{
+			return &mclgerr.StageError{
 				Stage: "partition",
 				Err:   mclgerr.ErrInfeasibleRow,
 				Cells: []int{c.ID},
@@ -96,36 +115,41 @@ func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
 		p.AssignedRow[c.ID] = row
 		b := row / windowRows
 		p.Owner[c.ID] = b
-		count[b+1]++
+		count[b]++
+		owned++
 	}
-	// Carve every slot's owned list, in ascending ID order, from one array.
-	for b := 1; b <= numBands; b++ {
+	// Carve every slot's owned list, in ascending ID order, from one array:
+	// turn the counts into end offsets, then fill each slot back to front.
+	for b := 1; b < numBands; b++ {
 		count[b] += count[b-1]
 	}
-	ids := make([]int, count[numBands])
-	owned := make([][]int, numBands)
-	for b := range owned {
-		owned[b] = ids[count[b]:count[b]:count[b+1]]
-	}
-	for id, b := range p.Owner {
-		if b >= 0 {
-			owned[b] = append(owned[b], id)
+	ids := slices.Grow(p.ids[:0], owned)[:owned]
+	p.ids = ids
+	for id := n - 1; id >= 0; id-- {
+		if b := p.Owner[id]; b >= 0 {
+			count[b]--
+			ids[count[b]] = id
 		}
 	}
+	// count[b] is now slot b's start offset.
 	for b := 0; b < numBands; b++ {
-		if len(owned[b]) == 0 {
+		end := owned
+		if b+1 < numBands {
+			end = count[b+1]
+		}
+		if end == count[b] {
 			continue
 		}
 		band := Band{
 			Index: len(p.Bands),
 			RowLo: b * windowRows,
 			RowHi: min(len(d.Rows), (b+1)*windowRows),
-			Owned: owned[b],
+			Owned: ids[count[b]:end:end],
 		}
 		// The sub-design must cover every owned cell's full span plus the
 		// context margin; tall cells near the band top push SubHi up.
 		top := band.RowHi
-		for _, id := range owned[b] {
+		for _, id := range band.Owned {
 			if t := p.AssignedRow[id] + d.Cells[id].RowSpan; t > top {
 				top = t
 			}
@@ -135,16 +159,15 @@ func Partition(d *design.Design, windowRows, contextRows int) (*Plan, error) {
 		p.Bands = append(p.Bands, band)
 	}
 	// Re-map owners from raw band slots to compacted Plan.Bands indices.
-	slot2idx := make([]int, numBands)
 	for i, b := range p.Bands {
-		slot2idx[b.RowLo/windowRows] = i
+		count[b.RowLo/windowRows] = i
 	}
 	for id, b := range p.Owner {
 		if b >= 0 {
-			p.Owner[id] = slot2idx[b]
+			p.Owner[id] = count[b]
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // Sig content-addresses the plan: a FNV-1a hash of everything a window
