@@ -56,7 +56,6 @@ func main() {
 		theta      = flag.Float64("theta", 0.5, "MMSIM splitting constant θ*")
 		eps        = flag.Float64("eps", 1e-4, "MMSIM convergence tolerance")
 		autoTheta  = flag.Bool("autotheta", false, "clamp θ* below the Theorem-2 bound")
-		autoTune   = flag.Bool("autotune", false, "auto-tune θ* per problem structure by ranking candidates on the estimated iteration spectral radius (supersedes -autotheta; deterministic)")
 		refineObj  = flag.String("refine", "", "post-legalization refinement objective: disp | hpwl")
 		checkOnly  = flag.Bool("check", false, "only check legality of the input placement and exit")
 		boundRight = flag.Bool("boundright", false, "solve with exact right-boundary constraints (extension)")
@@ -64,7 +63,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print per-stage details")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		resilient  = flag.Bool("resilient", false, "with -method ours: run the fallback cascade (mmsim -> retuned -> pgs -> greedy)")
-		workers    = flag.Int("workers", 0, "worker goroutines for the hot stages: 0 = all cores except for the MMSIM iteration, which runs serial; 1 = serial (any value gives identical output)")
+		workers    = flag.Int("workers", 0, "worker goroutines for row assignment, the Tetris scans, the -resilient race and -windows: 0 = all cores, 1 = serial; the MMSIM iteration always runs serially (any value gives identical output)")
 		serverURL  = flag.String("server", "", "submit the job to a running mclgd at this base URL instead of solving locally")
 		retryN     = flag.Int("retry", 0, "with -server: retry a 429 (queue full / rate-limited) up to N times, honoring the daemon's Retry-After hint with jitter")
 		jsonOut    = flag.Bool("json", false, "emit the machine-readable run report (mclgd schema) on stdout")
@@ -109,7 +108,7 @@ func main() {
 		runRemote(*serverURL, *auxPath, *benchName, *scale, *method, *resilient, *auditRun,
 			serve.OptionsJSON{
 				Lambda: *lambda, Beta: *beta, Theta: *theta, Eps: *eps,
-				AutoTheta: *autoTheta, AutoTune: *autoTune, BoundRight: *boundRight, Workers: *workers,
+				AutoTheta: *autoTheta, BoundRight: *boundRight, Workers: *workers,
 			}, *windowsOn, *windowRows, *hedge, *exactK,
 			*timeout, *retryN, *outPath, *jsonOut, *runGP || *checkOnly || *refineObj != "")
 		return
@@ -177,7 +176,7 @@ func main() {
 		numAttempts int
 	)
 	oursOpts := core.Options{Lambda: *lambda, Beta: *beta, Theta: *theta, Eps: *eps,
-		AutoTheta: *autoTheta, AutoTune: *autoTune, BoundRight: *boundRight, Workers: *workers}
+		AutoTheta: *autoTheta, BoundRight: *boundRight, Workers: *workers}
 	switch *method {
 	case "ours":
 		opts := oursOpts

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mclg/internal/core"
@@ -112,6 +113,95 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 	if got.MaxRetunes != in.MaxRetunes || got.DisablePGS != in.DisablePGS ||
 		got.DisableGreedy != in.DisableGreedy || got.PGSMaxIter != in.PGSMaxIter {
 		t.Fatalf("cascade knobs: %+v != %+v", got, in)
+	}
+}
+
+// wireNotSent lists the solver options the shard wire deliberately drops,
+// each with its reason. Every other field of core.Options and
+// core.ResilientOptions must survive the wire, so a window solved on a worker
+// runs exactly the configuration the coordinator's local fallback would.
+var wireNotSent = map[string]string{
+	"Base.S0":         "process-local: a start vector sized to one problem",
+	"Base.OnIter":     "process-local: a progress callback",
+	"Base.Warm":       "process-local: cached solver state (window solves run cold)",
+	"Base.SkipTetris": "no windowed entry point can set it",
+	"Base.ColdStart":  "no windowed entry point can set it",
+	"Base.MMSIMOnly":  "no windowed entry point can set it",
+}
+
+// TestWireOptionsCarryEveryField sets each field of core.ResilientOptions
+// (and of its Base core.Options) in turn, sends it through EncodeOptions →
+// JSON → Decode, and requires the same value back — or, for a field on
+// wireNotSent, the zero value. A new option therefore fails here until it
+// is either put on the wire or listed with its reason.
+func TestWireOptionsCarryEveryField(t *testing.T) {
+	roundTrip := func(in core.ResilientOptions) core.ResilientOptions {
+		raw, err := json.Marshal(EncodeOptions(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wo WireOptions
+		if err := json.Unmarshal(raw, &wo); err != nil {
+			t.Fatal(err)
+		}
+		return wo.Decode()
+	}
+	seen := map[string]bool{}
+	// field returns the named field of v, descending into Base for the
+	// "Base." prefix.
+	field := func(v reflect.Value, name string) reflect.Value {
+		if rest, ok := strings.CutPrefix(name, "Base."); ok {
+			return v.FieldByName("Base").FieldByName(rest)
+		}
+		return v.FieldByName(name)
+	}
+	check := func(name string, ft reflect.StructField) {
+		seen[name] = true
+		var in core.ResilientOptions
+		f := field(reflect.ValueOf(&in).Elem(), name)
+		switch ft.Type.Kind() {
+		case reflect.Float64:
+			f.SetFloat(0.375)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(ft.Type, 1, 1))
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(ft.Type, func([]reflect.Value) []reflect.Value { return nil }))
+		case reflect.Pointer:
+			f.Set(reflect.New(ft.Type.Elem()))
+		default:
+			t.Fatalf("%s: no test value for kind %s", name, ft.Type.Kind())
+		}
+		got := field(reflect.ValueOf(roundTrip(in)), name)
+		if _, dropped := wireNotSent[name]; dropped {
+			if !got.IsZero() {
+				t.Errorf("%s crosses the wire but is listed in wireNotSent", name)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got.Interface(), f.Interface()) {
+			t.Errorf("%s = %v did not survive the wire: got %v", name, f.Interface(), got.Interface())
+		}
+	}
+	rt := reflect.TypeOf(core.ResilientOptions{})
+	for i := 0; i < rt.NumField(); i++ {
+		ft := rt.Field(i)
+		if ft.Name != "Base" {
+			check(ft.Name, ft)
+			continue
+		}
+		for j := 0; j < ft.Type.NumField(); j++ {
+			bt := ft.Type.Field(j)
+			check("Base."+bt.Name, bt)
+		}
+	}
+	for name := range wireNotSent {
+		if !seen[name] {
+			t.Errorf("wireNotSent lists %s, which is not a field", name)
+		}
 	}
 }
 

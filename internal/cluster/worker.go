@@ -283,8 +283,8 @@ func (wk *Worker) handleSolve(w http.ResponseWriter, r *http.Request) {
 // never correctness.
 func shardWarmKey(sub *design.Design, windowIndex int, o *core.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "w=%d|lambda=%g|beta=%g|theta=%g|autotheta=%v|autotune=%v|omegar=%g|scaledx=%v|paper=%v|boundright=%v|",
-		windowIndex, o.Lambda, o.Beta, o.Theta, o.AutoTheta, o.AutoTune,
+	fmt.Fprintf(h, "w=%d|lambda=%g|beta=%g|theta=%g|autotheta=%v|omegar=%g|scaledx=%v|paper=%v|boundright=%v|",
+		windowIndex, o.Lambda, o.Beta, o.Theta, o.AutoTheta,
 		o.OmegaR, o.ScaledOmegaX, o.PaperOmega, o.BoundRight)
 	fmt.Fprintf(h, "core=%v|rh=%g|sw=%g|", sub.Core, sub.RowHeight, sub.SiteW)
 	for i := range sub.Rows {

@@ -34,16 +34,6 @@ type Options struct {
 	// when the configured value would violate it.
 	AutoTheta bool
 
-	// AutoTune selects θ* automatically: a budgeted power iteration
-	// estimates the Theorem-2 bound, a fixed candidate grid inside the
-	// bound is ranked by the estimated spectral radius of the MMSIM
-	// iteration operator, and the winner is memoized per structure
-	// signature (warm re-solves and repeated cold solves of the same
-	// topology skip tuning entirely). The tuned θ* is a deterministic
-	// function of the problem structure, so placements stay bit-identical
-	// across runs and cache states. AutoTune supersedes AutoTheta.
-	AutoTune bool
-
 	// PaperOmega forces the paper's Ω = I in Algorithm 1, overriding
 	// OmegaR and ScaledOmegaX. Used by fidelity experiments and the Ω
 	// ablation bench.
@@ -82,22 +72,21 @@ type Options struct {
 	// OnIter forwards MMSIM per-iteration progress.
 	OnIter func(k int, dz float64)
 
-	// Workers shards the hot stages (row assignment, the MMSIM per-iteration
-	// kernels and block solves, the Tetris allocation's per-row scans and
-	// the resilient cascade's fallback race) across goroutines. 1 means
-	// serial and larger counts are taken literally. 0 means GOMAXPROCS for
-	// every stage except the MMSIM iteration, which runs serially at 0
-	// because forking around each O(n) sweep never paid at a measured size
-	// (DESIGN.md, "Parallel decomposition & determinism"). Any worker count
-	// produces bit-identical placements — see internal/par.
+	// Workers shards the coarse stages (row assignment, the Tetris
+	// allocation's per-cell and per-row scans, the resilient cascade's
+	// fallback race, and the windows a windowed job solves at once) across
+	// goroutines; 0 means GOMAXPROCS, 1 means serial and larger counts are
+	// taken literally. The MMSIM iteration and the active-set finish always
+	// run serially on the calling goroutine. Any worker count produces
+	// bit-identical placements — see internal/par.
 	Workers int
 
 	// MMSIMOnly runs the MMSIM to its own convergence test, without the
 	// active-set finish (finish.go). The finish lands on the same optimum
 	// in a few rounds; this switch keeps the paper's iteration for studies
-	// of the iteration itself (convergence traces, the Ω, β*/θ*, λ, warm-
-	// start and workers ablations, Table 1) and for the audit's independent
-	// tight re-solve.
+	// of the iteration itself (convergence traces, the Ω, β*/θ*, λ and
+	// warm-start ablations, Table 1) and for the audit's independent tight
+	// re-solve.
 	MMSIMOnly bool
 
 	// Warm, when non-nil, carries cached solver state across repeated
@@ -180,7 +169,6 @@ type Stats struct {
 	Converged        bool
 	ThetaUsed        float64
 	ThetaBound       float64 // 0 when not computed
-	AutoTuned        bool    // θ* came from the structure-keyed auto-tuner
 
 	// MaxSubcellMismatch is the largest spread (max − min) of the subcell
 	// x solutions of any multi-row cell before restoration, in database
@@ -284,7 +272,6 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 	stats.Converged = solveStats.Converged
 	stats.ThetaUsed = solveStats.ThetaUsed
 	stats.ThetaBound = solveStats.ThetaBound
-	stats.AutoTuned = solveStats.AutoTuned
 	stats.WarmReused = solveStats.WarmReused
 	stats.WarmSeeded = solveStats.WarmSeeded
 	stats.Finish = solveStats.Finish
@@ -311,7 +298,6 @@ type SolveStats struct {
 	Converged  bool
 	ThetaUsed  float64
 	ThetaBound float64
-	AutoTuned  bool // θ* came from the structure-keyed auto-tuner
 
 	// WarmReused: the cached LCP matrix and splitting from Options.Warm
 	// were reused (structure signature match). WarmSeeded: the iteration
@@ -381,7 +367,6 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		copy(q[:p.NumVars], p.P)
 		st.ThetaUsed = warm.thetaUsed
 		st.ThetaBound = warm.thetaBound
-		st.AutoTuned = warm.autoTuned
 		st.WarmReused = true
 	} else {
 		theta := opts.Theta
@@ -389,53 +374,22 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		if omegaR == 0 {
 			omegaR = 1
 		}
-		build := func(p *Problem, beta, theta float64) (*StructuredSplitting, error) {
+		build := func(theta float64) (*StructuredSplitting, error) {
 			switch {
 			case opts.PaperOmega:
-				return NewStructuredSplitting(p, beta, theta)
+				return NewStructuredSplitting(p, opts.Beta, theta)
 			case opts.ScaledOmegaX:
-				return NewStructuredSplittingScaledOmega(p, beta, theta)
+				return NewStructuredSplittingScaledOmega(p, opts.Beta, theta)
 			default:
-				return NewStructuredSplittingOmegaR(p, beta, theta, omegaR)
+				return NewStructuredSplittingOmegaR(p, opts.Beta, theta, omegaR)
 			}
 		}
 		var err error
-		sp, err = build(p, opts.Beta, theta)
+		sp, err = build(theta)
 		if err != nil {
 			return nil, nil, err
 		}
-		if opts.AutoTune {
-			// Structure-keyed tuning: a cache hit replays the tuned θ*
-			// without re-running the probes; a miss tunes and memoizes.
-			// Both paths yield the same θ* (tuning is deterministic per
-			// structure), hence the same placement. A (position-
-			// independent) is assembled early so the tuner's probe can
-			// run real iterations; the solve below reuses it.
-			aMat = p.AssembleLCPMatrix()
-			key := warmSig(p, &opts)
-			if e, ok := sharedTuner.Get(key); ok {
-				st.ThetaBound = e.bound
-				if e.theta != theta {
-					theta = e.theta
-					sp, err = build(p, opts.Beta, theta)
-					if err != nil {
-						return nil, nil, err
-					}
-				}
-			} else {
-				e, tunedSp, terr := tuneTheta(p, &opts, aMat, sp, func(t float64) (*StructuredSplitting, error) {
-					return build(p, opts.Beta, t)
-				})
-				if terr != nil {
-					return nil, nil, terr
-				}
-				sharedTuner.Put(key, e)
-				theta, sp = e.theta, tunedSp
-				st.ThetaBound = e.bound
-			}
-			st.ThetaUsed = theta
-			st.AutoTuned = true
-		} else if opts.AutoTheta {
+		if opts.AutoTheta {
 			bound, err := sp.ThetaBound()
 			if err != nil {
 				return nil, nil, err
@@ -443,16 +397,14 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 			st.ThetaBound = bound
 			if bound > 0 && theta >= bound {
 				theta = 0.95 * bound
-				sp, err = build(p, opts.Beta, theta)
+				sp, err = build(theta)
 				if err != nil {
 					return nil, nil, err
 				}
 			}
 			st.ThetaUsed = theta
 		}
-		if aMat == nil {
-			aMat = p.AssembleLCPMatrix()
-		}
+		aMat = p.AssembleLCPMatrix()
 		q = p.LCPVector()
 		if warm != nil {
 			// Prime (or re-prime after a mismatch) the structure caches;
@@ -462,7 +414,6 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 			warm.valid = true
 			warm.sp, warm.a, warm.q = sp, aMat, q
 			warm.thetaUsed, warm.thetaBound = st.ThetaUsed, st.ThetaBound
-			warm.autoTuned = st.AutoTuned
 			warm.haveZ = false
 		}
 	}
@@ -506,7 +457,6 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		S0:          s0,
 		ResidualTol: resTol,
 		OnIter:      opts.OnIter,
-		Workers:     opts.Workers,
 	}
 	// The finish's scratch always comes from the pool: a warm state keeps
 	// only the iterate buffers, not a second copy of the finish's.

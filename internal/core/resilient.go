@@ -306,9 +306,6 @@ func retune(base Options, k int) Options {
 	o.Beta = math.Max(base.Beta*scale, 0.05)
 	o.Theta = math.Max(base.Theta*scale, 0.05)
 	o.AutoTheta = true
-	// The rescue rung must explore the shrunk constants, not have the tuner
-	// snap θ* back to the configuration that just failed.
-	o.AutoTune = false
 	o.ColdStart = true
 	o.S0 = nil
 	// Fallback rungs always run cold: the retuned constants invalidate the

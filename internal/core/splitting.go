@@ -26,17 +26,8 @@ type StructuredSplitting struct {
 	dScaled  *sparse.Tridiag // (1/θ*)D, reused by ApplyN
 	omega    []float64       // nil for Ω = I
 	scaledX  bool            // Ω_x = diag(H) instead of I
-	bT       *sparse.CSR     // Bᵀ, precomputed so ApplyN can shard by row
-	workers  int             // 0 = GOMAXPROCS, 1 = serial (see SetWorkers)
+	bT       *sparse.CSR     // Bᵀ, precomputed so ApplyN runs one row pass
 }
-
-// SetWorkers shards the splitting's operator applications across the given
-// worker count (0 = GOMAXPROCS, 1 = serial). Every worker count produces
-// bit-identical results: the per-cell block solves and per-row products
-// write disjoint slots, and the tridiagonal solve shards only across the
-// independent per-placement-row blocks of D. MMSIM calls this through the
-// lcp.WorkerSettable interface.
-func (s *StructuredSplitting) SetWorkers(workers int) { s.workers = workers }
 
 // NewStructuredSplitting builds the splitting for an assembled problem with
 // Ω = I, exactly as in the paper's Algorithm 1. beta and theta are the β*
@@ -106,7 +97,6 @@ func newStructured(p *Problem, beta, theta float64, scaledOmega bool, omegaR flo
 	}
 	s.mSolver = solver
 	s.bT = p.B.Transpose()
-	s.workers = 1
 	return s, nil
 }
 
@@ -124,17 +114,17 @@ func (s *StructuredSplitting) SolveMOmega(dst, rhs []float64) {
 	if s.scaledX {
 		// Ω_x = diag(H): (1/β*)H + diag(H) = (1/β*+1)diag(H) − (λ/β*)Adj,
 		// still tridiagonal per cell block.
-		s.p.SolveHOmegaDiagP(s.workers, s.beta, dst[:n], rhs[:n])
+		s.p.SolveHOmegaDiag(s.beta, dst[:n], rhs[:n])
 	} else {
 		// Ω_x = I: per-cell solve of (1/β*)(I + λL) + I = (1/β*+1)I + (λ/β*)L.
-		s.p.SolveHShiftedP(s.workers, 1/s.beta+1, s.p.Lambda/s.beta, dst[:n], rhs[:n])
+		s.p.SolveHShifted(1/s.beta+1, s.p.Lambda/s.beta, dst[:n], rhs[:n])
 	}
 	// Bottom block: ((1/θ*)D + Ω_r). The copy of rhs_r is fused into the
 	// B·s_x row pass (rhsR[i] = rhs[n+i] + (−1)·(B s_x)_i, same per-element
 	// arithmetic as copy-then-AddMulVec).
 	rhsR := dst[n : n+m]
-	s.p.B.ScaleAddMulVecP(s.workers, rhsR, rhs[n:n+m], 1, dst[:n], -1)
-	s.mSolver.SolveP(s.workers, rhsR, rhsR)
+	s.p.B.ScaleAddMulVec(rhsR, rhs[n:n+m], 1, dst[:n], -1)
+	s.mSolver.SolveBlocks(rhsR, rhsR)
 }
 
 // ApplyN computes dst = N src:
@@ -143,15 +133,15 @@ func (s *StructuredSplitting) SolveMOmega(dst, rhs []float64) {
 //	dst_r = (1/θ*) D src_r
 func (s *StructuredSplitting) ApplyN(dst, src []float64) {
 	n, m := s.p.NumVars, s.p.NumCons
-	s.p.ApplyHP(s.workers, s.scratchX, src[:n])
+	s.p.ApplyH(s.scratchX, src[:n])
 	coef := 1/s.beta - 1
-	// Bᵀ src_r via the precomputed transpose: the row-sharded product keeps
-	// the scatter that AddMulVecT would do off the parallel path. The
-	// (1/β*−1)·H src_x scaling is fused into the same row pass
+	// Bᵀ src_r via the precomputed transpose, one dot product per output
+	// row instead of the scatter AddMulVecT would do. The (1/β*−1)·H src_x
+	// scaling is fused into the same row pass
 	// (dst[i] = coef·scratchX[i] + 1·(Bᵀ src_r)_i — identical per-element
 	// arithmetic, one less full-length store/load).
-	s.bT.ScaleAddMulVecP(s.workers, dst[:n], s.scratchX, coef, src[n:n+m], 1)
-	s.dScaled.MulVecP(s.workers, dst[n:n+m], src[n:n+m])
+	s.bT.ScaleAddMulVec(dst[:n], s.scratchX, coef, src[n:n+m], 1)
+	s.dScaled.MulVec(dst[n:n+m], src[n:n+m])
 }
 
 // Omega returns the positive diagonal Ω: nil for the paper's Ω = I, or the
@@ -163,17 +153,6 @@ func (s *StructuredSplitting) Omega() []float64 { return s.omega }
 // Γ = D⁻¹ B H⁻¹ Bᵀ, estimated by power iteration. θ* must lie strictly
 // below the returned value for the convergence guarantee to hold.
 func (s *StructuredSplitting) ThetaBound() (float64, error) {
-	return s.ThetaBoundBudget(200, 1e-8)
-}
-
-// ThetaBoundBudget is ThetaBound with an explicit power-iteration budget.
-// The estimate is a deterministic function of the splitting structure and
-// (maxIter, tol) — PowerIteration starts from a fixed quasi-random vector —
-// so callers that cache it (the parameter auto-tuner) reproduce the same
-// value on every run. A small budget (a few dozen iterations at a loose
-// tolerance) ranks candidate parameters reliably at a fraction of the
-// certification-grade cost.
-func (s *StructuredSplitting) ThetaBoundBudget(maxIter int, tol float64) (float64, error) {
 	m := s.p.NumCons
 	if m == 0 {
 		return 0, nil
@@ -190,7 +169,7 @@ func (s *StructuredSplitting) ThetaBoundBudget(maxIter int, tol float64) (float6
 		s.p.SolveHShifted(1, s.p.Lambda, xTmp2, xTmp) // H⁻¹ Bᵀ v
 		s.p.B.MulVec(mTmp, xTmp2)                     // B H⁻¹ Bᵀ v
 		dSolver.Solve(dst, mTmp)                      // D⁻¹ ...
-	}, maxIter, tol)
+	}, 200, 1e-8)
 	if mu <= 0 {
 		return 0, fmt.Errorf("core: nonpositive μmax estimate %g", mu)
 	}

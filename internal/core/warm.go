@@ -88,9 +88,6 @@ func warmSig(p *Problem, opts *Options) uint64 {
 	if opts.ScaledOmegaX {
 		flags |= 4
 	}
-	if opts.AutoTune {
-		flags |= 8
-	}
 	return fnvInt(h, flags)
 }
 
@@ -121,7 +118,6 @@ type WarmState struct {
 
 	thetaUsed  float64
 	thetaBound float64
-	autoTuned  bool // thetaUsed came from the structure-keyed auto-tuner
 
 	ws    *lcp.Workspace
 	prevZ []float64 // last solution, length NumVars+NumCons

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-var workerCounts = []int{1, 2, 8}
-
 // TestFusedStepBitIdentical pins the fused Step to the pre-fusion iteration
 // body kept as stepUnfused: on random SPD LCPs, two solvers driven from the
 // same seed must produce the same z history bit for bit and stop after the
-// same number of iterations, at every worker count.
+// same number of iterations.
 func TestFusedStepBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 12; trial++ {
@@ -23,54 +21,52 @@ func TestFusedStepBitIdentical(t *testing.T) {
 			s0[i] = rng.NormFloat64()
 		}
 		gamma := []float64{1, 1, 2}[trial%3]
-		for _, w := range workerCounts {
-			mk := func() *Solver {
-				sp, err := NewDiagSplitting(p.A, 0.9)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sv, err := NewSolver(p, sp, Options{
-					Gamma: gamma, Eps: 1e-10, MaxIter: 200,
-					S0: append([]float64(nil), s0...), Workers: w,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sv
+		mk := func() *Solver {
+			sp, err := NewDiagSplitting(p.A, 0.9)
+			if err != nil {
+				t.Fatal(err)
 			}
-			fused, unfused := mk(), mk()
-			defer fused.Close()
-			defer unfused.Close()
-			fusedIters, unfusedIters := 0, 0
-			for k := 0; k < 200; k++ {
-				dzF, errF := fused.Step()
-				dzU, errU := unfused.stepUnfused()
-				if (errF == nil) != (errU == nil) {
-					t.Fatalf("trial %d workers %d iter %d: error mismatch %v vs %v", trial, w, k, errF, errU)
-				}
-				if errF != nil {
-					break
-				}
-				if math.Float64bits(dzF) != math.Float64bits(dzU) {
-					t.Fatalf("trial %d workers %d iter %d: dz %x vs %x",
-						trial, w, k, math.Float64bits(dzF), math.Float64bits(dzU))
-				}
-				zf, zu := fused.Z(), unfused.Z()
-				for i := range zf {
-					if math.Float64bits(zf[i]) != math.Float64bits(zu[i]) {
-						t.Fatalf("trial %d workers %d iter %d: z[%d] = %g vs %g",
-							trial, w, k, i, zf[i], zu[i])
-					}
-				}
-				if dzF < 1e-10 && k > 0 {
-					fusedIters, unfusedIters = fused.Iterations(), unfused.Iterations()
-					break
+			sv, err := NewSolver(p, sp, Options{
+				Gamma: gamma, Eps: 1e-10, MaxIter: 200,
+				S0: append([]float64(nil), s0...),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sv
+		}
+		fused, unfused := mk(), mk()
+		defer fused.Close()
+		defer unfused.Close()
+		fusedIters, unfusedIters := 0, 0
+		for k := 0; k < 200; k++ {
+			dzF, errF := fused.Step()
+			dzU, errU := unfused.stepUnfused()
+			if (errF == nil) != (errU == nil) {
+				t.Fatalf("trial %d iter %d: error mismatch %v vs %v", trial, k, errF, errU)
+			}
+			if errF != nil {
+				break
+			}
+			if math.Float64bits(dzF) != math.Float64bits(dzU) {
+				t.Fatalf("trial %d iter %d: dz %x vs %x",
+					trial, k, math.Float64bits(dzF), math.Float64bits(dzU))
+			}
+			zf, zu := fused.Z(), unfused.Z()
+			for i := range zf {
+				if math.Float64bits(zf[i]) != math.Float64bits(zu[i]) {
+					t.Fatalf("trial %d iter %d: z[%d] = %g vs %g",
+						trial, k, i, zf[i], zu[i])
 				}
 			}
-			if fusedIters != unfusedIters {
-				t.Fatalf("trial %d workers %d: stopped after %d vs %d iterations",
-					trial, w, fusedIters, unfusedIters)
+			if dzF < 1e-10 && k > 0 {
+				fusedIters, unfusedIters = fused.Iterations(), unfused.Iterations()
+				break
 			}
+		}
+		if fusedIters != unfusedIters {
+			t.Fatalf("trial %d: stopped after %d vs %d iterations",
+				trial, fusedIters, unfusedIters)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime/pprof"
 
 	"mclg/internal/mclgerr"
-	"mclg/internal/par"
 	"mclg/internal/sparse"
 )
 
@@ -60,17 +59,6 @@ type Options struct {
 	// studies and progress reporting.
 	OnIter func(k int, dz float64)
 
-	// Workers shards the per-iteration vector kernels (and, when the
-	// splitting supports it, the splitting's own solves) across goroutines.
-	// 0 and 1 both mean serial: each iteration is a handful of O(n) sweeps,
-	// and forking and joining goroutines around every sweep cost more than
-	// it saved at every measured size (DESIGN.md, "Parallel decomposition &
-	// determinism"). Counts above 1 are taken literally. Every worker count
-	// produces bit-identical iterates — the kernels use fixed chunking with
-	// disjoint writes and order-insensitive max reductions (see
-	// internal/par).
-	Workers int
-
 	// Workspace supplies the solve's iterate buffers so repeated solves
 	// allocate nothing per iteration (and nothing per solve beyond the
 	// Result struct). Nil borrows a pooled workspace for the duration of
@@ -91,9 +79,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxIter == 0 {
 		out.MaxIter = 10000
-	}
-	if out.Workers == 0 {
-		out.Workers = 1
 	}
 	return out
 }
@@ -126,14 +111,6 @@ func MMSIM(p *Problem, sp Splitting, opts Options) (*Result, error) {
 // lands within a few milliseconds even on large instances.
 const cancelCheckEvery = 16
 
-// WorkerSettable is implemented by splittings whose operator applications
-// can shard across goroutines (the legalizer's StructuredSplitting). MMSIM
-// forwards its Workers option, with 0 resolved to 1, to such splittings
-// before iterating.
-type WorkerSettable interface {
-	SetWorkers(workers int)
-}
-
 // MMSIMContext is MMSIM with cooperative cancellation: the hot loop polls
 // ctx every few iterations and aborts with an mclgerr.ErrCanceled-matching
 // error when the context is done.
@@ -151,7 +128,7 @@ func MMSIMContext(ctx context.Context, p *Problem, sp Splitting, opts Options) (
 // Algorithm 1; Run drives Step to convergence with cancellation and
 // divergence checks. The stepping form exists so callers (and the
 // steady-state allocation gate) can drive the per-iteration hot path
-// directly — at Workers 0 or 1 a Step performs zero heap allocations.
+// directly — a Step performs zero heap allocations.
 type Solver struct {
 	p     *Problem
 	sp    Splitting
@@ -163,11 +140,6 @@ type Solver struct {
 	n     int
 	k     int // completed iterations
 
-	// chunks pre-splits A's row range at grain boundaries so the fused
-	// rhs pass never re-derives row pointers; the boundaries are a pure
-	// function of the matrix structure, keeping every worker count
-	// bit-identical (see sparse.RowChunks).
-	chunks *sparse.RowChunks
 	// needAbs marks that absS does not yet hold |s| for the upcoming
 	// iteration: true before the first step (and after reseeding), false
 	// afterwards because the fused z-update pass writes |s| as a
@@ -191,11 +163,7 @@ func NewSolver(p *Problem, sp Splitting, opts Options) (*Solver, error) {
 	if o.S0 != nil && len(o.S0) != n {
 		return nil, mclgerr.Invalidf("lcp: S0 has length %d, want problem dimension %d", len(o.S0), n)
 	}
-	if ws, ok := sp.(WorkerSettable); ok {
-		ws.SetWorkers(o.Workers)
-	}
 	sv := &Solver{p: p, sp: sp, o: o, n: n, omega: sp.Omega(), needAbs: true}
-	sv.chunks = p.A.RowChunks(0)
 	if o.CheckEvery > 0 {
 		sv.resStride = o.CheckEvery
 	} else {
@@ -241,13 +209,11 @@ func (sv *Solver) Iterations() int { return sv.k }
 func (sv *Solver) Z() []float64 { return sv.ws.z }
 
 // Step advances one MMSIM iteration (Eqs. 3–4) and returns the step norm
-// ||z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾||∞. It performs no allocations at Workers 0 or 1: the
-// serial branch calls the closure-free scalar kernels, while an explicit
-// count above 1 shards through internal/par with bit-identical arithmetic.
+// ||z⁽ᵏ⁾ − z⁽ᵏ⁻¹⁾||∞. It performs no allocations.
 //
 // The iteration body is fused into three sweeps (plus the splitting's own
 // solves): the modulus rhs pass folds the Ω|s|, −A|s|, and −γq updates into
-// one traversal of A's pre-chunked rows; the z pass folds the modulus
+// one traversal of A's rows; the z pass folds the modulus
 // back-transform, the finiteness scan, the ‖Δz‖∞ reduction, and the capture
 // of |s| for the NEXT iteration's rhs pass into one traversal; and the
 // zPrev bookkeeping is a buffer swap instead of a copy. Every per-element
@@ -255,16 +221,15 @@ func (sv *Solver) Z() []float64 { return sv.ws.z }
 // bit-identical to stepUnfused (pinned by TestFusedStepBitIdentical).
 func (sv *Solver) Step() (float64, error) {
 	ws, o := sv.ws, &sv.o
-	workers := o.Workers
 	if sv.needAbs {
 		// First iteration (or fresh seed): |s| has not been captured by a
 		// previous fused z pass yet.
-		sparse.AbsP(workers, ws.absS, ws.s)
+		sparse.Abs(ws.absS, ws.s)
 		sv.needAbs = false
 	}
 	// rhs = N s + Ω|s| − A|s| − γ q
 	sv.sp.ApplyN(ws.rhs, ws.s)
-	sv.p.A.FusedModulusRHS(workers, sv.chunks, ws.rhs, sv.omega, ws.absS, sv.p.Q, o.Gamma)
+	sv.p.A.FusedModulusRHS(ws.rhs, sv.omega, ws.absS, sv.p.Q, o.Gamma)
 
 	sv.sp.SolveMOmega(ws.sNext, ws.rhs)
 	ws.s, ws.sNext = ws.sNext, ws.s
@@ -277,7 +242,7 @@ func (sv *Solver) Step() (float64, error) {
 	if sv.k > 0 {
 		zNew, zOld = ws.zPrev, ws.z
 	}
-	dz, ok := sparse.FusedZUpdate(workers, zNew, zOld, ws.s, ws.absS, o.Gamma)
+	dz, ok := sparse.FusedZUpdate(zNew, zOld, ws.s, ws.absS, o.Gamma)
 	if sv.k > 0 {
 		ws.z, ws.zPrev = zNew, zOld
 	}
@@ -291,85 +256,45 @@ func (sv *Solver) Step() (float64, error) {
 // stepUnfused is the pre-fusion iteration body, kept verbatim as the
 // executable specification of one MMSIM step: the property tests drive a
 // solver through it and require the fused Step to reproduce the z history
-// bit for bit at every worker count. It maintains the same workspace
-// invariants as Step (including the |s| capture for the fused rhs pass, so
-// the two can even be interleaved on one solver).
+// bit for bit. It maintains the same workspace invariants as Step
+// (including the |s| capture for the fused rhs pass, so the two can even be
+// interleaved on one solver).
 func (sv *Solver) stepUnfused() (float64, error) {
 	ws, o, n := sv.ws, &sv.o, sv.n
-	workers := o.Workers
-	serial := par.Resolve(workers) <= 1
 	if sv.k > 0 {
 		copy(ws.zPrev, ws.z)
 	}
 
-	if serial {
-		sparse.Abs(ws.absS, ws.s)
-	} else {
-		sparse.AbsP(workers, ws.absS, ws.s)
-	}
+	sparse.Abs(ws.absS, ws.s)
 	// rhs = N s + Ω|s| − A|s| − γ q
 	sv.sp.ApplyN(ws.rhs, ws.s)
 	if sv.omega == nil {
-		if serial {
-			sparse.Axpy(ws.rhs, 1, ws.absS)
-		} else {
-			sparse.AxpyP(workers, ws.rhs, 1, ws.absS)
-		}
-	} else if serial {
+		sparse.Axpy(ws.rhs, 1, ws.absS)
+	} else {
 		rhs, omega, absS := ws.rhs, sv.omega, ws.absS
 		for i := 0; i < n; i++ {
 			rhs[i] += omega[i] * absS[i]
 		}
-	} else {
-		rhs, omega, absS := ws.rhs, sv.omega, ws.absS
-		par.For(workers, n, par.GrainVec, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rhs[i] += omega[i] * absS[i]
-			}
-		})
 	}
-	if serial {
-		sv.p.A.AddMulVec(ws.rhs, ws.absS, -1)
-		sparse.Axpy(ws.rhs, -o.Gamma, sv.p.Q)
-	} else {
-		sv.p.A.AddMulVecP(workers, ws.rhs, ws.absS, -1)
-		sparse.AxpyP(workers, ws.rhs, -o.Gamma, sv.p.Q)
-	}
+	sv.p.A.AddMulVec(ws.rhs, ws.absS, -1)
+	sparse.Axpy(ws.rhs, -o.Gamma, sv.p.Q)
 
 	sv.sp.SolveMOmega(ws.sNext, ws.rhs)
 	ws.s, ws.sNext = ws.sNext, ws.s
 
 	gamma := o.Gamma
-	if serial {
-		z, s := ws.z, ws.s
-		for i := 0; i < n; i++ {
-			z[i] = (math.Abs(s[i]) + s[i]) / gamma
-		}
-	} else {
-		z, s := ws.z, ws.s
-		par.For(workers, n, par.GrainVec, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				z[i] = (math.Abs(s[i]) + s[i]) / gamma
-			}
-		})
+	z, s := ws.z, ws.s
+	for i := 0; i < n; i++ {
+		z[i] = (math.Abs(s[i]) + s[i]) / gamma
 	}
 	// Maintain Step's workspace invariant: absS holds |s| of the new
 	// iterate so a following fused Step needs no standalone Abs pass.
-	if serial {
-		sparse.Abs(ws.absS, ws.s)
-	} else {
-		sparse.AbsP(workers, ws.absS, ws.s)
-	}
+	sparse.Abs(ws.absS, ws.s)
 	sv.needAbs = false
 	if !finite(ws.z) {
 		return 0, ErrDiverged
 	}
-	var dz float64
-	if serial {
-		dz = sparse.DiffNormInf(ws.z, ws.zPrev)
-	} else {
-		dz = sparse.DiffNormInfP(workers, ws.z, ws.zPrev)
-	}
+	dz := sparse.DiffNormInf(ws.z, ws.zPrev)
 	sv.k++
 	return dz, nil
 }
@@ -379,8 +304,8 @@ func (sv *Solver) stepUnfused() (float64, error) {
 // 3n scan, an iteration costs about two SpMV-equivalents plus the splitting
 // solves and three vector passes. K is chosen so strided checking adds at
 // most ~25% to the convergence tail (K ≈ ⌈4·resCost/iterCost⌉ + 1) and is
-// clamped to [2, 8]. Deterministic in (n, nnz), so every run — and every
-// worker count — strides identically.
+// clamped to [2, 8]. Deterministic in (n, nnz), so every run strides
+// identically.
 func residualStride(p *Problem) int {
 	n := p.N()
 	if n == 0 {
@@ -399,9 +324,8 @@ func residualStride(p *Problem) int {
 	return k
 }
 
-// pprof labels attributing CPU samples to the solve stages (goroutines
-// spawned by internal/par inherit the caller's label set, so the fused
-// kernels' shards are attributed too). Visible via mclgd -pprof.
+// pprof labels attributing CPU samples to the solve stages. Visible via
+// mclgd -pprof.
 var (
 	labelsIterate  = pprof.Labels("mclg_stage", "mmsim-fused")
 	labelsResidual = pprof.Labels("mclg_stage", "mmsim-residual")

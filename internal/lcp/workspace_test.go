@@ -186,36 +186,33 @@ func TestWarmSeedTransform(t *testing.T) {
 }
 
 // TestSolverStepZeroAllocs is the steady-state allocation gate: after
-// NewSolver binds an explicit workspace, each serial MMSIM iteration must
-// perform zero heap allocations, both at an explicit Workers 1 and at the
-// default 0. The count is taken with stepAllocs rather than
-// testing.AllocsPerRun, which pins GOMAXPROCS to 1 and would let a default
-// that resolves to every core pass on any machine.
+// NewSolver binds an explicit workspace, each MMSIM iteration must perform
+// zero heap allocations. The count is taken with stepAllocs rather than
+// testing.AllocsPerRun, which pins GOMAXPROCS to 1 and so could hide an
+// allocation that only happens when more than one core is available.
 func TestSolverStepZeroAllocs(t *testing.T) {
-	for _, workers := range []int{1, 0} {
-		rng := rand.New(rand.NewSource(405))
-		p, _ := spdProblem(rng, 64)
-		sp, err := NewDiagSplitting(p.A, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := NewWorkspace(p.N())
-		sv, err := NewSolver(p, sp, Options{Workers: workers, Workspace: ws, MaxIter: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm up once so lazy runtime state (e.g. stack growth) settles.
-		if _, err := sv.Step(); err != nil {
-			t.Fatal(err)
-		}
-		allocs, err := stepAllocs(sv, 100)
-		sv.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if allocs != 0 {
-			t.Errorf("Workers %d: MMSIM Step allocated %d objects per iteration, want 0", workers, allocs)
-		}
+	rng := rand.New(rand.NewSource(405))
+	p, _ := spdProblem(rng, 64)
+	sp, err := NewDiagSplitting(p.A, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace(p.N())
+	sv, err := NewSolver(p, sp, Options{Workspace: ws, MaxIter: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	// Warm up once so lazy runtime state (e.g. stack growth) settles.
+	if _, err := sv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	allocs, err := stepAllocs(sv, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("MMSIM Step allocated %d objects per iteration, want 0", allocs)
 	}
 }
 

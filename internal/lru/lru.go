@@ -1,7 +1,6 @@
 // Package lru is the bounded least-recently-used map shared by every cache
 // in the repository: the serving layer's result cache and warm store, the
-// cluster worker warm pool, the cluster window-result caches and the
-// auto-tuner's parameter cache.
+// cluster worker warm pool and the cluster window-result caches.
 package lru
 
 import (

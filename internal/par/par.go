@@ -28,19 +28,15 @@ func Resolve(n int) int {
 	return n
 }
 
-// Default grain sizes for the legalizer kernels. Vector ops are memory-bound
-// streams, so chunks are large; sparse rows and solver blocks do more work
-// per element, so chunks are smaller. Grains are fixed constants — never
-// derived from the worker count — to keep chunk boundaries, and therefore
-// all floating-point partials, independent of parallelism.
+// Default grain sizes for the legalizer's parallel loops. Grains are fixed
+// constants — never derived from the worker count — to keep chunk
+// boundaries, and therefore all floating-point partials, independent of
+// parallelism.
 const (
-	// GrainVec is the chunk size for elementwise vector kernels.
-	GrainVec = 4096
-	// GrainRows is the chunk size for per-row sparse kernels (SpMV rows,
-	// tridiagonal segments, placement rows).
+	// GrainRows is the chunk size for per-placement-row loops.
 	GrainRows = 256
-	// GrainCells is the chunk size for per-cell loops (block solves, row
-	// assignment, snapping).
+	// GrainCells is the chunk size for per-cell loops (row assignment,
+	// snapping).
 	GrainCells = 512
 )
 
@@ -156,35 +152,6 @@ func ReduceMax(workers, n, grain int, fn func(lo, hi int) float64) float64 {
 		}
 	}
 	return m
-}
-
-// ReduceMaxOK is ReduceMax for kernels that fuse a validity scan into the
-// same loop body: each chunk produces a max partial plus a boolean (typically
-// "every value this chunk wrote is finite"). Partials combine in chunk order
-// with max, flags combine with AND — both order-insensitive — so the result
-// is bit-identical to a serial scan at any worker count. Returns (0, true)
-// for n <= 0.
-func ReduceMaxOK(workers, n, grain int, fn func(lo, hi int) (float64, bool)) (float64, bool) {
-	if n <= 0 {
-		return 0, true
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	partials := make([]float64, chunks)
-	oks := make([]bool, chunks)
-	For(workers, n, grain, func(lo, hi int) {
-		partials[lo/grain], oks[lo/grain] = fn(lo, hi)
-	})
-	m, ok := partials[0], oks[0]
-	for c := 1; c < chunks; c++ {
-		if partials[c] > m {
-			m = partials[c]
-		}
-		ok = ok && oks[c]
-	}
-	return m, ok
 }
 
 // ReduceErr runs fn over fixed chunks and returns the error produced by the

@@ -55,7 +55,7 @@ func TestForDeterministicFloats(t *testing.T) {
 	}
 	run := func(workers int) []float64 {
 		dst := make([]float64, n)
-		For(workers, n, GrainVec, func(lo, hi int) {
+		For(workers, n, GrainCells, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dst[i] = math.Sqrt(math.Abs(src[i])) * 1.000000001
 			}

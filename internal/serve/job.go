@@ -31,14 +31,13 @@ type OptionsJSON struct {
 	Eps        float64 `json:"eps,omitempty"`
 	MaxIter    int     `json:"max_iter,omitempty"`
 	AutoTheta  bool    `json:"autotheta,omitempty"`
-	AutoTune   bool    `json:"autotune,omitempty"`
 	BoundRight bool    `json:"boundright,omitempty"`
-	// Workers shards the solver's hot stages with core.Options.Workers'
+	// Workers shards the solver's coarse stages with core.Options.Workers'
 	// meaning: 0 (omitted) uses every core for the row assignment, Tetris
-	// scans and fallback race and runs the MMSIM iteration serially; 1 is
-	// serial throughout. It deliberately does NOT enter the cache key: the
-	// parallel hot path is bit-deterministic, so any worker count yields
-	// the same placement.
+	// scans and fallback race, 1 is serial; the MMSIM iteration always runs
+	// serially. It deliberately does NOT enter the cache key: the parallel
+	// stages are bit-deterministic, so any worker count yields the same
+	// placement.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -199,7 +198,6 @@ func (r *Request) coreOptions() core.Options {
 	if j := r.Options; j != nil {
 		o.Lambda, o.Beta, o.Theta, o.Eps = j.Lambda, j.Beta, j.Theta, j.Eps
 		o.MaxIter, o.AutoTheta, o.BoundRight, o.Workers = j.MaxIter, j.AutoTheta, j.BoundRight, j.Workers
-		o.AutoTune = j.AutoTune
 	}
 	return core.New(o).Opts
 }
@@ -209,13 +207,18 @@ func (r *Request) coreOptions() core.Options {
 // result-affecting option, resolved to post-default values. Workers is
 // excluded — the determinism contract makes it result-neutral — so a sweep
 // that varies only parallelism always hits.
+//
+// The hashed text keeps the literal "autotune=false" of the removed θ*
+// auto-tuner option: window journals are stored on disk as <key>.wal, so
+// the key must not change under a resumable job. topoKey keeps it too, so
+// neither digest moves.
 func (r *Request) key() string {
 	h := sha256.New()
 	o := r.coreOptions()
 	fmt.Fprintf(h, "method=%s|resilient=%v|audit=%v|windows=%v|window_rows=%d|exact=%d|",
 		r.Method, r.Resilient, r.Audit, r.Windows, r.WindowRows, r.Exact)
-	fmt.Fprintf(h, "lambda=%g|beta=%g|theta=%g|gamma=%g|eps=%g|maxiter=%d|restol=%g|autotheta=%v|autotune=%v|boundright=%v|",
-		o.Lambda, o.Beta, o.Theta, o.Gamma, o.Eps, o.MaxIter, o.ResidualTol, o.AutoTheta, o.AutoTune, o.BoundRight)
+	fmt.Fprintf(h, "lambda=%g|beta=%g|theta=%g|gamma=%g|eps=%g|maxiter=%d|restol=%g|autotheta=%v|autotune=false|boundright=%v|",
+		o.Lambda, o.Beta, o.Theta, o.Gamma, o.Eps, o.MaxIter, o.ResidualTol, o.AutoTheta, o.BoundRight)
 	if r.Bench != "" {
 		fmt.Fprintf(h, "bench=%s@%g", r.Bench, r.Scale)
 	} else {
@@ -239,8 +242,8 @@ func (r *Request) topoKey() string {
 	h := sha256.New()
 	o := r.coreOptions()
 	fmt.Fprintf(h, "method=%s|resilient=%v|", r.Method, r.Resilient)
-	fmt.Fprintf(h, "lambda=%g|beta=%g|theta=%g|autotheta=%v|autotune=%v|boundright=%v|",
-		o.Lambda, o.Beta, o.Theta, o.AutoTheta, o.AutoTune, o.BoundRight)
+	fmt.Fprintf(h, "lambda=%g|beta=%g|theta=%g|autotheta=%v|autotune=false|boundright=%v|",
+		o.Lambda, o.Beta, o.Theta, o.AutoTheta, o.BoundRight)
 	if r.Bench != "" {
 		fmt.Fprintf(h, "bench=%s@%g", r.Bench, r.Scale)
 	} else {

@@ -325,6 +325,7 @@ func TestInvalidRequests(t *testing.T) {
 		{"files missing scl", `{"files":{"nodes":"x","pl":"y"}}`},
 		{"unknown file component", `{"files":{"nodes":"x","pl":"y","scl":"z","foo":"w"}}`},
 		{"unknown field", `{"bench":"fft_2","wat":1}`},
+		{"removed autotune option", `{"bench":"fft_2","options":{"autotune":true}}`},
 		{"malformed json", `{`},
 	}
 	for _, tc := range cases {

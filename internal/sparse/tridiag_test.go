@@ -382,3 +382,109 @@ func TestGramTridiagApplyAllocsBounded(t *testing.T) {
 		}
 	}
 }
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)-4))
+	}
+	return v
+}
+
+func sameBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: index %d: %g (%x) vs %g (%x)", name, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// segmentedTridiag builds a block tridiagonal matrix out of nBlocks
+// independent diagonally dominant blocks — the shape of the legalizer's
+// Schur matrix D, whose blocks are the per-placement-row constraint chains.
+func segmentedTridiag(rng *rand.Rand, nBlocks, blockLen int) *Tridiag {
+	n := nBlocks * blockLen
+	tr := NewTridiag(n)
+	for i := 0; i < n; i++ {
+		tr.Diag[i] = 4 + rng.Float64()
+		if i%blockLen != 0 && i > 0 {
+			v := rng.NormFloat64()
+			tr.Sub[i] = v
+			tr.Sup[i-1] = v
+		}
+	}
+	return tr
+}
+
+func TestTridiagSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	tr := segmentedTridiag(rng, 7, 13)
+	s, err := tr.Factor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := s.Segments()
+	if len(segs) != 8 {
+		t.Fatalf("got %d boundaries (%v), want 8", len(segs), segs)
+	}
+	for b := 0; b < 7; b++ {
+		if segs[b] != b*13 {
+			t.Fatalf("segment %d starts at %d, want %d", b, segs[b], b*13)
+		}
+	}
+	if segs[7] != 7*13 {
+		t.Fatalf("terminator %d, want %d", segs[7], 7*13)
+	}
+}
+
+// TestTridiagSolvePMatchesSerial pins the block solve, SolveBlocks, to
+// Solve bit for bit, with and without aliased dst/rhs.
+func TestTridiagSolvePMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, shape := range []struct{ blocks, blockLen int }{
+		{1, 50}, {40, 25}, {100, 1}, {3, 400},
+	} {
+		tr := segmentedTridiag(rng, shape.blocks, shape.blockLen)
+		s, err := tr.Factor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := shape.blocks * shape.blockLen
+		rhs := randVec(rng, n)
+		want := make([]float64, n)
+		s.Solve(want, rhs)
+		got := make([]float64, n)
+		s.SolveBlocks(got, rhs)
+		sameBits(t, "SolveBlocks", got, want)
+		// Aliased dst/rhs must work too.
+		got = append(got[:0], rhs...)
+		s.SolveBlocks(got, got)
+		sameBits(t, "SolveBlocks aliased", got, want)
+	}
+}
+
+// TestTridiagSolvePIsCorrect checks SolveBlocks against the matrix itself.
+func TestTridiagSolvePIsCorrect(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	tr := segmentedTridiag(rng, 12, 31)
+	s, err := tr.Factor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 12 * 31
+	rhs := randVec(rng, n)
+	x := make([]float64, n)
+	s.SolveBlocks(x, rhs)
+	check := make([]float64, n)
+	tr.MulVec(check, x)
+	for i := range check {
+		if math.Abs(check[i]-rhs[i]) > 1e-8*(1+math.Abs(rhs[i])) {
+			t.Fatalf("residual too large at %d: %g vs %g", i, check[i], rhs[i])
+		}
+	}
+}
