@@ -17,6 +17,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +62,31 @@ func genBench(b *testing.B, name string, scale float64) *design.Design {
 		b.Fatal(err)
 	}
 	return d
+}
+
+// primePools runs op four times, untimed, so the sync.Pools it reaches (the
+// core arena, the Tetris scratch, the cascade's working copies) hold storage
+// sized for it, and keeps them primed for the rest of the run: a collection
+// empties the pools, and a goroutine that moves to another processor (P)
+// misses the storage cached on the first, so with either a -benchtime=1x
+// allocation count would depend on the runtime's timing. The run therefore
+// uses one P and no collector, unless its footprint grows 256 MiB; the
+// alloc-smoke gate reads a primed pool.
+func primePools(b *testing.B, op func()) {
+	b.Helper()
+	procs := runtime.GOMAXPROCS(1)
+	for i := 0; i < 4; i++ {
+		op()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	gc := debug.SetGCPercent(-1)
+	limit := debug.SetMemoryLimit(int64(ms.Sys-ms.HeapReleased) + 256<<20)
+	b.Cleanup(func() {
+		debug.SetGCPercent(gc)
+		debug.SetMemoryLimit(limit)
+		runtime.GOMAXPROCS(procs)
+	})
 }
 
 // BenchmarkTable1IllegalCells regenerates Table 1: the MMSIM legalization
@@ -430,13 +457,18 @@ func BenchmarkMMSIMIteration(b *testing.B) {
 			opts := core.New(core.Options{MMSIMOnly: true}).Opts
 			opts.MaxIter = 0
 			opts.OnIter = func(k int, dz float64) { iters++ }
+			solve := func() {
+				if _, _, err := core.SolveMMSIM(p, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			primePools(b, solve)
+			iters = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			// One full solve per b.N batch; report time per iteration.
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.SolveMMSIM(p, opts); err != nil {
-					b.Fatal(err)
-				}
+				solve()
 			}
 			b.StopTimer()
 			if iters > 0 {
@@ -662,19 +694,66 @@ func BenchmarkWarmResolve(b *testing.B) {
 			c.GX += (rng.Float64()*2 - 1) * 1e-3
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
 	var warmIters int
-	for i := 0; i < b.N; i++ {
+	resolve := func() {
 		st, err := lg.Legalize(pert.Clone())
 		if err != nil {
 			b.Fatal(err)
 		}
 		warmIters = st.Iterations
 	}
+	primePools(b, resolve)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resolve()
+	}
 	b.StopTimer()
 	b.ReportMetric(float64(warmIters), "warm-iters")
 	b.ReportMetric(float64(warm.ColdIterations()), "cold-iters")
+}
+
+// BenchmarkLegalizeCold measures cold one-at-a-time legalization of the
+// perfbench batch-cold round: its 11 suite families at their scales (about
+// 0.6k–3.4k cells, densities 0.14–0.91), each legalized from a fresh clone
+// through core.New. The clones are untimed and the pools primed, so the
+// alloc-smoke gate reads what a steady stream of cold solves allocates per
+// round. Workers is 1 so the count does not depend on the runner's cores.
+func BenchmarkLegalizeCold(b *testing.B) {
+	families := []struct {
+		name  string
+		scale float64
+	}{
+		{"pci_bridge32_b", 0.02}, {"fft_a", 0.02}, {"des_perf_1", 0.008},
+		{"fft_2", 0.03}, {"fft_1", 0.04}, {"des_perf_a", 0.015},
+		{"edit_dist_a", 0.015}, {"matrix_mult_b", 0.015}, {"superblue14", 0.005},
+		{"matrix_mult_1", 0.02}, {"des_perf_b", 0.03},
+	}
+	base := make([]*design.Design, len(families))
+	for i, f := range families {
+		base[i] = genBench(b, f.name, f.scale)
+	}
+	lg := core.New(core.Options{Workers: 1})
+	ctx := context.Background()
+	work := make([]*design.Design, len(base))
+	round := func() {
+		b.StopTimer()
+		for i, d := range base {
+			work[i] = d.Clone()
+		}
+		b.StartTimer()
+		for i, d := range work {
+			if _, err := lg.LegalizeContext(ctx, d); err != nil {
+				b.Fatalf("%s: %v", families[i].name, err)
+			}
+		}
+	}
+	primePools(b, round)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
 }
 
 // BenchmarkECOApply measures the streaming-ECO steady state: a live session
@@ -724,12 +803,18 @@ func BenchmarkECOApply(b *testing.B) {
 	}
 	coldNS := float64(time.Since(t0).Nanoseconds())
 
+	phase := 0
+	apply := func() {
+		if _, err := s.Apply(ctx, batch(phase)); err != nil {
+			b.Fatal(err)
+		}
+		phase = 1 - phase
+	}
+	primePools(b, apply)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Apply(ctx, batch(i%2)); err != nil {
-			b.Fatal(err)
-		}
+		apply()
 	}
 	b.StopTimer()
 	b.ReportMetric(coldNS, "cold-ns")
@@ -740,9 +825,10 @@ func BenchmarkECOApply(b *testing.B) {
 // eco-stream mix: 5-delta batches of 80% moves (up to 8 sites and a row),
 // 10% inserts and 10% deletes on superblue19, so the timed applies insert
 // and delete cells and rewrite the netlist the way a live session does.
-// One untimed warm-up batch runs first, so even -benchtime=1x measures an
-// apply that reuses the session's per-apply storage. Each batch is drawn
-// from the committed design, with the draw untimed.
+// Untimed warm-up batches prime the session's per-apply storage and the
+// solve pools first (primePools), so even -benchtime=1x measures an apply
+// that reuses them. Each batch is drawn from the committed design, with the
+// draw untimed.
 func BenchmarkECOMixedBatch(b *testing.B) {
 	base := genBench(b, "superblue19", benchScale)
 	ctx := context.Background()
@@ -759,7 +845,7 @@ func BenchmarkECOMixedBatch(b *testing.B) {
 			b.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	apply(-1)
+	primePools(b, func() { apply(-1) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

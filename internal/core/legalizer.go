@@ -256,15 +256,22 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 			return nil, mclgerr.Stage("balance-rows", err)
 		}
 	}
-	p, err := BuildProblemBounded(d, l.Opts.Lambda, l.Opts.BoundRight)
-	if err != nil {
+	// One arena serves the whole run. A warm state keeps the splitting,
+	// which points at the problem, so then the problem is fresh too.
+	ar := getArena()
+	defer ar.release()
+	p := &ar.p
+	if l.Opts.Warm != nil {
+		p = &Problem{}
+	}
+	if err := p.build(d, l.Opts.Lambda, l.Opts.BoundRight); err != nil {
 		return nil, mclgerr.Stage("build", err)
 	}
 	stats.NumVars, stats.NumCons = p.NumVars, p.NumCons
 	stats.BuildTime = time.Since(t0)
 
 	t1 := time.Now()
-	x, solveStats, err := SolveMMSIMContext(ctx, p, l.Opts)
+	x, solveStats, err := ar.solve(ctx, p, l.Opts)
 	if err != nil {
 		return nil, mclgerr.Stage("mmsim", err)
 	}
@@ -338,6 +345,19 @@ func SolveMMSIMContext(ctx context.Context, p *Problem, opts Options) ([]float64
 // residuals independently of the solver's own convergence flag. The caller
 // owns the returned slice.
 func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
+	ar := getArena()
+	defer ar.release()
+	z, st, err := ar.solve(ctx, p, opts)
+	if err != nil || z == nil {
+		return nil, st, err
+	}
+	return append([]float64(nil), z...), st, nil
+}
+
+// solve is SolveMMSIMFull returning z in ar.z, valid until ar is released.
+// Without opts.Warm the splitting, A and q are built into ar as well; a warm
+// state keeps its own, built into fresh storage.
+func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
 	st := &SolveStats{ThetaUsed: opts.Theta}
 	if p.NumVars == 0 {
 		st.Converged = true
@@ -369,24 +389,26 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		st.ThetaBound = warm.thetaBound
 		st.WarmReused = true
 	} else {
+		sp, aMat, q = &ar.sp, &ar.a, ar.q
+		if warm != nil {
+			sp, aMat, q = &StructuredSplitting{}, &sparse.CSR{}, nil
+		}
 		theta := opts.Theta
 		omegaR := opts.OmegaR
 		if omegaR == 0 {
 			omegaR = 1
 		}
-		build := func(theta float64) (*StructuredSplitting, error) {
+		build := func(theta float64) error {
 			switch {
 			case opts.PaperOmega:
-				return NewStructuredSplitting(p, opts.Beta, theta)
+				return sp.build(p, opts.Beta, theta, false, 1)
 			case opts.ScaledOmegaX:
-				return NewStructuredSplittingScaledOmega(p, opts.Beta, theta)
+				return sp.build(p, opts.Beta, theta, true, 1)
 			default:
-				return NewStructuredSplittingOmegaR(p, opts.Beta, theta, omegaR)
+				return sp.build(p, opts.Beta, theta, false, omegaR)
 			}
 		}
-		var err error
-		sp, err = build(theta)
-		if err != nil {
+		if err := build(theta); err != nil {
 			return nil, nil, err
 		}
 		if opts.AutoTheta {
@@ -397,16 +419,17 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 			st.ThetaBound = bound
 			if bound > 0 && theta >= bound {
 				theta = 0.95 * bound
-				sp, err = build(theta)
-				if err != nil {
+				if err := build(theta); err != nil {
 					return nil, nil, err
 				}
 			}
 			st.ThetaUsed = theta
 		}
-		aMat = p.AssembleLCPMatrix()
-		q = p.LCPVector()
-		if warm != nil {
+		p.assembleLCP(aMat)
+		q = p.lcpVector(q)
+		if warm == nil {
+			ar.q = q
+		} else {
 			// Prime (or re-prime after a mismatch) the structure caches;
 			// the previous solution, if any, belonged to a different
 			// structure and must not seed this solve.
@@ -440,16 +463,18 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		// Warm start at the global-placement positions with zero
 		// multipliers: for z > 0 the modulus substitution gives
 		// s = γ·z/2, and most of the relaxed optimum stays near the GP.
-		s0 = make([]float64, n)
+		s0 = grow(ar.s0, n)
+		clear(s0[p.NumVars:])
 		for i, sc := range p.Subcells {
 			s0[i] = gamma * sc.Target / 2
 		}
+		ar.s0 = s0
 	}
 	resTol := opts.ResidualTol
 	if resTol == 0 {
 		resTol = 0.5
 	}
-	prob := &lcp.Problem{A: aMat, Q: q}
+	ar.lp = lcp.Problem{A: aMat, Q: q}
 	lo := lcp.Options{
 		Gamma:       opts.Gamma,
 		Eps:         opts.Eps,
@@ -458,27 +483,21 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 		ResidualTol: resTol,
 		OnIter:      opts.OnIter,
 	}
-	// The finish's scratch always comes from the pool: a warm state keeps
-	// only the iterate buffers, not a second copy of the finish's.
-	scratch := lcp.GetWorkspace(0)
-	defer lcp.PutWorkspace(scratch)
+	// The arena's workspace holds the finish's scratch, and the iterate too
+	// unless a warm state brings its own.
+	lo.Workspace = &ar.ws
 	if warm != nil {
 		if warm.ws == nil {
 			warm.ws = lcp.NewWorkspace(n)
 		}
 		lo.Workspace = warm.ws
-	} else {
-		// The pooled workspace serves the iteration too; the solution is
-		// detached below by the one copy every path makes.
-		scratch.Ensure(n)
-		lo.Workspace = scratch
 	}
-	sv, err := lcp.NewSolver(prob, sp, lo)
+	sv, err := lcp.NewSolver(&ar.lp, sp, lo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: MMSIM: %w", err)
 	}
 	defer sv.Close()
-	z, err := runSolve(ctx, sv, scratch, p, sp, prob, st, opts.MMSIMOnly, warm)
+	z, err := runSolve(ctx, sv, &ar.ws, p, sp, &ar.lp, st, opts.MMSIMOnly, warm)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -490,9 +509,9 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 			warm.coldIters = st.Iterations
 		}
 	}
-	// Detach z from the workspace before it returns to the pool or the warm
-	// state's mutex is released.
-	return append([]float64(nil), z...), st, nil
+	// Detach z from the workspaces before the warm state's mutex is released.
+	ar.z = append(ar.z[:0], z...)
+	return ar.z, st, nil
 }
 
 // runSolve drives the MMSIM and, unless mmsimOnly, pauses it for the

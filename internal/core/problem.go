@@ -17,8 +17,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
@@ -68,6 +69,11 @@ type Problem struct {
 	// blocks[cellID] is the span of the cell's variable block (0 for fixed
 	// cells); variable blocks are contiguous and ordered by cell ID.
 	blockOfVar []int // owning cell ID per variable
+
+	// Storage build reuses: CellVars' and perRow's backing arrays, and the
+	// per-row slot ends.
+	cellVars, rowVars, rowEnd []int
+	perRow                    [][]int
 }
 
 // ErrNoRow is returned when a cell cannot be assigned to any rail-compatible
@@ -137,19 +143,32 @@ func BuildProblem(d *design.Design, lambda float64) (*Problem, error) {
 // optimum of the boundary-constrained problem — no out-of-boundary cells
 // remain for the allocation stage to fix.
 func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Problem, error) {
-	p := &Problem{D: d, Lambda: lambda, CellVars: make([][]int, len(d.Cells))}
+	p := &Problem{}
+	if err := p.build(d, lambda, boundRight); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// build is BuildProblemBounded writing into p, reusing every slice p holds
+// and overwriting every field.
+func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error {
+	p.D, p.Lambda = d, lambda
+	p.CellVars = grow(p.CellVars, len(d.Cells))
+	clear(p.CellVars)
 
 	// Size everything first: the variable count is Σ RowSpan, and rowEnd[r]
 	// ends row r's slot in the per-row subcell index array.
 	nv := 0
-	rowEnd := make([]int, len(d.Rows))
+	rowEnd := grow(p.rowEnd, len(d.Rows))
+	clear(rowEnd)
 	for _, c := range d.Cells {
 		if c.Fixed {
 			continue
 		}
 		row := d.RowAt(c.Y + d.RowHeight/2)
 		if row < 0 || row+c.RowSpan > len(d.Rows) {
-			return nil, fmt.Errorf("core: cell %d not assigned to a valid row (y=%g)", c.ID, c.Y)
+			return fmt.Errorf("core: cell %d not assigned to a valid row (y=%g)", c.ID, c.Y)
 		}
 		nv += c.RowSpan
 		for k := 0; k < c.RowSpan; k++ {
@@ -159,11 +178,11 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 	for r := 1; r < len(rowEnd); r++ {
 		rowEnd[r] += rowEnd[r-1]
 	}
-	p.Subcells = make([]Subcell, 0, nv)
-	p.blockOfVar = make([]int, 0, nv)
-	cellVars := make([]int, nv)
-	rowVars := make([]int, nv)
-	perRow := make([][]int, len(d.Rows)) // subcell indices per row
+	p.Subcells = slices.Grow(p.Subcells[:0], nv)
+	p.blockOfVar = slices.Grow(p.blockOfVar[:0], nv)
+	cellVars := grow(p.cellVars, nv)
+	rowVars := grow(p.rowVars, nv)
+	perRow := grow(p.perRow, len(d.Rows)) // subcell indices per row
 	for r := range perRow {
 		start := 0
 		if r > 0 {
@@ -171,6 +190,7 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 		}
 		perRow[r] = rowVars[start:start:rowEnd[r]]
 	}
+	p.cellVars, p.rowVars, p.rowEnd, p.perRow = cellVars, rowVars, rowEnd, perRow
 
 	// Create subcells and variables, cells in ID order so blocks are
 	// contiguous.
@@ -201,21 +221,22 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 
 	// Order each row by global x and emit adjacency constraints row-major:
 	// at most one chain constraint per subcell and one boundary row per row.
-	p.Cons = make([]Constraint, 0, p.NumVars+len(d.Rows))
+	p.Cons = slices.Grow(p.Cons[:0], p.NumVars+len(d.Rows))
 	// With boundRight, each row additionally gets a right-boundary row
 	// −x ≥ −(X_max − w) on its rightmost subcell (Right == -1 encodes the
 	// missing right variable), placed directly after the row's chain so the
 	// tridiagonal Schur approximation D captures its coupling with the
 	// neighboring chain constraint.
+	byTarget := func(a, b int) int {
+		sa, sb := &p.Subcells[a], &p.Subcells[b]
+		if c := cmp.Compare(sa.Target, sb.Target); c != 0 {
+			return c
+		}
+		return cmp.Compare(sa.Cell, sb.Cell)
+	}
 	for r := range perRow {
 		vars := perRow[r]
-		sort.Slice(vars, func(a, b int) bool {
-			sa, sb := &p.Subcells[vars[a]], &p.Subcells[vars[b]]
-			if sa.Target != sb.Target {
-				return sa.Target < sb.Target
-			}
-			return sa.Cell < sb.Cell
-		})
+		slices.SortFunc(vars, byTarget)
 		for i := 0; i+1 < len(vars); i++ {
 			l, rv := vars[i], vars[i+1]
 			p.Cons = append(p.Cons, Constraint{
@@ -241,7 +262,7 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 	// entries with known columns, so B is filled directly in CSR form
 	// (column-sorted per row, no duplicates) instead of through the
 	// triplet-sorting Builder — problem assembly dominates warm re-solves.
-	p.Bv = make([]float64, p.NumCons)
+	p.Bv = grow(p.Bv, p.NumCons)
 	nnzB := 0
 	for _, c := range p.Cons {
 		nnzB++
@@ -249,31 +270,33 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 			nnzB++
 		}
 	}
-	bRowPtr := make([]int, p.NumCons+1)
-	bCol := make([]int, nnzB)
-	bVal := make([]float64, nnzB)
+	if p.B == nil {
+		p.B = &sparse.CSR{}
+	}
+	b := p.B
+	b.Rows, b.Cols = p.NumCons, p.NumVars
+	b.RowPtr, b.ColIdx, b.Val = grow(b.RowPtr, p.NumCons+1), grow(b.ColIdx, nnzB), grow(b.Val, nnzB)
 	k := 0
 	for i, c := range p.Cons {
-		bRowPtr[i] = k
+		b.RowPtr[i] = k
 		switch {
 		case c.Right < 0:
-			bCol[k], bVal[k] = c.Left, -1
+			b.ColIdx[k], b.Val[k] = c.Left, -1
 			k++
 		case c.Left < c.Right:
-			bCol[k], bVal[k] = c.Left, -1
-			bCol[k+1], bVal[k+1] = c.Right, 1
+			b.ColIdx[k], b.Val[k] = c.Left, -1
+			b.ColIdx[k+1], b.Val[k+1] = c.Right, 1
 			k += 2
 		default:
 			// Variable indices follow cell-ID order, not x order, so the
 			// right neighbor's column may be the smaller one.
-			bCol[k], bVal[k] = c.Right, 1
-			bCol[k+1], bVal[k+1] = c.Left, -1
+			b.ColIdx[k], b.Val[k] = c.Right, 1
+			b.ColIdx[k+1], b.Val[k+1] = c.Left, -1
 			k += 2
 		}
 		p.Bv[i] = c.Gap
 	}
-	bRowPtr[p.NumCons] = k
-	p.B = &sparse.CSR{Rows: p.NumCons, Cols: p.NumVars, RowPtr: bRowPtr, ColIdx: bCol, Val: bVal}
+	b.RowPtr[p.NumCons] = k
 
 	// Equality matrix E: chain consecutive subcells of each multi-row cell.
 	// A cell's variables are consecutive and increasing, so each row's two
@@ -284,27 +307,29 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 			numEq += len(vars) - 1
 		}
 	}
-	eRowPtr := make([]int, numEq+1)
-	eCol := make([]int, 2*numEq)
-	eVal := make([]float64, 2*numEq)
+	if p.E == nil {
+		p.E = &sparse.CSR{}
+	}
+	e := p.E
+	e.Rows, e.Cols = numEq, p.NumVars
+	e.RowPtr, e.ColIdx, e.Val = grow(e.RowPtr, numEq+1), grow(e.ColIdx, 2*numEq), grow(e.Val, 2*numEq)
 	k = 0
 	for _, vars := range p.CellVars {
 		for j := 0; j+1 < len(vars); j++ {
-			eRowPtr[k/2] = k
-			eCol[k], eVal[k] = vars[j], -1
-			eCol[k+1], eVal[k+1] = vars[j+1], 1
+			e.RowPtr[k/2] = k
+			e.ColIdx[k], e.Val[k] = vars[j], -1
+			e.ColIdx[k+1], e.Val[k+1] = vars[j+1], 1
 			k += 2
 		}
 	}
-	eRowPtr[numEq] = k
-	p.E = &sparse.CSR{Rows: numEq, Cols: p.NumVars, RowPtr: eRowPtr, ColIdx: eCol, Val: eVal}
+	e.RowPtr[numEq] = k
 
 	// Linear objective p = −x'.
-	p.P = make([]float64, p.NumVars)
+	p.P = grow(p.P, p.NumVars)
 	for i, s := range p.Subcells {
 		p.P[i] = -s.Target
 	}
-	return p, nil
+	return nil
 }
 
 // ApplyH computes dst = H src with H = I + λEᵀE. The E-coupling is block
@@ -569,12 +594,17 @@ func (p *Problem) SchurTridiag() *sparse.Tridiag {
 // constraint (columns n+i ascending). The diagonal adds its λ terms to 1 in
 // the order a triplet assembly sums them, which keeps every value
 // bit-identical to one (pinned by TestAssembleLCPMatrixMatchesTriplets).
-func (p *Problem) AssembleLCPMatrix() *sparse.CSR {
+func (p *Problem) AssembleLCPMatrix() *sparse.CSR { return p.assembleLCP(&sparse.CSR{}) }
+
+// assembleLCP is AssembleLCPMatrix writing into a, reusing its storage. It
+// returns a.
+func (p *Problem) assembleLCP(a *sparse.CSR) *sparse.CSR {
 	n, m := p.NumVars, p.NumCons
 	// Row lengths: a variable row holds its diagonal, one −λ per chain link
 	// and one −Bᵀ entry per constraint on the variable; constraint row i is
 	// B's row i.
-	rowPtr := make([]int, n+m+1)
+	rowPtr := grow(a.RowPtr, n+m+1)
+	rowPtr[0] = 0
 	for v := 0; v < n; v++ {
 		rowPtr[v+1] = 1
 	}
@@ -596,12 +626,13 @@ func (p *Problem) AssembleLCPMatrix() *sparse.CSR {
 	for r := 0; r < n+m; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	col := make([]int, rowPtr[n+m])
-	val := make([]float64, rowPtr[n+m])
+	col := grow(a.ColIdx, rowPtr[n+m])
+	val := grow(a.Val, rowPtr[n+m])
 
-	// H = I + λEᵀE, cell by cell; next[v] is where variable row v's −Bᵀ
-	// entries start.
-	next := make([]int, n)
+	// H = I + λEᵀE, cell by cell. rowPtr[v] then serves as variable row v's
+	// fill cursor, which the −Bᵀ entries advance to the row's end — the next
+	// row's start — so shifting the first n+1 pointers right by one restores
+	// the starts.
 	for _, vars := range p.CellVars {
 		for k, v := range vars {
 			at := rowPtr[v]
@@ -619,27 +650,33 @@ func (p *Problem) AssembleLCPMatrix() *sparse.CSR {
 				diag += p.Lambda
 			}
 			col[diagAt], val[diagAt] = v, diag
-			next[v] = at
+			rowPtr[v] = at
 		}
 	}
 	// −Bᵀ: B has −1 at Left and +1 at Right.
 	for i, c := range p.Cons {
-		col[next[c.Left]], val[next[c.Left]] = n+i, 1
-		next[c.Left]++
+		col[rowPtr[c.Left]], val[rowPtr[c.Left]] = n+i, 1
+		rowPtr[c.Left]++
 		if c.Right >= 0 {
-			col[next[c.Right]], val[next[c.Right]] = n+i, -1
-			next[c.Right]++
+			col[rowPtr[c.Right]], val[rowPtr[c.Right]] = n+i, -1
+			rowPtr[c.Right]++
 		}
 	}
+	copy(rowPtr[1:n+1], rowPtr[:n])
+	rowPtr[0] = 0
 	// B, whose rows are already column-sorted.
 	copy(col[rowPtr[n]:], p.B.ColIdx)
 	copy(val[rowPtr[n]:], p.B.Val)
-	return &sparse.CSR{Rows: n + m, Cols: n + m, RowPtr: rowPtr, ColIdx: col, Val: val}
+	a.Rows, a.Cols, a.RowPtr, a.ColIdx, a.Val = n+m, n+m, rowPtr, col, val
+	return a
 }
 
 // LCPVector builds q = [p; −b].
-func (p *Problem) LCPVector() []float64 {
-	q := make([]float64, p.NumVars+p.NumCons)
+func (p *Problem) LCPVector() []float64 { return p.lcpVector(nil) }
+
+// lcpVector is LCPVector writing into q's storage.
+func (p *Problem) lcpVector(q []float64) []float64 {
+	q = grow(q, p.NumVars+p.NumCons)
 	copy(q, p.P)
 	for i, bv := range p.Bv {
 		q[p.NumVars+i] = -bv

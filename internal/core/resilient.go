@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"mclg/internal/baselines/chow"
@@ -70,11 +71,13 @@ type ResilientOptions struct {
 //
 //	mmsim → mmsim-retuned (×MaxRetunes) → pgs → greedy
 //
-// Every rung runs on a clone of the design; the input is mutated only when
-// a rung's output is verified fully legal with zero unplaced cells, so a
-// failed cascade leaves the caller's placement untouched. A silently
-// illegal result is converted to an ErrUnplacedCells-matching error —
-// success always means "verified legal", never "the solver said so".
+// Every rung runs on a copy of the design's cells that shares its netlist,
+// which no rung writes (sequential rungs reuse pooled copies); the input is
+// mutated only when a rung's output is verified fully legal with zero
+// unplaced cells, so a failed cascade leaves the caller's placement
+// untouched. A silently illegal result is converted to an
+// ErrUnplacedCells-matching error — success always means "verified legal",
+// never "the solver said so".
 //
 // Context cancellation short-circuits the cascade: a canceled rung
 // surfaces ErrCanceled immediately instead of degrading further.
@@ -122,7 +125,12 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 			return false, err
 		}
 		t0 := time.Now()
-		work := d.Clone()
+		work := workPool.Get().(*design.Design)
+		defer func() {
+			work.Nets = nil // shared with d
+			workPool.Put(work)
+		}()
+		d.CopyCellsTo(work)
 		st, err := runRecovered(run, work)
 		if err == nil {
 			if rep := design.CheckLegal(work); !rep.Legal() {
@@ -193,7 +201,7 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 			fb := fb
 			tasks[i] = func(tctx context.Context) (rungOut, error) {
 				t0 := time.Now()
-				work := d.Clone()
+				work := d.CloneCells()
 				st, err := fb.run(tctx, work)
 				if err == nil {
 					if rep := design.CheckLegal(work); !rep.Legal() {
@@ -388,6 +396,9 @@ func runRecovered(run func(*design.Design) (*Stats, error), work *design.Design)
 	}()
 	return run(work)
 }
+
+// workPool recycles the sequential rungs' working copies.
+var workPool = sync.Pool{New: func() any { return &design.Design{} }}
 
 // commitPlacement copies the solved positions from a rung's working clone
 // back into the caller's design.

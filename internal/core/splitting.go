@@ -20,13 +20,14 @@ type StructuredSplitting struct {
 	p        *Problem
 	beta     float64
 	theta    float64
-	d        *sparse.Tridiag       // D
-	mSolver  *sparse.TridiagSolver // factor of (1/θ*)D + Ω_r
-	scratchX []float64
-	dScaled  *sparse.Tridiag // (1/θ*)D, reused by ApplyN
-	omega    []float64       // nil for Ω = I
-	scaledX  bool            // Ω_x = diag(H) instead of I
-	bT       *sparse.CSR     // Bᵀ, precomputed so ApplyN runs one row pass
+	d        sparse.Tridiag       // D
+	mSolver  sparse.TridiagSolver // factor of shifted
+	shifted  sparse.Tridiag       // (1/θ*)D + Ω_r
+	scratchX []float64            // also D's fill scratch
+	dScaled  sparse.Tridiag       // (1/θ*)D, reused by ApplyN
+	omega    []float64            // nil for Ω = I
+	scaledX  bool                 // Ω_x = diag(H) instead of I
+	bT       sparse.CSR           // Bᵀ, precomputed so ApplyN runs one row pass
 }
 
 // NewStructuredSplitting builds the splitting for an assembled problem with
@@ -59,25 +60,30 @@ func NewStructuredSplittingOmegaR(p *Problem, beta, theta, omegaR float64) (*Str
 }
 
 func newStructured(p *Problem, beta, theta float64, scaledOmega bool, omegaR float64) (*StructuredSplitting, error) {
+	s := &StructuredSplitting{}
+	if err := s.build(p, beta, theta, scaledOmega, omegaR); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// build is newStructured writing into s, reusing its storage.
+func (s *StructuredSplitting) build(p *Problem, beta, theta float64, scaledOmega bool, omegaR float64) error {
 	if beta <= 0 || beta >= 2 {
-		return nil, fmt.Errorf("core: beta must be in (0, 2), got %g", beta)
+		return fmt.Errorf("core: beta must be in (0, 2), got %g", beta)
 	}
 	if theta <= 0 {
-		return nil, fmt.Errorf("core: theta must be positive, got %g", theta)
+		return fmt.Errorf("core: theta must be positive, got %g", theta)
 	}
 	if omegaR <= 0 {
-		return nil, fmt.Errorf("core: omegaR must be positive, got %g", omegaR)
+		return fmt.Errorf("core: omegaR must be positive, got %g", omegaR)
 	}
-	s := &StructuredSplitting{
-		p:        p,
-		beta:     beta,
-		theta:    theta,
-		d:        p.SchurTridiag(),
-		scratchX: make([]float64, p.NumVars),
-		scaledX:  scaledOmega,
-	}
+	n, m := p.NumVars, p.NumCons
+	s.p, s.beta, s.theta, s.scaledX = p, beta, theta, scaledOmega
+	s.scratchX = grow(s.scratchX, n)
+	sparse.GramTridiagApplyInto(&s.d, s.scratchX, p.B, p.ApplyHInvSparse)
+	s.omega = nil
 	if scaledOmega || omegaR != 1 {
-		n, m := p.NumVars, p.NumCons
 		s.omega = make([]float64, n+m)
 		if scaledOmega {
 			copy(s.omega[:n], p.HDiag())
@@ -90,19 +96,17 @@ func newStructured(p *Problem, beta, theta float64, scaledOmega bool, omegaR flo
 			s.omega[i] = omegaR
 		}
 	}
-	s.dScaled = s.d.Scaled(1 / theta)
-	solver, err := s.dScaled.Shifted(omegaR).Factor()
-	if err != nil {
-		return nil, fmt.Errorf("core: factoring (1/θ*)D + Ω_r: %w", err)
+	s.d.ScaledInto(&s.dScaled, 1/theta).ShiftedInto(&s.shifted, omegaR)
+	if err := s.shifted.FactorInto(&s.mSolver); err != nil {
+		return fmt.Errorf("core: factoring (1/θ*)D + Ω_r: %w", err)
 	}
-	s.mSolver = solver
-	s.bT = p.B.Transpose()
-	return s, nil
+	p.B.TransposeInto(&s.bT)
+	return nil
 }
 
 // D returns the tridiagonal Schur approximation (for diagnostics and the
 // θ* bound computation).
-func (s *StructuredSplitting) D() *sparse.Tridiag { return s.d }
+func (s *StructuredSplitting) D() *sparse.Tridiag { return &s.d }
 
 // SolveMOmega solves (M + Ω) dst = rhs exploiting the block
 // lower-triangular structure:

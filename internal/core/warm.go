@@ -153,10 +153,11 @@ func (w *WarmState) Reset() {
 	w.coldIters = 0
 }
 
-// grow returns buf re-sliced (and if needed re-allocated) to length n.
-func grow(buf []float64, n int) []float64 {
+// grow returns buf re-sliced (and if needed re-allocated) to length n; the
+// contents are unspecified unless the storage is new.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

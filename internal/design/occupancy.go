@@ -3,6 +3,7 @@ package design
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mclg/internal/geom"
 )
@@ -13,7 +14,8 @@ import (
 type Occupancy struct {
 	lo         geom.Point // core origin
 	rowH, site float64    // row height, site width
-	grid       [][]int32  // grid[row][site]
+	grid       [][]int32  // grid[row][site], rows sliced from sites
+	sites      []int32
 
 	// undo records the edits of the open transaction (Begin), if tx.
 	undo []occEdit
@@ -30,12 +32,28 @@ type occEdit struct {
 // only the row and site geometry, so it serves any design with the same
 // core and rows.
 func NewOccupancy(d *Design) *Occupancy {
-	o := &Occupancy{lo: d.Core.Lo, rowH: d.RowHeight, site: d.SiteW}
-	o.grid = make([][]int32, len(d.Rows))
-	for i, r := range d.Rows {
-		o.grid[i] = make([]int32, r.NumSites)
-	}
+	o := &Occupancy{}
+	o.Reset(d)
 	return o
+}
+
+// Reset makes o an empty grid for d's rows with no open transaction, as
+// NewOccupancy would, reusing o's storage.
+func (o *Occupancy) Reset(d *Design) {
+	o.lo, o.rowH, o.site = d.Core.Lo, d.RowHeight, d.SiteW
+	o.undo, o.tx = o.undo[:0], false
+	n := 0
+	for _, r := range d.Rows {
+		n += r.NumSites
+	}
+	o.sites = slices.Grow(o.sites[:0], n)[:n]
+	clear(o.sites)
+	o.grid = slices.Grow(o.grid[:0], len(d.Rows))[:len(d.Rows)]
+	n = 0
+	for i, r := range d.Rows {
+		o.grid[i] = o.sites[n : n+r.NumSites : n+r.NumSites]
+		n += r.NumSites
+	}
 }
 
 // set writes one grid entry, recording the old value in an open

@@ -2,6 +2,7 @@ package design
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -81,5 +82,53 @@ func TestOccupancyFitsConsistentWithPlace(t *testing.T) {
 		if fits != (err == nil) {
 			t.Fatalf("Fits=%v but Place err=%v at (%g, %g)", fits, err, x, y)
 		}
+	}
+}
+
+// TestOccupancyResetMatchesNew fills a grid for a larger design, leaves a
+// transaction open, and resets it for a smaller design and then for a
+// larger one again: each reset grid must equal a NewOccupancy grid, with no
+// site or recorded edit kept from before.
+func TestOccupancyResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(243))
+	fill := func(o *Occupancy, d *Design) {
+		for i := 0; i < 40; i++ {
+			c := d.AddCell("c", float64(1+rng.Intn(5)), 10, VSS)
+			if x, y := float64(rng.Intn(30)), d.RowY(rng.Intn(len(d.Rows))); o.Fits(c, x, y) {
+				if err := o.Place(c, x, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	o := NewOccupancy(NewDesign(Config{NumRows: 8, NumSites: 50, RowHeight: 10, SiteW: 1}))
+	for _, cfg := range []Config{
+		{NumRows: 3, NumSites: 20, RowHeight: 10, SiteW: 1, OriginX: 5},
+		{NumRows: 12, NumSites: 64, RowHeight: 8, SiteW: 2, OriginY: -4},
+	} {
+		big := NewDesign(Config{NumRows: 8, NumSites: 50, RowHeight: 10, SiteW: 1})
+		fill(o, big)
+		o.Begin()
+		fill(o, big)
+		d := NewDesign(cfg)
+		o.Reset(d)
+		want := NewOccupancy(d)
+		if o.lo != want.lo || o.rowH != want.rowH || o.site != want.site || o.tx || len(o.undo) != 0 {
+			t.Fatalf("%+v: reset geometry or transaction state differs from NewOccupancy", cfg)
+		}
+		if !reflect.DeepEqual(o.grid, want.grid) {
+			t.Fatalf("%+v: reset grid differs from NewOccupancy's", cfg)
+		}
+		// The reset grid behaves like a new one: one Place, one Rollback.
+		c := d.AddCell("probe", 3, cfg.RowHeight, VSS)
+		o.Begin()
+		if err := o.Place(c, d.Core.Lo.X, d.RowY(1)); err != nil {
+			t.Fatal(err)
+		}
+		o.Rollback()
+		if o.UsedSites() != 0 {
+			t.Fatalf("%+v: rollback after reset left %d sites used", cfg, o.UsedSites())
+		}
+		o.Reset(big)
 	}
 }

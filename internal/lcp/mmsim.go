@@ -61,11 +61,9 @@ type Options struct {
 
 	// Workspace supplies the solve's iterate buffers so repeated solves
 	// allocate nothing per iteration (and nothing per solve beyond the
-	// Result struct). Nil borrows a pooled workspace for the duration of
-	// the solve; in that case Result.Z is detached (copied) before the
-	// workspace returns to the pool. With an explicit Workspace, Result.Z
-	// aliases the workspace's z buffer and is valid only until the
-	// workspace is reused.
+	// Result struct). Nil gives the solver a workspace of its own. Result.Z
+	// aliases the workspace's z buffer and is valid until the workspace is
+	// reused.
 	Workspace *Workspace
 }
 
@@ -130,11 +128,10 @@ func MMSIMContext(ctx context.Context, p *Problem, sp Splitting, opts Options) (
 // steady-state allocation gate) can drive the per-iteration hot path
 // directly — a Step performs zero heap allocations.
 type Solver struct {
-	p     *Problem
-	sp    Splitting
-	o     Options
-	ws    *Workspace
-	ownWS bool // workspace borrowed from the pool, returned by Close
+	p  *Problem
+	sp Splitting
+	o  Options
+	ws *Workspace
 
 	omega []float64
 	n     int
@@ -169,15 +166,13 @@ func NewSolver(p *Problem, sp Splitting, opts Options) (*Solver, error) {
 	} else {
 		sv.resStride = residualStride(p)
 	}
-	if opts.Workspace != nil {
-		sv.ws = opts.Workspace
-		sv.ws.Ensure(n)
-	} else {
-		sv.ws = GetWorkspace(n)
-		sv.ownWS = true
+	sv.ws = opts.Workspace
+	if sv.ws == nil {
+		sv.ws = &Workspace{}
 	}
-	// Pooled (and caller-reused) buffers are dirty: the seed and the dz
-	// predecessor are the only state read before being written.
+	sv.ws.Ensure(n)
+	// Reused buffers are dirty: the seed and the dz predecessor are the only
+	// state read before being written.
 	ws := sv.ws
 	for i := range ws.s {
 		ws.s[i] = 0
@@ -191,16 +186,9 @@ func NewSolver(p *Problem, sp Splitting, opts Options) (*Solver, error) {
 	return sv, nil
 }
 
-// Close releases a pooled workspace. After Close the solver must not be
-// stepped; a Result.Z obtained from an explicit Options.Workspace remains
-// owned by that workspace.
-func (sv *Solver) Close() {
-	if sv.ownWS {
-		PutWorkspace(sv.ws)
-		sv.ownWS = false
-	}
-	sv.ws = nil
-}
+// Close detaches the solver from its workspace. After Close the solver must
+// not be stepped; a Result.Z remains owned by the workspace.
+func (sv *Solver) Close() { sv.ws = nil }
 
 // Iterations returns how many steps have completed.
 func (sv *Solver) Iterations() int { return sv.k }
@@ -332,9 +320,7 @@ var (
 )
 
 // Run drives Step until convergence, divergence, iteration exhaustion, or
-// cancellation, reproducing the classic MMSIMContext loop bit for bit. When
-// the solver owns a pooled workspace, Result.Z is detached from it before
-// the workspace can return to the pool; with an explicit Options.Workspace,
+// cancellation, reproducing the classic MMSIMContext loop bit for bit.
 // Result.Z aliases the workspace.
 //
 // Residual verification is strided (Options.CheckEvery): the first candidate
@@ -402,11 +388,7 @@ func (sv *Solver) run(ctx context.Context, limit int) (*Result, error) {
 		res.Paused = true
 		return res, nil
 	}
-	if sv.ownWS {
-		res.Z = append([]float64(nil), sv.ws.z...)
-	} else {
-		res.Z = sv.ws.z
-	}
+	res.Z = sv.ws.z
 	return res, nil
 }
 

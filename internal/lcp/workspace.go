@@ -1,9 +1,6 @@
 package lcp
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Workspace owns every per-solve buffer of the MMSIM hot loop: the modulus
 // iterate pair s/sNext, the |s| and rhs scratch, the z iterate and its
@@ -20,7 +17,7 @@ type Workspace struct {
 	s, sNext, absS, rhs, z, zPrev, w []float64
 
 	// aux and auxInts back Floats and Ints: scratch for a stage that runs
-	// beside the iteration, kept here so pooled solves reuse it too.
+	// beside the iteration, kept here so a reused workspace serves it too.
 	aux     [][]float64
 	auxInts [][]int
 }
@@ -81,27 +78,6 @@ func (ws *Workspace) Ensure(n int) {
 	ws.z = ws.z[:n]
 	ws.zPrev = ws.zPrev[:n]
 	ws.w = ws.w[:n]
-}
-
-// wsPool recycles workspaces across solves that do not bring their own
-// (Options.Workspace == nil): after the first few solves of a steady-state
-// sweep the pool serves every Get, so the per-solve buffer cost drops to the
-// one copy that detaches Result.Z from the pooled buffers.
-var wsPool = sync.Pool{New: func() any { return &Workspace{} }}
-
-// GetWorkspace takes a pooled workspace sized for n. Pair with PutWorkspace.
-func GetWorkspace(n int) *Workspace {
-	ws := wsPool.Get().(*Workspace)
-	ws.Ensure(n)
-	return ws
-}
-
-// PutWorkspace returns a workspace to the pool. The caller must not retain
-// any slice of it (including a Result.Z that aliases it).
-func PutWorkspace(ws *Workspace) {
-	if ws != nil {
-		wsPool.Put(ws)
-	}
 }
 
 // WarmSeed writes into dst the modulus-transform seed derived from a prior

@@ -39,9 +39,10 @@ func TestMMSIMS0LengthValidation(t *testing.T) {
 
 // TestWorkspaceReuseMatchesPooled pins that an explicit, reused workspace
 // changes nothing about the iterates: the same problem solved through one
-// workspace twice in a row — and through the pool — yields bit-identical z,
-// and a workspace sized for a larger instance serves a smaller one (the
-// Ensure shrink path) without disturbing the result.
+// workspace twice in a row — and on a fresh workspace of the solver's own —
+// yields bit-identical z, and a workspace sized for a larger instance
+// serves a smaller one (the Ensure shrink path) without disturbing the
+// result.
 func TestWorkspaceReuseMatchesPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	big, _ := spdProblem(rng, 24)
@@ -67,24 +68,24 @@ func TestWorkspaceReuseMatchesPooled(t *testing.T) {
 
 	ws := NewWorkspace(24)
 	for name, p := range map[string]*Problem{"big": big, "small": small} {
-		pooled := solve(p, nil)
+		own := solve(p, nil)
 		first := append([]float64(nil), solve(p, ws).Z...)
 		second := solve(p, ws) // dirty buffers from the previous run
 		if len(first) != p.N() || len(second.Z) != p.N() {
 			t.Fatalf("%s: Z length %d/%d, want %d", name, len(first), len(second.Z), p.N())
 		}
 		for i := range first {
-			if first[i] != pooled.Z[i] || second.Z[i] != pooled.Z[i] {
-				t.Fatalf("%s: z[%d] pooled %g, workspace %g / %g — reuse changed the result",
-					name, i, pooled.Z[i], first[i], second.Z[i])
+			if first[i] != own.Z[i] || second.Z[i] != own.Z[i] {
+				t.Fatalf("%s: z[%d] own workspace %g, reused %g / %g — reuse changed the result",
+					name, i, own.Z[i], first[i], second.Z[i])
 			}
 		}
 	}
 }
 
-// TestResultZDetachedFromPool pins the ownership contract: a pooled solve's
-// Result.Z must survive the workspace returning to the pool and being
-// reused by a later solve.
+// TestResultZDetachedFromPool pins the ownership contract: a solve run
+// without a Workspace owns its buffers, so its Result.Z must survive later
+// solves.
 func TestResultZDetachedFromPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
 	p, _ := spdProblem(rng, 12)
@@ -97,7 +98,7 @@ func TestResultZDetachedFromPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append([]float64(nil), res.Z...)
-	// Churn the pool with solves of a different problem.
+	// Solves of a different problem.
 	q, _ := spdProblem(rng, 12)
 	spq, _ := NewDiagSplitting(q.A, 0.9)
 	for i := 0; i < 4; i++ {
@@ -107,7 +108,7 @@ func TestResultZDetachedFromPool(t *testing.T) {
 	}
 	for i := range want {
 		if res.Z[i] != want[i] {
-			t.Fatalf("Result.Z[%d] changed from %g to %g after pool reuse", i, want[i], res.Z[i])
+			t.Fatalf("Result.Z[%d] changed from %g to %g after later solves", i, want[i], res.Z[i])
 		}
 	}
 }
@@ -282,9 +283,6 @@ func TestWorkspaceEnsure(t *testing.T) {
 	if len(ws.sNext) != 11 || len(ws.zPrev) != 11 {
 		t.Fatalf("grow: lengths %d/%d, want 11", len(ws.sNext), len(ws.zPrev))
 	}
-	var nilWS *Workspace
-	_ = nilWS // PutWorkspace tolerates nil
-	PutWorkspace(nil)
 }
 
 func TestZeroDimensionSolve(t *testing.T) {

@@ -465,12 +465,16 @@ func (s *Server) admit(j *job) error {
 		s.stats.rejectedDraining.Inc()
 		return errDraining
 	}
+	// Count the job before a worker can see it: once sent, it may finish
+	// (jobsWG.Done, queueDepth −1) before this goroutine runs again.
+	s.jobsWG.Add(1)
+	s.stats.queueDepth.Add(1)
 	select {
 	case s.queue <- j:
-		s.jobsWG.Add(1)
-		s.stats.queueDepth.Add(1)
 		return nil
 	default:
+		s.jobsWG.Done()
+		s.stats.queueDepth.Add(-1)
 		s.stats.rejectedFull.Inc()
 		return errQueueFull
 	}

@@ -123,14 +123,15 @@ func (m *CSR) AddMulVecT(dst, x []float64, alpha float64) {
 }
 
 // Transpose returns a new CSR holding mᵀ.
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{
-		Rows:   m.Cols,
-		Cols:   m.Rows,
-		RowPtr: make([]int, m.Cols+1),
-		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
-	}
+func (m *CSR) Transpose() *CSR { return m.TransposeInto(new(CSR)) }
+
+// TransposeInto writes mᵀ into t, reusing t's storage, and returns t.
+func (m *CSR) TransposeInto(t *CSR) *CSR {
+	t.Rows, t.Cols = m.Cols, m.Rows
+	t.RowPtr = grow(t.RowPtr, m.Cols+1)
+	t.ColIdx = grow(t.ColIdx, m.NNZ())
+	t.Val = grow(t.Val, m.NNZ())
+	clear(t.RowPtr)
 	// Count entries per column of m.
 	for _, j := range m.ColIdx {
 		t.RowPtr[j+1]++
@@ -138,17 +139,20 @@ func (m *CSR) Transpose() *CSR {
 	for j := 0; j < m.Cols; j++ {
 		t.RowPtr[j+1] += t.RowPtr[j]
 	}
-	next := make([]int, m.Cols)
-	copy(next, t.RowPtr[:m.Cols])
+	// RowPtr[j] serves as row j's fill cursor, which ends at the row's end —
+	// the next row's start — so shifting the pointers right by one restores
+	// the starts.
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			j := m.ColIdx[k]
-			p := next[j]
+			p := t.RowPtr[j]
 			t.ColIdx[p] = i
 			t.Val[p] = m.Val[k]
-			next[j]++
+			t.RowPtr[j]++
 		}
 	}
+	copy(t.RowPtr[1:], t.RowPtr[:m.Cols])
+	t.RowPtr[0] = 0
 	return t
 }
 

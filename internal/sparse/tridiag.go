@@ -11,11 +11,24 @@ type Tridiag struct {
 
 // NewTridiag allocates a zero tridiagonal matrix of order n.
 func NewTridiag(n int) *Tridiag {
-	return &Tridiag{
-		Sub:  make([]float64, n),
-		Diag: make([]float64, n),
-		Sup:  make([]float64, n),
+	t := &Tridiag{}
+	t.resize(n)
+	return t
+}
+
+// resize gives t order n, reusing its storage; the entries are unspecified
+// unless the storage is new.
+func (t *Tridiag) resize(n int) {
+	t.Sub, t.Diag, t.Sup = grow(t.Sub, n), grow(t.Diag, n), grow(t.Sup, n)
+}
+
+// grow returns buf with length n, reallocating only when its capacity is
+// short; the contents are unspecified unless the storage is new.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
 }
 
 // N returns the order of the matrix.
@@ -45,9 +58,13 @@ func (t *Tridiag) MulVec(dst, x []float64) {
 }
 
 // Shifted returns t + shift*I as a new matrix.
-func (t *Tridiag) Shifted(shift float64) *Tridiag {
+func (t *Tridiag) Shifted(shift float64) *Tridiag { return t.ShiftedInto(new(Tridiag), shift) }
+
+// ShiftedInto writes t + shift*I into out, reusing out's storage, and
+// returns out.
+func (t *Tridiag) ShiftedInto(out *Tridiag, shift float64) *Tridiag {
 	n := t.N()
-	out := NewTridiag(n)
+	out.resize(n)
 	copy(out.Sub, t.Sub)
 	copy(out.Sup, t.Sup)
 	for i := 0; i < n; i++ {
@@ -57,9 +74,12 @@ func (t *Tridiag) Shifted(shift float64) *Tridiag {
 }
 
 // Scaled returns alpha*t as a new matrix.
-func (t *Tridiag) Scaled(alpha float64) *Tridiag {
+func (t *Tridiag) Scaled(alpha float64) *Tridiag { return t.ScaledInto(new(Tridiag), alpha) }
+
+// ScaledInto writes alpha*t into out, reusing out's storage, and returns out.
+func (t *Tridiag) ScaledInto(out *Tridiag, alpha float64) *Tridiag {
 	n := t.N()
-	out := NewTridiag(n)
+	out.resize(n)
 	for i := 0; i < n; i++ {
 		out.Sub[i] = alpha * t.Sub[i]
 		out.Diag[i] = alpha * t.Diag[i]
@@ -86,30 +106,38 @@ type TridiagSolver struct {
 // underflows, which for the diagonally dominant matrices produced by the
 // MMSIM splitting indicates a malformed input.
 func (t *Tridiag) Factor() (*TridiagSolver, error) {
+	s := new(TridiagSolver)
+	if err := t.FactorInto(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// FactorInto is Factor writing the factorization into s, reusing its
+// storage. s reads t's superdiagonal, which must outlive it unchanged.
+func (t *Tridiag) FactorInto(s *TridiagSolver) error {
 	n := t.N()
-	s := &TridiagSolver{
-		n:    n,
-		low:  make([]float64, n),
-		diag: make([]float64, n),
-		sup:  t.Sup,
-	}
+	s.n, s.sup = n, t.Sup
+	s.low, s.diag = grow(s.low, n), grow(s.diag, n)
+	s.segments = s.segments[:0]
 	if n == 0 {
-		return s, nil
+		return nil
 	}
+	s.low[0] = 0
 	s.diag[0] = t.Diag[0]
 	for i := 1; i < n; i++ {
 		piv := s.diag[i-1]
 		if piv == 0 {
-			return nil, fmt.Errorf("sparse: zero pivot at row %d during tridiagonal factorization", i-1)
+			return fmt.Errorf("sparse: zero pivot at row %d during tridiagonal factorization", i-1)
 		}
 		s.low[i] = t.Sub[i] / piv
 		s.diag[i] = t.Diag[i] - s.low[i]*t.Sup[i-1]
 	}
 	if s.diag[n-1] == 0 {
-		return nil, fmt.Errorf("sparse: zero pivot at row %d during tridiagonal factorization", n-1)
+		return fmt.Errorf("sparse: zero pivot at row %d during tridiagonal factorization", n-1)
 	}
 	s.Segments()
-	return s, nil
+	return nil
 }
 
 // Solve computes dst such that t*dst = rhs. dst and rhs may alias.
@@ -142,8 +170,8 @@ func (s *TridiagSolver) Solve(dst, rhs []float64) {
 // different rows share no variables), which SolveBlocks exploits. The
 // returned slice holds block start indices plus the terminating n.
 func (s *TridiagSolver) Segments() []int {
-	if s.segments == nil {
-		segs := []int{0}
+	if len(s.segments) == 0 {
+		segs := append(s.segments, 0)
 		for i := 1; i < s.n; i++ {
 			if s.low[i] == 0 && s.sup[i-1] == 0 {
 				segs = append(segs, i)
@@ -327,9 +355,19 @@ func weightedRowDot(b *CSR, i, j int, w []float64) float64 {
 // vector whose touched entries are cleared after each row, so the cost does
 // not grow with B's column count and the loop does not allocate.
 func GramTridiagApply(b *CSR, applyW func(idx []int, val []float64, emit func(int, float64))) *Tridiag {
+	return GramTridiagApplyInto(new(Tridiag), make([]float64, b.Cols), b, applyW)
+}
+
+// GramTridiagApplyInto is GramTridiagApply writing into t, reusing its
+// storage, with dense (length at least b.Cols) as the scatter scratch. It
+// returns t.
+func GramTridiagApplyInto(t *Tridiag, dense []float64, b *CSR, applyW func(idx []int, val []float64, emit func(int, float64))) *Tridiag {
 	m := b.Rows
-	t := NewTridiag(m)
-	dense := make([]float64, b.Cols)
+	t.resize(m)
+	if m > 0 {
+		t.Sub[0], t.Sup[m-1] = 0, 0
+	}
+	clear(dense)
 	touched := make([]int, 0, 16)
 	emit := func(j int, v float64) {
 		dense[j] += v

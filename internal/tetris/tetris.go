@@ -10,10 +10,12 @@
 package tetris
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
@@ -70,20 +72,13 @@ type cand struct {
 // parallel stages write disjoint per-cell or per-row state and reduce in
 // chunk order (see internal/par).
 func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Result, error) {
+	sc := pool.Get().(*scratch)
+	defer sc.release()
 	res := &Result{}
-	occ := design.NewOccupancy(d)
+	occ := blockedOccupancy(&sc.occ, d)
 
-	for _, c := range d.Cells {
-		if !c.Fixed {
-			continue
-		}
-		// Fixed cells block sites; an off-grid fixed cell blocks every site
-		// it touches. (The synthetic suite has none, but Bookshelf designs
-		// may.)
-		blockFixed(occ, d, c)
-	}
-
-	movable := movableCells(d)
+	sc.movable = movableCells(sc.movable[:0], d)
+	movable := sc.movable
 	if err := par.ReduceErr(workers, len(movable), par.GrainCells, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			c := movable[i]
@@ -100,20 +95,22 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 
 	// Count the cells the MMSIM left illegal (Table 1's "#I. Cell"):
 	// overlapping another cell or beyond the right boundary.
-	res.Illegal = countIllegalP(d, workers)
+	sc.fillRows(d)
+	res.Illegal = countIllegalP(d, workers, sc)
 
 	// Shove pass: enforce the right boundary and within-row ordering by
 	// pushing cells left, right-to-left per row, before snapping. This
 	// resolves the out-of-right-boundary cells the relaxed MMSIM produces
 	// (and small subcell-mismatch overlaps) while preserving the solver's
 	// cell ordering — the "Tetris" in Tetris-like allocation.
-	shoveLeft(d)
+	shoveLeft(d, sc.rows)
 
 	// Snapshot the solver's (shoved) positions: the rebuild fallbacks
 	// restart from here rather than from post-repair positions.
-	original := savePositions(d)
+	sc.saved = savePositions(sc.saved[:0], d)
 
-	cands := make([]cand, len(movable))
+	cands := slices.Grow(sc.cands[:0], len(movable))[:len(movable)]
+	sc.cands = cands
 	par.For(workers, len(movable), par.GrainCells, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := movable[i]
@@ -131,17 +128,17 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 	})
 	// Deterministic scan order: by snapped x, then row, then ID — the
 	// left-to-right check the paper describes.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].x != cands[j].x {
-			return cands[i].x < cands[j].x
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
 		}
-		if cands[i].row != cands[j].row {
-			return cands[i].row < cands[j].row
+		if c := cmp.Compare(a.row, b.row); c != 0 {
+			return c
 		}
-		return cands[i].c.ID < cands[j].c.ID
+		return cmp.Compare(a.c.ID, b.c.ID)
 	})
 
-	var illegal []cand
+	illegal := sc.illegal[:0]
 	for i, cd := range cands {
 		if i%cancelCheckEvery == 0 {
 			if err := mclgerr.FromContext(ctx); err != nil {
@@ -158,19 +155,19 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 			illegal = append(illegal, cd)
 		}
 	}
+	sc.illegal = illegal
 	res.Repaired = len(illegal)
 
 	// Repair hardest-first: tall and wide cells need long contiguous free
 	// runs, so they get first pick; small cells slot into the fragments.
-	sort.Slice(illegal, func(i, j int) bool {
-		a, b := illegal[i].c, illegal[j].c
-		if a.RowSpan != b.RowSpan {
-			return a.RowSpan > b.RowSpan
+	slices.SortFunc(illegal, func(a, b cand) int {
+		if c := cmp.Compare(b.c.RowSpan, a.c.RowSpan); c != 0 {
+			return c
 		}
-		if a.W != b.W {
-			return a.W > b.W
+		if c := cmp.Compare(b.c.W, a.c.W); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.c.ID, b.c.ID)
 	})
 	var failed []*design.Cell
 	for i, cd := range illegal {
@@ -195,19 +192,19 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 		// free position nearest to where the solver put it; if even that
 		// fragments, fall back to frontier compaction, which packs rows
 		// monotonically and succeeds whenever per-row capacity allows.
-		restorePositions(d, original)
-		if rebuildNearest(ctx, d, res) > 0 {
+		restorePositions(d, sc.saved)
+		if rebuildNearest(ctx, d, res, sc) > 0 {
 			if err := mclgerr.FromContext(ctx); err != nil {
 				return nil, err
 			}
-			restorePositions(d, original)
-			res.Unplaced = rebuildFrontier(ctx, d, res, false)
+			restorePositions(d, sc.saved)
+			res.Unplaced = rebuildFrontier(ctx, d, res, false, sc)
 			if res.Unplaced > 0 {
 				if err := mclgerr.FromContext(ctx); err != nil {
 					return nil, err
 				}
-				restorePositions(d, original)
-				res.Unplaced = rebuildFrontier(ctx, d, res, true)
+				restorePositions(d, sc.saved)
+				res.Unplaced = rebuildFrontier(ctx, d, res, true, sc)
 			}
 		}
 		if err := mclgerr.FromContext(ctx); err != nil {
@@ -228,17 +225,59 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 	return res, nil
 }
 
+// scratch is the storage one allocation pass builds, recycled through pool:
+// the occupancy grid, the movable list, the saved positions, the scan
+// candidates, and the per-row cell lists and flags of the illegal-cell count
+// and the shove pass.
+type scratch struct {
+	occ            design.Occupancy
+	movable        []*design.Cell
+	saved          []savedPos
+	cands, illegal []cand
+	rows           [][]*design.Cell
+	rowBad         [][]int
+	bad            []bool
+}
+
+var pool = sync.Pool{New: func() any { return &scratch{} }}
+
+// release returns sc to the pool after dropping its pointers into the
+// design, so a pooled scratch never keeps a design alive.
+func (sc *scratch) release() {
+	clear(sc.movable)
+	clear(sc.cands)
+	clear(sc.illegal)
+	for _, r := range sc.rows {
+		clear(r)
+	}
+	pool.Put(sc)
+}
+
+// fillRows sets sc.rows to each row's movable cells in ID order, a multi-row
+// cell listed in every row it crosses.
+func (sc *scratch) fillRows(d *design.Design) {
+	sc.rows = slices.Grow(sc.rows[:0], len(d.Rows))[:len(d.Rows)]
+	for r := range sc.rows {
+		sc.rows[r] = sc.rows[r][:0]
+	}
+	for _, c := range sc.movable {
+		r0 := d.RowAt(c.Y + d.RowHeight/2)
+		for k := 0; k < c.RowSpan; k++ {
+			sc.rows[r0+k] = append(sc.rows[r0+k], c)
+		}
+	}
+}
+
 type savedPos struct {
 	x, y    float64
 	flipped bool
 }
 
-func savePositions(d *design.Design) []savedPos {
-	out := make([]savedPos, len(d.Cells))
-	for i, c := range d.Cells {
-		out[i] = savedPos{c.X, c.Y, c.Flipped}
+func savePositions(dst []savedPos, d *design.Design) []savedPos {
+	for _, c := range d.Cells {
+		dst = append(dst, savedPos{c.X, c.Y, c.Flipped})
 	}
-	return out
+	return dst
 }
 
 func restorePositions(d *design.Design, saved []savedPos) {
@@ -250,21 +289,24 @@ func restorePositions(d *design.Design, saved []savedPos) {
 	}
 }
 
-func movableCells(d *design.Design) []*design.Cell {
-	out := make([]*design.Cell, 0, len(d.Cells))
+// movableCells appends d's movable cells to dst in ID order.
+func movableCells(dst []*design.Cell, d *design.Design) []*design.Cell {
 	for _, c := range d.Cells {
 		if !c.Fixed {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
-func blockedOccupancy(d *design.Design) *design.Occupancy {
-	occ := design.NewOccupancy(d)
+// blockedOccupancy resets occ to an empty grid for d with every site a fixed
+// cell touches blocked, whether or not the cell is site-aligned. (The
+// synthetic suite has no fixed cells, but Bookshelf designs may.)
+func blockedOccupancy(occ *design.Occupancy, d *design.Design) *design.Occupancy {
+	occ.Reset(d)
 	for _, c := range d.Cells {
 		if c.Fixed {
-			blockFixed(occ, d, c)
+			occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
 		}
 	}
 	return occ
@@ -274,21 +316,21 @@ func blockedOccupancy(d *design.Design) *design.Occupancy {
 // each at the nearest free position. Returns the number of unplaced cells.
 // A canceled ctx stops the sweep early, counting the rest as unplaced; the
 // caller translates that into an ErrCanceled return.
-func rebuildNearest(ctx context.Context, d *design.Design, res *Result) int {
-	occ := blockedOccupancy(d)
-	movable := movableCells(d)
-	sort.Slice(movable, func(i, j int) bool {
-		a, b := movable[i], movable[j]
-		if a.RowSpan != b.RowSpan {
-			return a.RowSpan > b.RowSpan
+func rebuildNearest(ctx context.Context, d *design.Design, res *Result, sc *scratch) int {
+	occ := blockedOccupancy(&sc.occ, d)
+	sc.movable = movableCells(sc.movable[:0], d)
+	movable := sc.movable
+	slices.SortFunc(movable, func(a, b *design.Cell) int {
+		if c := cmp.Compare(b.RowSpan, a.RowSpan); c != 0 {
+			return c
 		}
-		if a.W != b.W {
-			return a.W > b.W
+		if c := cmp.Compare(b.W, a.W); c != 0 {
+			return c
 		}
-		if a.X != b.X {
-			return a.X < b.X
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	unplaced := 0
 	for i, c := range movable {
@@ -320,18 +362,18 @@ func rebuildNearest(ctx context.Context, d *design.Design, res *Result) int {
 // (pure compaction), which succeeds for any instance whose rows have enough
 // aggregate capacity. Returns the number of unplaced cells. A canceled ctx
 // stops the sweep early, counting the rest as unplaced.
-func rebuildFrontier(ctx context.Context, d *design.Design, res *Result, compact bool) int {
-	occ := blockedOccupancy(d)
-	movable := movableCells(d)
-	sort.Slice(movable, func(i, j int) bool {
-		a, b := movable[i], movable[j]
-		if a.X != b.X {
-			return a.X < b.X
+func rebuildFrontier(ctx context.Context, d *design.Design, res *Result, compact bool, sc *scratch) int {
+	occ := blockedOccupancy(&sc.occ, d)
+	sc.movable = movableCells(sc.movable[:0], d)
+	movable := sc.movable
+	slices.SortFunc(movable, func(a, b *design.Cell) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
 		}
-		if a.RowSpan != b.RowSpan {
-			return a.RowSpan > b.RowSpan
+		if c := cmp.Compare(b.RowSpan, a.RowSpan); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	frontier := make([]int, len(d.Rows)) // next free site index per row
 	unplaced := 0
@@ -475,7 +517,7 @@ func repairCell(d *design.Design, occ *design.Occupancy, res *Result, c *design.
 		occ.Remove(ec, ec.X, ec.Y)
 		evicted = append(evicted, ec)
 	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i].ID < evicted[j].ID })
+	slices.SortFunc(evicted, func(a, b *design.Cell) int { return cmp.Compare(a.ID, b.ID) })
 	xPos := d.Rows[row].OriginX + float64(s0)*d.SiteW
 	if err := occ.Place(c, xPos, y); err != nil {
 		// Window could not be fully cleared; put the evicted cells back and
@@ -504,38 +546,28 @@ func moveCell(d *design.Design, c *design.Cell, x, y float64) {
 	}
 }
 
-// countIllegal counts movable cells that, once aligned to their nearest
+// countIllegalP counts movable cells that, once aligned to their nearest
 // placement site, overlap another cell or cross the right chip boundary —
 // the quantity Table 1 reports after the MMSIM stage ("aligns each cell to
 // the nearest placement site, then checks the cells one by one for their
 // legality"). Sub-half-site overlaps that snapping absorbs do not count.
-func countIllegal(d *design.Design) int {
-	return countIllegalP(d, 1)
-}
-
-// countIllegalP is countIllegal with the per-row overlap scans and the
-// per-cell boundary checks sharded across workers. Each row's scan collects
-// its violations into that row's own list and each boundary chunk writes
-// only its own cells' flags, so the stage is race-free; the lists merge
-// serially into one distinct-ID count, which makes the result independent of
-// scan completion order (a multi-row cell flagged by several rows still
-// counts once).
-func countIllegalP(d *design.Design, workers int) int {
+//
+// The per-row overlap scans of sc.rows and the per-cell boundary checks of
+// sc.movable are sharded across workers. Each row's scan collects its
+// violations into that row's own list and each boundary chunk writes only
+// its own cells' flags, so the stage is race-free; the lists merge serially
+// into one distinct-ID count, which makes the result independent of scan
+// completion order (a multi-row cell flagged by several rows still counts
+// once).
+func countIllegalP(d *design.Design, workers int, sc *scratch) int {
 	const eps = 1e-9
 	snap := func(c *design.Cell) float64 {
 		return math.Round((c.X-d.Core.Lo.X)/d.SiteW)*d.SiteW + d.Core.Lo.X
 	}
-	bad := make([]bool, len(d.Cells))
-	movable := movableCells(d)
-	rows := make([][]*design.Cell, len(d.Rows))
-	for _, c := range movable {
-		r0 := d.RowAt(c.Y + d.RowHeight/2)
-		for k := 0; k < c.RowSpan; k++ {
-			if r := r0 + k; r >= 0 && r < len(rows) {
-				rows[r] = append(rows[r], c)
-			}
-		}
-	}
+	bad := slices.Grow(sc.bad[:0], len(d.Cells))[:len(d.Cells)]
+	clear(bad)
+	sc.bad = bad
+	movable, rows := sc.movable, sc.rows
 	par.For(workers, len(movable), par.GrainCells, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := movable[i]
@@ -544,17 +576,18 @@ func countIllegalP(d *design.Design, workers int) int {
 			}
 		}
 	})
-	rowBad := make([][]int, len(rows))
+	rowBad := slices.Grow(sc.rowBad[:0], len(rows))[:len(rows)]
+	sc.rowBad = rowBad
 	par.For(workers, len(rows), par.GrainRows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			cells := rows[r]
-			sort.Slice(cells, func(i, j int) bool {
-				xi, xj := snap(cells[i]), snap(cells[j])
-				if xi != xj {
-					return xi < xj
+			slices.SortFunc(cells, func(a, b *design.Cell) int {
+				if c := cmp.Compare(snap(a), snap(b)); c != 0 {
+					return c
 				}
-				return cells[i].ID < cells[j].ID
+				return cmp.Compare(a.ID, b.ID)
 			})
+			rowBad[r] = rowBad[r][:0]
 			for i := 1; i < len(cells); i++ {
 				if snap(cells[i]) < snap(cells[i-1])+cells[i-1].W-eps {
 					// Attribute the violation to the right cell of the pair,
@@ -582,33 +615,25 @@ func countIllegalP(d *design.Design, workers int) int {
 // crosses the right boundary and cells in a row do not overlap (up to the
 // movement multi-row cells induce in their other rows; a few fixed-point
 // passes make those consistent). Cells only move left, ordering is
-// preserved, and cells already separated are untouched.
-func shoveLeft(d *design.Design) {
-	// Row membership including every row a multi-row cell crosses.
-	rows := make([][]*design.Cell, len(d.Rows))
-	for _, c := range d.Cells {
-		if c.Fixed {
-			continue
+// preserved, and cells already separated are untouched. rows lists each
+// row's movable cells, every row a multi-row cell crosses included; shoveLeft
+// reorders them.
+func shoveLeft(d *design.Design, rows [][]*design.Cell) {
+	rightToLeft := func(a, b *design.Cell) int {
+		if c := cmp.Compare(b.X, a.X); c != 0 {
+			return c
 		}
-		r0 := d.RowAt(c.Y + d.RowHeight/2)
-		for k := 0; k < c.RowSpan; k++ {
-			rows[r0+k] = append(rows[r0+k], c)
-		}
+		return cmp.Compare(b.ID, a.ID)
 	}
-	for r := range rows {
-		sort.Slice(rows[r], func(i, j int) bool {
-			if rows[r][i].X != rows[r][j].X {
-				return rows[r][i].X > rows[r][j].X // right to left
-			}
-			return rows[r][i].ID > rows[r][j].ID
-		})
+	for _, row := range rows {
+		slices.SortFunc(row, rightToLeft)
 	}
 	const eps = 1e-9
 	for pass := 0; pass < 6; pass++ {
 		changed := false
-		for r := range rows {
+		for _, row := range rows {
 			limit := d.Core.Hi.X
-			for _, c := range rows[r] {
+			for _, c := range row {
 				if c.X+c.W > limit+eps {
 					c.X = limit - c.W
 					changed = true
@@ -622,12 +647,7 @@ func shoveLeft(d *design.Design) {
 			}
 			// Multi-row cells may have moved; restore the right-to-left
 			// invariant lazily by re-sorting when needed on the next pass.
-			sort.Slice(rows[r], func(i, j int) bool {
-				if rows[r][i].X != rows[r][j].X {
-					return rows[r][i].X > rows[r][j].X
-				}
-				return rows[r][i].ID > rows[r][j].ID
-			})
+			slices.SortFunc(row, rightToLeft)
 		}
 		if !changed {
 			break
@@ -651,10 +671,4 @@ func snapClamp(d *design.Design, c *design.Cell, x float64) float64 {
 		s = d.Core.Lo.X
 	}
 	return s
-}
-
-// blockFixed marks every site a fixed cell touches as occupied, whether or
-// not the cell is site-aligned.
-func blockFixed(occ *design.Occupancy, d *design.Design, c *design.Cell) {
-	occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
 }
