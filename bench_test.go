@@ -17,8 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -64,29 +62,16 @@ func genBench(b *testing.B, name string, scale float64) *design.Design {
 	return d
 }
 
-// primePools runs op four times, untimed, so the sync.Pools it reaches (the
-// core arena, the Tetris scratch, the cascade's working copies) hold storage
-// sized for it, and keeps them primed for the rest of the run: a collection
-// empties the pools, and a goroutine that moves to another processor (P)
-// misses the storage cached on the first, so with either a -benchtime=1x
-// allocation count would depend on the runtime's timing. The run therefore
-// uses one P and no collector, unless its footprint grows 256 MiB; the
-// alloc-smoke gate reads a primed pool.
+// primePools runs op four times, untimed, so the pools it reaches (the core
+// arena, the Tetris scratch, the cascade's working copies) hold storage
+// sized for it. Each pool keeps its last release in a slot that survives
+// collections and serves any processor, so a -benchtime=1x allocation count
+// reads primed storage; the alloc-smoke gate relies on that.
 func primePools(b *testing.B, op func()) {
 	b.Helper()
-	procs := runtime.GOMAXPROCS(1)
 	for i := 0; i < 4; i++ {
 		op()
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	gc := debug.SetGCPercent(-1)
-	limit := debug.SetMemoryLimit(int64(ms.Sys-ms.HeapReleased) + 256<<20)
-	b.Cleanup(func() {
-		debug.SetGCPercent(gc)
-		debug.SetMemoryLimit(limit)
-		runtime.GOMAXPROCS(procs)
-	})
 }
 
 // BenchmarkTable1IllegalCells regenerates Table 1: the MMSIM legalization
@@ -150,27 +135,25 @@ func BenchmarkTable2Legalizers(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkersScaling measures what the worker count still shards: the
-// full pipeline on superblue19 at the suite scale with workers 1, 2, 4 and
-// auto (the default 0: every core). Here Workers fans out the row
-// assignment and the Tetris scans; the MMSIM iteration and its active-set
-// finish run serially at every count, so those two stages are what
-// separates the variants. Every variant produces the identical placement
-// (the determinism contract of internal/par), so only wall-clock and
-// allocations may differ; DESIGN.md's "Parallel decomposition &
-// determinism" records the medians.
+// BenchmarkWorkersScaling measures the one path the worker count still fans
+// out: windowed legalization (window.Legalize) of superblue19 at the suite
+// scale with workers 1, 2, 4 and auto (the default 0: every core), where
+// Workers bounds how many windows solve at once. Each window's solve and the
+// stitch run on one goroutine, so every variant produces the identical
+// placement and only wall-clock and allocations may differ.
 func BenchmarkWorkersScaling(b *testing.B) {
 	base := genBench(b, "superblue19", benchScale)
+	ctx := context.Background()
 	for _, w := range []int{1, 2, 4, 0} {
 		name := fmt.Sprintf("workers=%d", w)
 		if w == 0 {
 			name = "workers=auto"
 		}
+		opts := window.Options{Cascade: core.ResilientOptions{Base: core.Options{Workers: w}}}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d := base.Clone()
-				if _, err := core.New(core.Options{Workers: w}).Legalize(d); err != nil {
+				if _, err := window.Legalize(ctx, base.Clone(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -718,7 +701,7 @@ func BenchmarkWarmResolve(b *testing.B) {
 // 0.6k–3.4k cells, densities 0.14–0.91), each legalized from a fresh clone
 // through core.New. The clones are untimed and the pools primed, so the
 // alloc-smoke gate reads what a steady stream of cold solves allocates per
-// round. Workers is 1 so the count does not depend on the runner's cores.
+// round.
 func BenchmarkLegalizeCold(b *testing.B) {
 	families := []struct {
 		name  string
@@ -733,7 +716,7 @@ func BenchmarkLegalizeCold(b *testing.B) {
 	for i, f := range families {
 		base[i] = genBench(b, f.name, f.scale)
 	}
-	lg := core.New(core.Options{Workers: 1})
+	lg := core.New(core.Options{})
 	ctx := context.Background()
 	work := make([]*design.Design, len(base))
 	round := func() {

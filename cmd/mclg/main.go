@@ -25,8 +25,7 @@ import (
 	"time"
 
 	"mclg/internal/audit"
-	"mclg/internal/baselines/chow"
-	"mclg/internal/baselines/wang"
+	"mclg/internal/baselines"
 	"mclg/internal/bookshelf"
 	"mclg/internal/core"
 	"mclg/internal/design"
@@ -36,7 +35,6 @@ import (
 	"mclg/internal/refine"
 	"mclg/internal/serve"
 	"mclg/internal/serve/report"
-	"mclg/internal/tetris"
 	"mclg/internal/window"
 )
 
@@ -63,7 +61,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print per-stage details")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		resilient  = flag.Bool("resilient", false, "with -method ours: run the fallback cascade (mmsim -> retuned -> pgs -> greedy)")
-		workers    = flag.Int("workers", 0, "worker goroutines for row assignment, the Tetris scans, the -resilient race and -windows: 0 = all cores, 1 = serial; the MMSIM iteration always runs serially (any value gives identical output)")
+		workers    = flag.Int("workers", 0, "windows solved at once with -windows: 0 = all cores; every other solve runs on one goroutine (any value gives identical output)")
 		serverURL  = flag.String("server", "", "submit the job to a running mclgd at this base URL instead of solving locally")
 		retryN     = flag.Int("retry", 0, "with -server: retry a 429 (queue full / rate-limited) up to N times, honoring the daemon's Retry-After hint with jitter")
 		jsonOut    = flag.Bool("json", false, "emit the machine-readable run report (mclgd schema) on stdout")
@@ -238,23 +236,10 @@ func main() {
 			fmt.Fprintf(info, "  build=%v solve=%v tetris=%v\n",
 				stats.BuildTime, stats.SolveTime, stats.TetrisTime)
 		}
-	case "dac16":
-		if err := chow.LegalizeContext(ctx, d); err != nil {
-			fatal(err)
-		}
-	case "dac16imp":
-		if err := chow.LegalizeImprovedContext(ctx, d, chow.Options{}); err != nil {
-			fatal(err)
-		}
-	case "aspdac17":
-		if err := wang.LegalizeContext(ctx, d, wang.Options{}); err != nil {
-			fatal(err)
-		}
-		if _, err := tetris.AllocateContext(ctx, d); err != nil {
-			fatal(err)
-		}
 	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
+		if err := baselines.Legalize(ctx, *method, d); err != nil {
+			fatal(err)
+		}
 	}
 	if *refineObj != "" {
 		obj := refine.Displacement

@@ -139,7 +139,7 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 	// The MMSIM alone: the certificate must not lean on the active-set
 	// finish the production solve used.
 	ao.MMSIMOnly = true
-	if err := core.AssignRowsP(aud, ao.Workers); err != nil {
+	if err := core.AssignRows(aud); err != nil {
 		return nil, err
 	}
 	if ao.BoundRight {

@@ -273,7 +273,7 @@ func Metamorphic(ctx context.Context, designs []*design.Design, transforms []Tra
 func hasOrderTies(d *design.Design, opts core.Options) (bool, error) {
 	c := d.Clone()
 	c.ResetToGlobal()
-	if err := core.AssignRowsP(c, opts.Workers); err != nil {
+	if err := core.AssignRows(c); err != nil {
 		return false, err
 	}
 	p, err := core.BuildProblemBounded(c, opts.Lambda, false)
@@ -311,7 +311,7 @@ func runOnce(ctx context.Context, d *design.Design, opts core.Options) (legal bo
 	c.ResetToGlobal()
 	leg := core.New(opts)
 	o := leg.Opts
-	if err := core.AssignRowsP(c, o.Workers); err != nil {
+	if err := core.AssignRows(c); err != nil {
 		return false, 0, err
 	}
 	if o.BoundRight {
@@ -329,7 +329,7 @@ func runOnce(ctx context.Context, d *design.Design, opts core.Options) (legal bo
 	}
 	core.Restore(p, x)
 	relaxedObj = metrics.MeasureDisplacement(c).SumSq
-	if _, err := tetris.AllocateContextP(ctx, c, o.Workers); err != nil {
+	if _, err := tetris.AllocateContext(ctx, c); err != nil {
 		return false, 0, err
 	}
 	return design.CheckLegal(c).Legal(), relaxedObj, nil

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -19,7 +20,6 @@ import (
 	"mclg/internal/eco"
 	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
-	"mclg/internal/par"
 	"mclg/internal/window"
 )
 
@@ -56,7 +56,9 @@ type WorkerConfig struct {
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	c.Solves = par.Resolve(c.Solves)
+	if c.Solves <= 0 {
+		c.Solves = runtime.GOMAXPROCS(0)
+	}
 	if c.CacheCap == 0 {
 		c.CacheCap = 512
 	}

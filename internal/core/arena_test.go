@@ -4,8 +4,8 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"mclg/internal/core"
@@ -14,18 +14,12 @@ import (
 	"mclg/internal/regress"
 )
 
-// pooled runs f on one processor (P) with the collector off, so each pooled
-// Get in f returns the storage the previous Put left there: the solves in f
-// reuse one core arena, one Tetris scratch and one cascade working copy.
-func pooled(f func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
-}
-
-// fresh runs f after two collections, which empty every sync.Pool, so the
-// solve in f builds into new storage.
+// fresh runs f after emptying the pools' slots and two collections, which
+// empty every sync.Pool, so the solve in f builds its arena and working copy
+// into new storage. Tetris's scratch slot is out of reach here; its own
+// TestScratchReuseMatchesFresh pins that reuse.
 func fresh(f func()) {
+	core.EmptySlots()
 	runtime.GC()
 	runtime.GC()
 	f()
@@ -88,13 +82,11 @@ func TestPooledSequenceMatchesFresh(t *testing.T) {
 	for i := range seq {
 		fresh(func() { want[i] = legalize(i) })
 	}
-	pooled(func() {
-		for i := range seq {
-			if got := legalize(i); got != want[i] {
-				t.Errorf("step %d: pooled %+v, fresh %+v", i, got, want[i])
-			}
+	for i := range seq {
+		if got := legalize(i); got != want[i] {
+			t.Errorf("step %d: pooled %+v, fresh %+v", i, got, want[i])
 		}
-	})
+	}
 }
 
 // TestWarmStateSurvivesPooledColdSolves primes a WarmState on design A, runs
@@ -129,32 +121,30 @@ func TestWarmStateSurvivesPooledColdSolves(t *testing.T) {
 	run := func(between ...*design.Design) result {
 		warm := core.New(core.Options{Warm: core.NewWarmState()}).Opts
 		var r result
-		pooled(func() {
-			if _, err := core.New(warm).Legalize(a.Clone()); err != nil {
+		if _, err := core.New(warm).Legalize(a.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range between {
+			if _, err := core.New(core.Options{}).Legalize(d.Clone()); err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range between {
-				if _, err := core.New(core.Options{}).Legalize(d.Clone()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			p, err := core.BuildProblemBounded(assigned, warm.Lambda, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mmsimOnly := warm
-			mmsimOnly.MMSIMOnly = true
-			z, sst, err := core.SolveMMSIMFull(context.Background(), p, mmsimOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := perturbed.Clone()
-			st, err := core.New(warm).Legalize(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r = result{z, regress.PositionHash(d), sst.WarmSeeded && st.WarmSeeded, st.Iterations, st.Finish}
-		})
+		}
+		p, err := core.BuildProblemBounded(assigned, warm.Lambda, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mmsimOnly := warm
+		mmsimOnly.MMSIMOnly = true
+		z, sst, err := core.SolveMMSIMFull(context.Background(), p, mmsimOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := perturbed.Clone()
+		st, err := core.New(warm).Legalize(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = result{z, regress.PositionHash(d), sst.WarmSeeded && st.WarmSeeded, st.Iterations, st.Finish}
 		return r
 	}
 	want, got := run(), run(b, c)
@@ -181,55 +171,53 @@ func TestResultsOutlivePooledSolves(t *testing.T) {
 	if err := core.AssignRows(a); err != nil {
 		t.Fatal(err)
 	}
-	pooled(func() {
-		p, err := core.BuildProblemBounded(a, 1000, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twin, err := core.BuildProblemBounded(a, 1000, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := core.New(core.Options{}).Opts
-		z, solveSt, err := core.SolveMMSIMFull(context.Background(), p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zWant, solveWant := slices.Clone(z), *solveSt
-		st, err := core.New(core.Options{}).Legalize(a.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		stWant := *st
+	p, err := core.BuildProblemBounded(a, 1000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := core.BuildProblemBounded(a, 1000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.New(core.Options{}).Opts
+	z, solveSt, err := core.SolveMMSIMFull(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zWant, solveWant := slices.Clone(z), *solveSt
+	st, err := core.New(core.Options{}).Legalize(a.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stWant := *st
 
-		// Pooled solves of other designs, through both entry points.
-		for _, b := range later {
-			if _, err := core.New(core.Options{}).Legalize(b.Clone()); err != nil {
-				t.Fatal(err)
-			}
-			db := b.Clone()
-			if err := core.AssignRows(db); err != nil {
-				t.Fatal(err)
-			}
-			pb, err := core.BuildProblemBounded(db, 1000, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := core.SolveMMSIMFull(context.Background(), pb, opts); err != nil {
-				t.Fatal(err)
-			}
+	// Pooled solves of other designs, through both entry points.
+	for _, b := range later {
+		if _, err := core.New(core.Options{}).Legalize(b.Clone()); err != nil {
+			t.Fatal(err)
 		}
+		db := b.Clone()
+		if err := core.AssignRows(db); err != nil {
+			t.Fatal(err)
+		}
+		pb, err := core.BuildProblemBounded(db, 1000, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := core.SolveMMSIMFull(context.Background(), pb, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-		if !slices.Equal(z, zWant) {
-			t.Error("a returned z changed after later pooled solves")
-		}
-		if *solveSt != solveWant || *st != stWant {
-			t.Error("returned stats changed after later pooled solves")
-		}
-		if !reflect.DeepEqual(p, twin) {
-			t.Error("a built Problem changed after later pooled solves")
-		}
-	})
+	if !slices.Equal(z, zWant) {
+		t.Error("a returned z changed after later pooled solves")
+	}
+	if *solveSt != solveWant || *st != stWant {
+		t.Error("returned stats changed after later pooled solves")
+	}
+	if !reflect.DeepEqual(p, twin) {
+		t.Error("a built Problem changed after later pooled solves")
+	}
 }
 
 // TestFailedCascadeLeavesCallerUntouched runs the cascade on a design whose
@@ -252,31 +240,67 @@ func TestFailedCascadeLeavesCallerUntouched(t *testing.T) {
 		return cells, nets
 	}
 	cells, nets := snapshot(d)
-	pooled(func() {
-		if _, err := core.NewResilient(core.ResilientOptions{}).Legalize(big.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		failing := core.ResilientOptions{
-			Base:       core.Options{MaxIter: 1, Eps: 1e-12, MMSIMOnly: true},
-			MaxRetunes: -1, DisablePGS: true, DisableGreedy: true,
-		}
-		if _, err := core.NewResilient(failing).Legalize(d); err == nil {
-			t.Fatal("want every rung to fail")
-		}
-		gotCells, gotNets := snapshot(d)
-		if !reflect.DeepEqual(gotCells, cells) || !reflect.DeepEqual(gotNets, nets) {
-			t.Fatal("a failed cascade changed the caller's cells or netlist")
-		}
+	if _, err := core.NewResilient(core.ResilientOptions{}).Legalize(big.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	failing := core.ResilientOptions{
+		Base:       core.Options{MaxIter: 1, Eps: 1e-12, MMSIMOnly: true},
+		MaxRetunes: -1, DisablePGS: true, DisableGreedy: true,
+	}
+	if _, err := core.NewResilient(failing).Legalize(d); err == nil {
+		t.Fatal("want every rung to fail")
+	}
+	gotCells, gotNets := snapshot(d)
+	if !reflect.DeepEqual(gotCells, cells) || !reflect.DeepEqual(gotNets, nets) {
+		t.Fatal("a failed cascade changed the caller's cells or netlist")
+	}
 
-		if _, err := core.NewResilient(core.ResilientOptions{}).Legalize(d); err != nil {
+	if _, err := core.NewResilient(core.ResilientOptions{}).Legalize(d); err != nil {
+		t.Fatal(err)
+	}
+	gotCells, gotNets = snapshot(d)
+	for i := range gotCells {
+		gotCells[i].X, gotCells[i].Y, gotCells[i].Flipped = cells[i].X, cells[i].Y, cells[i].Flipped
+	}
+	if !reflect.DeepEqual(gotCells, cells) || !reflect.DeepEqual(gotNets, nets) {
+		t.Fatal("a successful cascade changed more than the caller's positions")
+	}
+}
+
+// TestConcurrentPooledSolves runs cascades over designs of different sizes
+// from several goroutines at once, as windows and the serve pool do, so the
+// solves share the slots and the pools behind them: every placement must
+// equal the same design's solve on its own.
+func TestConcurrentPooledSolves(t *testing.T) {
+	seq := arenaSequence(t)
+	solve := func(i int) (string, error) {
+		d := seq[i].d.Clone()
+		if _, err := core.NewResilient(core.ResilientOptions{Base: seq[i].opts}).Legalize(d); err != nil {
+			return "", err
+		}
+		return regress.PositionHash(d), nil
+	}
+	want := make([]string, len(seq))
+	for i := range seq {
+		h, err := solve(i)
+		if err != nil {
 			t.Fatal(err)
 		}
-		gotCells, gotNets = snapshot(d)
-		for i := range gotCells {
-			gotCells[i].X, gotCells[i].Y, gotCells[i].Flipped = cells[i].X, cells[i].Y, cells[i].Flipped
-		}
-		if !reflect.DeepEqual(gotCells, cells) || !reflect.DeepEqual(gotNets, nets) {
-			t.Fatal("a successful cascade changed more than the caller's positions")
-		}
-	})
+		want[i] = h
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 2*len(seq); k++ {
+				i := (g + k) % len(seq)
+				if h, err := solve(i); err != nil || h != want[i] {
+					t.Errorf("goroutine %d, design %d: hash %s, err %v; want %s", g, i, h, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -72,13 +72,11 @@ type Options struct {
 	// OnIter forwards MMSIM per-iteration progress.
 	OnIter func(k int, dz float64)
 
-	// Workers shards the coarse stages (row assignment, the Tetris
-	// allocation's per-cell and per-row scans, the resilient cascade's
-	// fallback race, and the windows a windowed job solves at once) across
-	// goroutines; 0 means GOMAXPROCS, 1 means serial and larger counts are
-	// taken literally. The MMSIM iteration and the active-set finish always
-	// run serially on the calling goroutine. Any worker count produces
-	// bit-identical placements — see internal/par.
+	// Workers bounds how many windows a windowed run (window.Legalize)
+	// solves at once; 0 means GOMAXPROCS and larger counts are taken
+	// literally. Every other path, and each window's own solve, runs one
+	// legalization on the calling goroutine, so the worker count never
+	// changes a placement.
 	Workers int
 
 	// MMSIMOnly runs the MMSIM to its own convergence test, without the
@@ -247,7 +245,7 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 	stats := &Stats{}
 	t0 := time.Now()
 
-	if err := AssignRowsP(d, l.Opts.Workers); err != nil {
+	if err := AssignRows(d); err != nil {
 		return nil, mclgerr.Stage("assign-rows", err)
 	}
 	if l.Opts.BoundRight {
@@ -288,7 +286,7 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 
 	if !l.Opts.SkipTetris {
 		t2 := time.Now()
-		tres, err := tetris.AllocateContextP(ctx, d, l.Opts.Workers)
+		tres, err := tetris.AllocateContext(ctx, d)
 		if err != nil {
 			return nil, mclgerr.Stage("tetris", err)
 		}

@@ -23,7 +23,6 @@ import (
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
-	"mclg/internal/par"
 	"mclg/internal/sparse"
 )
 
@@ -92,34 +91,27 @@ func (e ErrNoRow) Unwrap() error { return mclgerr.ErrInfeasibleRow }
 // (Section 3 of the paper): the nearest row for odd-row-span cells, with
 // vertical flipping recorded when the rail type mismatches, and the nearest
 // power-rail-matched row for even-row-span cells. The x coordinate is left
-// at the global position.
+// at the global position. On a cell with no correct row it stops with that
+// cell's ErrNoRow; callers treat any error as fatal for the whole stage.
 func AssignRows(d *design.Design) error {
-	return AssignRowsP(d, 0)
+	for _, c := range d.Cells {
+		if c.Fixed {
+			continue
+		}
+		row := d.NearestCorrectRow(c, c.GY)
+		if row < 0 {
+			return ErrNoRow{CellID: c.ID}
+		}
+		c.X = c.GX
+		c.Y = d.RowY(row)
+		c.Flipped = !c.EvenSpan() && d.Rows[row].Rail != c.BottomRail
+	}
+	return nil
 }
 
-// AssignRowsP is AssignRows sharded across workers (0 = GOMAXPROCS, 1 =
-// serial). Every cell's assignment depends only on that cell and the fixed
-// row geometry, so the result is identical at any worker count; on failure
-// the reported error is the one a serial scan would surface first (the
-// lowest-chunk ErrNoRow), though cells after the failing one may already be
-// assigned — callers treat any error as fatal for the whole stage.
-func AssignRowsP(d *design.Design, workers int) error {
-	return par.ReduceErr(workers, len(d.Cells), par.GrainCells, func(lo, hi int) error {
-		for _, c := range d.Cells[lo:hi] {
-			if c.Fixed {
-				continue
-			}
-			row := d.NearestCorrectRow(c, c.GY)
-			if row < 0 {
-				return ErrNoRow{CellID: c.ID}
-			}
-			c.X = c.GX
-			c.Y = d.RowY(row)
-			c.Flipped = !c.EvenSpan() && d.Rows[row].Rail != c.BottomRail
-		}
-		return nil
-	})
-}
+// AssignRowsP is AssignRows; workers is ignored. Remove with the next
+// benchmark change (ROADMAP item 9).
+func AssignRowsP(d *design.Design, workers int) error { return AssignRows(d) }
 
 // BuildProblem assembles the relaxed QP (13) for a design whose cells have
 // already been assigned to rows (c.Y on a row boundary for every movable

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mclg/internal/baselines/chow"
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
-	"mclg/internal/par"
 	"mclg/internal/tetris"
 )
 
@@ -71,8 +71,8 @@ type ResilientOptions struct {
 //
 //	mmsim → mmsim-retuned (×MaxRetunes) → pgs → greedy
 //
-// Every rung runs on a copy of the design's cells that shares its netlist,
-// which no rung writes (sequential rungs reuse pooled copies); the input is
+// The rungs run in order on the calling goroutine, each on a copy of the
+// design's cells that shares its netlist, which no rung writes; the input is
 // mutated only when a rung's output is verified fully legal with zero
 // unplaced cells, so a failed cascade leaves the caller's placement
 // untouched. A silently illegal result is converted to an
@@ -116,156 +116,41 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 	}
 
 	rs := &ResilientStats{}
-
-	// try runs one rung on a clone, verifies legality, and commits the
-	// positions on success. It returns (done, err): done on success, err
-	// only for cancellation (which must not cascade).
-	try := func(rung Rung, run func(work *design.Design) (*Stats, error)) (bool, error) {
+	// Every rung runs on the same working copy, refilled from d, and only a
+	// verified-legal result is committed back.
+	work := getWork()
+	defer releaseWork(work)
+	for _, rg := range r.rungs(ctx) {
 		if err := mclgerr.FromContext(ctx); err != nil {
-			return false, err
+			return nil, err
 		}
 		t0 := time.Now()
-		work := workPool.Get().(*design.Design)
-		defer func() {
-			work.Nets = nil // shared with d
-			workPool.Put(work)
-		}()
 		d.CopyCellsTo(work)
-		st, err := runRecovered(run, work)
+		st, err := runRecovered(rg.run, work)
 		if err == nil {
 			if rep := design.CheckLegal(work); !rep.Legal() {
 				err = &mclgerr.StageError{
-					Stage:  string(rung),
+					Stage:  string(rg.name),
 					Err:    mclgerr.ErrUnplacedCells,
 					Detail: "rung reported success but the placement is illegal: " + rep.String(),
 				}
 			}
 		}
-		rs.Attempts = append(rs.Attempts, Attempt{Rung: rung, Err: err, Elapsed: time.Since(t0)})
+		rs.Attempts = append(rs.Attempts, Attempt{Rung: rg.name, Err: err, Elapsed: time.Since(t0)})
 		if err != nil {
+			// Cancellation must not cascade; any other failure degrades to
+			// the next rung.
 			if errors.Is(err, mclgerr.ErrCanceled) {
-				return false, err
+				return nil, err
 			}
-			return false, nil
+			continue
 		}
 		commitPlacement(d, work)
 		if st != nil {
 			rs.Stats = *st
 		}
-		rs.Rung = rung
-		return true, nil
-	}
-
-	// Rung 1: the MMSIM as configured.
-	if done, err := try(RungMMSIM, func(w *design.Design) (*Stats, error) {
-		return runMMSIMRung(ctx, w, r.Opts.Base)
-	}); err != nil {
-		return nil, err
-	} else if done {
+		rs.Rung = rg.name
 		return rs, nil
-	}
-
-	// Rungs 2–3: retuned MMSIM (shrinking β* widens the Theorem-1
-	// convergence region; AutoTheta re-clamps θ* under the Theorem-2 bound
-	// for the new β*; the cold start discards a warm start that may have
-	// seeded the divergence; the budget grows since smaller constants
-	// converge slower) followed by PGS on the dual LCP. With Workers > 1 the
-	// rungs race concurrently on independent clones; the committed rung is
-	// always the lowest-priority-index success, so the accepted placement,
-	// rung, and attempt trace match the sequential cascade exactly.
-	type fallbackRung struct {
-		rung Rung
-		run  func(ctx context.Context, w *design.Design) (*Stats, error)
-	}
-	var fallbacks []fallbackRung
-	for k := 1; k <= r.Opts.MaxRetunes; k++ {
-		opts := retune(r.Opts.Base, k)
-		fallbacks = append(fallbacks, fallbackRung{RungMMSIMRetuned, func(c context.Context, w *design.Design) (*Stats, error) {
-			return runMMSIMRung(c, w, opts)
-		}})
-	}
-	if !r.Opts.DisablePGS {
-		fallbacks = append(fallbacks, fallbackRung{RungPGS, func(c context.Context, w *design.Design) (*Stats, error) {
-			return r.runPGSRung(c, w)
-		}})
-	}
-
-	if par.Resolve(r.Opts.Base.Workers) > 1 && len(fallbacks) > 1 {
-		type rungOut struct {
-			work    *design.Design
-			st      *Stats
-			elapsed time.Duration
-		}
-		tasks := make([]func(context.Context) (rungOut, error), len(fallbacks))
-		for i, fb := range fallbacks {
-			fb := fb
-			tasks[i] = func(tctx context.Context) (rungOut, error) {
-				t0 := time.Now()
-				work := d.CloneCells()
-				st, err := fb.run(tctx, work)
-				if err == nil {
-					if rep := design.CheckLegal(work); !rep.Legal() {
-						err = &mclgerr.StageError{
-							Stage:  string(fb.rung),
-							Err:    mclgerr.ErrUnplacedCells,
-							Detail: "rung reported success but the placement is illegal: " + rep.String(),
-						}
-					}
-				}
-				return rungOut{work, st, time.Since(t0)}, err
-			}
-		}
-		winner, results := par.Race(ctx, r.Opts.Base.Workers, tasks)
-		// The trace covers the same prefix a sequential cascade would have
-		// run: every rung up to and including the winner (all of them on
-		// total failure). Rungs canceled because a higher-priority rung won
-		// never appear, exactly as if the cascade had stopped there.
-		last := winner
-		if last < 0 {
-			last = len(fallbacks) - 1
-		}
-		for i := 0; i <= last; i++ {
-			rs.Attempts = append(rs.Attempts, Attempt{
-				Rung: fallbacks[i].rung, Err: results[i].Err, Elapsed: results[i].Value.elapsed,
-			})
-		}
-		if winner >= 0 {
-			commitPlacement(d, results[winner].Value.work)
-			if st := results[winner].Value.st; st != nil {
-				rs.Stats = *st
-			}
-			rs.Rung = fallbacks[winner].rung
-			return rs, nil
-		}
-		if err := mclgerr.FromContext(ctx); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, fb := range fallbacks {
-			fb := fb
-			if done, err := try(fb.rung, func(w *design.Design) (*Stats, error) {
-				return fb.run(ctx, w)
-			}); err != nil {
-				return nil, err
-			} else if done {
-				return rs, nil
-			}
-		}
-	}
-
-	// Rung 4: greedy from the global placement.
-	if !r.Opts.DisableGreedy {
-		if done, err := try(RungGreedy, func(w *design.Design) (*Stats, error) {
-			w.ResetToGlobal()
-			if err := chow.LegalizeContext(ctx, w); err != nil {
-				return nil, err
-			}
-			return &Stats{}, nil
-		}); err != nil {
-			return nil, err
-		} else if done {
-			return rs, nil
-		}
 	}
 
 	errs := make([]error, 0, len(rs.Attempts))
@@ -279,6 +164,45 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 		return rs, mclgerr.Invalidf("core: resilient legalizer has no enabled rungs")
 	}
 	return rs, fmt.Errorf("core: every fallback rung failed: %w", errors.Join(errs...))
+}
+
+// rung is one enabled level of the cascade with its body.
+type rung struct {
+	name Rung
+	run  func(w *design.Design) (*Stats, error)
+}
+
+// rungs lists the enabled rungs in cascade order: the MMSIM as configured;
+// the retuned MMSIMs (shrinking β* widens the Theorem-1 convergence region;
+// AutoTheta re-clamps θ* under the Theorem-2 bound for the new β*; the cold
+// start discards a warm start that may have seeded the divergence; the
+// budget grows since smaller constants converge slower); PGS on the dual
+// LCP; and greedy legalization from the global placement.
+func (r *ResilientLegalizer) rungs(ctx context.Context) []rung {
+	out := []rung{{RungMMSIM, func(w *design.Design) (*Stats, error) {
+		return runMMSIMRung(ctx, w, r.Opts.Base)
+	}}}
+	for k := 1; k <= r.Opts.MaxRetunes; k++ {
+		opts := retune(r.Opts.Base, k)
+		out = append(out, rung{RungMMSIMRetuned, func(w *design.Design) (*Stats, error) {
+			return runMMSIMRung(ctx, w, opts)
+		}})
+	}
+	if !r.Opts.DisablePGS {
+		out = append(out, rung{RungPGS, func(w *design.Design) (*Stats, error) {
+			return r.runPGSRung(ctx, w)
+		}})
+	}
+	if !r.Opts.DisableGreedy {
+		out = append(out, rung{RungGreedy, func(w *design.Design) (*Stats, error) {
+			w.ResetToGlobal()
+			if err := chow.LegalizeContext(ctx, w); err != nil {
+				return nil, err
+			}
+			return &Stats{}, nil
+		}})
+	}
+	return out
 }
 
 // runMMSIMRung runs the standard flow and converts soft failures the plain
@@ -386,8 +310,7 @@ func (r *ResilientLegalizer) runPGSRung(ctx context.Context, d *design.Design) (
 
 // runRecovered executes one rung body with panic containment: a panicking
 // rung becomes an ErrPanic-matching error and the cascade degrades to the
-// next rung instead of crashing the caller. The racing path gets the same
-// guarantee from par.Race's own recovery.
+// next rung instead of crashing the caller.
 func runRecovered(run func(*design.Design) (*Stats, error), work *design.Design) (st *Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -397,8 +320,29 @@ func runRecovered(run func(*design.Design) (*Stats, error), work *design.Design)
 	return run(work)
 }
 
-// workPool recycles the sequential rungs' working copies.
-var workPool = sync.Pool{New: func() any { return &design.Design{} }}
+// workSlot and workPool recycle the cascade's working copies; the slot
+// works as arenaSlot does and keeps at most one copy alive across
+// collections.
+var (
+	workSlot atomic.Pointer[design.Design]
+	workPool = sync.Pool{New: func() any { return &design.Design{} }}
+)
+
+func getWork() *design.Design {
+	if w := workSlot.Swap(nil); w != nil {
+		return w
+	}
+	return workPool.Get().(*design.Design)
+}
+
+// releaseWork recycles w after dropping its netlist, which it shares with
+// the caller's design.
+func releaseWork(w *design.Design) {
+	w.Nets = nil
+	if !workSlot.CompareAndSwap(nil, w) {
+		workPool.Put(w)
+	}
+}
 
 // commitPlacement copies the solved positions from a rung's working clone
 // back into the caller's design.

@@ -180,6 +180,64 @@ func TestResilientTotalFailureLeavesDesignUnchanged(t *testing.T) {
 	}
 }
 
+// panicOnIter panics inside every MMSIM rung (the iteration calls OnIter);
+// the PGS and greedy rungs never call it.
+func panicOnIter(int, float64) { panic("injected rung panic") }
+
+// A rung body that panics is contained: its attempt records an
+// ErrPanic-matching error and the next rung runs.
+func TestResilientPanickingRungDegrades(t *testing.T) {
+	d := genBench(t, 120, 15, 0.7, 3)
+	rs, err := NewResilient(ResilientOptions{Base: Options{OnIter: panicOnIter}}).Legalize(d)
+	if err != nil {
+		t.Fatalf("resilient: %v", err)
+	}
+	if rs.Rung != RungPGS {
+		t.Fatalf("rung = %q, want %q", rs.Rung, RungPGS)
+	}
+	want := []Rung{RungMMSIM, RungMMSIMRetuned, RungMMSIMRetuned, RungPGS}
+	if len(rs.Attempts) != len(want) {
+		t.Fatalf("got %d attempts, want %d", len(rs.Attempts), len(want))
+	}
+	for i, a := range rs.Attempts {
+		if a.Rung != want[i] {
+			t.Fatalf("attempt %d rung = %q, want %q", i, a.Rung, want[i])
+		}
+		if last := i == len(want)-1; last != (a.Err == nil) {
+			t.Fatalf("attempt %d (%s) error = %v", i, a.Rung, a.Err)
+		}
+		if a.Err != nil && !errors.Is(a.Err, mclgerr.ErrPanic) {
+			t.Fatalf("attempt %d error = %v, want ErrPanic", i, a.Err)
+		}
+	}
+	if rep := design.CheckLegal(d); !rep.Legal() {
+		t.Fatalf("placement illegal: %v", rep)
+	}
+}
+
+// A cascade whose every rung panics fails with ErrPanic and leaves the
+// caller's design untouched.
+func TestResilientAllRungsPanicLeaveDesignUnchanged(t *testing.T) {
+	d := genBench(t, 80, 10, 0.7, 13)
+	before := d.CloneCells()
+	rs, err := NewResilient(ResilientOptions{
+		Base:          Options{OnIter: panicOnIter},
+		DisablePGS:    true,
+		DisableGreedy: true,
+	}).Legalize(d)
+	if !errors.Is(err, mclgerr.ErrPanic) {
+		t.Fatalf("error = %v, want ErrPanic", err)
+	}
+	if rs == nil || rs.Rung != "" || len(rs.Attempts) != 3 {
+		t.Fatalf("stats = %+v, want three failed attempts and no successful rung", rs)
+	}
+	for i, c := range d.Cells {
+		if b := before.Cells[i]; *c != *b {
+			t.Fatalf("cell %d changed from %+v to %+v despite total failure", i, *b, *c)
+		}
+	}
+}
+
 func TestResilientCanceledContextShortCircuits(t *testing.T) {
 	d := genBench(t, 80, 10, 0.7, 17)
 	ctx, cancel := context.WithCancel(context.Background())

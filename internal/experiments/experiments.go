@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -15,13 +16,11 @@ import (
 	"time"
 
 	"mclg/internal/abacus"
-	"mclg/internal/baselines/chow"
-	"mclg/internal/baselines/wang"
+	"mclg/internal/baselines"
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/gen"
 	"mclg/internal/metrics"
-	"mclg/internal/tetris"
 )
 
 // Config selects the benchmarks and scale of an experiment run.
@@ -229,24 +228,22 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	return rows, nil
 }
 
+// baselineNames maps the comparison columns to their baselines.Legalize
+// names.
+var baselineNames = map[Method]string{
+	MethodDAC16: "dac16", MethodDAC16Imp: "dac16imp", MethodASPDAC17: "aspdac17",
+}
+
 func runMethod(m Method, d *design.Design, opts core.Options) error {
-	switch m {
-	case MethodDAC16:
-		return chow.Legalize(d)
-	case MethodDAC16Imp:
-		return chow.LegalizeImproved(d, chow.Options{})
-	case MethodASPDAC17:
-		if err := wang.Legalize(d, wang.Options{}); err != nil {
-			return err
-		}
-		_, err := tetris.Allocate(d)
-		return err
-	case MethodOurs:
+	if m == MethodOurs {
 		_, err := core.New(opts).Legalize(d)
 		return err
-	default:
+	}
+	name, ok := baselineNames[m]
+	if !ok {
 		return fmt.Errorf("experiments: unknown method %q", m)
 	}
+	return baselines.Legalize(context.Background(), name, d)
 }
 
 // NormalizedAverages computes the last row of Table 2: per-method

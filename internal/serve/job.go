@@ -6,18 +6,17 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mclg/internal/audit"
-	"mclg/internal/baselines/chow"
-	"mclg/internal/baselines/wang"
+	"mclg/internal/baselines"
 	"mclg/internal/bookshelf"
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/gen"
 	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
-	"mclg/internal/tetris"
 )
 
 // OptionsJSON is the wire form of the solver knobs a job may override.
@@ -32,12 +31,10 @@ type OptionsJSON struct {
 	MaxIter    int     `json:"max_iter,omitempty"`
 	AutoTheta  bool    `json:"autotheta,omitempty"`
 	BoundRight bool    `json:"boundright,omitempty"`
-	// Workers shards the solver's coarse stages with core.Options.Workers'
-	// meaning: 0 (omitted) uses every core for the row assignment, Tetris
-	// scans and fallback race, 1 is serial; the MMSIM iteration always runs
-	// serially. It deliberately does NOT enter the cache key: the parallel
-	// stages are bit-deterministic, so any worker count yields the same
-	// placement.
+	// Workers bounds how many windows a windowed job solves at once, with
+	// core.Options.Workers' meaning (0, omitted, uses every core); every
+	// other solve runs on one goroutine. It deliberately does NOT enter the
+	// cache key: any worker count yields the same placement.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -120,15 +117,13 @@ func (r *Request) priority() string {
 	return r.Priority
 }
 
-var validMethods = map[string]bool{"ours": true, "dac16": true, "dac16imp": true, "aspdac17": true}
-
 // validate normalizes defaults in place and rejects malformed requests with
 // ErrInvalidInput-matching errors.
 func (r *Request) validate() error {
 	if r.Method == "" {
 		r.Method = "ours"
 	}
-	if !validMethods[r.Method] {
+	if r.Method != "ours" && !slices.Contains(baselines.Methods, r.Method) {
 		return mclgerr.Invalidf("serve: unknown method %q", r.Method)
 	}
 	if r.Resilient && r.Method != "ours" {
@@ -338,19 +333,8 @@ func (r *Request) solve(ctx context.Context, d *design.Design, warm *core.WarmSt
 			}
 			stats = st
 		}
-	case "dac16":
-		if err := chow.LegalizeContext(ctx, d); err != nil {
-			return nil, err
-		}
-	case "dac16imp":
-		if err := chow.LegalizeImprovedContext(ctx, d, chow.Options{}); err != nil {
-			return nil, err
-		}
-	case "aspdac17":
-		if err := wang.LegalizeContext(ctx, d, wang.Options{}); err != nil {
-			return nil, err
-		}
-		if _, err := tetris.AllocateContext(ctx, d); err != nil {
+	default:
+		if err := baselines.Legalize(ctx, r.Method, d); err != nil {
 			return nil, err
 		}
 	}

@@ -16,10 +16,10 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
-	"mclg/internal/par"
 )
 
 // Result reports what the allocation did.
@@ -52,51 +52,28 @@ const cancelCheckEvery = 256
 
 // AllocateContext is Allocate with cooperative cancellation: the per-cell
 // placement and repair loops poll ctx periodically and abort with an
-// mclgerr.ErrCanceled-matching error when the context is done.
+// mclgerr.ErrCanceled-matching error when the context is done. It runs on
+// the calling goroutine.
 func AllocateContext(ctx context.Context, d *design.Design) (*Result, error) {
-	return AllocateContextP(ctx, d, 1)
-}
-
-// cand is one movable cell queued for the left-to-right legality scan.
-type cand struct {
-	c   *design.Cell
-	x   float64 // snapped x
-	row int
-}
-
-// AllocateContextP is AllocateContext with the embarrassingly parallel
-// per-cell stages — row validation, the illegal-cell count, snapping —
-// sharded across workers (0 = GOMAXPROCS, 1 = serial). The occupancy scan,
-// shove, and repair passes stay serial: they thread one mutable grid through
-// every step. All worker counts produce the identical placement; the
-// parallel stages write disjoint per-cell or per-row state and reduce in
-// chunk order (see internal/par).
-func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Result, error) {
-	sc := pool.Get().(*scratch)
+	sc := getScratch()
 	defer sc.release()
 	res := &Result{}
 	occ := blockedOccupancy(&sc.occ, d)
 
 	sc.movable = movableCells(sc.movable[:0], d)
 	movable := sc.movable
-	if err := par.ReduceErr(workers, len(movable), par.GrainCells, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			c := movable[i]
-			row := d.RowAt(c.Y + d.RowHeight/2)
-			if row < 0 || row+c.RowSpan > len(d.Rows) ||
-				math.Abs(c.Y-d.RowY(row)) > 1e-6*d.RowHeight {
-				return mclgerr.Invalidf("tetris: cell %d not on a valid row (y=%g)", c.ID, c.Y)
-			}
+	for _, c := range movable {
+		row := d.RowAt(c.Y + d.RowHeight/2)
+		if row < 0 || row+c.RowSpan > len(d.Rows) ||
+			math.Abs(c.Y-d.RowY(row)) > 1e-6*d.RowHeight {
+			return nil, mclgerr.Invalidf("tetris: cell %d not on a valid row (y=%g)", c.ID, c.Y)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 
 	// Count the cells the MMSIM left illegal (Table 1's "#I. Cell"):
 	// overlapping another cell or beyond the right boundary.
 	sc.fillRows(d)
-	res.Illegal = countIllegalP(d, workers, sc)
+	res.Illegal = countIllegal(d, sc)
 
 	// Shove pass: enforce the right boundary and within-row ordering by
 	// pushing cells left, right-to-left per row, before snapping. This
@@ -109,23 +86,15 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 	// restart from here rather than from post-repair positions.
 	sc.saved = savePositions(sc.saved[:0], d)
 
-	cands := slices.Grow(sc.cands[:0], len(movable))[:len(movable)]
+	cands := sc.cands[:0]
+	for _, c := range movable {
+		x := snapClamp(d, c, c.X)
+		if dist := math.Abs(x-c.X) / d.SiteW; dist > res.MaxSnapDist {
+			res.MaxSnapDist = dist
+		}
+		cands = append(cands, cand{c, x, d.RowAt(c.Y + d.RowHeight/2)})
+	}
 	sc.cands = cands
-	par.For(workers, len(movable), par.GrainCells, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := movable[i]
-			cands[i] = cand{c, snapClamp(d, c, c.X), d.RowAt(c.Y + d.RowHeight/2)}
-		}
-	})
-	res.MaxSnapDist = par.ReduceMax(workers, len(cands), par.GrainCells, func(lo, hi int) float64 {
-		m := 0.0
-		for i := lo; i < hi; i++ {
-			if dist := math.Abs(cands[i].x-cands[i].c.X) / d.SiteW; dist > m {
-				m = dist
-			}
-		}
-		return m
-	})
 	// Deterministic scan order: by snapped x, then row, then ID — the
 	// left-to-right check the paper describes.
 	slices.SortFunc(cands, func(a, b cand) int {
@@ -225,6 +194,19 @@ func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Resu
 	return res, nil
 }
 
+// AllocateContextP is AllocateContext; workers is ignored. Remove with the
+// next benchmark change (ROADMAP item 9).
+func AllocateContextP(ctx context.Context, d *design.Design, workers int) (*Result, error) {
+	return AllocateContext(ctx, d)
+}
+
+// cand is one movable cell queued for the left-to-right legality scan.
+type cand struct {
+	c   *design.Cell
+	x   float64 // snapped x
+	row int
+}
+
 // scratch is the storage one allocation pass builds, recycled through pool:
 // the occupancy grid, the movable list, the saved positions, the scan
 // candidates, and the per-row cell lists and flags of the illegal-cell count
@@ -235,14 +217,28 @@ type scratch struct {
 	saved          []savedPos
 	cands, illegal []cand
 	rows           [][]*design.Cell
-	rowBad         [][]int
 	bad            []bool
 }
 
-var pool = sync.Pool{New: func() any { return &scratch{} }}
+// slot holds the most recently released scratch in front of pool, so a pass
+// whose goroutine moved to another processor still finds it (a sync.Pool
+// serves each processor its own last Put). It keeps at most one scratch
+// alive across collections.
+var (
+	slot atomic.Pointer[scratch]
+	pool = sync.Pool{New: func() any { return &scratch{} }}
+)
 
-// release returns sc to the pool after dropping its pointers into the
-// design, so a pooled scratch never keeps a design alive.
+func getScratch() *scratch {
+	if sc := slot.Swap(nil); sc != nil {
+		return sc
+	}
+	return pool.Get().(*scratch)
+}
+
+// release returns sc to the slot, or to the pool when the slot is taken,
+// after dropping its pointers into the design, so a recycled scratch never
+// keeps a design alive.
 func (sc *scratch) release() {
 	clear(sc.movable)
 	clear(sc.cands)
@@ -250,7 +246,9 @@ func (sc *scratch) release() {
 	for _, r := range sc.rows {
 		clear(r)
 	}
-	pool.Put(sc)
+	if !slot.CompareAndSwap(nil, sc) {
+		pool.Put(sc)
+	}
 }
 
 // fillRows sets sc.rows to each row's movable cells in ID order, a multi-row
@@ -546,20 +544,13 @@ func moveCell(d *design.Design, c *design.Cell, x, y float64) {
 	}
 }
 
-// countIllegalP counts movable cells that, once aligned to their nearest
+// countIllegal counts movable cells that, once aligned to their nearest
 // placement site, overlap another cell or cross the right chip boundary —
 // the quantity Table 1 reports after the MMSIM stage ("aligns each cell to
 // the nearest placement site, then checks the cells one by one for their
-// legality"). Sub-half-site overlaps that snapping absorbs do not count.
-//
-// The per-row overlap scans of sc.rows and the per-cell boundary checks of
-// sc.movable are sharded across workers. Each row's scan collects its
-// violations into that row's own list and each boundary chunk writes only
-// its own cells' flags, so the stage is race-free; the lists merge serially
-// into one distinct-ID count, which makes the result independent of scan
-// completion order (a multi-row cell flagged by several rows still counts
-// once).
-func countIllegalP(d *design.Design, workers int, sc *scratch) int {
+// legality"). Sub-half-site overlaps that snapping absorbs do not count, and
+// a multi-row cell flagged by several rows counts once.
+func countIllegal(d *design.Design, sc *scratch) int {
 	const eps = 1e-9
 	snap := func(c *design.Cell) float64 {
 		return math.Round((c.X-d.Core.Lo.X)/d.SiteW)*d.SiteW + d.Core.Lo.X
@@ -567,39 +558,24 @@ func countIllegalP(d *design.Design, workers int, sc *scratch) int {
 	bad := slices.Grow(sc.bad[:0], len(d.Cells))[:len(d.Cells)]
 	clear(bad)
 	sc.bad = bad
-	movable, rows := sc.movable, sc.rows
-	par.For(workers, len(movable), par.GrainCells, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := movable[i]
-			if x := snap(c); x+c.W > d.Core.Hi.X+eps || x < d.Core.Lo.X-eps {
-				bad[c.ID] = true
-			}
+	for _, c := range sc.movable {
+		if x := snap(c); x+c.W > d.Core.Hi.X+eps || x < d.Core.Lo.X-eps {
+			bad[c.ID] = true
 		}
-	})
-	rowBad := slices.Grow(sc.rowBad[:0], len(rows))[:len(rows)]
-	sc.rowBad = rowBad
-	par.For(workers, len(rows), par.GrainRows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			cells := rows[r]
-			slices.SortFunc(cells, func(a, b *design.Cell) int {
-				if c := cmp.Compare(snap(a), snap(b)); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.ID, b.ID)
-			})
-			rowBad[r] = rowBad[r][:0]
-			for i := 1; i < len(cells); i++ {
-				if snap(cells[i]) < snap(cells[i-1])+cells[i-1].W-eps {
-					// Attribute the violation to the right cell of the pair,
-					// matching the left-to-right check the paper describes.
-					rowBad[r] = append(rowBad[r], cells[i].ID)
-				}
+	}
+	for _, cells := range sc.rows {
+		slices.SortFunc(cells, func(a, b *design.Cell) int {
+			if c := cmp.Compare(snap(a), snap(b)); c != 0 {
+				return c
 			}
-		}
-	})
-	for _, ids := range rowBad {
-		for _, id := range ids {
-			bad[id] = true
+			return cmp.Compare(a.ID, b.ID)
+		})
+		for i := 1; i < len(cells); i++ {
+			if snap(cells[i]) < snap(cells[i-1])+cells[i-1].W-eps {
+				// Attribute the violation to the right cell of the pair,
+				// matching the left-to-right check the paper describes.
+				bad[cells[i].ID] = true
+			}
 		}
 	}
 	count := 0

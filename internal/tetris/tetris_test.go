@@ -3,9 +3,12 @@ package tetris
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mclg/internal/design"
+	"mclg/internal/gen"
 )
 
 func mkDesign(rows, sites int) *design.Design {
@@ -233,4 +236,61 @@ func abs(a int) int {
 		return -a
 	}
 	return a
+}
+
+// TestScratchReuseMatchesFresh allocates designs of changing size and shape
+// (big, small, big, triple-height cells, fixed macros) one after another
+// through the recycled scratch, and each on fresh storage: every result and
+// placement must match, so no pass reads what an earlier, differently sized
+// pass left behind.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	var designs []*design.Design
+	for _, s := range []gen.Spec{
+		{Name: "big", SingleCells: 900, DoubleCells: 120, Density: 0.7, Seed: 1},
+		{Name: "small", SingleCells: 60, DoubleCells: 8, Density: 0.5, Seed: 2},
+		{Name: "big", SingleCells: 900, DoubleCells: 120, Density: 0.7, Seed: 1},
+		{Name: "triple", SingleCells: 300, DoubleCells: 30, TripleCells: 25, Density: 0.55, Seed: 3},
+		{Name: "macros", SingleCells: 400, DoubleCells: 40, FixedMacros: 3, Density: 0.5, Seed: 4},
+	} {
+		d, err := gen.Generate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Row assignment as the legalizer does it, without the solve: the
+		// global placement's overlaps exercise the repair passes.
+		for _, c := range d.Cells {
+			if !c.Fixed {
+				c.X, c.Y = c.GX, d.RowY(d.NearestCorrectRow(c, c.GY))
+			}
+		}
+		designs = append(designs, d)
+	}
+	type result struct {
+		res Result
+		pos []design.Cell
+	}
+	allocate := func(i int) result {
+		d := designs[i].Clone()
+		res, err := Allocate(d)
+		if err != nil {
+			t.Fatalf("design %d: %v", i, err)
+		}
+		r := result{res: *res}
+		for _, c := range d.Cells {
+			r.pos = append(r.pos, *c)
+		}
+		return r
+	}
+	want := make([]result, len(designs))
+	for i := range designs {
+		slot.Store(nil)
+		runtime.GC()
+		runtime.GC()
+		want[i] = allocate(i)
+	}
+	for i := range designs {
+		if got := allocate(i); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("design %d: recycled scratch gives %+v, fresh %+v", i, got.res, want[i].res)
+		}
+	}
 }

@@ -167,7 +167,7 @@ func TestStitchCancellationNoPartialCommit(t *testing.T) {
 	cancel()
 
 	wantHash := regress.PositionHash(d)
-	err = stitch(ctx, d, results, 2)
+	err = stitch(ctx, d, results)
 	if err == nil {
 		t.Fatal("stitch under a canceled context succeeded")
 	}

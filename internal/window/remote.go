@@ -36,11 +36,3 @@ func SolveSubDesign(ctx context.Context, sub *design.Design, idx []int, windowIn
 	b := &Band{Index: windowIndex}
 	return solveSub(ctx, sub, idx, b, cascade)
 }
-
-// Stitch applies every window's owned-cell positions to a working clone of
-// d, runs the deterministic Tetris boundary-reconciliation pass, verifies
-// whole-design legality, and only then commits the positions to d. results
-// must carry one non-nil entry per window.
-func Stitch(ctx context.Context, d *design.Design, results []*Result, workers int) error {
-	return stitch(ctx, d, results, workers)
-}

@@ -208,17 +208,17 @@ func degradeSub(ctx context.Context, d *design.Design, p *Plan, b *Band) *Result
 // runs the deterministic Tetris allocator as the boundary-reconciliation
 // pass (repairing any cross-band overlap in the context margins), verifies
 // whole-design legality, and only then commits the positions to d.
-func stitch(ctx context.Context, d *design.Design, results []*Result, workers int) (err error) {
+func stitch(ctx context.Context, d *design.Design, results []*Result) (err error) {
 	// The mclg_stage label separates stitch time from the per-window solves
 	// (labeled mmsim-fused/mmsim-residual by the lcp package) in CPU
-	// profiles; labels propagate to the allocator's worker goroutines.
+	// profiles.
 	pprof.Do(ctx, pprof.Labels("mclg_stage", "window-stitch"), func(ctx context.Context) {
-		err = stitchLabeled(ctx, d, results, workers)
+		err = stitchLabeled(ctx, d, results)
 	})
 	return err
 }
 
-func stitchLabeled(ctx context.Context, d *design.Design, results []*Result, workers int) error {
+func stitchLabeled(ctx context.Context, d *design.Design, results []*Result) error {
 	work := d.Clone()
 	for _, res := range results {
 		if res == nil {
@@ -229,7 +229,7 @@ func stitchLabeled(ctx context.Context, d *design.Design, results []*Result, wor
 			c.X, c.Y, c.Flipped = cp.X, cp.Y, cp.Flipped
 		}
 	}
-	tres, err := tetris.AllocateContextP(ctx, work, workers)
+	tres, err := tetris.AllocateContext(ctx, work)
 	if err != nil {
 		return mclgerr.Stage("stitch", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"mclg/internal/design"
 	"mclg/internal/faults"
 	"mclg/internal/mclgerr"
-	"mclg/internal/par"
 )
 
 // hedgeAttempt is the attempt index hedge solves run under. It is far past
@@ -29,9 +29,9 @@ const (
 
 // Options configures windowed legalization.
 type Options struct {
-	// Cascade configures the per-window resilient cascade (its Base carries
-	// the solver options and the Workers knob, which also bounds how many
-	// windows solve concurrently).
+	// Cascade configures the per-window resilient cascade. Its Base carries
+	// the solver options; Base.Workers bounds how many windows solve
+	// concurrently (0 = GOMAXPROCS).
 	Cascade core.ResilientOptions
 
 	// WindowRows is the number of owned rows per band; 0 means 16.
@@ -199,7 +199,10 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 		}
 	}
 
-	workers := par.Resolve(opts.Cascade.Base.Workers)
+	workers := opts.Cascade.Base.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var pending []int
 	for i := range plan.Bands {
 		if s.states[i].committed == nil {
@@ -246,7 +249,7 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 		}
 		results[i] = st.committed
 	}
-	if err := stitch(ctx, d, results, opts.Cascade.Base.Workers); err != nil {
+	if err := stitch(ctx, d, results); err != nil {
 		return nil, err
 	}
 	if opts.ExactWindows > 0 {
