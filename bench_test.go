@@ -11,12 +11,18 @@ package mclg
 // artifact.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +44,7 @@ import (
 	"mclg/internal/qp"
 	"mclg/internal/refine"
 	"mclg/internal/render"
+	"mclg/internal/serve"
 	"mclg/internal/sparse"
 	"mclg/internal/tetris"
 	"mclg/internal/window"
@@ -930,19 +937,9 @@ func BenchmarkClusterDispatch(b *testing.B) {
 // once in setup, so only the parse is timed.
 func BenchmarkUploadParse(b *testing.B) {
 	d := genBench(b, "fft_2", 0.03)
-	aux := filepath.Join(b.TempDir(), "up.aux")
-	if err := bookshelf.Write(d, aux); err != nil {
-		b.Fatal(err)
-	}
-	read := func(ext string) string {
-		raw, err := os.ReadFile(strings.TrimSuffix(aux, ".aux") + ext)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return string(raw)
-	}
+	files := uploadFiles(b, d)
 	texts := bookshelf.Texts{
-		Nodes: read(".nodes"), Nets: read(".nets"), Pl: read(".pl"), Scl: read(".scl"), Wts: read(".wts"),
+		Nodes: files["nodes"], Nets: files["nets"], Pl: files["pl"], Scl: files["scl"], Wts: files["wts"],
 	}
 	size := len(texts.Nodes) + len(texts.Nets) + len(texts.Pl) + len(texts.Scl) + len(texts.Wts)
 
@@ -957,5 +954,58 @@ func BenchmarkUploadParse(b *testing.B) {
 		if len(got.Cells) != len(d.Cells) {
 			b.Fatalf("parsed %d cells, want %d", len(got.Cells), len(d.Cells))
 		}
+	}
+}
+
+// uploadFiles writes d as Bookshelf and reads the component texts back,
+// keyed as a /v1/legalize upload's files.
+func uploadFiles(b *testing.B, d *design.Design) map[string]string {
+	aux := filepath.Join(b.TempDir(), "up.aux")
+	if err := bookshelf.Write(d, aux); err != nil {
+		b.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, comp := range []string{"nodes", "nets", "pl", "scl", "wts"} {
+		raw, err := os.ReadFile(strings.TrimSuffix(aux, "aux") + comp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		files[comp] = string(raw)
+	}
+	return files
+}
+
+// BenchmarkRequestDecode measures /v1/legalize's body ingest: one
+// serve-mix-sized upload (fft_2 at scale 0.03, about 1k cells) read through
+// http.MaxBytesReader into the pooled body buffer and decoded into a
+// serve.Request, as the handler does before validating it. The pool is
+// primed first, so a -benchtime=1x count reads the steady state: one copy
+// of each Bookshelf text and no buffer growth.
+func BenchmarkRequestDecode(b *testing.B) {
+	files := uploadFiles(b, genBench(b, "fft_2", 0.03))
+	body, err := json.Marshal(serve.Request{Files: files, IncludePlacement: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	decode := func() {
+		var req serve.Request
+		if err := serve.ReadRequest(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), 64<<20), &req); err != nil {
+			b.Fatal(err)
+		}
+		if !maps.Equal(req.Files, files) || !req.IncludePlacement {
+			b.Fatal("the upload did not survive the decode")
+		}
+	}
+	primePools(b, decode)
+	// Collect before the timer, so that the timed decode triggers none: the
+	// cleanups the runtime runs after a collection allocate on goroutines of
+	// their own, and those few allocations would count against an op of 17.
+	runtime.GC()
+
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -419,7 +420,10 @@ func countMulti(d *design.Design) int {
 	return n
 }
 
+// fatal prints err on one line with one "mclg: " prefix and exits 2. The
+// taxonomy's sentinel texts begin "mclg: " themselves (mclgerr), so the
+// prefix is dropped wherever it recurs inside the error chain.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mclg:", err)
+	fmt.Fprintln(os.Stderr, "mclg:", strings.ReplaceAll(err.Error(), "mclg: ", ""))
 	os.Exit(2)
 }

@@ -55,6 +55,29 @@ func TestE2EMclgLegalizesBenchmark(t *testing.T) {
 	}
 }
 
+// TestE2EMclgErrorPrefix drives two refusals whose error chains carry the
+// taxonomy's "mclg: invalid input" sentinel, one wrapped in a stage; each
+// must print one error line with one "mclg:" prefix and exit 2.
+func TestE2EMclgErrorPrefix(t *testing.T) {
+	bin := buildCmd(t, "mclg")
+	for _, tc := range []struct {
+		flags []string
+		line  string
+	}{
+		{[]string{"-method", "bogus"}, `mclg: invalid input: baselines: unknown method "bogus"`},
+		{[]string{"-beta", "2.5"}, "mclg: validate: invalid input: options: Beta = 2.5 must lie in (0, 2)"},
+	} {
+		args := append([]string{"-bench", "fft_2", "-scale", "0.004"}, tc.flags...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("mclg %v: %v, want exit code 2:\n%s", tc.flags, err, out)
+		}
+		if n := strings.Count(string(out), "mclg:"); n != 1 || !strings.Contains(string(out), tc.line+"\n") {
+			t.Errorf("mclg %v printed %d \"mclg:\" prefixes, want one error line %q:\n%s", tc.flags, n, tc.line, out)
+		}
+	}
+}
+
 func TestE2EMclgResilientCascade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -411,7 +411,5 @@ func (s *Server) ecoRespond(w http.ResponseWriter, action string, sess *eco.Sess
 	resp.Cells = st.Cells
 	resp.PosHash = st.PosHash
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = json.NewEncoder(w).Encode(resp)
 }

@@ -307,28 +307,31 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// invalidRequests are bodies /v1/legalize refuses with 400 invalid_input;
+// they also seed FuzzDecodeRequest.
+var invalidRequests = []struct {
+	name string
+	body string
+}{
+	{"empty", `{}`},
+	{"unknown bench", `{"bench":"nope"}`},
+	{"bench and files", `{"bench":"fft_2","files":{"nodes":"x","pl":"y","scl":"z"}}`},
+	{"bad method", `{"bench":"fft_2","method":"magic"}`},
+	{"resilient baseline", `{"bench":"fft_2","method":"dac16","resilient":true}`},
+	{"audit baseline", `{"bench":"fft_2","method":"dac16","audit":true}`},
+	{"audit resilient", `{"bench":"fft_2","resilient":true,"audit":true}`},
+	{"negative timeout", `{"bench":"fft_2","timeout_ms":-1}`},
+	{"scale out of range", `{"bench":"fft_2","scale":99}`},
+	{"files missing scl", `{"files":{"nodes":"x","pl":"y"}}`},
+	{"unknown file component", `{"files":{"nodes":"x","pl":"y","scl":"z","foo":"w"}}`},
+	{"unknown field", `{"bench":"fft_2","wat":1}`},
+	{"removed autotune option", `{"bench":"fft_2","options":{"autotune":true}}`},
+	{"malformed json", `{`},
+}
+
 func TestInvalidRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"empty", `{}`},
-		{"unknown bench", `{"bench":"nope"}`},
-		{"bench and files", `{"bench":"fft_2","files":{"nodes":"x","pl":"y","scl":"z"}}`},
-		{"bad method", `{"bench":"fft_2","method":"magic"}`},
-		{"resilient baseline", `{"bench":"fft_2","method":"dac16","resilient":true}`},
-		{"audit baseline", `{"bench":"fft_2","method":"dac16","audit":true}`},
-		{"audit resilient", `{"bench":"fft_2","resilient":true,"audit":true}`},
-		{"negative timeout", `{"bench":"fft_2","timeout_ms":-1}`},
-		{"scale out of range", `{"bench":"fft_2","scale":99}`},
-		{"files missing scl", `{"files":{"nodes":"x","pl":"y"}}`},
-		{"unknown file component", `{"files":{"nodes":"x","pl":"y","scl":"z","foo":"w"}}`},
-		{"unknown field", `{"bench":"fft_2","wat":1}`},
-		{"removed autotune option", `{"bench":"fft_2","options":{"autotune":true}}`},
-		{"malformed json", `{`},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/legalize", "application/json", strings.NewReader(tc.body))
 			if err != nil {

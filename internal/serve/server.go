@@ -487,10 +487,7 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := ReadRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		s.refuse(w, http.StatusBadRequest, "invalid_input", "malformed request body: "+err.Error())
 		return
 	}
@@ -626,9 +623,7 @@ func (s *Server) respond(w http.ResponseWriter, req *Request, rep *report.Report
 		out.Placement = nil
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(&out)
+	_ = json.NewEncoder(w).Encode(&out)
 }
 
 // errorBody is the JSON failure payload.

@@ -16,7 +16,7 @@ import (
 )
 
 // bookshelfFiles serializes a design into the upload-files map.
-func bookshelfFiles(t *testing.T, d *design.Design) map[string]string {
+func bookshelfFiles(t testing.TB, d *design.Design) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
 	if err := bookshelf.Write(d, filepath.Join(dir, "up.aux")); err != nil {
