@@ -47,7 +47,6 @@ func main() {
 		pool         = flag.Int("pool", 2, "worker pool size (concurrent solves)")
 		queueCap     = flag.Int("queue", 8, "job queue capacity (admissions past it get 429)")
 		cacheCap     = flag.Int("cache", 128, "result cache capacity in entries (negative disables)")
-		warmCap      = flag.Int("warm-cache", 32, "warm-start store capacity in topologies (negative disables)")
 		auditAll     = flag.Bool("audit", false, "audit every eligible job on commit (method ours, non-resilient): responses carry sealed optimality certificates")
 		windowsAll   = flag.Bool("windows", false, "run every eligible job (method ours, non-resilient, non-audit) through fault-isolated windowed legalization")
 		windowRows   = flag.Int("window-rows", 0, "default rows per window for windowed jobs (0 = 16)")
@@ -85,7 +84,6 @@ func main() {
 		Workers:           *pool,
 		QueueCap:          *queueCap,
 		CacheCap:          *cacheCap,
-		WarmCap:           *warmCap,
 		DefaultJobTimeout: *jobTimeout,
 		MaxJobTimeout:     *maxJobTime,
 		AuditAll:          *auditAll,
@@ -152,7 +150,7 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: handler}
 	logger.Info("mclgd listening", "addr", ln.Addr().String(), "role", *role,
-		"pool", *pool, "queue", *queueCap, "cache", *cacheCap, "warm", *warmCap,
+		"pool", *pool, "queue", *queueCap, "cache", *cacheCap,
 		"audit", *auditAll, "windows", *windowsAll, "journal_dir", *journalDir,
 		"eco_dir", *ecoDir, "eco_sessions", *ecoSessions)
 

@@ -135,7 +135,6 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 	ao.Eps = opts.Eps
 	ao.MaxIter = opts.MaxIter
 	ao.ResidualTol = -1 // residuals are recomputed below, not gated inline
-	ao.Warm = nil
 	// The MMSIM alone: the certificate must not lean on the active-set
 	// finish the production solve used.
 	ao.MMSIMOnly = true

@@ -27,9 +27,6 @@ type Metrics struct {
 	solveErrors  *prom.Counter // worker: shard solves that failed
 	refusedDrain *prom.Counter // worker: shard solves refused while draining
 
-	warmHits   *prom.Counter // worker: shard solves that reused pooled warm state
-	warmMisses *prom.Counter // worker: shard solves that ran cold through the pool
-
 	migratedSessions *prom.Counter // ECO sessions migrated between workers
 	migrationErrors  *prom.Counter // ECO migrations that failed verification
 }
@@ -48,9 +45,6 @@ func NewMetrics() *Metrics {
 	m.served = r.Counter("mclgd_cluster_served_total", "Shard solves answered by this worker (cache hits included).")
 	m.solveErrors = r.Counter("mclgd_cluster_solve_errors_total", "Shard solves that failed on this worker.")
 	m.refusedDrain = r.Counter("mclgd_cluster_refused_draining_total", "Shard solves refused because the worker was draining.")
-	warm := r.CounterVec("mclgd_cluster_warm_total", "Shard solves through the worker's warm-state pool, by outcome (hit = cached factorizations reused).", "result",
-		"hit", "miss")
-	m.warmHits, m.warmMisses = warm.With("hit"), warm.With("miss")
 	m.migratedSessions = r.Counter("mclgd_cluster_migrated_sessions_total", "ECO sessions migrated between workers via delta-log replay.")
 	m.migrationErrors = r.Counter("mclgd_cluster_migration_errors_total", "ECO migrations that failed replay verification.")
 	m.shardLatency = r.HistogramVec("mclgd_cluster_shard_seconds", "Per-worker shard round-trip latency.", "worker")
@@ -84,11 +78,6 @@ func (m *Metrics) RoutedByWorker() map[string]uint64 {
 // RemoteCacheHits returns the worker-side cache-hit count observed by the
 // coordinator (test/smoke helper).
 func (m *Metrics) RemoteCacheHits() uint64 { return m.cacheRemoteHits.Get() }
-
-// WarmHits and WarmMisses return the worker warm-pool outcome counts
-// (test/smoke helpers).
-func (m *Metrics) WarmHits() uint64   { return m.warmHits.Get() }
-func (m *Metrics) WarmMisses() uint64 { return m.warmMisses.Get() }
 
 // MigratedSessions returns the completed ECO migration count.
 func (m *Metrics) MigratedSessions() uint64 { return m.migratedSessions.Get() }

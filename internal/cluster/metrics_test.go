@@ -39,8 +39,6 @@ func TestMetricsGolden(t *testing.T) {
 	m.served.Add(6)
 	m.solveErrors.Add(1)
 	m.refusedDrain.Add(2)
-	m.warmHits.Add(7)
-	m.warmMisses.Add(8)
 	m.migratedSessions.Add(1)
 	m.migrationErrors.Add(1)
 

@@ -164,9 +164,8 @@ func (wd *WireDesign) Decode() (*design.Design, error) {
 
 // WireOptions is the shard-protocol form of the resolved solver
 // configuration: every result-affecting numeric is shipped literally so the
-// worker solves the exact problem the coordinator would have. Warm state,
-// S0, and OnIter are process-local and never cross the wire (window
-// sub-solves run cold in the local path too).
+// worker solves the exact problem the coordinator would have. OnIter is a
+// process-local callback and never crosses the wire.
 type WireOptions struct {
 	Lambda       float64 `json:"lambda"`
 	Beta         float64 `json:"beta"`

@@ -106,7 +106,7 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := wo.Decode()
-	// Warm/S0/OnIter never cross the wire; everything else must.
+	// OnIter never crosses the wire; everything else must.
 	if !reflect.DeepEqual(got.Base, in.Base) {
 		t.Fatalf("base options: %+v != %+v", got.Base, in.Base)
 	}
@@ -121,9 +121,7 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 // core.ResilientOptions must survive the wire, so a window solved on a worker
 // runs exactly the configuration the coordinator's local fallback would.
 var wireNotSent = map[string]string{
-	"Base.S0":         "process-local: a start vector sized to one problem",
 	"Base.OnIter":     "process-local: a progress callback",
-	"Base.Warm":       "process-local: cached solver state (window solves run cold)",
 	"Base.SkipTetris": "no windowed entry point can set it",
 	"Base.ColdStart":  "no windowed entry point can set it",
 	"Base.MMSIMOnly":  "no windowed entry point can set it",

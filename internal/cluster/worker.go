@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,8 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"mclg/internal/core"
-	"mclg/internal/design"
 	"mclg/internal/eco"
 	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
@@ -35,13 +31,6 @@ type WorkerConfig struct {
 	CacheCap int
 	// SessionCap bounds concurrently hosted ECO sessions; 0 means 32.
 	SessionCap int
-	// WarmCap bounds the worker's warm-state pool — one core.WarmState per
-	// window topology, so re-solves of the same window shape (retries,
-	// hedges, streaming re-legalizations of a perturbed design) skip LCP
-	// assembly and splitting factorization and seed from the previous
-	// solution. 0 means 16, negative disables warm starting. Warm reuse
-	// changes iteration counts only, never the returned positions.
-	WarmCap int
 	// ECODir, when non-empty, makes hosted ECO sessions durable: each
 	// session's delta log lives at ECODir/<id>.ecolog, exactly like the
 	// standalone daemon's -eco-dir.
@@ -65,9 +54,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.SessionCap <= 0 {
 		c.SessionCap = 32
 	}
-	if c.WarmCap == 0 {
-		c.WarmCap = 16
-	}
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics()
 	}
@@ -88,7 +74,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 type Worker struct {
 	cfg   WorkerConfig
 	cache *lru.Cache[string, []window.CellPos]
-	warm  *lru.Cache[string, *core.WarmState] // nil when WarmCap < 0
 	m     *Metrics
 	log   *slog.Logger
 
@@ -105,7 +90,7 @@ type Worker struct {
 // NewWorker builds a worker; its Handler is live immediately.
 func NewWorker(cfg WorkerConfig) *Worker {
 	cfg = cfg.withDefaults()
-	wk := &Worker{
+	return &Worker{
 		cfg:      cfg,
 		cache:    lru.New[string, []window.CellPos](cfg.CacheCap),
 		m:        cfg.Metrics,
@@ -113,10 +98,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		sem:      make(chan struct{}, cfg.Solves),
 		sessions: make(map[string]*eco.Session),
 	}
-	if cfg.WarmCap > 0 {
-		wk.warm = lru.New[string, *core.WarmState](cfg.WarmCap)
-	}
-	return wk
 }
 
 // Handler returns the worker's HTTP surface.
@@ -246,57 +227,18 @@ func (wk *Worker) handleSolve(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("idx length %d does not match %d cells", len(req.Idx), len(sub.Cells)))
 		return
 	}
-	opts := req.Opts.Decode()
-	if wk.warm != nil {
-		// Thread the pooled warm state for this window topology through the
-		// cascade's base rung (fallback rungs always run cold). A topology
-		// mismatch inside the state re-primes it — the key only routes
-		// likely matches, it never gates correctness.
-		opts.Base.Warm = wk.warm.GetOrCreate(shardWarmKey(sub, req.Window, &opts.Base), core.NewWarmState)
-	}
 	t0 := time.Now()
-	res, err := window.SolveSubDesign(r.Context(), sub, req.Idx, req.Window, opts)
+	res, err := window.SolveSubDesign(r.Context(), sub, req.Idx, req.Window, req.Opts.Decode())
 	if err != nil {
 		wk.m.solveErrors.Inc()
 		writeSolverErr(w, err)
 		return
 	}
-	if wk.warm != nil {
-		if res.WarmReused {
-			wk.m.warmHits.Inc()
-		} else {
-			wk.m.warmMisses.Inc()
-		}
-	}
 	wk.cache.Put(req.Key, res.Cells)
 	wk.m.served.Inc()
-	wk.log.Info("shard solve", "key", req.Key, "window", req.Window,
-		"cells", len(res.Cells), "warm", res.WarmReused,
+	wk.log.Info("shard solve", "key", req.Key, "window", req.Window, "cells", len(res.Cells),
 		"ms", float64(time.Since(t0))/float64(time.Millisecond))
 	writeJSON(w, solveResponse{Cells: res.Cells, Worker: wk.cfg.ID})
-}
-
-// shardWarmKey fingerprints a window's problem topology — everything that
-// shapes the assembled QP's structure except cell positions — mirroring the
-// standalone daemon's warm-store topoKey. Re-solves of the same window shape
-// with moved cells land on the same pooled WarmState; whether that state's
-// cached factorizations actually apply is decided by the state's own
-// structure-signature check, so a colliding or stale key costs iterations,
-// never correctness.
-func shardWarmKey(sub *design.Design, windowIndex int, o *core.Options) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "w=%d|lambda=%g|beta=%g|theta=%g|autotheta=%v|omegar=%g|scaledx=%v|paper=%v|boundright=%v|",
-		windowIndex, o.Lambda, o.Beta, o.Theta, o.AutoTheta,
-		o.OmegaR, o.ScaledOmegaX, o.PaperOmega, o.BoundRight)
-	fmt.Fprintf(h, "core=%v|rh=%g|sw=%g|", sub.Core, sub.RowHeight, sub.SiteW)
-	for i := range sub.Rows {
-		r := &sub.Rows[i]
-		fmt.Fprintf(h, "r=%g,%g,%g,%g,%d,%d|", r.Y, r.Height, r.OriginX, r.SiteW, r.NumSites, r.Rail)
-	}
-	for _, c := range sub.Cells {
-		fmt.Fprintf(h, "c=%d,%g,%g,%d,%d,%v|", c.ID, c.W, c.H, c.RowSpan, c.BottomRail, c.Fixed)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 func (wk *Worker) handleECO(w http.ResponseWriter, r *http.Request) {

@@ -8,15 +8,15 @@ import (
 	"mclg/internal/sparse"
 )
 
-// arena is the storage one cold legalization builds: the problem, the
-// splitting, the assembled A, q, the GP start s0, the solver workspace (its
-// auxiliary buffers serve the active-set finish) and the solution z. Solves
-// take one from getArena and rebuild every buffer in place, so a steady
-// stream of legalizations allocates only what outgrows the pooled capacity.
+// arena is the storage one legalization builds: the problem, the splitting,
+// the assembled A, q, the GP start s0 and the solver workspace, whose
+// iterate holds the solution z and whose auxiliary buffers serve the
+// active-set finish. Solves take one from getArena and rebuild every buffer
+// in place, so a steady stream of legalizations allocates only what outgrows
+// the pooled capacity.
 //
 // Nothing that outlives the call may point into an arena: callers get copies
-// of z, and a WarmState, which keeps its splitting (and through it the
-// problem), gets a problem, splitting, A and q built into fresh storage.
+// of z.
 type arena struct {
 	p  Problem
 	sp StructuredSplitting
@@ -25,7 +25,6 @@ type arena struct {
 	ws lcp.Workspace
 	q  []float64
 	s0 []float64
-	z  []float64
 }
 
 // arenaSlot holds the most recently released arena in front of arenaPool.
@@ -47,13 +46,20 @@ func getArena() *arena {
 
 // release returns ar to the slot, or to the pool when the slot is taken,
 // after dropping every pointer into the caller's objects, so a recycled
-// arena never keeps a design, a caller's problem or a warm state's matrix
-// alive.
+// arena never keeps a design or a caller's problem alive.
 func (ar *arena) release() {
 	ar.p.D = nil
 	ar.sp.p = nil
-	ar.lp = lcp.Problem{}
 	if !arenaSlot.CompareAndSwap(nil, ar) {
 		arenaPool.Put(ar)
 	}
+}
+
+// grow returns buf re-sliced (and if needed re-allocated) to length n; the
+// contents are unspecified unless the storage is new.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -89,75 +89,6 @@ func TestPooledSequenceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWarmStateSurvivesPooledColdSolves primes a WarmState on design A, runs
-// pooled cold solves of two other designs, then re-solves a perturbed A
-// warm, once through SolveMMSIMFull on a problem built by the caller and
-// once through Legalize. The warm state keeps its splitting and, through it,
-// the problem it was built for, so both must live outside the pool: the
-// results must be bit-identical to the same warm sequence without the cold
-// solves in between. The first re-solve runs MMSIM-only, because a finish
-// accepted at iteration 0 never reads the splitting's problem.
-func TestWarmStateSurvivesPooledColdSolves(t *testing.T) {
-	a := genDesign(t, gen.Spec{Name: "a", SingleCells: 300, DoubleCells: 40, Density: 0.6, Seed: 11})
-	b := genDesign(t, gen.Spec{Name: "b", SingleCells: 500, DoubleCells: 60, Density: 0.7, Seed: 12})
-	c := genDesign(t, gen.Spec{Name: "c", SingleCells: 200, DoubleCells: 20, TripleCells: 10, Density: 0.5, Seed: 13})
-	perturbed := a.Clone()
-	for i, cell := range perturbed.Cells {
-		if !cell.Fixed {
-			cell.GX += float64(i%7-3) * 1e-3
-		}
-	}
-	assigned := perturbed.Clone()
-	if err := core.AssignRows(assigned); err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		z          []float64
-		hash       string
-		seeded     bool
-		iterations int
-		finish     core.FinishStats
-	}
-	run := func(between ...*design.Design) result {
-		warm := core.New(core.Options{Warm: core.NewWarmState()}).Opts
-		var r result
-		if _, err := core.New(warm).Legalize(a.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range between {
-			if _, err := core.New(core.Options{}).Legalize(d.Clone()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p, err := core.BuildProblemBounded(assigned, warm.Lambda, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mmsimOnly := warm
-		mmsimOnly.MMSIMOnly = true
-		z, sst, err := core.SolveMMSIMFull(context.Background(), p, mmsimOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := perturbed.Clone()
-		st, err := core.New(warm).Legalize(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r = result{z, regress.PositionHash(d), sst.WarmSeeded && st.WarmSeeded, st.Iterations, st.Finish}
-		return r
-	}
-	want, got := run(), run(b, c)
-	if !got.seeded {
-		t.Fatal("the re-solves of A were not warm-seeded")
-	}
-	if !slices.Equal(got.z, want.z) || got.hash != want.hash ||
-		got.iterations != want.iterations || got.finish != want.finish {
-		t.Fatalf("warm re-solves after pooled cold solves: hash %s, %d iterations, finish %+v, z equal %v; without them: hash %s, %d iterations, finish %+v",
-			got.hash, got.iterations, got.finish, slices.Equal(got.z, want.z), want.hash, want.iterations, want.finish)
-	}
-}
-
 // TestResultsOutlivePooledSolves checks that nothing a caller gets back
 // points into pooled storage: a returned z, a built Problem and a Stats are
 // unchanged by later pooled solves of a smaller and a larger design, which

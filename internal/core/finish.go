@@ -22,9 +22,8 @@ import (
 // MMSIM. When no round passes, the paused MMSIM resumes from its own iterate
 // as if the finish had never run.
 const (
-	// finishPause is how many MMSIM iterations a cold solve runs before the
-	// finish guesses the active set. A warm-seeded solve guesses from the
-	// previous solution at iteration 0.
+	// finishPause is how many MMSIM iterations a solve runs before the
+	// finish guesses the active set.
 	finishPause = 5
 	// finishRounds caps the active-set rounds.
 	finishRounds = 6
@@ -94,11 +93,10 @@ type finisher struct {
 	off, low, piv           []float64
 }
 
-// finishSolve runs the active-set finish from the primal-dual guess (z0, w0),
-// where w0 = A z0 + q (nil: computed here). On acceptance it returns the
-// solution, which aliases the workspace; otherwise nil. An error is returned
-// only for cancellation.
-func finishSolve(ctx context.Context, p *Problem, sp *StructuredSplitting, lp *lcp.Problem, ws *lcp.Workspace, z0, w0 []float64) ([]float64, FinishStats, error) {
+// finishSolve runs the active-set finish from the guess z0 and its
+// w = A z0 + q. On acceptance it returns the solution, which aliases the
+// workspace; otherwise nil. An error is returned only for cancellation.
+func finishSolve(ctx context.Context, p *Problem, sp *StructuredSplitting, lp *lcp.Problem, ws *lcp.Workspace, z0 []float64) ([]float64, FinishStats, error) {
 	n, m := p.NumVars, p.NumCons
 	N := n + m
 	f := finisher{
@@ -122,12 +120,9 @@ func finishSolve(ctx context.Context, p *Problem, sp *StructuredSplitting, lp *l
 		piv:   ws.Floats(fbPiv, N),
 	}
 	var fs FinishStats
-	if w0 == nil {
-		lp.ResidualInto(f.w, z0)
-		w0 = f.w
-	}
-	f.guess(z0, w0)
-	zc, wc := z0, w0 // the pair the multiplier warm start reads
+	lp.ResidualInto(f.w, z0)
+	f.guess(z0, f.w)
+	zc, wc := z0, f.w // the pair the multiplier warm start reads
 	for fs.Rounds < finishRounds {
 		if err := mclgerr.FromContext(ctx); err != nil {
 			return nil, fs, fmt.Errorf("core: active-set finish aborted: %w", err)

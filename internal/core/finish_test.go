@@ -101,7 +101,7 @@ func TestFinishMatchesMMSIMOnly(t *testing.T) {
 }
 
 // A rejected finish resumes the paused MMSIM, which must then reproduce the
-// MMSIM-only solve bit for bit — cold, and warm-seeded at iteration 0.
+// MMSIM-only solve bit for bit.
 func TestFinishFallbackMatchesMMSIMOnly(t *testing.T) {
 	finishForceFallback = true
 	defer func() { finishForceFallback = false }()
@@ -118,30 +118,24 @@ func TestFinishFallbackMatchesMMSIMOnly(t *testing.T) {
 			opts := New(Options{}).Opts
 			only := opts
 			only.MMSIMOnly = true
-			opts.Warm, only.Warm = NewWarmState(), NewWarmState()
-			for pass := 0; pass < 2; pass++ {
-				zf, sf, err := SolveMMSIMFull(context.Background(), p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				zo, so, err := SolveMMSIMFull(context.Background(), p, only)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sf.Finish.Outcome != FinishFallback || sf.Finish.Rounds == 0 {
-					t.Fatalf("pass %d: finish = %+v, want a fallback after at least one round", pass, sf.Finish)
-				}
-				if sf.WarmSeeded != (pass == 1) || so.WarmSeeded != sf.WarmSeeded {
-					t.Fatalf("pass %d: warm seeded %v / %v", pass, sf.WarmSeeded, so.WarmSeeded)
-				}
-				if sf.Iterations != so.Iterations || sf.Converged != so.Converged {
-					t.Fatalf("pass %d: %d iterations (converged %v), MMSIM-only %d (%v)",
-						pass, sf.Iterations, sf.Converged, so.Iterations, so.Converged)
-				}
-				for i := range zo {
-					if math.Float64bits(zf[i]) != math.Float64bits(zo[i]) {
-						t.Fatalf("pass %d: z[%d] = %v, MMSIM-only %v", pass, i, zf[i], zo[i])
-					}
+			zf, sf, err := SolveMMSIMFull(context.Background(), p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zo, so, err := SolveMMSIMFull(context.Background(), p, only)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sf.Finish.Outcome != FinishFallback || sf.Finish.Rounds == 0 {
+				t.Fatalf("finish = %+v, want a fallback after at least one round", sf.Finish)
+			}
+			if sf.Iterations != so.Iterations || sf.Converged != so.Converged {
+				t.Fatalf("%d iterations (converged %v), MMSIM-only %d (%v)",
+					sf.Iterations, sf.Converged, so.Iterations, so.Converged)
+			}
+			for i := range zo {
+				if math.Float64bits(zf[i]) != math.Float64bits(zo[i]) {
+					t.Fatalf("z[%d] = %v, MMSIM-only %v", i, zf[i], zo[i])
 				}
 			}
 		})
@@ -180,7 +174,7 @@ func TestFinishAllocatesNothing(t *testing.T) {
 	}
 	ctx := context.Background()
 	run := func() {
-		z, fs, err := finishSolve(ctx, p, sp, prob, ws, sv.Z(), nil)
+		z, fs, err := finishSolve(ctx, p, sp, prob, ws, sv.Z())
 		if err != nil || z == nil || fs.Outcome != FinishAccepted {
 			t.Fatalf("finish: %+v, %v", fs, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"mclg/internal/design"
 	"mclg/internal/lcp"
 	"mclg/internal/mclgerr"
-	"mclg/internal/sparse"
 	"mclg/internal/tetris"
 )
 
@@ -59,14 +58,10 @@ type Options struct {
 	// positions (used by experiments that inspect the raw MMSIM optimum).
 	SkipTetris bool
 
-	// S0 supplies a custom MMSIM starting vector (length NumVars+NumCons).
-	// Nil selects the default warm start from the global-placement
-	// positions, which converges much faster than the zero vector because
-	// most of the relaxed optimum coincides with the GP.
-	S0 []float64
-
-	// ColdStart disables the warm start (s⁽⁰⁾ = 0), matching a literal
-	// reading of Algorithm 1; used by the warm-start ablation bench.
+	// ColdStart starts the MMSIM from s⁽⁰⁾ = 0, a literal reading of
+	// Algorithm 1, instead of the default start at the global-placement
+	// positions, which converges much faster because most of the relaxed
+	// optimum coincides with the GP; used by the warm-start ablation bench.
 	ColdStart bool
 
 	// OnIter forwards MMSIM per-iteration progress.
@@ -86,16 +81,6 @@ type Options struct {
 	// warm-start ablations, Table 1) and for the audit's independent tight
 	// re-solve.
 	MMSIMOnly bool
-
-	// Warm, when non-nil, carries cached solver state across repeated
-	// solves: when the problem's structure signature matches the cached
-	// one, the solve reuses the assembled LCP matrix and splitting
-	// factorizations and seeds the MMSIM from the previous solution (see
-	// WarmState). The fallback rungs of the resilient cascade always run
-	// cold — retuned parameters invalidate the cached splitting, and a
-	// rescue solve must not inherit state from the configuration that just
-	// failed.
-	Warm *WarmState
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -152,11 +137,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return mclgerr.Invalidf("options: Workers = %d must be non-negative", o.Workers)
 	}
-	for i, v := range o.S0 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return mclgerr.Invalidf("options: S0[%d] = %g must be finite", i, v)
-		}
-	}
 	return nil
 }
 
@@ -179,13 +159,6 @@ type Stats struct {
 	// Finish reports the active-set finish; its Outcome is empty when the
 	// finish did not run (MMSIMOnly, or the MMSIM stopped first).
 	Finish FinishStats
-
-	// WarmReused reports that the solve reused cached factorizations from
-	// Options.Warm (structure signature match); WarmSeeded additionally
-	// reports that the MMSIM started from the previous solution's
-	// modulus-transform seed.
-	WarmReused bool
-	WarmSeeded bool
 
 	BuildTime  time.Duration
 	SolveTime  time.Duration
@@ -254,14 +227,10 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 			return nil, mclgerr.Stage("balance-rows", err)
 		}
 	}
-	// One arena serves the whole run. A warm state keeps the splitting,
-	// which points at the problem, so then the problem is fresh too.
+	// One arena serves the whole run.
 	ar := getArena()
 	defer ar.release()
 	p := &ar.p
-	if l.Opts.Warm != nil {
-		p = &Problem{}
-	}
 	if err := p.build(d, l.Opts.Lambda, l.Opts.BoundRight); err != nil {
 		return nil, mclgerr.Stage("build", err)
 	}
@@ -277,8 +246,6 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 	stats.Converged = solveStats.Converged
 	stats.ThetaUsed = solveStats.ThetaUsed
 	stats.ThetaBound = solveStats.ThetaBound
-	stats.WarmReused = solveStats.WarmReused
-	stats.WarmSeeded = solveStats.WarmSeeded
 	stats.Finish = solveStats.Finish
 	stats.SolveTime = time.Since(t1)
 
@@ -304,12 +271,7 @@ type SolveStats struct {
 	ThetaUsed  float64
 	ThetaBound float64
 
-	// WarmReused: the cached LCP matrix and splitting from Options.Warm
-	// were reused (structure signature match). WarmSeeded: the iteration
-	// additionally started from the previous solution's modulus-transform
-	// seed rather than the GP warm start.
-	WarmReused bool
-	WarmSeeded bool
+	WarmSeeded bool // always false; kept only because perfbench/batch.go reads it
 
 	// Finish reports the active-set finish. Iterations counts MMSIM
 	// iterations only: with an accepted finish, the ones before it.
@@ -324,11 +286,7 @@ func SolveMMSIM(p *Problem, opts Options) ([]float64, *SolveStats, error) {
 }
 
 // SolveMMSIMContext is SolveMMSIM with cooperative cancellation in the
-// MMSIM hot loop. With opts.Warm set, consecutive solves of
-// structure-identical problems reuse the cached LCP matrix, splitting
-// factorizations, and resolved θ*, and seed the iteration from the
-// previous solution (see WarmState); the warm path changes only the
-// starting iterate, never the fixed point the iteration converges to.
+// MMSIM hot loop.
 func SolveMMSIMContext(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
 	z, st, err := SolveMMSIMFull(ctx, p, opts)
 	if err != nil || z == nil {
@@ -352,9 +310,8 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 	return append([]float64(nil), z...), st, nil
 }
 
-// solve is SolveMMSIMFull returning z in ar.z, valid until ar is released.
-// Without opts.Warm the splitting, A and q are built into ar as well; a warm
-// state keeps its own, built into fresh storage.
+// solve is SolveMMSIMFull returning z in ar's workspace, valid until ar is
+// released. The splitting, A, q and the start vector are built into ar too.
 func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
 	st := &SolveStats{ThetaUsed: opts.Theta}
 	if p.NumVars == 0 {
@@ -362,105 +319,52 @@ func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64
 		return nil, st, nil
 	}
 	n := p.NumVars + p.NumCons
-	s0 := opts.S0
-	if s0 != nil && len(s0) != n {
-		return nil, nil, mclgerr.Invalidf("core: S0 has length %d, want NumVars+NumCons = %d",
-			len(s0), n)
-	}
 
-	warm := opts.Warm
-	if warm != nil {
-		warm.mu.Lock()
-		defer warm.mu.Unlock()
+	sp := &ar.sp
+	theta := opts.Theta
+	omegaR := opts.OmegaR
+	if omegaR == 0 {
+		omegaR = 1
 	}
-
-	var sp *StructuredSplitting
-	var aMat *sparse.CSR
-	var q []float64
-	if warm != nil && warm.valid && warm.sig == warmSig(p, &opts) {
-		// Structure match: the cached matrix, splitting, and resolved θ*
-		// are all position-independent; only the linear term −target in
-		// q's head changes between solves.
-		sp, aMat, q = warm.sp, warm.a, warm.q
-		copy(q[:p.NumVars], p.P)
-		st.ThetaUsed = warm.thetaUsed
-		st.ThetaBound = warm.thetaBound
-		st.WarmReused = true
-	} else {
-		sp, aMat, q = &ar.sp, &ar.a, ar.q
-		if warm != nil {
-			sp, aMat, q = &StructuredSplitting{}, &sparse.CSR{}, nil
+	build := func(theta float64) error {
+		switch {
+		case opts.PaperOmega:
+			return sp.build(p, opts.Beta, theta, false, 1)
+		case opts.ScaledOmegaX:
+			return sp.build(p, opts.Beta, theta, true, 1)
+		default:
+			return sp.build(p, opts.Beta, theta, false, omegaR)
 		}
-		theta := opts.Theta
-		omegaR := opts.OmegaR
-		if omegaR == 0 {
-			omegaR = 1
-		}
-		build := func(theta float64) error {
-			switch {
-			case opts.PaperOmega:
-				return sp.build(p, opts.Beta, theta, false, 1)
-			case opts.ScaledOmegaX:
-				return sp.build(p, opts.Beta, theta, true, 1)
-			default:
-				return sp.build(p, opts.Beta, theta, false, omegaR)
-			}
-		}
-		if err := build(theta); err != nil {
+	}
+	if err := build(theta); err != nil {
+		return nil, nil, err
+	}
+	if opts.AutoTheta {
+		bound, err := sp.ThetaBound()
+		if err != nil {
 			return nil, nil, err
 		}
-		if opts.AutoTheta {
-			bound, err := sp.ThetaBound()
-			if err != nil {
+		st.ThetaBound = bound
+		if bound > 0 && theta >= bound {
+			theta = 0.95 * bound
+			if err := build(theta); err != nil {
 				return nil, nil, err
 			}
-			st.ThetaBound = bound
-			if bound > 0 && theta >= bound {
-				theta = 0.95 * bound
-				if err := build(theta); err != nil {
-					return nil, nil, err
-				}
-			}
-			st.ThetaUsed = theta
 		}
-		p.assembleLCP(aMat)
-		q = p.lcpVector(q)
-		if warm == nil {
-			ar.q = q
-		} else {
-			// Prime (or re-prime after a mismatch) the structure caches;
-			// the previous solution, if any, belonged to a different
-			// structure and must not seed this solve.
-			warm.sig = warmSig(p, &opts)
-			warm.valid = true
-			warm.sp, warm.a, warm.q = sp, aMat, q
-			warm.thetaUsed, warm.thetaBound = st.ThetaUsed, st.ThetaBound
-			warm.haveZ = false
-		}
+		st.ThetaUsed = theta
 	}
+	p.assembleLCP(&ar.a)
+	ar.q = p.lcpVector(ar.q)
 
 	gamma := opts.Gamma
 	if gamma == 0 {
 		gamma = 1
 	}
-	if s0 == nil && !opts.ColdStart && st.WarmReused && warm.haveZ {
-		// Seed from the previous solution via the modulus transform
-		// s = γ/2·(z − Ω⁻¹w) with w = A·z + q evaluated against the NEW
-		// q, so components whose constraints tightened start from their
-		// updated complementary value. MMSIM converges from any seed, so
-		// a stale or imperfect seed costs iterations, never correctness.
-		warm.wbuf = grow(warm.wbuf, n)
-		warm.seed = grow(warm.seed, n)
-		aMat.MulVec(warm.wbuf, warm.prevZ)
-		sparse.Axpy(warm.wbuf, 1, q)
-		lcp.WarmSeed(warm.seed, warm.prevZ, warm.wbuf, gamma, sp.Omega())
-		s0 = warm.seed
-		st.WarmSeeded = true
-	}
-	if s0 == nil && !opts.ColdStart {
-		// Warm start at the global-placement positions with zero
-		// multipliers: for z > 0 the modulus substitution gives
-		// s = γ·z/2, and most of the relaxed optimum stays near the GP.
+	var s0 []float64
+	if !opts.ColdStart {
+		// Start at the global-placement positions with zero multipliers:
+		// for z > 0 the modulus substitution gives s = γ·z/2, and most of
+		// the relaxed optimum stays near the GP.
 		s0 = grow(ar.s0, n)
 		clear(s0[p.NumVars:])
 		for i, sc := range p.Subcells {
@@ -472,59 +376,35 @@ func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64
 	if resTol == 0 {
 		resTol = 0.5
 	}
-	ar.lp = lcp.Problem{A: aMat, Q: q}
-	lo := lcp.Options{
+	ar.lp = lcp.Problem{A: &ar.a, Q: ar.q}
+	// The arena's workspace holds the iterate and the finish's scratch.
+	sv, err := lcp.NewSolver(&ar.lp, sp, lcp.Options{
 		Gamma:       opts.Gamma,
 		Eps:         opts.Eps,
 		MaxIter:     opts.MaxIter,
 		S0:          s0,
 		ResidualTol: resTol,
 		OnIter:      opts.OnIter,
-	}
-	// The arena's workspace holds the finish's scratch, and the iterate too
-	// unless a warm state brings its own.
-	lo.Workspace = &ar.ws
-	if warm != nil {
-		if warm.ws == nil {
-			warm.ws = lcp.NewWorkspace(n)
-		}
-		lo.Workspace = warm.ws
-	}
-	sv, err := lcp.NewSolver(&ar.lp, sp, lo)
+		Workspace:   &ar.ws,
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: MMSIM: %w", err)
 	}
 	defer sv.Close()
-	z, err := runSolve(ctx, sv, &ar.ws, p, sp, &ar.lp, st, opts.MMSIMOnly, warm)
+	z, err := runSolve(ctx, sv, &ar.ws, p, sp, &ar.lp, st, opts.MMSIMOnly)
 	if err != nil {
 		return nil, nil, err
 	}
-	if warm != nil {
-		// Retain the solution for the next seed.
-		warm.prevZ = append(warm.prevZ[:0], z...)
-		warm.haveZ = true
-		if !st.WarmSeeded {
-			warm.coldIters = st.Iterations
-		}
-	}
-	// Detach z from the workspaces before the warm state's mutex is released.
-	ar.z = append(ar.z[:0], z...)
-	return ar.z, st, nil
+	return z, st, nil
 }
 
-// runSolve drives the MMSIM and, unless mmsimOnly, pauses it for the
-// active-set finish, whose buffers come from scratch: after finishPause
-// iterations of a cold solve, or at iteration 0 of a warm-seeded one, whose
-// guess then comes from the previous solution. A rejected finish resumes the
-// paused solver, which reproduces the MMSIM-only iterates bit for bit. The
-// returned z aliases a workspace.
-func runSolve(ctx context.Context, sv *lcp.Solver, scratch *lcp.Workspace, p *Problem, sp *StructuredSplitting, prob *lcp.Problem, st *SolveStats, mmsimOnly bool, warm *WarmState) ([]float64, error) {
+// runSolve drives the MMSIM and, unless mmsimOnly, pauses it after
+// finishPause iterations for the active-set finish, whose buffers come from
+// scratch. A rejected finish resumes the paused solver, which reproduces the
+// MMSIM-only iterates bit for bit. The returned z aliases a workspace.
+func runSolve(ctx context.Context, sv *lcp.Solver, scratch *lcp.Workspace, p *Problem, sp *StructuredSplitting, prob *lcp.Problem, st *SolveStats, mmsimOnly bool) ([]float64, error) {
 	if !mmsimOnly {
-		pause, z0, w0 := finishPause, []float64(nil), []float64(nil)
-		if st.WarmSeeded {
-			pause, z0, w0 = 0, warm.prevZ, warm.wbuf
-		}
-		res, err := sv.RunTo(ctx, pause)
+		res, err := sv.RunTo(ctx, finishPause)
 		if err != nil {
 			return nil, fmt.Errorf("core: MMSIM: %w", err)
 		}
@@ -532,10 +412,7 @@ func runSolve(ctx context.Context, sv *lcp.Solver, scratch *lcp.Workspace, p *Pr
 			st.Iterations, st.Converged = res.Iterations, res.Converged
 			return res.Z, nil
 		}
-		if z0 == nil {
-			z0 = sv.Z()
-		}
-		z, fs, err := finishSolve(ctx, p, sp, prob, scratch, z0, w0)
+		z, fs, err := finishSolve(ctx, p, sp, prob, scratch, sv.Z())
 		st.Finish = fs
 		if err != nil {
 			return nil, err

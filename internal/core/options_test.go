@@ -26,7 +26,6 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"negative-maxiter", Options{MaxIter: -1}},
 		{"negative-omegar", Options{OmegaR: -1}},
 		{"nan-residualtol", Options{ResidualTol: math.NaN()}},
-		{"nan-s0-entry", Options{S0: []float64{0, math.NaN()}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

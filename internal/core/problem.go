@@ -253,7 +253,7 @@ func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error
 	// (boundary rows have only the −1 entry). Every row has at most two
 	// entries with known columns, so B is filled directly in CSR form
 	// (column-sorted per row, no duplicates) instead of through the
-	// triplet-sorting Builder — problem assembly dominates warm re-solves.
+	// triplet-sorting Builder.
 	p.Bv = grow(p.Bv, p.NumCons)
 	nnzB := 0
 	for _, c := range p.Cons {

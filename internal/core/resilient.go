@@ -175,7 +175,7 @@ type rung struct {
 // rungs lists the enabled rungs in cascade order: the MMSIM as configured;
 // the retuned MMSIMs (shrinking β* widens the Theorem-1 convergence region;
 // AutoTheta re-clamps θ* under the Theorem-2 bound for the new β*; the cold
-// start discards a warm start that may have seeded the divergence; the
+// start discards the GP start that may have seeded the divergence; the
 // budget grows since smaller constants converge slower); PGS on the dual
 // LCP; and greedy legalization from the global placement.
 func (r *ResilientLegalizer) rungs(ctx context.Context) []rung {
@@ -239,11 +239,6 @@ func retune(base Options, k int) Options {
 	o.Theta = math.Max(base.Theta*scale, 0.05)
 	o.AutoTheta = true
 	o.ColdStart = true
-	o.S0 = nil
-	// Fallback rungs always run cold: the retuned constants invalidate the
-	// cached splitting, and a rescue attempt must not inherit state from
-	// the configuration that just failed.
-	o.Warm = nil
 	// Recover from a starved base budget as well as from divergence: back
 	// off from at least the default budget, growing with each attempt since
 	// smaller splitting constants converge more slowly.

@@ -40,7 +40,7 @@ func sampleBatches(d *design.Design) [][]Delta {
 
 // TestReplayBitIdenticalAcrossWorkers is the determinism property test: the
 // committed state is a pure function of (base design, delta log), so
-// replaying the log with any worker count — warm pool cold, scheduling
+// replaying the log with any worker count — in a fresh session, scheduling
 // different — must land on the exact committed placement hash.
 func TestReplayBitIdenticalAcrossWorkers(t *testing.T) {
 	base := testDesign(t, "fft_2", 0.01)

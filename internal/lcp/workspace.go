@@ -1,7 +1,5 @@
 package lcp
 
-import "math"
-
 // Workspace owns every per-solve buffer of the MMSIM hot loop: the modulus
 // iterate pair s/sNext, the |s| and rhs scratch, the z iterate and its
 // predecessor, and the w scratch the residual check needs. A solve that is
@@ -78,38 +76,4 @@ func (ws *Workspace) Ensure(n int) {
 	ws.z = ws.z[:n]
 	ws.zPrev = ws.zPrev[:n]
 	ws.w = ws.w[:n]
-}
-
-// WarmSeed writes into dst the modulus-transform seed derived from a prior
-// LCP solution pair (z, w = Az + q):
-//
-//	s = γ/2 · (z − Ω⁻¹ w)
-//
-// inverting the MMSIM substitution z = (|s| + s)/γ, w = (Ω/γ)(|s| − s). At an
-// exact complementary solution the transform is exact — z_i > 0 gives
-// s_i = γz_i/2 and w_i > 0 gives s_i = −γw_i/(2ω_i) — so seeding the next
-// solve of a nearby problem starts the iteration at (numerically) the old
-// fixed point. Negative components of z and w, which appear when the pair
-// comes from a merely approximate solve or from a perturbed problem, are
-// clamped to zero first; the MMSIM converges from any seed, so the clamp
-// affects speed, never correctness. omega is the splitting's positive
-// diagonal Ω (nil means identity), matching Splitting.Omega.
-func WarmSeed(dst, z, w []float64, gamma float64, omega []float64) {
-	if gamma == 0 {
-		gamma = 1
-	}
-	for i := range dst {
-		zi := z[i]
-		if zi < 0 || math.IsNaN(zi) {
-			zi = 0
-		}
-		wi := w[i]
-		if wi < 0 || math.IsNaN(wi) {
-			wi = 0
-		}
-		if omega != nil {
-			wi /= omega[i]
-		}
-		dst[i] = gamma * (zi - wi) / 2
-	}
 }

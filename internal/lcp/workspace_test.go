@@ -113,79 +113,6 @@ func TestResultZDetachedFromPool(t *testing.T) {
 	}
 }
 
-func TestWarmSeedExactSolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + rng.Intn(12)
-		p, _ := spdProblem(rng, n)
-		sp, err := NewDiagSplitting(p.A, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Eps: 1e-12, MaxIter: 100000}
-		cold, err := MMSIM(p, sp, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cold.Converged {
-			t.Fatal("cold solve did not converge")
-		}
-		w := p.W(cold.Z)
-		seed := make([]float64, n)
-		WarmSeed(seed, cold.Z, w, opts.Gamma, sp.Omega())
-		warmOpts := opts
-		warmOpts.S0 = seed
-		warm, err := MMSIM(p, sp, warmOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !warm.Converged {
-			t.Fatal("warm solve did not converge")
-		}
-		if cold.Iterations > 10 && warm.Iterations*2 > cold.Iterations {
-			t.Errorf("trial %d: warm restart from the exact solution took %d iterations vs %d cold",
-				trial, warm.Iterations, cold.Iterations)
-		}
-		for i := range cold.Z {
-			if math.Abs(warm.Z[i]-cold.Z[i]) > 1e-8 {
-				t.Errorf("trial %d: z[%d] warm %g vs cold %g", trial, i, warm.Z[i], cold.Z[i])
-			}
-		}
-	}
-}
-
-func TestWarmSeedTransform(t *testing.T) {
-	gamma := 2.0
-	z := []float64{3, 0, -1, math.NaN()}
-	w := []float64{0, 4, math.NaN(), -2}
-	dst := make([]float64, 4)
-
-	// Identity Ω: z_i > 0 ⇒ s = γz/2; w_i > 0 ⇒ s = −γw/2; negative and
-	// NaN components clamp to zero.
-	WarmSeed(dst, z, w, gamma, nil)
-	want := []float64{3, -4, 0, 0}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("identity omega: s[%d] = %g, want %g", i, dst[i], want[i])
-		}
-	}
-
-	// Diagonal Ω scales only the w term: s = γ(z − w/ω)/2.
-	WarmSeed(dst, z, w, gamma, []float64{2, 2, 2, 2})
-	want = []float64{3, -2, 0, 0}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("omega=2: s[%d] = %g, want %g", i, dst[i], want[i])
-		}
-	}
-
-	// gamma 0 means 1, matching Options.withDefaults.
-	WarmSeed(dst[:1], []float64{5}, []float64{0}, 0, nil)
-	if dst[0] != 2.5 {
-		t.Errorf("gamma 0: s[0] = %g, want 2.5", dst[0])
-	}
-}
-
 // TestSolverStepZeroAllocs is the steady-state allocation gate: after
 // NewSolver binds an explicit workspace, each MMSIM iteration must perform
 // zero heap allocations. The count is taken with stepAllocs rather than

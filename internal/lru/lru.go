@@ -1,6 +1,6 @@
 // Package lru is the bounded least-recently-used map shared by every cache
-// in the repository: the serving layer's result cache and warm store, the
-// cluster worker warm pool and the cluster window-result caches.
+// in the repository: the serving layer's result cache and the cluster
+// window-result caches.
 package lru
 
 import (
@@ -10,8 +10,8 @@ import (
 
 // Cache maps keys to values, holding at most its capacity and evicting the
 // least recently used entry past it. A Cache with capacity <= 0 is disabled:
-// it stores nothing, Get always misses and GetOrCreate returns the zero
-// value without creating one. A Cache is safe for concurrent use.
+// it stores nothing and Get always misses. A Cache is safe for concurrent
+// use.
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
 	cap       int
@@ -47,28 +47,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 func (c *Cache[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(key, val)
-}
-
-// GetOrCreate returns the value under key, storing create() there first if
-// the key is absent. The check and the insert are one atomic step, so
-// concurrent callers of one key all receive the same value.
-func (c *Cache[K, V]) GetOrCreate(key K, create func() V) V {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry[K, V]).val
-	}
-	var val V
-	if c.cap > 0 {
-		val = create()
-		c.put(key, val)
-	}
-	return val
-}
-
-func (c *Cache[K, V]) put(key K, val V) {
 	if c.cap <= 0 {
 		return
 	}

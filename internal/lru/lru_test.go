@@ -36,22 +36,6 @@ func TestEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestGetOrCreate(t *testing.T) {
-	c := New[string, *int](1)
-	calls := 0
-	mk := func() *int { calls++; return new(int) }
-	a := c.GetOrCreate("a", mk)
-	if a == nil || c.GetOrCreate("a", mk) != a || calls != 1 {
-		t.Fatalf("GetOrCreate must create once and then return the stored value (calls = %d)", calls)
-	}
-	if b := c.GetOrCreate("b", mk); b == a || c.Evictions() != 1 {
-		t.Fatalf("a new key past capacity must create and evict (evictions = %d)", c.Evictions())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a survived past capacity")
-	}
-}
-
 func TestDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := New[string, *int](capacity)
@@ -59,38 +43,54 @@ func TestDisabled(t *testing.T) {
 		if _, ok := c.Get("a"); ok {
 			t.Errorf("cap %d: Put stored a value", capacity)
 		}
-		created := false
-		if v := c.GetOrCreate("a", func() *int { created = true; return new(int) }); v != nil || created {
-			t.Errorf("cap %d: GetOrCreate = %v (created %v), want nil without creating", capacity, v, created)
-		}
 		if c.Len() != 0 || c.Evictions() != 0 {
 			t.Errorf("cap %d: Len = %d, Evictions = %d; want 0, 0", capacity, c.Len(), c.Evictions())
 		}
 	}
 }
 
-// TestConcurrentGetOrCreate pins the atomicity warm pools rely on: however
-// many goroutines race on one key, they all receive the same value.
-func TestConcurrentGetOrCreate(t *testing.T) {
+// TestConcurrentPutGet races Put, Get and Len from 16 goroutines on each of
+// 8 keys, so that -race sees every path through the mutex. Each goroutine
+// stores its own pointer; every read must return one of the pointers stored
+// under that key, and the cache must end with all 8 keys and no eviction.
+func TestConcurrentPutGet(t *testing.T) {
 	const keys, perKey = 8, 16
 	c := New[string, *int](keys)
-	got := make([][perKey]*int, keys)
+	vals := make([][perKey]*int, keys)
+	for k := range vals {
+		for g := range vals[k] {
+			vals[k][g] = new(int)
+		}
+	}
+	stored := func(k int, v *int) bool {
+		for _, p := range vals[k] {
+			if p == v {
+				return true
+			}
+		}
+		return false
+	}
 	var wg sync.WaitGroup
 	for k := 0; k < keys; k++ {
 		for g := 0; g < perKey; g++ {
 			wg.Add(1)
 			go func(k, g int) {
 				defer wg.Done()
-				got[k][g] = c.GetOrCreate(fmt.Sprint(k), func() *int { return new(int) })
+				key := fmt.Sprint(k)
+				c.Put(key, vals[k][g])
+				if v, ok := c.Get(key); !ok || !stored(k, v) {
+					t.Errorf("key %d: Get = %v, %v after a Put", k, v, ok)
+				}
+				if n := c.Len(); n < 1 || n > keys {
+					t.Errorf("Len = %d, want 1..%d", n, keys)
+				}
 			}(k, g)
 		}
 	}
 	wg.Wait()
-	for k := range got {
-		for g := range got[k] {
-			if got[k][g] != got[k][0] {
-				t.Fatalf("key %d: goroutines received different values", k)
-			}
+	for k := 0; k < keys; k++ {
+		if v, ok := c.Get(fmt.Sprint(k)); !ok || !stored(k, v) {
+			t.Errorf("key %d: Get = %v, %v after every Put", k, v, ok)
 		}
 	}
 	if c.Len() != keys || c.Evictions() != 0 {

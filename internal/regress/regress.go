@@ -9,6 +9,8 @@
 package regress
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -76,7 +78,10 @@ func Run(bench string, scale float64, workers int) (*Metrics, error) {
 // PositionHash digests the placement into a hex FNV-1a 64 string. Negative
 // zero is normalized (x + 0 == +0 for x == −0) so the hash compares
 // placements by value, not by the sign of exact zeros — the one bit pattern
-// the segmented tridiagonal solve is allowed to differ in.
+// the segmented tridiagonal solve is allowed to differ in. The digest is
+// hex-encoded by hand, not by fmt, whose printers come from a per-processor
+// pool: a goroutine that resumed on another processor would allocate a new
+// printer, so an ECO apply's allocation count would depend on scheduling.
 func PositionHash(d *design.Design) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -96,5 +101,7 @@ func PositionHash(d *design.Design) string {
 			h.Write([]byte{0})
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	var out [16]byte
+	hex.Encode(out[:], binary.BigEndian.AppendUint64(buf[:0], h.Sum64()))
+	return string(out[:])
 }

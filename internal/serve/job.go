@@ -98,11 +98,6 @@ type Request struct {
 	// it computes — so neither enters the cache key.
 	Tenant   string `json:"tenant,omitempty"`
 	Priority string `json:"priority,omitempty"`
-
-	// sums holds the SHA-256 of each uploaded component in components
-	// order, filled by the first hashFiles call; key and topoKey share it.
-	sums   [len(components)][sha256.Size]byte
-	summed bool
 }
 
 // components lists the upload component names in the sorted order the
@@ -205,8 +200,7 @@ func (r *Request) coreOptions() core.Options {
 //
 // The hashed text keeps the literal "autotune=false" of the removed θ*
 // auto-tuner option: window journals are stored on disk as <key>.wal, so
-// the key must not change under a resumable job. topoKey keeps it too, so
-// neither digest moves.
+// the key must not change under a resumable job.
 func (r *Request) key() string {
 	h := sha256.New()
 	o := r.coreOptions()
@@ -217,52 +211,17 @@ func (r *Request) key() string {
 	if r.Bench != "" {
 		fmt.Fprintf(h, "bench=%s@%g", r.Bench, r.Scale)
 	} else {
-		r.hashFiles(h, "")
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// topoKey derives the warm-store key: a SHA-256 over everything that shapes
-// the solved problem's *structure* — the design source minus cell positions
-// (the "pl" component is excluded from uploads; a suite benchmark's identity
-// is bench+scale) and the structural options (λ enters the penalty matrix,
-// β*/θ*/autotheta shape the cached splitting, boundright changes the
-// constraint set, method/resilient select the solver). Iteration-steering
-// options (eps, max_iter, timeout) are deliberately excluded: they change
-// when the solve stops, not what problem it solves, so an eps sweep over one
-// design shares a single warm state. Two requests with equal topoKey but
-// different exact keys are exactly the near-matches the warm store exists
-// for.
-func (r *Request) topoKey() string {
-	h := sha256.New()
-	o := r.coreOptions()
-	fmt.Fprintf(h, "method=%s|resilient=%v|", r.Method, r.Resilient)
-	fmt.Fprintf(h, "lambda=%g|beta=%g|theta=%g|autotheta=%v|autotune=false|boundright=%v|",
-		o.Lambda, o.Beta, o.Theta, o.AutoTheta, o.BoundRight)
-	if r.Bench != "" {
-		fmt.Fprintf(h, "bench=%s@%g", r.Bench, r.Scale)
-	} else {
-		r.hashFiles(h, "pl") // positions are exactly what a near-match perturbs
+		r.hashFiles(h)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // hashFiles writes "file:<component>=<sha256 hex>|" into h for each
-// uploaded component except skip, in components order. The texts are
-// hashed on the first call only: the handler's key call does it, and the
-// worker's topoKey reuses the digests.
-func (r *Request) hashFiles(h io.Writer, skip string) {
-	if !r.summed {
-		for i, k := range components {
-			if text, ok := r.Files[k]; ok {
-				r.sums[i] = sumString(text)
-			}
-		}
-		r.summed = true
-	}
-	for i, k := range components {
-		if _, ok := r.Files[k]; ok && k != skip {
-			fmt.Fprintf(h, "file:%s=%x|", k, r.sums[i])
+// uploaded component, in components order.
+func (r *Request) hashFiles(h io.Writer) {
+	for _, k := range components {
+		if text, ok := r.Files[k]; ok {
+			fmt.Fprintf(h, "file:%s=%x|", k, sumString(text))
 		}
 	}
 }
@@ -304,12 +263,8 @@ func (r *Request) loadDesign() (*design.Design, error) {
 }
 
 // solve runs the requested legalizer on d and returns the report. The
-// context carries the job deadline; every solver stage polls it. A non-nil
-// warm carries solver state across same-topology jobs (method "ours" only;
-// the baseline methods have no iterative state to reuse) — it accelerates
-// the solve when the structure matches and is inert otherwise, never
-// changing the final placement.
-func (r *Request) solve(ctx context.Context, d *design.Design, warm *core.WarmState) (*report.Report, error) {
+// context carries the job deadline; every solver stage polls it.
+func (r *Request) solve(ctx context.Context, d *design.Design) (*report.Report, error) {
 	t0 := time.Now()
 	var (
 		stats    *core.Stats
@@ -319,7 +274,6 @@ func (r *Request) solve(ctx context.Context, d *design.Design, warm *core.WarmSt
 	switch r.Method {
 	case "ours":
 		opts := r.coreOptions()
-		opts.Warm = warm
 		if r.Resilient {
 			rs, err := core.NewResilient(core.ResilientOptions{Base: opts}).LegalizeContext(ctx, d)
 			if err != nil {

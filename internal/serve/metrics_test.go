@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mclg/internal/core"
 	"mclg/internal/serve/report"
 	"mclg/internal/window"
 )
@@ -22,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden f
 // and the pre-registered zero series. Dashboards and perfbench scrape these
 // names, so any drift must be deliberate.
 func TestMetricsGolden(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, CacheCap: 4, WarmCap: 2})
+	s, ts := newTestServer(t, Config{Workers: 1, CacheCap: 4})
 	st := s.stats
 
 	st.queueDepth.Add(3)
@@ -35,14 +34,6 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	st.cacheHits.Add(7)
 	st.cacheMisses.Add(5)
-
-	// Three topologies through a 2-state warm store: 2 resident, 1 eviction.
-	for _, k := range []string{"t1", "t2", "t3"} {
-		s.warm.GetOrCreate(k, core.NewWarmState)
-	}
-	st.warmHits.Add(4)
-	st.warmMisses.Add(1)
-	st.warmIterSaved.Add(1234567)
 
 	st.solveAllocs.Add(9876543)
 	st.solveSamples.Add(6)

@@ -69,11 +69,7 @@ type Report struct {
 	// "miss", or empty for a local run.
 	Cache string `json:"cache,omitempty"`
 
-	// Warm reports that the MMSIM was seeded from a previous solve of the
-	// same topology (a warm-store near-match). Warm affects only the
-	// iteration count, never the placement: PosHash is identical to the
-	// cold solve's.
-	Warm bool `json:"warm,omitempty"`
+	Warm bool `json:"warm,omitempty"` // always false, so never written; kept only because perfbench/servemix.go reads it
 
 	// Windows carries the fault-containment trace of a windowed run: how
 	// the job was partitioned and how many windows were resumed from the
@@ -98,7 +94,6 @@ func (r *Report) SetStats(st *core.Stats) {
 	r.Finish = st.Finish.Outcome
 	r.FinishRounds = st.Finish.Rounds
 	r.FinishPCG = st.Finish.PCG
-	r.Warm = st.WarmSeeded
 	r.Illegal = st.Illegal
 	r.Unplaced = st.Unplaced
 	r.BuildMS = float64(st.BuildTime) / float64(time.Millisecond)

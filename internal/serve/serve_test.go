@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 
 	"mclg/internal/bookshelf"
 	"mclg/internal/cluster"
+	"mclg/internal/design"
 	"mclg/internal/gen"
 	"mclg/internal/serve/report"
 )
@@ -351,6 +353,26 @@ func TestInvalidRequests(t *testing.T) {
 	}
 }
 
+// bookshelfFiles serializes a design into the upload-files map.
+func bookshelfFiles(t testing.TB, d *design.Design) map[string]string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := bookshelf.Write(d, filepath.Join(dir, "up.aux")); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for comp, name := range map[string]string{
+		"nodes": "up.nodes", "nets": "up.nets", "pl": "up.pl", "scl": "up.scl", "wts": "up.wts",
+	} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			continue // optional components may not exist
+		}
+		files[comp] = string(raw)
+	}
+	return files
+}
+
 // TestUploadBookshelf round-trips a generated design through Bookshelf file
 // upload and checks the daemon legalizes it.
 func TestUploadBookshelf(t *testing.T) {
@@ -365,24 +387,9 @@ func TestUploadBookshelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	aux := filepath.Join(dir, "up.aux")
-	if err := bookshelf.Write(d, aux); err != nil {
-		t.Fatal(err)
-	}
-	files := map[string]string{}
-	for comp, name := range map[string]string{
-		"nodes": "up.nodes", "nets": "up.nets", "pl": "up.pl", "scl": "up.scl", "wts": "up.wts",
-	} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue // optional components may not exist
-		}
-		files[comp] = string(raw)
-	}
 	_, ts := newTestServer(t, Config{})
 	var rep report.Report
-	if resp := post(t, ts.URL, &Request{Files: files}, &rep); resp.StatusCode != http.StatusOK {
+	if resp := post(t, ts.URL, &Request{Files: bookshelfFiles(t, d)}, &rep); resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d", resp.StatusCode)
 	}
 	if !rep.Legal {
@@ -390,6 +397,82 @@ func TestUploadBookshelf(t *testing.T) {
 	}
 	if rep.Cells != len(d.Cells) {
 		t.Errorf("cells = %d, want %d", rep.Cells, len(d.Cells))
+	}
+}
+
+// TestNearMatchResubmit re-submits an upload whose cells moved by under a
+// thousandth of a site, the near-match class of serve-mix. Only the pl text
+// differs, so the re-submit is a cache miss that solves again; its placement
+// must equal a fresh daemon's for the same input, both solves must be
+// sampled for allocation accounting, and the retired warm-start series must
+// read 0.
+func TestNearMatchResubmit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a benchmark three times")
+	}
+	e, err := gen.FindEntry("pci_bridge32_b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.Generate(gen.SuiteSpec(e, 0.004))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := bookshelfFiles(t, d)
+	rng := rand.New(rand.NewSource(431))
+	for _, c := range d.Cells {
+		if !c.Fixed {
+			c.GX += (rng.Float64()*2 - 1) * 1e-3
+			c.X = c.GX
+		}
+	}
+	near := bookshelfFiles(t, d)
+	for comp := range base {
+		if (comp == "pl") == (base[comp] == near[comp]) {
+			t.Fatalf("the perturbation must change pl and only pl; %s changed: %v", comp, base[comp] != near[comp])
+		}
+	}
+
+	_, ts := newTestServer(t, Config{})
+	var first, again report.Report
+	if resp := post(t, ts.URL, &Request{Files: base}, &first); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first solve: HTTP %d", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL, &Request{Files: near}, &again); resp.StatusCode != http.StatusOK {
+		t.Fatalf("near-match re-submit: HTTP %d", resp.StatusCode)
+	}
+	if again.Cache != "miss" {
+		t.Errorf("near-match re-submit cache = %q, want miss (a different exact key)", again.Cache)
+	}
+	if first.Warm || again.Warm {
+		t.Errorf("warm = %v/%v, want false: no solve starts from another", first.Warm, again.Warm)
+	}
+
+	_, ref := newTestServer(t, Config{})
+	var fresh report.Report
+	if resp := post(t, ref.URL, &Request{Files: near}, &fresh); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh daemon: HTTP %d", resp.StatusCode)
+	}
+	if again.PosHash != fresh.PosHash {
+		t.Fatalf("near-match pos_hash %s != fresh daemon's %s", again.PosHash, fresh.PosHash)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\nmclgd_solve_alloc_samples_total 2\n",
+		"\nmclgd_warm_iterations_saved_total 0\n",
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
 	}
 }
 
@@ -471,14 +554,14 @@ func TestUploadNeedsNoTempDir(t *testing.T) {
 	}
 }
 
-// TestRequestKeysPinned pins key and topoKey to exact digests. Window
-// journals are named <key>.wal and the result cache is content-addressed
-// by key, so a change in how either is derived must be deliberate.
+// TestRequestKeysPinned pins key to exact digests. Window journals are
+// named <key>.wal and the result cache is content-addressed by key, so a
+// change in how it is derived must be deliberate.
 func TestRequestKeysPinned(t *testing.T) {
 	cases := []struct {
-		name      string
-		req       *Request
-		key, topo string
+		name string
+		req  *Request
+		key  string
 	}{
 		{
 			name: "upload",
@@ -486,23 +569,17 @@ func TestRequestKeysPinned(t *testing.T) {
 				"nodes": "UCLA nodes 1.0\n  a 4 10\n", "pl": "UCLA pl 1.0\na 3 0 : N\n",
 				"scl": "s", "nets": "n", "wts": "w",
 			}},
-			key:  "35b408c69076be3793d13a4751b2c74509ec5b2f763fe065925d51964cf47121",
-			topo: "b69a255bed5c7ef0c00ad1f7785a295716908e45509401e80795dc4d339da988",
+			key: "35b408c69076be3793d13a4751b2c74509ec5b2f763fe065925d51964cf47121",
 		},
 		{
 			name: "bench",
 			req:  &Request{Bench: "fft_2", Scale: 0.004},
 			key:  "9e0f3fbd7a1d2cbd2f4e30b6ffbe5df5bad8ed07858d4bc10c183a95dac46da8",
-			topo: "9cb00e22f736a059b3e78ed6dbf8af4588a392c66a9cd6071de78d9a9e685b99",
 		},
 	}
 	for _, tc := range cases {
 		if err := tc.req.validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		// topoKey first: the shared digests must not depend on call order.
-		if got := tc.req.topoKey(); got != tc.topo {
-			t.Errorf("%s: topoKey = %s, want %s", tc.name, got, tc.topo)
 		}
 		if got := tc.req.key(); got != tc.key {
 			t.Errorf("%s: key = %s, want %s", tc.name, got, tc.key)

@@ -33,10 +33,8 @@ import (
 	"sync"
 	"time"
 
-	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/faults"
-	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
 	"mclg/internal/window"
@@ -53,10 +51,6 @@ type Config struct {
 	// CacheCap bounds the result cache (entries); 0 means 128, negative
 	// disables caching (dedup of concurrent identical jobs still works).
 	CacheCap int
-	// WarmCap bounds the warm-start store (topologies whose solver state is
-	// retained for near-match acceleration); 0 means 32, negative disables
-	// warm starting. See Server.warm.
-	WarmCap int
 	// DefaultJobTimeout applies when a request has no timeout_ms;
 	// MaxJobTimeout caps whatever the request asks for.
 	DefaultJobTimeout time.Duration
@@ -148,9 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheCap == 0 {
 		c.CacheCap = 128
 	}
-	if c.WarmCap == 0 {
-		c.WarmCap = 32
-	}
 	if c.DefaultJobTimeout <= 0 {
 		c.DefaultJobTimeout = 60 * time.Second
 	}
@@ -191,14 +182,6 @@ type job struct {
 type Server struct {
 	cfg   Config
 	cache *resultCache
-	// warm keys core.WarmState by topology fingerprint, so a re-submit of
-	// a perturbed design — same netlist, same row structure, moved cells —
-	// lands on the state primed by the previous solve and is seeded from
-	// its solution. The result cache answers bit-identical requests without
-	// solving; the warm store accelerates the near-matches that do solve.
-	// Each WarmState serializes the solves that share it, so two concurrent
-	// jobs on one topology run one after the other through the warm path.
-	warm  *lru.Cache[string, *core.WarmState]
 	eco   *ecoRegistry
 	stats *serverStats
 	log   *slog.Logger
@@ -224,13 +207,11 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
 	cache := newResultCache(cfg.CacheCap)
-	warm := lru.New[string, *core.WarmState](cfg.WarmCap)
 	s := &Server{
 		cfg:      cfg,
 		cache:    cache,
-		warm:     warm,
 		eco:      newEcoRegistry(cfg.ECOSessionCap, cfg.ECODir),
-		stats:    newServerStats(cache, warm),
+		stats:    newServerStats(cache),
 		log:      cfg.Logger,
 		queue:    make(chan *job, cfg.QueueCap),
 		baseCtx:  ctx,
@@ -321,25 +302,13 @@ func (s *Server) runJob(j *job) {
 		if derr != nil {
 			err = derr
 		} else {
-			// Near-match acceleration: the warm store keys solver state by
-			// topology, so a perturbed re-submit of a known design seeds the
-			// MMSIM from the previous solution. Baseline methods carry no
-			// reusable state, and windowed jobs solve per-band sub-designs
-			// the whole-design warm state does not match.
-			var warm *core.WarmState
-			var coldIters int
-			if !j.req.Windows && j.req.Method == "ours" {
-				if warm = s.warm.GetOrCreate(j.req.topoKey(), core.NewWarmState); warm != nil {
-					coldIters = warm.ColdIterations()
-				}
-			}
 			ts := time.Now()
 			samples := mallocSamples()
 			m0 := mallocs(samples)
 			if j.req.Windows {
 				rep, err = s.solveWindowed(j, d)
 			} else {
-				rep, err = j.req.solve(j.ctx, d, warm)
+				rep, err = j.req.solve(j.ctx, d)
 			}
 			m1 := mallocs(samples)
 			solveDur = time.Since(ts)
@@ -350,16 +319,6 @@ func (s *Server) runJob(j *job) {
 			// allocs/solve and a regression shows up as a trend break.
 			s.stats.solveAllocs.Add(m1 - m0)
 			s.stats.solveSamples.Inc()
-			if warm != nil && err == nil && rep != nil {
-				if rep.Warm {
-					s.stats.warmHits.Inc()
-					if saved := coldIters - rep.Iterations; saved > 0 {
-						s.stats.warmIterSaved.Add(uint64(saved))
-					}
-				} else {
-					s.stats.warmMisses.Inc()
-				}
-			}
 			// Audit-on-commit: certify the solved result before it is
 			// published or cached. An audit error (including a placement
 			// the audit re-run cannot reproduce) fails the job; a sealed

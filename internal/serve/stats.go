@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"mclg/internal/core"
-	"mclg/internal/lru"
 	"mclg/internal/mclgerr"
 	"mclg/internal/prom"
 	"mclg/internal/window"
@@ -14,7 +12,7 @@ import (
 
 // serverStats is the daemon's observability registry. Everything it exposes
 // is required by the serving contract: queue depth, in-flight jobs, cache
-// and warm-store traffic, admission rejections, terminal jobs by mclgerr
+// traffic, admission rejections, terminal jobs by mclgerr
 // class, and per-stage latency histograms. Every labelled series is
 // pre-registered so it exists (at zero) from the first scrape — dashboards
 // should never see gaps appear.
@@ -24,8 +22,6 @@ type serverStats struct {
 	queueDepth, inflight *prom.Gauge
 
 	cacheHits, cacheMisses *prom.Counter
-	warmHits, warmMisses   *prom.Counter // hit = a solve that was warm-seeded
-	warmIterSaved          *prom.Counter // cold-baseline iterations minus warm iterations
 
 	// solveAllocs accumulates the process-wide Mallocs delta observed
 	// around each solve; solveSamples counts the solves sampled, so
@@ -54,9 +50,9 @@ type serverStats struct {
 	stages *prom.Vec[prom.Histogram]
 }
 
-// newServerStats registers every series in exposition order; the cache and
-// warm-store sizes are read from the LRUs at scrape time.
-func newServerStats(cache *resultCache, warm *lru.Cache[string, *core.WarmState]) *serverStats {
+// newServerStats registers every series in exposition order; the cache size
+// is read from the LRU at scrape time.
+func newServerStats(cache *resultCache) *serverStats {
 	s := &serverStats{}
 	r := &s.reg
 	classes := mclgerr.Classes()
@@ -72,13 +68,8 @@ func newServerStats(cache *resultCache, warm *lru.Cache[string, *core.WarmState]
 	r.Func("mclgd_cache_evictions_total", "LRU entries dropped past capacity.", "counter",
 		func() float64 { return float64(cache.Evictions()) })
 
-	r.Func("mclgd_warm_entries", "Topologies with resident warm-start solver state.", "gauge",
-		func() float64 { return float64(warm.Len()) })
-	s.warmHits = r.Counter("mclgd_warm_hits_total", "Solves seeded from a previous same-topology solution.")
-	s.warmMisses = r.Counter("mclgd_warm_misses_total", "Solves through the warm store that ran cold (first sight or structure change).")
-	r.Func("mclgd_warm_evictions_total", "Warm states dropped past capacity.", "counter",
-		func() float64 { return float64(warm.Evictions()) })
-	s.warmIterSaved = r.Counter("mclgd_warm_iterations_saved_total", "MMSIM iterations saved by warm seeding vs the cold baseline of each topology.")
+	// Always 0; kept only because perfbench/servemix.go's traced run reads it.
+	r.Counter("mclgd_warm_iterations_saved_total", "MMSIM iterations saved by warm seeding vs the cold baseline of each topology.")
 
 	s.solveAllocs = r.Counter("mclgd_solve_allocs_total", "Heap allocations attributed to solves (process-wide Mallocs delta; approximate under concurrency).")
 	s.solveSamples = r.Counter("mclgd_solve_alloc_samples_total", "Solves sampled for allocation accounting (allocs/solve = allocs_total / samples_total).")

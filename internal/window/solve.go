@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 
 	"mclg/internal/baselines/chow"
 	"mclg/internal/core"
@@ -29,11 +30,6 @@ type Result struct {
 	Window   int
 	Cells    []CellPos
 	Degraded bool
-	// WarmReused reports that the solve reused cached factorizations from a
-	// core.WarmState threaded through the cascade's base options (cluster
-	// workers pool warm states per window topology). Warm reuse changes
-	// iteration counts only, never the returned positions.
-	WarmReused bool
 }
 
 // buildSub materializes band b as an independent sub-design in fresh
@@ -72,7 +68,9 @@ type SubBuf struct {
 func (buf *SubBuf) build(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 	sub := &buf.sub
 	if sub.Name == "" || buf.nameOf != d.Name || buf.nameIndex != b.Index {
-		sub.Name = fmt.Sprintf("%s.w%d", d.Name, b.Index)
+		// Not fmt.Sprintf, whose per-processor printer pool would make an
+		// ECO apply's allocation count depend on scheduling.
+		sub.Name = d.Name + ".w" + strconv.Itoa(b.Index)
 		buf.nameOf, buf.nameIndex = d.Name, b.Index
 	}
 	sub.Core = d.Core
@@ -157,14 +155,10 @@ func poisonSub(sub *design.Design) {
 // legality before committing, so a returned Result is checker-verified
 // within the window.
 func solveSub(ctx context.Context, sub *design.Design, idx []int, b *Band, cascade core.ResilientOptions) (*Result, error) {
-	rl := core.NewResilient(cascade)
-	rs, err := rl.LegalizeContext(ctx, sub)
-	if err != nil {
+	if _, err := core.NewResilient(cascade).LegalizeContext(ctx, sub); err != nil {
 		return nil, err
 	}
-	res := extract(sub, idx, b, false)
-	res.WarmReused = rs.WarmReused
-	return res, nil
+	return extract(sub, idx, b, false), nil
 }
 
 // extract collects the owned cells' positions from a solved sub-design.
