@@ -475,6 +475,48 @@ func BenchmarkMMSIMIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckLegal measures the legality checker on superblue19@0.02,
+// legalized and as its global placement (about 26k violations): report is
+// CheckLegal's full report, verdict IsLegal's early-exit answer. Generation
+// and legalization are untimed and the checker's scratch pool is primed, so
+// alloc-smoke gates verdict/legal at 0 allocs/op.
+func BenchmarkCheckLegal(b *testing.B) {
+	gp := genBench(b, "superblue19", 0.02)
+	legal := gp.Clone()
+	if _, err := core.New(core.Options{}).Legalize(legal); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name  string
+		check func(*design.Design) bool
+	}{
+		{"report", func(d *design.Design) bool { return design.CheckLegal(d).Legal() }},
+		{"verdict", design.IsLegal},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			for _, in := range []struct {
+				name string
+				d    *design.Design
+				want bool
+			}{{"legal", legal, true}, {"gp", gp, false}} {
+				b.Run(in.name, func(b *testing.B) {
+					check := func() {
+						if mode.check(in.d) != in.want {
+							b.Fatalf("verdict %v, want %v", !in.want, in.want)
+						}
+					}
+					primePools(b, check)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						check()
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkGenerateSuite measures the synthetic benchmark generator.
 func BenchmarkGenerateSuite(b *testing.B) {
 	e, err := gen.FindEntry("superblue19")

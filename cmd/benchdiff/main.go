@@ -10,6 +10,12 @@
 // baseline never fails an allocs comparison until it is regenerated with
 // -benchmem.
 //
+// A benchmark may appear several times in either input. In the baseline its
+// last row counts, so appended rows override older ones. In the current run
+// (-count N) the gate compares the median ns/op and the minimum allocs/op of
+// its samples: work the runtime does inside a timed op only ever adds
+// allocations, so the least count is the op's own.
+//
 // The exit status is 1 on regression (unless -advisory), 2 on usage or
 // parse errors. Benchmarks present only in one input are reported but never
 // fail the run: new benchmarks are expected to appear, and renamed ones
@@ -38,14 +44,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	baseline, err := parseFile(*baselinePath)
+	baseSamples, err := parseFile(*baselinePath)
 	if err != nil {
 		fatal(err)
 	}
-	current, err := parseFile(*currentPath)
+	curSamples, err := parseFile(*currentPath)
 	if err != nil {
 		fatal(err)
 	}
+	baseline, current := lastRows(baseSamples), summarize(curSamples)
 	if len(baseline) == 0 {
 		fatal(fmt.Errorf("benchdiff: no benchmark results in baseline %s", *baselinePath))
 	}
@@ -63,7 +70,7 @@ func main() {
 	}
 }
 
-func parseFile(path string) (map[string]benchResult, error) {
+func parseFile(path string) (map[string][]benchResult, error) {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin
@@ -75,7 +82,7 @@ func parseFile(path string) (map[string]benchResult, error) {
 		defer f.Close()
 		r = f
 	}
-	return parseBench(r)
+	return parseSamples(r)
 }
 
 func fatal(err error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -44,11 +45,45 @@ var allocsRe = regexp.MustCompile(`([0-9.e+]+) allocs/op`)
 // benchmark identity.
 var gomaxprocsSuffixRe = regexp.MustCompile(`-\d+$`)
 
-// parseBench reads a test2json stream and returns the measurements keyed by
-// normalized benchmark name. test2json splits a result line into separate
-// events (the name fragment has no trailing newline), so output fragments are
-// concatenated first and then split back into real lines.
-func parseBench(r io.Reader) (map[string]benchResult, error) {
+// lastRows keeps each benchmark's last row: the baseline's rule, so rows
+// appended to a baseline override earlier ones.
+func lastRows(samples map[string][]benchResult) map[string]benchResult {
+	out := make(map[string]benchResult, len(samples))
+	for name, s := range samples {
+		out[name] = s[len(s)-1]
+	}
+	return out
+}
+
+// summarize reduces each benchmark's samples from a -count N run to the
+// values the gate compares: the median ns/op and the minimum allocs/op.
+// Runtime work that lands inside a timed op (the scheduler starting a
+// thread, a GC worker) only ever adds allocations, so the least count is
+// the op's own; time varies both ways, so it takes the median.
+func summarize(samples map[string][]benchResult) map[string]benchResult {
+	out := make(map[string]benchResult, len(samples))
+	for name, s := range samples {
+		ns := make([]float64, len(s))
+		var res benchResult
+		for i, r := range s {
+			ns[i] = r.NS
+			if r.HasAllocs && (!res.HasAllocs || r.Allocs < res.Allocs) {
+				res.Allocs, res.HasAllocs = r.Allocs, true
+			}
+		}
+		sort.Float64s(ns)
+		res.NS = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
+		out[name] = res
+	}
+	return out
+}
+
+// parseSamples reads a test2json stream and returns every result row's
+// measurements, keyed by normalized benchmark name, in stream order.
+// test2json splits a result line into separate events (the name fragment
+// has no trailing newline), so output fragments are concatenated first and
+// then split back into real lines.
+func parseSamples(r io.Reader) (map[string][]benchResult, error) {
 	var sb strings.Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -68,7 +103,7 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	out := map[string]benchResult{}
+	out := map[string][]benchResult{}
 	for _, line := range strings.Split(sb.String(), "\n") {
 		m := benchResultRe.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -85,7 +120,8 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 				res.HasAllocs = true
 			}
 		}
-		out[gomaxprocsSuffixRe.ReplaceAllString(m[1], "")] = res
+		name := gomaxprocsSuffixRe.ReplaceAllString(m[1], "")
+		out[name] = append(out[name], res)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,16 @@ const stream = `{"Action":"run","Test":"BenchmarkFoo"}
 {"Action":"output","Output":"PASS\n"}
 {"Action":"pass"}
 `
+
+// parseBench reads a stream as benchdiff reads a baseline: each
+// benchmark's last row.
+func parseBench(r io.Reader) (map[string]benchResult, error) {
+	samples, err := parseSamples(r)
+	if err != nil {
+		return nil, err
+	}
+	return lastRows(samples), nil
+}
 
 func TestParseBench(t *testing.T) {
 	got, err := parseBench(strings.NewReader(stream))

@@ -100,7 +100,7 @@ func runEco(ctx context.Context, d *design.Design, ecoPath string,
 		len(applies), countDeltas(applies), elapsed)
 	fmt.Fprintf(info, "total displacement: %.0f sites (max %.0f, avg %.2f)\n",
 		rep.DisplacementSites, rep.MaxDispSites, rep.AvgDispSites)
-	fmt.Fprintf(info, "legality: %s\n", design.CheckLegal(final))
+	fmt.Fprintf(info, "legality: %s\n", legality(final, rep.Legal))
 	fmt.Fprintf(info, "%s\n", cert.Summary())
 
 	if jsonOut {

@@ -120,10 +120,11 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 	if _, err := leg.LegalizeContext(ctx, prod); err != nil {
 		return nil, err
 	}
-	rep := design.CheckLegal(prod)
 	disp := metrics.MeasureDisplacement(prod)
-	cert.Legal = rep.Legal()
-	cert.ViolationCount = len(rep.Violations)
+	cert.Legal = design.IsLegal(prod)
+	if !cert.Legal {
+		cert.ViolationCount = len(design.CheckLegal(prod).Violations)
+	}
 	cert.Displacement = disp.TotalSites
 	cert.PosHash = regress.PositionHash(prod)
 

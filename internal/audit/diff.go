@@ -213,7 +213,7 @@ func baselineChecks(ctx context.Context, d *design.Design, oursLegal bool, oursD
 			b.Err = err.Error()
 			return b
 		}
-		b.Legal = design.CheckLegal(c).Legal()
+		b.Legal = design.IsLegal(c)
 		b.Displacement = metrics.MeasureDisplacement(c).TotalSites
 		if b.Displacement > 0 {
 			b.Ratio = oursDisp / b.Displacement

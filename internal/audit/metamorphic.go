@@ -332,5 +332,5 @@ func runOnce(ctx context.Context, d *design.Design, opts core.Options) (legal bo
 	if _, err := tetris.AllocateContext(ctx, c); err != nil {
 		return false, 0, err
 	}
-	return design.CheckLegal(c).Legal(), relaxedObj, nil
+	return design.IsLegal(c), relaxedObj, nil
 }

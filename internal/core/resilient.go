@@ -128,11 +128,11 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 		d.CopyCellsTo(work)
 		st, err := runRecovered(rg.run, work)
 		if err == nil {
-			if rep := design.CheckLegal(work); !rep.Legal() {
+			if !design.IsLegal(work) {
 				err = &mclgerr.StageError{
 					Stage:  string(rg.name),
 					Err:    mclgerr.ErrUnplacedCells,
-					Detail: "rung reported success but the placement is illegal: " + rep.String(),
+					Detail: "rung reported success but the placement is illegal: " + design.CheckLegal(work).String(),
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package design
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Violation describes a single legality failure.
@@ -58,13 +57,15 @@ func (r *LegalityReport) String() string {
 // fixed absolute tolerance produces false off-site/off-row violations. The
 // tolerance scales with the number of representable units of round-off at
 // the operands' magnitude, and is capped at a tenth of a unit so it can
-// never absorb a genuinely misaligned position.
+// never absorb a genuinely misaligned position. It is never below
+// alignEps, so a position within alignEps units of the grid skips it.
 func alignTol(coord, origin, unit float64) float64 {
-	const eps = 1e-6
 	scale := math.Max(math.Abs(coord), math.Abs(origin)) / unit
-	tol := eps * math.Max(1, scale*1e-6)
+	tol := alignEps * math.Max(1, scale*1e-6)
 	return math.Min(tol, 0.1)
 }
+
+const alignEps = 1e-6
 
 // CheckLegal validates the full set of legalization constraints from the
 // paper's problem statement (Section 2.1):
@@ -79,6 +80,10 @@ func alignTol(coord, origin, unit float64) float64 {
 // overlaps are a property of the input, not of the legalization result, and
 // no legalizer can repair them. A fixed cell overlapping a movable cell is
 // still a violation.
+//
+// The report lists every violation: the per-cell ones in cell order, then
+// the overlaps in the order described at appendOverlaps. Callers that need
+// only the verdict use IsLegal, which formats nothing.
 func CheckLegal(d *Design) *LegalityReport {
 	rep := &LegalityReport{}
 	for _, c := range d.Cells {
@@ -86,8 +91,60 @@ func CheckLegal(d *Design) *LegalityReport {
 			rep.Violations = AppendCellViolations(rep.Violations, d, c)
 		}
 	}
-	rep.Violations = append(rep.Violations, findOverlaps(d)...)
+	rep.Violations = appendOverlaps(rep.Violations, d)
 	return rep
+}
+
+// IsLegal reports whether CheckLegal(d) would find no violation. It stops
+// at the first one and, once its pooled scratch has grown to d's size,
+// allocates nothing.
+func IsLegal(d *Design) bool {
+	for _, c := range d.Cells {
+		if !c.Fixed {
+			if f, _ := cellFaults(d, c); f != 0 {
+				return false
+			}
+		}
+	}
+	s := getSweep()
+	defer s.release()
+	return !s.overlaps(d, true)
+}
+
+// Per-cell faults, as bits of the value cellFaults returns.
+const (
+	faultOutside = 1 << iota
+	faultOffSite
+	faultOffRow
+	faultRail
+)
+
+// cellFaults evaluates the per-cell constraints on movable cell c and
+// returns the faults found, with the row c sits on when it is on one. An
+// off-row cell is not checked for its rail.
+func cellFaults(d *Design, c *Cell) (faults, row int) {
+	const eps = 1e-6
+	b := c.Bounds()
+	if b.Lo.X < d.Core.Lo.X-eps || b.Hi.X > d.Core.Hi.X+eps ||
+		b.Lo.Y < d.Core.Lo.Y-eps || b.Hi.Y > d.Core.Hi.Y+eps {
+		faults |= faultOutside
+	}
+	// Site alignment, tolerance scaled for far-from-origin cores.
+	fs := (c.X - d.Core.Lo.X) / d.SiteW
+	if e := math.Abs(fs - math.Round(fs)); e > alignEps && e > alignTol(c.X, d.Core.Lo.X, d.SiteW) {
+		faults |= faultOffSite
+	}
+	// Row alignment.
+	fr := (c.Y - d.Core.Lo.Y) / d.RowHeight
+	row = int(math.Round(fr))
+	if e := math.Abs(fr - float64(row)); e > alignEps && e > alignTol(c.Y, d.Core.Lo.Y, d.RowHeight) ||
+		row < 0 || row+c.RowSpan > len(d.Rows) {
+		return faults | faultOffRow, row // rail check meaningless without a row
+	}
+	if c.EvenSpan() && d.Rows[row].Rail != c.BottomRail {
+		faults |= faultRail
+	}
+	return faults, row
 }
 
 // AppendCellViolations appends the per-cell violations CheckLegal reports
@@ -95,33 +152,29 @@ func CheckLegal(d *Design) *LegalityReport {
 // power rail of an even-span cell — leaving overlaps out. Callers that
 // track occupancy themselves (an ECO commit) check overlaps on their grid.
 func AppendCellViolations(dst []Violation, d *Design, c *Cell) []Violation {
-	const eps = 1e-6
-	b := c.Bounds()
-	if b.Lo.X < d.Core.Lo.X-eps || b.Hi.X > d.Core.Hi.X+eps ||
-		b.Lo.Y < d.Core.Lo.Y-eps || b.Hi.Y > d.Core.Hi.Y+eps {
+	f, row := cellFaults(d, c)
+	if f == 0 {
+		return dst
+	}
+	if f&faultOutside != 0 {
 		dst = append(dst, Violation{
 			Kind: VOutsideCore, Cells: []int{c.ID},
-			Msg: fmt.Sprintf("cell %d at %v outside core %v", c.ID, b, d.Core),
+			Msg: fmt.Sprintf("cell %d at %v outside core %v", c.ID, c.Bounds(), d.Core),
 		})
 	}
-	// Site alignment, tolerance scaled for far-from-origin cores.
-	fs := (c.X - d.Core.Lo.X) / d.SiteW
-	if math.Abs(fs-math.Round(fs)) > alignTol(c.X, d.Core.Lo.X, d.SiteW) {
+	if f&faultOffSite != 0 {
 		dst = append(dst, Violation{
 			Kind: VOffSite, Cells: []int{c.ID},
 			Msg: fmt.Sprintf("cell %d x=%g not on site grid (site width %g)", c.ID, c.X, d.SiteW),
 		})
 	}
-	// Row alignment.
-	fr := (c.Y - d.Core.Lo.Y) / d.RowHeight
-	row := int(math.Round(fr))
-	if math.Abs(fr-float64(row)) > alignTol(c.Y, d.Core.Lo.Y, d.RowHeight) || row < 0 || row+c.RowSpan > len(d.Rows) {
-		return append(dst, Violation{
+	if f&faultOffRow != 0 {
+		dst = append(dst, Violation{
 			Kind: VOffRow, Cells: []int{c.ID},
 			Msg: fmt.Sprintf("cell %d y=%g not on a row boundary", c.ID, c.Y),
-		}) // rail check meaningless without a row
+		})
 	}
-	if c.EvenSpan() && d.Rows[row].Rail != c.BottomRail {
+	if f&faultRail != 0 {
 		dst = append(dst, Violation{
 			Kind: VRailMismatch, Cells: []int{c.ID},
 			Msg: fmt.Sprintf("cell %d (span %d, bottom %v) on row %d with rail %v",
@@ -129,52 +182,4 @@ func AppendCellViolations(dst []Violation, d *Design, c *Cell) []Violation {
 		})
 	}
 	return dst
-}
-
-// findOverlaps detects pairwise overlaps with a sweep over x-sorted cells,
-// O(n log n + k) for k overlaps in typical row-structured placements.
-// Overlaps between two fixed cells are skipped (see CheckLegal). The sweep
-// order breaks x ties by cell ID, so the violation list is identical from
-// run to run — audit certificates hash it and must get a stable ordering.
-func findOverlaps(d *Design) []Violation {
-	idx := make([]int, len(d.Cells))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ca, cb := d.Cells[idx[a]], d.Cells[idx[b]]
-		if ca.X != cb.X {
-			return ca.X < cb.X
-		}
-		return ca.ID < cb.ID
-	})
-	var out []Violation
-	// Active window: cells whose x-span may still intersect the sweep line.
-	var active []int
-	for _, i := range idx {
-		ci := d.Cells[i]
-		bi := ci.Bounds()
-		keep := active[:0]
-		for _, j := range active {
-			cj := d.Cells[j]
-			if cj.X+cj.W > bi.Lo.X {
-				keep = append(keep, j)
-				if ci.Fixed && cj.Fixed {
-					continue // input blockage overlap, not a legalization failure
-				}
-				if bi.Overlaps(cj.Bounds()) {
-					a, b := ci.ID, cj.ID
-					if a > b {
-						a, b = b, a
-					}
-					out = append(out, Violation{
-						Kind: VOverlap, Cells: []int{a, b},
-						Msg: fmt.Sprintf("cells %d and %d overlap (area %g)", a, b, bi.Intersect(cj.Bounds()).Area()),
-					})
-				}
-			}
-		}
-		active = append(keep, i)
-	}
-	return out
 }

@@ -83,7 +83,7 @@ func (s *Session) Certify(ctx context.Context) (*audit.ReplayCertificate, error)
 	cert.BaseHash = rs.BaseHash()
 	cert.ReplayHash = rs.PosHash()
 	cert.Match = cert.ReplayHash == posHash
-	cert.Legal = design.CheckLegal(replayed).Legal()
+	cert.Legal = design.IsLegal(replayed)
 	cert.Pass = cert.Match && cert.Legal
 	if err := cert.Seal(); err != nil {
 		return nil, err

@@ -114,7 +114,7 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 		spare:   new(design.Design),
 		curNets: 1,
 	}
-	if !design.CheckLegal(s.cur).Legal() {
+	if !design.IsLegal(s.cur) {
 		rl := core.NewResilient(core.ResilientOptions{Base: opts.Core})
 		if _, err := rl.LegalizeContext(ctx, s.cur); err != nil {
 			return nil, err
@@ -544,11 +544,11 @@ func repairRun(ctx context.Context, av, sub *design.Design, idx []int, touched m
 	if err := chow.LegalizeContext(ctx, sub); err != nil {
 		return err
 	}
-	if rep := design.CheckLegal(sub); !rep.Legal() {
+	if !design.IsLegal(sub) {
 		return &mclgerr.StageError{
 			Stage:  "eco-repair",
 			Err:    mclgerr.ErrUnplacedCells,
-			Detail: "local repair left the run illegal: " + rep.String(),
+			Detail: "local repair left the run illegal: " + design.CheckLegal(sub).String(),
 		}
 	}
 	return nil

@@ -295,7 +295,7 @@ func (s *solver) prepare() error {
 // seedIncumbent adopts the input placement as the starting incumbent when
 // the legality checker accepts it.
 func (s *solver) seedIncumbent() {
-	if !design.CheckLegal(s.d).Legal() {
+	if !design.IsLegal(s.d) {
 		return
 	}
 	cost := 0.0
@@ -683,7 +683,7 @@ func (s *solver) trySnap(chains [][]item, xs []float64, vert float64) {
 			cc.Flipped = d.Rows[s.assign[i]].Rail != cc.BottomRail
 		}
 	}
-	if !design.CheckLegal(clone).Legal() {
+	if !design.IsLegal(clone) {
 		return
 	}
 	s.incumbent = append([]float64(nil), snapped...)

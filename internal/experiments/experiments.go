@@ -215,7 +215,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			} else {
 				res.DispSites = metrics.MeasureDisplacement(d).TotalSites
 				res.DeltaHPWL = metrics.DeltaHPWL(d)
-				res.Legal = design.CheckLegal(d).Legal()
+				res.Legal = design.IsLegal(d)
 			}
 			row.Results[m] = res
 		}

@@ -50,7 +50,7 @@ func NoiseSensitivity(benchName string, scale float64, levels []float64) ([]Nois
 				continue
 			}
 			row.Disp[m] = metrics.MeasureDisplacement(d).TotalSites
-			row.Legal[m] = design.CheckLegal(d).Legal()
+			row.Legal[m] = design.IsLegal(d)
 		}
 		rows = append(rows, row)
 	}

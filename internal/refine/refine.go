@@ -60,9 +60,9 @@ func Refine(d *design.Design, opts Options) (*Result, error) {
 
 // RefineContext is Refine with cooperative cancellation between passes.
 func RefineContext(ctx context.Context, d *design.Design, opts Options) (*Result, error) {
-	if rep := design.CheckLegal(d); !rep.Legal() {
+	if !design.IsLegal(d) {
 		return nil, fmt.Errorf("refine: input placement is illegal: %v: %w",
-			rep, mclgerr.ErrInvalidInput)
+			design.CheckLegal(d), mclgerr.ErrInvalidInput)
 	}
 	if opts.MaxPasses == 0 {
 		opts.MaxPasses = 5

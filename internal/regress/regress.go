@@ -70,7 +70,7 @@ func Run(bench string, scale float64, workers int) (*Metrics, error) {
 		FinishRounds: stats.Finish.Rounds,
 		FinishPCG:    stats.Finish.PCG,
 		Converged:    stats.Converged,
-		Legal:        design.CheckLegal(d).Legal(),
+		Legal:        design.IsLegal(d),
 		PosHash:      PositionHash(d),
 	}, nil
 }

@@ -202,7 +202,7 @@ func FromDesign(d *design.Design, method string, wall time.Duration) *Report {
 		Cells:             len(d.Cells),
 		MultiRowCells:     multi,
 		Method:            method,
-		Legal:             design.CheckLegal(d).Legal(),
+		Legal:             design.IsLegal(d),
 		DisplacementSites: disp.TotalSites,
 		MaxDispSites:      disp.MaxSites,
 		AvgDispSites:      avg,

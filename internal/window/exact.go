@@ -188,7 +188,7 @@ func refineExact(ctx context.Context, d *design.Design, plan *Plan, opts Options
 				c := work.Cells[fullID]
 				c.X, c.Y, c.Flipped = sol.X[i], sol.Y[i], sol.Flipped[i]
 			}
-			if design.CheckLegal(work).Legal() {
+			if design.IsLegal(work) {
 				for i, c := range work.Cells {
 					dc := d.Cells[i]
 					dc.X, dc.Y, dc.Flipped = c.X, c.Y, c.Flipped

@@ -185,7 +185,7 @@ func degradeSub(ctx context.Context, d *design.Design, p *Plan, b *Band) *Result
 		work := sub.Clone()
 		work.ResetToGlobal()
 		if err := chow.LegalizeContext(ctx, work); err == nil {
-			if rep := design.CheckLegal(work); rep.Legal() {
+			if design.IsLegal(work) {
 				return extract(work, idx, b, true)
 			}
 		}
@@ -234,11 +234,11 @@ func stitchLabeled(ctx context.Context, d *design.Design, results []*Result) err
 			Detail: fmt.Sprintf("%d cells left unplaced after boundary reconciliation", tres.Unplaced),
 		}
 	}
-	if rep := design.CheckLegal(work); !rep.Legal() {
+	if !design.IsLegal(work) {
 		return &mclgerr.StageError{
 			Stage:  "stitch",
 			Err:    mclgerr.ErrUnplacedCells,
-			Detail: "stitched placement failed the legality checker: " + rep.String(),
+			Detail: "stitched placement failed the legality checker: " + design.CheckLegal(work).String(),
 		}
 	}
 	for i, c := range work.Cells {
