@@ -119,7 +119,7 @@ func BenchmarkTable2Legalizers(b *testing.B) {
 		{"DAC16", chow.Legalize},
 		{"DAC16-Imp", func(d *design.Design) error { return chow.LegalizeImproved(d, chow.Options{}) }},
 		{"ASPDAC17", func(d *design.Design) error {
-			if err := wang.Legalize(d, wang.Options{}); err != nil {
+			if err := wang.Legalize(d); err != nil {
 				return err
 			}
 			_, err := tetris.Allocate(d)
@@ -163,7 +163,7 @@ func BenchmarkWorkersScaling(b *testing.B) {
 		if w == 0 {
 			name = "workers=auto"
 		}
-		opts := window.Options{Cascade: core.ResilientOptions{Base: core.Options{Workers: w}}}
+		opts := window.Options{Core: core.Options{Workers: w}}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -326,7 +326,7 @@ func BenchmarkOmegaAblation(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"paper-omega-I", core.Options{PaperOmega: true, MMSIMOnly: true}},
+		{"paper-omega-I", core.Options{MMSIMOnly: true}},
 		{"omegaR-0.01", core.Options{OmegaR: 0.01, MMSIMOnly: true}},
 		{"scaled-omegaX", core.Options{ScaledOmegaX: true, MMSIMOnly: true}},
 	}
@@ -799,7 +799,7 @@ func BenchmarkECOApply(b *testing.B) {
 	// Cold reference: a full from-scratch re-legalization of the same design.
 	cold := base.Clone()
 	t0 := time.Now()
-	if _, err := core.NewResilient(core.ResilientOptions{Base: core.Options{Workers: 1}}).LegalizeContext(ctx, cold); err != nil {
+	if _, err := core.NewResilient(core.Options{Workers: 1}).LegalizeContext(ctx, cold); err != nil {
 		b.Fatal(err)
 	}
 	coldNS := float64(time.Since(t0).Nanoseconds())
@@ -906,9 +906,8 @@ func ecoMixedBatch(rng *rand.Rand, d *design.Design) []eco.Delta {
 func BenchmarkClusterDispatch(b *testing.B) {
 	base := genBench(b, "fft_2", 0.004)
 	opts := window.Options{
-		Cascade:       core.ResilientOptions{Base: core.Options{Workers: 1}},
+		Core:          core.Options{Workers: 1},
 		WindowRows:    4,
-		ContextRows:   2,
 		WindowTimeout: 2 * time.Minute,
 	}
 

@@ -181,7 +181,7 @@ func main() {
 		opts := oursOpts
 		if *windowsOn {
 			wst, err := window.Legalize(ctx, d, window.Options{
-				Cascade:       core.ResilientOptions{Base: opts},
+				Core:          opts,
 				WindowRows:    *windowRows,
 				HedgeQuantile: *hedge,
 				ExactWindows:  *exactK,
@@ -203,7 +203,7 @@ func main() {
 				}
 			}
 		} else if *resilient {
-			rs, err := core.NewResilient(core.ResilientOptions{Base: opts}).LegalizeContext(ctx, d)
+			rs, err := core.NewResilient(opts).LegalizeContext(ctx, d)
 			if err != nil {
 				fatal(err)
 			}

@@ -1,8 +1,8 @@
-// Package abacus implements the Abacus legalizer of Spindler, Schlichtmann
-// and Johannes (ISPD 2008) for single-row-height standard cells: the
-// PlaceRow cluster-collapse dynamic program that optimally positions an
-// ordered row of cells minimizing Σ e_i (x_i − x'_i)², and the full
-// legalizer that inserts cells into their best row by trial PlaceRow cost.
+// Package abacus implements PlaceRow, the row-placement step of the Abacus
+// legalizer of Spindler, Schlichtmann and Johannes (ISPD 2008) for
+// single-row-height standard cells: the cluster-collapse dynamic program
+// that optimally positions an ordered row of cells minimizing
+// Σ e_i (x_i − x'_i)².
 //
 // The paper under reproduction uses PlaceRow two ways: Section 5.3 swaps it
 // in for the MMSIM on single-height designs to validate MMSIM optimality
@@ -100,129 +100,6 @@ func RowCost(entries []Entry, xmin, xmax float64) float64 {
 		s += en.Weight * d * d
 	}
 	return s
-}
-
-// Options configures the full Abacus legalizer.
-type Options struct {
-	// RowSearchRange bounds how many rows above/below the nearest row are
-	// tried for each cell; 0 means all rows.
-	RowSearchRange int
-	// RelaxRight relaxes the right boundary during PlaceRow (cells are
-	// clamped afterwards); used by the §5.3 optimality experiment.
-	RelaxRight bool
-	// WeightByArea uses the cell area as the quadratic weight e_i
-	// (the original Abacus recommendation); false uses 1.
-	WeightByArea bool
-}
-
-// rowState carries the cells committed to one row during legalization.
-type rowState struct {
-	cells   []*design.Cell
-	entries []Entry
-}
-
-// Legalize runs the full Abacus on a single-row-height design: cells sorted
-// by global x, each inserted into the row minimizing the trial PlaceRow
-// cost plus vertical displacement. The design's cell positions are updated
-// (x real-valued; callers snap to sites afterwards, e.g. via tetris).
-//
-// Returns an error when the design contains multi-row cells — classic
-// Abacus does not support them (the point of the paper).
-func Legalize(d *design.Design, opts Options) error {
-	for _, c := range d.Cells {
-		if !c.Fixed && c.RowSpan != 1 {
-			return ErrMultiRow{CellID: c.ID}
-		}
-	}
-	cells := make([]*design.Cell, 0, len(d.Cells))
-	for _, c := range d.Cells {
-		if !c.Fixed {
-			cells = append(cells, c)
-		}
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].GX != cells[j].GX {
-			return cells[i].GX < cells[j].GX
-		}
-		return cells[i].ID < cells[j].ID
-	})
-
-	rows := make([]rowState, len(d.Rows))
-	xmax := func(r int) float64 {
-		if opts.RelaxRight {
-			return math.Inf(1)
-		}
-		return d.Rows[r].XMax()
-	}
-
-	for _, c := range cells {
-		weight := 1.0
-		if opts.WeightByArea {
-			weight = c.Area()
-		}
-		en := Entry{Target: c.GX, Width: c.W, Weight: weight}
-
-		nearest := d.RowAt(c.GY + d.RowHeight/2)
-		if nearest < 0 {
-			if c.GY < d.Core.Lo.Y {
-				nearest = 0
-			} else {
-				nearest = len(d.Rows) - 1
-			}
-		}
-		bestRow, bestCost := -1, math.Inf(1)
-		lo, hi := 0, len(d.Rows)-1
-		if opts.RowSearchRange > 0 {
-			lo = nearest - opts.RowSearchRange
-			hi = nearest + opts.RowSearchRange
-		}
-		for r := lo; r <= hi; r++ {
-			if r < 0 || r >= len(d.Rows) {
-				continue
-			}
-			rs := &rows[r]
-			// Capacity check under a hard right boundary.
-			if !opts.RelaxRight {
-				used := 0.0
-				for _, e := range rs.entries {
-					used += e.Width
-				}
-				if used+c.W > d.Rows[r].Span().Len() {
-					continue
-				}
-			}
-			dy := d.RowY(r) - c.GY
-			vCost := weight * dy * dy
-			if vCost >= bestCost {
-				continue
-			}
-			trial := append(append([]Entry(nil), rs.entries...), en)
-			hCost := RowCost(trial, d.Rows[r].OriginX, xmax(r))
-			if cost := hCost + vCost; cost < bestCost {
-				bestCost, bestRow = cost, r
-			}
-		}
-		if bestRow < 0 {
-			return ErrNoRoom{CellID: c.ID}
-		}
-		rs := &rows[bestRow]
-		rs.cells = append(rs.cells, c)
-		rs.entries = append(rs.entries, en)
-		c.Y = d.RowY(bestRow)
-	}
-
-	// Final PlaceRow per row writes the x positions.
-	for r := range rows {
-		rs := &rows[r]
-		if len(rs.entries) == 0 {
-			continue
-		}
-		x := PlaceRow(rs.entries, d.Rows[r].OriginX, xmax(r))
-		for i, c := range rs.cells {
-			c.X = x[i]
-		}
-	}
-	return nil
 }
 
 // ErrMultiRow reports a multi-row cell passed to the single-height Abacus.

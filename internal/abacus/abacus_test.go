@@ -193,44 +193,6 @@ func singleRowDesign(rng *rand.Rand, rows, sites, cells int) *design.Design {
 	return d
 }
 
-func TestLegalizeSingleHeight(t *testing.T) {
-	rng := rand.New(rand.NewSource(419))
-	d := singleRowDesign(rng, 6, 100, 40)
-	if err := Legalize(d, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Every cell on a row, inside the core, no overlaps within rows.
-	byRow := map[int][]*design.Cell{}
-	for _, c := range d.Cells {
-		r := d.RowAt(c.Y + 1)
-		if r < 0 {
-			t.Fatalf("cell %d off rows: y=%g", c.ID, c.Y)
-		}
-		if c.X < d.Core.Lo.X-1e-9 || c.X+c.W > d.Core.Hi.X+1e-9 {
-			t.Errorf("cell %d outside core: x=%g", c.ID, c.X)
-		}
-		byRow[r] = append(byRow[r], c)
-	}
-	for r, cells := range byRow {
-		for i := range cells {
-			for j := i + 1; j < len(cells); j++ {
-				a, b := cells[i], cells[j]
-				if a.X < b.X+b.W && b.X < a.X+a.W {
-					t.Errorf("row %d: cells %d and %d overlap", r, a.ID, b.ID)
-				}
-			}
-		}
-	}
-}
-
-func TestLegalizeRejectsMultiRow(t *testing.T) {
-	d := design.NewDesign(design.Config{NumRows: 4, NumSites: 50, RowHeight: 10, SiteW: 1})
-	d.AddCell("d", 4, 20, design.VSS)
-	if err := Legalize(d, Options{}); err == nil {
-		t.Error("expected ErrMultiRow")
-	}
-}
-
 func TestPlaceRowsAssignedOptimalPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(431))
 	d := singleRowDesign(rng, 4, 80, 25)

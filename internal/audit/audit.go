@@ -45,33 +45,32 @@ type Options struct {
 	// complementarity / infeasibility residuals (default 1e-8).
 	ResidualTol float64
 
-	// DiffTol bounds the MMSIM-vs-reference max |Δx| in database units
-	// (default 1e-6). Both solves run at audit tightness, so agreement far
-	// below a site width is expected.
-	DiffTol float64
-
-	// MaxDenseVars is the largest variable count solved with the dense
-	// active-set QP reference (default 160); larger instances use the
-	// sparse dual-PGS reference. The dense path is O(n³) and exists to
-	// anchor the sparse one on small instances.
-	MaxDenseVars int
-
-	// RefEps / RefMaxIter control the reference solve (defaults 1e-12,
-	// 2000000 sweeps).
-	RefEps     float64
-	RefMaxIter int
-
-	// BaselineFactor is the quality-sanity bound: our total displacement
-	// must be at most this multiple of the best baseline legalizer's
-	// (default 2). Baselines that fail (e.g. abacus on multi-row designs)
-	// are recorded but never fail the audit.
-	BaselineFactor float64
-
 	// SkipReference / SkipBaselines drop the differential stages, leaving
 	// the residual certificate only.
 	SkipReference bool
 	SkipBaselines bool
 }
+
+// The differential stages' fixed settings.
+const (
+	// diffTol bounds the MMSIM-vs-reference max |Δx| in database units.
+	// Both solves run at audit tightness, so agreement far below a site
+	// width is expected.
+	diffTol = 1e-6
+	// maxDenseVars is the largest variable count solved with the dense
+	// active-set QP reference; larger instances use the sparse dual-PGS
+	// reference. The dense path is O(n³) and exists to anchor the sparse
+	// one on small instances.
+	maxDenseVars = 160
+	// refEps and refMaxIter control the dual-PGS reference solve.
+	refEps     = 1e-12
+	refMaxIter = 2000000
+	// baselineFactor is the quality-sanity bound: our total displacement
+	// must be at most this multiple of the best baseline legalizer's.
+	// Baselines that fail (e.g. abacus on multi-row designs) are recorded
+	// but never fail the audit.
+	baselineFactor = 2
+)
 
 func (o Options) withDefaults() Options {
 	if o.Eps == 0 {
@@ -82,21 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResidualTol == 0 {
 		o.ResidualTol = 1e-8
-	}
-	if o.DiffTol == 0 {
-		o.DiffTol = 1e-6
-	}
-	if o.MaxDenseVars == 0 {
-		o.MaxDenseVars = 160
-	}
-	if o.RefEps == 0 {
-		o.RefEps = 1e-12
-	}
-	if o.RefMaxIter == 0 {
-		o.RefMaxIter = 2000000
-	}
-	if o.BaselineFactor == 0 {
-		o.BaselineFactor = 2
 	}
 	return o
 }
@@ -163,7 +147,7 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 		fillResiduals(cert, p, z)
 		fillGap(cert, p, z[:p.NumVars], prod)
 		if !opts.SkipReference {
-			cert.Reference = crossCheck(ctx, p, z[:p.NumVars], opts)
+			cert.Reference = crossCheck(ctx, p, z[:p.NumVars])
 		}
 	} else {
 		cert.Scale = 1

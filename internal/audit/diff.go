@@ -23,16 +23,16 @@ import (
 // documents dropping the x ≥ 0 complementarity, the audit reference keeps
 // it, because a dropped bound is exactly the kind of discrepancy a
 // differential check exists to catch.
-func crossCheck(ctx context.Context, p *core.Problem, x []float64, opts Options) *Reference {
-	ref := &Reference{Tol: opts.DiffTol}
+func crossCheck(ctx context.Context, p *core.Problem, x []float64) *Reference {
+	ref := &Reference{Tol: diffTol}
 	var xr []float64
 	var err error
-	if p.NumVars <= opts.MaxDenseVars {
+	if p.NumVars <= maxDenseVars {
 		ref.Method = "dense-qp"
 		xr, err = solveDenseQP(p)
 	} else {
 		ref.Method = "dual-pgs"
-		xr, ref.Iters, err = solveDualPGS(ctx, p, opts.RefEps, opts.RefMaxIter)
+		xr, ref.Iters, err = solveDualPGS(ctx, p, refEps, refMaxIter)
 	}
 	if err != nil {
 		ref.Err = err.Error()
@@ -201,10 +201,9 @@ func solveDualPGS(ctx context.Context, p *core.Problem, eps float64, maxIter int
 // baselineChecks legalizes fresh clones with the baseline legalizers and
 // compares total displacement. A baseline that errors (abacus cannot place
 // multi-row designs) is recorded but never fails the audit; a baseline that
-// runs records Pass = ours ≤ BaselineFactor × theirs (checked by the caller
+// runs records Pass = ours ≤ baselineFactor × theirs (checked by the caller
 // against the ratio).
 func baselineChecks(ctx context.Context, d *design.Design, oursLegal bool, oursDisp float64) []Baseline {
-	opts := Options{}.withDefaults()
 	run := func(name string, fn func(*design.Design) error) Baseline {
 		b := Baseline{Name: name}
 		c := d.Clone()
@@ -222,7 +221,7 @@ func baselineChecks(ctx context.Context, d *design.Design, oursLegal bool, oursD
 		// must not be drastically worse. An illegal baseline result carries
 		// no quality information.
 		b.Pass = !b.Legal || !oursLegal || b.Displacement == 0 ||
-			b.Ratio <= opts.BaselineFactor
+			b.Ratio <= baselineFactor
 		return b
 	}
 	out := []Baseline{

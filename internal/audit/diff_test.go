@@ -82,14 +82,13 @@ func TestCrossCheckCatchesPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aopts := Options{}.withDefaults()
-	ref := crossCheck(context.Background(), p, x, aopts)
+	ref := crossCheck(context.Background(), p, x)
 	if ref.Err != "" || !ref.Pass {
 		t.Fatalf("honest solution rejected: %+v", ref)
 	}
 	bad := append([]float64(nil), x...)
 	bad[len(bad)/2] += 1.0
-	ref = crossCheck(context.Background(), p, bad, aopts)
+	ref = crossCheck(context.Background(), p, bad)
 	if ref.Err != "" {
 		t.Fatal(ref.Err)
 	}

@@ -28,7 +28,7 @@ func Legalize(ctx context.Context, method string, d *design.Design) error {
 	case "dac16imp":
 		return chow.LegalizeImprovedContext(ctx, d, chow.Options{})
 	case "aspdac17":
-		if err := wang.LegalizeContext(ctx, d, wang.Options{}); err != nil {
+		if err := wang.LegalizeContext(ctx, d); err != nil {
 			return err
 		}
 		_, err := tetris.AllocateContext(ctx, d)

@@ -30,12 +30,9 @@ import (
 	"mclg/internal/mclgerr"
 )
 
-// Options tunes the baseline.
-type Options struct {
-	// RowSearchRange bounds how many rows above/below the nearest row are
-	// evaluated per cell; 0 means 6.
-	RowSearchRange int
-}
+// rowSearchRange bounds how many rows above/below the nearest row are
+// evaluated per cell.
+const rowSearchRange = 6
 
 // segment is a maximal obstacle-free interval of a row holding ordered
 // single-height cells.
@@ -57,7 +54,6 @@ func (s *segment) slack() float64 { return (s.hi - s.lo) - s.used }
 
 type state struct {
 	d    *design.Design
-	opts Options
 	segs [][]*segment
 }
 
@@ -77,8 +73,8 @@ func (st *state) park(c *design.Cell) {
 
 // Legalize runs the baseline, mutating cell positions. Positions are left
 // real-valued within segments; callers snap via the tetris allocator.
-func Legalize(d *design.Design, opts Options) error {
-	return LegalizeContext(context.Background(), d, opts)
+func Legalize(d *design.Design) error {
+	return LegalizeContext(context.Background(), d)
 }
 
 // cancelCheckEvery is how many per-cell sweep steps pass between context
@@ -87,11 +83,8 @@ const cancelCheckEvery = 256
 
 // LegalizeContext is Legalize with cooperative cancellation in the per-cell
 // Abacus sweep.
-func LegalizeContext(ctx context.Context, d *design.Design, opts Options) error {
-	if opts.RowSearchRange == 0 {
-		opts.RowSearchRange = 6
-	}
-	st := &state{d: d, opts: opts}
+func LegalizeContext(ctx context.Context, d *design.Design) error {
+	st := &state{d: d}
 
 	// Row segments start as full rows minus fixed obstacles.
 	occ := design.NewOccupancy(d)
@@ -192,7 +185,7 @@ func (st *state) insertSingle(c *design.Cell) error {
 			}
 		}
 	}
-	for delta := 0; delta <= st.opts.RowSearchRange; delta++ {
+	for delta := 0; delta <= rowSearchRange; delta++ {
 		scan(nearest-delta, true)
 		if delta > 0 {
 			scan(nearest+delta, true)

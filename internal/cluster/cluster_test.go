@@ -22,9 +22,8 @@ import (
 // windows so even the small benchmarks shard into several jobs.
 func clusterOptions() window.Options {
 	return window.Options{
-		Cascade:       core.ResilientOptions{Base: core.Options{Workers: 1}},
+		Core:          core.Options{Workers: 1},
 		WindowRows:    4,
-		ContextRows:   2,
 		WindowTimeout: 2 * time.Minute,
 	}
 }
@@ -273,9 +272,9 @@ func TestClusterHedgeWinsOnSecondOwner(t *testing.T) {
 	// routing inputs (sig and keys) exactly as the coordinator will.
 	d := clusterTestDesign(t, bench, scale)
 	opts := clusterOptions()
-	base := core.New(opts.Cascade.Base).Opts
-	sig := window.Sig(d, opts.WindowRows, opts.ContextRows, base)
-	p, err := window.Partition(d, opts.WindowRows, opts.ContextRows)
+	base := core.New(opts.Core).Opts
+	sig := window.Sig(d, opts.WindowRows, window.DefaultContextRows, base)
+	p, err := window.Partition(d, opts.WindowRows, window.DefaultContextRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestClusterHedgeWinsOnSecondOwner(t *testing.T) {
 	// for not-yet-started windows never launch — so the supervisor gets one
 	// goroutine per window. The stalled primaries are canceled by their
 	// winning hedges; the timeout is only the broken-hedge failure bound.
-	opts.Cascade.Base.Workers = len(p.Bands)
+	opts.Core.Workers = len(p.Bands)
 	opts.WindowTimeout = 30 * time.Second
 	opts.HedgeQuantile = 0.01
 	coord := NewCoordinator(CoordinatorConfig{Peers: []string{srvA.URL, srvB.URL}})
@@ -526,13 +525,13 @@ func TestCoordinatorRejectsCorruptShardResponse(t *testing.T) {
 	opts := clusterOptions()
 	opts.MaxRetries = 0
 	coord := NewCoordinator(CoordinatorConfig{Peers: []string{lying.URL}})
-	p, err := window.Partition(d, opts.WindowRows, opts.ContextRows)
+	p, err := window.Partition(d, opts.WindowRows, window.DefaultContextRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := core.New(opts.Cascade.Base).Opts
-	sig := window.Sig(d, opts.WindowRows, opts.ContextRows, base)
-	_, err = coord.solveOne(context.Background(), d, p, 0, 0, sig, EncodeOptions(opts.Cascade), opts.Cascade)
+	base := core.New(opts.Core).Opts
+	sig := window.Sig(d, opts.WindowRows, window.DefaultContextRows, base)
+	_, err = coord.solveOne(context.Background(), d, p, 0, 0, sig, EncodeOptions(base), base)
 	if err == nil || !strings.Contains(err.Error(), "outside its owned set") && !strings.Contains(err.Error(), "owns") {
 		t.Fatalf("corrupt response accepted: %v", err)
 	}

@@ -26,8 +26,6 @@ type CoordinatorConfig struct {
 	// Peers are the worker base URLs (e.g. "http://10.0.0.2:9090"). The
 	// peer string is both the ring identity and the dial target.
 	Peers []string
-	// VNodes is the per-worker virtual-node count; 0 means DefaultVNodes.
-	VNodes int
 	// CacheCap bounds the coordinator's shared window-result cache; 0 means
 	// 1024, negative disables it.
 	CacheCap int
@@ -98,7 +96,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	return &Coordinator{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Peers, cfg.VNodes),
+		ring:     NewRing(cfg.Peers, DefaultVNodes),
 		cache:    lru.New[string, []window.CellPos](cfg.CacheCap),
 		m:        cfg.Metrics,
 		log:      cfg.Logger,
@@ -205,20 +203,16 @@ func (c *Coordinator) CheckPeers(ctx context.Context) {
 // window.Legalize — retries, backoff, hedging, degradation, deterministic
 // stitch, and the whole-design legality gate all run unchanged.
 func (c *Coordinator) DispatchWindows(ctx context.Context, d *design.Design, opts window.Options) (*window.Stats, error) {
-	opts.Cascade.Base = core.New(opts.Cascade.Base).Opts
+	opts.Core = core.New(opts.Core).Opts
 	wr := opts.WindowRows
 	if wr == 0 {
 		wr = window.DefaultWindowRows
 	}
-	cr := opts.ContextRows
-	if cr == 0 {
-		cr = window.DefaultContextRows
-	}
-	sig := window.Sig(d, wr, cr, opts.Cascade.Base)
-	wopts := EncodeOptions(opts.Cascade)
-	cascade := opts.Cascade
+	sig := window.Sig(d, wr, window.DefaultContextRows, opts.Core)
+	wopts := EncodeOptions(opts.Core)
+	base := opts.Core
 	opts.SolveWindow = func(ctx context.Context, d *design.Design, p *window.Plan, w, attempt int) (*window.Result, error) {
-		return c.solveOne(ctx, d, p, w, attempt, sig, wopts, cascade)
+		return c.solveOne(ctx, d, p, w, attempt, sig, wopts, base)
 	}
 	return window.Legalize(ctx, d, opts)
 }
@@ -228,7 +222,7 @@ func (c *Coordinator) DispatchWindows(ctx context.Context, d *design.Design, opt
 // the no-worker fallback. Retries rotate through the owner preference list
 // (attempt a → owner a mod N) and the hedge attempt pins the second-ranked
 // owner, so a straggling primary and its hedge race on different machines.
-func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.Plan, wi, attempt int, sig uint64, wopts WireOptions, cascade core.ResilientOptions) (*window.Result, error) {
+func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.Plan, wi, attempt int, sig uint64, wopts WireOptions, base core.Options) (*window.Result, error) {
 	key := WindowKey(sig, wi)
 	if cells, ok := c.cache.Get(key); ok {
 		c.m.cacheLocalHits.Inc()
@@ -238,7 +232,7 @@ func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.
 	owners := c.usable(c.ring.Owners(key))
 	if len(owners) == 0 {
 		c.m.localFallbacks.Inc()
-		return c.solveLocal(ctx, d, p, wi, key, cascade)
+		return c.solveLocal(ctx, d, p, wi, key, base)
 	}
 	pick := attempt
 	switch {
@@ -279,10 +273,10 @@ func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.
 // degradation to standalone behavior when no worker is usable. The result
 // is bit-identical to a worker's (same sub-design, same cascade), so a
 // cluster limping on local solves still reproduces the standalone hash.
-func (c *Coordinator) solveLocal(ctx context.Context, d *design.Design, p *window.Plan, wi int, key string, cascade core.ResilientOptions) (*window.Result, error) {
+func (c *Coordinator) solveLocal(ctx context.Context, d *design.Design, p *window.Plan, wi int, key string, base core.Options) (*window.Result, error) {
 	b := &p.Bands[wi]
 	sub, idx := window.BuildSub(d, p, b)
-	res, err := window.SolveSubDesign(ctx, sub, idx, wi, cascade)
+	res, err := window.SolveSubDesign(ctx, sub, idx, wi, base)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +387,7 @@ func (c *Coordinator) ECOCreate(ctx context.Context, id string, base *design.Des
 		Action: "create", Session: id, Base: EncodeDesign(base),
 		WindowRows: windowRows, MarginRows: marginRows,
 	}
-	wo := EncodeOptions(core.ResilientOptions{Base: core.New(opts).Opts})
+	wo := EncodeOptions(core.New(opts).Opts)
 	req.Opts = &wo
 	var resp ecoShardResponse
 	if err := c.post(ctx, addr, PathECO, req, &resp); err != nil {

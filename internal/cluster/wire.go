@@ -175,44 +175,31 @@ type WireOptions struct {
 	MaxIter      int     `json:"max_iter"`
 	ResidualTol  float64 `json:"residual_tol"`
 	AutoTheta    bool    `json:"autotheta,omitempty"`
-	PaperOmega   bool    `json:"paper_omega,omitempty"`
 	OmegaR       float64 `json:"omega_r,omitempty"`
 	ScaledOmegaX bool    `json:"scaled_omega_x,omitempty"`
 	BoundRight   bool    `json:"boundright,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-
-	MaxRetunes    int  `json:"max_retunes,omitempty"`
-	DisablePGS    bool `json:"disable_pgs,omitempty"`
-	DisableGreedy bool `json:"disable_greedy,omitempty"`
-	PGSMaxIter    int  `json:"pgs_max_iter,omitempty"`
 }
 
-// EncodeOptions converts a resilient-cascade configuration to its wire form.
-func EncodeOptions(o core.ResilientOptions) WireOptions {
-	b := o.Base
+// EncodeOptions converts solver options to their wire form.
+func EncodeOptions(o core.Options) WireOptions {
 	return WireOptions{
-		Lambda: b.Lambda, Beta: b.Beta, Theta: b.Theta, Gamma: b.Gamma,
-		Eps: b.Eps, MaxIter: b.MaxIter, ResidualTol: b.ResidualTol,
-		AutoTheta: b.AutoTheta, PaperOmega: b.PaperOmega, OmegaR: b.OmegaR,
-		ScaledOmegaX: b.ScaledOmegaX, BoundRight: b.BoundRight,
-		Workers:    b.Workers,
-		MaxRetunes: o.MaxRetunes, DisablePGS: o.DisablePGS,
-		DisableGreedy: o.DisableGreedy, PGSMaxIter: o.PGSMaxIter,
+		Lambda: o.Lambda, Beta: o.Beta, Theta: o.Theta, Gamma: o.Gamma,
+		Eps: o.Eps, MaxIter: o.MaxIter, ResidualTol: o.ResidualTol,
+		AutoTheta: o.AutoTheta, OmegaR: o.OmegaR,
+		ScaledOmegaX: o.ScaledOmegaX, BoundRight: o.BoundRight,
+		Workers: o.Workers,
 	}
 }
 
-// Decode rebuilds the resilient-cascade configuration.
-func (wo WireOptions) Decode() core.ResilientOptions {
-	return core.ResilientOptions{
-		Base: core.Options{
-			Lambda: wo.Lambda, Beta: wo.Beta, Theta: wo.Theta, Gamma: wo.Gamma,
-			Eps: wo.Eps, MaxIter: wo.MaxIter, ResidualTol: wo.ResidualTol,
-			AutoTheta: wo.AutoTheta, PaperOmega: wo.PaperOmega, OmegaR: wo.OmegaR,
-			ScaledOmegaX: wo.ScaledOmegaX, BoundRight: wo.BoundRight,
-			Workers: wo.Workers,
-		},
-		MaxRetunes: wo.MaxRetunes, DisablePGS: wo.DisablePGS,
-		DisableGreedy: wo.DisableGreedy, PGSMaxIter: wo.PGSMaxIter,
+// Decode rebuilds the solver options.
+func (wo WireOptions) Decode() core.Options {
+	return core.Options{
+		Lambda: wo.Lambda, Beta: wo.Beta, Theta: wo.Theta, Gamma: wo.Gamma,
+		Eps: wo.Eps, MaxIter: wo.MaxIter, ResidualTol: wo.ResidualTol,
+		AutoTheta: wo.AutoTheta, OmegaR: wo.OmegaR,
+		ScaledOmegaX: wo.ScaledOmegaX, BoundRight: wo.BoundRight,
+		Workers: wo.Workers,
 	}
 }
 

@@ -93,10 +93,7 @@ func TestWireDesignDecodeRejectsNonsense(t *testing.T) {
 }
 
 func TestWireOptionsRoundTrip(t *testing.T) {
-	in := core.ResilientOptions{
-		Base:       core.New(core.Options{Lambda: 250, Eps: 1e-6, BoundRight: true, Workers: 3}).Opts,
-		MaxRetunes: 2, DisablePGS: true, PGSMaxIter: 77,
-	}
+	in := core.New(core.Options{Lambda: 250, Eps: 1e-6, BoundRight: true, Workers: 3}).Opts
 	raw, err := json.Marshal(EncodeOptions(in))
 	if err != nil {
 		t.Fatal(err)
@@ -105,35 +102,55 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &wo); err != nil {
 		t.Fatal(err)
 	}
-	got := wo.Decode()
 	// OnIter never crosses the wire; everything else must.
-	if !reflect.DeepEqual(got.Base, in.Base) {
-		t.Fatalf("base options: %+v != %+v", got.Base, in.Base)
+	if got := wo.Decode(); !reflect.DeepEqual(got, in) {
+		t.Fatalf("options: %+v != %+v", got, in)
 	}
-	if got.MaxRetunes != in.MaxRetunes || got.DisablePGS != in.DisablePGS ||
-		got.DisableGreedy != in.DisableGreedy || got.PGSMaxIter != in.PGSMaxIter {
-		t.Fatalf("cascade knobs: %+v != %+v", got, in)
+}
+
+// TestWireDecodesPriorDefaultEncoding decodes the default options exactly
+// as coordinators that still carried the cascade knobs sent them, under the
+// worker's DisallowUnknownFields: the message must decode to the defaults,
+// so such coordinators and current workers interoperate.
+func TestWireDecodesPriorDefaultEncoding(t *testing.T) {
+	const raw = `{"lambda":1000,"beta":0.5,"theta":0.5,"gamma":1,"eps":0.0001,"max_iter":20000,"residual_tol":0}`
+	dec := json.NewDecoder(strings.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var wo WireOptions
+	if err := dec.Decode(&wo); err != nil {
+		t.Fatal(err)
+	}
+	want := core.New(core.Options{}).Opts
+	if got := wo.Decode(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want the defaults %+v", got, want)
+	}
+	enc, err := json.Marshal(EncodeOptions(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc) != raw {
+		t.Fatalf("default options encode as %s, want %s", enc, raw)
 	}
 }
 
 // wireNotSent lists the solver options the shard wire deliberately drops,
-// each with its reason. Every other field of core.Options and
-// core.ResilientOptions must survive the wire, so a window solved on a worker
-// runs exactly the configuration the coordinator's local fallback would.
+// each with its reason. Every other field of core.Options must survive the
+// wire, so a window solved on a worker runs exactly the configuration the
+// coordinator's local fallback would.
 var wireNotSent = map[string]string{
-	"Base.OnIter":     "process-local: a progress callback",
-	"Base.SkipTetris": "no windowed entry point can set it",
-	"Base.ColdStart":  "no windowed entry point can set it",
-	"Base.MMSIMOnly":  "no windowed entry point can set it",
+	"OnIter":     "process-local: a progress callback",
+	"SkipTetris": "no windowed entry point can set it",
+	"ColdStart":  "no windowed entry point can set it",
+	"MMSIMOnly":  "no windowed entry point can set it",
 }
 
-// TestWireOptionsCarryEveryField sets each field of core.ResilientOptions
-// (and of its Base core.Options) in turn, sends it through EncodeOptions →
-// JSON → Decode, and requires the same value back — or, for a field on
-// wireNotSent, the zero value. A new option therefore fails here until it
-// is either put on the wire or listed with its reason.
+// TestWireOptionsCarryEveryField sets each field of core.Options in turn,
+// sends it through EncodeOptions → JSON → Decode, and requires the same
+// value back — or, for a field on wireNotSent, the zero value. A new option
+// therefore fails here until it is either put on the wire or listed with
+// its reason.
 func TestWireOptionsCarryEveryField(t *testing.T) {
-	roundTrip := func(in core.ResilientOptions) core.ResilientOptions {
+	roundTrip := func(in core.Options) core.Options {
 		raw, err := json.Marshal(EncodeOptions(in))
 		if err != nil {
 			t.Fatal(err)
@@ -145,18 +162,13 @@ func TestWireOptionsCarryEveryField(t *testing.T) {
 		return wo.Decode()
 	}
 	seen := map[string]bool{}
-	// field returns the named field of v, descending into Base for the
-	// "Base." prefix.
-	field := func(v reflect.Value, name string) reflect.Value {
-		if rest, ok := strings.CutPrefix(name, "Base."); ok {
-			return v.FieldByName("Base").FieldByName(rest)
-		}
-		return v.FieldByName(name)
-	}
-	check := func(name string, ft reflect.StructField) {
+	rt := reflect.TypeOf(core.Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		ft := rt.Field(i)
+		name := ft.Name
 		seen[name] = true
-		var in core.ResilientOptions
-		f := field(reflect.ValueOf(&in).Elem(), name)
+		var in core.Options
+		f := reflect.ValueOf(&in).Elem().Field(i)
 		switch ft.Type.Kind() {
 		case reflect.Float64:
 			f.SetFloat(0.375)
@@ -164,36 +176,20 @@ func TestWireOptionsCarryEveryField(t *testing.T) {
 			f.SetInt(7)
 		case reflect.Bool:
 			f.SetBool(true)
-		case reflect.Slice:
-			f.Set(reflect.MakeSlice(ft.Type, 1, 1))
 		case reflect.Func:
 			f.Set(reflect.MakeFunc(ft.Type, func([]reflect.Value) []reflect.Value { return nil }))
-		case reflect.Pointer:
-			f.Set(reflect.New(ft.Type.Elem()))
 		default:
 			t.Fatalf("%s: no test value for kind %s", name, ft.Type.Kind())
 		}
-		got := field(reflect.ValueOf(roundTrip(in)), name)
+		got := reflect.ValueOf(roundTrip(in)).Field(i)
 		if _, dropped := wireNotSent[name]; dropped {
 			if !got.IsZero() {
 				t.Errorf("%s crosses the wire but is listed in wireNotSent", name)
 			}
-			return
+			continue
 		}
 		if !reflect.DeepEqual(got.Interface(), f.Interface()) {
 			t.Errorf("%s = %v did not survive the wire: got %v", name, f.Interface(), got.Interface())
-		}
-	}
-	rt := reflect.TypeOf(core.ResilientOptions{})
-	for i := 0; i < rt.NumField(); i++ {
-		ft := rt.Field(i)
-		if ft.Name != "Base" {
-			check(ft.Name, ft)
-			continue
-		}
-		for j := 0; j < ft.Type.NumField(); j++ {
-			bt := ft.Type.Field(j)
-			check("Base."+bt.Name, bt)
 		}
 	}
 	for name := range wireNotSent {

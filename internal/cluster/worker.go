@@ -272,7 +272,7 @@ func (wk *Worker) handleECO(w http.ResponseWriter, r *http.Request) {
 func (wk *Worker) ecoOptions(req *ecoShardRequest) eco.Options {
 	opts := eco.Options{WindowRows: req.WindowRows, MarginRows: req.MarginRows}
 	if req.Opts != nil {
-		opts.Core = req.Opts.Decode().Base
+		opts.Core = req.Opts.Decode()
 	}
 	if wk.cfg.ECODir != "" {
 		opts.LogPath = filepath.Join(wk.cfg.ECODir, req.Session+".ecolog")

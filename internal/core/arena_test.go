@@ -171,14 +171,11 @@ func TestFailedCascadeLeavesCallerUntouched(t *testing.T) {
 		return cells, nets
 	}
 	cells, nets := snapshot(d)
-	if _, err := core.NewResilient(core.ResilientOptions{}).Legalize(big.Clone()); err != nil {
+	if _, err := core.NewResilient(core.Options{}).Legalize(big.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	failing := core.ResilientOptions{
-		Base:       core.Options{MaxIter: 1, Eps: 1e-12, MMSIMOnly: true},
-		MaxRetunes: -1, DisablePGS: true, DisableGreedy: true,
-	}
-	if _, err := core.NewResilient(failing).Legalize(d); err == nil {
+	failing := core.NewResilient(core.Options{MaxIter: 1, Eps: 1e-12, MMSIMOnly: true})
+	if _, err := failing.LegalizeRungs(d, core.RungMMSIM); err == nil {
 		t.Fatal("want every rung to fail")
 	}
 	gotCells, gotNets := snapshot(d)
@@ -186,7 +183,7 @@ func TestFailedCascadeLeavesCallerUntouched(t *testing.T) {
 		t.Fatal("a failed cascade changed the caller's cells or netlist")
 	}
 
-	if _, err := core.NewResilient(core.ResilientOptions{}).Legalize(d); err != nil {
+	if _, err := core.NewResilient(core.Options{}).Legalize(d); err != nil {
 		t.Fatal(err)
 	}
 	gotCells, gotNets = snapshot(d)
@@ -206,7 +203,7 @@ func TestConcurrentPooledSolves(t *testing.T) {
 	seq := arenaSequence(t)
 	solve := func(i int) (string, error) {
 		d := seq[i].d.Clone()
-		if _, err := core.NewResilient(core.ResilientOptions{Base: seq[i].opts}).Legalize(d); err != nil {
+		if _, err := core.NewResilient(seq[i].opts).Legalize(d); err != nil {
 			return "", err
 		}
 		return regress.PositionHash(d), nil

@@ -33,11 +33,6 @@ type Options struct {
 	// when the configured value would violate it.
 	AutoTheta bool
 
-	// PaperOmega forces the paper's Ω = I in Algorithm 1, overriding
-	// OmegaR and ScaledOmegaX. Used by fidelity experiments and the Ω
-	// ablation bench.
-	PaperOmega bool
-
 	// OmegaR sets the Ω diagonal on the multiplier block (0 means 1, the
 	// paper's choice). Any positive value yields the same LCP fixed
 	// point; the Ω ablation bench explores the convergence-speed
@@ -327,14 +322,10 @@ func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64
 		omegaR = 1
 	}
 	build := func(theta float64) error {
-		switch {
-		case opts.PaperOmega:
-			return sp.build(p, opts.Beta, theta, false, 1)
-		case opts.ScaledOmegaX:
+		if opts.ScaledOmegaX {
 			return sp.build(p, opts.Beta, theta, true, 1)
-		default:
-			return sp.build(p, opts.Beta, theta, false, omegaR)
 		}
+		return sp.build(p, opts.Beta, theta, false, omegaR)
 	}
 	if err := build(theta); err != nil {
 		return nil, nil, err

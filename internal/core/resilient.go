@@ -47,29 +47,18 @@ type ResilientStats struct {
 	Attempts []Attempt
 }
 
-// ResilientOptions configures the fallback cascade.
-type ResilientOptions struct {
-	// Base is the first-rung legalizer configuration (zero fields filled
-	// with the paper defaults, as in New).
-	Base Options
-
-	// MaxRetunes is how many retuned-MMSIM attempts run after the base
-	// attempt fails; 0 means 2, negative disables the retune rung.
-	MaxRetunes int
-
-	// DisablePGS / DisableGreedy skip the corresponding rungs.
-	DisablePGS    bool
-	DisableGreedy bool
-
-	// PGSMaxIter bounds the PGS sweeps; 0 means 30000.
-	PGSMaxIter int
-}
+// The cascade's fixed shape: how many retuned MMSIM attempts follow the
+// first, and the PGS rung's sweep budget.
+const (
+	maxRetunes = 2
+	pgsMaxIter = 30000
+)
 
 // ResilientLegalizer runs the legalization flow through a cascade of
 // progressively more conservative solvers until one produces a placement
 // that passes the design legality checker:
 //
-//	mmsim → mmsim-retuned (×MaxRetunes) → pgs → greedy
+//	mmsim → mmsim-retuned (×2) → pgs → greedy
 //
 // The rungs run in order on the calling goroutine, each on a copy of the
 // design's cells that shares its netlist, which no rung writes; the input is
@@ -82,20 +71,13 @@ type ResilientOptions struct {
 // Context cancellation short-circuits the cascade: a canceled rung
 // surfaces ErrCanceled immediately instead of degrading further.
 type ResilientLegalizer struct {
-	Opts ResilientOptions
+	Opts Options
 }
 
 // NewResilient returns a resilient legalizer whose first rung uses the
-// given base options (zero fields filled with the paper defaults).
-func NewResilient(opts ResilientOptions) *ResilientLegalizer {
-	opts.Base = New(opts.Base).Opts
-	if opts.MaxRetunes == 0 {
-		opts.MaxRetunes = 2
-	}
-	if opts.PGSMaxIter == 0 {
-		opts.PGSMaxIter = 30000
-	}
-	return &ResilientLegalizer{Opts: opts}
+// given options (zero fields filled with the paper defaults, as in New).
+func NewResilient(opts Options) *ResilientLegalizer {
+	return &ResilientLegalizer{Opts: New(opts).Opts}
 }
 
 // Legalize runs the cascade without cancellation.
@@ -108,7 +90,13 @@ func (r *ResilientLegalizer) Legalize(d *design.Design) (*ResilientStats, error)
 // unchanged and the error joins every rung's failure (still matching the
 // taxonomy via errors.Is).
 func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Design) (*ResilientStats, error) {
-	if err := r.Opts.Base.Validate(); err != nil {
+	return r.cascade(ctx, d, r.rungs(ctx))
+}
+
+// cascade runs the given rungs in order and commits the first verified-legal
+// result.
+func (r *ResilientLegalizer) cascade(ctx context.Context, d *design.Design, rungs []rung) (*ResilientStats, error) {
+	if err := r.Opts.Validate(); err != nil {
 		return nil, mclgerr.Stage("validate", err)
 	}
 	if err := d.Validate(); err != nil {
@@ -120,7 +108,7 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 	// verified-legal result is committed back.
 	work := getWork()
 	defer releaseWork(work)
-	for _, rg := range r.rungs(ctx) {
+	for _, rg := range rungs {
 		if err := mclgerr.FromContext(ctx); err != nil {
 			return nil, err
 		}
@@ -159,20 +147,16 @@ func (r *ResilientLegalizer) LegalizeContext(ctx context.Context, d *design.Desi
 			errs = append(errs, fmt.Errorf("%s: %w", a.Rung, a.Err))
 		}
 	}
-	if len(errs) == 0 {
-		// Every rung was disabled.
-		return rs, mclgerr.Invalidf("core: resilient legalizer has no enabled rungs")
-	}
 	return rs, fmt.Errorf("core: every fallback rung failed: %w", errors.Join(errs...))
 }
 
-// rung is one enabled level of the cascade with its body.
+// rung is one level of the cascade with its body.
 type rung struct {
 	name Rung
 	run  func(w *design.Design) (*Stats, error)
 }
 
-// rungs lists the enabled rungs in cascade order: the MMSIM as configured;
+// rungs lists the rungs in cascade order: the MMSIM as configured;
 // the retuned MMSIMs (shrinking β* widens the Theorem-1 convergence region;
 // AutoTheta re-clamps θ* under the Theorem-2 bound for the new β*; the cold
 // start discards the GP start that may have seeded the divergence; the
@@ -180,29 +164,25 @@ type rung struct {
 // LCP; and greedy legalization from the global placement.
 func (r *ResilientLegalizer) rungs(ctx context.Context) []rung {
 	out := []rung{{RungMMSIM, func(w *design.Design) (*Stats, error) {
-		return runMMSIMRung(ctx, w, r.Opts.Base)
+		return runMMSIMRung(ctx, w, r.Opts)
 	}}}
-	for k := 1; k <= r.Opts.MaxRetunes; k++ {
-		opts := retune(r.Opts.Base, k)
+	for k := 1; k <= maxRetunes; k++ {
+		opts := retune(r.Opts, k)
 		out = append(out, rung{RungMMSIMRetuned, func(w *design.Design) (*Stats, error) {
 			return runMMSIMRung(ctx, w, opts)
 		}})
 	}
-	if !r.Opts.DisablePGS {
-		out = append(out, rung{RungPGS, func(w *design.Design) (*Stats, error) {
+	return append(out,
+		rung{RungPGS, func(w *design.Design) (*Stats, error) {
 			return r.runPGSRung(ctx, w)
-		}})
-	}
-	if !r.Opts.DisableGreedy {
-		out = append(out, rung{RungGreedy, func(w *design.Design) (*Stats, error) {
+		}},
+		rung{RungGreedy, func(w *design.Design) (*Stats, error) {
 			w.ResetToGlobal()
 			if err := chow.LegalizeContext(ctx, w); err != nil {
 				return nil, err
 			}
 			return &Stats{}, nil
 		}})
-	}
-	return out
 }
 
 // runMMSIMRung runs the standard flow and converts soft failures the plain
@@ -256,7 +236,7 @@ func retune(base Options, k int) Options {
 // partial solution is still worth legalizing — while divergence and
 // cancellation abort the rung.
 func (r *ResilientLegalizer) runPGSRung(ctx context.Context, d *design.Design) (*Stats, error) {
-	base := r.Opts.Base
+	base := r.Opts
 	stats := &Stats{}
 	t0 := time.Now()
 	if err := AssignRows(d); err != nil {
@@ -274,7 +254,7 @@ func (r *ResilientLegalizer) runPGSRung(ctx context.Context, d *design.Design) (
 	if eps < 1e-7 {
 		eps = 1e-7
 	}
-	x, sweeps, err := SolvePGS(ctx, p, eps, r.Opts.PGSMaxIter)
+	x, sweeps, err := SolvePGS(ctx, p, eps, pgsMaxIter)
 	stats.Iterations = sweeps
 	stats.SolveTime = time.Since(t1)
 	if err != nil && !errors.Is(err, mclgerr.ErrIterBudget) {

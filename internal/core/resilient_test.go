@@ -6,9 +6,11 @@ import (
 	"math"
 	"testing"
 
+	"mclg/internal/baselines/chow"
 	"mclg/internal/design"
 	"mclg/internal/gen"
 	"mclg/internal/mclgerr"
+	"mclg/internal/tetris"
 )
 
 func genBench(t *testing.T, singles, doubles int, density float64, seed int64) *design.Design {
@@ -65,7 +67,7 @@ func TestSolvePGSMatchesMMSIM(t *testing.T) {
 
 func TestResilientFirstRungSucceeds(t *testing.T) {
 	d := genBench(t, 150, 20, 0.7, 11)
-	rs, err := NewResilient(ResilientOptions{}).Legalize(d)
+	rs, err := NewResilient(Options{}).Legalize(d)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -84,10 +86,8 @@ func TestResilientFirstRungSucceeds(t *testing.T) {
 // cascade degrades to the PGS rung, which must still deliver a legal result.
 func TestResilientDegradesToPGS(t *testing.T) {
 	d := genBench(t, 120, 15, 0.7, 3)
-	rs, err := NewResilient(ResilientOptions{
-		Base:       Options{MaxIter: 1, Eps: 1e-12},
-		MaxRetunes: -1,
-	}).Legalize(d)
+	rs, err := NewResilient(Options{MaxIter: 1, Eps: 1e-12}).
+		LegalizeRungs(d, RungMMSIM, RungPGS, RungGreedy)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -107,11 +107,8 @@ func TestResilientDegradesToPGS(t *testing.T) {
 
 func TestResilientDegradesToGreedy(t *testing.T) {
 	d := genBench(t, 120, 15, 0.7, 5)
-	rs, err := NewResilient(ResilientOptions{
-		Base:       Options{MaxIter: 1, Eps: 1e-12},
-		MaxRetunes: -1,
-		DisablePGS: true,
-	}).Legalize(d)
+	rs, err := NewResilient(Options{MaxIter: 1, Eps: 1e-12}).
+		LegalizeRungs(d, RungMMSIM, RungGreedy)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -127,12 +124,8 @@ func TestResilientDegradesToGreedy(t *testing.T) {
 // budget) once the backoff raises the budget and re-clamps the constants.
 func TestResilientRetuneRecovers(t *testing.T) {
 	d := genBench(t, 100, 12, 0.6, 9)
-	rs, err := NewResilient(ResilientOptions{
-		Base:          Options{MaxIter: 2, Eps: 1e-6, Beta: 1.9, Theta: 1.9},
-		MaxRetunes:    3,
-		DisablePGS:    true,
-		DisableGreedy: true,
-	}).Legalize(d)
+	rs, err := NewResilient(Options{MaxIter: 2, Eps: 1e-6, Beta: 1.9, Theta: 1.9}).
+		LegalizeRungs(d, RungMMSIM, RungMMSIMRetuned)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -154,12 +147,7 @@ func TestResilientTotalFailureLeavesDesignUnchanged(t *testing.T) {
 		before[i] = pos{c.X, c.Y}
 	}
 
-	rs, err := NewResilient(ResilientOptions{
-		Base:          Options{MaxIter: 1, Eps: 1e-12},
-		MaxRetunes:    -1,
-		DisablePGS:    true,
-		DisableGreedy: true,
-	}).Legalize(d)
+	rs, err := NewResilient(Options{MaxIter: 1, Eps: 1e-12}).LegalizeRungs(d, RungMMSIM)
 	if err == nil {
 		t.Fatal("want an error when every rung fails")
 	}
@@ -188,7 +176,7 @@ func panicOnIter(int, float64) { panic("injected rung panic") }
 // ErrPanic-matching error and the next rung runs.
 func TestResilientPanickingRungDegrades(t *testing.T) {
 	d := genBench(t, 120, 15, 0.7, 3)
-	rs, err := NewResilient(ResilientOptions{Base: Options{OnIter: panicOnIter}}).Legalize(d)
+	rs, err := NewResilient(Options{OnIter: panicOnIter}).Legalize(d)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -220,11 +208,8 @@ func TestResilientPanickingRungDegrades(t *testing.T) {
 func TestResilientAllRungsPanicLeaveDesignUnchanged(t *testing.T) {
 	d := genBench(t, 80, 10, 0.7, 13)
 	before := d.CloneCells()
-	rs, err := NewResilient(ResilientOptions{
-		Base:          Options{OnIter: panicOnIter},
-		DisablePGS:    true,
-		DisableGreedy: true,
-	}).Legalize(d)
+	rs, err := NewResilient(Options{OnIter: panicOnIter}).
+		LegalizeRungs(d, RungMMSIM, RungMMSIMRetuned)
 	if !errors.Is(err, mclgerr.ErrPanic) {
 		t.Fatalf("error = %v, want ErrPanic", err)
 	}
@@ -242,7 +227,7 @@ func TestResilientCanceledContextShortCircuits(t *testing.T) {
 	d := genBench(t, 80, 10, 0.7, 17)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewResilient(ResilientOptions{}).LegalizeContext(ctx, d)
+	_, err := NewResilient(Options{}).LegalizeContext(ctx, d)
 	if !errors.Is(err, mclgerr.ErrCanceled) {
 		t.Fatalf("error = %v, want ErrCanceled", err)
 	}
@@ -253,8 +238,40 @@ func TestResilientCanceledContextShortCircuits(t *testing.T) {
 
 func TestResilientRejectsInvalidOptions(t *testing.T) {
 	d := genBench(t, 20, 2, 0.5, 19)
-	_, err := NewResilient(ResilientOptions{Base: Options{Beta: 2.5}}).Legalize(d)
+	_, err := NewResilient(Options{Beta: 2.5}).Legalize(d)
 	if !errors.Is(err, mclgerr.ErrInvalidInput) {
 		t.Fatalf("error = %v, want ErrInvalidInput", err)
+	}
+}
+
+// A fixed cell whose right edge lies a hair past a site boundary overlaps
+// the next site under the checker's strict test, so that site is blocked:
+// Tetris, the cascade and the greedy legalizer must all move the movable
+// cell whose global placement sits on it.
+func TestTerminalEdgePastSiteBoundaryStaysLegal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*design.Design) error
+	}{
+		{"tetris", func(d *design.Design) error { _, err := tetris.Allocate(d); return err }},
+		{"cascade", func(d *design.Design) error { _, err := NewResilient(Options{}).Legalize(d); return err }},
+		{"chow", chow.Legalize},
+	} {
+		d := design.NewDesign(design.Config{NumRows: 2, NumSites: 20, RowHeight: 10, SiteW: 1})
+		f, err := d.AddTerminalChecked("f", 3.0000000005, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.X, f.Y = 0, 0
+		m := d.AddCell("m", 2, 10, design.VSS)
+		m.GX, m.GY = 3, 0
+		m.X, m.Y = m.GX, m.GY
+		if err := tc.run(d); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if rep := design.CheckLegal(d); !rep.Legal() {
+			t.Errorf("%s: placement illegal: %v", tc.name, rep)
+		}
 	}
 }

@@ -37,17 +37,6 @@ func NewStructuredSplitting(p *Problem, beta, theta float64) (*StructuredSplitti
 	return newStructured(p, beta, theta, false, 1)
 }
 
-// NewStructuredSplittingScaledOmega builds the splitting with
-// Ω_x = diag(H) and Ω_r = 1 instead of the paper's Ω = I. For large λ this
-// removes the near-unit contraction of the subcell-coupling modes — with
-// Ω = I those modes contract like 1 − O(1/λ), which stalls high-density
-// mixed designs — while leaving the solution unchanged (any positive
-// diagonal Ω yields the same LCP fixed point). This is the documented
-// deviation the Ω-ablation bench quantifies.
-func NewStructuredSplittingScaledOmega(p *Problem, beta, theta float64) (*StructuredSplitting, error) {
-	return newStructured(p, beta, theta, true, 1)
-}
-
 // NewStructuredSplittingOmegaR builds the paper's splitting but with
 // Ω_r = omegaR instead of 1 on the multiplier block. D's low-frequency
 // modes (long constraint chains in dense rows) have eigenvalues O(1/m²);

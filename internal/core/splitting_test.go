@@ -152,7 +152,7 @@ func TestOmegaVariantsSameSolution(t *testing.T) {
 	lambda := 100.0
 	var ref []float64
 	for i, opts := range []Options{
-		{Lambda: lambda, PaperOmega: true},
+		{Lambda: lambda},
 		{Lambda: lambda, OmegaR: 0.1},
 		{Lambda: lambda, ScaledOmegaX: true},
 	} {

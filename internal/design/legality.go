@@ -125,8 +125,10 @@ const (
 func cellFaults(d *Design, c *Cell) (faults, row int) {
 	const eps = 1e-6
 	b := c.Bounds()
-	if b.Lo.X < d.Core.Lo.X-eps || b.Hi.X > d.Core.Hi.X+eps ||
-		b.Lo.Y < d.Core.Lo.Y-eps || b.Hi.Y > d.Core.Hi.Y+eps {
+	// Written as negated containment so a NaN bound, for which every
+	// comparison is false, reads as outside.
+	if !(b.Lo.X >= d.Core.Lo.X-eps && b.Hi.X <= d.Core.Hi.X+eps &&
+		b.Lo.Y >= d.Core.Lo.Y-eps && b.Hi.Y <= d.Core.Hi.Y+eps) {
 		faults |= faultOutside
 	}
 	// Site alignment, tolerance scaled for far-from-origin cores.

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -28,6 +29,33 @@ func TestCheckLegalOutsideCore(t *testing.T) {
 	rep := CheckLegal(d)
 	if rep.Count(VOutsideCore) != 1 {
 		t.Errorf("outside-core = %d, want 1: %v", rep.Count(VOutsideCore), rep)
+	}
+}
+
+// A non-finite coordinate fails every comparison or lands off the core, so
+// both CheckLegal and IsLegal must reject it, as an outside-core fault.
+func TestCheckLegalRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		x, y float64
+	}{
+		{"NaN X", math.NaN(), 0},
+		{"NaN Y", 0, math.NaN()},
+		{"+Inf X", math.Inf(1), 0},
+		{"-Inf X", math.Inf(-1), 0},
+		{"+Inf Y", 0, math.Inf(1)},
+		{"-Inf Y", 0, math.Inf(-1)},
+	} {
+		d := smallDesign()
+		a := d.AddCell("a", 4, 10, VSS)
+		place(a, tc.x, tc.y)
+		rep := CheckLegal(d)
+		if rep.Legal() || rep.Count(VOutsideCore) != 1 {
+			t.Errorf("%s: CheckLegal = %v, want an outside-core violation", tc.name, rep)
+		}
+		if IsLegal(d) {
+			t.Errorf("%s: IsLegal accepted the cell", tc.name)
+		}
 	}
 }
 

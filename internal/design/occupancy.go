@@ -216,18 +216,18 @@ func (o *Occupancy) OwnerAt(row, site int) int {
 	return -1
 }
 
-// BlockArea marks every site the rectangle [x, x+w) x [y, y+h) touches as
-// occupied by the given cell ID, regardless of grid alignment. It is used
-// for fixed cells and blockages, which need not be site-aligned. Already
-// occupied sites are left as they are.
+// BlockArea marks as occupied by the given cell ID every site that the
+// rectangle [x, x+w) x [y, y+h) overlaps under the legality checker's strict
+// half-open test, with the site's extent taken in absolute coordinates:
+// a movable cell placed on any site left free cannot overlap the rectangle
+// in CheckLegal's eyes. It is used for fixed cells and blockages, which need
+// not be site-aligned. Already occupied sites are left as they are.
 func (o *Occupancy) BlockArea(cellID int, x, y, w, h float64) {
-	r0 := int(math.Floor((y - o.lo.Y) / o.rowH))
-	r1 := int(math.Ceil((y+h-o.lo.Y)/o.rowH - 1e-9))
-	s0 := int(math.Floor((x - o.lo.X) / o.site))
-	s1 := int(math.Ceil((x+w-o.lo.X)/o.site - 1e-9))
+	r0, r1 := overlapRange(o.lo.Y, o.rowH, y, y+h, len(o.grid))
 	id := int32(cellID + 1)
-	for r := maxInt(0, r0); r < minInt(len(o.grid), r1); r++ {
-		for s := maxInt(0, s0); s < minInt(len(o.grid[r]), s1); s++ {
+	for r := r0; r < r1; r++ {
+		s0, s1 := overlapRange(o.lo.X, o.site, x, x+w, len(o.grid[r]))
+		for s := s0; s < s1; s++ {
 			if o.grid[r][s] == 0 {
 				o.grid[r][s] = id
 			}
@@ -235,18 +235,29 @@ func (o *Occupancy) BlockArea(cellID int, x, y, w, h float64) {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// overlapRange returns the indices [a, b) within [0, n) of the grid slots
+// [origin+i·step, origin+(i+1)·step) that overlap [lo, hi) under the strict
+// test of geom.Interval.Overlaps. The floor and ceiling only seed the
+// search; the loops settle each edge on the exact comparison.
+func overlapRange(origin, step, lo, hi float64, n int) (a, b int) {
+	if !(lo < hi) {
+		return 0, 0
 	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+	a = min(max(int(math.Floor((lo-origin)/step)), 0), n)
+	for a > 0 && origin+float64(a)*step > lo { // slot a-1 ends after lo
+		a--
 	}
-	return b
+	for a < n && origin+float64(a+1)*step <= lo { // slot a ends by lo
+		a++
+	}
+	b = min(max(int(math.Ceil((hi-origin)/step)), a), n)
+	for b < n && origin+float64(b)*step < hi { // slot b starts before hi
+		b++
+	}
+	for b > a && origin+float64(b-1)*step >= hi { // slot b-1 starts at hi or later
+		b--
+	}
+	return a, b
 }
 
 // UsedSites returns the total number of occupied sites.

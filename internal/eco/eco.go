@@ -83,16 +83,15 @@ type Options struct {
 	// legal. Zero fields take the paper defaults.
 	Core core.Options
 
-	// WindowRows / ContextRows parameterize the dirty-band partition
-	// (window.Partition). The ECO default window is deliberately small —
-	// DefaultWindowRows owned rows — so a handful of deltas dirties a small
-	// fraction of the chip; ContextRows defaults to
-	// window.DefaultContextRows. MarginRows widens the dirty-row set around
-	// every delta's old and new rectangles (default 1), so neighbors that
-	// must shift to make room are inside the re-solved region.
-	WindowRows  int
-	ContextRows int
-	MarginRows  int
+	// WindowRows parameterizes the dirty-band partition (window.Partition,
+	// with window.DefaultContextRows rows of context). The ECO default
+	// window is deliberately small — DefaultWindowRows owned rows — so a
+	// handful of deltas dirties a small fraction of the chip. MarginRows
+	// widens the dirty-row set around every delta's old and new rectangles
+	// (default 1), so neighbors that must shift to make room are inside the
+	// re-solved region.
+	WindowRows int
+	MarginRows int
 
 	// LogPath, when non-empty, makes the session durable: accepted batches
 	// are appended write-ahead to a checksummed file log at this path, and
@@ -118,9 +117,6 @@ const DefaultMarginRows = 1
 func (o Options) withDefaults() Options {
 	if o.WindowRows == 0 {
 		o.WindowRows = DefaultWindowRows
-	}
-	if o.ContextRows == 0 {
-		o.ContextRows = 2
 	}
 	if o.MarginRows == 0 {
 		o.MarginRows = DefaultMarginRows

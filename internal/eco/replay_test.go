@@ -324,7 +324,7 @@ func TestECODisplacementBoundedVsColdSolve(t *testing.T) {
 	for i, id := range ids {
 		cold.Cells[id].GX, cold.Cells[id].GY = deltas[i].X, deltas[i].Y
 	}
-	if _, err := core.NewResilient(core.ResilientOptions{}).LegalizeContext(ctx, cold); err != nil {
+	if _, err := core.NewResilient(core.Options{}).LegalizeContext(ctx, cold); err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
 	if rep := design.CheckLegal(cold); !rep.Legal() {

@@ -115,7 +115,7 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 		curNets: 1,
 	}
 	if !design.IsLegal(s.cur) {
-		rl := core.NewResilient(core.ResilientOptions{Base: opts.Core})
+		rl := core.NewResilient(opts.Core)
 		if _, err := rl.LegalizeContext(ctx, s.cur); err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 // (window.Sig), and the ECO margin. A durable log resumes only under an
 // identical signature.
 func (s *Session) logSig() string {
-	return fmt.Sprintf("%016x.m%d", window.Sig(s.base, s.opts.WindowRows, s.opts.ContextRows, s.opts.Core), s.opts.MarginRows)
+	return fmt.Sprintf("%016x.m%d", window.Sig(s.base, s.opts.WindowRows, window.DefaultContextRows, s.opts.Core), s.opts.MarginRows)
 }
 
 // rebuildOcc reconstructs the occupancy grid from the committed placement:
@@ -343,7 +343,7 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		c.GX, c.GY = s.targets[2*id], s.targets[2*id+1]
 	}
 	plan := &s.plan
-	if err := plan.Repartition(work, s.opts.WindowRows, s.opts.ContextRows); err != nil {
+	if err := plan.Repartition(work, s.opts.WindowRows, window.DefaultContextRows); err != nil {
 		return nil, err
 	}
 	dirty := plan.DirtyBands(work, mut.dirty)
@@ -506,7 +506,7 @@ func (s *Session) solveRun(ctx context.Context, av *design.Design, r run, touche
 	} else {
 		// The cascade validates sub and solves it on clones, committing
 		// back into sub only a verified placement.
-		_, solveErr = core.NewResilient(core.ResilientOptions{Base: s.opts.Core}).LegalizeContext(ctx, sub)
+		_, solveErr = core.NewResilient(s.opts.Core).LegalizeContext(ctx, sub)
 	}
 	if solveErr != nil {
 		if err := mclgerr.FromContext(ctx); err != nil {

@@ -51,14 +51,16 @@ type Options struct {
 	// deadline, exhausting it yields the same partial tree — and therefore
 	// the same incumbent and bound — on every run.
 	NodeBudget int
-	// OrderVariants bounds how many near-tie ordering variants are explored
-	// per complete row assignment (default 8, minimum 1: the target order
-	// itself).
-	OrderVariants int
-	// TieTolSites is the target-distance threshold, in site widths, under
-	// which two same-row neighbors' order is branched both ways (default 1).
-	TieTolSites float64
 }
+
+const (
+	// maxOrderVariants bounds how many ordering variants, the target order
+	// itself included, are explored per complete row assignment.
+	maxOrderVariants = 8
+	// tieTolSites is the target-distance threshold, in site widths, under
+	// which two same-row neighbors' order is branched both ways.
+	tieTolSites = 1
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxCells == 0 {
@@ -66,12 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.NodeBudget == 0 {
 		o.NodeBudget = 20000
-	}
-	if o.OrderVariants == 0 {
-		o.OrderVariants = 8
-	}
-	if o.TieTolSites == 0 {
-		o.TieTolSites = 1
 	}
 	return o
 }
@@ -437,15 +433,12 @@ func (s *solver) buildChains() [][]item {
 }
 
 // orderVariants enumerates the target ordering plus up to
-// Options.OrderVariants−1 near-tie adjacent transpositions: for each pair of
-// movable chain neighbors whose targets sit within TieTolSites, the swapped
+// maxOrderVariants−1 near-tie adjacent transpositions: for each pair of
+// movable chain neighbors whose targets sit within tieTolSites, the swapped
 // order is its own branch. Variants are deterministic and deduplicated.
 func (s *solver) orderVariants(chains [][]item) [][][]item {
 	out := [][][]item{chains}
-	if s.opts.OrderVariants <= 1 {
-		return out
-	}
-	tie := s.opts.TieTolSites * s.d.SiteW
+	tie := tieTolSites * s.d.SiteW
 	type swap struct{ row, pos int }
 	var swaps []swap
 	for r := range chains {
@@ -457,7 +450,7 @@ func (s *solver) orderVariants(chains [][]item) [][][]item {
 		}
 	}
 	for _, sw := range swaps {
-		if len(out) >= s.opts.OrderVariants {
+		if len(out) >= maxOrderVariants {
 			break
 		}
 		v := make([][]item, len(chains))

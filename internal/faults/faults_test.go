@@ -43,7 +43,7 @@ func legalize(t *testing.T, d *design.Design) error {
 			t.Fatalf("pipeline panicked: %v", p)
 		}
 	}()
-	_, err := core.NewResilient(core.ResilientOptions{}).LegalizeContext(ctx, d)
+	_, err := core.NewResilient(core.Options{}).LegalizeContext(ctx, d)
 	if err == nil {
 		if rep := design.CheckLegal(d); !rep.Legal() {
 			t.Fatalf("pipeline reported success but the placement is illegal: %v", rep)

@@ -25,27 +25,21 @@ import (
 type Options struct {
 	// Iterations is the number of solve/spread rounds; 0 means 16.
 	Iterations int
-	// AnchorBase is the pseudo-net weight of the first spreading round
-	// relative to the average net weight; 0 means 0.02.
-	AnchorBase float64
-	// AnchorGrowth multiplies the anchor weight every round; 0 means 2.
-	AnchorGrowth float64
-	// CGTol is the relative CG residual; 0 means 1e-7.
-	CGTol float64
 }
+
+const (
+	// anchorBase is the pseudo-net weight of the first spreading round
+	// relative to the average net weight.
+	anchorBase = 0.02
+	// anchorGrowth multiplies the anchor weight every round.
+	anchorGrowth = 2
+	// cgTol is the relative CG residual.
+	cgTol = 1e-7
+)
 
 func (o Options) withDefaults() Options {
 	if o.Iterations == 0 {
 		o.Iterations = 16
-	}
-	if o.AnchorBase == 0 {
-		o.AnchorBase = 0.02
-	}
-	if o.AnchorGrowth == 0 {
-		o.AnchorGrowth = 2
-	}
-	if o.CGTol == 0 {
-		o.CGTol = 1e-7
 	}
 	return o
 }
@@ -83,7 +77,7 @@ func Place(d *design.Design, opts Options) (*Result, error) {
 		y[i] = c.GY + c.H/2
 	}
 
-	anchorW := o.AnchorBase * sys.avgWeight
+	anchorW := anchorBase * sys.avgWeight
 	anchorX := make([]float64, n)
 	anchorY := make([]float64, n)
 	haveAnchor := false
@@ -94,11 +88,11 @@ func Place(d *design.Design, opts Options) (*Result, error) {
 		if haveAnchor {
 			aw = anchorW
 		}
-		cg1, err := sys.solve(x, sys.bx, anchorX, aw, o.CGTol)
+		cg1, err := sys.solve(x, sys.bx, anchorX, aw, cgTol)
 		if err != nil {
 			return nil, fmt.Errorf("gp: x solve: %w", err)
 		}
-		cg2, err := sys.solve(y, sys.by, anchorY, aw, o.CGTol)
+		cg2, err := sys.solve(y, sys.by, anchorY, aw, cgTol)
 		if err != nil {
 			return nil, fmt.Errorf("gp: y solve: %w", err)
 		}
@@ -113,7 +107,7 @@ func Place(d *design.Design, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("gp: lookahead: %w", err)
 		}
 		haveAnchor = true
-		anchorW *= o.AnchorGrowth
+		anchorW *= anchorGrowth
 	}
 
 	// Final blend: pull each cell partway toward its lookahead anchor so

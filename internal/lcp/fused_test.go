@@ -116,57 +116,71 @@ func TestFusedAndUnfusedInterleave(t *testing.T) {
 	}
 }
 
-// TestStridedResidualNeverWeakens checks the strided-verification safety
-// property: a converged strided run must satisfy exactly the residual bound
-// the legacy check-every-candidate mode enforces, and striding can delay the
-// stop but never accept an iterate the per-iteration check would reject.
-func TestStridedResidualNeverWeakens(t *testing.T) {
+// TestResidualCheckedAtEveryCandidate pins the stopping rule: with
+// ResidualTol set, the run stops at the first iteration k > 0 whose step
+// dz < Eps and whose residual is below ResidualTol. The residual of every
+// iterate is recomputed outside the solver, so a run that skips a candidate
+// stop (a strided check) or accepts one that fails the bound is caught.
+func TestResidualCheckedAtEveryCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(139))
+	const eps, resTol = 1e-3, 1e-6
+	failedFirst := 0
 	for trial := 0; trial < 15; trial++ {
 		n := 3 + rng.Intn(15)
 		p, _ := spdProblem(rng, n)
-		resTol := 1e-6
-		run := func(checkEvery int) *Result {
-			sp, err := NewDiagSplitting(p.A, 0.9)
-			if err != nil {
-				t.Fatal(err)
+		sp, err := NewDiagSplitting(p.A, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			sv        *Solver
+			dzs, resv []float64
+		)
+		// A loose Eps makes early dz-candidates fire while the residual is
+		// still large, so candidates that fail their check precede the stop.
+		sv, err = NewSolver(p, sp, Options{
+			Eps: eps, MaxIter: 50000, ResidualTol: resTol,
+			OnIter: func(k int, dz float64) {
+				dzs = append(dzs, dz)
+				resv = append(resv, p.Residual(sv.Z()))
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sv.Run(context.Background())
+		sv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, failed := -1, 0
+		for k := 1; k < len(dzs); k++ {
+			if dzs[k] >= eps {
+				continue
 			}
-			// A loose Eps makes early dz-candidates fire while the residual
-			// is still large, exercising the failed-check stride path.
-			res, err := MMSIM(p, sp, Options{
-				Eps: 1e-3, MaxIter: 50000, ResidualTol: resTol, CheckEvery: checkEvery,
-			})
-			if err != nil {
-				t.Fatal(err)
+			if resv[k] < resTol {
+				want = k + 1
+				break
 			}
-			return res
+			failed++
 		}
-		every := run(1) // legacy: check every candidate stop
-		auto := run(0)  // structure-derived stride
-		if !every.Converged || !auto.Converged {
-			t.Fatalf("trial %d: converged %v / %v", trial, every.Converged, auto.Converged)
+		if want < 0 || !res.Converged || res.Iterations != want {
+			t.Fatalf("trial %d: stopped after %d iterations (converged %v), want the first passing candidate at %d",
+				trial, res.Iterations, res.Converged, want)
 		}
-		// The residual bound holds for both — convergence is never declared
-		// without a passing check.
-		if r := p.Residual(auto.Z); r >= resTol {
-			t.Errorf("trial %d: strided run converged with residual %g >= %g", trial, r, resTol)
+		if failed > 0 {
+			failedFirst++
 		}
-		if r := p.Residual(every.Z); r >= resTol {
-			t.Errorf("trial %d: per-candidate run converged with residual %g >= %g", trial, r, resTol)
-		}
-		// Striding only delays: the strided run can never stop earlier than
-		// the per-candidate run.
-		if auto.Iterations < every.Iterations {
-			t.Errorf("trial %d: strided run stopped at %d, before the per-candidate run's %d",
-				trial, auto.Iterations, every.Iterations)
-		}
+	}
+	if failedFirst == 0 {
+		t.Fatal("no trial had a candidate stop fail its residual check before the stop")
 	}
 }
 
 // TestStridedResidualStillChecksFinal makes sure a run whose dz criterion
-// fires between strided checkpoints still performs (and passes) a residual
-// check before reporting convergence — via the context-carrying entry point,
-// which is the path the legalizer uses.
+// fires still performs (and passes) a residual check before reporting
+// convergence — via the context-carrying entry point, which is the path the
+// legalizer uses.
 func TestStridedResidualStillChecksFinal(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
 	p, _ := spdProblem(rng, 10)
@@ -175,7 +189,7 @@ func TestStridedResidualStillChecksFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := MMSIMContext(context.Background(), p, sp, Options{
-		Eps: 1e-9, MaxIter: 50000, ResidualTol: 1e-7, CheckEvery: 8,
+		Eps: 1e-9, MaxIter: 50000, ResidualTol: 1e-7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,17 +43,6 @@ type Options struct {
 	// one extra matrix-vector product per candidate stop.
 	ResidualTol float64
 
-	// CheckEvery strides the residual verification: after a candidate stop
-	// (dz < Eps) fails its residual check, the next check runs only once
-	// CheckEvery further iterations have passed, instead of on every
-	// subsequent candidate. The first candidate stop is always checked, and
-	// convergence is never declared without a passing residual check, so
-	// striding can only delay the stop — it can never accept an iterate the
-	// per-iteration check would reject. 0 derives the stride from the
-	// problem structure (the residual-to-iteration cost ratio, a pure
-	// function of n and nnz(A)); 1 reproduces the legacy check-every-
-	// candidate behavior.
-	CheckEvery int
 	// OnIter, if non-nil, is invoked after every iteration with the
 	// iteration index and the current z-step norm; used by convergence
 	// studies and progress reporting.
@@ -142,9 +131,6 @@ type Solver struct {
 	// afterwards because the fused z-update pass writes |s| as a
 	// by-product.
 	needAbs bool
-
-	resStride int // iterations between residual checks after a failed one
-	lastResK  int // iteration count at the last residual check (0 = never)
 }
 
 // NewSolver validates the instance and prepares a solver positioned before
@@ -161,11 +147,6 @@ func NewSolver(p *Problem, sp Splitting, opts Options) (*Solver, error) {
 		return nil, mclgerr.Invalidf("lcp: S0 has length %d, want problem dimension %d", len(o.S0), n)
 	}
 	sv := &Solver{p: p, sp: sp, o: o, n: n, omega: sp.Omega(), needAbs: true}
-	if o.CheckEvery > 0 {
-		sv.resStride = o.CheckEvery
-	} else {
-		sv.resStride = residualStride(p)
-	}
 	sv.ws = opts.Workspace
 	if sv.ws == nil {
 		sv.ws = &Workspace{}
@@ -287,31 +268,6 @@ func (sv *Solver) stepUnfused() (float64, error) {
 	return dz, nil
 }
 
-// residualStride derives the K between residual verifications from the
-// problem structure alone: one residual costs about one SpMV over A plus a
-// 3n scan, an iteration costs about two SpMV-equivalents plus the splitting
-// solves and three vector passes. K is chosen so strided checking adds at
-// most ~25% to the convergence tail (K ≈ ⌈4·resCost/iterCost⌉ + 1) and is
-// clamped to [2, 8]. Deterministic in (n, nnz), so every run strides
-// identically.
-func residualStride(p *Problem) int {
-	n := p.N()
-	if n == 0 {
-		return 2
-	}
-	nnz := p.A.NNZ()
-	resCost := nnz + 3*n
-	iterCost := 3*nnz + 10*n
-	k := 1 + (4*resCost+iterCost-1)/iterCost
-	if k < 2 {
-		k = 2
-	}
-	if k > 8 {
-		k = 8
-	}
-	return k
-}
-
 // pprof labels attributing CPU samples to the solve stages. Visible via
 // mclgd -pprof.
 var (
@@ -323,12 +279,9 @@ var (
 // cancellation, reproducing the classic MMSIMContext loop bit for bit.
 // Result.Z aliases the workspace.
 //
-// Residual verification is strided (Options.CheckEvery): the first candidate
-// stop always runs the check, but after a failed check the next one waits
-// for resStride further iterations instead of firing on every candidate in
-// the convergence tail. Convergence is never declared without a passing
-// residual check when ResidualTol > 0, so the stride can delay termination
-// but never weaken it.
+// With ResidualTol > 0 every candidate stop (dz < Eps after the first
+// iteration) is checked against it, and the first one that passes ends the
+// run; convergence is never declared without a passing residual check.
 func (sv *Solver) Run(ctx context.Context) (*Result, error) {
 	return sv.RunTo(ctx, sv.o.MaxIter)
 }
@@ -336,10 +289,10 @@ func (sv *Solver) Run(ctx context.Context) (*Result, error) {
 // RunTo is Run paused once limit iterations have completed: if the iterate
 // has neither converged nor exhausted MaxIter by then, it returns a Result
 // with Paused set and a nil Z (Solver.Z reads the iterate). A later Run or
-// RunTo resumes from exactly that state — the iterate, the residual-check
-// stride and the cancellation cadence all carry over — so a paused and
-// resumed solve reproduces an uninterrupted one bit for bit. A limit at or
-// below the completed count pauses without stepping.
+// RunTo resumes from exactly that state — the iterate and the cancellation
+// cadence carry over — so a paused and resumed solve reproduces an
+// uninterrupted one bit for bit. A limit at or below the completed count
+// pauses without stepping.
 func (sv *Solver) RunTo(ctx context.Context, limit int) (res *Result, err error) {
 	pprof.Do(ctx, labelsIterate, func(ctx context.Context) {
 		res, err = sv.run(ctx, min(limit, sv.o.MaxIter))
@@ -371,16 +324,13 @@ func (sv *Solver) run(ctx context.Context, limit int) (*Result, error) {
 				res.Converged = true
 				break
 			}
-			if sv.lastResK == 0 || sv.k-sv.lastResK >= sv.resStride {
-				sv.lastResK = sv.k
-				var rv float64
-				pprof.Do(ctx, labelsResidual, func(context.Context) {
-					rv = sv.p.ResidualInto(sv.ws.w, sv.ws.z)
-				})
-				if rv < o.ResidualTol {
-					res.Converged = true
-					break
-				}
+			var rv float64
+			pprof.Do(ctx, labelsResidual, func(context.Context) {
+				rv = sv.p.ResidualInto(sv.ws.w, sv.ws.z)
+			})
+			if rv < o.ResidualTol {
+				res.Converged = true
+				break
 			}
 		}
 	}

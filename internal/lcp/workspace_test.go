@@ -229,7 +229,7 @@ func TestZeroDimensionSolve(t *testing.T) {
 
 // A solve paused by RunTo and then resumed — with the auxiliary buffers
 // scribbled on in between, as a stage running beside the iteration would —
-// reproduces the uninterrupted solve bit for bit, stride state included.
+// reproduces the uninterrupted solve bit for bit.
 func TestRunToPauseResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	p, _ := spdProblem(rng, 30)
@@ -237,7 +237,7 @@ func TestRunToPauseResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Eps: 1e-10, MaxIter: 100000, ResidualTol: 1e-9, CheckEvery: 3}
+	opts := Options{Eps: 1e-10, MaxIter: 100000, ResidualTol: 1e-9}
 	want, err := MMSIM(p, sp, opts)
 	if err != nil || !want.Converged || want.Iterations <= 7 {
 		t.Fatalf("reference solve: %+v, %v", want, err)

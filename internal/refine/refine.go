@@ -40,10 +40,10 @@ type Options struct {
 	Objective Objective
 	// MaxPasses bounds the slide/swap rounds; 0 means 5.
 	MaxPasses int
-	// SwapWindow is the max distance (in site widths) between swap
-	// candidates; 0 means 30.
-	SwapWindow float64
 }
+
+// swapWindow is the max distance, in site widths, between swap candidates.
+const swapWindow = 30
 
 // Result summarizes a refinement run.
 type Result struct {
@@ -66,9 +66,6 @@ func RefineContext(ctx context.Context, d *design.Design, opts Options) (*Result
 	}
 	if opts.MaxPasses == 0 {
 		opts.MaxPasses = 5
-	}
-	if opts.SwapWindow == 0 {
-		opts.SwapWindow = 30
 	}
 
 	occ := design.NewOccupancy(d)
@@ -266,7 +263,7 @@ func (r *refiner) swapPass() (int, error) {
 		for i := 0; i < len(cells); i++ {
 			for j := i + 1; j < len(cells); j++ {
 				a, b := cells[i], cells[j]
-				if b.X-a.X > r.opts.SwapWindow*d.SiteW {
+				if b.X-a.X > swapWindow*d.SiteW {
 					break
 				}
 				before := r.cellCost(a, a.X, a.Y) + r.cellCost(b, b.X, b.Y)

@@ -275,7 +275,7 @@ func (r *Request) solve(ctx context.Context, d *design.Design) (*report.Report, 
 	case "ours":
 		opts := r.coreOptions()
 		if r.Resilient {
-			rs, err := core.NewResilient(core.ResilientOptions{Base: opts}).LegalizeContext(ctx, d)
+			rs, err := core.NewResilient(opts).LegalizeContext(ctx, d)
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/serve/report"
 	"mclg/internal/window"
@@ -21,7 +20,7 @@ func (s *Server) solveWindowed(j *job, d *design.Design) (*report.Report, error)
 	t0 := time.Now()
 	base := j.req.coreOptions()
 	opts := window.Options{
-		Cascade:       core.ResilientOptions{Base: base},
+		Core:          base,
 		WindowRows:    j.req.WindowRows,
 		HedgeQuantile: j.req.Hedge,
 		ExactWindows:  j.req.Exact,

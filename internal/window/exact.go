@@ -135,7 +135,7 @@ func refineExact(ctx context.Context, d *design.Design, plan *Plan, opts Options
 		}
 		b := cand.band
 		// Windows can own more cells than the solver scales to: re-solve the
-		// worst-displaced ExactMaxCells cells jointly and freeze the rest —
+		// worst-displaced exactMaxCells cells jointly and freeze the rest —
 		// the displacement spikes are exactly the cells worth moving.
 		sel := append([]int(nil), b.Owned...)
 		sort.Slice(sel, func(i, j int) bool {
@@ -145,8 +145,8 @@ func refineExact(ctx context.Context, d *design.Design, plan *Plan, opts Options
 			}
 			return a.ID < b.ID
 		})
-		if len(sel) > opts.ExactMaxCells {
-			sel = sel[:opts.ExactMaxCells]
+		if len(sel) > exactMaxCells {
+			sel = sel[:exactMaxCells]
 		}
 		movable := make(map[int]bool, len(sel))
 		before := 0.0
@@ -156,7 +156,7 @@ func refineExact(ctx context.Context, d *design.Design, plan *Plan, opts Options
 		}
 		sub, idx := buildSubCommitted(d, b, movable)
 		sol, err := exact.Solve(ctx, sub, exact.Options{
-			MaxCells:   opts.ExactMaxCells,
+			MaxCells:   exactMaxCells,
 			NodeBudget: opts.ExactNodeBudget,
 		})
 		if err != nil {

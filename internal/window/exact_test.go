@@ -211,8 +211,8 @@ func TestCancelBeforeStitchLeavesJournalResumable(t *testing.T) {
 	check := leakCheck(t)
 	d := genDesign(t, "fft_2", 0.004)
 	opts := baseOptions(2)
-	sig := Sig(d, opts.WindowRows, opts.ContextRows, opts.Cascade.Base)
-	p, err := Partition(d, opts.WindowRows, opts.ContextRows)
+	sig := Sig(d, opts.WindowRows, DefaultContextRows, opts.Core)
+	p, err := Partition(d, opts.WindowRows, DefaultContextRows)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}

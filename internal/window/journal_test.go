@@ -104,8 +104,8 @@ func journaledRun(t *testing.T, d *design.Design, path string, sig uint64, windo
 func TestJournalResume(t *testing.T) {
 	d := genDesign(t, "fft_2", 0.004)
 	opts := baseOptions(2)
-	sig := Sig(d, opts.WindowRows, opts.ContextRows, opts.Cascade.Base)
-	p, err := Partition(d, opts.WindowRows, opts.ContextRows)
+	sig := Sig(d, opts.WindowRows, DefaultContextRows, opts.Core)
+	p, err := Partition(d, opts.WindowRows, DefaultContextRows)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
@@ -254,24 +254,24 @@ func TestJournalSigMismatch(t *testing.T) {
 func TestSigSensitivity(t *testing.T) {
 	d := genDesign(t, "fft_2", 0.004)
 	opts := baseOptions(1)
-	base := Sig(d, opts.WindowRows, opts.ContextRows, opts.Cascade.Base)
-	if got := Sig(d, opts.WindowRows, opts.ContextRows, opts.Cascade.Base); got != base {
+	base := Sig(d, opts.WindowRows, DefaultContextRows, opts.Core)
+	if got := Sig(d, opts.WindowRows, DefaultContextRows, opts.Core); got != base {
 		t.Fatalf("Sig not deterministic: %x vs %x", got, base)
 	}
-	if got := Sig(d, opts.WindowRows+1, opts.ContextRows, opts.Cascade.Base); got == base {
+	if got := Sig(d, opts.WindowRows+1, DefaultContextRows, opts.Core); got == base {
 		t.Fatalf("Sig ignores windowRows")
 	}
 	d2 := genDesign(t, "fft_2", 0.004)
 	d2.Cells[0].GX += 1
-	if got := Sig(d2, opts.WindowRows, opts.ContextRows, opts.Cascade.Base); got == base {
+	if got := Sig(d2, opts.WindowRows, DefaultContextRows, opts.Core); got == base {
 		t.Fatalf("Sig ignores global positions")
 	}
 	// Workers must NOT change the signature: the placement is
 	// worker-count-independent, so a journal from a 1-worker run replays
 	// under 8 workers.
-	o8 := opts.Cascade.Base
+	o8 := opts.Core
 	o8.Workers = 8
-	if got := Sig(d, opts.WindowRows, opts.ContextRows, o8); got != base {
+	if got := Sig(d, opts.WindowRows, DefaultContextRows, o8); got != base {
 		t.Fatalf("Sig must be worker-count-independent")
 	}
 }

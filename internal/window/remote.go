@@ -32,7 +32,7 @@ func BuildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 // the resilient cascade and returns the owned-cell positions as the result
 // for window windowIndex. The cascade verifies window-level legality before
 // committing.
-func SolveSubDesign(ctx context.Context, sub *design.Design, idx []int, windowIndex int, cascade core.ResilientOptions) (*Result, error) {
+func SolveSubDesign(ctx context.Context, sub *design.Design, idx []int, windowIndex int, opts core.Options) (*Result, error) {
 	b := &Band{Index: windowIndex}
-	return solveSub(ctx, sub, idx, b, cascade)
+	return solveSub(ctx, sub, idx, b, opts)
 }

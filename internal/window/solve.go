@@ -154,8 +154,8 @@ func poisonSub(sub *design.Design) {
 // returns the owned-cell positions. The cascade verifies window-level
 // legality before committing, so a returned Result is checker-verified
 // within the window.
-func solveSub(ctx context.Context, sub *design.Design, idx []int, b *Band, cascade core.ResilientOptions) (*Result, error) {
-	if _, err := core.NewResilient(cascade).LegalizeContext(ctx, sub); err != nil {
+func solveSub(ctx context.Context, sub *design.Design, idx []int, b *Band, opts core.Options) (*Result, error) {
+	if _, err := core.NewResilient(opts).LegalizeContext(ctx, sub); err != nil {
 		return nil, err
 	}
 	return extract(sub, idx, b, false), nil

@@ -19,25 +19,29 @@ import (
 // never sabotages a hedge: the hedge is the clean second opinion.
 const hedgeAttempt = 1 << 20
 
-// Default partition parameters, exported so callers that need the resolved
-// values up front (e.g. to compute Sig for a journal before Legalize runs)
-// agree with Options.withDefaults.
+// Partition parameters, exported so callers that need the resolved values
+// up front (e.g. to compute Sig for a journal before Legalize runs) agree
+// with Legalize: DefaultWindowRows is what a zero Options.WindowRows means,
+// and every windowed run freezes DefaultContextRows rows of context.
 const (
 	DefaultWindowRows  = 16
 	DefaultContextRows = 2
 )
 
+// exactMaxCells caps how many cells the exact post-pass re-solves jointly
+// per selected window; in windows owning more, the worst-displaced
+// exactMaxCells cells move and the rest freeze.
+const exactMaxCells = 40
+
 // Options configures windowed legalization.
 type Options struct {
-	// Cascade configures the per-window resilient cascade. Its Base carries
-	// the solver options; Base.Workers bounds how many windows solve
+	// Core configures each window's resilient cascade (zero fields take
+	// the paper defaults); Core.Workers bounds how many windows solve
 	// concurrently (0 = GOMAXPROCS).
-	Cascade core.ResilientOptions
+	Core core.Options
 
 	// WindowRows is the number of owned rows per band; 0 means 16.
 	WindowRows int
-	// ContextRows is the frozen-context margin in rows; 0 means 2.
-	ContextRows int
 
 	// WindowTimeout is the per-attempt deadline; 0 means 2 minutes,
 	// negative disables the deadline.
@@ -85,10 +89,6 @@ type Options struct {
 	// pass is serial and node-budgeted, so the final placement stays
 	// bit-identical for any worker count.
 	ExactWindows int
-	// ExactMaxCells caps how many cells are re-solved jointly per selected
-	// window; in windows owning more, the worst-displaced ExactMaxCells
-	// cells move and the rest freeze. 0 means 40.
-	ExactMaxCells int
 	// ExactNodeBudget bounds the branch-and-bound nodes per window — the
 	// deterministic analogue of a deadline. 0 means 4000.
 	ExactNodeBudget int
@@ -97,9 +97,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.WindowRows == 0 {
 		o.WindowRows = DefaultWindowRows
-	}
-	if o.ContextRows == 0 {
-		o.ContextRows = DefaultContextRows
 	}
 	if o.WindowTimeout == 0 {
 		o.WindowTimeout = 2 * time.Minute
@@ -112,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 5 * time.Millisecond
-	}
-	if o.ExactMaxCells == 0 {
-		o.ExactMaxCells = 40
 	}
 	if o.ExactNodeBudget == 0 {
 		o.ExactNodeBudget = 4000
@@ -174,7 +168,7 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 	if err := d.Validate(); err != nil {
 		return nil, mclgerr.Stage("validate", err)
 	}
-	plan, err := Partition(d, opts.WindowRows, opts.ContextRows)
+	plan, err := Partition(d, opts.WindowRows, DefaultContextRows)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +193,7 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 		}
 	}
 
-	workers := opts.Cascade.Base.Workers
+	workers := opts.Core.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -288,7 +282,7 @@ func (s *supervisor) attempt(ctx context.Context, wi, attemptIdx int) (res *Resu
 			return nil, mclgerr.Canceled(err)
 		}
 	}
-	return solveSub(actx, sub, idx, b, s.opts.Cascade)
+	return solveSub(actx, sub, idx, b, s.opts.Core)
 }
 
 // addCancelContext wraps *pctx with a cancel the commit path can fire, so a

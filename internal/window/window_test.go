@@ -38,11 +38,8 @@ func genDesign(t *testing.T, bench string, scale float64) *design.Design {
 
 func baseOptions(workers int) Options {
 	return Options{
-		Cascade: core.ResilientOptions{
-			Base: core.Options{Workers: workers},
-		},
+		Core:          core.Options{Workers: workers},
 		WindowRows:    4,
-		ContextRows:   2,
 		WindowTimeout: 2 * time.Minute,
 	}
 }
