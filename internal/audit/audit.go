@@ -23,27 +23,18 @@ import (
 	"mclg/internal/design"
 	"mclg/internal/lcp"
 	"mclg/internal/metrics"
-	"mclg/internal/regress"
 )
 
 // Options configures an audit run. The zero value audits with the paper's
-// production parameters and the default audit tolerances.
+// production parameters and the audit's fixed tolerances.
 type Options struct {
 	// Core holds the production solver options whose result is being
 	// certified; zero fields are filled with core defaults. The audit's
 	// tight re-solve inherits everything but the stopping rule.
 	Core core.Options
 
-	// Eps is the audit solve's ‖Δz‖∞ stopping tolerance (default 1e-11):
-	// tight enough that the reported residuals sit at the numerical floor.
-	Eps float64
-
 	// MaxIter bounds the audit solve (default 500000).
 	MaxIter int
-
-	// ResidualTol is the certificate threshold on the scale-normalized
-	// complementarity / infeasibility residuals (default 1e-8).
-	ResidualTol float64
 
 	// SkipReference / SkipBaselines drop the differential stages, leaving
 	// the residual certificate only.
@@ -51,8 +42,14 @@ type Options struct {
 	SkipBaselines bool
 }
 
-// The differential stages' fixed settings.
+// The audit's fixed settings.
 const (
+	// auditEps is the audit solve's ‖Δz‖∞ stopping tolerance: tight enough
+	// that the reported residuals sit at the numerical floor.
+	auditEps = 1e-11
+	// residualTol is the certificate threshold on the scale-normalized
+	// complementarity / infeasibility residuals.
+	residualTol = 1e-8
 	// diffTol bounds the MMSIM-vs-reference max |Δx| in database units.
 	// Both solves run at audit tightness, so agreement far below a site
 	// width is expected.
@@ -72,25 +69,14 @@ const (
 	baselineFactor = 2
 )
 
-func (o Options) withDefaults() Options {
-	if o.Eps == 0 {
-		o.Eps = 1e-11
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 500000
-	}
-	if o.ResidualTol == 0 {
-		o.ResidualTol = 1e-8
-	}
-	return o
-}
-
 // Run audits the design: it legalizes a clone with the production options,
 // re-solves the relaxed problem at audit tightness, recomputes residuals
 // from the assembled LCP, cross-checks against the reference solve and the
 // baselines, and returns the certificate. The input design is not mutated.
 func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, error) {
-	opts = opts.withDefaults()
+	if opts.MaxIter == 0 {
+		opts.MaxIter = 500000
+	}
 	cert := &Certificate{
 		Design:  d.Name,
 		Cells:   len(d.Cells),
@@ -110,14 +96,14 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 		cert.ViolationCount = len(design.CheckLegal(prod).Violations)
 	}
 	cert.Displacement = disp.TotalSites
-	cert.PosHash = regress.PositionHash(prod)
+	cert.PosHash = design.PositionHash(prod)
 
 	// Audit solve: same problem construction, tight stopping rule, and an
 	// independent residual recomputation from the assembled matrices.
 	aud := d.Clone()
 	aud.ResetToGlobal()
 	ao := leg.Opts // post-default production options
-	ao.Eps = opts.Eps
+	ao.Eps = auditEps
 	ao.MaxIter = opts.MaxIter
 	ao.ResidualTol = -1 // residuals are recomputed below, not gated inline
 	// The MMSIM alone: the certificate must not lean on the active-set
@@ -165,9 +151,9 @@ func Run(ctx context.Context, d *design.Design, opts Options) (*Certificate, err
 	// deliberately relaxes the boundary and lets the Tetris stage repair
 	// crossings, so TheoremTwo is informative, not a pass/fail gate.
 	cert.Optimal = cert.Converged &&
-		cert.Complementarity <= opts.ResidualTol &&
-		cert.PrimalInfeas <= opts.ResidualTol &&
-		cert.DualInfeas <= opts.ResidualTol
+		cert.Complementarity <= residualTol &&
+		cert.PrimalInfeas <= residualTol &&
+		cert.DualInfeas <= residualTol
 	cert.TheoremTwo = cert.BoundaryCells == 0 || leg.Opts.BoundRight
 	// Pass gates on legality and the differential cross-checks only. Relaxed
 	// optimality is deliberately NOT a pass condition: a legal placement

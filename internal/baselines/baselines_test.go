@@ -31,3 +31,30 @@ func TestLegalizeDispatch(t *testing.T) {
 		t.Fatalf("unknown method: err = %v, want ErrInvalidInput", err)
 	}
 }
+
+// The suite runs at scale 0.01 that reach the eviction search of
+// design.PlaceNearest keep their placements: the hashes pin where the
+// evicted cells land.
+func TestEvictingSuiteRunsPinned(t *testing.T) {
+	for _, tc := range []struct{ bench, method, hash string }{
+		{"des_perf_1", "dac16", "6ecd55f209491459"},
+		{"des_perf_1", "dac16imp", "f74eb8b142609fce"},
+		{"fft_1", "dac16", "23985df0de5ad14c"},
+		{"fft_1", "dac16imp", "23985df0de5ad14c"},
+	} {
+		e, err := gen.FindEntry(tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := gen.Generate(gen.SuiteSpec(e, 0.01))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Legalize(context.Background(), tc.method, d); err != nil {
+			t.Fatalf("%s %s: %v", tc.bench, tc.method, err)
+		}
+		if h := design.PositionHash(d); h != tc.hash {
+			t.Errorf("%s %s: placement hash %s, want %s", tc.bench, tc.method, h, tc.hash)
+		}
+	}
+}

@@ -67,11 +67,7 @@ const cancelCheckEvery = 256
 
 func run(ctx context.Context, d *design.Design, opts Options) (*design.Occupancy, error) {
 	occ := design.NewOccupancy(d)
-	for _, c := range d.Cells {
-		if c.Fixed {
-			occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-		}
-	}
+	occ.BlockFixed(d)
 	cells := movable(d)
 	// Process multi-row cells before singles at equal x: they are the hard
 	// ones to place, and the published algorithm prioritizes them locally.
@@ -97,7 +93,10 @@ func run(ctx context.Context, d *design.Design, opts Options) (*design.Occupancy
 			return nil, fmt.Errorf("chow: cell %d has no compatible row: %w",
 				c.ID, mclgerr.ErrInfeasibleRow)
 		}
-		placeNearest(d, occ, c, c.GX, c.GY, 3, &failed)
+		// Where fragmentation leaves no free run, PlaceNearest's bounded
+		// eviction stands in for the published algorithm's local-region
+		// legalization step.
+		design.PlaceNearest(d, occ, c, c.GX, c.GY, 3, &failed)
 	}
 	if len(failed) > 0 {
 		// Terminal fallback for heavy fragmentation: park the stuck cells
@@ -114,12 +113,9 @@ func run(ctx context.Context, d *design.Design, opts Options) (*design.Occupancy
 		// The occupancy grid is stale after the global repair; rebuild it
 		// for the refinement passes.
 		occ = design.NewOccupancy(d)
-		for _, c := range d.Cells {
-			if c.Fixed {
-				occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-			} else if err := occ.Place(c, c.X, c.Y); err != nil {
-				return nil, fmt.Errorf("chow: rebuilding occupancy: %w", err)
-			}
+		occ.BlockFixed(d)
+		if err := occ.PlaceMovable(d); err != nil {
+			return nil, fmt.Errorf("chow: rebuilding occupancy: %w", err)
 		}
 	}
 
@@ -161,7 +157,7 @@ func refinePass(d *design.Design, occ *design.Occupancy) (int, error) {
 		nw := (x-c.GX)*(x-c.GX) + (y-c.GY)*(y-c.GY)
 		if ok && nw < cur-1e-12 {
 			if err := occ.Place(c, x, y); err == nil {
-				setPos(d, c, x, y)
+				d.Move(c, x, y)
 				moved++
 				continue
 			}
@@ -177,73 +173,6 @@ func refinePass(d *design.Design, occ *design.Occupancy) (int, error) {
 	return moved, nil
 }
 
-// placeNearest places c at the free position nearest (tx, ty). When
-// fragmentation leaves no free run — the published algorithm handles this
-// with its local-region legalization step — the cells blocking the window
-// at the target are evicted, c is placed, and the evicted cells are
-// re-placed recursively up to depth. Cells that end up without a position
-// are appended to failed.
-func placeNearest(d *design.Design, occ *design.Occupancy, c *design.Cell, tx, ty float64, depth int, failed *[]*design.Cell) {
-	if x, y, ok := design.NearestFree(d, occ, c, tx, ty); ok {
-		if err := occ.Place(c, x, y); err != nil {
-			*failed = append(*failed, c)
-			return
-		}
-		setPos(d, c, x, y)
-		return
-	}
-	if depth == 0 {
-		*failed = append(*failed, c)
-		return
-	}
-	row := d.NearestCorrectRow(c, ty)
-	if row < 0 {
-		*failed = append(*failed, c)
-		return
-	}
-	widthSites := int((c.W + d.SiteW - 1e-9) / d.SiteW)
-	s0 := d.SiteIndex(tx)
-	if s0+widthSites > d.Rows[row].NumSites {
-		s0 = d.Rows[row].NumSites - widthSites
-	}
-	if s0 < 0 {
-		*failed = append(*failed, c)
-		return
-	}
-	evictIDs := map[int]bool{}
-	for r := row; r < row+c.RowSpan; r++ {
-		for s := s0; s < s0+widthSites; s++ {
-			if id := occ.OwnerAt(r, s); id >= 0 {
-				if d.Cells[id].Fixed {
-					*failed = append(*failed, c)
-					return
-				}
-				evictIDs[id] = true
-			}
-		}
-	}
-	var evicted []*design.Cell
-	for id := range evictIDs {
-		ec := d.Cells[id]
-		occ.Remove(ec, ec.X, ec.Y)
-		evicted = append(evicted, ec)
-	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i].ID < evicted[j].ID })
-	x := d.Rows[row].OriginX + float64(s0)*d.SiteW
-	y := d.RowY(row)
-	if err := occ.Place(c, x, y); err != nil {
-		for _, ec := range evicted {
-			_ = occ.Place(ec, ec.X, ec.Y)
-		}
-		*failed = append(*failed, c)
-		return
-	}
-	setPos(d, c, x, y)
-	for _, ec := range evicted {
-		placeNearest(d, occ, ec, ec.X, ec.Y, depth-1, failed)
-	}
-}
-
 func movable(d *design.Design) []*design.Cell {
 	out := make([]*design.Cell, 0, len(d.Cells))
 	for _, c := range d.Cells {
@@ -252,12 +181,4 @@ func movable(d *design.Design) []*design.Cell {
 		}
 	}
 	return out
-}
-
-func setPos(d *design.Design, c *design.Cell, x, y float64) {
-	c.X, c.Y = x, y
-	row := d.RowAt(y + d.RowHeight/2)
-	if !c.EvenSpan() && row >= 0 {
-		c.Flipped = d.Rows[row].Rail != c.BottomRail
-	}
 }

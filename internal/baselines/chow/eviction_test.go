@@ -8,7 +8,8 @@ import (
 
 // TestLegalizeEvictionPath forces the local-region eviction branch: the
 // grid is fragmented into single-site gaps so a wide late-arriving cell has
-// no free run and must displace blockers near its target.
+// no free run and must displace blockers near its target. The placement
+// hash pins where the evicted cells land.
 func TestLegalizeEvictionPath(t *testing.T) {
 	d := design.NewDesign(design.Config{NumRows: 2, NumSites: 31, RowHeight: 10, SiteW: 1})
 	// Blockers with GX on the left so they are processed first (x order).
@@ -31,6 +32,9 @@ func TestLegalizeEvictionPath(t *testing.T) {
 	}
 	if w.X+w.W > d.Core.Hi.X {
 		t.Errorf("wide cell out of core: x=%g", w.X)
+	}
+	if h := design.PositionHash(d); h != "fd4049ff2388e177" {
+		t.Errorf("placement hash %s, want fd4049ff2388e177", h)
 	}
 }
 

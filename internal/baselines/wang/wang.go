@@ -64,11 +64,7 @@ func (st *state) park(c *design.Cell) {
 	if row < 0 {
 		row = 0
 	}
-	c.X = c.GX
-	c.Y = st.d.RowY(row)
-	if !c.EvenSpan() {
-		c.Flipped = st.d.Rows[row].Rail != c.BottomRail
-	}
+	st.d.Move(c, c.GX, st.d.RowY(row))
 }
 
 // Legalize runs the baseline, mutating cell positions. Positions are left
@@ -88,11 +84,7 @@ func LegalizeContext(ctx context.Context, d *design.Design) error {
 
 	// Row segments start as full rows minus fixed obstacles.
 	occ := design.NewOccupancy(d)
-	for _, c := range d.Cells {
-		if c.Fixed {
-			occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-		}
-	}
+	occ.BlockFixed(d)
 	st.segs = buildSegments(d, occ)
 
 	cells := make([]*design.Cell, 0, len(d.Cells))
@@ -204,8 +196,7 @@ func (st *state) insertSingle(c *design.Cell) error {
 		return nil
 	}
 	insert(bestSeg, c)
-	c.Y = d.RowY(bestRow)
-	c.Flipped = d.Rows[bestRow].Rail != c.BottomRail
+	d.Move(c, c.X, d.RowY(bestRow))
 	return nil
 }
 
@@ -253,11 +244,7 @@ func (st *state) insertMulti(c *design.Cell) ([]*design.Cell, error) {
 		st.park(c)
 		return nil, nil
 	}
-	c.X = bestX
-	c.Y = d.RowY(bestRow)
-	if !c.EvenSpan() {
-		c.Flipped = d.Rows[bestRow].Rail != c.BottomRail
-	}
+	d.Move(c, bestX, d.RowY(bestRow))
 	var displaced []*design.Cell
 	for r := bestRow; r < bestRow+c.RowSpan; r++ {
 		displaced = append(displaced, st.splitSegments(r, bestX, bestX+c.W)...)

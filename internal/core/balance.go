@@ -64,10 +64,7 @@ func BalanceRows(d *design.Design) error {
 			byRow[from+k] = removeCell(byRow[from+k], c)
 			byRow[to+k] = append(byRow[to+k], c)
 		}
-		c.Y = d.RowY(to)
-		if !c.EvenSpan() {
-			c.Flipped = d.Rows[to].Rail != c.BottomRail
-		}
+		d.Move(c, c.X, d.RowY(to))
 	}
 
 	maxMoves := 4 * len(d.Cells)
@@ -127,18 +124,4 @@ func removeCell(s []*design.Cell, c *design.Cell) []*design.Cell {
 		}
 	}
 	return s
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -394,18 +394,25 @@ func (p *Problem) solvePathBlock(c1, lam float64, vars []int, dst, rhs []float64
 		diag[k] = c1 + lam*deg
 		r[k] = rhs[vars[k]]
 	}
-	// Forward elimination with constant off-diagonal −lam.
+	thomas(diag, r, lam)
+	for k := 0; k < d; k++ {
+		dst[vars[k]] = r[k]
+	}
+}
+
+// thomas solves the tridiagonal system with diagonal diag and constant
+// off-diagonal −off in place: r holds the right-hand side on entry and the
+// solution on return, and diag is overwritten by the elimination.
+func thomas(diag, r []float64, off float64) {
+	d := len(diag)
 	for k := 1; k < d; k++ {
-		m := -lam / diag[k-1]
-		diag[k] -= m * -lam
+		m := -off / diag[k-1]
+		diag[k] -= m * -off
 		r[k] -= m * r[k-1]
 	}
 	r[d-1] /= diag[d-1]
 	for k := d - 2; k >= 0; k-- {
-		r[k] = (r[k] + lam*r[k+1]) / diag[k]
-	}
-	for k := 0; k < d; k++ {
-		dst[vars[k]] = r[k]
+		r[k] = (r[k] + off*r[k+1]) / diag[k]
 	}
 }
 
@@ -476,15 +483,7 @@ func (p *Problem) SolveHOmegaDiag(beta float64, dst, rhs []float64) {
 				diag[k] = c1 * (1 + lam*deg)
 				r[k] = rhs[vars[k]]
 			}
-			for k := 1; k < d; k++ {
-				m := -off / diag[k-1]
-				diag[k] -= m * -off
-				r[k] -= m * r[k-1]
-			}
-			r[d-1] /= diag[d-1]
-			for k := d - 2; k >= 0; k-- {
-				r[k] = (r[k] + off*r[k+1]) / diag[k]
-			}
+			thomas(diag, r, off)
 			for k := 0; k < d; k++ {
 				dst[vars[k]] = r[k]
 			}
@@ -555,15 +554,7 @@ func (p *Problem) solveBlockDense(c1, lam float64, vars []int, sol, rhs []float6
 		}
 		diag[k] = c1 + lam*deg
 	}
-	for k := 1; k < d; k++ {
-		m := -lam / diag[k-1]
-		diag[k] -= m * -lam
-		r[k] -= m * r[k-1]
-	}
-	r[d-1] /= diag[d-1]
-	for k := d - 2; k >= 0; k-- {
-		r[k] = (r[k] + lam*r[k+1]) / diag[k]
-	}
+	thomas(diag, r, lam)
 	copy(sol, r)
 }
 

@@ -133,7 +133,7 @@ func (r *ResilientLegalizer) cascade(ctx context.Context, d *design.Design, rung
 			}
 			continue
 		}
-		commitPlacement(d, work)
+		design.CopyPlacement(d, work)
 		if st != nil {
 			rs.Stats = *st
 		}
@@ -316,14 +316,5 @@ func releaseWork(w *design.Design) {
 	w.Nets = nil
 	if !workSlot.CompareAndSwap(nil, w) {
 		workPool.Put(w)
-	}
-}
-
-// commitPlacement copies the solved positions from a rung's working clone
-// back into the caller's design.
-func commitPlacement(dst, src *design.Design) {
-	for i, c := range src.Cells {
-		dc := dst.Cells[i]
-		dc.X, dc.Y, dc.Flipped = c.X, c.Y, c.Flipped
 	}
 }

@@ -1,7 +1,10 @@
 package design
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 
@@ -156,10 +159,28 @@ func (d *Design) SnapX(x float64) float64 {
 	return geom.Interval{Lo: d.Core.Lo.X, Hi: d.Core.Hi.X}.Clamp(s)
 }
 
-// SiteIndex returns the site index for coordinate x (floor), which may be
-// out of range; callers clamp as needed.
+// SiteIndex returns the index of the site boundary nearest x (rounded), which
+// may be out of range; callers clamp as needed.
 func (d *Design) SiteIndex(x float64) int {
 	return int(math.Round((x - d.Core.Lo.X) / d.SiteW))
+}
+
+// SiteSpan returns the number of sites cell c covers on the occupancy grid.
+func (d *Design) SiteSpan(c *Cell) int { return siteSpan(c.W, d.SiteW) }
+
+// siteSpan is a width's site count: rounded up, except that a width within
+// 1e-9 sites above a whole count covers that count.
+func siteSpan(w, site float64) int { return int(math.Ceil(w/site - 1e-9)) }
+
+// Move sets c's position to (x, y) and applies the §3 flip: an odd-row-span
+// cell is flipped exactly when the rail of the row at its bottom edge differs
+// from its designed bottom rail. Even-span cells, which a flip cannot help,
+// keep their flag, as does a cell whose y lies off the rows.
+func (d *Design) Move(c *Cell, x, y float64) {
+	c.X, c.Y = x, y
+	if row := d.RowAt(y + d.RowHeight/2); !c.EvenSpan() && row >= 0 {
+		c.Flipped = d.Rows[row].Rail != c.BottomRail
+	}
 }
 
 // RailCompatible reports whether cell c may be placed with its bottom edge
@@ -304,6 +325,46 @@ func (d *Design) OwnNetsIn(s *NetStore) {
 	}
 	s.nets, s.pins = nets, pins
 	d.Nets = nets
+}
+
+// CopyPlacement copies each cell's position and flip from src into the cell
+// of dst with the same index; dst must hold at least src's cells.
+func CopyPlacement(dst, src *Design) {
+	for i, c := range src.Cells {
+		dc := dst.Cells[i]
+		dc.X, dc.Y, dc.Flipped = c.X, c.Y, c.Flipped
+	}
+}
+
+// PositionHash digests the placement into a hex FNV-1a 64 string. Negative
+// zero is normalized (x + 0 == +0 for x == −0) so the hash compares
+// placements by value, not by the sign of exact zeros — the one bit pattern
+// the segmented tridiagonal solve is allowed to differ in. The digest is
+// hex-encoded by hand, not by fmt, whose printers come from a per-processor
+// pool: a goroutine that resumed on another processor would allocate a new
+// printer, so an ECO apply's allocation count would depend on scheduling.
+func PositionHash(d *Design) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		bits := math.Float64bits(v + 0)
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(bits >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	for _, c := range d.Cells {
+		put(c.X)
+		put(c.Y)
+		if c.Flipped {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	var out [16]byte
+	hex.Encode(out[:], binary.BigEndian.AppendUint64(buf[:0], h.Sum64()))
+	return string(out[:])
 }
 
 // ResetToGlobal restores every movable cell to its global-placement position.

@@ -99,8 +99,7 @@ func (o *Occupancy) cellSpan(c *Cell, x, y float64) (r0, r1, s0, s1 int, err err
 		return 0, 0, 0, 0, fmt.Errorf("cell %d: x=%g not on a site boundary", c.ID, x)
 	}
 	r1 = r0 + c.RowSpan
-	nw := int(math.Ceil(c.W/o.site - 1e-9))
-	s1 = s0 + nw
+	s1 = s0 + siteSpan(c.W, o.site)
 	if r0 < 0 || r1 > len(o.grid) {
 		return 0, 0, 0, 0, fmt.Errorf("cell %d: rows [%d,%d) outside core", c.ID, r0, r1)
 	}
@@ -233,6 +232,30 @@ func (o *Occupancy) BlockArea(cellID int, x, y, w, h float64) {
 			}
 		}
 	}
+}
+
+// BlockFixed blocks, as BlockArea does, the sites under every fixed cell of
+// d, in ID order.
+func (o *Occupancy) BlockFixed(d *Design) {
+	for _, c := range d.Cells {
+		if c.Fixed {
+			o.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
+		}
+	}
+}
+
+// PlaceMovable places every movable cell of d at its position, in ID order,
+// and returns the first Place error.
+func (o *Occupancy) PlaceMovable(d *Design) error {
+	for _, c := range d.Cells {
+		if c.Fixed {
+			continue
+		}
+		if err := o.Place(c, c.X, c.Y); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // overlapRange returns the indices [a, b) within [0, n) of the grid slots

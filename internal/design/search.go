@@ -1,6 +1,9 @@
 package design
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // NearestFree searches for the free on-grid position nearest to (tx, ty)
 // in squared-Euclidean distance where cell c fits: rail-compatible start
@@ -28,7 +31,7 @@ func NearestFree(d *Design, occ *Occupancy, c *Cell, tx, ty float64) (x, y float
 	if baseRow > maxStart {
 		baseRow = maxStart
 	}
-	widthSites := int(math.Ceil(c.W/d.SiteW - 1e-9))
+	widthSites := d.SiteSpan(c)
 
 	for delta := 0; delta <= len(d.Rows); delta++ {
 		progressed := false
@@ -66,6 +69,70 @@ func NearestFree(d *Design, occ *Occupancy, c *Cell, tx, ty float64) (x, y float
 		}
 	}
 	return bestX, bestY, found
+}
+
+// PlaceNearest places c at the free position nearest (tx, ty) (NearestFree),
+// marks it in occ and moves the cell there (Move). When no free run of c's
+// width exists anywhere, it clears c's footprint at site SiteIndex(tx) of the
+// nearest correct row to ty (NearestCorrectRow), shifted left as far as the
+// row's end requires: the movable cells there are evicted, c is placed, and
+// the evicted cells are re-placed in ID order, each by PlaceNearest from its
+// old position with one less depth. c is appended to failed instead when
+// depth is 0, when no row qualifies or the row is narrower than c, or when a
+// fixed cell blocks the footprint.
+func PlaceNearest(d *Design, occ *Occupancy, c *Cell, tx, ty float64, depth int, failed *[]*Cell) {
+	if x, y, ok := NearestFree(d, occ, c, tx, ty); ok {
+		if err := occ.Place(c, x, y); err != nil {
+			*failed = append(*failed, c)
+			return
+		}
+		d.Move(c, x, y)
+		return
+	}
+	row := d.NearestCorrectRow(c, ty)
+	if depth == 0 || row < 0 {
+		*failed = append(*failed, c)
+		return
+	}
+	w := d.SiteSpan(c)
+	s0 := min(d.SiteIndex(tx), d.Rows[row].NumSites-w)
+	if s0 < 0 {
+		*failed = append(*failed, c)
+		return
+	}
+	var evicted []int
+	for r := row; r < row+c.RowSpan; r++ {
+		for s := s0; s < s0+w; s++ {
+			if id := occ.OwnerAt(r, s); id >= 0 {
+				if d.Cells[id].Fixed {
+					*failed = append(*failed, c)
+					return
+				}
+				evicted = append(evicted, id)
+			}
+		}
+	}
+	slices.Sort(evicted)
+	evicted = slices.Compact(evicted)
+	for _, id := range evicted {
+		ec := d.Cells[id]
+		occ.Remove(ec, ec.X, ec.Y)
+	}
+	x, y := d.Rows[row].OriginX+float64(s0)*d.SiteW, d.RowY(row)
+	if err := occ.Place(c, x, y); err != nil {
+		// The footprint could not be cleared; put the evicted cells back.
+		for _, id := range evicted {
+			ec := d.Cells[id]
+			_ = occ.Place(ec, ec.X, ec.Y)
+		}
+		*failed = append(*failed, c)
+		return
+	}
+	d.Move(c, x, y)
+	for _, id := range evicted {
+		ec := d.Cells[id]
+		PlaceNearest(d, occ, ec, ec.X, ec.Y, depth-1, failed)
+	}
 }
 
 // scanRowForRun finds the free run of widthSites sites starting at row

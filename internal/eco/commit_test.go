@@ -87,10 +87,9 @@ func inject(rng *rand.Rand, work *design.Design, inserts int) string {
 		// sites in the cell's own row.
 		c := pick()
 		occ := design.NewOccupancy(work)
+		occ.BlockFixed(work)
 		for _, o := range work.Cells {
-			if o.Fixed {
-				occ.BlockArea(o.ID, o.X, o.Y, o.W, o.H)
-			} else if o != c {
+			if !o.Fixed && o != c {
 				_ = occ.Place(o, o.X, o.Y)
 			}
 		}

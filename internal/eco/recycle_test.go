@@ -17,12 +17,9 @@ import (
 // with a grid rebuilt from the committed placement.
 func gridMatchesFresh(s *Session) error {
 	fresh := design.NewOccupancy(s.cur)
-	for _, c := range s.cur.Cells {
-		if c.Fixed {
-			fresh.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-		} else if err := fresh.Place(c, c.X, c.Y); err != nil {
-			return fmt.Errorf("committed placement does not fit a fresh grid: %w", err)
-		}
+	fresh.BlockFixed(s.cur)
+	if err := fresh.PlaceMovable(s.cur); err != nil {
+		return fmt.Errorf("committed placement does not fit a fresh grid: %w", err)
 	}
 	for r, row := range s.cur.Rows {
 		for site := 0; site < row.NumSites; site++ {

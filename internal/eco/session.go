@@ -11,7 +11,6 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
-	"mclg/internal/regress"
 	"mclg/internal/wal"
 	"mclg/internal/window"
 )
@@ -120,10 +119,14 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 			return nil, err
 		}
 	}
-	if err := s.rebuildOcc(); err != nil {
-		return nil, err
+	// The grid mirrors the committed placement: fixed cells block their
+	// (possibly off-grid) area, movable cells occupy their legal sites.
+	s.occ = design.NewOccupancy(s.cur)
+	s.occ.BlockFixed(s.cur)
+	if err := s.occ.PlaceMovable(s.cur); err != nil {
+		return nil, mclgerr.Stage("eco-occupancy", err)
 	}
-	s.posHash = regress.PositionHash(s.cur)
+	s.posHash = design.PositionHash(s.cur)
 	s.baseHash = s.posHash
 	s.stats.Cells = len(s.cur.Cells)
 	s.stats.PosHash = s.posHash
@@ -160,24 +163,6 @@ func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Se
 // identical signature.
 func (s *Session) logSig() string {
 	return fmt.Sprintf("%016x.m%d", window.Sig(s.base, s.opts.WindowRows, window.DefaultContextRows, s.opts.Core), s.opts.MarginRows)
-}
-
-// rebuildOcc reconstructs the occupancy grid from the committed placement:
-// fixed cells block their (possibly off-grid) area, movable cells occupy
-// their legal sites.
-func (s *Session) rebuildOcc() error {
-	occ := design.NewOccupancy(s.cur)
-	for _, c := range s.cur.Cells {
-		if c.Fixed {
-			occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-			continue
-		}
-		if err := occ.Place(c, c.X, c.Y); err != nil {
-			return mclgerr.Stage("eco-occupancy", err)
-		}
-	}
-	s.occ = occ
-	return nil
 }
 
 // ID returns the session identifier.
@@ -229,13 +214,6 @@ func (s *Session) Statistics() Stats {
 	st.Cells = len(s.cur.Cells)
 	st.PosHash = s.posHash
 	return st
-}
-
-// Occupied reports the number of occupied sites in the live grid.
-func (s *Session) Occupied() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.occ.UsedSites()
 }
 
 // Close ends the session. A durable session's log file is removed — a
@@ -394,7 +372,7 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		Runs:      len(runs),
 		Repaired:  repaired,
 		Cells:     len(work.Cells),
-		PosHash:   regress.PositionHash(work),
+		PosHash:   design.PositionHash(work),
 	}, nil
 }
 
@@ -517,7 +495,7 @@ func (s *Session) solveRun(ctx context.Context, av *design.Design, r run, touche
 				fmt.Errorf("run rows [%d,%d): cascade failed (%v); local repair failed: %w", r.lo, r.hi, solveErr, err))
 		}
 	}
-	s.outs = appendOwned(s.outs, sub, idx)
+	s.outs = window.AppendOwned(s.outs, sub, idx)
 	return solveErr != nil, nil
 }
 
@@ -552,17 +530,4 @@ func repairRun(ctx context.Context, av, sub *design.Design, idx []int, touched m
 		}
 	}
 	return nil
-}
-
-// appendOwned appends the owned cells' positions of a solved run
-// sub-design to out.
-func appendOwned(out []window.CellPos, sub *design.Design, idx []int) []window.CellPos {
-	for i, fullID := range idx {
-		if fullID < 0 {
-			continue
-		}
-		c := sub.Cells[i]
-		out = append(out, window.CellPos{ID: fullID, X: c.X, Y: c.Y, Flipped: c.Flipped})
-	}
-	return out
 }

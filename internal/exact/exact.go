@@ -669,12 +669,7 @@ func (s *solver) trySnap(chains [][]item, xs []float64, vert float64) {
 	// Authoritative check: apply to a clone and run the legality checker.
 	clone := d.Clone()
 	for i, c := range s.movable {
-		cc := clone.Cells[c.ID]
-		cc.X = snapped[i]
-		cc.Y = d.RowY(s.assign[i])
-		if !cc.EvenSpan() {
-			cc.Flipped = d.Rows[s.assign[i]].Rail != cc.BottomRail
-		}
+		clone.Move(clone.Cells[c.ID], snapped[i], d.RowY(s.assign[i]))
 	}
 	if !design.IsLegal(clone) {
 		return

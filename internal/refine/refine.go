@@ -69,12 +69,9 @@ func RefineContext(ctx context.Context, d *design.Design, opts Options) (*Result
 	}
 
 	occ := design.NewOccupancy(d)
-	for _, c := range d.Cells {
-		if c.Fixed {
-			occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-		} else if err := occ.Place(c, c.X, c.Y); err != nil {
-			return nil, fmt.Errorf("refine: building occupancy: %w", err)
-		}
+	occ.BlockFixed(d)
+	if err := occ.PlaceMovable(d); err != nil {
+		return nil, fmt.Errorf("refine: building occupancy: %w", err)
 	}
 
 	r := &refiner{d: d, occ: occ, opts: opts}
@@ -217,7 +214,7 @@ func (r *refiner) slidePass() (int, error) {
 		x, y, ok := design.NearestFree(r.d, r.occ, c, tx, ty)
 		if ok && r.cellCost(c, x, y) < cur-1e-9 {
 			if err := r.occ.Place(c, x, y); err == nil {
-				r.moveCell(c, x, y)
+				r.d.Move(c, x, y)
 				moved++
 				continue
 			}
@@ -270,8 +267,8 @@ func (r *refiner) swapPass() (int, error) {
 				after := r.cellCost(a, b.X, b.Y) + r.cellCost(b, a.X, a.Y)
 				if after < before-1e-9 {
 					ax, ay := a.X, a.Y
-					r.moveCell(a, b.X, b.Y)
-					r.moveCell(b, ax, ay)
+					d.Move(a, b.X, b.Y)
+					d.Move(b, ax, ay)
 					// Footprints are identical; re-register both cells.
 					if err := r.refreshOccupancy(a, b); err != nil {
 						return swapped, err
@@ -301,14 +298,6 @@ func (r *refiner) refreshOccupancy(a, b *design.Cell) error {
 		return fmt.Errorf("refine: swap broke occupancy: %v: %w", err, mclgerr.ErrUnplacedCells)
 	}
 	return nil
-}
-
-func (r *refiner) moveCell(c *design.Cell, x, y float64) {
-	c.X, c.Y = x, y
-	row := r.d.RowAt(y + r.d.RowHeight/2)
-	if !c.EvenSpan() && row >= 0 {
-		c.Flipped = r.d.Rows[row].Rail != c.BottomRail
-	}
 }
 
 // movableByGain orders cells by descending displacement so the worst

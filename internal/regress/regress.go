@@ -9,11 +9,7 @@
 package regress
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/fnv"
-	"math"
 
 	"mclg/internal/core"
 	"mclg/internal/design"
@@ -71,37 +67,10 @@ func Run(bench string, scale float64, workers int) (*Metrics, error) {
 		FinishPCG:    stats.Finish.PCG,
 		Converged:    stats.Converged,
 		Legal:        design.IsLegal(d),
-		PosHash:      PositionHash(d),
+		PosHash:      design.PositionHash(d),
 	}, nil
 }
 
-// PositionHash digests the placement into a hex FNV-1a 64 string. Negative
-// zero is normalized (x + 0 == +0 for x == −0) so the hash compares
-// placements by value, not by the sign of exact zeros — the one bit pattern
-// the segmented tridiagonal solve is allowed to differ in. The digest is
-// hex-encoded by hand, not by fmt, whose printers come from a per-processor
-// pool: a goroutine that resumed on another processor would allocate a new
-// printer, so an ECO apply's allocation count would depend on scheduling.
-func PositionHash(d *design.Design) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v float64) {
-		bits := math.Float64bits(v + 0)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, c := range d.Cells {
-		put(c.X)
-		put(c.Y)
-		if c.Flipped {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	var out [16]byte
-	hex.Encode(out[:], binary.BigEndian.AppendUint64(buf[:0], h.Sum64()))
-	return string(out[:])
-}
+// PositionHash is design.PositionHash, kept here because perfbench imports
+// it. Remove with the next benchmark change (ROADMAP item 9).
+func PositionHash(d *design.Design) string { return design.PositionHash(d) }

@@ -11,7 +11,6 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/metrics"
-	"mclg/internal/regress"
 	"mclg/internal/window"
 )
 
@@ -209,7 +208,7 @@ func FromDesign(d *design.Design, method string, wall time.Duration) *Report {
 		HPWL:              metrics.HPWL(d),
 		DeltaHPWL:         metrics.DeltaHPWL(d),
 		WallMS:            float64(wall) / float64(time.Millisecond),
-		PosHash:           regress.PositionHash(d),
+		PosHash:           design.PositionHash(d),
 	}
 }
 

@@ -100,9 +100,12 @@ func TestSnapClampRightEdge(t *testing.T) {
 	}
 }
 
-// TestAllocateEvictionPath drives repairCell's eviction branch: the illegal
-// cell is wide, the grid is fragmented with single-site gaps, so no free
-// run exists and blockers at the target window must be evicted.
+// TestAllocateEvictionPath fragments both rows with single-site gaps around
+// a wide cell that overlaps row 0's blockers. The shove pass packs the cells
+// left of the overlap before the scan, so every cell fits where it lands and
+// none reaches the repair, let alone the eviction search
+// (TestAllocateEvictsBlockers reaches it); the placement hash pins the
+// result.
 func TestAllocateEvictionPath(t *testing.T) {
 	d := mkDesign(2, 31)
 	// Row 0: width-2 blockers at 0,3,6,...,27 (gaps of 1 site) = 10 cells,
@@ -131,5 +134,52 @@ func TestAllocateEvictionPath(t *testing.T) {
 	}
 	if rep := design.CheckLegal(d); !rep.Legal() {
 		t.Fatalf("illegal: %v", rep)
+	}
+	if h := design.PositionHash(d); h != "f9cd3b6740f63d65" {
+		t.Errorf("placement hash %s, want f9cd3b6740f63d65", h)
+	}
+}
+
+// TestAllocateEvictsBlockers reaches design.PlaceNearest's eviction search
+// from Tetris: both rows are fragmented into single-site gaps, and in row 1 a
+// width-3 cell stacked on a single-site cell at the left edge, which the
+// shove pass cannot separate, is left illegal with no free run of three
+// sites anywhere. It evicts the two cells under its footprint, which are
+// re-placed in ID order at their nearest free sites.
+func TestAllocateEvictsBlockers(t *testing.T) {
+	d := mkDesign(2, 12)
+	add := func(name string, w, x, y float64) *design.Cell {
+		c := d.AddCell(name, w, 10, design.VSS)
+		c.X, c.Y = x, y
+		c.GX, c.GY = x, y
+		return c
+	}
+	for s := 0; s < 12; s += 2 {
+		add("r0", 1, float64(s), 0)
+	}
+	a := add("a", 1, 0, 10)
+	b := add("b", 1, 2, 10)
+	for s := 4; s < 12; s += 2 {
+		add("r1", 1, float64(s), 10)
+	}
+	w := add("wide", 3, 0, 10)
+	res, err := Allocate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Repaired != 1 || res.RepairFailed != 0 || res.Rebuilt {
+		t.Fatalf("repaired %d, failed %d, rebuilt %v; want the one wide cell repaired in place",
+			res.Repaired, res.RepairFailed, res.Rebuilt)
+	}
+	if rep := design.CheckLegal(d); !rep.Legal() {
+		t.Fatalf("illegal: %v", rep)
+	}
+	for _, p := range []struct {
+		c    *design.Cell
+		x, y float64
+	}{{w, 0, 10}, {a, 3, 10}, {b, 5, 10}} {
+		if p.c.X != p.x || p.c.Y != p.y {
+			t.Errorf("%s at (%g, %g), want (%g, %g)", p.c.Name, p.c.X, p.c.Y, p.x, p.y)
+		}
 	}
 }

@@ -27,11 +27,9 @@ type Result struct {
 	Illegal      int // cells illegal after MMSIM: overlapping or out of boundary
 	Unplaced     int // cells for which no free position was found (should be 0)
 	MaxSnapDist  float64
-	RepairMovedX float64 // total |Δx| of repaired cells, in sites
-	RepairMovedY float64 // total |Δy| of repaired cells, in sites
-	Rebuilt      bool    // the global rebuild fallback ran (quality hit)
-	RepairFailed int     // cells the per-cell repair could not place
-	Repaired     int     // cells re-placed by the nearest-free repair stage
+	Rebuilt      bool // the global rebuild fallback ran (quality hit)
+	RepairFailed int  // cells the per-cell repair could not place
+	Repaired     int  // cells re-placed by the nearest-free repair stage
 }
 
 // Allocate legalizes the design in place. Cells must already be assigned to
@@ -145,7 +143,7 @@ func AllocateContext(ctx context.Context, d *design.Design) (*Result, error) {
 				return nil, err
 			}
 		}
-		repairCell(d, occ, res, cd.c, cd.x, d.RowY(cd.row), 2, &failed)
+		design.PlaceNearest(d, occ, cd.c, cd.x, d.RowY(cd.row), 2, &failed)
 	}
 
 	res.RepairFailed = len(failed)
@@ -162,18 +160,18 @@ func AllocateContext(ctx context.Context, d *design.Design) (*Result, error) {
 		// fragments, fall back to frontier compaction, which packs rows
 		// monotonically and succeeds whenever per-row capacity allows.
 		restorePositions(d, sc.saved)
-		if rebuildNearest(ctx, d, res, sc) > 0 {
+		if rebuildNearest(ctx, d, sc) > 0 {
 			if err := mclgerr.FromContext(ctx); err != nil {
 				return nil, err
 			}
 			restorePositions(d, sc.saved)
-			res.Unplaced = rebuildFrontier(ctx, d, res, false, sc)
+			res.Unplaced = rebuildFrontier(ctx, d, false, sc)
 			if res.Unplaced > 0 {
 				if err := mclgerr.FromContext(ctx); err != nil {
 					return nil, err
 				}
 				restorePositions(d, sc.saved)
-				res.Unplaced = rebuildFrontier(ctx, d, res, true, sc)
+				res.Unplaced = rebuildFrontier(ctx, d, true, sc)
 			}
 		}
 		if err := mclgerr.FromContext(ctx); err != nil {
@@ -302,11 +300,7 @@ func movableCells(dst []*design.Cell, d *design.Design) []*design.Cell {
 // synthetic suite has no fixed cells, but Bookshelf designs may.)
 func blockedOccupancy(occ *design.Occupancy, d *design.Design) *design.Occupancy {
 	occ.Reset(d)
-	for _, c := range d.Cells {
-		if c.Fixed {
-			occ.BlockArea(c.ID, c.X, c.Y, c.W, c.H)
-		}
-	}
+	occ.BlockFixed(d)
 	return occ
 }
 
@@ -314,7 +308,7 @@ func blockedOccupancy(occ *design.Occupancy, d *design.Design) *design.Occupancy
 // each at the nearest free position. Returns the number of unplaced cells.
 // A canceled ctx stops the sweep early, counting the rest as unplaced; the
 // caller translates that into an ErrCanceled return.
-func rebuildNearest(ctx context.Context, d *design.Design, res *Result, sc *scratch) int {
+func rebuildNearest(ctx context.Context, d *design.Design, sc *scratch) int {
 	occ := blockedOccupancy(&sc.occ, d)
 	sc.movable = movableCells(sc.movable[:0], d)
 	movable := sc.movable
@@ -330,27 +324,14 @@ func rebuildNearest(ctx context.Context, d *design.Design, res *Result, sc *scra
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	unplaced := 0
+	var failed []*design.Cell
 	for i, c := range movable {
 		if i%cancelCheckEvery == 0 && mclgerr.FromContext(ctx) != nil {
-			unplaced += len(movable) - i
-			break
+			return len(failed) + len(movable) - i
 		}
-		x, y, ok := design.NearestFree(d, occ, c, c.X, c.Y)
-		if !ok {
-			unplaced++
-			continue
-		}
-		if err := occ.Place(c, x, y); err != nil {
-			unplaced++
-			continue
-		}
-		res.RepairMovedX += math.Abs(x-c.X) / d.SiteW
-		res.RepairMovedY += math.Abs(y-c.Y) / d.SiteW
-		moveCell(d, c, x, y)
+		design.PlaceNearest(d, occ, c, c.X, c.Y, 0, &failed)
 	}
-	res.Unplaced = unplaced
-	return unplaced
+	return len(failed)
 }
 
 // rebuildFrontier is the classic Tetris sweep: cells in x order, each placed
@@ -360,7 +341,7 @@ func rebuildNearest(ctx context.Context, d *design.Design, res *Result, sc *scra
 // (pure compaction), which succeeds for any instance whose rows have enough
 // aggregate capacity. Returns the number of unplaced cells. A canceled ctx
 // stops the sweep early, counting the rest as unplaced.
-func rebuildFrontier(ctx context.Context, d *design.Design, res *Result, compact bool, sc *scratch) int {
+func rebuildFrontier(ctx context.Context, d *design.Design, compact bool, sc *scratch) int {
 	occ := blockedOccupancy(&sc.occ, d)
 	sc.movable = movableCells(sc.movable[:0], d)
 	movable := sc.movable
@@ -380,7 +361,7 @@ func rebuildFrontier(ctx context.Context, d *design.Design, res *Result, compact
 			unplaced += len(movable) - i
 			break
 		}
-		widthSites := int(math.Ceil(c.W/d.SiteW - 1e-9))
+		widthSites := d.SiteSpan(c)
 		maxStart := len(d.Rows) - c.RowSpan
 		bestRow, bestSite := -1, 0
 		bestCost := math.Inf(1)
@@ -435,113 +416,9 @@ func rebuildFrontier(ctx context.Context, d *design.Design, res *Result, compact
 		for r := bestRow; r < bestRow+c.RowSpan; r++ {
 			frontier[r] = bestSite + widthSites
 		}
-		res.RepairMovedX += math.Abs(x-c.X) / d.SiteW
-		res.RepairMovedY += math.Abs(y-c.Y) / d.SiteW
-		moveCell(d, c, x, y)
+		d.Move(c, x, y)
 	}
 	return unplaced
-}
-
-// repairCell places c at the free position nearest (tx, ty). When no free
-// run exists anywhere (heavy fragmentation), it evicts the cells blocking
-// the window nearest the target, places c, and recursively re-places the
-// evicted cells, bounded by depth. Cells that end up without a position are
-// appended to failed.
-func repairCell(d *design.Design, occ *design.Occupancy, res *Result, c *design.Cell, tx, ty float64, depth int, failed *[]*design.Cell) {
-	if x, y, ok := design.NearestFree(d, occ, c, tx, ty); ok {
-		if err := occ.Place(c, x, y); err != nil {
-			*failed = append(*failed, c)
-			return
-		}
-		res.RepairMovedX += math.Abs(x-c.X) / d.SiteW
-		res.RepairMovedY += math.Abs(y-c.Y) / d.SiteW
-		moveCell(d, c, x, y)
-		return
-	}
-	if depth == 0 {
-		*failed = append(*failed, c)
-		return
-	}
-	// Eviction fallback: clear the window at the snapped target.
-	x := snapClamp(d, c, tx)
-	row := d.RowAt(ty + d.RowHeight/2)
-	maxStart := len(d.Rows) - c.RowSpan
-	if row < 0 {
-		row = 0
-	}
-	if row > maxStart {
-		row = maxStart
-	}
-	// Find the nearest rail-compatible row.
-	for delta := 0; delta <= len(d.Rows); delta++ {
-		if r := row - delta; r >= 0 && d.RailCompatible(c, r) {
-			row = r
-			break
-		}
-		if r := row + delta; r <= maxStart && d.RailCompatible(c, r) {
-			row = r
-			break
-		}
-	}
-	if !d.RailCompatible(c, row) {
-		*failed = append(*failed, c)
-		return
-	}
-	y := d.RowY(row)
-	widthSites := int(math.Ceil(c.W/d.SiteW - 1e-9))
-	s0 := d.SiteIndex(x)
-	if s0+widthSites > d.Rows[row].NumSites {
-		s0 = d.Rows[row].NumSites - widthSites
-	}
-	if s0 < 0 {
-		*failed = append(*failed, c)
-		return
-	}
-	evictSet := map[int]bool{}
-	for r := row; r < row+c.RowSpan; r++ {
-		for s := s0; s < s0+widthSites; s++ {
-			if id := occ.OwnerAt(r, s); id >= 0 {
-				if d.Cells[id].Fixed {
-					*failed = append(*failed, c)
-					return // cannot evict fixed cells
-				}
-				evictSet[id] = true
-			}
-		}
-	}
-	var evicted []*design.Cell
-	for id := range evictSet {
-		ec := d.Cells[id]
-		occ.Remove(ec, ec.X, ec.Y)
-		evicted = append(evicted, ec)
-	}
-	slices.SortFunc(evicted, func(a, b *design.Cell) int { return cmp.Compare(a.ID, b.ID) })
-	xPos := d.Rows[row].OriginX + float64(s0)*d.SiteW
-	if err := occ.Place(c, xPos, y); err != nil {
-		// Window could not be fully cleared; put the evicted cells back and
-		// give up on c.
-		for _, ec := range evicted {
-			_ = occ.Place(ec, ec.X, ec.Y)
-		}
-		*failed = append(*failed, c)
-		return
-	}
-	res.RepairMovedX += math.Abs(xPos-c.X) / d.SiteW
-	res.RepairMovedY += math.Abs(y-c.Y) / d.SiteW
-	moveCell(d, c, xPos, y)
-	for _, ec := range evicted {
-		repairCell(d, occ, res, ec, ec.X, ec.Y, depth-1, failed)
-	}
-}
-
-// moveCell updates a cell's position and re-derives the vertical flip for
-// odd-span cells.
-func moveCell(d *design.Design, c *design.Cell, x, y float64) {
-	c.X, c.Y = x, y
-	row := d.RowAt(y + d.RowHeight/2)
-	if !c.EvenSpan() && row >= 0 {
-		c.Flipped = d.Rows[row].Rail != c.BottomRail
-	}
 }
 
 // countIllegal counts movable cells that, once aligned to their nearest

@@ -189,10 +189,7 @@ func refineExact(ctx context.Context, d *design.Design, plan *Plan, opts Options
 				c.X, c.Y, c.Flipped = sol.X[i], sol.Y[i], sol.Flipped[i]
 			}
 			if design.IsLegal(work) {
-				for i, c := range work.Cells {
-					dc := d.Cells[i]
-					dc.X, dc.Y, dc.Flipped = c.X, c.Y, c.Flipped
-				}
+				design.CopyPlacement(d, work)
 				wg.Improved = true
 				wg.MaxDispAfter = maxDispSites(d, b.Owned)
 				st.Improved++

@@ -158,20 +158,20 @@ func solveSub(ctx context.Context, sub *design.Design, idx []int, b *Band, opts 
 	if _, err := core.NewResilient(opts).LegalizeContext(ctx, sub); err != nil {
 		return nil, err
 	}
-	return extract(sub, idx, b, false), nil
+	return &Result{Window: b.Index, Cells: AppendOwned(nil, sub, idx)}, nil
 }
 
-// extract collects the owned cells' positions from a solved sub-design.
-func extract(sub *design.Design, idx []int, b *Band, degraded bool) *Result {
-	res := &Result{Window: b.Index, Degraded: degraded}
+// AppendOwned appends to out the positions of a solved sub-design's owned
+// cells, those whose idx entry (the full design's cell ID) is not negative.
+func AppendOwned(out []CellPos, sub *design.Design, idx []int) []CellPos {
 	for i, fullID := range idx {
 		if fullID < 0 {
 			continue
 		}
 		c := sub.Cells[i]
-		res.Cells = append(res.Cells, CellPos{ID: fullID, X: c.X, Y: c.Y, Flipped: c.Flipped})
+		out = append(out, CellPos{ID: fullID, X: c.X, Y: c.Y, Flipped: c.Flipped})
 	}
-	return res
+	return out
 }
 
 // degradeSub is the terminal per-window fallback: the greedy cell-by-cell
@@ -186,7 +186,7 @@ func degradeSub(ctx context.Context, d *design.Design, p *Plan, b *Band) *Result
 		work.ResetToGlobal()
 		if err := chow.LegalizeContext(ctx, work); err == nil {
 			if design.IsLegal(work) {
-				return extract(work, idx, b, true)
+				return &Result{Window: b.Index, Degraded: true, Cells: AppendOwned(nil, work, idx)}
 			}
 		}
 	}
@@ -241,9 +241,6 @@ func stitchLabeled(ctx context.Context, d *design.Design, results []*Result) err
 			Detail: "stitched placement failed the legality checker: " + design.CheckLegal(work).String(),
 		}
 	}
-	for i, c := range work.Cells {
-		dc := d.Cells[i]
-		dc.X, dc.Y, dc.Flipped = c.X, c.Y, c.Flipped
-	}
+	design.CopyPlacement(d, work)
 	return nil
 }
