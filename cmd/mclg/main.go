@@ -262,9 +262,7 @@ func main() {
 
 	rep := report.FromDesign(d, *method, elapsed)
 	rep.Rung, rep.Attempts = rung, numAttempts
-	if winStats != nil {
-		rep.Windows = report.WindowsFromStats(winStats)
-	}
+	rep.Windows = winStats
 	if stats != nil {
 		rep.SetStats(stats)
 	}
@@ -344,7 +342,7 @@ func runRemote(serverURL, auxPath, bench string, scale float64, method string, r
 	fmt.Fprintf(info, "legality: %s\n", legality)
 	if ws := rep.Windows; ws != nil {
 		fmt.Fprintf(info, "windows: %d solved + %d resumed of %d (retries %d, hedges won %d/%d, degraded %d)\n",
-			ws.Solved, ws.Resumed, ws.Total, ws.Retries, ws.HedgesWon, ws.HedgesIssued, ws.Degraded)
+			ws.Solved, ws.Resumed, ws.Windows, ws.Retries, ws.HedgesWon, ws.HedgesIssued, ws.Degraded)
 		if ex := ws.Exact; ex != nil {
 			fmt.Fprintf(info, "exact: %d refined (%d improved, %d proven optimal, %d skipped), max gap %.3g\n",
 				ex.Selected, ex.Improved, ex.Proven, ex.Skipped, ex.MaxGap)

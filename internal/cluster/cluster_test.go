@@ -240,6 +240,51 @@ func TestClusterCacheHits(t *testing.T) {
 	}
 }
 
+// TestClusterCacheKeyedByEveryOption is the regression for window caches
+// keyed by a signature that left options out: a BoundRight job after a
+// default job on the same design must get the BoundRight placement, not the
+// default job's cached windows. Every target sits in the core's right half,
+// where the right boundary binds.
+func TestClusterCacheKeyedByEveryOption(t *testing.T) {
+	for _, c := range []struct {
+		bench              string
+		scale              float64
+		defHash, boundHash string
+	}{
+		{"fft_2", 0.004, "4944b1842a9cd3d0", "58e66861a4508359"},
+		{"superblue19", 0.004, "2935201bd656ea7c", "f97c136b8aa26208"},
+	} {
+		t.Run(c.bench, func(t *testing.T) {
+			rightHalf := func() *design.Design {
+				d := clusterTestDesign(t, c.bench, c.scale)
+				lo, w := d.Core.Lo.X, d.Core.Hi.X-d.Core.Lo.X
+				for _, cell := range d.Cells {
+					if !cell.Fixed {
+						cell.GX = lo + w/2 + (cell.GX-lo)/2
+						cell.X = cell.GX
+					}
+				}
+				return d
+			}
+			coord := NewCoordinator(CoordinatorConfig{})
+			for _, job := range []struct {
+				bound bool
+				want  string
+			}{{false, c.defHash}, {true, c.boundHash}} {
+				opts := clusterOptions()
+				opts.Core.BoundRight = job.bound
+				d := rightHalf()
+				if _, err := coord.DispatchWindows(context.Background(), d, opts); err != nil {
+					t.Fatalf("BoundRight=%v: %v", job.bound, err)
+				}
+				if got := regress.PositionHash(d); got != job.want {
+					t.Errorf("BoundRight=%v: placement %s, want %s", job.bound, got, job.want)
+				}
+			}
+		})
+	}
+}
+
 // stallHandler wraps a worker handler and stalls PathSolve requests for the
 // given window indices until the request is canceled (the hedge winning and
 // the supervisor canceling the loser), proving hedges route to a different

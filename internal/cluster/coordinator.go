@@ -276,7 +276,7 @@ func (c *Coordinator) solveOne(ctx context.Context, d *design.Design, p *window.
 func (c *Coordinator) solveLocal(ctx context.Context, d *design.Design, p *window.Plan, wi int, key string, base core.Options) (*window.Result, error) {
 	b := &p.Bands[wi]
 	sub, idx := window.BuildSub(d, p, b)
-	res, err := window.SolveSubDesign(ctx, sub, idx, wi, base)
+	res, err := window.SolveSub(ctx, sub, idx, wi, base)
 	if err != nil {
 		return nil, err
 	}

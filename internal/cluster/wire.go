@@ -58,8 +58,8 @@ type WireRow struct {
 }
 
 // WireCell is the shard-protocol form of one cell. The cell's ID is its
-// position in the enclosing list (buildSub re-IDs sub-design cells densely,
-// so the index round-trips exactly).
+// position in the enclosing list (window.BuildSub re-IDs sub-design cells
+// densely, so the index round-trips exactly).
 type WireCell struct {
 	Name    string  `json:"n,omitempty"`
 	W       float64 `json:"w"`
@@ -75,7 +75,7 @@ type WireCell struct {
 }
 
 // WireDesign is the shard-protocol form of a window sub-design. Nets are
-// deliberately absent: window solves are displacement-driven and buildSub
+// deliberately absent: window solves are displacement-driven and BuildSub
 // never materializes them. Go's JSON float encoding is shortest-round-trip,
 // so Decode(Encode(d)) reproduces every coordinate bit-for-bit — the
 // property the cross-machine determinism contract rests on.

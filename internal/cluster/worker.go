@@ -228,7 +228,7 @@ func (wk *Worker) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := window.SolveSubDesign(r.Context(), sub, req.Idx, req.Window, req.Opts.Decode())
+	res, err := window.SolveSub(r.Context(), sub, req.Idx, req.Window, req.Opts.Decode())
 	if err != nil {
 		wk.m.solveErrors.Inc()
 		writeSolverErr(w, err)

@@ -347,10 +347,7 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 			repaired++
 		}
 	}
-	for _, cp := range s.outs {
-		c := work.Cells[cp.ID]
-		c.X, c.Y, c.Flipped = cp.X, cp.Y, cp.Flipped
-	}
+	window.ApplyCells(work, s.outs)
 	for i, c := range work.Cells {
 		c.GX, c.GY = s.targets[2*i], s.targets[2*i+1]
 	}

@@ -595,7 +595,7 @@ func (s *solver) trySnap(chains [][]item, xs []float64, vert float64) {
 	// respect right bounds. Widths are rounded up to whole sites so cleared
 	// constraints stay cleared on the grid.
 	wsites := func(i int) float64 {
-		return math.Ceil(s.movable[i].W/d.SiteW-1e-9) * d.SiteW
+		return float64(d.SiteSpan(s.movable[i])) * d.SiteW
 	}
 	for pass := 0; pass <= len(xs)+1; pass++ {
 		changed := false

@@ -73,7 +73,7 @@ type Report struct {
 	// Windows carries the fault-containment trace of a windowed run: how
 	// the job was partitioned and how many windows were resumed from the
 	// journal, retried, hedged, or degraded.
-	Windows *WindowStats `json:"windows,omitempty"`
+	Windows *window.Stats `json:"windows,omitempty"`
 
 	// Certificate is the sealed audit certificate, present when the run was
 	// audited (-audit locally, "audit": true on the wire, or a daemon
@@ -98,88 +98,6 @@ func (r *Report) SetStats(st *core.Stats) {
 	r.BuildMS = float64(st.BuildTime) / float64(time.Millisecond)
 	r.SolveMS = float64(st.SolveTime) / float64(time.Millisecond)
 	r.TetrisMS = float64(st.TetrisTime) / float64(time.Millisecond)
-}
-
-// WindowStats is the windowed-run supervision trace. Total == Solved +
-// Resumed on success; Resumed counts windows replayed from the write-ahead
-// journal instead of being re-solved.
-type WindowStats struct {
-	Total        int `json:"total"`
-	Solved       int `json:"solved"`
-	Resumed      int `json:"resumed,omitempty"`
-	Retries      int `json:"retries,omitempty"`
-	Panics       int `json:"panics,omitempty"`
-	HedgesIssued int `json:"hedges_issued,omitempty"`
-	HedgesWon    int `json:"hedges_won,omitempty"`
-	Degraded     int `json:"degraded,omitempty"`
-	// Exact carries the exact refinement post-pass trace, present when the
-	// run asked for it ("exact": K on the wire, -exact locally).
-	Exact *ExactStats `json:"exact,omitempty"`
-}
-
-// ExactStats is the exact refinement post-pass trace: how many of the
-// worst-displaced windows were re-solved with the branch-and-bound legalizer,
-// how many strictly improved or were proven optimal, and the per-window
-// measured optimality gaps.
-type ExactStats struct {
-	Selected int         `json:"selected"`
-	Improved int         `json:"improved"`
-	Proven   int         `json:"proven"`
-	Skipped  int         `json:"skipped,omitempty"`
-	MaxGap   float64     `json:"max_gap"`
-	Gaps     []WindowGap `json:"gaps,omitempty"`
-}
-
-// WindowGap is one refined window's measured outcome. Gap is the normalized
-// distance (cost − lower bound)/cost; Proven marks gaps that are exact (the
-// search space was exhausted) rather than budget-truncated.
-type WindowGap struct {
-	Window        int     `json:"window"`
-	Cells         int     `json:"cells"`
-	Gap           float64 `json:"gap"`
-	Proven        bool    `json:"proven"`
-	Improved      bool    `json:"improved"`
-	MaxDispBefore float64 `json:"max_disp_before"`
-	MaxDispAfter  float64 `json:"max_disp_after"`
-}
-
-// WindowsFromStats converts a windowed run's supervision stats into the wire
-// schema, exact refinement trace included. Both result surfaces (the mclgd
-// serving layer and the mclg CLI's local -windows path) go through here so
-// the schemas cannot drift.
-func WindowsFromStats(st *window.Stats) *WindowStats {
-	ws := &WindowStats{
-		Total:        st.Windows,
-		Solved:       st.Solved,
-		Resumed:      st.Resumed,
-		Retries:      st.Retries,
-		Panics:       st.Panics,
-		HedgesIssued: st.HedgesIssued,
-		HedgesWon:    st.HedgesWon,
-		Degraded:     st.Degraded,
-	}
-	if ex := st.Exact; ex != nil {
-		res := &ExactStats{
-			Selected: ex.Selected,
-			Improved: ex.Improved,
-			Proven:   ex.Proven,
-			Skipped:  ex.Skipped,
-			MaxGap:   ex.MaxGap,
-		}
-		for _, g := range ex.Gaps {
-			res.Gaps = append(res.Gaps, WindowGap{
-				Window:        g.Window,
-				Cells:         g.Cells,
-				Gap:           g.Gap,
-				Proven:        g.Proven,
-				Improved:      g.Improved,
-				MaxDispBefore: g.MaxDispBefore,
-				MaxDispAfter:  g.MaxDispAfter,
-			})
-		}
-		ws.Exact = res
-	}
-	return ws
 }
 
 // FromDesign measures the design's current placement into a Report. Solver

@@ -7,6 +7,7 @@ import (
 
 	"mclg/internal/core"
 	"mclg/internal/design"
+	"mclg/internal/window"
 )
 
 func mkDesign() *design.Design {
@@ -111,6 +112,34 @@ func TestSetStatsFinishFields(t *testing.T) {
 	for _, k := range []string{"finish", "finish_rounds", "finish_pcg_iters"} {
 		if _, ok := got[k]; ok {
 			t.Errorf("%s present although the finish did not run", k)
+		}
+	}
+}
+
+// TestWindowsJSON pins the wire form of the report's "windows" section,
+// which is window.Stats marshaled as is.
+func TestWindowsJSON(t *testing.T) {
+	for _, c := range []struct {
+		st   window.Stats
+		want string
+	}{
+		{window.Stats{Windows: 7, Solved: 5, Resumed: 2, Retries: 3, Panics: 1, HedgesIssued: 4, HedgesWon: 2, Degraded: 1,
+			Exact: &window.ExactStats{Selected: 2, Improved: 1, Proven: 1, Skipped: 1, MaxGap: 0.125,
+				Gaps: []window.WindowGap{{Window: 3, Cells: 12, Gap: 0.125, Proven: true, Improved: true, MaxDispBefore: 4, MaxDispAfter: 2.5}}}},
+			`{"total":7,"solved":5,"resumed":2,"retries":3,"panics":1,"hedges_issued":4,"hedges_won":2,"degraded":1,"exact":{"selected":2,"improved":1,"proven":1,"skipped":1,"max_gap":0.125,"gaps":[{"window":3,"cells":12,"gap":0.125,"proven":true,"improved":true,"max_disp_before":4,"max_disp_after":2.5}]}}`},
+		{window.Stats{Windows: 3, Solved: 3, Exact: &window.ExactStats{}},
+			`{"total":3,"solved":3,"exact":{"selected":0,"improved":0,"proven":0,"max_gap":0}}`},
+	} {
+		raw, err := json.Marshal(&Report{Windows: &c.st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct{ Windows json.RawMessage }
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Windows) != c.want {
+			t.Errorf("windows = %s\nwant      %s", got.Windows, c.want)
 		}
 	}
 }

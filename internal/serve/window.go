@@ -73,7 +73,7 @@ func (s *Server) solveWindowed(j *job, d *design.Design) (*report.Report, error)
 
 	s.stats.windowDone(st)
 	rep := report.FromDesign(d, j.req.Method, time.Since(t0))
-	rep.Windows = report.WindowsFromStats(st)
+	rep.Windows = st
 	rep.CapturePlacement(d)
 	return rep, nil
 }

@@ -60,7 +60,7 @@ func TestWindowedJob(t *testing.T) {
 	if ws == nil {
 		t.Fatal("windowed response carries no window stats")
 	}
-	if ws.Total < 2 || ws.Solved+ws.Resumed != ws.Total {
+	if ws.Windows < 2 || ws.Solved+ws.Resumed != ws.Windows {
 		t.Fatalf("window stats %+v: want multiple windows, all accounted for", ws)
 	}
 
@@ -98,7 +98,7 @@ func TestWindowsAllConfig(t *testing.T) {
 	if resp := post(t, ts.URL, &Request{Bench: "fft_2", Scale: 0.004}, &rep); resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d", resp.StatusCode)
 	}
-	if rep.Windows == nil || rep.Windows.Total < 2 {
+	if rep.Windows == nil || rep.Windows.Windows < 2 {
 		t.Fatalf("WindowsAll did not window an eligible job: %+v", rep.Windows)
 	}
 

@@ -4,7 +4,7 @@ import "mclg/internal/design"
 
 // BuildRun materializes a merged run of bands — typically the contiguous
 // dirty bands of an incremental (ECO) re-solve — as one independent
-// sub-design in buf, exactly as buildSub does for a single band: the union
+// sub-design in buf, exactly as BuildSub does for a single band: the union
 // of the bands' sub rows at their absolute coordinates, every cell owned by
 // any of the bands movable (re-IDed, global positions preserved), and every
 // other cell whose snapshot rectangle intersects the run frozen as fixed

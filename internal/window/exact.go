@@ -29,16 +29,16 @@ type WindowGap struct {
 
 // ExactStats reports the exact refinement post-pass.
 type ExactStats struct {
-	Selected int         `json:"selected"` // windows re-solved exactly
-	Improved int         `json:"improved"` // windows whose placement strictly improved
-	Proven   int         `json:"proven"`   // windows proven optimal (Gap == 0 and exhausted)
-	Skipped  int         `json:"skipped"`  // selected windows the solver could not finish
+	Selected int         `json:"selected"`          // windows re-solved exactly
+	Improved int         `json:"improved"`          // windows whose placement strictly improved
+	Proven   int         `json:"proven"`            // windows proven optimal (Gap == 0 and exhausted)
+	Skipped  int         `json:"skipped,omitempty"` // selected windows the solver could not finish
 	MaxGap   float64     `json:"max_gap"`
 	Gaps     []WindowGap `json:"gaps,omitempty"`
 }
 
 // buildSubCommitted materializes band b for post-stitch refinement: unlike
-// buildSub, which freezes foreign cells at the plan snapshot, every cell is
+// BuildSub, which freezes foreign cells at the plan snapshot, every cell is
 // taken at its committed position — the stitched placement is what the
 // refinement must coexist with. Cells in movable stay movable (current
 // position as the incumbent seed, GX/GY as the targets); everything else

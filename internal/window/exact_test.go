@@ -105,7 +105,7 @@ func TestExactRefineImprovesDegradedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	template := chaosSpec{PanicFrac: 0.2, MaxAttempt: hedgeAttempt * 2}
+	template := chaosSpec{PanicFrac: 0.2, MaxAttempt: HedgeAttempt * 2}
 	seed := chaosSeed(t, template, len(p.Bands), 1)
 
 	run := func(exactWindows int) (*Stats, *design.Design) {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/regress"
 )
@@ -249,8 +251,9 @@ func TestJournalSigMismatch(t *testing.T) {
 	}
 }
 
-// TestSigSensitivity pins what the content address covers: geometry, global
-// positions, and the window/solver parameters.
+// TestSigSensitivity pins what the content address covers of the plan:
+// geometry, global positions, and the window parameters. The solver
+// options are TestSigCoversEveryOption's.
 func TestSigSensitivity(t *testing.T) {
 	d := genDesign(t, "fft_2", 0.004)
 	opts := baseOptions(1)
@@ -266,12 +269,55 @@ func TestSigSensitivity(t *testing.T) {
 	if got := Sig(d2, opts.WindowRows, DefaultContextRows, opts.Core); got == base {
 		t.Fatalf("Sig ignores global positions")
 	}
-	// Workers must NOT change the signature: the placement is
-	// worker-count-independent, so a journal from a 1-worker run replays
-	// under 8 workers.
-	o8 := opts.Core
-	o8.Workers = 8
-	if got := Sig(d, opts.WindowRows, DefaultContextRows, o8); got != base {
-		t.Fatalf("Sig must be worker-count-independent")
+}
+
+// sigNeutral lists the core.Options fields Sig leaves out, with the reason.
+var sigNeutral = map[string]string{
+	// A journal from a 1-worker run replays under 8 workers.
+	"Workers": "bounds concurrent windows; placements are worker-count-independent",
+	"OnIter":  "a progress callback",
+}
+
+// TestSigCoversEveryOption sets each field of core.Options in turn and
+// requires Sig to change, unless the field is on sigNeutral, in which case
+// Sig must not change. A new option therefore fails here until Sig hashes
+// it or it is listed with its reason. Default options keep the signature
+// pinned below, so journals and ECO logs written under it still resume.
+func TestSigCoversEveryOption(t *testing.T) {
+	d := genDesign(t, "fft_2", 0.004)
+	const wantDefault = "e932ca71ecfb5326"
+	def := core.New(core.Options{}).Opts
+	base := Sig(d, 4, DefaultContextRows, def)
+	if got := fmt.Sprintf("%016x", base); got != wantDefault {
+		t.Fatalf("default-option Sig = %s, want %s", got, wantDefault)
+	}
+	seen := map[string]bool{}
+	rt := reflect.TypeOf(core.Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		ft := rt.Field(i)
+		seen[ft.Name] = true
+		in := def
+		f := reflect.ValueOf(&in).Elem().Field(i)
+		switch ft.Type.Kind() {
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.375)
+		case reflect.Int:
+			f.SetInt(f.Int() + 7)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(ft.Type, func([]reflect.Value) []reflect.Value { return nil }))
+		default:
+			t.Fatalf("%s: no test value for kind %s", ft.Name, ft.Type.Kind())
+		}
+		changed := Sig(d, 4, DefaultContextRows, in) != base
+		if _, neutral := sigNeutral[ft.Name]; neutral == changed {
+			t.Errorf("%s: Sig changed = %v, want %v", ft.Name, changed, !neutral)
+		}
+	}
+	for name := range sigNeutral {
+		if !seen[name] {
+			t.Errorf("sigNeutral lists %s, which is not a field", name)
+		}
 	}
 }

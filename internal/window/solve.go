@@ -32,9 +32,12 @@ type Result struct {
 	Degraded bool
 }
 
-// buildSub materializes band b as an independent sub-design in fresh
-// storage; see SubBuf.build.
-func buildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
+// BuildSub materializes band b of plan p as an independent sub-design in
+// fresh storage (see SubBuf.build), for a local solve or for shipping to a
+// cluster worker. The returned idx maps sub cell index to full-design cell ID
+// for owned (movable) cells and is -1 for frozen context cells. The
+// sub-design carries no nets; window solves are displacement-driven.
+func BuildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 	return new(SubBuf).build(d, p, b)
 }
 
@@ -137,9 +140,9 @@ func (buf *SubBuf) build(d *design.Design, p *Plan, b *Band) (*design.Design, []
 	return sub, idx
 }
 
-// poisonSub corrupts a sub-design clone with a NaN global position — the
-// chaos harness's numerical fault. It touches only the attempt's private
-// clone, so a retry rebuilds a clean sub-design.
+// poisonSub corrupts a sub-design with a NaN global position — the chaos
+// harness's numerical fault. It touches only the attempt's private
+// sub-design, so a retry rebuilds a clean one.
 func poisonSub(sub *design.Design) {
 	for _, c := range sub.Cells {
 		if !c.Fixed {
@@ -150,15 +153,16 @@ func poisonSub(sub *design.Design) {
 	}
 }
 
-// solveSub runs one clean solve of band b through the resilient cascade and
-// returns the owned-cell positions. The cascade verifies window-level
-// legality before committing, so a returned Result is checker-verified
-// within the window.
-func solveSub(ctx context.Context, sub *design.Design, idx []int, b *Band, opts core.Options) (*Result, error) {
+// SolveSub runs one clean solve of window w's sub-design (built by BuildSub,
+// here or on a remote worker after decoding it from the wire) through the
+// resilient cascade and returns the owned-cell positions. The cascade
+// verifies window-level legality before committing, so a returned Result is
+// checker-verified within the window.
+func SolveSub(ctx context.Context, sub *design.Design, idx []int, w int, opts core.Options) (*Result, error) {
 	if _, err := core.NewResilient(opts).LegalizeContext(ctx, sub); err != nil {
 		return nil, err
 	}
-	return &Result{Window: b.Index, Cells: AppendOwned(nil, sub, idx)}, nil
+	return &Result{Window: w, Cells: AppendOwned(nil, sub, idx)}, nil
 }
 
 // AppendOwned appends to out the positions of a solved sub-design's owned
@@ -174,20 +178,26 @@ func AppendOwned(out []CellPos, sub *design.Design, idx []int) []CellPos {
 	return out
 }
 
+// ApplyCells writes each position in cells, flip included, onto the cell of
+// d it names.
+func ApplyCells(d *design.Design, cells []CellPos) {
+	for _, cp := range cells {
+		c := d.Cells[cp.ID]
+		c.X, c.Y, c.Flipped = cp.X, cp.Y, cp.Flipped
+	}
+}
+
 // degradeSub is the terminal per-window fallback: the greedy cell-by-cell
 // legalizer on a fresh sub-design, and if even that fails, the plan's
 // snapshot positions. Either way the window yields a deterministic Degraded
 // result instead of failing the job; the stitch pass repairs what it can and
 // the final whole-design legality check still gates the commit.
 func degradeSub(ctx context.Context, d *design.Design, p *Plan, b *Band) *Result {
-	sub, idx := buildSub(d, p, b)
+	sub, idx := BuildSub(d, p, b)
 	if err := sub.Validate(); err == nil {
-		work := sub.Clone()
-		work.ResetToGlobal()
-		if err := chow.LegalizeContext(ctx, work); err == nil {
-			if design.IsLegal(work) {
-				return &Result{Window: b.Index, Degraded: true, Cells: AppendOwned(nil, work, idx)}
-			}
+		sub.ResetToGlobal()
+		if err := chow.LegalizeContext(ctx, sub); err == nil && design.IsLegal(sub) {
+			return &Result{Window: b.Index, Degraded: true, Cells: AppendOwned(nil, sub, idx)}
 		}
 	}
 	res := &Result{Window: b.Index, Degraded: true}
@@ -218,10 +228,7 @@ func stitchLabeled(ctx context.Context, d *design.Design, results []*Result) err
 		if res == nil {
 			return mclgerr.Invalidf("window: missing result during stitch")
 		}
-		for _, cp := range res.Cells {
-			c := work.Cells[cp.ID]
-			c.X, c.Y, c.Flipped = cp.X, cp.Y, cp.Flipped
-		}
+		ApplyCells(work, res.Cells)
 	}
 	tres, err := tetris.AllocateContext(ctx, work)
 	if err != nil {

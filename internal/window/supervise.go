@@ -14,10 +14,12 @@ import (
 	"mclg/internal/mclgerr"
 )
 
-// hedgeAttempt is the attempt index hedge solves run under. It is far past
-// any retry budget so the chaos harness (which gates on attempt < MaxAttempt)
-// never sabotages a hedge: the hedge is the clean second opinion.
-const hedgeAttempt = 1 << 20
+// HedgeAttempt is the attempt index hedge solves run under, and so the one
+// Options.SolveWindow receives for them: a remote dispatcher can tell hedges
+// from retries and route them to a different worker. It is far past any retry
+// budget so the chaos harness (which gates on attempt < MaxAttempt) never
+// sabotages a hedge: the hedge is the clean second opinion.
+const HedgeAttempt = 1 << 20
 
 // Partition parameters, exported so callers that need the resolved values
 // up front (e.g. to compute Sig for a journal before Legalize runs) agree
@@ -116,45 +118,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats reports one windowed run. Solved + Resumed == Windows on success;
-// Resumed counts journal replays, Solved counts windows solved this run.
+// Stats reports one windowed run; its JSON form is the "windows" section of
+// the report schema. Solved + Resumed == Windows on success; Resumed counts
+// journal replays, Solved counts windows solved this run.
 type Stats struct {
-	Windows      int
-	Solved       int
-	Resumed      int
-	Retries      int
-	Panics       int
-	HedgesIssued int
-	HedgesWon    int
-	Degraded     int
+	Windows      int `json:"total"`
+	Solved       int `json:"solved"`
+	Resumed      int `json:"resumed,omitempty"`
+	Retries      int `json:"retries,omitempty"`
+	Panics       int `json:"panics,omitempty"`
+	HedgesIssued int `json:"hedges_issued,omitempty"`
+	HedgesWon    int `json:"hedges_won,omitempty"`
+	Degraded     int `json:"degraded,omitempty"`
 	// Exact reports the exact refinement post-pass; nil unless
 	// Options.ExactWindows enabled it.
-	Exact *ExactStats
+	Exact *ExactStats `json:"exact,omitempty"`
 }
 
-// supervisor drives one windowed run.
+// supervisor drives one windowed run. mu guards stats, hedging and every
+// windowState.
 type supervisor struct {
-	d    *design.Design
-	plan *Plan
-	opts Options
-	ctx  context.Context // the job context; hedges are bounded by it
+	d      *design.Design
+	plan   *Plan
+	opts   Options
+	states []windowState
 
-	mu        sync.Mutex
-	stats     Stats
-	completed int
-	hedging   bool // threshold crossed; new commits no longer re-check
+	mu      sync.Mutex
+	stats   Stats
+	hedging bool // the hedge threshold has been crossed
 
 	hedgeWG sync.WaitGroup
-	states  []*windowState
 }
 
+// windowState is one window's commit slot. Committing the window cancels
+// ctx, which stops its primary attempt, its backoff wait and its hedge.
 type windowState struct {
-	mu        sync.Mutex
+	ctx       context.Context
+	cancel    context.CancelFunc
 	committed *Result
 	started   bool
-	hedged    bool
-	hedgeDone chan struct{} // closed when the hedge attempt finishes
-	cancels   []context.CancelFunc
+	hedge     chan struct{} // non-nil once a hedge launched; closed when it returns
 }
 
 // Legalize partitions d into windows, solves every window under supervision
@@ -172,63 +175,42 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 	if err != nil {
 		return nil, err
 	}
-	s := &supervisor{d: d, plan: plan, opts: opts, ctx: ctx}
+	s := &supervisor{d: d, plan: plan, opts: opts, states: make([]windowState, len(plan.Bands))}
 	s.stats.Windows = len(plan.Bands)
-	s.states = make([]*windowState, len(plan.Bands))
+	// Every window's context descends from run, so returning cancels them all.
+	run, stop := context.WithCancel(ctx)
+	defer stop()
+	// A journaled window is a commit without a solve; the rest queue up.
+	pending := make(chan int, len(plan.Bands))
 	for i := range s.states {
-		s.states[i] = &windowState{hedgeDone: make(chan struct{})}
-	}
-
-	// Replay journaled windows before solving anything: a resumed window is
-	// a commit without a solve.
-	if opts.Journal != nil {
-		for i := range plan.Bands {
+		st := &s.states[i]
+		st.ctx, st.cancel = context.WithCancel(run)
+		if opts.Journal != nil {
 			if cells, ok := opts.Journal.Lookup(i); ok {
-				s.states[i].committed = &Result{Window: i, Cells: cells}
-				s.mu.Lock()
-				s.completed++
+				st.committed = &Result{Window: i, Cells: cells}
 				s.stats.Resumed++
-				s.mu.Unlock()
+				continue
 			}
 		}
+		pending <- i
 	}
+	close(pending)
 
 	workers := opts.Core.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var pending []int
-	for i := range plan.Bands {
-		if s.states[i].committed == nil {
-			pending = append(pending, i)
-		}
+	var wg sync.WaitGroup
+	for range min(workers, len(pending)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for wi := range pending {
+				s.runPrimary(wi)
+			}
+		}()
 	}
-	if len(pending) > 0 {
-		var wg sync.WaitGroup
-		var next int
-		var nmu sync.Mutex
-		n := workers
-		if n > len(pending) {
-			n = len(pending)
-		}
-		for g := 0; g < n; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					nmu.Lock()
-					k := next
-					next++
-					nmu.Unlock()
-					if k >= len(pending) {
-						return
-					}
-					s.runPrimary(ctx, pending[k])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	wg.Wait()
 	// Losing hedges are canceled at commit time, but their goroutines must
 	// fully exit before the run returns: no goroutine outlives Legalize.
 	s.hedgeWG.Wait()
@@ -257,161 +239,121 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 	return &st, nil
 }
 
-// attempt runs one solve attempt of window wi with panic containment, the
-// per-attempt deadline, and chaos injection.
-func (s *supervisor) attempt(ctx context.Context, wi, attemptIdx int) (res *Result, err error) {
+// attempt runs one solve attempt of window wi under the window's context
+// with panic containment, the per-attempt deadline, and chaos injection.
+func (s *supervisor) attempt(wi, attemptIdx int) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, mclgerr.Stage("window", mclgerr.Panicked(r))
 		}
 	}()
-	actx := ctx
+	ctx := s.states[wi].ctx
 	if s.opts.WindowTimeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, s.opts.WindowTimeout)
+		ctx, cancel = context.WithTimeout(ctx, s.opts.WindowTimeout)
 		defer cancel()
 	}
-	s.states[wi].addCancelContext(&actx)
 	if s.opts.SolveWindow != nil {
-		return s.opts.SolveWindow(actx, s.d, s.plan, wi, attemptIdx)
+		return s.opts.SolveWindow(ctx, s.d, s.plan, wi, attemptIdx)
 	}
-	b := &s.plan.Bands[wi]
-	sub, idx := buildSub(s.d, s.plan, b)
+	sub, idx := BuildSub(s.d, s.plan, &s.plan.Bands[wi])
 	if s.opts.Chaos != nil {
-		if err := s.opts.Chaos.Inject(actx, wi, attemptIdx, func() { poisonSub(sub) }); err != nil {
+		if err := s.opts.Chaos.Inject(ctx, wi, attemptIdx, func() { poisonSub(sub) }); err != nil {
 			return nil, mclgerr.Canceled(err)
 		}
 	}
-	return solveSub(actx, sub, idx, b, s.opts.Core)
-}
-
-// addCancelContext wraps *pctx with a cancel the commit path can fire, so a
-// window's losing attempts (primary vs hedge) stop promptly once a result is
-// committed.
-func (st *windowState) addCancelContext(pctx *context.Context) {
-	c, cancel := context.WithCancel(*pctx)
-	*pctx = c
-	st.mu.Lock()
-	if st.committed != nil {
-		cancel()
-	} else {
-		st.cancels = append(st.cancels, cancel)
-	}
-	st.mu.Unlock()
+	return SolveSub(ctx, sub, idx, wi, s.opts.Core)
 }
 
 // runPrimary is the supervised solve of one window: bounded retries with
 // exponential backoff, then (if a hedge is in flight) deferring to the
-// hedge, then degradation. Degradation is reached only when every attempt —
-// primary and hedge — has failed, so whether a run degrades is deterministic
-// even though attempt scheduling is not.
-func (s *supervisor) runPrimary(ctx context.Context, wi int) {
-	st := s.states[wi]
-	st.mu.Lock()
+// hedge, then degradation. Each step ends as soon as the window commits.
+func (s *supervisor) runPrimary(wi int) {
+	st := &s.states[wi]
+	s.mu.Lock()
 	st.started = true
-	launchHedge := s.hedgingActive() && !st.hedged && st.committed == nil
-	if launchHedge {
-		st.hedged = true
+	if s.hedging {
+		// The threshold was crossed before this window started (possible
+		// when the queue is long); hedge it from the start.
+		s.launchHedge(wi)
 	}
-	st.mu.Unlock()
-	if launchHedge {
-		// The hedge window opened before this straggler even started
-		// (possible when the queue is long); run the hedge alongside.
-		s.hedgeWG.Add(1)
-		go s.runHedge(ctx, wi)
-	} else {
-		defer st.closeHedgeIfUnlaunched()
-	}
+	s.mu.Unlock()
 
-	attempts := 1 + s.opts.MaxRetries
-	for a := 0; a < attempts; a++ {
-		if st.isCommitted() || ctx.Err() != nil {
-			return
-		}
+	for a := 0; a <= s.opts.MaxRetries; a++ {
 		if a > 0 {
-			s.addRetry()
+			s.count(&s.stats.Retries)
 			backoff := time.Duration(float64(s.opts.RetryBackoff) * math.Pow(2, float64(a-1)))
 			select {
 			case <-time.After(backoff):
-			case <-ctx.Done():
+			case <-st.ctx.Done():
 				return
 			}
 		}
-		res, err := s.attempt(ctx, wi, a)
+		res, err := s.attempt(wi, a)
 		if err == nil {
 			s.commit(wi, res, false)
 			return
 		}
 		if errors.Is(err, mclgerr.ErrPanic) {
-			s.addPanic()
+			s.count(&s.stats.Panics)
 		}
-		if ctx.Err() != nil {
+		if st.ctx.Err() != nil {
 			return
 		}
 	}
 
 	// Retries exhausted. If a hedge is racing, its clean result is still
-	// the preferred outcome — wait for it before degrading.
-	if st.hedgeLaunched() {
+	// the preferred outcome: wait for it before degrading.
+	s.mu.Lock()
+	hedge := st.hedge
+	s.mu.Unlock()
+	if hedge != nil {
 		select {
-		case <-st.hedgeDone:
-		case <-ctx.Done():
-			return
-		}
-		if st.isCommitted() {
-			return
+		case <-hedge:
+		case <-st.ctx.Done():
 		}
 	}
-	if ctx.Err() != nil {
+	if st.ctx.Err() != nil {
 		return
 	}
-	s.commit(wi, degradeSub(ctx, s.d, s.plan, &s.plan.Bands[wi]), false)
+	s.commit(wi, degradeSub(st.ctx, s.d, s.plan, &s.plan.Bands[wi]), false)
 }
 
-// runHedge runs the clean re-issue of a straggling window. First verified
-// result (hedge or primary) wins; both compute identical placements.
-func (s *supervisor) runHedge(ctx context.Context, wi int) {
-	st := s.states[wi]
-	defer s.hedgeWG.Done()
-	defer close(st.hedgeDone)
-	s.addHedgeIssued()
-	if st.isCommitted() || ctx.Err() != nil {
+// launchHedge re-issues window wi on a spare goroutine if it has started, is
+// uncommitted, has no hedge yet and its context is live. The caller holds
+// s.mu.
+func (s *supervisor) launchHedge(wi int) {
+	st := &s.states[wi]
+	if !st.started || st.committed != nil || st.hedge != nil || st.ctx.Err() != nil {
 		return
 	}
-	res, err := s.attempt(ctx, wi, hedgeAttempt)
-	if err != nil {
-		return
-	}
-	s.commit(wi, res, true)
+	done := make(chan struct{})
+	st.hedge = done
+	s.stats.HedgesIssued++
+	s.hedgeWG.Add(1)
+	go func() {
+		defer s.hedgeWG.Done()
+		defer close(done)
+		if res, err := s.attempt(wi, HedgeAttempt); err == nil {
+			s.commit(wi, res, true)
+		}
+	}()
 }
 
 // commit records the first verified result for a window, cancels the
-// window's other in-flight attempts, journals the result, and — when the
-// completion count crosses the hedge threshold — launches hedges for every
-// straggler still in flight.
+// window's context (stopping its other attempts), journals the result, and,
+// when the completion count crosses the hedge threshold, hedges every
+// straggler still in flight. Later results for the window are dropped; both
+// attempts compute identical placements.
 func (s *supervisor) commit(wi int, res *Result, fromHedge bool) {
-	st := s.states[wi]
-	st.mu.Lock()
+	st := &s.states[wi]
+	s.mu.Lock()
 	if st.committed != nil {
-		st.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	st.committed = res
-	cancels := st.cancels
-	st.cancels = nil
-	st.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-
-	if s.opts.Journal != nil && !res.Degraded {
-		// Journal errors are non-fatal: the journal is an optimization for
-		// restart, never a correctness dependency.
-		_ = s.opts.Journal.Record(wi, res.Cells)
-	}
-
-	s.mu.Lock()
-	s.completed++
+	st.cancel()
 	s.stats.Solved++
 	if res.Degraded {
 		s.stats.Degraded++
@@ -419,62 +361,25 @@ func (s *supervisor) commit(wi int, res *Result, fromHedge bool) {
 	if fromHedge {
 		s.stats.HedgesWon++
 	}
-	crossed := !s.hedging && s.opts.HedgeQuantile > 0 &&
-		float64(s.completed) >= s.opts.HedgeQuantile*float64(s.stats.Windows)
-	if crossed {
+	done := s.stats.Solved + s.stats.Resumed
+	if !s.hedging && s.opts.HedgeQuantile > 0 && float64(done) >= s.opts.HedgeQuantile*float64(s.stats.Windows) {
 		s.hedging = true
+		for i := range s.states {
+			s.launchHedge(i)
+		}
 	}
 	s.mu.Unlock()
 
-	if crossed {
-		for i, other := range s.states {
-			other.mu.Lock()
-			launch := other.started && other.committed == nil && !other.hedged
-			if launch {
-				other.hedged = true
-			}
-			other.mu.Unlock()
-			if launch {
-				s.hedgeWG.Add(1)
-				go s.runHedge(s.ctx, i)
-			}
-		}
+	if s.opts.Journal != nil && !res.Degraded {
+		// Journal errors are non-fatal: the journal is an optimization for
+		// restart, never a correctness dependency.
+		_ = s.opts.Journal.Record(wi, res.Cells)
 	}
 }
 
-func (s *supervisor) hedgingActive() bool {
+// count increments one of the supervisor's counters.
+func (s *supervisor) count(n *int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hedging
-}
-
-func (s *supervisor) addRetry()       { s.mu.Lock(); s.stats.Retries++; s.mu.Unlock() }
-func (s *supervisor) addPanic()       { s.mu.Lock(); s.stats.Panics++; s.mu.Unlock() }
-func (s *supervisor) addHedgeIssued() { s.mu.Lock(); s.stats.HedgesIssued++; s.mu.Unlock() }
-
-func (st *windowState) isCommitted() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.committed != nil
-}
-
-func (st *windowState) hedgeLaunched() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.hedged
-}
-
-// closeHedgeIfUnlaunched closes hedgeDone for windows that never hedged, so
-// nothing can block on it after the primary returns.
-func (st *windowState) closeHedgeIfUnlaunched() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.hedged {
-		st.hedged = true // prevents a late hedge from double-closing
-		select {
-		case <-st.hedgeDone:
-		default:
-			close(st.hedgeDone)
-		}
-	}
+	*n++
+	s.mu.Unlock()
 }

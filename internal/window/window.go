@@ -172,10 +172,11 @@ func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error 
 
 // Sig content-addresses the plan: a FNV-1a hash of everything a window
 // result depends on — core geometry, row structure, every cell's shape and
-// global position, fixed placements, the window parameters, and the solver
-// constants. Two jobs with equal Sig produce bit-identical window results,
-// which is what licenses replaying journaled windows across a daemon
-// restart.
+// global position, fixed placements, the window parameters, and every solver
+// option but Workers and OnIter, which never change a placement. Two jobs
+// with equal Sig produce bit-identical window results, which is what
+// licenses replaying journaled windows across a daemon restart and sharing
+// cached window results between jobs.
 func Sig(d *design.Design, windowRows, contextRows int, base core.Options) uint64 {
 	h := fnv.New64a()
 	f := func(v float64) {
@@ -195,6 +196,17 @@ func Sig(d *design.Design, windowRows, contextRows int, base core.Options) uint6
 	f(base.Gamma)
 	f(base.Eps)
 	i(base.MaxIter)
+	// The other options enter only when set, each behind its own tag: with
+	// defaults the hash covers exactly the six constants above, which keeps
+	// default-option journals and ECO logs resumable.
+	for tag, v := range []float64{base.ResidualTol, b2f(base.AutoTheta), base.OmegaR,
+		b2f(base.ScaledOmegaX), b2f(base.BoundRight), b2f(base.SkipTetris),
+		b2f(base.ColdStart), b2f(base.MMSIMOnly)} {
+		if v != 0 {
+			i(-1 - tag)
+			f(v)
+		}
+	}
 	f(d.RowHeight)
 	f(d.SiteW)
 	f(d.Core.Lo.X)
@@ -226,4 +238,11 @@ func Sig(d *design.Design, windowRows, contextRows int, base core.Options) uint6
 		}
 	}
 	return h.Sum64()
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

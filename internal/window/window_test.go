@@ -2,7 +2,9 @@ package window
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -242,7 +244,7 @@ func TestPersistentFaultDegradesWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	template := chaosSpec{PanicFrac: 0.2, MaxAttempt: hedgeAttempt * 2}
+	template := chaosSpec{PanicFrac: 0.2, MaxAttempt: HedgeAttempt * 2}
 	seed := chaosSeed(t, template, len(p.Bands), 1)
 
 	opts := baseOptions(2)
@@ -281,7 +283,7 @@ func TestHedgeWinsOverStalledPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	// Persistent stall on primary attempts only (MaxAttempt ≪ hedgeAttempt).
+	// Persistent stall on primary attempts only (MaxAttempt ≪ HedgeAttempt).
 	template := chaosSpec{StallFrac: 0.2, MaxAttempt: 64}
 	seed := chaosSeed(t, template, len(p.Bands), 1)
 
@@ -349,6 +351,120 @@ func TestHedgeCancelsStalledLoser(t *testing.T) {
 	if elapsed > 30*time.Second {
 		t.Fatalf("stalled loser not canceled at commit: run took %v with a %v window timeout",
 			elapsed, opts.WindowTimeout)
+	}
+	if rep := design.CheckLegal(d); !rep.Legal() {
+		t.Fatalf("placement illegal: %s", rep.String())
+	}
+	if h := regress.PositionHash(d); h != wantHash {
+		t.Fatalf("hash %s != fault-free hash %s", h, wantHash)
+	}
+	check()
+}
+
+// solveClean is a SolveWindow hook's clean local solve of window w.
+func solveClean(ctx context.Context, d *design.Design, p *Plan, w int, opts core.Options) (*Result, error) {
+	sub, idx := BuildSub(d, p, &p.Bands[w])
+	return SolveSub(ctx, sub, idx, w, opts)
+}
+
+// TestExhaustedPrimaryAwaitsHedge pins the wait before degradation: window
+// 0's primary attempts fail only once its hedge has launched, and the hedge
+// succeeds a little later. A primary whose retries run out while its hedge
+// is in flight must wait for the hedge instead of degrading, so nothing
+// degrades and the placement is the fault-free one.
+func TestExhaustedPrimaryAwaitsHedge(t *testing.T) {
+	check := leakCheck(t)
+	clean := genDesign(t, "fft_2", 0.004)
+	if _, err := Legalize(context.Background(), clean, baseOptions(2)); err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	wantHash := regress.PositionHash(clean)
+
+	opts := baseOptions(2)
+	opts.RetryBackoff = time.Millisecond
+	opts.HedgeQuantile = 0.5
+	base := opts.Core
+	hedged := make(chan struct{})
+	var once sync.Once
+	opts.SolveWindow = func(ctx context.Context, d *design.Design, p *Plan, w, attempt int) (*Result, error) {
+		switch {
+		case w != 0 && attempt == HedgeAttempt:
+			return nil, errors.New("only window 0's hedge may win")
+		case w != 0:
+			return solveClean(ctx, d, p, w, base)
+		case attempt == HedgeAttempt:
+			once.Do(func() { close(hedged) })
+			select {
+			case <-time.After(200 * time.Millisecond):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return solveClean(ctx, d, p, w, base)
+		}
+		select {
+		case <-hedged:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return nil, errors.New("primary fails after its hedge launched")
+	}
+	d := genDesign(t, "fft_2", 0.004)
+	st, err := Legalize(context.Background(), d, opts)
+	if err != nil {
+		t.Fatalf("Legalize: %v", err)
+	}
+	if st.Degraded != 0 || st.HedgesWon != 1 {
+		t.Fatalf("want the hedge to win window 0 with nothing degraded, stats %+v", st)
+	}
+	if rep := design.CheckLegal(d); !rep.Legal() {
+		t.Fatalf("placement illegal: %s", rep.String())
+	}
+	if h := regress.PositionHash(d); h != wantHash {
+		t.Fatalf("hash %s != fault-free hash %s", h, wantHash)
+	}
+	check()
+}
+
+// TestLateStartingWindowIsHedged pins the start-time hedge: with one worker
+// and a threshold the first commit crosses, every later window starts after
+// hedging began. Their primaries block until canceled, so only a hedge
+// launched when the window starts can finish them.
+func TestLateStartingWindowIsHedged(t *testing.T) {
+	check := leakCheck(t)
+	clean := genDesign(t, "fft_2", 0.004)
+	if _, err := Legalize(context.Background(), clean, baseOptions(1)); err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	wantHash := regress.PositionHash(clean)
+
+	d := genDesign(t, "fft_2", 0.004)
+	p, err := Partition(d, 4, 2)
+	if err != nil {
+		t.Fatalf("Partition: %v", err)
+	}
+	opts := baseOptions(1)
+	opts.WindowTimeout = 10 * time.Minute // the deadline must never unblock a primary
+	opts.HedgeQuantile = 0.5 / float64(len(p.Bands))
+	base := opts.Core
+	opts.SolveWindow = func(ctx context.Context, d *design.Design, p *Plan, w, attempt int) (*Result, error) {
+		if w == 0 || attempt == HedgeAttempt {
+			return solveClean(ctx, d, p, w, base)
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	t0 := time.Now()
+	st, err := Legalize(ctx, d, opts)
+	if err != nil {
+		t.Fatalf("Legalize: %v", err)
+	}
+	if elapsed := time.Since(t0); elapsed > 10*time.Second {
+		t.Fatalf("late windows were not hedged at start: run took %v", elapsed)
+	}
+	if want := st.Windows - 1; want < 1 || st.HedgesIssued != want || st.HedgesWon != want {
+		t.Fatalf("want every window after the first won by its hedge, stats %+v", st)
 	}
 	if rep := design.CheckLegal(d); !rep.Legal() {
 		t.Fatalf("placement illegal: %s", rep.String())
