@@ -21,10 +21,8 @@ import (
 // a daemon advertising a longer wait is treated as too busy to wait out.
 const maxRetryWait = 60 * time.Second
 
-// submitRemote sends the run described by the CLI flags to an mclgd daemon
-// instead of solving locally, and returns the daemon's report. For -aux
-// inputs the Bookshelf component files are inlined into the request body,
-// so the daemon needs no filesystem access to the design.
+// submitRemote sends the job to an mclgd daemon instead of solving locally,
+// and returns the daemon's report.
 //
 // A 429 (queue full or tenant rate-limited) is retried up to retries times,
 // honoring the daemon's Retry-After hint plus up to 25% jitter so a herd of
@@ -90,44 +88,27 @@ func retryWait(header string, attempt int) time.Duration {
 	return base + time.Duration(rand.Int64N(int64(base)/4+1))
 }
 
-// remoteRequest translates the CLI flags into a serve.Request. aux designs
-// are uploaded inline; bench designs travel by name.
-func remoteRequest(auxPath, bench string, scale float64, method string, resilient, auditRun bool,
-	opts serve.OptionsJSON, timeout time.Duration, wantPlacement bool) (*serve.Request, error) {
-	req := &serve.Request{
-		Method:           method,
-		Resilient:        resilient,
-		Audit:            auditRun,
-		Options:          &opts,
-		IncludePlacement: wantPlacement,
+// readUpload reads the Bookshelf components an .aux file names, keyed as a
+// request's files upload, so the daemon needs no filesystem access to the
+// design.
+func readUpload(auxPath string) (map[string]string, error) {
+	files, err := bookshelf.ReadAux(auxPath)
+	if err != nil {
+		return nil, err
 	}
-	if timeout > 0 {
-		req.TimeoutMS = int64(timeout / time.Millisecond)
-	}
-	switch {
-	case auxPath != "":
-		files, err := bookshelf.ReadAux(auxPath)
+	up := map[string]string{}
+	for comp, path := range map[string]string{
+		"nodes": files.Nodes, "nets": files.Nets, "pl": files.Pl,
+		"scl": files.Scl, "wts": files.Wts,
+	} {
+		if path == "" {
+			continue
+		}
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		req.Files = map[string]string{}
-		for comp, path := range map[string]string{
-			"nodes": files.Nodes, "nets": files.Nets, "pl": files.Pl,
-			"scl": files.Scl, "wts": files.Wts,
-		} {
-			if path == "" {
-				continue
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			req.Files[comp] = string(raw)
-		}
-	case bench != "":
-		req.Bench, req.Scale = bench, scale
-	default:
-		return nil, fmt.Errorf("one of -aux or -bench is required")
+		up[comp] = string(raw)
 	}
-	return req, nil
+	return up, nil
 }

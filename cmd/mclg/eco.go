@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"mclg/internal/audit"
-	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/eco"
 	"mclg/internal/serve/report"
@@ -59,7 +58,7 @@ func loadDeltas(path string) ([][]eco.Delta, error) {
 // runEco drives a whole ECO session locally: create, apply every batch,
 // commit (certify), close. Exit status 1 if the certificate fails.
 func runEco(ctx context.Context, d *design.Design, ecoPath string,
-	opts core.Options, windowRows int, jsonOut bool, outPath string) {
+	opts eco.Options, jsonOut bool, outPath string) {
 	batches, err := loadDeltas(ecoPath)
 	if err != nil {
 		fatal(err)
@@ -69,7 +68,7 @@ func runEco(ctx context.Context, d *design.Design, ecoPath string,
 	}
 
 	t0 := time.Now()
-	s, err := eco.Create(ctx, "cli", d, eco.Options{Core: opts, WindowRows: windowRows})
+	s, err := eco.Create(ctx, "cli", d, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,11 +103,7 @@ func runEco(ctx context.Context, d *design.Design, ecoPath string,
 	fmt.Fprintf(info, "%s\n", cert.Summary())
 
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&ecoReport{Report: rep, Applies: applies, Certificate: cert}); err != nil {
-			fatal(err)
-		}
+		printJSON(&ecoReport{Report: rep, Applies: applies, Certificate: cert})
 	}
 	if outPath != "" {
 		writeLegalized(final, outPath)

@@ -5,7 +5,9 @@
 // written back as Bookshelf (-out) and quality metrics are printed; -json
 // swaps the human summary for the machine-readable report schema shared
 // with the mclgd daemon. With -server the job is submitted to a running
-// mclgd instead of being solved locally.
+// mclgd instead of being solved locally. Either way the flags describe the
+// job as the daemon's request (serve.Request): it is checked by the
+// daemon's rules and solved by the same legalizer switch.
 //
 //	mclg -bench fft_2 -scale 0.01
 //	mclg -aux design.aux -method ours -out legal.aux
@@ -16,6 +18,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,14 +28,11 @@ import (
 	"syscall"
 	"time"
 
-	"mclg/internal/audit"
-	"mclg/internal/baselines"
 	"mclg/internal/bookshelf"
-	"mclg/internal/core"
 	"mclg/internal/design"
+	"mclg/internal/eco"
 	"mclg/internal/gen"
 	"mclg/internal/gp"
-	"mclg/internal/metrics"
 	"mclg/internal/refine"
 	"mclg/internal/serve"
 	"mclg/internal/serve/report"
@@ -43,105 +43,133 @@ import (
 // -json so stdout carries exactly one JSON document.
 var info io.Writer = os.Stdout
 
+// cli is the parsed command line: the job as a daemon request, plus the
+// stages and outputs only mclg has.
+type cli struct {
+	req        serve.Request
+	aux        string
+	windowRows int // the windowed job's band height, or with -eco the session's
+	out        string
+	refine     string
+	eco        string
+	server     string
+	retry      int
+	timeout    time.Duration
+	check      bool
+	gp         bool
+	verbose    bool
+	json       bool
+}
+
+// parseArgs reads the command line into a cli.
+func parseArgs(fs *flag.FlagSet, args []string) (*cli, error) {
+	c := &cli{}
+	o := &serve.OptionsJSON{}
+	c.req.Options = o
+	fs.StringVar(&c.aux, "aux", "", "Bookshelf .aux input file")
+	fs.StringVar(&c.req.Bench, "bench", "", "synthetic suite benchmark name (e.g. fft_2)")
+	fs.Float64Var(&c.req.Scale, "scale", 0.01, "suite scale factor (1 = paper-size)")
+	fs.StringVar(&c.req.Method, "method", "ours", "legalizer: ours | dac16 | dac16imp | aspdac17")
+	fs.StringVar(&c.out, "out", "", "write legalized placement as Bookshelf .aux")
+	fs.Float64Var(&o.Lambda, "lambda", 1000, "subcell equality penalty λ")
+	fs.Float64Var(&o.Beta, "beta", 0.5, "MMSIM splitting constant β*")
+	fs.Float64Var(&o.Theta, "theta", 0.5, "MMSIM splitting constant θ*")
+	fs.Float64Var(&o.Eps, "eps", 1e-4, "MMSIM convergence tolerance")
+	fs.BoolVar(&o.AutoTheta, "autotheta", false, "clamp θ* below the Theorem-2 bound")
+	fs.StringVar(&c.refine, "refine", "", "post-legalization refinement objective: disp | hpwl")
+	fs.BoolVar(&c.check, "check", false, "only check legality of the input placement and exit")
+	fs.BoolVar(&o.BoundRight, "boundright", false, "solve with exact right-boundary constraints (extension)")
+	fs.BoolVar(&c.gp, "gp", false, "re-derive the global placement from the netlist (internal/gp) before legalizing")
+	fs.BoolVar(&c.verbose, "v", false, "print per-stage details")
+	fs.DurationVar(&c.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
+	fs.BoolVar(&c.req.Resilient, "resilient", false, "with -method ours: run the fallback cascade (mmsim -> retuned -> pgs -> greedy)")
+	fs.IntVar(&o.Workers, "workers", 0, "windows solved at once with -windows: 0 = all cores; every other solve runs on one goroutine (any value gives identical output)")
+	fs.StringVar(&c.server, "server", "", "submit the job to a running mclgd at this base URL instead of solving locally")
+	fs.IntVar(&c.retry, "retry", 0, "with -server: retry a 429 (queue full / rate-limited) up to N times, honoring the daemon's Retry-After hint with jitter")
+	fs.BoolVar(&c.json, "json", false, "emit the machine-readable run report (mclgd schema) on stdout")
+	fs.BoolVar(&c.req.Audit, "audit", false, "audit the result: re-run the pipeline independently, recompute optimality residuals, cross-check against a reference solve, and print the sealed certificate (exit 1 unless it passes)")
+	fs.BoolVar(&c.req.Windows, "windows", false, "fault-isolated windowed legalization: solve per-row-band windows under supervision (retry, hedging, degradation) and stitch deterministically (method ours only)")
+	fs.IntVar(&c.windowRows, "window-rows", 0, "rows per window with -windows (0 = default 16)")
+	fs.Float64Var(&c.req.Hedge, "hedge", 0, "straggler-hedging quantile in (0,1] with -windows: re-issue the slowest windows once this fraction has completed (0 = off)")
+	fs.IntVar(&c.req.Exact, "exact", 0, "with -windows: after stitch, re-solve the K worst-displacement windows with the branch-and-bound exact legalizer and report measured optimality gaps (0 = off)")
+	fs.StringVar(&c.eco, "eco", "", "apply an ECO delta stream (JSON file) to the legal base placement via dirty-window re-legalization, then certify by replay")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if c.eco == "" {
+		c.req.WindowRows = c.windowRows
+	}
+	return c, nil
+}
+
+// validate checks the command line: -eco's flag rule, the job by the
+// daemon's rules (serve.Request.Validate), then the rules of mclg's other
+// stages.
+func (c *cli) validate() error {
+	if c.eco != "" && (c.req.Method != "ours" || c.req.Resilient || c.req.Audit || c.req.Windows ||
+		c.refine != "" || c.check || c.gp || c.server != "") {
+		return errors.New("-eco runs locally with method ours and no other pipeline flags")
+	}
+	if err := c.req.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case c.refine != "" && c.refine != "disp" && c.refine != "hpwl":
+		return fmt.Errorf("unknown refine objective %q", c.refine)
+	case c.req.Audit && c.refine != "":
+		return errors.New("-audit certifies the standard pipeline, without -refine")
+	case c.server != "" && (c.gp || c.check || c.refine != ""):
+		return errors.New("-gp, -check and -refine run locally and cannot be combined with -server")
+	case c.server == "" && c.retry != 0:
+		return errors.New("-retry requires -server")
+	case c.retry < 0:
+		return fmt.Errorf("-retry %d must be non-negative", c.retry)
+	}
+	return nil
+}
+
+// ecoOptions configures the -eco session: the request's resolved solver
+// options, as /v1/eco's create uses them, and -window-rows.
+func (c *cli) ecoOptions() eco.Options {
+	return eco.Options{Core: c.req.CoreOptions(), WindowRows: c.windowRows}
+}
+
 func main() {
-	var (
-		auxPath    = flag.String("aux", "", "Bookshelf .aux input file")
-		benchName  = flag.String("bench", "", "synthetic suite benchmark name (e.g. fft_2)")
-		scale      = flag.Float64("scale", 0.01, "suite scale factor (1 = paper-size)")
-		method     = flag.String("method", "ours", "legalizer: ours | dac16 | dac16imp | aspdac17")
-		outPath    = flag.String("out", "", "write legalized placement as Bookshelf .aux")
-		lambda     = flag.Float64("lambda", 1000, "subcell equality penalty λ")
-		beta       = flag.Float64("beta", 0.5, "MMSIM splitting constant β*")
-		theta      = flag.Float64("theta", 0.5, "MMSIM splitting constant θ*")
-		eps        = flag.Float64("eps", 1e-4, "MMSIM convergence tolerance")
-		autoTheta  = flag.Bool("autotheta", false, "clamp θ* below the Theorem-2 bound")
-		refineObj  = flag.String("refine", "", "post-legalization refinement objective: disp | hpwl")
-		checkOnly  = flag.Bool("check", false, "only check legality of the input placement and exit")
-		boundRight = flag.Bool("boundright", false, "solve with exact right-boundary constraints (extension)")
-		runGP      = flag.Bool("gp", false, "re-derive the global placement from the netlist (internal/gp) before legalizing")
-		verbose    = flag.Bool("v", false, "print per-stage details")
-		timeout    = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		resilient  = flag.Bool("resilient", false, "with -method ours: run the fallback cascade (mmsim -> retuned -> pgs -> greedy)")
-		workers    = flag.Int("workers", 0, "windows solved at once with -windows: 0 = all cores; every other solve runs on one goroutine (any value gives identical output)")
-		serverURL  = flag.String("server", "", "submit the job to a running mclgd at this base URL instead of solving locally")
-		retryN     = flag.Int("retry", 0, "with -server: retry a 429 (queue full / rate-limited) up to N times, honoring the daemon's Retry-After hint with jitter")
-		jsonOut    = flag.Bool("json", false, "emit the machine-readable run report (mclgd schema) on stdout")
-		auditRun   = flag.Bool("audit", false, "audit the result: re-run the pipeline independently, recompute optimality residuals, cross-check against a reference solve, and print the sealed certificate (exit 1 unless it passes)")
-		windowsOn  = flag.Bool("windows", false, "fault-isolated windowed legalization: solve per-row-band windows under supervision (retry, hedging, degradation) and stitch deterministically (method ours only)")
-		windowRows = flag.Int("window-rows", 0, "rows per window with -windows (0 = default 16)")
-		hedge      = flag.Float64("hedge", 0, "straggler-hedging quantile in (0,1] with -windows: re-issue the slowest windows once this fraction has completed (0 = off)")
-		exactK     = flag.Int("exact", 0, "with -windows: after stitch, re-solve the K worst-displacement windows with the branch-and-bound exact legalizer and report measured optimality gaps (0 = off)")
-		ecoPath    = flag.String("eco", "", "apply an ECO delta stream (JSON file) to the legal base placement via dirty-window re-legalization, then certify by replay")
-	)
-	flag.Parse()
-	if *jsonOut {
+	c, _ := parseArgs(flag.CommandLine, os.Args[1:]) // flag.CommandLine exits on a parse error
+	if c.json {
 		info = os.Stderr
 	}
-	if *auditRun && (*method != "ours" || *resilient || *refineObj != "") {
-		fatal(fmt.Errorf("-audit certifies the standard pipeline: method ours, without -resilient or -refine"))
+	if err := c.validate(); err != nil {
+		fatal(err)
 	}
-	if *windowsOn && (*method != "ours" || *resilient || *auditRun) {
-		fatal(fmt.Errorf("-windows requires method ours, without -resilient or -audit"))
-	}
-	if !*windowsOn && *ecoPath == "" && *windowRows != 0 {
-		fatal(fmt.Errorf("-window-rows requires -windows or -eco"))
-	}
-	if !*windowsOn && *hedge != 0 {
-		fatal(fmt.Errorf("-hedge requires -windows"))
-	}
-	if !*windowsOn && *exactK != 0 {
-		fatal(fmt.Errorf("-exact requires -windows"))
-	}
-	if *exactK < 0 {
-		fatal(fmt.Errorf("-exact %d must be non-negative", *exactK))
-	}
-	if *ecoPath != "" && (*method != "ours" || *resilient || *auditRun || *windowsOn ||
-		*refineObj != "" || *checkOnly || *runGP || *serverURL != "") {
-		fatal(fmt.Errorf("-eco runs locally with method ours and no other pipeline flags"))
-	}
-	if *hedge < 0 || *hedge > 1 {
-		fatal(fmt.Errorf("-hedge %g out of range [0, 1]", *hedge))
-	}
-
-	if *serverURL != "" {
-		runRemote(*serverURL, *auxPath, *benchName, *scale, *method, *resilient, *auditRun,
-			serve.OptionsJSON{
-				Lambda: *lambda, Beta: *beta, Theta: *theta, Eps: *eps,
-				AutoTheta: *autoTheta, BoundRight: *boundRight, Workers: *workers,
-			}, *windowsOn, *windowRows, *hedge, *exactK,
-			*timeout, *retryN, *outPath, *jsonOut, *runGP || *checkOnly || *refineObj != "")
+	if c.server != "" {
+		c.runRemote()
 		return
-	}
-	if *retryN != 0 {
-		fatal(fmt.Errorf("-retry requires -server"))
 	}
 
 	// SIGINT/SIGTERM and -timeout cancel the same context; every solver
 	// stage polls it and aborts with a typed mclgerr.ErrCanceled error.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
 
-	d, err := loadDesign(*auxPath, *benchName, *scale)
+	d, err := loadDesign(c.aux, c.req.Bench, c.req.Scale)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(info, "design %s: %d cells (%d multi-row), %d rows, density %.2f\n",
 		d.Name, len(d.Cells), countMulti(d), len(d.Rows), d.Density())
 
-	if *ecoPath != "" {
-		runEco(ctx, d, *ecoPath,
-			core.Options{Lambda: *lambda, Beta: *beta, Theta: *theta, Eps: *eps,
-				AutoTheta: *autoTheta, Workers: *workers},
-			*windowRows, *jsonOut, *outPath)
+	if c.eco != "" {
+		runEco(ctx, d, c.eco, c.ecoOptions(), c.json, c.out)
 		return
 	}
 
-	if *runGP {
+	if c.gp {
 		res, err := gp.Place(d, gp.Options{})
 		if err != nil {
 			fatal(err)
@@ -150,7 +178,7 @@ func main() {
 			res.Iterations, res.CGIters, res.Overflow)
 	}
 
-	if *checkOnly {
+	if c.check {
 		rep := design.CheckLegal(d)
 		fmt.Fprintf(info, "legality: %s\n", rep)
 		for i, v := range rep.Violations {
@@ -166,216 +194,141 @@ func main() {
 		return
 	}
 
-	gpHPWL := metrics.HPWLGlobal(d)
 	t0 := time.Now()
-	var (
-		stats       *core.Stats
-		winStats    *window.Stats
-		rung        string
-		numAttempts int
-	)
-	oursOpts := core.Options{Lambda: *lambda, Beta: *beta, Theta: *theta, Eps: *eps,
-		AutoTheta: *autoTheta, BoundRight: *boundRight, Workers: *workers}
-	switch *method {
-	case "ours":
-		opts := oursOpts
-		if *windowsOn {
-			wst, err := window.Legalize(ctx, d, window.Options{
-				Core:          opts,
-				WindowRows:    *windowRows,
-				HedgeQuantile: *hedge,
-				ExactWindows:  *exactK,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			winStats = wst
-			fmt.Fprintf(info, "  windows: %d solved of %d (retries %d, hedges won %d/%d, degraded %d)\n",
-				wst.Solved, wst.Windows, wst.Retries, wst.HedgesWon, wst.HedgesIssued, wst.Degraded)
-			if ex := wst.Exact; ex != nil {
-				fmt.Fprintf(info, "  exact: %d refined (%d improved, %d proven optimal, %d skipped), max gap %.3g\n",
-					ex.Selected, ex.Improved, ex.Proven, ex.Skipped, ex.MaxGap)
-				if *verbose {
-					for _, g := range ex.Gaps {
-						fmt.Fprintf(info, "    window %d: %d cells gap=%.3g proven=%v improved=%v maxdisp %.0f -> %.0f\n",
-							g.Window, g.Cells, g.Gap, g.Proven, g.Improved, g.MaxDispBefore, g.MaxDispAfter)
-					}
-				}
-			}
-		} else if *resilient {
-			rs, err := core.NewResilient(opts).LegalizeContext(ctx, d)
-			if err != nil {
-				fatal(err)
-			}
-			stats, rung, numAttempts = &rs.Stats, string(rs.Rung), len(rs.Attempts)
-			fmt.Fprintf(info, "  resilient: succeeded on rung %q after %d attempt(s)\n", rs.Rung, len(rs.Attempts))
-			if *verbose {
-				for _, a := range rs.Attempts {
-					if a.Err != nil {
-						fmt.Fprintf(info, "    %s failed in %v: %v\n", a.Rung, a.Elapsed, a.Err)
-					} else {
-						fmt.Fprintf(info, "    %s succeeded in %v\n", a.Rung, a.Elapsed)
-					}
-				}
-			}
-		} else {
-			var err error
-			stats, err = core.New(opts).LegalizeContext(ctx, d)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if *verbose && stats != nil {
-			fmt.Fprintf(info, "  vars=%d cons=%d iters=%d converged=%v\n",
-				stats.NumVars, stats.NumCons, stats.Iterations, stats.Converged)
-			if f := stats.Finish; f.Outcome != "" {
-				fmt.Fprintf(info, "  active-set finish: %s after %d rounds, %d PCG iterations\n",
-					f.Outcome, f.Rounds, f.PCG)
-			}
-			fmt.Fprintf(info, "  subcell mismatch=%.4g illegal=%d unplaced=%d\n",
-				stats.MaxSubcellMismatch, stats.Illegal, stats.Unplaced)
-			fmt.Fprintf(info, "  build=%v solve=%v tetris=%v\n",
-				stats.BuildTime, stats.SolveTime, stats.TetrisTime)
-		}
-	default:
-		if err := baselines.Legalize(ctx, *method, d); err != nil {
-			fatal(err)
-		}
+	rep, err := c.req.Solve(ctx, d, window.Legalize)
+	if rep == nil {
+		// A report comes back with an error only when the checker rejected
+		// the placement; that run is reported and exits 1.
+		fatal(err)
 	}
-	if *refineObj != "" {
+	if c.refine != "" {
 		obj := refine.Displacement
-		if *refineObj == "hpwl" {
+		if c.refine == "hpwl" {
 			obj = refine.HPWL
-		} else if *refineObj != "disp" {
-			fatal(fmt.Errorf("unknown refine objective %q", *refineObj))
 		}
 		res, err := refine.RefineContext(ctx, d, refine.Options{Objective: obj})
 		if err != nil {
 			fatal(err)
 		}
-		if *verbose {
+		if c.verbose {
 			fmt.Fprintf(info, "  refine: %d slides, %d swaps, objective %.4g -> %.4g\n",
 				res.Slides, res.Swaps, res.Initial, res.Final)
 		}
+		rep.Measure(d, time.Since(t0))
 	}
-	elapsed := time.Since(t0)
-
-	rep := report.FromDesign(d, *method, elapsed)
-	rep.Rung, rep.Attempts = rung, numAttempts
-	rep.Windows = winStats
-	if stats != nil {
-		rep.SetStats(stats)
-	}
-
-	fmt.Fprintf(info, "method=%s runtime=%v\n", *method, elapsed)
-	fmt.Fprintf(info, "total displacement: %.0f sites (max %.0f, avg %.2f)\n",
-		rep.DisplacementSites, rep.MaxDispSites, rep.AvgDispSites)
-	if gpHPWL > 0 {
-		fmt.Fprintf(info, "HPWL: %.4g -> %.4g (ΔHPWL %.2f%%)\n",
-			gpHPWL, rep.HPWL, 100*rep.DeltaHPWL)
-	}
-	fmt.Fprintf(info, "legality: %s\n", legality(d, rep.Legal))
-
 	// Audit-on-demand: the auditor re-runs the pipeline from the global
 	// placement on its own clones, so the certificate is an independent
-	// verdict on the result just printed — its PosHash must reproduce it.
-	if *auditRun {
-		cert, err := audit.Run(ctx, d, audit.Options{Core: oursOpts})
+	// verdict on this result, and its PosHash must reproduce it.
+	if c.req.Audit {
+		if err := c.req.Certify(ctx, d, rep); err != nil {
+			fatal(err)
+		}
+	}
+	c.finish(rep, d)
+}
+
+// runRemote is the -server flow: submit the request, then report it like a
+// local run, writing the returned placement for -out.
+func (c *cli) runRemote() {
+	req := c.req
+	if c.timeout > 0 {
+		req.TimeoutMS = int64(c.timeout / time.Millisecond)
+	}
+	req.IncludePlacement = c.out != ""
+	switch {
+	case c.aux != "":
+		files, err := readUpload(c.aux)
 		if err != nil {
 			fatal(err)
 		}
-		rep.Certificate = cert
-		fmt.Fprintf(info, "%s\n", cert.Summary())
-		if cert.PosHash != rep.PosHash {
-			fmt.Fprintf(info, "audit: re-run placement %s does not reproduce this run's %s\n",
-				cert.PosHash, rep.PosHash)
-		}
+		req.Bench, req.Scale, req.Files = "", 0, files
+	case req.Bench == "":
+		fatal(errNoDesign)
 	}
-
-	if *jsonOut {
-		printJSON(rep)
-	}
-
-	if *outPath != "" {
-		writeLegalized(d, *outPath)
-	}
-	if !rep.Legal {
-		os.Exit(1)
-	}
-	if c := rep.Certificate; c != nil && (!c.Pass || c.PosHash != rep.PosHash) {
-		os.Exit(1)
-	}
-}
-
-// runRemote is the -server flow: submit, report, optionally write the
-// returned placement back as Bookshelf.
-func runRemote(serverURL, auxPath, bench string, scale float64, method string, resilient, auditRun bool,
-	opts serve.OptionsJSON, windows bool, windowRows int, hedge float64, exactK int,
-	timeout time.Duration, retries int, outPath string, jsonOut, localOnlyFlags bool) {
-	if localOnlyFlags {
-		fatal(fmt.Errorf("-gp, -check and -refine run locally and cannot be combined with -server"))
-	}
-	if retries < 0 {
-		fatal(fmt.Errorf("-retry %d must be non-negative", retries))
-	}
-	req, err := remoteRequest(auxPath, bench, scale, method, resilient, auditRun, opts, timeout, outPath != "")
-	if err == nil && windows {
-		req.Windows, req.WindowRows, req.Hedge, req.Exact = true, windowRows, hedge, exactK
-	}
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := submitRemote(serverURL, req, timeout, retries)
+	rep, err := submitRemote(c.server, &req, c.timeout, c.retry)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(info, "design %s: %d cells (%d multi-row) [served by %s, cache %s]\n",
-		rep.Design, rep.Cells, rep.MultiRowCells, serverURL, rep.Cache)
-	fmt.Fprintf(info, "method=%s runtime=%.0fms\n", rep.Method, rep.WallMS)
-	fmt.Fprintf(info, "total displacement: %.0f sites (max %.0f, avg %.2f)\n",
-		rep.DisplacementSites, rep.MaxDispSites, rep.AvgDispSites)
-	fmt.Fprintf(info, "HPWL: %.4g (ΔHPWL %.2f%%)\n", rep.HPWL, 100*rep.DeltaHPWL)
-	legality := "illegal"
-	if rep.Legal {
-		legality = "legal"
-	}
-	fmt.Fprintf(info, "legality: %s\n", legality)
-	if ws := rep.Windows; ws != nil {
-		fmt.Fprintf(info, "windows: %d solved + %d resumed of %d (retries %d, hedges won %d/%d, degraded %d)\n",
-			ws.Solved, ws.Resumed, ws.Windows, ws.Retries, ws.HedgesWon, ws.HedgesIssued, ws.Degraded)
-		if ex := ws.Exact; ex != nil {
-			fmt.Fprintf(info, "exact: %d refined (%d improved, %d proven optimal, %d skipped), max gap %.3g\n",
-				ex.Selected, ex.Improved, ex.Proven, ex.Skipped, ex.MaxGap)
-		}
-	}
-	if rep.Certificate != nil {
-		fmt.Fprintf(info, "%s\n", rep.Certificate.Summary())
-	}
-	if jsonOut {
-		printJSON(rep)
-	}
-	if outPath != "" {
-		d, err := loadDesign(auxPath, bench, scale)
-		if err != nil {
+		rep.Design, rep.Cells, rep.MultiRowCells, c.server, rep.Cache)
+	var d *design.Design
+	if c.out != "" {
+		if d, err = loadDesign(c.aux, c.req.Bench, c.req.Scale); err != nil {
 			fatal(err)
 		}
 		if !rep.ApplyPlacement(d) {
 			fatal(fmt.Errorf("server response carries no usable placement for %d cells", len(d.Cells)))
 		}
-		writeLegalized(d, outPath)
 	}
-	if !rep.Legal {
-		os.Exit(1)
+	c.finish(rep, d)
+}
+
+// finish prints the run's report, writes d, which holds the reported
+// placement, to -out, and exits 1 unless the placement is legal and any
+// certificate passed.
+func (c *cli) finish(rep *report.Report, d *design.Design) {
+	printReport(rep, d, c.verbose)
+	if c.json {
+		printJSON(rep)
 	}
-	if c := rep.Certificate; c != nil && (!c.Pass || c.PosHash != rep.PosHash) {
+	if c.out != "" {
+		writeLegalized(d, c.out)
+	}
+	if !rep.Legal || (rep.Certificate != nil && !rep.Certificate.Pass) {
 		os.Exit(1)
 	}
 }
 
-func printJSON(rep *report.Report) {
+// printReport prints a report, local or served: the solver's lines (the
+// per-stage figures under -v), the quality summary and the certificate. A
+// non-nil d holds the reported placement and names an illegal one's
+// violations.
+func printReport(rep *report.Report, d *design.Design, verbose bool) {
+	if ws := rep.Windows; ws != nil {
+		fmt.Fprintf(info, "  windows: %d solved + %d resumed of %d (retries %d, hedges won %d/%d, degraded %d)\n",
+			ws.Solved, ws.Resumed, ws.Windows, ws.Retries, ws.HedgesWon, ws.HedgesIssued, ws.Degraded)
+		if ex := ws.Exact; ex != nil {
+			fmt.Fprintf(info, "  exact: %d refined (%d improved, %d proven optimal, %d skipped), max gap %.3g\n",
+				ex.Selected, ex.Improved, ex.Proven, ex.Skipped, ex.MaxGap)
+			if verbose {
+				for _, g := range ex.Gaps {
+					fmt.Fprintf(info, "    window %d: %d cells gap=%.3g proven=%v improved=%v maxdisp %.0f -> %.0f\n",
+						g.Window, g.Cells, g.Gap, g.Proven, g.Improved, g.MaxDispBefore, g.MaxDispAfter)
+				}
+			}
+		}
+	}
+	if rep.Rung != "" {
+		fmt.Fprintf(info, "  resilient: succeeded on rung %q after %d attempt(s)\n", rep.Rung, rep.Attempts)
+	}
+	if verbose && rep.Method == "ours" && rep.Windows == nil {
+		fmt.Fprintf(info, "  vars=%d cons=%d iters=%d converged=%v\n",
+			rep.NumVars, rep.NumCons, rep.Iterations, rep.Converged)
+		if rep.Finish != "" {
+			fmt.Fprintf(info, "  active-set finish: %s after %d rounds, %d PCG iterations\n",
+				rep.Finish, rep.FinishRounds, rep.FinishPCG)
+		}
+		fmt.Fprintf(info, "  subcell mismatch=%.4g illegal=%d unplaced=%d\n",
+			rep.MaxSubcellMismatch, rep.Illegal, rep.Unplaced)
+		fmt.Fprintf(info, "  build=%v solve=%v tetris=%v\n", ms(rep.BuildMS), ms(rep.SolveMS), ms(rep.TetrisMS))
+	}
+	fmt.Fprintf(info, "method=%s runtime=%.0fms\n", rep.Method, rep.WallMS)
+	fmt.Fprintf(info, "total displacement: %.0f sites (max %.0f, avg %.2f)\n",
+		rep.DisplacementSites, rep.MaxDispSites, rep.AvgDispSites)
+	fmt.Fprintf(info, "HPWL: %.4g (ΔHPWL %.2f%%)\n", rep.HPWL, 100*rep.DeltaHPWL)
+	fmt.Fprintf(info, "legality: %s\n", legality(d, rep.Legal))
+	if rep.Certificate != nil {
+		fmt.Fprintf(info, "%s\n", rep.Certificate.Summary())
+	}
+}
+
+// ms turns a report's milliseconds back into a duration for printing.
+func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+
+func printJSON(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := enc.Encode(v); err != nil {
 		fatal(err)
 	}
 }
@@ -392,6 +345,8 @@ func writeLegalized(d *design.Design, outPath string) {
 	fmt.Fprintf(info, "wrote %s\n", outPath)
 }
 
+var errNoDesign = errors.New("one of -aux or -bench is required")
+
 func loadDesign(aux, bench string, scale float64) (*design.Design, error) {
 	switch {
 	case aux != "":
@@ -403,16 +358,19 @@ func loadDesign(aux, bench string, scale float64) (*design.Design, error) {
 		}
 		return gen.Generate(gen.SuiteSpec(e, scale))
 	default:
-		return nil, fmt.Errorf("one of -aux or -bench is required")
+		return nil, errNoDesign
 	}
 }
 
-// legality is the checker's one-line summary of d, whose verdict a report
-// already holds: the full report is built only to count an illegal
-// placement's violations.
+// legality is the checker's one-line summary of a placement whose verdict
+// a report already holds: the full report is built only to count an
+// illegal placement's violations, when d holds it.
 func legality(d *design.Design, legal bool) string {
-	if legal {
+	switch {
+	case legal:
 		return "legal"
+	case d == nil:
+		return "illegal"
 	}
 	return design.CheckLegal(d).String()
 }

@@ -338,3 +338,95 @@ func TestE2EMclgdServeSubmitAndDrain(t *testing.T) {
 		t.Errorf("daemon logs missing drain completion:\n%s", lg)
 	}
 }
+
+// TestE2EMclgServerParity runs the same jobs through mclg locally and through
+// mclg -server against one mclgd: both build the daemon's request, so an
+// accepted job reports the same placement, rung, window counts and
+// certificate, and a refused one prints the same error line and exits 2.
+func TestE2EMclgServerParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	mclgd := buildCmd(t, "mclgd")
+	mclg := buildCmd(t, "mclg")
+	daemon, url, sc := startMclgd(t, mclgd)
+	logs := drainLogs(sc)
+	defer func() { _ = daemon.Process.Kill(); <-logs }()
+
+	type parity struct {
+		PosHash  string `json:"pos_hash"`
+		Legal    bool   `json:"legal"`
+		Method   string `json:"method"`
+		Rung     string `json:"rung"`
+		Attempts int    `json:"attempts"`
+		Windows  *struct {
+			Total        int `json:"total"`
+			Solved       int `json:"solved"`
+			Resumed      int `json:"resumed"`
+			Retries      int `json:"retries"`
+			Panics       int `json:"panics"`
+			HedgesIssued int `json:"hedges_issued"`
+			HedgesWon    int `json:"hedges_won"`
+			Degraded     int `json:"degraded"`
+		} `json:"windows"`
+		Certificate *struct {
+			PosHash string `json:"pos_hash"`
+		} `json:"certificate"`
+	}
+	job := []string{"-bench", "fft_2", "-scale", "0.004"}
+	for _, flags := range [][]string{
+		nil,
+		{"-resilient"},
+		{"-windows", "-window-rows", "4"},
+		{"-method", "dac16"},
+		{"-audit"},
+	} {
+		var reps [2]parity
+		var outs [2]string
+		for i, mode := range [][]string{nil, {"-server", url}} {
+			args := append(append(append(append([]string{}, mode...), job...), flags...), "-json")
+			out, err := exec.Command(mclg, args...).Output()
+			if err != nil {
+				t.Fatalf("mclg %v: %v\n%s", args, err, out)
+			}
+			if err := json.Unmarshal(out, &reps[i]); err != nil {
+				t.Fatalf("mclg %v: stdout is not one JSON document: %v\n%s", args, err, out)
+			}
+			outs[i] = string(out)
+		}
+		local, served := reps[0], reps[1]
+		if !local.Legal || local.PosHash == "" {
+			t.Errorf("%v: local run %+v, want a legal placement", flags, local)
+		}
+		if (local.Windows == nil) != (served.Windows == nil) ||
+			local.Windows != nil && *local.Windows != *served.Windows ||
+			(local.Certificate == nil) != (served.Certificate == nil) ||
+			local.Certificate != nil && local.Certificate.PosHash != served.Certificate.PosHash {
+			t.Errorf("%v: window counts or certificate differ:\nlocal:\n%s\nserved:\n%s", flags, outs[0], outs[1])
+		}
+		local.Windows, served.Windows, local.Certificate, served.Certificate = nil, nil, nil, nil
+		if local != served {
+			t.Errorf("%v: local %+v, served %+v", flags, local, served)
+		}
+	}
+
+	for _, flags := range [][]string{
+		{"-method", "bogus"},
+		{"-windows", "-resilient"},
+		{"-hedge", "0.5"},
+		{"-windows", "-exact", "-1"},
+	} {
+		var lines [2]string
+		for i, mode := range [][]string{nil, {"-server", url}} {
+			args := append(append(append([]string{}, mode...), job...), flags...)
+			out, err := exec.Command(mclg, args...).CombinedOutput()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Fatalf("mclg %v: %v, want exit code 2:\n%s", args, err, out)
+			}
+			lines[i] = string(out)
+		}
+		if lines[0] != lines[1] || !strings.HasPrefix(lines[0], "mclg: ") || strings.Count(lines[0], "\n") != 1 {
+			t.Errorf("%v: want one identical error line, got local %q, served %q", flags, lines[0], lines[1])
+		}
+	}
+}

@@ -5,6 +5,7 @@ package baselines
 
 import (
 	"context"
+	"slices"
 
 	"mclg/internal/baselines/chow"
 	"mclg/internal/baselines/wang"
@@ -16,11 +17,19 @@ import (
 // Methods lists the comparison legalizers' names in Table 2's column order.
 var Methods = []string{"dac16", "dac16imp", "aspdac17"}
 
+// Check returns nil for a name in Methods and otherwise the
+// ErrInvalidInput-matching error Legalize refuses it with.
+func Check(method string) error {
+	if slices.Contains(Methods, method) {
+		return nil
+	}
+	return mclgerr.Invalidf("baselines: unknown method %q", method)
+}
+
 // Legalize runs the named comparison legalizer on d in place: "dac16" is
 // chow's one-pass greedy, "dac16imp" the same with its refinement passes,
 // and "aspdac17" wang's legalization followed by the Tetris allocation,
-// which snaps its positions to sites. An unknown name is an
-// ErrInvalidInput-matching error.
+// which snaps its positions to sites. An unknown name is Check's error.
 func Legalize(ctx context.Context, method string, d *design.Design) error {
 	switch method {
 	case "dac16":
@@ -34,5 +43,5 @@ func Legalize(ctx context.Context, method string, d *design.Design) error {
 		_, err := tetris.AllocateContext(ctx, d)
 		return err
 	}
-	return mclgerr.Invalidf("baselines: unknown method %q", method)
+	return Check(method)
 }

@@ -96,7 +96,7 @@ func run(ctx context.Context, d *design.Design, opts Options) (*design.Occupancy
 		// Where fragmentation leaves no free run, PlaceNearest's bounded
 		// eviction stands in for the published algorithm's local-region
 		// legalization step.
-		design.PlaceNearest(d, occ, c, c.GX, c.GY, 3, &failed)
+		design.PlaceNearest(d, occ, c, c.GX, c.GY, true, &failed)
 	}
 	if len(failed) > 0 {
 		// Terminal fallback for heavy fragmentation: park the stuck cells

@@ -39,7 +39,7 @@ func TestLegalizeEvictionPath(t *testing.T) {
 }
 
 // TestLegalizeTerminalFallback drives the tetris fallback: so much
-// fragmentation that even eviction chains fail, leaving cells for the
+// fragmentation that even eviction fails, leaving cells for the
 // global repair.
 func TestLegalizeTerminalFallback(t *testing.T) {
 	d := design.NewDesign(design.Config{NumRows: 2, NumSites: 24, RowHeight: 10, SiteW: 1})

@@ -135,16 +135,16 @@ func TestPlaceNearestFreeRun(t *testing.T) {
 	occ := NewOccupancy(d)
 	c := d.AddCell("c", 2, 10, VSS)
 	var failed []*Cell
-	PlaceNearest(d, occ, c, 3.2, 11, 0, &failed)
+	PlaceNearest(d, occ, c, 3.2, 11, false, &failed)
 	if len(failed) != 0 || c.X != 3 || c.Y != 10 || !c.Flipped || occ.OwnerAt(1, 4) != c.ID {
 		t.Errorf("got (%g, %g) flipped=%v failed=%d, want (3, 10) flipped and placed", c.X, c.Y, c.Flipped, len(failed))
 	}
 }
 
-func TestPlaceNearestDepthZeroFails(t *testing.T) {
+func TestPlaceNearestNoEvictFails(t *testing.T) {
 	d, occ, c := fragmented(t, 5, []int{0, 2, 4}, nil)
 	var failed []*Cell
-	PlaceNearest(d, occ, c, 1, 0, 0, &failed)
+	PlaceNearest(d, occ, c, 1, 0, false, &failed)
 	if len(failed) != 1 || failed[0] != c {
 		t.Fatalf("failed = %v, want [wide]", failed)
 	}
@@ -156,7 +156,7 @@ func TestPlaceNearestDepthZeroFails(t *testing.T) {
 func TestPlaceNearestFixedBlockerFails(t *testing.T) {
 	d, occ, c := fragmented(t, 5, []int{0, 2, 4}, map[int]bool{0: true})
 	var failed []*Cell
-	PlaceNearest(d, occ, c, 0, 0, 2, &failed)
+	PlaceNearest(d, occ, c, 0, 0, true, &failed)
 	if len(failed) != 1 || failed[0] != c {
 		t.Fatalf("failed = %v, want [wide]", failed)
 	}
@@ -175,7 +175,7 @@ func TestPlaceNearestEvictsInIDOrder(t *testing.T) {
 	d, occ, c := fragmented(t, 8, []int{2, 1, 3, 4, 6}, nil)
 	p, q := d.Cells[0], d.Cells[1]
 	var failed []*Cell
-	PlaceNearest(d, occ, c, 1, 0, 1, &failed)
+	PlaceNearest(d, occ, c, 1, 0, true, &failed)
 	if len(failed) != 0 {
 		t.Fatalf("failed = %v", failed)
 	}

@@ -73,14 +73,15 @@ func NearestFree(d *Design, occ *Occupancy, c *Cell, tx, ty float64) (x, y float
 
 // PlaceNearest places c at the free position nearest (tx, ty) (NearestFree),
 // marks it in occ and moves the cell there (Move). When no free run of c's
-// width exists anywhere, it clears c's footprint at site SiteIndex(tx) of the
-// nearest correct row to ty (NearestCorrectRow), shifted left as far as the
-// row's end requires: the movable cells there are evicted, c is placed, and
-// the evicted cells are re-placed in ID order, each by PlaceNearest from its
-// old position with one less depth. c is appended to failed instead when
-// depth is 0, when no row qualifies or the row is narrower than c, or when a
-// fixed cell blocks the footprint.
-func PlaceNearest(d *Design, occ *Occupancy, c *Cell, tx, ty float64, depth int, failed *[]*Cell) {
+// width exists anywhere and evict is set, it clears c's footprint at site
+// SiteIndex(tx) of the nearest correct row to ty (NearestCorrectRow), shifted
+// left as far as the row's end requires: the movable cells there are
+// evicted, c is placed, and the evicted cells are re-placed in ID order, each
+// at the free position nearest its old one and never by evicting in turn. c
+// is appended to failed instead when evict is false, when no row qualifies
+// or the row is narrower than c, or when a fixed cell blocks the footprint;
+// an evicted cell that finds no free position is appended too.
+func PlaceNearest(d *Design, occ *Occupancy, c *Cell, tx, ty float64, evict bool, failed *[]*Cell) {
 	if x, y, ok := NearestFree(d, occ, c, tx, ty); ok {
 		if err := occ.Place(c, x, y); err != nil {
 			*failed = append(*failed, c)
@@ -90,7 +91,7 @@ func PlaceNearest(d *Design, occ *Occupancy, c *Cell, tx, ty float64, depth int,
 		return
 	}
 	row := d.NearestCorrectRow(c, ty)
-	if depth == 0 || row < 0 {
+	if !evict || row < 0 {
 		*failed = append(*failed, c)
 		return
 	}
@@ -131,7 +132,7 @@ func PlaceNearest(d *Design, occ *Occupancy, c *Cell, tx, ty float64, depth int,
 	d.Move(c, x, y)
 	for _, id := range evicted {
 		ec := d.Cells[id]
-		PlaceNearest(d, occ, ec, ec.X, ec.Y, depth-1, failed)
+		PlaceNearest(d, occ, ec, ec.X, ec.Y, false, failed)
 	}
 }
 

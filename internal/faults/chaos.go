@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"math"
 	"sync/atomic"
+
+	"mclg/internal/design"
 )
 
 // WindowFault enumerates the fault a chaos harness injects into one window
@@ -102,11 +104,12 @@ func (c *WindowChaos) Fault(window, attempt int) WindowFault {
 	}
 }
 
-// Inject fires the selected fault inside a window solve attempt. poison is
-// called for FaultNaN and must corrupt the attempt's working state (never
-// shared state). FaultPanic panics; FaultStall blocks until ctx is done and
-// returns its cancellation error; FaultNone and FaultNaN return nil.
-func (c *WindowChaos) Inject(ctx context.Context, window, attempt int, poison func()) error {
+// Inject fires the selected fault inside a window solve attempt whose
+// private sub-design is sub. FaultPanic panics; FaultStall blocks until ctx
+// is done and returns its cancellation error; FaultNaN gives sub's first
+// movable cell a NaN global position and returns nil, so the solve rejects
+// the sub-design and a retry rebuilds a clean one; FaultNone returns nil.
+func (c *WindowChaos) Inject(ctx context.Context, window, attempt int, sub *design.Design) error {
 	switch c.Fault(window, attempt) {
 	case FaultPanic:
 		c.Injected.Add(1)
@@ -117,14 +120,13 @@ func (c *WindowChaos) Inject(ctx context.Context, window, attempt int, poison fu
 		return ctx.Err()
 	case FaultNaN:
 		c.Injected.Add(1)
-		if poison != nil {
-			poison()
+		for _, cell := range sub.Cells {
+			if !cell.Fixed {
+				cell.GX = math.NaN()
+				cell.X = cell.GX
+				break
+			}
 		}
-		return nil
-	default:
-		return nil
 	}
+	return nil
 }
-
-// NaN returns the poison value used by FaultNaN injections.
-func NaN() float64 { return math.NaN() }

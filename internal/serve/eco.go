@@ -117,7 +117,7 @@ func (r *ecoRequest) legalizeView() *Request {
 // ecoOptions resolves the session options from a create request.
 func (r *ecoRequest) ecoOptions() eco.Options {
 	return eco.Options{
-		Core:       r.legalizeView().coreOptions(),
+		Core:       r.legalizeView().CoreOptions(),
 		WindowRows: r.WindowRows,
 		MarginRows: r.MarginRows,
 	}

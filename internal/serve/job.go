@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"mclg/internal/audit"
@@ -17,6 +16,7 @@ import (
 	"mclg/internal/gen"
 	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
+	"mclg/internal/window"
 )
 
 // OptionsJSON is the wire form of the solver knobs a job may override.
@@ -112,14 +112,18 @@ func (r *Request) priority() string {
 	return r.Priority
 }
 
-// validate normalizes defaults in place and rejects malformed requests with
-// ErrInvalidInput-matching errors.
-func (r *Request) validate() error {
+// Validate applies the job-setting rules that mclg and mclgd share: it
+// defaults Method to "ours" and rejects an unknown method or a combination
+// of method, resilient, audit and window settings that no legalizer runs,
+// with ErrInvalidInput-matching errors.
+func (r *Request) Validate() error {
 	if r.Method == "" {
 		r.Method = "ours"
 	}
-	if r.Method != "ours" && !slices.Contains(baselines.Methods, r.Method) {
-		return mclgerr.Invalidf("serve: unknown method %q", r.Method)
+	if r.Method != "ours" {
+		if err := baselines.Check(r.Method); err != nil {
+			return err
+		}
 	}
 	if r.Resilient && r.Method != "ours" {
 		return mclgerr.Invalidf("serve: resilient mode requires method \"ours\"")
@@ -141,6 +145,15 @@ func (r *Request) validate() error {
 	}
 	if r.Hedge < 0 || r.Hedge > 1 {
 		return mclgerr.Invalidf("serve: hedge %g out of range [0, 1]", r.Hedge)
+	}
+	return nil
+}
+
+// validate is Validate plus the daemon's own rules on the design source,
+// scale, priority and timeout.
+func (r *Request) validate() error {
+	if err := r.Validate(); err != nil {
+		return err
 	}
 	switch r.Priority {
 	case "", "batch", "interactive":
@@ -182,8 +195,8 @@ func (r *Request) validate() error {
 	return nil
 }
 
-// coreOptions resolves the wire options against the paper defaults.
-func (r *Request) coreOptions() core.Options {
+// CoreOptions resolves the wire options against the paper defaults.
+func (r *Request) CoreOptions() core.Options {
 	o := core.Options{}
 	if j := r.Options; j != nil {
 		o.Lambda, o.Beta, o.Theta, o.Eps = j.Lambda, j.Beta, j.Theta, j.Eps
@@ -203,7 +216,7 @@ func (r *Request) coreOptions() core.Options {
 // the key must not change under a resumable job.
 func (r *Request) key() string {
 	h := sha256.New()
-	o := r.coreOptions()
+	o := r.CoreOptions()
 	fmt.Fprintf(h, "method=%s|resilient=%v|audit=%v|windows=%v|window_rows=%d|exact=%d|",
 		r.Method, r.Resilient, r.Audit, r.Windows, r.WindowRows, r.Exact)
 	fmt.Fprintf(h, "lambda=%g|beta=%g|theta=%g|gamma=%g|eps=%g|maxiter=%d|restol=%g|autotheta=%v|autotune=false|boundright=%v|",
@@ -262,38 +275,43 @@ func (r *Request) loadDesign() (*design.Design, error) {
 	}, "upload")
 }
 
-// solve runs the requested legalizer on d and returns the report. The
-// context carries the job deadline; every solver stage polls it.
-func (r *Request) solve(ctx context.Context, d *design.Design) (*report.Report, error) {
+// Solve runs the job's legalizer on d and returns the report. The context
+// carries the job deadline; every solver stage polls it. A windowed job
+// solves through legalizeWindows (window.Legalize, or the daemon's journaled
+// and dispatched form of it). A placement the checker rejects returns the
+// report with an ErrUnplacedCells stage error.
+func (r *Request) Solve(ctx context.Context, d *design.Design,
+	legalizeWindows func(context.Context, *design.Design, window.Options) (*window.Stats, error)) (*report.Report, error) {
 	t0 := time.Now()
 	var (
-		stats    *core.Stats
-		rung     string
-		attempts int
+		stats   *core.Stats
+		rs      *core.ResilientStats
+		windows *window.Stats
+		err     error
 	)
-	switch r.Method {
-	case "ours":
-		opts := r.coreOptions()
-		if r.Resilient {
-			rs, err := core.NewResilient(opts).LegalizeContext(ctx, d)
-			if err != nil {
-				return nil, err
-			}
-			stats, rung, attempts = &rs.Stats, string(rs.Rung), len(rs.Attempts)
-		} else {
-			st, err := core.New(opts).LegalizeContext(ctx, d)
-			if err != nil {
-				return nil, err
-			}
-			stats = st
+	opts := r.CoreOptions()
+	switch {
+	case r.Method != "ours":
+		err = baselines.Legalize(ctx, r.Method, d)
+	case r.Windows:
+		windows, err = legalizeWindows(ctx, d, window.Options{
+			Core: opts, WindowRows: r.WindowRows, HedgeQuantile: r.Hedge, ExactWindows: r.Exact,
+		})
+	case r.Resilient:
+		if rs, err = core.NewResilient(opts).LegalizeContext(ctx, d); err == nil {
+			stats = &rs.Stats
 		}
 	default:
-		if err := baselines.Legalize(ctx, r.Method, d); err != nil {
-			return nil, err
-		}
+		stats, err = core.New(opts).LegalizeContext(ctx, d)
+	}
+	if err != nil {
+		return nil, err
 	}
 	rep := report.FromDesign(d, r.Method, time.Since(t0))
-	rep.Rung, rep.Attempts = rung, attempts
+	rep.Windows = windows
+	if rs != nil {
+		rep.Rung, rep.Attempts = string(rs.Rung), len(rs.Attempts)
+	}
 	if stats != nil {
 		rep.SetStats(stats)
 	}
@@ -304,25 +322,26 @@ func (r *Request) solve(ctx context.Context, d *design.Design) (*report.Report, 
 			Detail: "solver returned but the placement failed the legality checker",
 		}
 	}
-	rep.CapturePlacement(d)
 	return rep, nil
 }
 
-// runAudit certifies a solved job: the auditor re-runs the pipeline from the
-// design's global positions (d's solved state is not trusted or reused) and
-// the returned certificate's PosHash must reproduce the served placement —
-// a mismatch means the determinism contract broke and fails the job.
-func (r *Request) runAudit(ctx context.Context, d *design.Design, rep *report.Report) (*audit.Certificate, error) {
-	cert, err := audit.Run(ctx, d, audit.Options{Core: r.coreOptions()})
+// Certify audits a solved job and attaches the sealed certificate to rep:
+// the auditor re-runs the pipeline from the design's global positions (d's
+// solved state is not trusted or reused), and the certificate's PosHash must
+// reproduce rep's. A mismatch means the determinism contract broke; it
+// returns an "audit" stage error, as an audit that cannot run does.
+func (r *Request) Certify(ctx context.Context, d *design.Design, rep *report.Report) error {
+	cert, err := audit.Run(ctx, d, audit.Options{Core: r.CoreOptions()})
 	if err != nil {
-		return nil, mclgerr.Stage("audit", err)
+		return mclgerr.Stage("audit", err)
 	}
 	if cert.PosHash != rep.PosHash {
-		return nil, &mclgerr.StageError{
+		return &mclgerr.StageError{
 			Stage:  "audit",
 			Err:    mclgerr.ErrUnplacedCells,
 			Detail: fmt.Sprintf("audit re-run placement %s does not reproduce served placement %s", cert.PosHash, rep.PosHash),
 		}
 	}
-	return cert, nil
+	rep.Certificate = cert
+	return nil
 }

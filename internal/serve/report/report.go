@@ -38,6 +38,13 @@ type Report struct {
 	Iterations int  `json:"iterations"`
 	Converged  bool `json:"converged"`
 
+	// NumVars and NumCons size the MMSIM's LCP, and MaxSubcellMismatch is
+	// the largest subcell spread restoration found. All three are absent
+	// when no MMSIM legalization ran (baselines, windowed runs).
+	NumVars            int     `json:"num_vars,omitempty"`
+	NumCons            int     `json:"num_cons,omitempty"`
+	MaxSubcellMismatch float64 `json:"max_subcell_mismatch,omitempty"`
+
 	// Finish reports the MMSIM's active-set finish: "accepted" or
 	// "fallback" (the MMSIM then ran to convergence), with its rounds and
 	// PCG iterations. All three are absent when the finish did not run.
@@ -90,6 +97,8 @@ type Report struct {
 func (r *Report) SetStats(st *core.Stats) {
 	r.Iterations = st.Iterations
 	r.Converged = st.Converged
+	r.NumVars, r.NumCons = st.NumVars, st.NumCons
+	r.MaxSubcellMismatch = st.MaxSubcellMismatch
 	r.Finish = st.Finish.Outcome
 	r.FinishRounds = st.Finish.Rounds
 	r.FinishPCG = st.Finish.PCG
@@ -103,31 +112,31 @@ func (r *Report) SetStats(st *core.Stats) {
 // FromDesign measures the design's current placement into a Report. Solver
 // statistics (iterations, stage times, rung) are layered on by the caller.
 func FromDesign(d *design.Design, method string, wall time.Duration) *Report {
+	r := &Report{Method: method}
+	r.Measure(d, wall)
+	return r
+}
+
+// Measure sets every field FromDesign reads off d's placement, and the wall
+// time, keeping the solver figures: a stage that moves cells after the solve
+// (mclg -refine) re-measures with it.
+func (r *Report) Measure(d *design.Design, wall time.Duration) {
 	disp := metrics.MeasureDisplacement(d)
-	multi := 0
+	r.Design, r.Cells, r.MultiRowCells = d.Name, len(d.Cells), 0
 	for _, c := range d.Cells {
 		if c.RowSpan > 1 {
-			multi++
+			r.MultiRowCells++
 		}
 	}
-	avg := 0.0
+	r.AvgDispSites = 0
 	if len(d.Cells) > 0 {
-		avg = disp.TotalSites / float64(len(d.Cells))
+		r.AvgDispSites = disp.TotalSites / float64(len(d.Cells))
 	}
-	return &Report{
-		Design:            d.Name,
-		Cells:             len(d.Cells),
-		MultiRowCells:     multi,
-		Method:            method,
-		Legal:             design.IsLegal(d),
-		DisplacementSites: disp.TotalSites,
-		MaxDispSites:      disp.MaxSites,
-		AvgDispSites:      avg,
-		HPWL:              metrics.HPWL(d),
-		DeltaHPWL:         metrics.DeltaHPWL(d),
-		WallMS:            float64(wall) / float64(time.Millisecond),
-		PosHash:           design.PositionHash(d),
-	}
+	r.Legal = design.IsLegal(d)
+	r.DisplacementSites, r.MaxDispSites = disp.TotalSites, disp.MaxSites
+	r.HPWL, r.DeltaHPWL = metrics.HPWL(d), metrics.DeltaHPWL(d)
+	r.WallMS = float64(wall) / float64(time.Millisecond)
+	r.PosHash = design.PositionHash(d)
 }
 
 // CapturePlacement snapshots the design's cell state into the report.

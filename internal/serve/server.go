@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"mclg/internal/design"
-	"mclg/internal/faults"
 	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
 	"mclg/internal/window"
@@ -89,9 +88,6 @@ type Config struct {
 	ECODir string
 	// ECOSessionCap bounds concurrently open /v1/eco sessions; 0 means 8.
 	ECOSessionCap int
-	// Chaos, when non-nil, injects deterministic window-granular faults into
-	// windowed jobs. Test-only.
-	Chaos *faults.WindowChaos
 	// Dispatcher, when non-nil, replaces the in-process windowed solve: a
 	// coordinator daemon sets it to shard window jobs across worker daemons
 	// (internal/cluster). Non-windowed jobs still solve locally.
@@ -305,10 +301,11 @@ func (s *Server) runJob(j *job) {
 			ts := time.Now()
 			samples := mallocSamples()
 			m0 := mallocs(samples)
-			if j.req.Windows {
-				rep, err = s.solveWindowed(j, d)
-			} else {
-				rep, err = j.req.solve(j.ctx, d)
+			rep, err = j.req.Solve(j.ctx, d, func(ctx context.Context, d *design.Design, o window.Options) (*window.Stats, error) {
+				return s.legalizeWindows(ctx, d, o, j.key)
+			})
+			if err == nil {
+				rep.CapturePlacement(d) // cached for any later request that asks for it
 			}
 			m1 := mallocs(samples)
 			solveDur = time.Since(ts)
@@ -326,20 +323,17 @@ func (s *Server) runJob(j *job) {
 			// caller with pass=false and counted.
 			doAudit := j.req.Audit ||
 				(s.cfg.AuditAll && j.req.Method == "ours" && !j.req.Resilient && !j.req.Windows)
-			if err == nil && rep != nil && doAudit {
+			if err == nil && doAudit {
 				ta := time.Now()
-				cert, aerr := j.req.runAudit(j.ctx, d, rep)
+				err = j.req.Certify(j.ctx, d, rep)
 				s.stats.stages.With("audit").Observe(time.Since(ta).Seconds())
-				if aerr != nil {
+				switch {
+				case err != nil:
 					s.stats.audits.With("error").Inc()
-					err = aerr
-				} else {
-					rep.Certificate = cert
-					if cert.Pass {
-						s.stats.audits.With("pass").Inc()
-					} else {
-						s.stats.audits.With("fail").Inc()
-					}
+				case rep.Certificate.Pass:
+					s.stats.audits.With("pass").Inc()
+				default:
+					s.stats.audits.With("fail").Inc()
 				}
 			}
 		}

@@ -1,35 +1,21 @@
 package serve
 
 import (
+	"context"
 	"os"
 	"path/filepath"
-	"time"
 
 	"mclg/internal/design"
-	"mclg/internal/serve/report"
 	"mclg/internal/window"
 )
 
-// solveWindowed runs a windowed job through the fault-isolated supervisor.
-// When the server has a journal directory, verified window results are
-// fsync'd to <JournalDir>/<job-key>.wal as they commit, so a daemon killed
-// mid-job replays the completed windows on restart instead of re-solving
-// them. The journal is removed once the job commits; on failure it is kept
-// for the retry.
-func (s *Server) solveWindowed(j *job, d *design.Design) (*report.Report, error) {
-	t0 := time.Now()
-	base := j.req.coreOptions()
-	opts := window.Options{
-		Core:          base,
-		WindowRows:    j.req.WindowRows,
-		HedgeQuantile: j.req.Hedge,
-		ExactWindows:  j.req.Exact,
-		Chaos:         s.cfg.Chaos,
-	}
-	if opts.WindowRows == 0 {
-		opts.WindowRows = s.cfg.WindowRows // direct (non-HTTP) submissions
-	}
-
+// legalizeWindows is the daemon's form of window.Legalize for the job with
+// cache key key. When the server has a journal directory, verified window
+// results are fsync'd to <JournalDir>/<key>.wal as they commit, so a daemon
+// killed mid-job replays the completed windows on restart instead of
+// re-solving them. The journal is removed once the job commits; on failure
+// it is kept for the retry.
+func (s *Server) legalizeWindows(ctx context.Context, d *design.Design, opts window.Options, key string) (*window.Stats, error) {
 	var journal *window.FileJournal
 	if s.cfg.JournalDir != "" {
 		// The journal is content-addressed twice over: the file name is the
@@ -37,8 +23,8 @@ func (s *Server) solveWindowed(j *job, d *design.Design) (*report.Report, error)
 		// geometry plus every result-affecting option, so a stale or
 		// mismatched journal resets instead of replaying.
 		if plan, perr := window.Partition(d, opts.WindowRows, window.DefaultContextRows); perr == nil {
-			sig := window.Sig(d, opts.WindowRows, window.DefaultContextRows, base)
-			path := filepath.Join(s.cfg.JournalDir, j.key+".wal")
+			sig := window.Sig(d, opts.WindowRows, window.DefaultContextRows, opts.Core)
+			path := filepath.Join(s.cfg.JournalDir, key+".wal")
 			if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
 				s.log.Warn("window journal disabled", "err", err)
 			} else if fj, err := window.OpenFileJournal(path, sig, len(plan.Bands)); err != nil {
@@ -56,9 +42,9 @@ func (s *Server) solveWindowed(j *job, d *design.Design) (*report.Report, error)
 	var st *window.Stats
 	var err error
 	if s.cfg.Dispatcher != nil {
-		st, err = s.cfg.Dispatcher.DispatchWindows(j.ctx, d, opts)
+		st, err = s.cfg.Dispatcher.DispatchWindows(ctx, d, opts)
 	} else {
-		st, err = window.Legalize(j.ctx, d, opts)
+		st, err = window.Legalize(ctx, d, opts)
 	}
 	if journal != nil {
 		if err == nil {
@@ -70,10 +56,6 @@ func (s *Server) solveWindowed(j *job, d *design.Design) (*report.Report, error)
 	if err != nil {
 		return nil, err
 	}
-
 	s.stats.windowDone(st)
-	rep := report.FromDesign(d, j.req.Method, time.Since(t0))
-	rep.Windows = st
-	rep.CapturePlacement(d)
-	return rep, nil
+	return st, nil
 }

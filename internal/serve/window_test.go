@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"mclg/internal/design"
 	"mclg/internal/faults"
 	"mclg/internal/gen"
+	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
 	"mclg/internal/window"
 )
@@ -217,6 +219,22 @@ func TestExactWindowedJob(t *testing.T) {
 	}
 }
 
+// chaosDispatcher is a WindowDispatcher that runs window.Legalize with chaos
+// sabotaging each window attempt before its clean local solve.
+type chaosDispatcher struct{ chaos *faults.WindowChaos }
+
+func (c chaosDispatcher) DispatchWindows(ctx context.Context, d *design.Design, opts window.Options) (*window.Stats, error) {
+	base := opts.Core
+	opts.SolveWindow = func(ctx context.Context, d *design.Design, p *window.Plan, w, attempt int) (*window.Result, error) {
+		sub, idx := window.BuildSub(d, p, &p.Bands[w])
+		if err := c.chaos.Inject(ctx, w, attempt, sub); err != nil {
+			return nil, mclgerr.Canceled(err)
+		}
+		return window.SolveSub(ctx, sub, idx, w, base)
+	}
+	return window.Legalize(ctx, d, opts)
+}
+
 // stallSeed finds a seed under which exactly one of the job's windows stalls
 // persistently, so one worker wedges on it while the other commits the rest.
 func stallSeed(t *testing.T, windows int) uint64 {
@@ -281,7 +299,7 @@ func TestDrainUnderChaosJournalResume(t *testing.T) {
 
 	journalDir := t.TempDir()
 	chaos := &faults.WindowChaos{Seed: stallSeed(t, windows), StallFrac: 0.15, MaxAttempt: 1 << 30}
-	s1 := New(Config{Workers: 1, JournalDir: journalDir, Chaos: chaos})
+	s1 := New(Config{Workers: 1, JournalDir: journalDir, Dispatcher: chaosDispatcher{chaos}})
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
 
@@ -318,7 +336,7 @@ func TestDrainUnderChaosJournalResume(t *testing.T) {
 
 	// The journal survived the drain and holds only verified-legal window
 	// results — replaying it must succeed and resume all committed windows.
-	sig := window.Sig(d, windowRows, window.DefaultContextRows, vreq.coreOptions())
+	sig := window.Sig(d, windowRows, window.DefaultContextRows, vreq.CoreOptions())
 	fj, err := window.OpenFileJournal(journalPath, sig, windows)
 	if err != nil {
 		t.Fatalf("journal unreadable after drain: %v", err)

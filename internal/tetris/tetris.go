@@ -143,7 +143,7 @@ func AllocateContext(ctx context.Context, d *design.Design) (*Result, error) {
 				return nil, err
 			}
 		}
-		design.PlaceNearest(d, occ, cd.c, cd.x, d.RowY(cd.row), 2, &failed)
+		design.PlaceNearest(d, occ, cd.c, cd.x, d.RowY(cd.row), true, &failed)
 	}
 
 	res.RepairFailed = len(failed)
@@ -329,7 +329,7 @@ func rebuildNearest(ctx context.Context, d *design.Design, sc *scratch) int {
 		if i%cancelCheckEvery == 0 && mclgerr.FromContext(ctx) != nil {
 			return len(failed) + len(movable) - i
 		}
-		design.PlaceNearest(d, occ, c, c.X, c.Y, 0, &failed)
+		design.PlaceNearest(d, occ, c, c.X, c.Y, false, &failed)
 	}
 	return len(failed)
 }

@@ -111,7 +111,7 @@ func TestExactRefineImprovesDegradedWindow(t *testing.T) {
 	run := func(exactWindows int) (*Stats, *design.Design) {
 		d := genDesign(t, "des_perf_1", 0.004)
 		opts := baseOptions(2)
-		opts.Chaos = template.with(seed)
+		opts.SolveWindow = chaosSolve(template.with(seed), opts.Core)
 		opts.RetryBackoff = time.Millisecond
 		opts.ExactWindows = exactWindows
 		opts.ExactNodeBudget = 3000

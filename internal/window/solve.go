@@ -3,7 +3,6 @@ package window
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -138,19 +137,6 @@ func (buf *SubBuf) build(d *design.Design, p *Plan, b *Band) (*design.Design, []
 	}
 	buf.idx = idx
 	return sub, idx
-}
-
-// poisonSub corrupts a sub-design with a NaN global position — the chaos
-// harness's numerical fault. It touches only the attempt's private
-// sub-design, so a retry rebuilds a clean one.
-func poisonSub(sub *design.Design) {
-	for _, c := range sub.Cells {
-		if !c.Fixed {
-			c.GX = math.NaN()
-			c.X = c.GX
-			return
-		}
-	}
 }
 
 // SolveSub runs one clean solve of window w's sub-design (built by BuildSub,

@@ -10,7 +10,6 @@ import (
 
 	"mclg/internal/core"
 	"mclg/internal/design"
-	"mclg/internal/faults"
 	"mclg/internal/mclgerr"
 )
 
@@ -62,10 +61,6 @@ type Options struct {
 	// deterministic result, so who wins never changes the placement.
 	HedgeQuantile float64
 
-	// Chaos, when non-nil, injects deterministic window-granular faults
-	// (panics, stalls, NaN poisoning) into solve attempts. Test-only.
-	Chaos *faults.WindowChaos
-
 	// SolveWindow, when non-nil, replaces the local per-window solve: a
 	// cluster coordinator sets it to ship window w's sub-design to a remote
 	// worker. The supervisor's retry, backoff, hedging, and degradation
@@ -75,8 +70,8 @@ type Options struct {
 	// local greedy fallback. The hook MUST be result-deterministic: every
 	// successful call for the same (d, plan, w) returns the same cells,
 	// which is what keeps the stitched placement independent of routing,
-	// retries, and hedge outcomes. Chaos injection is bypassed for hooked
-	// solves (chaos sabotages local attempts only).
+	// retries, and hedge outcomes. Tests inject faults through it
+	// (internal/faults.WindowChaos).
 	SolveWindow func(ctx context.Context, d *design.Design, p *Plan, w, attempt int) (*Result, error)
 
 	// Journal, when non-nil, records every verified window result and
@@ -240,7 +235,7 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 }
 
 // attempt runs one solve attempt of window wi under the window's context
-// with panic containment, the per-attempt deadline, and chaos injection.
+// with panic containment and the per-attempt deadline.
 func (s *supervisor) attempt(wi, attemptIdx int) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -257,11 +252,6 @@ func (s *supervisor) attempt(wi, attemptIdx int) (res *Result, err error) {
 		return s.opts.SolveWindow(ctx, s.d, s.plan, wi, attemptIdx)
 	}
 	sub, idx := BuildSub(s.d, s.plan, &s.plan.Bands[wi])
-	if s.opts.Chaos != nil {
-		if err := s.opts.Chaos.Inject(ctx, wi, attemptIdx, func() { poisonSub(sub) }); err != nil {
-			return nil, mclgerr.Canceled(err)
-		}
-	}
 	return SolveSub(ctx, sub, idx, wi, s.opts.Core)
 }
 

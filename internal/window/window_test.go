@@ -12,6 +12,7 @@ import (
 	"mclg/internal/design"
 	"mclg/internal/faults"
 	"mclg/internal/gen"
+	"mclg/internal/mclgerr"
 	"mclg/internal/regress"
 )
 
@@ -206,7 +207,7 @@ func TestChaosContainment(t *testing.T) {
 				chaos := template.with(seed)
 				d := genDesign(t, tc.bench, tc.scale)
 				opts := baseOptions(workers)
-				opts.Chaos = chaos
+				opts.SolveWindow = chaosSolve(chaos, opts.Core)
 				opts.WindowTimeout = 2 * time.Second // bound injected stalls
 				opts.RetryBackoff = time.Millisecond
 				st, err := Legalize(context.Background(), d, opts)
@@ -248,7 +249,7 @@ func TestPersistentFaultDegradesWindow(t *testing.T) {
 	seed := chaosSeed(t, template, len(p.Bands), 1)
 
 	opts := baseOptions(2)
-	opts.Chaos = template.with(seed)
+	opts.SolveWindow = chaosSolve(template.with(seed), opts.Core)
 	opts.RetryBackoff = time.Millisecond
 	st, err := Legalize(context.Background(), d, opts)
 	if err != nil {
@@ -288,7 +289,7 @@ func TestHedgeWinsOverStalledPrimary(t *testing.T) {
 	seed := chaosSeed(t, template, len(p.Bands), 1)
 
 	opts := baseOptions(4)
-	opts.Chaos = template.with(seed)
+	opts.SolveWindow = chaosSolve(template.with(seed), opts.Core)
 	opts.WindowTimeout = 30 * time.Second
 	opts.MaxRetries = -1 // stalled primaries burn the whole deadline; rely on the hedge
 	opts.HedgeQuantile = 0.5
@@ -335,7 +336,7 @@ func TestHedgeCancelsStalledLoser(t *testing.T) {
 	seed := chaosSeed(t, template, len(p.Bands), 1)
 
 	opts := baseOptions(4)
-	opts.Chaos = template.with(seed)
+	opts.SolveWindow = chaosSolve(template.with(seed), opts.Core)
 	opts.WindowTimeout = 10 * time.Minute // the deadline must never be the unblocker
 	opts.MaxRetries = -1
 	opts.HedgeQuantile = 0.5
@@ -365,6 +366,19 @@ func TestHedgeCancelsStalledLoser(t *testing.T) {
 func solveClean(ctx context.Context, d *design.Design, p *Plan, w int, opts core.Options) (*Result, error) {
 	sub, idx := BuildSub(d, p, &p.Bands[w])
 	return SolveSub(ctx, sub, idx, w, opts)
+}
+
+// chaosSolve is a SolveWindow hook that lets chaos sabotage each attempt
+// (a panic, a stall until the attempt's context ends, or a NaN in the
+// attempt's private sub-design) before the clean local solve.
+func chaosSolve(chaos *faults.WindowChaos, opts core.Options) func(context.Context, *design.Design, *Plan, int, int) (*Result, error) {
+	return func(ctx context.Context, d *design.Design, p *Plan, w, attempt int) (*Result, error) {
+		sub, idx := BuildSub(d, p, &p.Bands[w])
+		if err := chaos.Inject(ctx, w, attempt, sub); err != nil {
+			return nil, mclgerr.Canceled(err)
+		}
+		return SolveSub(ctx, sub, idx, w, opts)
+	}
 }
 
 // TestExhaustedPrimaryAwaitsHedge pins the wait before degradation: window
