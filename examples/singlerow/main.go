@@ -33,17 +33,13 @@ func main() {
 	mmsim := d.Clone()
 	placerow := d.Clone()
 
-	// MMSIM path (relaxed right boundary, like the paper's experiment).
+	// MMSIM path (relaxed right boundary, like the paper's experiment),
+	// stopped before the Tetris snapping.
 	t0 := time.Now()
-	p, err := core.BuildProblem(mmsim, 1000)
+	st, err := core.New(core.Options{Eps: 1e-8, SkipTetris: true}).Legalize(mmsim)
 	if err != nil {
 		log.Fatal(err)
 	}
-	x, st, err := core.SolveMMSIM(p, core.New(core.Options{Eps: 1e-8}).Opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	core.Restore(p, x)
 	tMMSIM := time.Since(t0)
 
 	// Abacus PlaceRow path on the identical row assignment and ordering.

@@ -303,31 +303,16 @@ func hasOrderTies(d *design.Design, opts core.Options) (bool, error) {
 	return false, nil
 }
 
-// runOnce runs the pipeline stages manually so the relaxed objective can be
-// measured between the solve and the snapping, then finishes with the
-// Tetris stage for the legality verdict.
+// runOnce runs the pipeline up to multi-row restoration (SkipTetris), so the
+// relaxed objective can be measured before the snapping, then finishes with
+// the Tetris stage for the legality verdict.
 func runOnce(ctx context.Context, d *design.Design, opts core.Options) (legal bool, relaxedObj float64, err error) {
 	c := d.Clone()
 	c.ResetToGlobal()
-	leg := core.New(opts)
-	o := leg.Opts
-	if err := core.AssignRows(c); err != nil {
+	opts.SkipTetris = true
+	if _, err := core.New(opts).LegalizeContext(ctx, c); err != nil {
 		return false, 0, err
 	}
-	if o.BoundRight {
-		if err := core.BalanceRows(c); err != nil {
-			return false, 0, err
-		}
-	}
-	p, err := core.BuildProblemBounded(c, o.Lambda, o.BoundRight)
-	if err != nil {
-		return false, 0, err
-	}
-	x, _, err := core.SolveMMSIMContext(ctx, p, o)
-	if err != nil {
-		return false, 0, err
-	}
-	core.Restore(p, x)
 	relaxedObj = metrics.MeasureDisplacement(c).SumSq
 	if _, err := tetris.AllocateContext(ctx, c); err != nil {
 		return false, 0, err

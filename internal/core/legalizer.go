@@ -201,7 +201,20 @@ func (l *Legalizer) Legalize(d *design.Design) (*Stats, error) {
 // a canceled ctx aborts the MMSIM hot loop and the allocation stage with an
 // mclgerr.ErrCanceled-matching error.
 func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Stats, error) {
-	if err := l.Opts.Validate(); err != nil {
+	return legalize(ctx, d, l.Opts, "mmsim", solveMMSIM)
+}
+
+// solveFunc is the solve stage of the pipeline: it returns the subcell x
+// solution of the built problem p (nil when p has no variables), may use
+// ar's workspace, and records its iterations and convergence in st.
+type solveFunc func(ctx context.Context, ar *arena, p *Problem, opts Options, st *Stats) ([]float64, error)
+
+// legalize is the flow of Figure 4 with the given solve, whose errors carry
+// the stage label: validate the options and the design, assign rows,
+// balance them under BoundRight, build the problem into an arena, solve,
+// restore multi-row cells, and run the Tetris allocation unless SkipTetris.
+func legalize(ctx context.Context, d *design.Design, opts Options, stage string, solve solveFunc) (*Stats, error) {
+	if err := opts.Validate(); err != nil {
 		return nil, mclgerr.Stage("validate", err)
 	}
 	if err := d.Validate(); err != nil {
@@ -216,7 +229,7 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 	if err := AssignRows(d); err != nil {
 		return nil, mclgerr.Stage("assign-rows", err)
 	}
-	if l.Opts.BoundRight {
+	if opts.BoundRight {
 		// Boundary constraints require per-row capacity feasibility.
 		if err := BalanceRows(d); err != nil {
 			return nil, mclgerr.Stage("balance-rows", err)
@@ -226,27 +239,22 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 	ar := getArena()
 	defer ar.release()
 	p := &ar.p
-	if err := p.build(d, l.Opts.Lambda, l.Opts.BoundRight); err != nil {
+	if err := p.build(d, opts.Lambda, opts.BoundRight); err != nil {
 		return nil, mclgerr.Stage("build", err)
 	}
 	stats.NumVars, stats.NumCons = p.NumVars, p.NumCons
 	stats.BuildTime = time.Since(t0)
 
 	t1 := time.Now()
-	x, solveStats, err := ar.solve(ctx, p, l.Opts)
+	x, err := solve(ctx, ar, p, opts, stats)
 	if err != nil {
-		return nil, mclgerr.Stage("mmsim", err)
+		return nil, mclgerr.Stage(stage, err)
 	}
-	stats.Iterations = solveStats.Iterations
-	stats.Converged = solveStats.Converged
-	stats.ThetaUsed = solveStats.ThetaUsed
-	stats.ThetaBound = solveStats.ThetaBound
-	stats.Finish = solveStats.Finish
 	stats.SolveTime = time.Since(t1)
 
 	stats.MaxSubcellMismatch = Restore(p, x)
 
-	if !l.Opts.SkipTetris {
+	if !opts.SkipTetris {
 		t2 := time.Now()
 		tres, err := tetris.AllocateContext(ctx, d)
 		if err != nil {
@@ -257,6 +265,21 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 		stats.TetrisTime = time.Since(t2)
 	}
 	return stats, nil
+}
+
+// solveMMSIM is the paper's solve: the structured MMSIM, paused for the
+// active-set finish unless MMSIMOnly.
+func solveMMSIM(ctx context.Context, ar *arena, p *Problem, opts Options, st *Stats) ([]float64, error) {
+	x, ss, err := ar.solve(ctx, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	st.Iterations = ss.Iterations
+	st.Converged = ss.Converged
+	st.ThetaUsed = ss.ThetaUsed
+	st.ThetaBound = ss.ThetaBound
+	st.Finish = ss.Finish
+	return x, nil
 }
 
 // SolveStats reports the MMSIM solve outcome.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -383,6 +384,62 @@ func TestLegalizeWithFixedMacros(t *testing.T) {
 	for _, m := range d.Cells {
 		if m.Fixed && (m.X != m.GX || m.Y != m.GY) {
 			t.Errorf("macro %d moved", m.ID)
+		}
+	}
+}
+
+// TestSkipTetrisStopsAfterRestore pins what SkipTetris returns, which the
+// experiments and the audit's metamorphic harness read as the relaxed
+// optimum: positions bit-equal to running the stages by hand — AssignRows
+// (and BalanceRows under BoundRight), BuildProblemBounded,
+// SolveMMSIMContext and Restore — with no Tetris repairs counted, on the
+// finish tests' cases (the regress trio, triple-height and BoundRight).
+func TestSkipTetrisStopsAfterRestore(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range finishCases(t) {
+		d, err := gen.Generate(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := New(Options{BoundRight: tc.bound}).Opts
+		got := d.Clone()
+		skip := opts
+		skip.SkipTetris = true
+		st, err := New(skip).LegalizeContext(ctx, got)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Illegal != 0 || st.Unplaced != 0 {
+			t.Errorf("%s: SkipTetris counted %d illegal, %d unplaced cells", tc.name, st.Illegal, st.Unplaced)
+		}
+
+		want := d.Clone()
+		if err := AssignRows(want); err != nil {
+			t.Fatal(err)
+		}
+		if opts.BoundRight {
+			if err := BalanceRows(want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := BuildProblemBounded(want, opts.Lambda, opts.BoundRight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, sst, err := SolveMMSIMContext(ctx, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mm := Restore(p, x); mm != st.MaxSubcellMismatch || sst.Iterations != st.Iterations {
+			t.Errorf("%s: mismatch %g and %d iterations, by hand %g and %d",
+				tc.name, st.MaxSubcellMismatch, st.Iterations, mm, sst.Iterations)
+		}
+		for i, c := range got.Cells {
+			w := want.Cells[i]
+			if math.Float64bits(c.X) != math.Float64bits(w.X) || math.Float64bits(c.Y) != math.Float64bits(w.Y) || c.Flipped != w.Flipped {
+				t.Fatalf("%s: cell %d at (%v, %v, flip %v), by hand (%v, %v, flip %v)",
+					tc.name, i, c.X, c.Y, c.Flipped, w.X, w.Y, w.Flipped)
+			}
 		}
 	}
 }

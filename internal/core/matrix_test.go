@@ -274,6 +274,77 @@ func TestSolveHShiftedTripleHeight(t *testing.T) {
 	}
 }
 
+// TestBlockSolvesPastStackScratch runs every H block solve on a cell taller
+// than the block solve's stack scratch: SolveHShifted and SolveHOmegaDiag
+// must invert their systems, and ApplyHInvSparse and hInvDiag must agree
+// with SolveHShifted on a unit vector.
+func TestBlockSolvesPastStackScratch(t *testing.T) {
+	const span = maxSpan + 4
+	d := design.NewDesign(design.Config{NumRows: span + 2, NumSites: 50, RowHeight: 10, SiteW: 1})
+	c := d.AddCell("tall", 5, span*10, design.VSS)
+	c.GX, c.GY = 10, 0
+	c.X, c.Y = 10, 0
+	lambda := 9.0
+	p, err := BuildProblem(d, lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumVars != span {
+		t.Fatalf("NumVars = %d, want %d", p.NumVars, span)
+	}
+	rhs := make([]float64, span)
+	for i := range rhs {
+		rhs[i] = float64(i%5) - 2
+	}
+	x := make([]float64, span)
+	p.SolveHShifted(1, lambda, x, rhs)
+	hx := make([]float64, span)
+	p.ApplyH(hx, x)
+	for i := range rhs {
+		if math.Abs(hx[i]-rhs[i]) > 1e-9 {
+			t.Fatalf("SolveHShifted: H·x[%d] = %g, want %g", i, hx[i], rhs[i])
+		}
+	}
+	const beta = 0.5
+	p.SolveHOmegaDiag(beta, x, rhs)
+	p.ApplyH(hx, x)
+	hd := p.HDiag()
+	for i := range rhs {
+		if got := hx[i]/beta + hd[i]*x[i]; math.Abs(got-rhs[i]) > 1e-9 {
+			t.Fatalf("SolveHOmegaDiag: row %d = %g, want %g", i, got, rhs[i])
+		}
+	}
+	const v = span / 2
+	unit := make([]float64, span)
+	unit[v] = 1
+	p.SolveHShifted(1, lambda, x, unit)
+	got := make([]float64, span)
+	p.ApplyHInvSparse([]int{v}, []float64{1}, func(j int, hv float64) { got[j] = hv })
+	for i := range x {
+		if math.Abs(got[i]-x[i]) > 1e-12 {
+			t.Fatalf("ApplyHInvSparse[%d] = %g, SolveHShifted %g", i, got[i], x[i])
+		}
+	}
+	if h := p.hInvDiag(v); math.Abs(h-x[v]) > 1e-12 {
+		t.Fatalf("hInvDiag = %g, SolveHShifted %g", h, x[v])
+	}
+
+	// The whole flow, whose Schur build reaches ApplyHInvSparse once the
+	// tall cell has neighbors.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 60; i++ {
+		s := d.AddCell("s", 3, 10, design.VSS)
+		s.GX, s.GY = rng.Float64()*45, rng.Float64()*float64(span+1)*10
+		s.X, s.Y = s.GX, s.GY
+	}
+	if _, err := New(Options{}).Legalize(d); err != nil {
+		t.Fatal(err)
+	}
+	if rep := design.CheckLegal(d); !rep.Legal() {
+		t.Fatalf("illegal: %v", rep)
+	}
+}
+
 func TestApplyHInvSparseMatchesDenseSolve(t *testing.T) {
 	d, _ := figure3Design()
 	lambda := 1000.0
@@ -349,7 +420,8 @@ func TestSchurTridiagClosedFormDoubleHeight(t *testing.T) {
 }
 
 // applyHInvSparseMap is the ApplyHInvSparse that tracked solved blocks in a
-// map and solved into a fresh slice, kept as the bit-for-bit reference.
+// map and gathered each block into a fresh slice, kept as the bit-for-bit
+// reference.
 func applyHInvSparseMap(p *Problem, idx []int, val []float64, emit func(int, float64)) {
 	done := make(map[int]bool, 2)
 	for n, j := range idx {
@@ -365,9 +437,8 @@ func applyHInvSparseMap(p *Problem, idx []int, val []float64, emit func(int, flo
 				rhs[idx[m]-vars[0]] += val[m]
 			}
 		}
-		sol := make([]float64, len(vars))
-		p.solveBlockDense(1, p.Lambda, vars, sol, rhs)
-		for k, v := range sol {
+		solveBlock(rhs, 1, 1, p.Lambda, p.Lambda)
+		for k, v := range rhs {
 			if v != 0 {
 				emit(vars[k], v)
 			}

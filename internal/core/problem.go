@@ -366,45 +366,48 @@ func (p *Problem) SolveHShifted(c1, lamCoef float64, dst, rhs []float64) {
 			dst[vars[0]] = (a*r0 + lamCoef*r1) / det
 			dst[vars[1]] = (lamCoef*r0 + a*r1) / det
 		default:
-			// General k-row cells: Thomas algorithm on the small
-			// tridiagonal block c1·I + λ'·L where L = path Laplacian
-			// (diag 1,2,...,2,1; off-diagonals −1).
-			p.solvePathBlock(c1, lamCoef, vars, dst, rhs)
+			// A cell's variables are consecutive, so its block is a
+			// contiguous run of dst.
+			blk := dst[vars[0] : vars[0]+d]
+			copy(blk, rhs[vars[0]:vars[0]+d])
+			solveBlock(blk, 1, c1, lamCoef, lamCoef)
 		}
 	}
 }
 
-// solvePathBlock runs the Thomas algorithm on one cell block. Stack-local
-// scratch keeps this allocation-free for realistic spans.
-func (p *Problem) solvePathBlock(c1, lam float64, vars []int, dst, rhs []float64) {
-	d := len(vars)
-	const maxSpan = 16
-	var diagA, rhsA [maxSpan]float64
-	diag := diagA[:d]
-	r := rhsA[:d]
-	if d > maxSpan {
-		diag = make([]float64, d)
-		r = make([]float64, d)
+// maxSpan is the tallest cell whose block solve runs in stack scratch;
+// taller cells allocate it.
+const maxSpan = 16
+
+// blockScratch returns buf[:n], zeroed when buf is fresh, or new storage
+// when n exceeds maxSpan.
+func blockScratch(buf *[maxSpan]float64, n int) []float64 {
+	if n > maxSpan {
+		return make([]float64, n)
 	}
-	for k := 0; k < d; k++ {
-		deg := 2.0
-		if k == 0 || k == d-1 {
-			deg = 1
-		}
-		diag[k] = c1 + lam*deg
-		r[k] = rhs[vars[k]]
-	}
-	thomas(diag, r, lam)
-	for k := 0; k < d; k++ {
-		dst[vars[k]] = r[k]
-	}
+	return buf[:n]
 }
 
-// thomas solves the tridiagonal system with diagonal diag and constant
-// off-diagonal −off in place: r holds the right-hand side on entry and the
-// solution on return, and diag is overwritten by the elimination.
-func thomas(diag, r []float64, off float64) {
-	d := len(diag)
+// solveBlock solves one cell's block of an H system in place: r holds the
+// right-hand side on entry and the solution on return. The block is
+// tridiagonal over the cell's subcell chain, with s·(a + b·deg_k) on the
+// diagonal, deg_k being subcell k's degree in the chain (1 at the ends, 2
+// inside, 0 in a single-row cell), and −off beside it; so s = 1, a = 1,
+// b = off = λ gives H's block. Thomas elimination solves it.
+func solveBlock(r []float64, s, a, b, off float64) {
+	d := len(r)
+	var buf [maxSpan]float64
+	diag := blockScratch(&buf, d)
+	for k := range diag {
+		deg := 0.0
+		if k > 0 {
+			deg++
+		}
+		if k+1 < d {
+			deg++
+		}
+		diag[k] = s * (a + b*deg)
+	}
 	for k := 1; k < d; k++ {
 		m := -off / diag[k-1]
 		diag[k] -= m * -off
@@ -423,15 +426,11 @@ func (p *Problem) hInvDiag(v int) float64 {
 	if len(vars) == 1 {
 		return 1
 	}
-	const maxSpan = 16
-	var rhsA, solA [maxSpan]float64
-	rhs, sol := rhsA[:len(vars)], solA[:len(vars)]
-	if len(vars) > maxSpan {
-		rhs, sol = make([]float64, len(vars)), make([]float64, len(vars))
-	}
-	rhs[v-vars[0]] = 1
-	p.solveBlockDense(1, p.Lambda, vars, sol, rhs)
-	return sol[v-vars[0]]
+	var buf [maxSpan]float64
+	r := blockScratch(&buf, len(vars))
+	r[v-vars[0]] = 1
+	solveBlock(r, 1, 1, p.Lambda, p.Lambda)
+	return r[v-vars[0]]
 }
 
 // HDiag returns diag(H) = 1 + λ·deg(v), where deg is the variable's degree
@@ -452,41 +451,15 @@ func (p *Problem) HDiag() []float64 {
 
 // SolveHOmegaDiag solves ((1/β)H + diag(H)) dst = rhs blockwise. The block
 // matrix is (1/β + 1)·diag(H) on the diagonal and −λ/β on the subcell
-// chain off-diagonals — tridiagonal per cell, solved by the Thomas
-// algorithm; the stack scratch keeps realistic spans allocation-free. dst
-// and rhs may alias.
+// chain off-diagonals. dst and rhs may alias.
 func (p *Problem) SolveHOmegaDiag(beta float64, dst, rhs []float64) {
 	c1 := 1/beta + 1
-	lam := p.Lambda
-	off := lam / beta
-	const maxSpan = 16
-	var diagA, rhsA [maxSpan]float64
+	off := p.Lambda / beta
 	for _, vars := range p.CellVars {
-		d := len(vars)
-		switch {
-		case d == 0:
-			continue
-		case d == 1:
-			dst[vars[0]] = rhs[vars[0]] / c1
-		default:
-			diag := diagA[:d]
-			r := rhsA[:d]
-			if d > maxSpan {
-				diag = make([]float64, d)
-				r = make([]float64, d)
-			}
-			for k := 0; k < d; k++ {
-				deg := 2.0
-				if k == 0 || k == d-1 {
-					deg = 1
-				}
-				diag[k] = c1 * (1 + lam*deg)
-				r[k] = rhs[vars[k]]
-			}
-			thomas(diag, r, off)
-			for k := 0; k < d; k++ {
-				dst[vars[k]] = r[k]
-			}
+		if d := len(vars); d > 0 {
+			blk := dst[vars[0] : vars[0]+d]
+			copy(blk, rhs[vars[0]:vars[0]+d])
+			solveBlock(blk, c1, 1, p.Lambda, off)
 		}
 	}
 }
@@ -496,11 +469,9 @@ func (p *Problem) SolveHOmegaDiag(beta float64, dst, rhs []float64) {
 // the blocks containing input indices are touched, so the cost is
 // O(Σ span(cell)) over the distinct cells referenced, and each variable is
 // emitted at most once. Input vectors here are rows of B with ≤ 2 entries,
-// so a block already solved is found by scanning the earlier entries, and
-// stack scratch keeps spans up to 16 allocation-free.
+// so a block already solved is found by scanning the earlier entries.
 func (p *Problem) ApplyHInvSparse(idx []int, val []float64, emit func(int, float64)) {
-	const maxSpan = 16
-	var rhsA, solA [maxSpan]float64
+	var buf [maxSpan]float64
 next:
 	for n, j := range idx {
 		cell := p.blockOfVar[j]
@@ -510,52 +481,21 @@ next:
 			}
 		}
 		vars := p.CellVars[cell]
-		d := len(vars)
-		rhs, sol := rhsA[:d], solA[:d]
-		if d > maxSpan {
-			rhs, sol = make([]float64, d), make([]float64, d)
-		}
-		clear(rhs)
+		r := blockScratch(&buf, len(vars))
+		clear(r)
 		// Gather every input entry that falls in this block.
 		for m := n; m < len(idx); m++ {
 			if p.blockOfVar[idx[m]] == cell {
-				rhs[idx[m]-vars[0]] += val[m]
+				r[idx[m]-vars[0]] += val[m]
 			}
 		}
-		p.solveBlockDense(1, p.Lambda, vars, sol, rhs)
-		for k, v := range sol {
+		solveBlock(r, 1, 1, p.Lambda, p.Lambda)
+		for k, v := range r {
 			if v != 0 {
 				emit(vars[k], v)
 			}
 		}
 	}
-}
-
-// solveBlockDense solves one (c1·I + lam·L) block with local index slices
-// (rhs indexed 0..d-1, result written to sol). Stack-local scratch keeps it
-// allocation-free for realistic spans.
-func (p *Problem) solveBlockDense(c1, lam float64, vars []int, sol, rhs []float64) {
-	d := len(vars)
-	if d == 1 {
-		sol[0] = rhs[0] / c1
-		return
-	}
-	const maxSpan = 16
-	var diagA, rA [maxSpan]float64
-	diag, r := diagA[:d], rA[:d]
-	if d > maxSpan {
-		diag, r = make([]float64, d), make([]float64, d)
-	}
-	copy(r, rhs)
-	for k := 0; k < d; k++ {
-		deg := 2.0
-		if k == 0 || k == d-1 {
-			deg = 1
-		}
-		diag[k] = c1 + lam*deg
-	}
-	thomas(diag, r, lam)
-	copy(sol, r)
 }
 
 // SchurTridiag computes D = tridiag(B H⁻¹ Bᵀ), the tridiagonal

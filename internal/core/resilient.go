@@ -12,7 +12,6 @@ import (
 	"mclg/internal/baselines/chow"
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
-	"mclg/internal/tetris"
 )
 
 // Rung identifies one level of the fallback cascade.
@@ -185,9 +184,9 @@ func (r *ResilientLegalizer) rungs(ctx context.Context) []rung {
 		}})
 }
 
-// runMMSIMRung runs the standard flow and converts soft failures the plain
-// legalizer tolerates (non-convergence, unplaced cells) into typed errors so
-// the cascade degrades instead of accepting a low-quality result.
+// runMMSIMRung runs the standard flow and converts non-convergence, which
+// the plain legalizer tolerates, into a typed error so the cascade degrades
+// instead of accepting a low-quality result.
 func runMMSIMRung(ctx context.Context, d *design.Design, opts Options) (*Stats, error) {
 	st, err := New(opts).LegalizeContext(ctx, d)
 	if err != nil {
@@ -199,13 +198,6 @@ func runMMSIMRung(ctx context.Context, d *design.Design, opts Options) (*Stats, 
 			Err:        mclgerr.ErrIterBudget,
 			Iterations: st.Iterations,
 			Detail:     fmt.Sprintf("no convergence within %d iterations", opts.MaxIter),
-		}
-	}
-	if st.Unplaced > 0 {
-		return st, &mclgerr.StageError{
-			Stage:  "tetris",
-			Err:    mclgerr.ErrUnplacedCells,
-			Detail: fmt.Sprintf("%d cells left unplaced", st.Unplaced),
 		}
 	}
 	return st, nil
@@ -230,57 +222,26 @@ func retune(base Options, k int) Options {
 	return o
 }
 
-// runPGSRung solves the relaxed QP with the dual-LCP projected Gauss–Seidel
-// and finishes with the usual restoration + allocation. An exhausted sweep
-// budget is tolerated — the PGS iterate improves monotonically, so the
-// partial solution is still worth legalizing — while divergence and
-// cancellation abort the rung.
+// runPGSRung runs the pipeline with the dual-LCP projected Gauss–Seidel as
+// its solve, on the relaxed right boundary. An exhausted sweep budget is
+// tolerated — the PGS iterate improves monotonically, so the partial
+// solution is still worth legalizing — while divergence and cancellation
+// abort the rung.
 func (r *ResilientLegalizer) runPGSRung(ctx context.Context, d *design.Design) (*Stats, error) {
-	base := r.Opts
-	stats := &Stats{}
-	t0 := time.Now()
-	if err := AssignRows(d); err != nil {
-		return nil, mclgerr.Stage("assign-rows", err)
-	}
-	p, err := BuildProblemBounded(d, base.Lambda, false)
-	if err != nil {
-		return nil, mclgerr.Stage("build", err)
-	}
-	stats.NumVars, stats.NumCons = p.NumVars, p.NumCons
-	stats.BuildTime = time.Since(t0)
+	opts := r.Opts
+	opts.BoundRight = false
+	return legalize(ctx, d, opts, "pgs", solvePGS)
+}
 
-	t1 := time.Now()
-	eps := base.Eps
-	if eps < 1e-7 {
-		eps = 1e-7
-	}
-	x, sweeps, err := SolvePGS(ctx, p, eps, pgsMaxIter)
-	stats.Iterations = sweeps
-	stats.SolveTime = time.Since(t1)
+// solvePGS is the PGS rung's solve, with the tolerance floored at 1e-7.
+func solvePGS(ctx context.Context, _ *arena, p *Problem, opts Options, st *Stats) ([]float64, error) {
+	x, sweeps, err := SolvePGS(ctx, p, max(opts.Eps, 1e-7), pgsMaxIter)
+	st.Iterations = sweeps
 	if err != nil && !errors.Is(err, mclgerr.ErrIterBudget) {
-		return stats, mclgerr.Stage("pgs", err)
+		return nil, err
 	}
-	stats.Converged = err == nil
-	if x != nil {
-		stats.MaxSubcellMismatch = Restore(p, x)
-	}
-
-	t2 := time.Now()
-	tres, err := tetris.AllocateContext(ctx, d)
-	if err != nil {
-		return stats, mclgerr.Stage("tetris", err)
-	}
-	stats.Illegal = tres.Illegal
-	stats.Unplaced = tres.Unplaced
-	stats.TetrisTime = time.Since(t2)
-	if tres.Unplaced > 0 {
-		return stats, &mclgerr.StageError{
-			Stage:  "tetris",
-			Err:    mclgerr.ErrUnplacedCells,
-			Detail: fmt.Sprintf("%d cells left unplaced", tres.Unplaced),
-		}
-	}
-	return stats, nil
+	st.Converged = err == nil
+	return x, nil
 }
 
 // runRecovered executes one rung body with panic containment: a panicking

@@ -114,6 +114,15 @@ const DefaultWindowRows = 4
 // DefaultMarginRows is the dirty-row margin around each delta.
 const DefaultMarginRows = 1
 
+// Validate refuses a negative WindowRows or MarginRows; zero takes the
+// default. Errors match mclgerr.ErrInvalidInput.
+func (o Options) Validate() error {
+	if o.WindowRows < 0 || o.MarginRows < 0 {
+		return mclgerr.Invalidf("eco: window rows %d and margin rows %d must be non-negative", o.WindowRows, o.MarginRows)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.WindowRows == 0 {
 		o.WindowRows = DefaultWindowRows

@@ -101,6 +101,9 @@ type ApplyResult struct {
 // process restart lands exactly where it left off), and every subsequently
 // accepted batch is appended write-ahead before it commits.
 func Create(ctx context.Context, id string, d *design.Design, opts Options) (*Session, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, mclgerr.Stage("eco-create", err)
+	}
 	opts = opts.withDefaults()
 	if err := d.Validate(); err != nil {
 		return nil, mclgerr.Stage("eco-create", err)

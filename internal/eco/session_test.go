@@ -3,6 +3,8 @@ package eco
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mclg/internal/design"
@@ -193,6 +195,27 @@ func TestApplyRejectsInvalidDeltas(t *testing.T) {
 	}
 	if s.PosHash() != hash || s.Seq() != 0 {
 		t.Fatalf("rejected batches mutated the session: seq=%d hash=%s (want 0, %s)", s.Seq(), s.PosHash(), hash)
+	}
+}
+
+// TestCreateRejectsNegativeRows pins that a negative window or margin height
+// is refused as invalid input before Create opens anything, the durable log
+// included.
+func TestCreateRejectsNegativeRows(t *testing.T) {
+	d := testDesign(t, "fft_2", 0.004)
+	for _, opts := range []Options{{WindowRows: -1}, {MarginRows: -1}} {
+		opts.LogPath = filepath.Join(t.TempDir(), "neg.ecolog")
+		s, err := Create(context.Background(), "neg", d, opts)
+		if s != nil {
+			s.Close()
+		}
+		if !errors.Is(err, mclgerr.ErrInvalidInput) || mclgerr.Class(err) != "invalid_input" {
+			t.Errorf("Create(WindowRows %d, MarginRows %d) = %v, want an invalid_input error",
+				opts.WindowRows, opts.MarginRows, err)
+		}
+		if _, err := os.Stat(opts.LogPath); !os.IsNotExist(err) {
+			t.Errorf("Create(WindowRows %d, MarginRows %d) wrote its log (stat: %v)", opts.WindowRows, opts.MarginRows, err)
+		}
 	}
 }
 

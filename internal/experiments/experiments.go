@@ -314,20 +314,16 @@ func SingleRow(cfg Config) ([]SingleRowRow, error) {
 
 		row := SingleRowRow{Name: e.Name}
 
-		t0 := time.Now()
-		p, err := core.BuildProblem(mm, 1000)
-		if err != nil {
-			return nil, err
-		}
 		opts := cfg.Opts
 		if opts.Eps == 0 {
 			opts.Eps = 1e-6
 		}
-		x, st, err := core.SolveMMSIM(p, core.New(opts).Opts)
+		opts.SkipTetris = true
+		t0 := time.Now()
+		st, err := core.New(opts).Legalize(mm)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
-		core.Restore(p, x)
 		row.TimeMMSIM = time.Since(t0)
 		row.MMSIMIters = st.Iterations
 		row.MMSIMConverge = st.Converged

@@ -103,20 +103,12 @@ func ConvergenceTrace(benchName string, scale float64, opts core.Options) ([]Con
 	if err != nil {
 		return nil, err
 	}
-	if err := core.AssignRows(d); err != nil {
-		return nil, err
-	}
-	full := core.New(opts).Opts
-	full.MMSIMOnly = true
-	p, err := core.BuildProblem(d, full.Lambda)
-	if err != nil {
-		return nil, err
-	}
 	var trace []ConvergencePoint
-	full.OnIter = func(k int, dz float64) {
+	opts.MMSIMOnly, opts.SkipTetris = true, true
+	opts.OnIter = func(k int, dz float64) {
 		trace = append(trace, ConvergencePoint{Iter: k, Step: dz})
 	}
-	if _, _, err := core.SolveMMSIM(p, full); err != nil {
+	if _, err := core.New(opts).Legalize(d); err != nil {
 		return nil, err
 	}
 	return trace, nil
@@ -173,17 +165,9 @@ func ParamSweep(benchName string, scale float64, betas, thetas []float64) ([]Par
 	var out []ParamPoint
 	for _, beta := range betas {
 		for _, theta := range thetas {
-			d := base.Clone()
-			if err := core.AssignRows(d); err != nil {
-				return nil, err
-			}
-			p, err := core.BuildProblem(d, 1000)
-			if err != nil {
-				return nil, err
-			}
-			opts := core.New(core.Options{Beta: beta, Theta: theta, MMSIMOnly: true}).Opts
+			opts := core.Options{Beta: beta, Theta: theta, MMSIMOnly: true, SkipTetris: true}
 			pt := ParamPoint{Beta: beta, Theta: theta}
-			_, st, err := core.SolveMMSIM(p, opts)
+			st, err := core.New(opts).Legalize(base.Clone())
 			if err != nil {
 				pt.Diverged = true
 			} else {

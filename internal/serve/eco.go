@@ -77,8 +77,8 @@ func (r *ecoRequest) validate() error {
 		if r.Session != "" && !ecoIDPattern.MatchString(r.Session) {
 			return mclgerr.Invalidf("serve: session id %q must match %s", r.Session, ecoIDPattern)
 		}
-		if r.WindowRows < 0 || r.MarginRows < 0 {
-			return mclgerr.Invalidf("serve: window_rows and margin_rows must be non-negative")
+		if err := r.ecoOptions().Validate(); err != nil {
+			return err
 		}
 		if len(r.Deltas) > 0 {
 			return mclgerr.Invalidf("serve: create does not take deltas; apply them after the session exists")
@@ -141,12 +141,17 @@ func newEcoRegistry(cap int, dir string) *ecoRegistry {
 	return &ecoRegistry{cap: cap, dir: dir, sessions: map[string]*eco.Session{}}
 }
 
+// get returns a live session. A slot that reserve holds while its create
+// runs has no session yet and is refused like an unknown one.
 func (r *ecoRegistry) get(id string) (*eco.Session, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.sessions[id]
-	if !ok {
+	switch {
+	case !ok:
 		return nil, mclgerr.Invalidf("serve: unknown eco session %q", id)
+	case s == nil:
+		return nil, mclgerr.Invalidf("serve: eco session %q is still being created", id)
 	}
 	return s, nil
 }

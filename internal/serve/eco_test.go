@@ -165,6 +165,43 @@ func TestECOInvalidRequests(t *testing.T) {
 	}
 }
 
+// TestECOReservedSessionRefused pins the slot a create holds while it runs:
+// apply, commit and close on it get a typed 400 and leave the reservation
+// in place, instead of reaching the session that does not exist yet.
+func TestECOReservedSessionRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	id, err := s.eco.reserve("pending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.eco.install(id, nil)
+	for _, req := range []*ecoRequest{
+		{Action: "apply", Session: id, Deltas: []eco.Delta{{Op: eco.OpDelete, Cell: 1}}},
+		{Action: "commit", Session: id},
+		{Action: "close", Session: id},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/eco", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("%s on a reserved slot: %v", req.Action, err)
+			continue
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Class != "invalid_input" {
+			t.Errorf("%s on a reserved slot: HTTP %d, class %q (decode error %v), want 400 invalid_input",
+				req.Action, resp.StatusCode, eb.Class, err)
+		}
+	}
+	if n := s.eco.count(); n != 1 {
+		t.Errorf("%d sessions after the refusals, want the reservation's 1", n)
+	}
+}
+
 // TestECORestartRecovery is the durability acceptance test: a daemon restart
 // mid-session must resume the session from its delta log bit-identically —
 // the recovered hash matches the pre-crash hash, subsequent applies continue

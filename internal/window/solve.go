@@ -2,7 +2,6 @@ package window
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -216,16 +215,8 @@ func stitchLabeled(ctx context.Context, d *design.Design, results []*Result) err
 		}
 		ApplyCells(work, res.Cells)
 	}
-	tres, err := tetris.AllocateContext(ctx, work)
-	if err != nil {
+	if _, err := tetris.AllocateContext(ctx, work); err != nil {
 		return mclgerr.Stage("stitch", err)
-	}
-	if tres.Unplaced > 0 {
-		return &mclgerr.StageError{
-			Stage:  "stitch",
-			Err:    mclgerr.ErrUnplacedCells,
-			Detail: fmt.Sprintf("%d cells left unplaced after boundary reconciliation", tres.Unplaced),
-		}
 	}
 	if !design.IsLegal(work) {
 		return &mclgerr.StageError{
