@@ -308,8 +308,7 @@ func printReport(rep *report.Report, d *design.Design, verbose bool) {
 			fmt.Fprintf(info, "  active-set finish: %s after %d rounds, %d PCG iterations\n",
 				rep.Finish, rep.FinishRounds, rep.FinishPCG)
 		}
-		fmt.Fprintf(info, "  subcell mismatch=%.4g illegal=%d unplaced=%d\n",
-			rep.MaxSubcellMismatch, rep.Illegal, rep.Unplaced)
+		fmt.Fprintf(info, "  subcell mismatch=%.4g illegal=%d\n", rep.MaxSubcellMismatch, rep.Illegal)
 		fmt.Fprintf(info, "  build=%v solve=%v tetris=%v\n", ms(rep.BuildMS), ms(rep.SolveMS), ms(rep.TetrisMS))
 	}
 	fmt.Fprintf(info, "method=%s runtime=%.0fms\n", rep.Method, rep.WallMS)

@@ -88,32 +88,34 @@ type Baseline struct {
 
 // Seal computes and stores the certificate hash. Any later mutation
 // invalidates it (Verify detects this).
-func (c *Certificate) Seal() error {
-	c.Hash = ""
-	h, err := c.digest()
-	if err != nil {
-		return err
-	}
-	c.Hash = h
-	return nil
-}
+func (c *Certificate) Seal() error { return seal(c, &c.Hash, "certificate") }
 
 // Verify recomputes the digest and reports whether the stored hash matches.
-func (c *Certificate) Verify() bool {
-	stored := c.Hash
-	if stored == "" {
-		return false
-	}
-	c.Hash = ""
-	h, err := c.digest()
-	c.Hash = stored
-	return err == nil && h == stored
+func (c *Certificate) Verify() bool { return verify(c, &c.Hash, "certificate") }
+
+// seal stores in *hash, the hash field of document v, the digest of v with
+// that field blank; on error the field stays blank.
+func seal(v any, hash *string, what string) (err error) {
+	*hash = ""
+	*hash, err = digest(v, what)
+	return err
 }
 
-func (c *Certificate) digest() (string, error) {
-	b, err := json.Marshal(c)
+// verify reports whether *hash, the hash field of document v, is set and
+// equals the digest seal would store. It leaves the field as it was.
+func verify(v any, hash *string, what string) bool {
+	stored := *hash
+	*hash = ""
+	h, err := digest(v, what)
+	*hash = stored
+	return stored != "" && err == nil && h == stored
+}
+
+// digest is the hex SHA-256 of v's JSON encoding; what names v in the error.
+func digest(v any, what string) (string, error) {
+	b, err := json.Marshal(v)
 	if err != nil {
-		return "", fmt.Errorf("audit: hashing certificate: %w", err)
+		return "", fmt.Errorf("audit: hashing %s: %w", what, err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil

@@ -1,11 +1,6 @@
 package audit
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // ReplayCertificate is the sealed outcome of event-sourced (ECO session)
 // certification: an independent replay of the session's full delta log from
@@ -48,36 +43,10 @@ type ReplayCertificate struct {
 
 // Seal computes and stores the certificate hash. Any later mutation
 // invalidates it (Verify detects this).
-func (c *ReplayCertificate) Seal() error {
-	c.Hash = ""
-	h, err := c.replayDigest()
-	if err != nil {
-		return err
-	}
-	c.Hash = h
-	return nil
-}
+func (c *ReplayCertificate) Seal() error { return seal(c, &c.Hash, "replay certificate") }
 
 // Verify recomputes the digest and reports whether the stored hash matches.
-func (c *ReplayCertificate) Verify() bool {
-	stored := c.Hash
-	if stored == "" {
-		return false
-	}
-	c.Hash = ""
-	h, err := c.replayDigest()
-	c.Hash = stored
-	return err == nil && h == stored
-}
-
-func (c *ReplayCertificate) replayDigest() (string, error) {
-	b, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("audit: hashing replay certificate: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
+func (c *ReplayCertificate) Verify() bool { return verify(c, &c.Hash, "replay certificate") }
 
 // Summary renders the one-line human-readable verdict.
 func (c *ReplayCertificate) Summary() string {
@@ -92,11 +61,4 @@ func (c *ReplayCertificate) Summary() string {
 // LogDigest hashes an arbitrary JSON-encodable delta log into the canonical
 // LogSum form. The eco package passes its batch slice; keeping the digest
 // here means the certificate and the session log agree on one encoding.
-func LogDigest(log any) (string, error) {
-	b, err := json.Marshal(log)
-	if err != nil {
-		return "", fmt.Errorf("audit: hashing delta log: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
+func LogDigest(log any) (string, error) { return digest(log, "delta log") }

@@ -7,11 +7,12 @@ import (
 	"mclg/internal/design"
 )
 
-// EmptySlots empties the arena and working-copy slots, so the next solve
-// takes its storage from the pools alone, which a collection empties.
+// EmptySlots takes the arena and the working copy out of their pools' slots
+// and drops them, so the next solve takes its storage from the pools'
+// sync.Pools alone, which a collection empties.
 func EmptySlots() {
-	arenaSlot.Store(nil)
-	workSlot.Store(nil)
+	arenas.Get()
+	works.Get()
 }
 
 // LegalizeRungs runs the cascade restricted to the named rungs, in cascade

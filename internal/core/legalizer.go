@@ -9,6 +9,7 @@ import (
 	"mclg/internal/design"
 	"mclg/internal/lcp"
 	"mclg/internal/mclgerr"
+	"mclg/internal/recycle"
 	"mclg/internal/tetris"
 )
 
@@ -148,8 +149,7 @@ type Stats struct {
 	// units; large values indicate λ is too small.
 	MaxSubcellMismatch float64
 
-	Illegal  int // illegal cells repaired by the Tetris stage
-	Unplaced int // cells the Tetris stage could not place (should be 0)
+	Illegal int // illegal cells repaired by the Tetris stage
 
 	// Finish reports the active-set finish; its Outcome is empty when the
 	// finish did not run (MMSIMOnly, or the MMSIM stopped first).
@@ -236,7 +236,7 @@ func legalize(ctx context.Context, d *design.Design, opts Options, stage string,
 		}
 	}
 	// One arena serves the whole run.
-	ar := getArena()
+	ar := arenas.Get()
 	defer ar.release()
 	p := &ar.p
 	if err := p.build(d, opts.Lambda, opts.BoundRight); err != nil {
@@ -261,7 +261,6 @@ func legalize(ctx context.Context, d *design.Design, opts Options, stage string,
 			return nil, mclgerr.Stage("tetris", err)
 		}
 		stats.Illegal = tres.Illegal
-		stats.Unplaced = tres.Unplaced
 		stats.TetrisTime = time.Since(t2)
 	}
 	return stats, nil
@@ -319,7 +318,7 @@ func SolveMMSIMContext(ctx context.Context, p *Problem, opts Options) ([]float64
 // residuals independently of the solver's own convergence flag. The caller
 // owns the returned slice.
 func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
-	ar := getArena()
+	ar := arenas.Get()
 	defer ar.release()
 	z, st, err := ar.solve(ctx, p, opts)
 	if err != nil || z == nil {
@@ -379,7 +378,7 @@ func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64
 		// Start at the global-placement positions with zero multipliers:
 		// for z > 0 the modulus substitution gives s = γ·z/2, and most of
 		// the relaxed optimum stays near the GP.
-		s0 = grow(ar.s0, n)
+		s0 = recycle.Grow(ar.s0, n)
 		clear(s0[p.NumVars:])
 		for i, sc := range p.Subcells {
 			s0[i] = gamma * sc.Target / 2

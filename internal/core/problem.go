@@ -23,6 +23,7 @@ import (
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
+	"mclg/internal/recycle"
 	"mclg/internal/sparse"
 )
 
@@ -146,13 +147,13 @@ func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Pr
 // and overwriting every field.
 func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error {
 	p.D, p.Lambda = d, lambda
-	p.CellVars = grow(p.CellVars, len(d.Cells))
+	p.CellVars = recycle.Grow(p.CellVars, len(d.Cells))
 	clear(p.CellVars)
 
 	// Size everything first: the variable count is Σ RowSpan, and rowEnd[r]
 	// ends row r's slot in the per-row subcell index array.
 	nv := 0
-	rowEnd := grow(p.rowEnd, len(d.Rows))
+	rowEnd := recycle.Grow(p.rowEnd, len(d.Rows))
 	clear(rowEnd)
 	for _, c := range d.Cells {
 		if c.Fixed {
@@ -172,9 +173,9 @@ func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error
 	}
 	p.Subcells = slices.Grow(p.Subcells[:0], nv)
 	p.blockOfVar = slices.Grow(p.blockOfVar[:0], nv)
-	cellVars := grow(p.cellVars, nv)
-	rowVars := grow(p.rowVars, nv)
-	perRow := grow(p.perRow, len(d.Rows)) // subcell indices per row
+	cellVars := recycle.Grow(p.cellVars, nv)
+	rowVars := recycle.Grow(p.rowVars, nv)
+	perRow := recycle.Grow(p.perRow, len(d.Rows)) // subcell indices per row
 	for r := range perRow {
 		start := 0
 		if r > 0 {
@@ -254,7 +255,7 @@ func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error
 	// entries with known columns, so B is filled directly in CSR form
 	// (column-sorted per row, no duplicates) instead of through the
 	// triplet-sorting Builder.
-	p.Bv = grow(p.Bv, p.NumCons)
+	p.Bv = recycle.Grow(p.Bv, p.NumCons)
 	nnzB := 0
 	for _, c := range p.Cons {
 		nnzB++
@@ -267,7 +268,7 @@ func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error
 	}
 	b := p.B
 	b.Rows, b.Cols = p.NumCons, p.NumVars
-	b.RowPtr, b.ColIdx, b.Val = grow(b.RowPtr, p.NumCons+1), grow(b.ColIdx, nnzB), grow(b.Val, nnzB)
+	b.RowPtr, b.ColIdx, b.Val = recycle.Grow(b.RowPtr, p.NumCons+1), recycle.Grow(b.ColIdx, nnzB), recycle.Grow(b.Val, nnzB)
 	k := 0
 	for i, c := range p.Cons {
 		b.RowPtr[i] = k
@@ -304,7 +305,7 @@ func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error
 	}
 	e := p.E
 	e.Rows, e.Cols = numEq, p.NumVars
-	e.RowPtr, e.ColIdx, e.Val = grow(e.RowPtr, numEq+1), grow(e.ColIdx, 2*numEq), grow(e.Val, 2*numEq)
+	e.RowPtr, e.ColIdx, e.Val = recycle.Grow(e.RowPtr, numEq+1), recycle.Grow(e.ColIdx, 2*numEq), recycle.Grow(e.Val, 2*numEq)
 	k = 0
 	for _, vars := range p.CellVars {
 		for j := 0; j+1 < len(vars); j++ {
@@ -317,7 +318,7 @@ func (p *Problem) build(d *design.Design, lambda float64, boundRight bool) error
 	e.RowPtr[numEq] = k
 
 	// Linear objective p = −x'.
-	p.P = grow(p.P, p.NumVars)
+	p.P = recycle.Grow(p.P, p.NumVars)
 	for i, s := range p.Subcells {
 		p.P[i] = -s.Target
 	}
@@ -526,7 +527,7 @@ func (p *Problem) assembleLCP(a *sparse.CSR) *sparse.CSR {
 	// Row lengths: a variable row holds its diagonal, one −λ per chain link
 	// and one −Bᵀ entry per constraint on the variable; constraint row i is
 	// B's row i.
-	rowPtr := grow(a.RowPtr, n+m+1)
+	rowPtr := recycle.Grow(a.RowPtr, n+m+1)
 	rowPtr[0] = 0
 	for v := 0; v < n; v++ {
 		rowPtr[v+1] = 1
@@ -549,8 +550,8 @@ func (p *Problem) assembleLCP(a *sparse.CSR) *sparse.CSR {
 	for r := 0; r < n+m; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	col := grow(a.ColIdx, rowPtr[n+m])
-	val := grow(a.Val, rowPtr[n+m])
+	col := recycle.Grow(a.ColIdx, rowPtr[n+m])
+	val := recycle.Grow(a.Val, rowPtr[n+m])
 
 	// H = I + λEᵀE, cell by cell. rowPtr[v] then serves as variable row v's
 	// fill cursor, which the −Bᵀ entries advance to the row's end — the next
@@ -599,7 +600,7 @@ func (p *Problem) LCPVector() []float64 { return p.lcpVector(nil) }
 
 // lcpVector is LCPVector writing into q's storage.
 func (p *Problem) lcpVector(q []float64) []float64 {
-	q = grow(q, p.NumVars+p.NumCons)
+	q = recycle.Grow(q, p.NumVars+p.NumCons)
 	copy(q, p.P)
 	for i, bv := range p.Bv {
 		q[p.NumVars+i] = -bv

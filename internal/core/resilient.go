@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mclg/internal/baselines/chow"
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
+	"mclg/internal/recycle"
 )
 
 // Rung identifies one level of the fallback cascade.
@@ -105,7 +104,7 @@ func (r *ResilientLegalizer) cascade(ctx context.Context, d *design.Design, rung
 	rs := &ResilientStats{}
 	// Every rung runs on the same working copy, refilled from d, and only a
 	// verified-legal result is committed back.
-	work := getWork()
+	work := works.Get()
 	defer releaseWork(work)
 	for _, rg := range rungs {
 		if err := mclgerr.FromContext(ctx); err != nil {
@@ -256,26 +255,12 @@ func runRecovered(run func(*design.Design) (*Stats, error), work *design.Design)
 	return run(work)
 }
 
-// workSlot and workPool recycle the cascade's working copies; the slot
-// works as arenaSlot does and keeps at most one copy alive across
-// collections.
-var (
-	workSlot atomic.Pointer[design.Design]
-	workPool = sync.Pool{New: func() any { return &design.Design{} }}
-)
-
-func getWork() *design.Design {
-	if w := workSlot.Swap(nil); w != nil {
-		return w
-	}
-	return workPool.Get().(*design.Design)
-}
+// works recycles the cascade's working copies.
+var works recycle.Pool[design.Design]
 
 // releaseWork recycles w after dropping its netlist, which it shares with
 // the caller's design.
 func releaseWork(w *design.Design) {
 	w.Nets = nil
-	if !workSlot.CompareAndSwap(nil, w) {
-		workPool.Put(w)
-	}
+	works.Put(w)
 }

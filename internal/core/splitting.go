@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mclg/internal/recycle"
 	"mclg/internal/sparse"
 )
 
@@ -69,7 +70,7 @@ func (s *StructuredSplitting) build(p *Problem, beta, theta float64, scaledOmega
 	}
 	n, m := p.NumVars, p.NumCons
 	s.p, s.beta, s.theta, s.scaledX = p, beta, theta, scaledOmega
-	s.scratchX = grow(s.scratchX, n)
+	s.scratchX = recycle.Grow(s.scratchX, n)
 	sparse.GramTridiagApplyInto(&s.d, s.scratchX, p.B, p.ApplyHInvSparse)
 	s.omega = nil
 	if scaledOmega || omegaR != 1 {

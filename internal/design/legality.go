@@ -106,8 +106,8 @@ func IsLegal(d *Design) bool {
 			}
 		}
 	}
-	s := getSweep()
-	defer s.release()
+	s := sweeps.Get()
+	defer sweeps.Put(s)
 	return !s.overlaps(d, true)
 }
 

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"mclg/internal/geom"
+	"mclg/internal/recycle"
 )
 
 // The overlap kernel behind CheckLegal and IsLegal. Each cell goes into
@@ -32,7 +31,7 @@ type bandEntry struct {
 // earlier in the band's (X, ID) order.
 type overlapPair struct{ later, earlier int32 }
 
-// sweep is the kernel's scratch, recycled through sweepSlot and sweepPool.
+// sweep is the kernel's scratch, recycled through sweeps.
 type sweep struct {
 	band   []int32 // per cell: its first and last band, two entries each
 	off    []int32 // band b's entries are ent[off[b]:off[b+1]]
@@ -41,28 +40,9 @@ type sweep struct {
 	pairs  []overlapPair
 }
 
-// sweepSlot holds the most recently released scratch in front of sweepPool,
-// as core's arenaSlot does: a check that resumed on another processor, or
-// follows a collection, still reuses the last release, so the verdict
-// allocates nothing in steady state. Concurrent checks (window solves) take
-// distinct scratch from the pool.
-var (
-	sweepSlot atomic.Pointer[sweep]
-	sweepPool = sync.Pool{New: func() any { return &sweep{} }}
-)
-
-func getSweep() *sweep {
-	if s := sweepSlot.Swap(nil); s != nil {
-		return s
-	}
-	return sweepPool.Get().(*sweep)
-}
-
-func (s *sweep) release() {
-	if !sweepSlot.CompareAndSwap(nil, s) {
-		sweepPool.Put(s)
-	}
-}
+// sweeps recycles the kernel's scratch, so the verdict allocates nothing
+// in steady state; concurrent checks (window solves) take distinct scratch.
+var sweeps recycle.Pool[sweep]
 
 // bandRange returns the first and last of d's nb row bands that cell c
 // touches: from the band of its bottom edge to the band of the last float
@@ -108,7 +88,7 @@ func (s *sweep) overlaps(d *Design, first bool) bool {
 	if nb < 1 || !(d.RowHeight > 0) {
 		nb = 1
 	}
-	s.band = grow(s.band, 2*n)
+	s.band = recycle.Grow(s.band, 2*n)
 	total := 0
 	for i, c := range cells {
 		lo, hi := bandRange(d, c, nb)
@@ -122,7 +102,7 @@ func (s *sweep) overlaps(d *Design, first bool) bool {
 		}
 		total = n
 	}
-	s.off = grow(s.off, nb+1)
+	s.off = recycle.Grow(s.off, nb+1)
 	clear(s.off)
 	for i := 0; i < n; i++ {
 		for b := s.band[2*i]; b <= s.band[2*i+1]; b++ {
@@ -132,7 +112,7 @@ func (s *sweep) overlaps(d *Design, first bool) bool {
 	for b := 1; b <= nb; b++ {
 		s.off[b] += s.off[b-1]
 	}
-	s.ent = grow(s.ent, total)
+	s.ent = recycle.Grow(s.ent, total)
 	for i, c := range cells {
 		e := bandEntry{x: c.X, hx: c.X + c.W, y: c.Y, hy: c.Y + c.H, c: int32(i), lo: s.band[2*i], fixed: c.Fixed}
 		for b := e.lo; b <= s.band[2*i+1]; b++ {
@@ -201,8 +181,8 @@ func cmpCells(cells []*Cell, xi, xj float64, i, j int32) int {
 // their later cell in (X, ID) order, then by their earlier cell, which is
 // the order one x-sweep over all cells meets them in.
 func appendOverlaps(dst []Violation, d *Design) []Violation {
-	s := getSweep()
-	defer s.release()
+	s := sweeps.Get()
+	defer sweeps.Put(s)
 	if !s.overlaps(d, false) {
 		return dst
 	}
@@ -226,13 +206,4 @@ func appendOverlaps(dst []Violation, d *Design) []Violation {
 		})
 	}
 	return dst
-}
-
-// grow returns buf re-sliced (and if needed re-allocated) to length n; the
-// contents are unspecified unless the storage is new.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }

@@ -327,7 +327,7 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 	if err := plan.Repartition(work, s.opts.WindowRows, window.DefaultContextRows); err != nil {
 		return nil, err
 	}
-	dirty := plan.DirtyBands(work, mut.dirty)
+	dirty := plan.DirtyBands(mut.dirty)
 
 	// 3. Merge dirty bands whose sub-design row ranges overlap into
 	// contiguous runs; distinct runs own disjoint rows and solve

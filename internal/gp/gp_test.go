@@ -107,12 +107,8 @@ func TestPlaceOutputIsLegalizable(t *testing.T) {
 	if _, err := Place(d, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := core.New(core.Options{}).Legalize(d)
-	if err != nil {
+	if _, err := core.New(core.Options{}).Legalize(d); err != nil {
 		t.Fatal(err)
-	}
-	if stats.Unplaced != 0 {
-		t.Fatalf("%d unplaced", stats.Unplaced)
 	}
 	if rep := design.CheckLegal(d); !rep.Legal() {
 		t.Fatalf("illegal: %v", rep)

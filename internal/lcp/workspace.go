@@ -1,5 +1,7 @@
 package lcp
 
+import "mclg/internal/recycle"
+
 // Workspace owns every per-solve buffer of the MMSIM hot loop: the modulus
 // iterate pair s/sNext, the |s| and rhs scratch, the z iterate and its
 // predecessor, and the w scratch the residual check needs. A solve that is
@@ -28,7 +30,7 @@ func (ws *Workspace) Floats(i, n int) []float64 {
 	for len(ws.aux) <= i {
 		ws.aux = append(ws.aux, nil)
 	}
-	ws.aux[i] = grow(ws.aux[i], n)
+	ws.aux[i] = recycle.Grow(ws.aux[i], n)
 	return ws.aux[i]
 }
 
@@ -37,15 +39,8 @@ func (ws *Workspace) Ints(i, n int) []int {
 	for len(ws.auxInts) <= i {
 		ws.auxInts = append(ws.auxInts, nil)
 	}
-	ws.auxInts[i] = grow(ws.auxInts[i], n)
+	ws.auxInts[i] = recycle.Grow(ws.auxInts[i], n)
 	return ws.auxInts[i]
-}
-
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // NewWorkspace returns a workspace sized for n-dimensional problems.

@@ -25,7 +25,6 @@ type Metrics struct {
 	Displacement float64 `json:"displacement_sites"`
 	DeltaHPWL    float64 `json:"delta_hpwl"`
 	Illegal      int     `json:"illegal"`
-	Unplaced     int     `json:"unplaced"`
 	Iterations   int     `json:"mmsim_iterations"`
 	FinishRounds int     `json:"finish_rounds"`
 	FinishPCG    int     `json:"finish_pcg_iters"`
@@ -61,7 +60,6 @@ func Run(bench string, scale float64, workers int) (*Metrics, error) {
 		Displacement: disp.TotalSites,
 		DeltaHPWL:    metrics.DeltaHPWL(d),
 		Illegal:      stats.Illegal,
-		Unplaced:     stats.Unplaced,
 		Iterations:   stats.Iterations,
 		FinishRounds: stats.Finish.Rounds,
 		FinishPCG:    stats.Finish.PCG,

@@ -7,23 +7,15 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"mclg/internal/recycle"
 )
 
-// bodySlot holds the most recently released /v1/legalize body buffer in
-// front of bodyPool, as core's arenaSlot does for solve storage: a
-// sync.Pool keeps each processor's last Put where only that processor can
-// Get it and empties on collections, so a request whose goroutine runs
-// elsewhere would grow a new buffer; the slot serves whichever processor
-// asks next.
-var (
-	bodySlot atomic.Pointer[[]byte]
-	bodyPool = sync.Pool{New: func() any { return new([]byte) }}
-)
+// bodies recycles the /v1/legalize body buffers.
+var bodies recycle.Pool[[]byte]
 
 // ReadRequest reads one /v1/legalize body from r and decodes it into req.
 // The body is read to its end into a pooled buffer that grows only with the
@@ -34,16 +26,11 @@ var (
 // first JSON value was complete before the failure, as the streaming
 // json.Decoder this replaces did; otherwise the read error is returned.
 func ReadRequest(r io.Reader, req *Request) error {
-	bp := bodySlot.Swap(nil)
-	if bp == nil {
-		bp = bodyPool.Get().(*[]byte)
-	}
+	bp := bodies.Get()
 	b, rerr := readAll(r, (*bp)[:0])
 	err := decodeRequest(b, req)
 	*bp = b
-	if !bodySlot.CompareAndSwap(nil, bp) {
-		bodyPool.Put(bp)
-	}
+	bodies.Put(bp)
 	if err != nil && rerr != nil {
 		return rerr
 	}

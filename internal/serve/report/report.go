@@ -52,9 +52,8 @@ type Report struct {
 	FinishRounds int    `json:"finish_rounds,omitempty"`
 	FinishPCG    int    `json:"finish_pcg_iters,omitempty"`
 
-	Legal    bool `json:"legal"`
-	Illegal  int  `json:"illegal"`
-	Unplaced int  `json:"unplaced"`
+	Legal   bool `json:"legal"`
+	Illegal int  `json:"illegal"`
 
 	DisplacementSites float64 `json:"displacement_sites"`
 	MaxDispSites      float64 `json:"max_disp_sites"`
@@ -103,7 +102,6 @@ func (r *Report) SetStats(st *core.Stats) {
 	r.FinishRounds = st.Finish.Rounds
 	r.FinishPCG = st.Finish.PCG
 	r.Illegal = st.Illegal
-	r.Unplaced = st.Unplaced
 	r.BuildMS = float64(st.BuildTime) / float64(time.Millisecond)
 	r.SolveMS = float64(st.SolveTime) / float64(time.Millisecond)
 	r.TetrisMS = float64(st.TetrisTime) / float64(time.Millisecond)

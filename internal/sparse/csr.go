@@ -12,6 +12,8 @@ package sparse
 import (
 	"fmt"
 	"sort"
+
+	"mclg/internal/recycle"
 )
 
 // CSR is a sparse matrix in compressed sparse row format.
@@ -128,9 +130,9 @@ func (m *CSR) Transpose() *CSR { return m.TransposeInto(new(CSR)) }
 // TransposeInto writes mᵀ into t, reusing t's storage, and returns t.
 func (m *CSR) TransposeInto(t *CSR) *CSR {
 	t.Rows, t.Cols = m.Cols, m.Rows
-	t.RowPtr = grow(t.RowPtr, m.Cols+1)
-	t.ColIdx = grow(t.ColIdx, m.NNZ())
-	t.Val = grow(t.Val, m.NNZ())
+	t.RowPtr = recycle.Grow(t.RowPtr, m.Cols+1)
+	t.ColIdx = recycle.Grow(t.ColIdx, m.NNZ())
+	t.Val = recycle.Grow(t.Val, m.NNZ())
 	clear(t.RowPtr)
 	// Count entries per column of m.
 	for _, j := range m.ColIdx {

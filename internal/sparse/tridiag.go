@@ -1,6 +1,10 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"mclg/internal/recycle"
+)
 
 // Tridiag is a tridiagonal matrix stored by its three diagonals.
 // Sub[i] is the entry (i, i-1) for i >= 1 (Sub[0] is unused and kept zero),
@@ -19,16 +23,7 @@ func NewTridiag(n int) *Tridiag {
 // resize gives t order n, reusing its storage; the entries are unspecified
 // unless the storage is new.
 func (t *Tridiag) resize(n int) {
-	t.Sub, t.Diag, t.Sup = grow(t.Sub, n), grow(t.Diag, n), grow(t.Sup, n)
-}
-
-// grow returns buf with length n, reallocating only when its capacity is
-// short; the contents are unspecified unless the storage is new.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
+	t.Sub, t.Diag, t.Sup = recycle.Grow(t.Sub, n), recycle.Grow(t.Diag, n), recycle.Grow(t.Sup, n)
 }
 
 // N returns the order of the matrix.
@@ -118,7 +113,7 @@ func (t *Tridiag) Factor() (*TridiagSolver, error) {
 func (t *Tridiag) FactorInto(s *TridiagSolver) error {
 	n := t.N()
 	s.n, s.sup = n, t.Sup
-	s.low, s.diag = grow(s.low, n), grow(s.diag, n)
+	s.low, s.diag = recycle.Grow(s.low, n), recycle.Grow(s.diag, n)
 	s.segments = s.segments[:0]
 	if n == 0 {
 		return nil

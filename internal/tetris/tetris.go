@@ -15,11 +15,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
+	"mclg/internal/recycle"
 )
 
 // Result reports what the allocation did.
@@ -53,7 +52,7 @@ const cancelCheckEvery = 256
 // mclgerr.ErrCanceled-matching error when the context is done. It runs on
 // the calling goroutine.
 func AllocateContext(ctx context.Context, d *design.Design) (*Result, error) {
-	sc := getScratch()
+	sc := scratches.Get()
 	defer sc.release()
 	res := &Result{}
 	occ := blockedOccupancy(&sc.occ, d)
@@ -205,10 +204,10 @@ type cand struct {
 	row int
 }
 
-// scratch is the storage one allocation pass builds, recycled through pool:
-// the occupancy grid, the movable list, the saved positions, the scan
-// candidates, and the per-row cell lists and flags of the illegal-cell count
-// and the shove pass.
+// scratch is the storage one allocation pass builds, recycled through
+// scratches: the occupancy grid, the movable list, the saved positions, the
+// scan candidates, and the per-row cell lists and flags of the illegal-cell
+// count and the shove pass.
 type scratch struct {
 	occ            design.Occupancy
 	movable        []*design.Cell
@@ -218,25 +217,11 @@ type scratch struct {
 	bad            []bool
 }
 
-// slot holds the most recently released scratch in front of pool, so a pass
-// whose goroutine moved to another processor still finds it (a sync.Pool
-// serves each processor its own last Put). It keeps at most one scratch
-// alive across collections.
-var (
-	slot atomic.Pointer[scratch]
-	pool = sync.Pool{New: func() any { return &scratch{} }}
-)
+// scratches recycles the allocation passes' scratch.
+var scratches recycle.Pool[scratch]
 
-func getScratch() *scratch {
-	if sc := slot.Swap(nil); sc != nil {
-		return sc
-	}
-	return pool.Get().(*scratch)
-}
-
-// release returns sc to the slot, or to the pool when the slot is taken,
-// after dropping its pointers into the design, so a recycled scratch never
-// keeps a design alive.
+// release returns sc to scratches after dropping its pointers into the
+// design, so a recycled scratch never keeps a design alive.
 func (sc *scratch) release() {
 	clear(sc.movable)
 	clear(sc.cands)
@@ -244,9 +229,7 @@ func (sc *scratch) release() {
 	for _, r := range sc.rows {
 		clear(r)
 	}
-	if !slot.CompareAndSwap(nil, sc) {
-		pool.Put(sc)
-	}
+	scratches.Put(sc)
 }
 
 // fillRows sets sc.rows to each row's movable cells in ID order, a multi-row

@@ -45,47 +45,23 @@ func (p *Plan) BuildRun(d *design.Design, bands []int, buf *SubBuf) (*design.Des
 // A band is dirty when any dirty row falls inside its sub-design range
 // [SubLo, SubHi): the owned rows, the frozen-context margin (a change there
 // invalidates the context snapshot the band solved against), and the
-// overhang of tall owned cells (Partition already pushes SubHi past the top
-// of the tallest owned cell). On top of the range test, every owned cell's
-// occupied span [AssignedRow, AssignedRow+RowSpan) is checked directly, so
-// a cell whose overhang crosses a band boundary pulls its *owner* band in
-// even when the dirty row itself lies in a neighboring band's territory —
-// the owner is the only band allowed to move that cell.
+// overhang of tall owned cells. Partition pushes SubHi past the top of the
+// tallest owned cell, so a dirty row under a cell whose overhang crosses
+// into a neighboring band's territory still pulls in the cell's owner, the
+// only band allowed to move it.
 //
 // The returned indices are in ascending band order.
-func (p *Plan) DirtyBands(d *design.Design, dirty map[int]bool) []int {
+func (p *Plan) DirtyBands(dirty map[int]bool) []int {
 	if len(dirty) == 0 {
 		return nil
 	}
-	mark := make([]bool, len(p.Bands))
+	var out []int
 	for i, b := range p.Bands {
 		for r := b.SubLo; r < b.SubHi; r++ {
 			if dirty[r] {
-				mark[i] = true
+				out = append(out, i)
 				break
 			}
-		}
-	}
-	// Overhang safety net: Partition extends SubHi past every owned cell's
-	// top row, so the range test above should already cover owned spans —
-	// but walk them directly anyway so a future Partition change can never
-	// silently turn a missed overhang into a stale window.
-	for id, owner := range p.Owner {
-		if owner < 0 || mark[owner] {
-			continue
-		}
-		lo := p.AssignedRow[id]
-		for r := lo; r < lo+d.Cells[id].RowSpan; r++ {
-			if dirty[r] {
-				mark[owner] = true
-				break
-			}
-		}
-	}
-	var out []int
-	for i, m := range mark {
-		if m {
-			out = append(out, i)
 		}
 	}
 	return out

@@ -16,11 +16,11 @@ func TestDirtyBandsSelectByRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	if got := p.DirtyBands(d, nil); got != nil {
+	if got := p.DirtyBands(nil); got != nil {
 		t.Fatalf("DirtyBands(nil) = %v, want nil", got)
 	}
 	for i, b := range p.Bands {
-		got := p.DirtyBands(d, map[int]bool{b.RowLo: true})
+		got := p.DirtyBands(map[int]bool{b.RowLo: true})
 		found := false
 		for _, bi := range got {
 			if bi == i {
@@ -42,10 +42,7 @@ func TestDirtyBandsSelectByRange(t *testing.T) {
 // overhangs: a multi-row cell assigned near the top of its band occupies
 // rows inside the next band's territory, and dirtying only one of those
 // overhang rows must still pull in the *owner* band — it is the only band
-// allowed to move the cell. The second half clamps the owner's SubHi down
-// to its owned range, simulating a Partition that no longer extends sub
-// ranges past tall cells, and asserts the owned-span safety net alone still
-// catches the crossing.
+// allowed to move the cell.
 func TestDirtyBandsOverhangCrossing(t *testing.T) {
 	d := genDesign(t, "fft_2", 0.004)
 	p, err := Partition(d, 2, 1)
@@ -67,23 +64,9 @@ func TestDirtyBandsOverhangCrossing(t *testing.T) {
 		t.Skip("no overhang-crossing cell at this partition; benchmark geometry changed")
 	}
 	overhangRow := p.Bands[owner].RowHi // first row past the owned range
-	dirty := map[int]bool{overhangRow: true}
-
-	sel := p.DirtyBands(d, dirty)
+	sel := p.DirtyBands(map[int]bool{overhangRow: true})
 	if !containsBand(sel, owner) {
 		t.Fatalf("dirty overhang row %d did not select owner band %d: %v", overhangRow, owner, sel)
-	}
-
-	// Clamp the owner's sub range to its owned rows so the range test alone
-	// can no longer see the overhang; the owned-span walk must still fire.
-	clamped := *p
-	clamped.Bands = append([]Band(nil), p.Bands...)
-	if clamped.Bands[owner].SubHi > clamped.Bands[owner].RowHi {
-		clamped.Bands[owner].SubHi = clamped.Bands[owner].RowHi
-	}
-	sel = clamped.DirtyBands(d, dirty)
-	if !containsBand(sel, owner) {
-		t.Fatalf("owned-span safety net missed: dirty row %d, owner band %d not in %v", overhangRow, owner, sel)
 	}
 }
 

@@ -67,42 +67,63 @@ func leakCheck(t *testing.T) func() {
 	}
 }
 
+// TestPartitionCoversEveryMovableCellOnce pins the ownership contract that
+// Plan.DirtyBands' range test relies on: every movable cell has exactly one
+// owner band, and each band's sub range holds the owned cells' whole
+// spans, SubLo ≤ RowLo ≤ AssignedRow and AssignedRow + RowSpan ≤ SubHi, on
+// the default-like partition, on two-row bands whose tall cells overhang
+// into the next band, and on triple-height cells.
 func TestPartitionCoversEveryMovableCellOnce(t *testing.T) {
-	d := genDesign(t, "fft_2", 0.004)
-	p, err := Partition(d, 4, 2)
+	fft := genDesign(t, "fft_2", 0.004)
+	triple, err := gen.Generate(gen.Spec{Name: "triple", SingleCells: 300, DoubleCells: 30, TripleCells: 25, Density: 0.55, Seed: 3})
 	if err != nil {
-		t.Fatalf("Partition: %v", err)
+		t.Fatal(err)
 	}
-	seen := make(map[int]int)
-	for _, b := range p.Bands {
-		if b.SubLo > b.RowLo || b.SubHi < b.RowHi {
-			t.Fatalf("band %d: sub range [%d,%d) does not cover owned [%d,%d)",
-				b.Index, b.SubLo, b.SubHi, b.RowLo, b.RowHi)
+	for _, tc := range []struct {
+		name                   string
+		d                      *design.Design
+		windowRows, marginRows int
+	}{
+		{"fft_2/4x2", fft, 4, 2},
+		{"fft_2/2x1", fft, 2, 1},
+		{"triple/2x1", triple, 2, 1},
+	} {
+		d := tc.d
+		p, err := Partition(d, tc.windowRows, tc.marginRows)
+		if err != nil {
+			t.Fatalf("%s: Partition: %v", tc.name, err)
 		}
-		for _, id := range b.Owned {
-			seen[id]++
-			if p.Owner[id] != b.Index {
-				t.Fatalf("cell %d: owner %d != band %d", id, p.Owner[id], b.Index)
+		seen := make(map[int]int)
+		for _, b := range p.Bands {
+			if b.SubLo > b.RowLo || b.SubHi < b.RowHi {
+				t.Fatalf("%s: band %d: sub range [%d,%d) does not cover owned [%d,%d)",
+					tc.name, b.Index, b.SubLo, b.SubHi, b.RowLo, b.RowHi)
 			}
-			r := p.AssignedRow[id]
-			if r < b.RowLo || r >= b.RowHi {
-				t.Fatalf("cell %d: assigned row %d outside band [%d,%d)", id, r, b.RowLo, b.RowHi)
+			for _, id := range b.Owned {
+				seen[id]++
+				if p.Owner[id] != b.Index {
+					t.Fatalf("%s: cell %d: owner %d != band %d", tc.name, id, p.Owner[id], b.Index)
+				}
+				r := p.AssignedRow[id]
+				if r < b.RowLo || r >= b.RowHi {
+					t.Fatalf("%s: cell %d: assigned row %d outside band [%d,%d)", tc.name, id, r, b.RowLo, b.RowHi)
+				}
+				if top := r + d.Cells[id].RowSpan; top > b.SubHi {
+					t.Fatalf("%s: cell %d: span top %d exceeds sub range %d", tc.name, id, top, b.SubHi)
+				}
 			}
-			if top := r + d.Cells[id].RowSpan; top > b.SubHi {
-				t.Fatalf("cell %d: span top %d exceeds sub range %d", id, top, b.SubHi)
+		}
+		for _, c := range d.Cells {
+			if c.Fixed {
+				continue
+			}
+			if seen[c.ID] != 1 {
+				t.Fatalf("%s: cell %d owned by %d bands, want exactly 1", tc.name, c.ID, seen[c.ID])
 			}
 		}
-	}
-	for _, c := range d.Cells {
-		if c.Fixed {
-			continue
+		if len(p.Bands) < 2 {
+			t.Fatalf("%s: expected multiple bands, got %d", tc.name, len(p.Bands))
 		}
-		if seen[c.ID] != 1 {
-			t.Fatalf("cell %d owned by %d bands, want exactly 1", c.ID, seen[c.ID])
-		}
-	}
-	if len(p.Bands) < 2 {
-		t.Fatalf("expected multiple bands, got %d", len(p.Bands))
 	}
 }
 
