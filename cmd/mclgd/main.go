@@ -1,6 +1,8 @@
 // Command mclgd is the resident legalization daemon: it accepts
-// legalization jobs over HTTP, runs them on a bounded worker pool, caches
-// results by content, and drains gracefully on SIGTERM.
+// legalization jobs over HTTP, solves at most -pool of them at once while up
+// to -queue more wait, in arrival order, for a slot (a waiting job still ends
+// at its own deadline), caches results by content, and drains gracefully on
+// SIGTERM.
 //
 //	mclgd -addr :8080 -pool 2 -queue 8 -cache 128
 //	curl -s localhost:8080/v1/legalize -d '{"bench":"fft_2","scale":0.004}'
@@ -44,8 +46,8 @@ func main() {
 		role         = flag.String("role", "standalone", "node role: standalone | coordinator | worker")
 		peers        = flag.String("peers", "", "comma-separated worker base URLs (coordinator role), e.g. http://h1:8081,http://h2:8081")
 		tenantLimits = flag.String("tenant-limits", "", "per-tenant admission rate limits, tenant=rate/burst[,...]; \"*\" is the default tenant (empty = unlimited)")
-		pool         = flag.Int("pool", 2, "worker pool size (concurrent solves)")
-		queueCap     = flag.Int("queue", 8, "job queue capacity (admissions past it get 429)")
+		pool         = flag.Int("pool", 2, "solve slots: jobs solved at once (shard solves with -role worker)")
+		queueCap     = flag.Int("queue", 8, "jobs that may wait for a solve slot (admissions past it get 429)")
 		cacheCap     = flag.Int("cache", 128, "result cache capacity in entries (negative disables)")
 		auditAll     = flag.Bool("audit", false, "audit every eligible job on commit (method ours, non-resilient): responses carry sealed optimality certificates")
 		windowsAll   = flag.Bool("windows", false, "run every eligible job (method ours, non-resilient, non-audit) through fault-isolated windowed legalization")
@@ -148,41 +150,11 @@ func main() {
 		handler = mux
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	httpSrv := &http.Server{Handler: handler}
 	logger.Info("mclgd listening", "addr", ln.Addr().String(), "role", *role,
 		"pool", *pool, "queue", *queueCap, "cache", *cacheCap,
 		"audit", *auditAll, "windows", *windowsAll, "journal_dir", *journalDir,
 		"eco_dir", *ecoDir, "eco_sessions", *ecoSessions)
-
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String(), "grace", drainTimeout.String())
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "mclgd:", err)
-		os.Exit(2)
-	}
-
-	// Drain first so in-flight jobs finish (or are canceled at the grace
-	// deadline) and their HTTP responses flush; then stop the listener.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		logger.Warn("drain canceled in-flight jobs at the deadline", "err", err.Error())
-	}
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		logger.Warn("http shutdown", "err", err.Error())
-	}
+	serveUntilSignal(logger, ln, handler, srv.Drain, *drainTimeout)
 	logger.Info("mclgd stopped")
 }
 
@@ -205,10 +177,17 @@ func runWorker(logger *slog.Logger, addr string, pool int, ecoDir string, ecoSes
 		fmt.Fprintln(os.Stderr, "mclgd:", err)
 		os.Exit(2)
 	}
-	httpSrv := &http.Server{Handler: wk.Handler()}
 	logger.Info("mclgd worker listening", "addr", ln.Addr().String(),
 		"pool", pool, "eco_dir", ecoDir, "eco_sessions", ecoSessions)
+	serveUntilSignal(logger, ln, wk.Handler(), wk.Drain, drainTimeout)
+	logger.Info("mclgd worker stopped")
+}
 
+// serveUntilSignal serves handler on ln until SIGINT or SIGTERM, then drains
+// first, so in-flight jobs finish (or are canceled at the grace deadline)
+// and their responses flush, and only then stops the listener.
+func serveUntilSignal(logger *slog.Logger, ln net.Listener, handler http.Handler, drain func(context.Context) error, grace time.Duration) {
+	httpSrv := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -220,21 +199,20 @@ func runWorker(logger *slog.Logger, addr string, pool int, ecoDir string, ecoSes
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
-		logger.Info("worker draining", "signal", sig.String(), "grace", drainTimeout.String())
+		logger.Info("draining", "signal", sig.String(), "grace", grace.String())
 	case err := <-errCh:
 		fmt.Fprintln(os.Stderr, "mclgd:", err)
 		os.Exit(2)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	if err := wk.Drain(drainCtx); err != nil {
-		logger.Warn("worker drain timed out with shard jobs in flight", "err", err.Error())
+	if err := drain(drainCtx); err != nil {
+		logger.Warn("drain deadline passed with jobs in flight", "err", err.Error())
 	}
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		logger.Warn("http shutdown", "err", err.Error())
 	}
-	logger.Info("mclgd worker stopped")
 }

@@ -196,7 +196,7 @@ func TestFailedCascadeLeavesCallerUntouched(t *testing.T) {
 }
 
 // TestConcurrentPooledSolves runs cascades over designs of different sizes
-// from several goroutines at once, as windows and the serve pool do, so the
+// from several goroutines at once, as windows and mclgd jobs do, so the
 // solves share the slots and the pools behind them: every placement must
 // equal the same design's solve on its own.
 func TestConcurrentPooledSolves(t *testing.T) {

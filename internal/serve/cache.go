@@ -20,8 +20,8 @@ type flight struct {
 // wait for the in-flight solve instead of enqueueing a duplicate job. Only
 // successful results are cached; a failed flight propagates its error to the
 // joined waiters and leaves the cache unchanged, so a transient failure
-// (deadline, saturation) does not poison the key. Get serves lookups; hits
-// are counted by the handler so dedup-joins and store-hits share one
+// (deadline, saturation) does not poison the key. join serves lookups too;
+// hits are counted by the handler so dedup-joins and store-hits share one
 // meaning: "served without a new solve".
 type resultCache struct {
 	*lru.Cache[string, *report.Report]

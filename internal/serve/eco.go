@@ -84,9 +84,14 @@ func (r *ecoRequest) validate() error {
 			return mclgerr.Invalidf("serve: create does not take deltas; apply them after the session exists")
 		}
 		// Delegate design-source validation (bench/scale vs files) to the
-		// /v1/legalize request rules.
+		// /v1/legalize request rules, and keep the scale they default, so
+		// the session builds the design /v1/legalize would.
 		lr := r.legalizeView()
-		return lr.validate()
+		if err := lr.validate(); err != nil {
+			return err
+		}
+		r.Scale = lr.Scale
+		return nil
 	case "apply":
 		if r.Session == "" {
 			return mclgerr.Invalidf("serve: apply needs a session id")
@@ -123,9 +128,9 @@ func (r *ecoRequest) ecoOptions() eco.Options {
 	}
 }
 
-// ecoRegistry owns the live sessions. Sessions bypass the job queue —
-// applies are interactive, latency-bound, and already serialized per
-// session — so the registry provides its own capacity gate.
+// ecoRegistry owns the live sessions. Sessions bypass the solve slots and
+// their queue — applies are interactive, latency-bound, and already
+// serialized per session — so the registry provides its own capacity gate.
 type ecoRegistry struct {
 	mu       sync.Mutex
 	cap      int

@@ -13,6 +13,7 @@ import (
 
 	"mclg/internal/eco"
 	"mclg/internal/gen"
+	"mclg/internal/serve/report"
 )
 
 // serveHTTP wraps an existing Server in an httptest frontend and returns
@@ -138,6 +139,28 @@ func TestECOSessionLifecycle(t *testing.T) {
 		Action: "apply", Session: created.Session, Deltas: ecoMoves(t, 1),
 	}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("apply after close: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestECOCreateDefaultsScaleLikeLegalize pins the create's design source to
+// /v1/legalize's: a bench without scale builds the design at the default
+// scale 0.01 on both endpoints, not the paper-size design that scale 0 means
+// to the generator.
+func TestECOCreateDefaultsScaleLikeLegalize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a benchmark")
+	}
+	_, ts := newTestServer(t, Config{})
+	var rep report.Report
+	if resp := post(t, ts.URL, &Request{Bench: "fft_2"}, &rep); resp.StatusCode != http.StatusOK {
+		t.Fatalf("legalize: HTTP %d", resp.StatusCode)
+	}
+	created, resp := postECO(t, ts.URL, &ecoRequest{Action: "create", Bench: "fft_2"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+	if created.Cells != rep.Cells {
+		t.Errorf("create without scale opened %d cells, /v1/legalize of the same source has %d", created.Cells, rep.Cells)
 	}
 }
 

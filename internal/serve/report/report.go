@@ -66,7 +66,7 @@ type Report struct {
 	TetrisMS float64 `json:"tetris_ms,omitempty"`
 	WallMS   float64 `json:"wall_ms"`
 
-	// PosHash is the FNV-1a placement digest from internal/regress: equal
+	// PosHash is the FNV-1a placement digest design.PositionHash: equal
 	// hashes mean bit-identical placements (the determinism contract).
 	PosHash string `json:"pos_hash"`
 

@@ -206,6 +206,59 @@ func TestQueueSaturation(t *testing.T) {
 	}
 }
 
+// TestQueuedJobDeadlineCoversWait pins the timeout_ms contract "queue wait
+// included": a job still waiting for the one solve slot when its deadline
+// passes gets its 504 then, not when the slot frees.
+func TestQueuedJobDeadlineCoversWait(t *testing.T) {
+	if testing.Short() {
+		t.Skip("occupies the solve slot with a heavy solve")
+	}
+	s := New(Config{Workers: 1, QueueCap: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// An audited job holds the slot for tens of seconds (see
+	// TestQueueSaturation); the hard drain below cancels it.
+	held := make(chan int, 1)
+	go func() {
+		body := `{"bench":"superblue19","scale":0.004,"audit":true,"timeout_ms":60000}`
+		resp, err := http.Post(ts.URL+"/v1/legalize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	waitFor(t, "slot held", func() bool { return s.stats.inflight.Get() == 1 })
+
+	start := time.Now()
+	var eb errorBody
+	resp := post(t, ts.URL, &Request{Bench: "fft_2", Scale: 0.004, TimeoutMS: 200}, &eb)
+	if wait := time.Since(start); wait > 2*time.Second {
+		t.Errorf("queued job with timeout_ms 200 answered after %v, want within 2 s", wait.Round(time.Millisecond))
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout || eb.Class != "canceled" {
+		t.Errorf("queued job: HTTP %d class %q, want 504 canceled", resp.StatusCode, eb.Class)
+	}
+	if v := s.stats.queueDepth.Get(); v != 0 {
+		t.Errorf("queue depth = %d after the queued job timed out, want 0", v)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_ = s.Drain(ctx)
+	select {
+	case status := <-held:
+		if status != http.StatusGatewayTimeout {
+			t.Errorf("held job after hard drain: HTTP %d, want 504", status)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("held job never responded to the hard drain")
+	}
+}
+
 // TestDrainFinishesInFlight is the graceful-shutdown acceptance test: a job
 // racing a drain still completes with an uncorrupted (verified-legal)
 // result, and post-drain the server refuses work.

@@ -1,7 +1,8 @@
 // Package serve turns the one-shot legalizer into a resident batching
-// service: a bounded job queue with admission control, a worker pool driving
-// the existing context-aware solvers, a content-addressed result cache with
-// in-flight deduplication, and a Prometheus-text observability surface.
+// service: admission control over a bounded wait for one of Workers solve
+// slots, the existing context-aware solvers run on each request's own
+// goroutine, a content-addressed result cache with in-flight deduplication,
+// and a Prometheus-text observability surface.
 //
 // Request lifecycle:
 //
@@ -11,7 +12,9 @@
 //	        │                            │
 //	        │                        (leader) ── admit ──(queue full)── 429 + Retry-After
 //	        │                            │
-//	        └── worker: parse → solve → verify legal → cache store ── 200 {cache:"miss"}
+//	        │                     wait for a slot ──(deadline)── 504 canceled
+//	        │                            │
+//	        └── parse → solve → verify legal → cache store ── 200 {cache:"miss"}
 //
 // Failures map onto the mclgerr taxonomy: invalid input → 400, deadline /
 // cancellation → 504, queue saturation → 429, draining → 503, every other
@@ -39,13 +42,13 @@ import (
 	"mclg/internal/window"
 )
 
-// Config parameterizes the daemon. The zero value is usable: 2 pool
-// workers, queue capacity 8, 128 cached results, 2-minute job cap.
+// Config parameterizes the daemon. The zero value is usable: 2 solve
+// slots, queue capacity 8, 128 cached results, 2-minute job cap.
 type Config struct {
-	// Workers is the solve-pool size: how many jobs run concurrently.
+	// Workers is the number of solve slots: how many jobs run concurrently.
 	Workers int
-	// QueueCap bounds the jobs admitted but not yet running; admission
-	// past it is refused with 429.
+	// QueueCap bounds the jobs admitted but still waiting for a slot;
+	// admission past it is refused with 429.
 	QueueCap int
 	// CacheCap bounds the result cache (entries); 0 means 128, negative
 	// disables caching (dedup of concurrent identical jobs still works).
@@ -159,20 +162,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted unit of work flowing from handler to worker.
-type job struct {
-	id     uint64
-	key    string
-	req    *Request
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	queuedAt time.Time
-	done     chan struct{} // closed by the worker after rep/err are set
-	rep      *report.Report
-	err      error
-}
-
 // Server is the batching legalization service. Create with New, mount
 // Handler on an http.Server, and call Drain on shutdown.
 type Server struct {
@@ -182,23 +171,24 @@ type Server struct {
 	stats *serverStats
 	log   *slog.Logger
 
-	queue chan *job
+	// slots holds one token per running solve; a job waits to send one in
+	// arrival order, and gives up when its context ends.
+	slots chan struct{}
 
 	// baseCtx parents every job context so Drain's hard stop can cancel
-	// still-running solves through the usual cancellation paths.
+	// waiting and running jobs through the usual cancellation paths.
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
-	mu       sync.Mutex // guards draining + admission vs. queue close
+	mu       sync.Mutex // guards draining, jobSeq and admission vs. Drain's wait
 	draining bool
 	jobsWG   sync.WaitGroup // admitted jobs not yet terminal
-	workers  sync.WaitGroup
 
 	jobSeq uint64
 	start  time.Time
 }
 
-// New builds and starts a server: the worker pool is live on return.
+// New builds a server ready to mount; it starts no goroutine.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
@@ -209,17 +199,13 @@ func New(cfg Config) *Server {
 		eco:      newEcoRegistry(cfg.ECOSessionCap, cfg.ECODir),
 		stats:    newServerStats(cache),
 		log:      cfg.Logger,
-		queue:    make(chan *job, cfg.QueueCap),
+		slots:    make(chan struct{}, cfg.Workers),
 		baseCtx:  ctx,
 		baseStop: stop,
 		start:    time.Now(),
 	}
 	if cfg.ECODir != "" {
 		s.recoverSessions()
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker()
 	}
 	return s
 }
@@ -243,11 +229,7 @@ func (s *Server) Handler() http.Handler {
 // cached. Drain returns nil on a clean drain and ctx.Err() on a hard stop.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	if !already {
-		close(s.queue) // safe: admission checks draining under mu before sending
-	}
+	s.draining = true // admit checks it under mu, so jobsWG grows no more
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -260,39 +242,47 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		err = ctx.Err()
-		s.baseStop() // hard stop: cancel remaining solves
-		<-done       // workers still publish canceled results to waiters
+		s.baseStop() // hard stop: cancel waiting and running jobs
+		<-done       // each still returns its canceled result to its handler
 	}
-	s.workers.Wait()
 	s.baseStop()
 	return err
 }
 
-// worker drains the queue until Drain closes it.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for j := range s.queue {
-		s.stats.queueDepth.Add(-1)
-		s.runJob(j)
-	}
-}
-
-// runJob executes one admitted job and publishes the outcome to its waiters
-// and, on success, the cache.
-func (s *Server) runJob(j *job) {
+// runJob runs one admitted job on the calling goroutine; slot is what admit
+// returned. A job admitted without a slot counts in the queue-depth gauge
+// until it takes one; if ctx ends first, it returns the typed canceled
+// error without a slot, so a job's deadline covers its queue wait. The job
+// counts in the in-flight gauge only while it holds a slot.
+func (s *Server) runJob(ctx context.Context, id uint64, slot bool, key string, req *Request) (rep *report.Report, err error) {
 	defer s.jobsWG.Done()
-	defer j.cancel()
-	s.stats.inflight.Add(1)
-
-	queueWait := time.Since(j.queuedAt)
+	queuedAt := time.Now()
+	if !slot {
+		select {
+		case s.slots <- struct{}{}:
+			slot = true
+		case <-ctx.Done():
+		}
+		s.stats.queueDepth.Add(-1)
+	}
+	if slot {
+		s.stats.inflight.Add(1)
+		// The gauge settles before the handler answers, so a client that
+		// scrapes /metrics right after its response reads the job as
+		// finished.
+		defer func() {
+			s.stats.inflight.Add(-1)
+			<-s.slots
+		}()
+	}
+	queueWait := time.Since(queuedAt)
 	t0 := time.Now()
 
-	var rep *report.Report
-	err := mclgerr.FromContext(j.ctx)
+	err = mclgerr.FromContext(ctx)
 	var parseDur, solveDur time.Duration
 	if err == nil {
 		tp := time.Now()
-		d, derr := j.req.loadDesign()
+		d, derr := req.loadDesign()
 		parseDur = time.Since(tp)
 		s.stats.stages.With("parse").Observe(parseDur.Seconds())
 		if derr != nil {
@@ -301,8 +291,8 @@ func (s *Server) runJob(j *job) {
 			ts := time.Now()
 			samples := mallocSamples()
 			m0 := mallocs(samples)
-			rep, err = j.req.Solve(j.ctx, d, func(ctx context.Context, d *design.Design, o window.Options) (*window.Stats, error) {
-				return s.legalizeWindows(ctx, d, o, j.key)
+			rep, err = req.Solve(ctx, d, func(ctx context.Context, d *design.Design, o window.Options) (*window.Stats, error) {
+				return s.legalizeWindows(ctx, d, o, key)
 			})
 			if err == nil {
 				rep.CapturePlacement(d) // cached for any later request that asks for it
@@ -321,11 +311,11 @@ func (s *Server) runJob(j *job) {
 			// the audit re-run cannot reproduce) fails the job; a sealed
 			// certificate that merely fails its checks is returned to the
 			// caller with pass=false and counted.
-			doAudit := j.req.Audit ||
-				(s.cfg.AuditAll && j.req.Method == "ours" && !j.req.Resilient && !j.req.Windows)
+			doAudit := req.Audit ||
+				(s.cfg.AuditAll && req.Method == "ours" && !req.Resilient && !req.Windows)
 			if err == nil && doAudit {
 				ta := time.Now()
-				err = j.req.Certify(j.ctx, d, rep)
+				err = req.Certify(ctx, d, rep)
 				s.stats.stages.With("audit").Observe(time.Since(ta).Seconds())
 				switch {
 				case err != nil:
@@ -344,21 +334,15 @@ func (s *Server) runJob(j *job) {
 	class := mclgerr.Class(err)
 	s.stats.jobs.With(class).Inc()
 	s.log.Info("job done",
-		"id", j.id,
-		"key", short(j.key),
+		"id", id,
+		"key", short(key),
 		"class", class,
 		"queue_ms", float64(queueWait)/float64(time.Millisecond),
 		"parse_ms", float64(parseDur)/float64(time.Millisecond),
 		"solve_ms", float64(solveDur)/float64(time.Millisecond),
 		"total_ms", float64(total)/float64(time.Millisecond),
 	)
-
-	j.rep, j.err = rep, err
-	// The gauge settles before close(j.done) releases the waiters, so a
-	// client that scrapes /metrics right after its response reads the job
-	// as finished.
-	s.stats.inflight.Add(-1)
-	close(j.done)
+	return rep, err
 }
 
 // mallocSamples names the runtime/metrics counters whose sum is
@@ -409,28 +393,33 @@ func retryAfterHint() string {
 	return strconv.Itoa(n)
 }
 
-// admit performs admission control: it either owns the job (nil) or refuses
-// with errQueueFull / errDraining without blocking.
-func (s *Server) admit(j *job) error {
+// admit performs admission control without blocking. It admits a new job,
+// which the caller must then pass to runJob, and returns its log ID and
+// whether it took a free solve slot for it; a job that finds none counts as
+// waiting. It refuses with errDraining, or with errQueueFull while QueueCap
+// admitted jobs wait for a slot. A released slot goes straight to the
+// longest-blocked waiter, so one is free here only when no job is blocked
+// on it, and taking it keeps arrival order.
+func (s *Server) admit() (id uint64, slot bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.stats.rejectedDraining.Inc()
-		return errDraining
+		return 0, false, errDraining
 	}
-	// Count the job before a worker can see it: once sent, it may finish
-	// (jobsWG.Done, queueDepth −1) before this goroutine runs again.
-	s.jobsWG.Add(1)
-	s.stats.queueDepth.Add(1)
 	select {
-	case s.queue <- j:
-		return nil
+	case s.slots <- struct{}{}:
+		slot = true
 	default:
-		s.jobsWG.Done()
-		s.stats.queueDepth.Add(-1)
-		s.stats.rejectedFull.Inc()
-		return errQueueFull
+		if s.stats.queueDepth.Get() >= int64(s.cfg.QueueCap) {
+			s.stats.rejectedFull.Inc()
+			return 0, false, errQueueFull
+		}
+		s.stats.queueDepth.Add(1)
 	}
+	s.jobsWG.Add(1)
+	s.jobSeq++
+	return s.jobSeq, slot, nil
 }
 
 func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
@@ -465,14 +454,8 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := req.key()
-	if rep, ok := s.cache.Get(key); ok {
-		s.stats.cacheHits.Inc()
-		s.respond(w, &req, rep, "hit")
-		return
-	}
-
 	fl, leader, rep := s.cache.join(key)
-	if rep != nil { // completed between lookup and join
+	if rep != nil {
 		s.stats.cacheHits.Inc()
 		s.respond(w, &req, rep, "hit")
 		return
@@ -510,38 +493,31 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-	j := &job{
-		id:       s.nextID(),
-		key:      key,
-		req:      &req,
-		ctx:      ctx,
-		cancel:   cancel,
-		queuedAt: time.Now(),
-		done:     make(chan struct{}),
-	}
-	if err := s.admit(j); err != nil {
-		cancel()
+	id, slot, err := s.admit()
+	if err != nil {
 		s.cache.abort(key, fl, err)
 		s.fail(w, err)
 		return
 	}
-	s.log.Info("job admitted", "id", j.id, "key", short(key),
+	s.log.Info("job admitted", "id", id, "key", short(key),
 		"bench", req.Bench, "scale", req.Scale, "method", req.Method,
 		"resilient", req.Resilient, "upload", len(req.Files) > 0,
 		"timeout", timeout.String())
 
-	// The worker closes j.done unconditionally; a client disconnect does
-	// not cancel the solve, because joined waiters may still want it.
-	<-j.done
-	if j.err != nil {
-		s.cache.abort(key, fl, j.err)
-		s.fail(w, j.err)
+	// The job's context descends from baseCtx, not the request's: a client
+	// disconnect does not cancel the solve, because joined waiters may
+	// still want it.
+	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	defer cancel()
+	rep, err = s.runJob(ctx, id, slot, key, &req)
+	if err != nil {
+		s.cache.abort(key, fl, err)
+		s.fail(w, err)
 		return
 	}
 	s.stats.cacheMisses.Inc()
-	s.cache.complete(key, fl, j.rep)
-	s.respond(w, &req, j.rep, "miss")
+	s.cache.complete(key, fl, rep)
+	s.respond(w, &req, rep, "miss")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -632,13 +608,6 @@ func (s *Server) jobTimeout(req *Request) time.Duration {
 		t = s.cfg.MaxJobTimeout
 	}
 	return t
-}
-
-func (s *Server) nextID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobSeq++
-	return s.jobSeq
 }
 
 // short abbreviates a cache key for logs.
