@@ -23,6 +23,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,8 +41,11 @@ type Files struct {
 }
 
 // Texts holds the contents of the Bookshelf components, field for field as
-// Files names their paths. Nets and Wts may be empty.
-type Texts Files
+// Files names their paths. The reader only reads them, so they may be views
+// of a larger buffer such as a request body. Nets and Wts may be empty.
+type Texts struct {
+	Nodes, Nets, Pl, Scl, Wts []byte
+}
 
 // ReadAux parses a .aux file and returns the component file names resolved
 // relative to the .aux location.
@@ -102,41 +106,54 @@ func Read(auxPath string) (*design.Design, error) {
 // be empty, and a Wts file that does not exist is skipped. Errors name the
 // file and line ("/path/d.nodes:6").
 func ReadFiles(files Files, name string) (*design.Design, error) {
-	return read(name, files, func(path, comp string, parse parser) error {
-		if path == "" && (comp == "nets" || comp == "wts") {
-			return nil
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			if comp == "wts" && os.IsNotExist(err) {
-				return nil // weights are optional
+	file := func(path, comp string) source {
+		return func(parse parser) error {
+			if path == "" && (comp == "nets" || comp == "wts") {
+				return nil
 			}
-			return err
+			f, err := os.Open(path)
+			if err != nil {
+				if comp == "wts" && os.IsNotExist(err) {
+					return nil // weights are optional
+				}
+				return err
+			}
+			defer f.Close()
+			size := 0 // unknown: nothing is presized
+			if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+				size = int(st.Size())
+			}
+			return parse(f, path, size)
 		}
-		defer f.Close()
-		return parse(f, path)
-	})
+	}
+	return read(name, file(files.Scl, "scl"), file(files.Nodes, "nodes"), file(files.Pl, "pl"),
+		file(files.Nets, "nets"), file(files.Wts, "wts"))
 }
 
 // ReadTexts loads a design from in-memory component texts, such as an
 // upload, with the same parsers and checks as ReadFiles. Errors name the
 // component and line ("nodes:6"); every one matches ErrInvalidInput.
 func ReadTexts(texts Texts, name string) (*design.Design, error) {
-	return read(name, Files(texts), func(text, comp string, parse parser) error {
-		return parse(strings.NewReader(text), comp)
-	})
+	text := func(b []byte, comp string) source {
+		return func(parse parser) error { return parse(bytes.NewReader(b), comp, len(b)) }
+	}
+	return read(name, text(texts.Scl, "scl"), text(texts.Nodes, "nodes"), text(texts.Pl, "pl"),
+		text(texts.Nets, "nets"), text(texts.Wts, "wts"))
 }
 
-// A parser reads one component from r; label names it in error messages.
-type parser func(r io.Reader, label string) error
+// A parser reads one component from r. label names it in error messages,
+// and size is its length in bytes, or 0 when unknown: it bounds what a
+// header's declared count may presize.
+type parser func(r io.Reader, label string, size int) error
 
-// read runs the component parsers in dependency order. For each component
-// ("scl", "nodes", "pl", "nets", "wts") with gets its field of srcs, a
-// path or a text, and hands parse the content and its label, or returns nil
-// without calling parse when an optional component is absent.
-func read(name string, srcs Files, with func(src, comp string, parse parser) error) (*design.Design, error) {
+// A source hands parse one component's content, label and size, or returns
+// nil without calling parse when an optional component is absent.
+type source func(parse parser) error
+
+// read runs the component parsers over their sources in dependency order.
+func read(name string, scl, nodes, pl, nets, wts source) (*design.Design, error) {
 	var d *design.Design
-	if err := with(srcs.Scl, "scl", func(r io.Reader, label string) error {
+	if err := scl(func(r io.Reader, label string, _ int) error {
 		rows, err := readScl(r, label)
 		if err != nil {
 			return err
@@ -150,13 +167,13 @@ func read(name string, srcs Files, with func(src, comp string, parse parser) err
 		return nil, err
 	}
 	var nodeIdx map[string]int
-	if err := with(srcs.Nodes, "nodes", func(r io.Reader, label string) (err error) {
-		nodeIdx, err = readNodes(r, label, d)
+	if err := nodes(func(r io.Reader, label string, size int) (err error) {
+		nodeIdx, err = readNodes(r, label, size, d)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	if err := with(srcs.Pl, "pl", func(r io.Reader, label string) error {
+	if err := pl(func(r io.Reader, label string, _ int) error {
 		return readPl(r, label, d, nodeIdx)
 	}); err != nil {
 		return nil, err
@@ -171,12 +188,12 @@ func read(name string, srcs Files, with func(src, comp string, parse parser) err
 			c.BottomRail = d.Rows[r].Rail
 		}
 	}
-	if err := with(srcs.Nets, "nets", func(r io.Reader, label string) error {
-		return readNets(r, label, d, nodeIdx)
+	if err := nets(func(r io.Reader, label string, size int) error {
+		return readNets(r, label, size, d, nodeIdx)
 	}); err != nil {
 		return nil, err
 	}
-	if err := with(srcs.Wts, "wts", func(r io.Reader, label string) error {
+	if err := wts(func(r io.Reader, label string, _ int) error {
 		return readWts(r, label, d)
 	}); err != nil {
 		return nil, err
@@ -257,6 +274,50 @@ func hasPrefix(b []byte, prefix string) bool {
 // or the format header ("UCLA nodes 1.0").
 func skipLine(fields [][]byte) bool {
 	return len(fields) == 0 || fields[0][0] == '#' || hasPrefix(fields[0], "UCLA")
+}
+
+// keyword reports whether field is the keyword kw, alone or with a colon
+// and maybe its count attached ("NumNodes", "NumNodes:", "NumNodes:5"); a
+// name that merely starts with it ("NumNodes_x") is not.
+func keyword(field []byte, kw string) bool {
+	n := len(kw)
+	return len(field) >= n && string(field[:n]) == kw && (len(field) == n || field[n] == ':')
+}
+
+// Each header count is capped by the records a component of its size can
+// hold, so a hostile header presizes no more than the upload justifies.
+// These are the shortest records, line break included: a node line holds a
+// name and two dimensions ("a 1 1"), a net starts with a NetDegree line, and
+// a pin line may be a bare node name. maxPresize caps every count as well,
+// so that no header presizes more than a million records however large its
+// component; a larger design grows past them by append.
+const (
+	nodeBytes  = len("a 1 1\n")
+	netBytes   = len("NetDegree\n")
+	pinBytes   = len("a\n")
+	maxPresize = 1 << 20
+)
+
+// declared returns the count that a header line, split into fields f whose
+// first is the keyword kw, gives after the keyword and an optional colon
+// ("NumNodes : 5", "NumNodes:5"), capped at maxPresize and at the records
+// of at least minBytes that size bytes can hold. It returns 0 when the line
+// gives no count that is a non-negative int.
+func declared(f [][]byte, kw string, size, minBytes int) int {
+	for i, g := range f {
+		if i == 0 {
+			g = g[len(kw):]
+		}
+		if g = bytes.TrimPrefix(g, []byte(":")); len(g) == 0 {
+			continue
+		}
+		n, err := strconv.Atoi(string(g))
+		if err != nil || n < 0 {
+			return 0
+		}
+		return min(n, maxPresize, (size+1)/minBytes)
+	}
+	return 0
 }
 
 // lowerPrefix reports whether strings.ToLower(string(b)) starts with lower,
@@ -447,14 +508,27 @@ func designFromRows(name string, rows []sclRow) (*design.Design, error) {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-func readNodes(r io.Reader, label string, d *design.Design) (map[string]int, error) {
+// readNodes adds the nodes of the file to d and returns their IDs by name.
+// The first NumNodes header that gives a count before the first node sizes
+// the index and the cells; a missing or lying one leaves them to grow as
+// nodes arrive, and a repeated one is skipped.
+func readNodes(r io.Reader, label string, size int, d *design.Design) (map[string]int, error) {
 	idx := make(map[string]int)
+	presized := false
 	sc := newScanner(r, maxLine)
 	var f [][]byte
 	lineNo := 1
 	for ; sc.Scan(); lineNo++ {
 		f = splitFields(f, sc.Bytes())
-		if skipLine(f) || hasPrefix(f[0], "NumNodes") || hasPrefix(f[0], "NumTerminals") {
+		if skipLine(f) || keyword(f[0], "NumTerminals") {
+			continue
+		}
+		if keyword(f[0], "NumNodes") {
+			if n := declared(f, "NumNodes", size, nodeBytes); n > 0 && !presized && len(idx) == 0 {
+				idx = make(map[string]int, n)
+				d.GrowCells(n)
+				presized = true
+			}
 			continue
 		}
 		if len(f) < 3 {
@@ -489,8 +563,7 @@ func readPl(r io.Reader, label string, d *design.Design, idx map[string]int) err
 	var f [][]byte
 	lineNo := 1
 	for ; sc.Scan(); lineNo++ {
-		line := sc.Bytes()
-		f = splitFields(f, line)
+		f = splitFields(f, sc.Bytes())
 		if skipLine(f) || len(f) < 3 {
 			continue
 		}
@@ -509,8 +582,10 @@ func readPl(r io.Reader, label string, d *design.Design, idx map[string]int) err
 		c := d.Cells[id]
 		c.GX, c.GY = x, y
 		c.X, c.Y = x, y
-		if bytes.Contains(line, []byte("/FIXED")) {
-			c.Fixed = true
+		for _, g := range f[3:] {
+			if string(g) == "/FIXED" || string(g) == "/FIXED_NI" {
+				c.Fixed = true
+			}
 		}
 	}
 	return scanErr(sc, label, lineNo)
@@ -518,19 +593,37 @@ func readPl(r io.Reader, label string, d *design.Design, idx map[string]int) err
 
 // readNets appends the nets of the file to d. All their pins share one
 // array, each net's slice capped at its own length (Design.OwnNets' layout).
-func readNets(r io.Reader, label string, d *design.Design, idx map[string]int) error {
+// The first NumNets and NumPins headers that give a count before the first
+// net and pin size the net list and the pin array; missing or lying ones
+// leave them to grow, and repeated ones are skipped.
+func readNets(r io.Reader, label string, size int, d *design.Design, idx map[string]int) error {
 	sc := newScanner(r, maxLine)
 	first := len(d.Nets)
 	var pins []design.Pin
+	netsSized, pinsSized := false, false
 	start := 0 // index in pins of the current net's first pin
 	var f [][]byte
 	lineNo := 1
 	for ; sc.Scan(); lineNo++ {
 		f = splitFields(f, sc.Bytes())
-		if skipLine(f) || hasPrefix(f[0], "NumNets") || hasPrefix(f[0], "NumPins") {
+		if skipLine(f) {
 			continue
 		}
-		if hasPrefix(f[0], "NetDegree") {
+		if keyword(f[0], "NumNets") {
+			if n := declared(f, "NumNets", size, netBytes); n > 0 && !netsSized && len(d.Nets) == first {
+				d.Nets = slices.Grow(d.Nets, n)
+				netsSized = true
+			}
+			continue
+		}
+		if keyword(f[0], "NumPins") {
+			if n := declared(f, "NumPins", size, pinBytes); n > 0 && !pinsSized && len(pins) == 0 {
+				pins = make([]design.Pin, 0, n)
+				pinsSized = true
+			}
+			continue
+		}
+		if keyword(f[0], "NetDegree") {
 			var name string
 			if len(f) >= 4 {
 				name = string(f[3])

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mclg/internal/design"
 	"mclg/internal/mclgerr"
 )
 
@@ -14,7 +13,9 @@ import (
 // files (ReadFiles) and once from memory (ReadTexts). The invariants: the
 // reader must return either a well-formed design or an error — never panic
 // and never produce a design with invalid geometry — and both entry points
-// must agree: the same error class, or equal designs.
+// must read what oracleRead reads, the reader that grows all its storage as
+// lines arrive: the same error (its text too, from memory), or the same
+// design, every row, cell, net and pin field included.
 func FuzzReadFiles(f *testing.F) {
 	f.Add(
 		"UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 0\n  a 4 10\n",
@@ -52,6 +53,27 @@ func FuzzReadFiles(f *testing.F) {
 		"CoreRow Horizontal\n  Coordinate : NaN\n  Height : Inf\n  Sitewidth",
 		"NetDegree : 2",
 	)
+	// Keyword look-alikes: names that start with a header keyword, a
+	// movable node whose name holds "/FIXED", and headers with and without
+	// colons that undercount, overcount, overflow or go negative.
+	f.Add(
+		"UCLA nodes 1.0\nNumNodes: 1\nNumTerminals : 1\n  NumNodes_x 4 10\n  NumPinsA 3 10\n  NetDegreeX 2 10\n  u1/FIXED_reg 2 10\n  m 2 10 terminal\n",
+		"NumNodes_x 3 0 : N\nNumPinsA 10 0 : N\nNetDegreeX 15 0 : N\nu1/FIXED_reg 20 0 : N\nm 30 0 : N /FIXED_NI\n",
+		"CoreRow Horizontal\n  Coordinate : 0\n  Height : 10\n  Sitewidth : 1\n  SubrowOrigin : 0  NumSites : 50\nEnd\n",
+		"NumNets: 1\nNumPins : -3\nNetDegree: 3 n\n  NumPinsA I : 0 0\n  NetDegreeX O : 1 1\n",
+	)
+	f.Add(
+		"NumNodes : 99999999999999999999\n  a 4 10\n  b 4 10\n",
+		"a 3 0 : N\nb 10 0 : N /FIXED\n",
+		"CoreRow Horizontal\n  Coordinate : 0\n  Height : 10\n  Sitewidth : 1\n  SubrowOrigin : 0  NumSites : 50\nEnd\n",
+		"NumNets : 2000000000\nNumPins : 2000000000\nNetDegree : 2 n\n  a I : 0 0\n  b O : 1 1\nNetDegree : 1\n  b\nNumPins : 1\n",
+	)
+	f.Add(
+		"NumNodes:2\nNumNodes:2\nNumTerminals:0\n  a 4 10\n  b 4 10\n",
+		"a 3 0 : N\nb 10 0 : N\n",
+		"CoreRow Horizontal\n  Coordinate : 0\n  Height : 10\n  Sitewidth : 1\n  SubrowOrigin : 0  NumSites : 50\nEnd\n",
+		"NumNets:1\nNumPins:2\nNumPins:2\nNetDegree:2\n  a I : 0 0\n  b O : 1 1\n",
+	)
 	f.Fuzz(func(t *testing.T, nodes, pl, scl, nets string) {
 		dir := t.TempDir()
 		files := Files{
@@ -65,17 +87,16 @@ func FuzzReadFiles(f *testing.F) {
 		os.WriteFile(files.Scl, []byte(scl), 0o644)
 		os.WriteFile(files.Nets, []byte(nets), 0o644)
 		d, err := ReadFiles(files, "fuzz")
-		dm, errm := ReadTexts(Texts{Nodes: nodes, Pl: pl, Scl: scl, Nets: nets}, "fuzz")
-		if (err == nil) != (errm == nil) || mclgerr.Class(err) != mclgerr.Class(errm) {
-			t.Fatalf("entry points disagree:\nReadFiles: %v\nReadTexts: %v", err, errm)
-		}
+		tx := texts(nodes, pl, scl, nets, "")
+		dm, errm := ReadTexts(tx, "fuzz")
+		sameRead(t, "ReadFiles", tx, d, err, false)
+		sameRead(t, "ReadTexts", tx, dm, errm, true)
 		if errm != nil && !errors.Is(errm, mclgerr.ErrInvalidInput) {
 			t.Fatalf("in-memory parse failed with %v, which does not match ErrInvalidInput", errm)
 		}
 		if err != nil {
 			return
 		}
-		sameDesign(t, d, dm)
 		if d.RowHeight <= 0 || d.SiteW <= 0 {
 			t.Fatalf("accepted degenerate geometry: h=%g sw=%g", d.RowHeight, d.SiteW)
 		}
@@ -90,32 +111,4 @@ func FuzzReadFiles(f *testing.F) {
 			}
 		}
 	})
-}
-
-// sameDesign fails t unless a and b have the same cells (names, sizes,
-// positions, Fixed flags) and the same nets (names, weights, pins).
-func sameDesign(t *testing.T, a, b *design.Design) {
-	t.Helper()
-	if len(a.Cells) != len(b.Cells) || len(a.Nets) != len(b.Nets) {
-		t.Fatalf("ReadFiles: %d cells, %d nets; ReadTexts: %d cells, %d nets",
-			len(a.Cells), len(a.Nets), len(b.Cells), len(b.Nets))
-	}
-	for i, c := range a.Cells {
-		m := b.Cells[i]
-		if c.Name != m.Name || c.W != m.W || c.H != m.H || c.GX != m.GX || c.GY != m.GY || c.Fixed != m.Fixed {
-			t.Fatalf("cell %d: ReadFiles %+v, ReadTexts %+v", i, *c, *m)
-		}
-	}
-	for i, n := range a.Nets {
-		m := b.Nets[i]
-		if n.Name != m.Name || n.Weight != m.Weight || len(n.Pins) != len(m.Pins) {
-			t.Fatalf("net %d: ReadFiles %q weight %g with %d pins, ReadTexts %q weight %g with %d pins",
-				i, n.Name, n.Weight, len(n.Pins), m.Name, m.Weight, len(m.Pins))
-		}
-		for k, p := range n.Pins {
-			if p != m.Pins[k] {
-				t.Fatalf("net %d pin %d: ReadFiles %+v, ReadTexts %+v", i, k, p, m.Pins[k])
-			}
-		}
-	}
 }

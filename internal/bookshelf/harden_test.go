@@ -2,12 +2,17 @@ package bookshelf
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mclg/internal/design"
+	"mclg/internal/gen"
 	"mclg/internal/mclgerr"
 )
 
@@ -122,7 +127,7 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 			}{
 				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, scl, nets), "corrupt") }},
 				{"ReadTexts", func() (*design.Design, error) {
-					return ReadTexts(Texts{Nodes: nodes, Pl: pl, Scl: scl, Nets: nets}, "corrupt")
+					return ReadTexts(texts(nodes, pl, scl, nets, ""), "corrupt")
 				}},
 			} {
 				_, err := read.read()
@@ -178,4 +183,219 @@ func TestSplitFieldsMatchesStringsFields(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKeywordsMatchWholeFields reads names that start with, or hold, a
+// Bookshelf keyword. Matched by prefix or substring, as the reader once did,
+// the node NumNodes_x was skipped as a header (the .pl then named an unknown
+// node), the pin on NumPinsA was dropped, the pin on NetDegreeX opened a new
+// net, and u1/FIXED_reg was read as fixed. Headers keep matching with the
+// colon, or the colon and the count, attached ("NumPins:3"), and
+// "/FIXED_NI" after the coordinates still fixes a node.
+func TestKeywordsMatchWholeFields(t *testing.T) {
+	const (
+		pinA = "  a I : 0 0\n"
+		pinB = "  b O : 1 1\n"
+	)
+	cases := []struct {
+		name            string
+		nodes, pl, nets string
+		fixed           string   // the one fixed cell
+		pins            []string // the one net's pins, by cell name
+	}{
+		{
+			name:  "node-named-like-a-header",
+			nodes: "NumNodes: 3\nNumTerminals : 0\n  a 4 10\n  b 3 10\n  NumNodes_x 2 10\n",
+			pl:    "a 3 0 : N\nb 10 0 : N\nNumNodes_x 20 0 : N\n",
+			nets:  "NetDegree : 3 n\n" + pinA + pinB + "  NumNodes_x I : 0 0\n",
+			pins:  []string{"a", "b", "NumNodes_x"},
+		},
+		{
+			name:  "pin-on-a-cell-named-like-a-header",
+			nodes: "  a 4 10\n  b 3 10\n  NumPinsA 2 10\n",
+			pl:    "a 3 0 : N\nb 10 0 : N\nNumPinsA 20 0 : N\n",
+			nets:  "NumNets: 1\nNumPins : 3\nNetDegree: 3 n\n" + pinA + "  NumPinsA I : 0 0\n" + pinB,
+			pins:  []string{"a", "NumPinsA", "b"},
+		},
+		{
+			name:  "pin-on-a-cell-named-like-NetDegree",
+			nodes: "  a 4 10\n  b 3 10\n  NetDegreeX 2 10\n",
+			pl:    "a 3 0 : N\nb 10 0 : N\nNetDegreeX 20 0 : N\n",
+			nets:  "NetDegree : 3 n\n" + pinA + "  NetDegreeX O : 1 1\n" + pinB,
+			pins:  []string{"a", "NetDegreeX", "b"},
+		},
+		{
+			name:  "headers-with-counts-attached",
+			nodes: "NumNodes:3\nNumTerminals:0\n  a 4 10\n  b 3 10\n  c 2 10\n",
+			pl:    "a 3 0 : N\nb 10 0 : N\nc 20 0 : N\n",
+			nets:  "NumNets:1\nNumPins:3\nNetDegree:3 n\n" + pinA + pinB + "  c I : 0 0\n",
+			pins:  []string{"a", "b", "c"},
+		},
+		{
+			name:  "movable-cell-named-with-FIXED",
+			nodes: "  a 4 10\n  b 3 10\n  u1/FIXED_reg 2 10\n  m 2 10 terminal\n",
+			pl:    "a 3 0 : N\nb 10 0 : N\nu1/FIXED_reg 20 0 : N\nm 30 0 : N /FIXED_NI\n",
+			nets:  "NetDegree : 2 n\n" + pinA + pinB,
+			fixed: "m",
+			pins:  []string{"a", "b"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, pl, nets := "UCLA nodes 1.0\n"+tc.nodes, "UCLA pl 1.0\n"+tc.pl, "UCLA nets 1.0\n"+tc.nets
+			for _, read := range []struct {
+				entry string
+				read  func() (*design.Design, error)
+			}{
+				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, goodScl, nets), "kw") }},
+				{"ReadTexts", func() (*design.Design, error) { return ReadTexts(texts(nodes, pl, goodScl, nets, ""), "kw") }},
+			} {
+				d, err := read.read()
+				if err != nil {
+					t.Fatalf("%s: %v", read.entry, err)
+				}
+				for _, c := range d.Cells {
+					if want := c.Name == tc.fixed; c.Fixed != want {
+						t.Errorf("%s: %s fixed = %v, want %v", read.entry, c.Name, c.Fixed, want)
+					}
+				}
+				if len(d.Nets) != 1 || len(d.Nets[0].Pins) != len(tc.pins) {
+					t.Fatalf("%s: %d nets, want one net of %d pins", read.entry, len(d.Nets), len(tc.pins))
+				}
+				for k, name := range tc.pins {
+					if got := d.Cells[d.Nets[0].Pins[k].CellID].Name; got != name {
+						t.Errorf("%s: pin %d on %s, want %s", read.entry, k, got, name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestHeadersPresizeOrFallBack reads one generated design's texts with
+// honest headers, without headers, and with headers that undercount,
+// overcount, overflow an int, go negative, come after the records they
+// count or come a thousand times over. Every variant reads the design the oracle reads, and none
+// allocates more than a fixed multiple of its text. With honest headers the
+// cells sit in one array and nothing grows by doubling.
+func TestHeadersPresizeOrFallBack(t *testing.T) {
+	g, err := gen.Generate(gen.Spec{Name: "hdr", SingleCells: 300, DoubleCells: 40, Density: 0.6, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := filepath.Join(t.TempDir(), "hdr.aux")
+	if err := Write(g, aux); err != nil {
+		t.Fatal(err)
+	}
+	read := func(comp string) string {
+		b, err := os.ReadFile(strings.TrimSuffix(aux, "aux") + comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	nodes, pl, scl, nets, wts := read("nodes"), read("pl"), read("scl"), read("nets"), read("wts")
+	headers := regexp.MustCompile(`(?m)^(NumNodes|NumTerminals|NumNets|NumPins) : \d+\n`)
+	counts := func(repl string) func(string) string {
+		return func(s string) string {
+			return headers.ReplaceAllStringFunc(s, func(h string) string {
+				return h[:strings.Index(h, ":")+2] + repl + "\n"
+			})
+		}
+	}
+	moveDown := func(s string) string { // headers after the records
+		var hs []string
+		s = headers.ReplaceAllStringFunc(s, func(h string) string { hs = append(hs, h); return "" })
+		return s + strings.Join(hs, "")
+	}
+	for _, tc := range []struct {
+		name  string
+		apply func(string) string
+	}{
+		{"honest", func(s string) string { return s }},
+		{"missing", func(s string) string { return headers.ReplaceAllString(s, "") }},
+		{"undercount", counts("1")},
+		{"overcount", counts("2000000000")},
+		{"overflow", counts("99999999999999999999")},
+		{"negative", counts("-5")},
+		{"trailing", moveDown},
+		{"repeated", func(s string) string { // each header 1000 times over
+			return headers.ReplaceAllStringFunc(s, func(h string) string { return strings.Repeat(h, 1000) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tx := texts(tc.apply(nodes), pl, scl, tc.apply(nets), wts)
+			d, err := ReadTexts(tx, "fuzz")
+			sameRead(t, "ReadTexts", tx, d, err, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Cells) != len(g.Cells) || len(d.Nets) != len(g.Nets) {
+				t.Fatalf("read %d cells and %d nets, want %d and %d", len(d.Cells), len(d.Nets), len(g.Cells), len(g.Nets))
+			}
+			mallocs, bytes := parseCost(t, tx)
+			if limit := 64 * (len(tx.Nodes) + len(tx.Nets)); bytes > uint64(limit) {
+				t.Errorf("parse allocated %d bytes, over 64 per byte of nodes and nets text (%d)", bytes, limit)
+			}
+			if tc.name != "honest" {
+				return
+			}
+			// Presized, the parse allocates about one name per cell and net
+			// besides its fixed storage, and the cells sit in one array.
+			if limit := uint64(len(d.Cells) + len(d.Nets) + 64); mallocs > limit {
+				t.Errorf("honest headers: %d allocations, want at most %d", mallocs, limit)
+			}
+			size := reflect.TypeOf(design.Cell{}).Size()
+			for i := 1; i < len(d.Cells); i++ {
+				if reflect.ValueOf(d.Cells[i]).Pointer()-reflect.ValueOf(d.Cells[i-1]).Pointer() != size {
+					t.Fatalf("honest headers: cells %d and %d are not adjacent in one array", i-1, i)
+				}
+			}
+		})
+	}
+}
+
+// TestDeclaredCounts reads header counts spaced from the keyword and
+// attached to it, and caps them at the records the text can hold and at
+// maxPresize; a line without a usable count gives 0.
+func TestDeclaredCounts(t *testing.T) {
+	for _, tc := range []struct {
+		line       string
+		size, want int
+	}{
+		{"NumNodes : 5", 1000, 5},
+		{"NumNodes: 5", 1000, 5},
+		{"NumNodes :5", 1000, 5},
+		{"NumNodes:5", 1000, 5},
+		{"NumNodes", 1000, 0},
+		{"NumNodes :", 1000, 0},
+		{"NumNodes : x", 1000, 0},
+		{"NumNodes::5", 1000, 0},
+		{"NumNodes : -5", 1000, 0},
+		{"NumNodes : 99999999999999999999", 1000, 0},
+		{"NumNodes : 2000000000", 600, 600 / nodeBytes},
+		{"NumNodes : 2000000000", 1 << 30, maxPresize},
+	} {
+		if got := declared(splitFields(nil, []byte(tc.line)), "NumNodes", tc.size, nodeBytes); got != tc.want {
+			t.Errorf("%q in %d bytes: declared %d, want %d", tc.line, tc.size, got, tc.want)
+		}
+	}
+}
+
+// parseCost returns the allocations and bytes one ReadTexts of tx takes,
+// the least of three reads: the counters are process-wide, so another
+// goroutine's allocation (a finalizer, the race detector's) may land in one.
+func parseCost(t *testing.T, tx Texts) (mallocs, bytes uint64) {
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := ReadTexts(tx, "cost")
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs, bytes = min(mallocs, m1.Mallocs-m0.Mallocs), min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return mallocs, bytes
 }

@@ -103,10 +103,20 @@ func (d *Design) AddCell(name string, w, h float64, bottomRail RailType) *Cell {
 	return c
 }
 
-// addCell appends a cell with an already-validated span.
+// addCell appends a cell with an already-validated span. It stores the cell
+// in the Cell that the next slot of d.Cells' spare capacity points at, if
+// any (see GrowCells and CopyCellsTo), and in a new one otherwise.
 func (d *Design) addCell(name string, w, h float64, span int, bottomRail RailType) *Cell {
-	c := &Cell{
-		ID:         len(d.Cells),
+	n := len(d.Cells)
+	var c *Cell
+	if n < cap(d.Cells) {
+		c = d.Cells[:n+1][n]
+	}
+	if c == nil {
+		c = new(Cell)
+	}
+	*c = Cell{
+		ID:         n,
 		Name:       name,
 		W:          w,
 		H:          h,
@@ -115,6 +125,31 @@ func (d *Design) addCell(name string, w, h float64, span int, bottomRail RailTyp
 	}
 	d.Cells = append(d.Cells, c)
 	return c
+}
+
+// GrowCells makes room for n more cells: the next n that AddCell and its
+// checked forms append take no allocation. Their pointer slots come from
+// one growth of d.Cells, and the empty ones, if any, are pointed at one new
+// array of Cells, as CopyCellsTo allocates them.
+func (d *Design) GrowCells(n int) {
+	k := len(d.Cells)
+	d.Cells = slices.Grow(d.Cells, n)
+	spare := d.Cells[k : k+n]
+	missing := 0
+	for _, c := range spare {
+		if c == nil {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return
+	}
+	fresh := make([]Cell, missing)
+	for i, c := range spare {
+		if c == nil {
+			spare[i], fresh = &fresh[0], fresh[1:]
+		}
+	}
 }
 
 // NumMovable returns the number of non-fixed cells.

@@ -63,6 +63,51 @@ func TestAddCellSpans(t *testing.T) {
 	}
 }
 
+// TestGrowCellsStoresCellsInOneArray grows room for three cells and adds
+// four: the first three take no allocation and fill the grown slots, the
+// fourth gets a Cell of its own, and every cell keeps its own fields.
+func TestGrowCellsStoresCellsInOneArray(t *testing.T) {
+	d := smallDesign()
+	d.AddCell("before", 2, 10, VSS)
+	d.GrowCells(3)
+	slots := d.Cells[1:4]
+	e := smallDesign()
+	e.GrowCells(6) // AllocsPerRun(1, f) calls f twice
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 3; i++ {
+			e.AddCell("c", 1, 10, VSS)
+		}
+	}); allocs != 0 {
+		t.Errorf("adding three cells into grown room took %g allocations, want 0", allocs)
+	}
+	var added []*Cell
+	for i, name := range []string{"a", "b", "c", "d"} {
+		added = append(added, d.AddCell(name, float64(i+1), 10, VSS))
+	}
+	for i, c := range added {
+		if c.ID != i+1 || c.Name != []string{"a", "b", "c", "d"}[i] || c.W != float64(i+1) {
+			t.Errorf("cell %d = %+v", i, *c)
+		}
+		if i < 3 && c != slots[i] {
+			t.Errorf("cell %d is not stored in grown slot %d", i, i)
+		}
+	}
+	if added[3] == slots[2] || d.Cells[0].Name != "before" {
+		t.Error("the cell past the grown room reused a slot, or an earlier cell changed")
+	}
+}
+
+// TestGrowCellsReusesFilledSlots grows room whose slots already point at
+// Cells, as a second GrowCells before any AddCell does: it must allocate no
+// Cells for them.
+func TestGrowCellsReusesFilledSlots(t *testing.T) {
+	d := smallDesign()
+	d.GrowCells(1000)
+	if allocs := testing.AllocsPerRun(10, func() { d.GrowCells(1000) }); allocs != 0 {
+		t.Errorf("growing filled room took %g allocations, want 0", allocs)
+	}
+}
+
 func TestAddCellRejectsBadHeight(t *testing.T) {
 	d := smallDesign()
 	defer func() {

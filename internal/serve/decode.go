@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -19,22 +18,40 @@ var bodies recycle.Pool[[]byte]
 
 // ReadRequest reads one /v1/legalize body from r and decodes it into req.
 // The body is read to its end into a pooled buffer that grows only with the
-// bytes received (a declared Content-Length never sizes it), decoded by
-// decodeRequest, and the buffer goes back to the pool: req keeps a copy of
-// every string, never a view of the buffer. A read that fails, such as a
-// body past http.MaxBytesReader's limit, still yields req when the body's
-// first JSON value was complete before the failure, as the streaming
-// json.Decoder this replaces did; otherwise the read error is returned.
+// bytes received (a declared Content-Length never sizes it) and decoded by
+// decodeRequest. The texts of its files object stay in the buffer, unescaped
+// in place, and req holds the buffer while it reads them there: req.Release
+// returns it to the pool. Every other string req keeps is a copy, and a body
+// with no files object, like one that fails, goes back to the pool at once.
+// A read that fails, such as a body past http.MaxBytesReader's limit, still
+// yields req when the body's first JSON value was complete before the
+// failure, as the streaming json.Decoder this replaces did; otherwise the
+// read error is returned.
 func ReadRequest(r io.Reader, req *Request) error {
 	bp := bodies.Get()
 	b, rerr := readAll(r, (*bp)[:0])
-	err := decodeRequest(b, req)
 	*bp = b
-	bodies.Put(bp)
+	err := decodeRequest(b, req)
 	if err != nil && rerr != nil {
-		return rerr
+		err = rerr
 	}
-	return err
+	if err != nil || req.texts == nil {
+		req.texts = nil
+		bodies.Put(bp)
+		return err
+	}
+	req.body = bp
+	return nil
+}
+
+// Release returns the body buffer that ReadRequest left r holding to the
+// pool, with the files texts it holds: r has no upload afterwards. Release
+// does nothing when r holds no buffer.
+func (r *Request) Release() {
+	if r.body != nil {
+		bodies.Put(r.body)
+		r.body, r.texts = nil, nil
+	}
 }
 
 // readAll appends r's bytes to b until EOF, growing b as append does.
@@ -61,8 +78,9 @@ func readAll(r io.Reader, b []byte) ([]byte, error) {
 // into files and options), null clears files and options and leaves every
 // other field alone, numbers must fit their field, strings are unescaped
 // with invalid UTF-8 and unpaired surrogates replaced by U+FFFD, and the
-// bytes after the value are ignored. Each string r keeps is copied out of b
-// exactly once.
+// bytes after the value are ignored. The texts of the files object are left
+// in b as views, in r.texts rather than r.Files; every other string r keeps
+// is copied out of b once.
 func decodeRequest(b []byte, r *Request) error {
 	d := decoder{b: b}
 	d.skipSpace()
@@ -87,7 +105,7 @@ type field[T any] struct {
 var requestFields = []field[Request]{
 	{"bench", func(d *decoder, r *Request) error { return d.string(&r.Bench) }},
 	{"scale", func(d *decoder, r *Request) error { return d.float(&r.Scale) }},
-	{"files", func(d *decoder, r *Request) error { return d.files(&r.Files) }},
+	{"files", func(d *decoder, r *Request) error { return d.files(&r.texts) }},
 	{"method", func(d *decoder, r *Request) error { return d.string(&r.Method) }},
 	{"resilient", func(d *decoder, r *Request) error { return d.bool(&r.Resilient) }},
 	{"options", func(d *decoder, r *Request) error { return d.options(&r.Options) }},
@@ -183,9 +201,8 @@ func (d *decoder) typeError(typ string) error {
 	return fmt.Errorf("json: cannot unmarshal %s into Go value of type %s at offset %d", kind, typ, d.i)
 }
 
-// object walks the object at the cursor, calling value with each key (a
-// view of the body unless the key had escapes); value must consume the
-// key's value.
+// object walks the object at the cursor, calling value with each key (see
+// text); value must consume the key's value.
 func (d *decoder) object(value func(key []byte) error) error {
 	d.i++ // '{'
 	d.skipSpace()
@@ -197,13 +214,9 @@ func (d *decoder) object(value func(key []byte) error) error {
 		if d.peek() != '"' {
 			return d.syntaxError("looking for beginning of object key string")
 		}
-		start, end, n, escaped, valid, err := d.scanString()
+		key, err := d.text()
 		if err != nil {
 			return err
-		}
-		key := d.b[start:end]
-		if escaped || !valid {
-			key = []byte(unescape(key, n, valid))
 		}
 		d.skipSpace()
 		if d.peek() != ':' {
@@ -252,9 +265,9 @@ func (d *decoder) string(p *string) error {
 	if d.peek() != '"' {
 		return d.null("string")
 	}
-	s, err := d.str()
+	s, err := d.text()
 	if err == nil {
-		*p = s
+		*p = string(s)
 	}
 	return err
 }
@@ -309,9 +322,10 @@ func (d *decoder) int(p *int) error {
 	return nil
 }
 
-// files decodes the files object, merging into a map a repeated key left;
-// a null component decodes as "", a null object clears the map.
-func (d *decoder) files(p *map[string]string) error {
+// files decodes the files object into views of the body (see text),
+// merging into a map a repeated key left; a null component decodes as an
+// empty text, a null object clears the map.
+func (d *decoder) files(p *map[string][]byte) error {
 	switch d.peek() {
 	case '{':
 	case 'n':
@@ -321,16 +335,21 @@ func (d *decoder) files(p *map[string]string) error {
 		return d.typeError("map[string]string")
 	}
 	if *p == nil {
-		*p = map[string]string{}
+		*p = map[string][]byte{}
 	}
 	m := *p
 	return d.object(func(key []byte) error {
-		var text string
-		if err := d.string(&text); err != nil {
-			return err
+		var text []byte
+		var err error
+		if d.peek() == '"' {
+			text, err = d.text()
+		} else {
+			err = d.null("string")
 		}
-		m[string(key)] = text
-		return nil
+		if err == nil {
+			m[string(key)] = text
+		}
+		return err
 	})
 }
 
@@ -397,18 +416,24 @@ func (d *decoder) digits() bool {
 	return d.i > start
 }
 
-// str decodes the string at the cursor into one new Go string:
-// string(b[i:j]) when its contents need no rewriting, otherwise a
-// strings.Builder grown to the unescaped size.
-func (d *decoder) str() (string, error) {
+// text decodes the string at the cursor and returns its contents as a view
+// of the body, capped at its length. A string with escapes is unescaped in
+// place, over the start of its raw contents: no escape is shorter than the
+// UTF-8 it stands for. A string with invalid UTF-8 is unescaped into a new
+// array instead, because U+FFFD is longer than the byte it replaces.
+func (d *decoder) text() ([]byte, error) {
 	start, end, n, escaped, valid, err := d.scanString()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if !escaped && valid {
-		return string(d.b[start:end]), nil
+	s := d.b[start:end:end]
+	switch {
+	case !valid:
+		return unescape(make([]byte, 0, n), s, false), nil
+	case escaped:
+		s = unescape(s[:0], s, true)
 	}
-	return unescape(d.b[start:end], n, valid), nil
+	return s[:len(s):len(s)], nil
 }
 
 // safe marks the bytes a string's contents keep as they are: printable
@@ -542,32 +567,31 @@ func hex4(s []byte) rune {
 	return r
 }
 
-// unescape returns the unescaped form of the scanned string contents s, n
-// bytes long, copied once into a strings.Builder grown to that size. The
-// runs between escapes are written whole when s is valid UTF-8, and one
-// rune at a time otherwise, so that each invalid byte becomes U+FFFD.
-func unescape(s []byte, n int, valid bool) string {
-	var sb strings.Builder
-	sb.Grow(n)
+// unescape appends the unescaped form of the scanned string contents s to
+// dst. The runs between escapes are appended whole when s is valid UTF-8,
+// and one rune at a time otherwise, so that each invalid byte becomes
+// U+FFFD. dst may be s[:0]: each rune is appended only after the bytes it
+// stands for were read, and never takes more of them.
+func unescape(dst, s []byte, valid bool) []byte {
 	for len(s) > 0 {
 		i := bytes.IndexByte(s, '\\')
 		if i < 0 {
 			i = len(s)
 		}
 		if valid {
-			sb.Write(s[:i])
+			dst = append(dst, s[:i]...)
 		} else {
 			for run := s[:i]; len(run) > 0; {
 				r, w := utf8.DecodeRune(run)
-				sb.WriteRune(r)
+				dst = utf8.AppendRune(dst, r)
 				run = run[w:]
 			}
 		}
 		if s = s[i:]; len(s) > 0 {
 			r, w := escape(s)
-			sb.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 			s = s[w:]
 		}
 	}
-	return sb.String()
+	return dst
 }

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"mclg/internal/gen"
 )
@@ -29,9 +30,32 @@ func decodeRequestStdlib(b []byte, r *Request) error {
 	return dec.Decode(r)
 }
 
+// asDecoded returns r with the files texts that decodeRequest left as views
+// of the body copied into Files, where the stdlib decode puts them.
+func asDecoded(r Request) Request {
+	if r.texts != nil {
+		r.Files = make(map[string]string, len(r.texts))
+		for k, text := range r.texts {
+			r.Files[k] = string(text)
+		}
+	}
+	r.texts, r.body = nil, nil
+	return r
+}
+
+// within reports whether view lies inside buf's array.
+func within(view, buf []byte) bool {
+	if len(view) == 0 {
+		return true
+	}
+	p, lo := reflect.ValueOf(view).Pointer(), reflect.ValueOf(buf).Pointer()
+	return p >= lo && p+uintptr(len(view)) <= lo+uintptr(len(buf))
+}
+
 // checkDecode decodes body with decodeRequest and the stdlib reference and
-// fails unless both refuse it or both fill equal Requests, and unless the
-// decoded Request still holds after its buffer is overwritten.
+// fails unless both refuse it or both fill equal Requests, every files text
+// equal byte for byte, and unless every field but those texts, which are
+// views of the buffer, still holds after the buffer is overwritten.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
 	var want, got Request
@@ -44,14 +68,24 @@ func checkDecode(t *testing.T, body []byte) {
 	if werr != nil {
 		return
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decodeRequest = %+v, stdlib = %+v, body %q", got, want, body)
+	if got.Files != nil {
+		t.Fatalf("decodeRequest filled Files %v; its texts belong in views", got.Files)
 	}
+	if !reflect.DeepEqual(asDecoded(got), want) {
+		t.Fatalf("decodeRequest = %+v, stdlib = %+v, body %q", asDecoded(got), want, body)
+	}
+	for k, text := range got.texts {
+		if !within(text, buf) && !bytes.ContainsRune(text, utf8.RuneError) {
+			t.Fatalf("files text %q was copied out of the body, though it held valid UTF-8", k)
+		}
+	}
+	rest, wantRest := got, want
+	rest.texts, wantRest.Files = nil, nil
 	for i := range buf {
 		buf[i] ^= 0xff
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded Request changed with its buffer: %+v, want %+v, body %q", got, want, body)
+	if !reflect.DeepEqual(rest, wantRest) {
+		t.Fatalf("decoded Request changed with its buffer: %+v, want %+v, body %q", rest, wantRest, body)
 	}
 }
 
@@ -157,8 +191,8 @@ var decodeEdgeCases = []string{
 }
 
 // FuzzDecodeRequest holds decodeRequest to the stdlib decode it replaced:
-// both refuse a body, or both fill equal Requests that copy their strings
-// out of the buffer.
+// both refuse a body, or both fill equal Requests, whose strings other than
+// the files texts are copied out of the buffer.
 func FuzzDecodeRequest(f *testing.F) {
 	e, err := gen.FindEntry("fft_2")
 	if err != nil {
@@ -213,7 +247,7 @@ func TestDecodeRequestCoversEveryField(t *testing.T) {
 		if err := decodeRequest(body, &got); err != nil {
 			t.Fatalf("decodeRequest(%s): %v", body, err)
 		}
-		if !reflect.DeepEqual(&got, want) {
+		if got := asDecoded(got); !reflect.DeepEqual(&got, want) {
 			t.Fatalf("decodeRequest(%s) = %+v, want %+v", body, got, *want)
 		}
 	}
@@ -338,7 +372,8 @@ func TestSpecialMatchesSafe(t *testing.T) {
 }
 
 // TestReadRequestConcurrent has four goroutines read distinct bodies through
-// the shared body slot and pool at once; each must get its own upload back.
+// the shared body slot and pool at once, each releasing its buffer once it
+// has read its upload: each must get its own upload back.
 func TestReadRequestConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -358,7 +393,9 @@ func TestReadRequestConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(got, want) {
+				same := reflect.DeepEqual(asDecoded(got), want)
+				got.Release()
+				if !same {
 					t.Errorf("goroutine decoded another upload: tenant %.8q…", got.Tenant)
 					return
 				}

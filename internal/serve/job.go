@@ -46,6 +46,8 @@ type Request struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Files maps Bookshelf component extensions to file contents. "nodes",
 	// "pl" and "scl" are required when used; "nets" and "wts" are optional.
+	// ReadRequest leaves a body's files in the body buffer instead, and
+	// Files nil (see Release).
 	Files map[string]string `json:"files,omitempty"`
 
 	Method    string       `json:"method,omitempty"` // ours | dac16 | dac16imp | aspdac17 (default ours)
@@ -98,11 +100,57 @@ type Request struct {
 	// it computes — so neither enters the cache key.
 	Tenant   string `json:"tenant,omitempty"`
 	Priority string `json:"priority,omitempty"`
+
+	// texts holds the files object of a body that ReadRequest decoded, in
+	// place of Files: each text a view of body, the pooled buffer the
+	// request holds until Release.
+	texts map[string][]byte
+	body  *[]byte
 }
 
 // components lists the upload component names in the sorted order the
 // cache keys hash them in.
 var components = [...]string{"nets", "nodes", "pl", "scl", "wts"}
+
+// files returns the request's upload: the views that ReadRequest decoded,
+// or else a copy of Files, which only a Request built in code carries.
+func (r *Request) files() map[string][]byte {
+	if r.texts != nil || r.Files == nil {
+		return r.texts
+	}
+	m := make(map[string][]byte, len(r.Files))
+	for k, text := range r.Files {
+		m[k] = []byte(text)
+	}
+	return m
+}
+
+// upload returns the number of components in the request's upload, the
+// views or else Files, and checkUpload's verdict on them, without copying.
+func (r *Request) upload() (int, error) {
+	if r.texts != nil {
+		return len(r.texts), checkUpload(r.texts)
+	}
+	return len(r.Files), checkUpload(r.Files)
+}
+
+// checkUpload refuses an upload that misses a required component or names
+// an unknown one.
+func checkUpload[T string | []byte](files map[string]T) error {
+	for _, req := range []string{"nodes", "pl", "scl"} {
+		if len(files[req]) == 0 {
+			return mclgerr.Invalidf("serve: files upload missing %q component", req)
+		}
+	}
+	for k := range files {
+		switch k {
+		case "nodes", "nets", "pl", "scl", "wts":
+		default:
+			return mclgerr.Invalidf("serve: unknown files component %q", k)
+		}
+	}
+	return nil
+}
 
 // priority resolves the admission tier, defaulting to batch.
 func (r *Request) priority() string {
@@ -160,8 +208,9 @@ func (r *Request) validate() error {
 	default:
 		return mclgerr.Invalidf("serve: priority %q must be \"batch\" or \"interactive\"", r.Priority)
 	}
+	uploaded, uerr := r.upload()
 	switch {
-	case r.Bench != "" && len(r.Files) > 0:
+	case r.Bench != "" && uploaded > 0:
 		return mclgerr.Invalidf("serve: request has both bench and files; pick one")
 	case r.Bench != "":
 		if _, err := gen.FindEntry(r.Bench); err != nil {
@@ -173,18 +222,9 @@ func (r *Request) validate() error {
 		if r.Scale < 0 || r.Scale > 2 {
 			return mclgerr.Invalidf("serve: scale %g out of range (0, 2]", r.Scale)
 		}
-	case len(r.Files) > 0:
-		for _, req := range []string{"nodes", "pl", "scl"} {
-			if r.Files[req] == "" {
-				return mclgerr.Invalidf("serve: files upload missing %q component", req)
-			}
-		}
-		for k := range r.Files {
-			switch k {
-			case "nodes", "nets", "pl", "scl", "wts":
-			default:
-				return mclgerr.Invalidf("serve: unknown files component %q", k)
-			}
+	case uploaded > 0:
+		if uerr != nil {
+			return uerr
 		}
 	default:
 		return mclgerr.Invalidf("serve: request needs bench or files")
@@ -232,30 +272,17 @@ func (r *Request) key() string {
 // hashFiles writes "file:<component>=<sha256 hex>|" into h for each
 // uploaded component, in components order.
 func (r *Request) hashFiles(h io.Writer) {
+	files := r.files()
 	for _, k := range components {
-		if text, ok := r.Files[k]; ok {
-			fmt.Fprintf(h, "file:%s=%x|", k, sumString(text))
+		if text, ok := files[k]; ok {
+			fmt.Fprintf(h, "file:%s=%x|", k, sha256.Sum256(text))
 		}
 	}
 }
 
-// sumString is sha256.Sum256 of s, fed through a small stack buffer
-// instead of a []byte copy of the whole text.
-func sumString(s string) (sum [sha256.Size]byte) {
-	h := sha256.New()
-	var buf [4096]byte
-	for len(s) > 0 {
-		n := copy(buf[:], s)
-		h.Write(buf[:n])
-		s = s[n:]
-	}
-	h.Sum(sum[:0])
-	return sum
-}
-
 // loadDesign materializes the job's design. Uploaded Bookshelf components
-// are parsed in memory. Every error traces back to the request and matches
-// ErrInvalidInput.
+// are parsed in memory, from the body's views for a decoded request. Every
+// error traces back to the request and matches ErrInvalidInput.
 func (r *Request) loadDesign() (*design.Design, error) {
 	if r.Bench != "" {
 		e, err := gen.FindEntry(r.Bench)
@@ -269,9 +296,10 @@ func (r *Request) loadDesign() (*design.Design, error) {
 		}
 		return d, nil
 	}
+	files := r.files()
 	return bookshelf.ReadTexts(bookshelf.Texts{
-		Nodes: r.Files["nodes"], Nets: r.Files["nets"], Pl: r.Files["pl"],
-		Scl: r.Files["scl"], Wts: r.Files["wts"],
+		Nodes: files["nodes"], Nets: files["nets"], Pl: files["pl"],
+		Scl: files["scl"], Wts: files["wts"],
 	}, "upload")
 }
 

@@ -279,10 +279,11 @@ func (s *Server) runJob(ctx context.Context, id uint64, slot bool, key string, r
 	t0 := time.Now()
 
 	err = mclgerr.FromContext(ctx)
-	var parseDur, solveDur time.Duration
+	var parseDur, solveDur, auditDur time.Duration
 	if err == nil {
 		tp := time.Now()
 		d, derr := req.loadDesign()
+		req.Release() // the design holds copies of all it read from the upload
 		parseDur = time.Since(tp)
 		s.stats.stages.With("parse").Observe(parseDur.Seconds())
 		if derr != nil {
@@ -316,7 +317,8 @@ func (s *Server) runJob(ctx context.Context, id uint64, slot bool, key string, r
 			if err == nil && doAudit {
 				ta := time.Now()
 				err = req.Certify(ctx, d, rep)
-				s.stats.stages.With("audit").Observe(time.Since(ta).Seconds())
+				auditDur = time.Since(ta)
+				s.stats.stages.With("audit").Observe(auditDur.Seconds())
 				switch {
 				case err != nil:
 					s.stats.audits.With("error").Inc()
@@ -340,6 +342,7 @@ func (s *Server) runJob(ctx context.Context, id uint64, slot bool, key string, r
 		"queue_ms", float64(queueWait)/float64(time.Millisecond),
 		"parse_ms", float64(parseDur)/float64(time.Millisecond),
 		"solve_ms", float64(solveDur)/float64(time.Millisecond),
+		"audit_ms", float64(auditDur)/float64(time.Millisecond),
 		"total_ms", float64(total)/float64(time.Millisecond),
 	)
 	return rep, err
@@ -433,6 +436,10 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, http.StatusBadRequest, "invalid_input", "malformed request body: "+err.Error())
 		return
 	}
+	// The upload's texts are views of the pooled body buffer. A refusal
+	// gives it back here; a leader gives it back after the parse, and a
+	// cache hit or a joined follower once the key is hashed.
+	defer req.Release()
 	if err := req.validate(); err != nil {
 		s.refuse(w, http.StatusBadRequest, "invalid_input", err.Error())
 		return
@@ -455,6 +462,9 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 
 	key := req.key()
 	fl, leader, rep := s.cache.join(key)
+	if !leader {
+		req.Release()
+	}
 	if rep != nil {
 		s.stats.cacheHits.Inc()
 		s.respond(w, &req, rep, "hit")
@@ -501,7 +511,7 @@ func (s *Server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("job admitted", "id", id, "key", short(key),
 		"bench", req.Bench, "scale", req.Scale, "method", req.Method,
-		"resilient", req.Resilient, "upload", len(req.Files) > 0,
+		"resilient", req.Resilient, "upload", req.Bench == "",
 		"timeout", timeout.String())
 
 	// The job's context descends from baseCtx, not the request's: a client

@@ -58,7 +58,7 @@ func newServerStats(cache *resultCache) *serverStats {
 	classes := mclgerr.Classes()
 	sort.Strings(classes)
 
-	s.queueDepth = r.Gauge("mclgd_queue_depth", "Jobs admitted but not yet picked up by a worker.")
+	s.queueDepth = r.Gauge("mclgd_queue_depth", "Jobs admitted and waiting for a solve slot.")
 	s.inflight = r.Gauge("mclgd_inflight_jobs", "Jobs currently being solved.")
 
 	r.Func("mclgd_cache_entries", "Completed results resident in the LRU.", "gauge",
