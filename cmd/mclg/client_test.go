@@ -1,8 +1,18 @@
 package main
 
 import (
+	"context"
+	"flag"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"mclg/internal/bookshelf"
+	"mclg/internal/gen"
+	"mclg/internal/serve"
+	"mclg/internal/window"
 )
 
 // TestRetryWaitHonorsRetryAfter pins the 429 backoff contract: the daemon's
@@ -29,5 +39,66 @@ func TestRetryWaitHonorsRetryAfter(t *testing.T) {
 		// An absurd hint (or deep exponential backoff) is capped.
 		inRange("huge hint", retryWait("86400", 0), maxRetryWait, maxRetryWait+maxRetryWait/4)
 		inRange("deep backoff", retryWait("", 30), 32*time.Second, 40*time.Second)
+	}
+}
+
+// TestUploadSkipsMissingWeights pins the parity of mclg's two modes on an
+// optional component: a set whose .aux names a .wts that does not exist
+// reads locally, so -server uploads it without weights and gets back the
+// local placement.
+func TestUploadSkipsMissingWeights(t *testing.T) {
+	e, err := gen.FindEntry("fft_2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.Generate(gen.SuiteSpec(e, 0.004))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	aux := filepath.Join(dir, "d.aux")
+	if err := bookshelf.Write(g, aux); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "d.wts")); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := parseArgs(flag.NewFlagSet("mclg", flag.ContinueOnError), []string{"-aux", aux})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := loadDesign(c.aux, c.req.Bench, c.req.Scale)
+	if err != nil {
+		t.Fatalf("local read: %v", err)
+	}
+	local, err := c.req.Solve(context.Background(), d, window.Legalize)
+	if err != nil {
+		t.Fatalf("local solve: %v", err)
+	}
+	req := c.req
+	if req.Files, err = readUpload(c.aux); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	if _, ok := req.Files["wts"]; ok {
+		t.Error("upload carries a wts component the set lacks")
+	}
+	s := serve.New(serve.Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	}()
+	served, err := submitRemote(ts.URL, &req, 0, 0)
+	if err != nil {
+		t.Fatalf("served: %v", err)
+	}
+	if !local.Legal || served.PosHash != local.PosHash {
+		t.Errorf("served placement %s, local %s (legal %v)", served.PosHash, local.PosHash, local.Legal)
 	}
 }

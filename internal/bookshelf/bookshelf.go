@@ -48,7 +48,9 @@ type Texts struct {
 }
 
 // ReadAux parses a .aux file and returns the component file names resolved
-// relative to the .aux location.
+// relative to the .aux location. Weights are optional: a named .wts file
+// that does not exist is left out, so every reader of the set, whether it
+// parses the files or uploads them, skips it alike.
 func ReadAux(path string) (Files, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -79,7 +81,9 @@ func ReadAux(path string) (Files, error) {
 			case ".scl":
 				out.Scl = p
 			case ".wts":
-				out.Wts = p
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					out.Wts = p
+				}
 			}
 		}
 		if out.Nodes == "" || out.Pl == "" || out.Scl == "" {
@@ -103,8 +107,7 @@ func Read(auxPath string) (*design.Design, error) {
 }
 
 // ReadFiles loads a design from explicit component paths. Nets and Wts may
-// be empty, and a Wts file that does not exist is skipped. Errors name the
-// file and line ("/path/d.nodes:6").
+// be empty. Errors name the file and line ("/path/d.nodes:6").
 func ReadFiles(files Files, name string) (*design.Design, error) {
 	file := func(path, comp string) source {
 		return func(parse parser) error {
@@ -113,9 +116,6 @@ func ReadFiles(files Files, name string) (*design.Design, error) {
 			}
 			f, err := os.Open(path)
 			if err != nil {
-				if comp == "wts" && os.IsNotExist(err) {
-					return nil // weights are optional
-				}
 				return err
 			}
 			defer f.Close()

@@ -7,11 +7,11 @@ import (
 )
 
 // arena is the storage one legalization builds: the problem, the splitting,
-// the assembled A, q, the GP start s0 and the solver workspace, whose
-// iterate holds the solution z and whose auxiliary buffers serve the
-// active-set finish. Solves take one from arenas and rebuild every buffer
-// in place, so a steady stream of legalizations allocates only what outgrows
-// the pooled capacity.
+// the assembled A, q, the GP start s0, the MMSIM workspace and the
+// active-set finisher; the solution z is the workspace's iterate or, after
+// an accepted finish, the finisher's candidate. Solves take one from arenas
+// and rebuild every buffer in place, so a steady stream of legalizations
+// allocates only what outgrows the pooled capacity.
 //
 // Nothing that outlives the call may point into an arena: callers get copies
 // of z.
@@ -21,6 +21,7 @@ type arena struct {
 	a  sparse.CSR
 	lp lcp.Problem
 	ws lcp.Workspace
+	f  finisher
 	q  []float64
 	s0 []float64
 }
@@ -34,5 +35,6 @@ var arenas recycle.Pool[arena]
 func (ar *arena) release() {
 	ar.p.D = nil
 	ar.sp.p = nil
+	ar.f.p = nil
 	arenas.Put(ar)
 }

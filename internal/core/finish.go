@@ -6,6 +6,7 @@ import (
 
 	"mclg/internal/lcp"
 	"mclg/internal/mclgerr"
+	"mclg/internal/recycle"
 	"mclg/internal/sparse"
 )
 
@@ -53,71 +54,45 @@ type FinishStats struct {
 // to show that a fallback reproduces the MMSIM-only solve.
 var finishForceFallback bool
 
-// Workspace buffer slots (lcp.Workspace.Floats / Ints) used by the finish.
-const (
-	fbZ   = iota // candidate z, length N = NumVars+NumCons
-	fbW          // w = A z + q of the candidate
-	fbT          // H⁻¹ operand, length NumVars
-	fbY          // H⁻¹ result, length NumVars
-	fbLam        // PCG iterate: active multipliers, length K ≤ N
-	fbR          // PCG residual
-	fbZP         // preconditioned residual
-	fbP          // search direction
-	fbAP         // S·p
-	fbRHS        // right-hand side of S λ = rhs
-	fbOff        // preconditioner coupling of active row k with k−1
-	fbLow        // preconditioner LU multipliers
-	fbPiv        // preconditioner pivots (constraints), H⁻¹ diagonal (pins)
-)
-
-const (
-	fiState = iota // per LCP row: 1 if active (pinned variable, tight constraint)
-	fiComp         // per variable: leftmost variable of its active chain
-	fiMark         // per variable: chain already anchored
-	fiRows         // active rows: constraint indices, then pinned variables
-)
-
-// finisher is one finish attempt; every slice lives in the workspace.
+// finisher is the active-set finish of one solve. It lives in the solve's
+// arena and grows its buffers in place, so a reused arena finishes without
+// allocating. The buffers are indexed by LCP row (N = n + NumCons entries),
+// by variable (n), or by active row (K ≤ N).
 type finisher struct {
 	p  *Problem
 	sp *StructuredSplitting
-	lp *lcp.Problem
 	n  int
 
-	state, comp, mark []int
-	cons, pins        []int // views of the active-row buffer
-	rows              []int
+	state      []int // per LCP row: 1 if active (pinned variable, tight constraint)
+	comp       []int // per variable: leftmost variable of its active chain
+	mark       []int // per variable: chain already anchored
+	rows       []int // active rows: constraint indices, then pinned variables
+	cons, pins []int // views of rows
 
-	z, w, t, y              []float64
+	z, w []float64 // candidate z and its w = A z + q
+	t, y []float64 // H⁻¹ operand and result
+
+	// PCG: multipliers λ, residual, preconditioned residual, search
+	// direction, S·p and the right-hand side of S λ = rhs.
 	lam, r, zp, pd, ap, rhs []float64
-	off, low, piv           []float64
+	// Preconditioner: coupling of active row k with k−1, LU multipliers, and
+	// pivots (constraints) or the H⁻¹ diagonal (pins).
+	off, low, piv []float64
 }
 
-// finishSolve runs the active-set finish from the guess z0 and its
-// w = A z0 + q. On acceptance it returns the solution, which aliases the
-// workspace; otherwise nil. An error is returned only for cancellation.
-func finishSolve(ctx context.Context, p *Problem, sp *StructuredSplitting, lp *lcp.Problem, ws *lcp.Workspace, z0 []float64) ([]float64, FinishStats, error) {
-	n, m := p.NumVars, p.NumCons
-	N := n + m
-	f := finisher{
-		p: p, sp: sp, lp: lp, n: n,
-		state: ws.Ints(fiState, N),
-		comp:  ws.Ints(fiComp, n),
-		mark:  ws.Ints(fiMark, n),
-		rows:  ws.Ints(fiRows, N),
-		z:     ws.Floats(fbZ, N),
-		w:     ws.Floats(fbW, N),
-		t:     ws.Floats(fbT, n),
-		y:     ws.Floats(fbY, n),
-		lam:   ws.Floats(fbLam, N),
-		r:     ws.Floats(fbR, N),
-		zp:    ws.Floats(fbZP, N),
-		pd:    ws.Floats(fbP, N),
-		ap:    ws.Floats(fbAP, N),
-		rhs:   ws.Floats(fbRHS, N),
-		off:   ws.Floats(fbOff, N),
-		low:   ws.Floats(fbLow, N),
-		piv:   ws.Floats(fbPiv, N),
+// solve runs the active-set finish of p from the guess z0 and its
+// w = A z0 + q, where lp is p's LCP and sp its splitting. On acceptance it
+// returns the solution, which aliases f; otherwise nil. An error is returned
+// only for cancellation.
+func (f *finisher) solve(ctx context.Context, p *Problem, sp *StructuredSplitting, lp *lcp.Problem, z0 []float64) ([]float64, FinishStats, error) {
+	n := p.NumVars
+	N := n + p.NumCons
+	f.p, f.sp, f.n = p, sp, n
+	f.state, f.rows = recycle.Grow(f.state, N), recycle.Grow(f.rows, N)
+	f.comp, f.mark = recycle.Grow(f.comp, n), recycle.Grow(f.mark, n)
+	f.t, f.y = recycle.Grow(f.t, n), recycle.Grow(f.y, n)
+	for _, b := range []*[]float64{&f.z, &f.w, &f.lam, &f.r, &f.zp, &f.pd, &f.ap, &f.rhs, &f.off, &f.low, &f.piv} {
+		*b = recycle.Grow(*b, N)
 	}
 	var fs FinishStats
 	lp.ResidualInto(f.w, z0)

@@ -142,8 +142,8 @@ func TestFinishFallbackMatchesMMSIMOnly(t *testing.T) {
 	}
 }
 
-// A finish with a reused workspace allocates nothing: every buffer lives in
-// the lcp.Workspace.
+// A finish run by a reused finisher allocates nothing: the finisher grows
+// its buffers in place.
 func TestFinishAllocatesNothing(t *testing.T) {
 	d := genSpec(t, finishCases(t)[3].spec) // triple-height cells too
 	if err := AssignRows(d); err != nil {
@@ -163,8 +163,7 @@ func TestFinishAllocatesNothing(t *testing.T) {
 	for i, sc := range p.Subcells {
 		s0[i] = sc.Target / 2
 	}
-	ws := lcp.NewWorkspace(n)
-	sv, err := lcp.NewSolver(prob, sp, lcp.Options{Eps: 1e-4, S0: s0, Workspace: ws})
+	sv, err := lcp.NewSolver(prob, sp, lcp.Options{Eps: 1e-4, S0: s0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +172,38 @@ func TestFinishAllocatesNothing(t *testing.T) {
 		t.Fatalf("RunTo: %+v, %v", res, err)
 	}
 	ctx := context.Background()
+	var f finisher
 	run := func() {
-		z, fs, err := finishSolve(ctx, p, sp, prob, ws, sv.Z())
+		z, fs, err := f.solve(ctx, p, sp, prob, sv.Z())
 		if err != nil || z == nil || fs.Outcome != FinishAccepted {
 			t.Fatalf("finish: %+v, %v", fs, err)
 		}
 	}
-	run() // sizes the workspace's auxiliary buffers
+	run() // sizes the finisher's buffers
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("finish with a reused workspace: %v allocs, want 0", allocs)
+		t.Fatalf("finish with a reused finisher: %v allocs, want 0", allocs)
+	}
+}
+
+// A released arena keeps no pointer to the caller's problem or design: the
+// finisher's problem goes with the splitting's, so a pooled arena never keeps
+// a caller's objects alive.
+func TestReleasedArenaDropsCallerProblem(t *testing.T) {
+	d := genSpec(t, finishCases(t)[3].spec)
+	if err := AssignRows(d); err != nil {
+		t.Fatal(err)
+	}
+	p, err := BuildProblem(d, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := SolveMMSIMFull(context.Background(), p, New(Options{}).Opts); err != nil || st.Finish.Outcome != FinishAccepted {
+		t.Fatalf("solve: %+v, %v; want an accepted finish", st, err)
+	}
+	ar := arenas.Get() // the slot holds the arena the solve released
+	defer arenas.Put(ar)
+	if ar.f.p != nil || ar.sp.p != nil || ar.p.D != nil {
+		t.Fatal("a released arena still points at the caller's problem or design")
 	}
 }
 

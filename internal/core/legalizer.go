@@ -205,8 +205,8 @@ func (l *Legalizer) LegalizeContext(ctx context.Context, d *design.Design) (*Sta
 }
 
 // solveFunc is the solve stage of the pipeline: it returns the subcell x
-// solution of the built problem p (nil when p has no variables), may use
-// ar's workspace, and records its iterations and convergence in st.
+// solution of the built problem p (nil when p has no variables), may solve
+// in ar's storage, and records its iterations and convergence in st.
 type solveFunc func(ctx context.Context, ar *arena, p *Problem, opts Options, st *Stats) ([]float64, error)
 
 // legalize is the flow of Figure 4 with the given solve, whose errors carry
@@ -327,7 +327,7 @@ func SolveMMSIMFull(ctx context.Context, p *Problem, opts Options) ([]float64, *
 	return append([]float64(nil), z...), st, nil
 }
 
-// solve is SolveMMSIMFull returning z in ar's workspace, valid until ar is
+// solve is SolveMMSIMFull returning z in ar's storage, valid until ar is
 // released. The splitting, A, q and the start vector are built into ar too.
 func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
 	st := &SolveStats{ThetaUsed: opts.Theta}
@@ -390,7 +390,6 @@ func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64
 		resTol = 0.5
 	}
 	ar.lp = lcp.Problem{A: &ar.a, Q: ar.q}
-	// The arena's workspace holds the iterate and the finish's scratch.
 	sv, err := lcp.NewSolver(&ar.lp, sp, lcp.Options{
 		Gamma:       opts.Gamma,
 		Eps:         opts.Eps,
@@ -404,18 +403,18 @@ func (ar *arena) solve(ctx context.Context, p *Problem, opts Options) ([]float64
 		return nil, nil, fmt.Errorf("core: MMSIM: %w", err)
 	}
 	defer sv.Close()
-	z, err := runSolve(ctx, sv, &ar.ws, p, sp, &ar.lp, st, opts.MMSIMOnly)
+	z, err := ar.runSolve(ctx, sv, p, st, opts.MMSIMOnly)
 	if err != nil {
 		return nil, nil, err
 	}
 	return z, st, nil
 }
 
-// runSolve drives the MMSIM and, unless mmsimOnly, pauses it after
-// finishPause iterations for the active-set finish, whose buffers come from
-// scratch. A rejected finish resumes the paused solver, which reproduces the
-// MMSIM-only iterates bit for bit. The returned z aliases a workspace.
-func runSolve(ctx context.Context, sv *lcp.Solver, scratch *lcp.Workspace, p *Problem, sp *StructuredSplitting, prob *lcp.Problem, st *SolveStats, mmsimOnly bool) ([]float64, error) {
+// runSolve drives sv, the MMSIM on ar's LCP of p, and, unless mmsimOnly,
+// pauses it after finishPause iterations for ar's active-set finish. A
+// rejected finish resumes the paused solver, which reproduces the MMSIM-only
+// iterates bit for bit. The returned z aliases ar.
+func (ar *arena) runSolve(ctx context.Context, sv *lcp.Solver, p *Problem, st *SolveStats, mmsimOnly bool) ([]float64, error) {
 	if !mmsimOnly {
 		res, err := sv.RunTo(ctx, finishPause)
 		if err != nil {
@@ -425,7 +424,7 @@ func runSolve(ctx context.Context, sv *lcp.Solver, scratch *lcp.Workspace, p *Pr
 			st.Iterations, st.Converged = res.Iterations, res.Converged
 			return res.Z, nil
 		}
-		z, fs, err := finishSolve(ctx, p, sp, prob, scratch, sv.Z())
+		z, fs, err := ar.f.solve(ctx, p, &ar.sp, &ar.lp, sv.Z())
 		st.Finish = fs
 		if err != nil {
 			return nil, err

@@ -1,7 +1,5 @@
 package lcp
 
-import "mclg/internal/recycle"
-
 // Workspace owns every per-solve buffer of the MMSIM hot loop: the modulus
 // iterate pair s/sNext, the |s| and rhs scratch, the z iterate and its
 // predecessor, and the w scratch the residual check needs. A solve that is
@@ -15,32 +13,6 @@ import "mclg/internal/recycle"
 // workspace is reused or released.
 type Workspace struct {
 	s, sNext, absS, rhs, z, zPrev, w []float64
-
-	// aux and auxInts back Floats and Ints: scratch for a stage that runs
-	// beside the iteration, kept here so a reused workspace serves it too.
-	aux     [][]float64
-	auxInts [][]int
-}
-
-// Floats returns auxiliary buffer i resized to length n with unspecified
-// contents, reallocating only when it has never been that large. The
-// iteration never touches auxiliary buffers, so a stage may fill them while
-// a solver is paused and the solve resumes unchanged.
-func (ws *Workspace) Floats(i, n int) []float64 {
-	for len(ws.aux) <= i {
-		ws.aux = append(ws.aux, nil)
-	}
-	ws.aux[i] = recycle.Grow(ws.aux[i], n)
-	return ws.aux[i]
-}
-
-// Ints is Floats for integer scratch.
-func (ws *Workspace) Ints(i, n int) []int {
-	for len(ws.auxInts) <= i {
-		ws.auxInts = append(ws.auxInts, nil)
-	}
-	ws.auxInts[i] = recycle.Grow(ws.auxInts[i], n)
-	return ws.auxInts[i]
 }
 
 // NewWorkspace returns a workspace sized for n-dimensional problems.

@@ -29,7 +29,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"runtime/metrics"
 	"strconv"
@@ -382,18 +382,10 @@ const (
 	retryAfterMax = 3
 )
 
-var (
-	retryJitterMu sync.Mutex
-	retryJitter   = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
 // retryAfterHint returns a jittered Retry-After value in
 // [retryAfterMin, retryAfterMax] whole seconds.
 func retryAfterHint() string {
-	retryJitterMu.Lock()
-	n := retryAfterMin + retryJitter.Intn(retryAfterMax-retryAfterMin+1)
-	retryJitterMu.Unlock()
-	return strconv.Itoa(n)
+	return strconv.Itoa(retryAfterMin + rand.IntN(retryAfterMax-retryAfterMin+1))
 }
 
 // admit performs admission control without blocking. It admits a new job,
