@@ -70,11 +70,11 @@ func genBench(b *testing.B, name string, scale float64) *design.Design {
 }
 
 // primePools runs op four times, untimed, so the pools it reaches (the core
-// arena, the Tetris scratch, the cascade's working copies, the request body
-// buffers) hold storage sized for it. Each pool keeps its last release in a
-// slot that survives collections and serves any processor, so a
-// -benchtime=1x allocation count reads primed storage; the alloc-smoke gate
-// relies on that. It collects before the last op, so that the timed op
+// arena, the Tetris scratch, design.CommitLegal's working copies, the
+// request body buffers) hold storage sized for it. Each pool keeps its last
+// release in a slot that survives collections and serves any processor, so
+// a -benchtime=1x allocation count reads primed storage; the alloc-smoke
+// gate relies on that. It collects before the last op, so that the timed op
 // triggers no collection, and the work the runtime does after one (on
 // goroutines of its own, which allocate) overlaps that untimed op instead of
 // counting against the timed one.

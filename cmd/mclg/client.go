@@ -90,25 +90,26 @@ func retryWait(header string, attempt int) time.Duration {
 
 // readUpload reads the Bookshelf components an .aux file names, keyed as a
 // request's files upload, so the daemon needs no filesystem access to the
-// design.
+// design. It reads them in bookshelf.ReadFiles' order, so a set missing
+// several components fails on the one a local read names.
 func readUpload(auxPath string) (map[string]string, error) {
 	files, err := bookshelf.ReadAux(auxPath)
 	if err != nil {
 		return nil, err
 	}
 	up := map[string]string{}
-	for comp, path := range map[string]string{
-		"nodes": files.Nodes, "nets": files.Nets, "pl": files.Pl,
-		"scl": files.Scl, "wts": files.Wts,
+	for _, f := range []struct{ comp, path string }{
+		{"scl", files.Scl}, {"nodes", files.Nodes}, {"pl", files.Pl},
+		{"nets", files.Nets}, {"wts", files.Wts},
 	} {
-		if path == "" {
+		if f.path == "" {
 			continue
 		}
-		raw, err := os.ReadFile(path)
+		raw, err := os.ReadFile(f.path)
 		if err != nil {
 			return nil, err
 		}
-		up[comp] = string(raw)
+		up[f.comp] = string(raw)
 	}
 	return up, nil
 }

@@ -42,11 +42,27 @@ func TestRetryWaitHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestUploadSkipsMissingWeights pins the parity of mclg's two modes on an
-// optional component: a set whose .aux names a .wts that does not exist
-// reads locally, so -server uploads it without weights and gets back the
-// local placement.
-func TestUploadSkipsMissingWeights(t *testing.T) {
+// TestUploadNamesMissingComponentLikeRead pins mclg's two modes to one
+// error on a set that lacks several components: every upload attempt must
+// fail on the component a local read fails on, not on whichever one a map
+// walk reached first.
+func TestUploadNamesMissingComponentLikeRead(t *testing.T) {
+	aux := writeSet(t, "d.nodes", "d.scl")
+	_, want := bookshelf.Read(aux)
+	if want == nil {
+		t.Fatal("a local read of a set without d.nodes and d.scl succeeded")
+	}
+	for i := 0; i < 32; i++ {
+		if _, err := readUpload(aux); err == nil || err.Error() != want.Error() {
+			t.Fatalf("attempt %d: upload error %v, local read %v", i, err, want)
+		}
+	}
+}
+
+// writeSet writes fft_2 at scale 0.004 as a Bookshelf set in a temporary
+// directory, removes the named component files and returns the .aux path.
+func writeSet(t *testing.T, remove ...string) string {
+	t.Helper()
 	e, err := gen.FindEntry("fft_2")
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +76,20 @@ func TestUploadSkipsMissingWeights(t *testing.T) {
 	if err := bookshelf.Write(g, aux); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "d.wts")); err != nil {
-		t.Fatal(err)
+	for _, name := range remove {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return aux
+}
 
+// TestUploadSkipsMissingWeights pins the parity of mclg's two modes on an
+// optional component: a set whose .aux names a .wts that does not exist
+// reads locally, so -server uploads it without weights and gets back the
+// local placement.
+func TestUploadSkipsMissingWeights(t *testing.T) {
+	aux := writeSet(t, "d.wts")
 	c, err := parseArgs(flag.NewFlagSet("mclg", flag.ContinueOnError), []string{"-aux", aux})
 	if err != nil {
 		t.Fatal(err)

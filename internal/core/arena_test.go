@@ -14,10 +14,11 @@ import (
 	"mclg/internal/regress"
 )
 
-// fresh runs f after emptying the pools' slots and two collections, which
-// empty every sync.Pool, so the solve in f builds its arena and working copy
-// into new storage. Tetris's scratch slot is out of reach here; its own
-// TestScratchReuseMatchesFresh pins that reuse.
+// fresh runs f after emptying the arena pool's slot and two collections,
+// which empty every sync.Pool, so the solve in f builds its arena into new
+// storage. Tetris's scratch slot and design.CommitLegal's working copy are
+// out of reach here; TestScratchReuseMatchesFresh and
+// TestCommitLegalReuseMatchesFresh pin those reuses.
 func fresh(f func()) {
 	core.EmptySlots()
 	runtime.GC()

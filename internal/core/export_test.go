@@ -7,12 +7,11 @@ import (
 	"mclg/internal/design"
 )
 
-// EmptySlots takes the arena and the working copy out of their pools' slots
-// and drops them, so the next solve takes its storage from the pools'
-// sync.Pools alone, which a collection empties.
+// EmptySlots takes the arena out of its pool's slot and drops it, so the
+// next solve takes its storage from the pool's sync.Pool alone, which a
+// collection empties.
 func EmptySlots() {
 	arenas.Get()
-	works.Get()
 }
 
 // LegalizeRungs runs the cascade restricted to the named rungs, in cascade

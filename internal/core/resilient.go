@@ -10,7 +10,6 @@ import (
 	"mclg/internal/baselines/chow"
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
-	"mclg/internal/recycle"
 )
 
 // Rung identifies one level of the fallback cascade.
@@ -58,11 +57,11 @@ const (
 //
 //	mmsim → mmsim-retuned (×2) → pgs → greedy
 //
-// The rungs run in order on the calling goroutine, each on a copy of the
-// design's cells that shares its netlist, which no rung writes; the input is
-// mutated only when a rung's output is verified fully legal with zero
-// unplaced cells, so a failed cascade leaves the caller's placement
-// untouched. A silently illegal result is converted to an
+// The rungs run in order on the calling goroutine, each through
+// design.CommitLegal: on a copy of the design's cells that shares its
+// netlist, which no rung writes, committed to the input only when the
+// legality checker passes it, so a failed cascade leaves the caller's
+// placement untouched. A silently illegal result becomes an
 // ErrUnplacedCells-matching error — success always means "verified legal",
 // never "the solver said so".
 //
@@ -102,26 +101,16 @@ func (r *ResilientLegalizer) cascade(ctx context.Context, d *design.Design, rung
 	}
 
 	rs := &ResilientStats{}
-	// Every rung runs on the same working copy, refilled from d, and only a
-	// verified-legal result is committed back.
-	work := works.Get()
-	defer releaseWork(work)
 	for _, rg := range rungs {
 		if err := mclgerr.FromContext(ctx); err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		d.CopyCellsTo(work)
-		st, err := runRecovered(rg.run, work)
-		if err == nil {
-			if !design.IsLegal(work) {
-				err = &mclgerr.StageError{
-					Stage:  string(rg.name),
-					Err:    mclgerr.ErrUnplacedCells,
-					Detail: "rung reported success but the placement is illegal: " + design.CheckLegal(work).String(),
-				}
-			}
-		}
+		var st *Stats
+		err := design.CommitLegal(d, string(rg.name), func(w *design.Design) (err error) {
+			st, err = runRecovered(rg.run, w)
+			return err
+		})
 		rs.Attempts = append(rs.Attempts, Attempt{Rung: rg.name, Err: err, Elapsed: time.Since(t0)})
 		if err != nil {
 			// Cancellation must not cascade; any other failure degrades to
@@ -131,7 +120,6 @@ func (r *ResilientLegalizer) cascade(ctx context.Context, d *design.Design, rung
 			}
 			continue
 		}
-		design.CopyPlacement(d, work)
 		if st != nil {
 			rs.Stats = *st
 		}
@@ -253,14 +241,4 @@ func runRecovered(run func(*design.Design) (*Stats, error), work *design.Design)
 		}
 	}()
 	return run(work)
-}
-
-// works recycles the cascade's working copies.
-var works recycle.Pool[design.Design]
-
-// releaseWork recycles w after dropping its netlist, which it shares with
-// the caller's design.
-func releaseWork(w *design.Design) {
-	w.Nets = nil
-	works.Put(w)
 }

@@ -9,6 +9,8 @@ import (
 	"slices"
 
 	"mclg/internal/geom"
+	"mclg/internal/mclgerr"
+	"mclg/internal/recycle"
 )
 
 // Row is a placement row. All rows in a design share the same height and
@@ -362,13 +364,38 @@ func (d *Design) OwnNetsIn(s *NetStore) {
 	d.Nets = nets
 }
 
-// CopyPlacement copies each cell's position and flip from src into the cell
-// of dst with the same index; dst must hold at least src's cells.
-func CopyPlacement(dst, src *Design) {
-	for i, c := range src.Cells {
-		dc := dst.Cells[i]
+// works recycles CommitLegal's working copies.
+var works recycle.Pool[Design]
+
+// CommitLegal is the one way a solved placement reaches a design. It runs
+// run on a working copy of d's cells that shares d's netlist, which run must
+// not change, and copies the copy's positions and flips into d only when
+// the result passes IsLegal; otherwise d is left untouched. The error is
+// run's own, or for an illegal result an ErrUnplacedCells stage error named
+// stage that carries CheckLegal's report. The copy is recycled storage:
+// run must neither add nor remove cells, nor keep the copy past its return.
+func CommitLegal(d *Design, stage string, run func(w *Design) error) error {
+	w := works.Get()
+	defer func() {
+		w.Nets = nil // the caller's netlist must not outlive the call in the pool
+		works.Put(w)
+	}()
+	d.CopyCellsTo(w)
+	if err := run(w); err != nil {
+		return err
+	}
+	if !IsLegal(w) {
+		return &mclgerr.StageError{
+			Stage:  stage,
+			Err:    mclgerr.ErrUnplacedCells,
+			Detail: "placement failed the legality checker: " + CheckLegal(w).String(),
+		}
+	}
+	for i, c := range w.Cells {
+		dc := d.Cells[i]
 		dc.X, dc.Y, dc.Flipped = c.X, c.Y, c.Flipped
 	}
+	return nil
 }
 
 // PositionHash digests the placement into a hex FNV-1a 64 string. Negative

@@ -327,12 +327,11 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 	if err := plan.Repartition(work, s.opts.WindowRows, window.DefaultContextRows); err != nil {
 		return nil, err
 	}
-	dirty := plan.DirtyBands(mut.dirty)
 
-	// 3. Merge dirty bands whose sub-design row ranges overlap into
-	// contiguous runs; distinct runs own disjoint rows and solve
-	// independently.
-	runs := mergeRuns(plan, dirty)
+	// 3. Select the bands the dirty rows reach and merge those whose
+	// sub-design row ranges overlap into runs; distinct runs own disjoint
+	// rows and solve independently.
+	runs, bands := plan.DirtyRuns(mut.dirty)
 
 	// 4. Re-legalize each run through the resilient cascade; fall back to
 	// chow-style one-cell-at-a-time local repair when the cascade fails.
@@ -341,8 +340,8 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 	// only after the last run.
 	repaired := 0
 	s.outs = s.outs[:0]
-	for _, r := range runs {
-		rep, err := s.solveRun(ctx, work, r, mut.touched)
+	for i := range runs {
+		rep, err := s.solveRun(ctx, work, &runs[i], mut.touched)
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +367,7 @@ func (s *Session) solveBatch(ctx context.Context, deltas []Delta) (*ApplyResult,
 		Seq:       s.seq + 1,
 		Deltas:    len(deltas),
 		DirtyRows: len(mut.dirty),
-		Bands:     len(dirty),
+		Bands:     bands,
 		Runs:      len(runs),
 		Repaired:  repaired,
 		Cells:     len(work.Cells),
@@ -442,32 +441,6 @@ func sameFootprint(a, b *design.Cell) bool {
 		a.RowSpan == b.RowSpan && a.BottomRail == b.BottomRail && a.Fixed == b.Fixed
 }
 
-// run is a contiguous range of dirty bands: rows [lo, hi) of the sub-design
-// union, solved as one window.
-type run struct {
-	lo, hi int
-	bands  []int // indices into plan.Bands, ascending
-}
-
-// mergeRuns folds ascending dirty band indices into runs, merging bands
-// whose [SubLo, SubHi) ranges overlap so no two runs share a row.
-func mergeRuns(p *window.Plan, dirty []int) []run {
-	var runs []run
-	for _, bi := range dirty {
-		b := p.Bands[bi]
-		if n := len(runs); n > 0 && b.SubLo < runs[n-1].hi {
-			r := &runs[n-1]
-			if b.SubHi > r.hi {
-				r.hi = b.SubHi
-			}
-			r.bands = append(r.bands, bi)
-			continue
-		}
-		runs = append(runs, run{lo: b.SubLo, hi: b.SubHi, bands: []int{bi}})
-	}
-	return runs
-}
-
 // solveRun re-legalizes one dirty run and appends its owned cells'
 // positions to s.outs. The primary path is the resilient cascade on the
 // run's sub-design. When the cascade cannot produce a verified placement,
@@ -476,14 +449,14 @@ func mergeRuns(p *window.Plan, dirty []int) []run {
 // a time with the chow greedy against the committed surroundings. Both
 // paths return window-verified positions; the caller's commit check still
 // verifies them against the committed placement before committing.
-func (s *Session) solveRun(ctx context.Context, av *design.Design, r run, touched map[int]bool) (bool, error) {
-	sub, idx := s.plan.BuildRun(av, r.bands, &s.run)
+func (s *Session) solveRun(ctx context.Context, av *design.Design, r *window.Band, touched map[int]bool) (bool, error) {
+	sub, idx := s.run.Build(av, &s.plan, r)
 	var solveErr error
-	if s.opts.failCascade != nil && s.opts.failCascade(r.lo, r.hi) {
+	if s.opts.failCascade != nil && s.opts.failCascade(r.SubLo, r.SubHi) {
 		solveErr = errors.New("cascade failed by the failCascade hook")
 	} else {
-		// The cascade validates sub and solves it on clones, committing
-		// back into sub only a verified placement.
+		// The cascade validates sub and solves it on a working copy,
+		// committing back into sub only a verified placement.
 		_, solveErr = core.NewResilient(s.opts.Core).LegalizeContext(ctx, sub)
 	}
 	if solveErr != nil {
@@ -492,7 +465,7 @@ func (s *Session) solveRun(ctx context.Context, av *design.Design, r run, touche
 		}
 		if err := repairRun(ctx, av, sub, idx, touched); err != nil {
 			return false, mclgerr.Stage("eco-repair",
-				fmt.Errorf("run rows [%d,%d): cascade failed (%v); local repair failed: %w", r.lo, r.hi, solveErr, err))
+				fmt.Errorf("run rows [%d,%d): cascade failed (%v); local repair failed: %w", r.SubLo, r.SubHi, solveErr, err))
 		}
 	}
 	s.outs = window.AppendOwned(s.outs, sub, idx)
@@ -502,32 +475,24 @@ func (s *Session) solveRun(ctx context.Context, av *design.Design, r run, touche
 // repairRun is the chow-style local repair of a run's sub-design: every
 // cell the batch did not touch is frozen at its committed position, and only
 // the touched cells are placed — one at a time, nearest free run first —
-// into the gaps.
+// into the gaps. The positions reach sub only when the run passes the
+// legality checker.
 func repairRun(ctx context.Context, av, sub *design.Design, idx []int, touched map[int]bool) error {
-	for i, fullID := range idx {
-		if fullID < 0 || touched[fullID] {
-			continue
+	return design.CommitLegal(sub, "eco-repair", func(w *design.Design) error {
+		for i, fullID := range idx {
+			if fullID < 0 || touched[fullID] {
+				continue
+			}
+			// Committed position: untouched cells in the assignment view
+			// carry X/Y = the committed placement.
+			c, at := w.Cells[i], av.Cells[fullID]
+			c.X, c.Y, c.Flipped = at.X, at.Y, at.Flipped
+			c.GX, c.GY = c.X, c.Y
+			c.Fixed = true
 		}
-		// Committed position: untouched cells in the assignment view carry
-		// X/Y = the committed placement.
-		c := sub.Cells[i]
-		c.X, c.Y = av.Cells[fullID].X, av.Cells[fullID].Y
-		c.GX, c.GY = c.X, c.Y
-		c.Flipped = av.Cells[fullID].Flipped
-		c.Fixed = true
-	}
-	if err := sub.Validate(); err != nil {
-		return err
-	}
-	if err := chow.LegalizeContext(ctx, sub); err != nil {
-		return err
-	}
-	if !design.IsLegal(sub) {
-		return &mclgerr.StageError{
-			Stage:  "eco-repair",
-			Err:    mclgerr.ErrUnplacedCells,
-			Detail: "local repair left the run illegal: " + design.CheckLegal(sub).String(),
+		if err := w.Validate(); err != nil {
+			return err
 		}
-	}
-	return nil
+		return chow.LegalizeContext(ctx, w)
+	})
 }

@@ -1,6 +1,6 @@
 // Package recycle is the per-call storage policy shared by every pooled
-// scratch in the repository: the solve arena and the cascade's working copy
-// in core, Tetris's scratch, the legality checker's sweep and the
+// scratch in the repository: the solve arena in core, design.CommitLegal's
+// working copy, Tetris's scratch, the legality checker's sweep and the
 // /v1/legalize body buffer.
 package recycle
 

@@ -1,46 +1,10 @@
 package window
 
-import "mclg/internal/design"
+import "slices"
 
-// BuildRun materializes a merged run of bands — typically the contiguous
-// dirty bands of an incremental (ECO) re-solve — as one independent
-// sub-design in buf, exactly as BuildSub does for a single band: the union
-// of the bands' sub rows at their absolute coordinates, every cell owned by
-// any of the bands movable (re-IDed, global positions preserved), and every
-// other cell whose snapshot rectangle intersects the run frozen as fixed
-// context. The returned idx maps sub cell index to full-design ID for owned
-// cells (-1 for context). Both live in buf's storage and stay valid until
-// the next build into buf.
-//
-// bands must be non-empty indices into p.Bands in ascending order. Callers
-// merge bands whose sub ranges overlap into one run before building, so
-// distinct runs own disjoint row ranges and can be solved independently.
-func (p *Plan) BuildRun(d *design.Design, bands []int, buf *SubBuf) (*design.Design, []int) {
-	first := &p.Bands[bands[0]]
-	merged := &buf.band
-	*merged = Band{
-		Index: first.Index,
-		RowLo: first.RowLo,
-		RowHi: first.RowHi,
-		SubLo: first.SubLo,
-		SubHi: first.SubHi,
-		Owned: merged.Owned[:0],
-	}
-	for _, bi := range bands {
-		b := &p.Bands[bi]
-		merged.RowLo = min(merged.RowLo, b.RowLo)
-		merged.RowHi = max(merged.RowHi, b.RowHi)
-		merged.SubLo = min(merged.SubLo, b.SubLo)
-		merged.SubHi = max(merged.SubHi, b.SubHi)
-		merged.Owned = append(merged.Owned, b.Owned...)
-	}
-	return buf.build(d, p, merged)
-}
-
-// DirtyBands returns the indices (into p.Bands) of every band that must be
-// re-solved when the given design rows are dirty — the selection primitive
-// behind incremental (ECO) re-legalization, where a delta touches a handful
-// of rows and only the affected windows pay a solve.
+// DirtyRuns returns the runs an incremental (ECO) re-solve must solve when
+// the given design rows are dirty, and how many bands they merge: a delta
+// touches a handful of rows and only the affected windows pay a solve.
 //
 // A band is dirty when any dirty row falls inside its sub-design range
 // [SubLo, SubHi): the owned rows, the frozen-context margin (a change there
@@ -50,19 +14,38 @@ func (p *Plan) BuildRun(d *design.Design, bands []int, buf *SubBuf) (*design.Des
 // into a neighboring band's territory still pulls in the cell's owner, the
 // only band allowed to move it.
 //
-// The returned indices are in ascending band order.
-func (p *Plan) DirtyBands(dirty map[int]bool) []int {
-	if len(dirty) == 0 {
-		return nil
-	}
-	var out []int
-	for i, b := range p.Bands {
-		for r := b.SubLo; r < b.SubHi; r++ {
-			if dirty[r] {
-				out = append(out, i)
-				break
-			}
+// Dirty bands, in ascending order, merge into one run while their sub
+// ranges overlap, so distinct runs own disjoint rows and solve
+// independently. A run is a Band that spans its bands' rows, takes the
+// first band's Index and concatenates their Owned lists, ready for
+// SubBuf.Build. The runs live in p's storage until the next DirtyRuns or
+// Repartition.
+func (p *Plan) DirtyRuns(dirty map[int]bool) (runs []Band, bands int) {
+	runs = p.runs[:0]
+	// Room for every owned ID, so no append below moves the lists already
+	// carved from ids.
+	ids := slices.Grow(p.runIDs[:0], len(p.ids))
+	for _, b := range p.Bands {
+		hit := false
+		for r := b.SubLo; r < b.SubHi && !hit; r++ {
+			hit = dirty[r]
 		}
+		if !hit {
+			continue
+		}
+		bands++
+		at := len(ids)
+		ids = append(ids, b.Owned...)
+		if n := len(runs); n > 0 && b.SubLo < runs[n-1].SubHi {
+			r := &runs[n-1]
+			r.RowHi = b.RowHi
+			r.SubHi = max(r.SubHi, b.SubHi)
+			r.Owned = ids[at-len(r.Owned):]
+			continue
+		}
+		b.Owned = ids[at:]
+		runs = append(runs, b)
 	}
-	return out
+	p.runs, p.runIDs = runs, ids
+	return runs, bands
 }

@@ -1,49 +1,75 @@
 package window
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mclg/internal/design"
 )
 
-// TestDirtyBandsSelectByRange pins the basic selection contract: a dirty row
-// pulls in exactly the bands whose sub range covers it, in ascending order,
-// and an empty dirty set selects nothing.
-func TestDirtyBandsSelectByRange(t *testing.T) {
-	d := genDesign(t, "fft_2", 0.004)
+// TestDirtyRunsSelectByRange pins the selection contract: a band is dirty
+// exactly when a dirty row falls inside its sub range, the runs own every
+// dirty band's cells once, and they are ascending with disjoint sub
+// ranges. An empty dirty set selects nothing.
+func TestDirtyRunsSelectByRange(t *testing.T) {
+	d := genDesign(t, "superblue19", 0.01)
 	p, err := Partition(d, 4, 2)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	if got := p.DirtyBands(nil); got != nil {
-		t.Fatalf("DirtyBands(nil) = %v, want nil", got)
+	if runs, bands := p.DirtyRuns(nil); len(runs) != 0 || bands != 0 {
+		t.Fatalf("DirtyRuns(nil) = %d runs over %d bands, want none", len(runs), bands)
 	}
-	for i, b := range p.Bands {
-		got := p.DirtyBands(map[int]bool{b.RowLo: true})
-		found := false
-		for _, bi := range got {
-			if bi == i {
-				found = true
+	for _, rows := range [][]int{{0}, {5}, {3, 17, 18, 40}, {10, 11, 12, 50, 70}, {len(d.Rows) - 1}} {
+		dirty := map[int]bool{}
+		for _, r := range rows {
+			dirty[r] = true
+		}
+		want := map[int]bool{} // the IDs the dirty bands own
+		wantBands := 0
+		for _, b := range p.Bands {
+			for _, r := range rows {
+				if r >= b.SubLo && r < b.SubHi {
+					wantBands++
+					for _, id := range b.Owned {
+						want[id] = true
+					}
+					break
+				}
 			}
 		}
-		if !found {
-			t.Fatalf("dirty row %d (band %d's RowLo) did not select band %d: %v", b.RowLo, i, i, got)
+		runs, bands := p.DirtyRuns(dirty)
+		if bands != wantBands {
+			t.Fatalf("rows %v: %d dirty bands, want %d", rows, bands, wantBands)
 		}
-		for j := 1; j < len(got); j++ {
-			if got[j] <= got[j-1] {
-				t.Fatalf("DirtyBands not ascending: %v", got)
+		got := map[int]bool{}
+		for i, r := range runs {
+			if i > 0 && r.SubLo < runs[i-1].SubHi {
+				t.Fatalf("rows %v: run %d sub range [%d,%d) overlaps run %d's [%d,%d)",
+					rows, i, r.SubLo, r.SubHi, i-1, runs[i-1].SubLo, runs[i-1].SubHi)
 			}
+			for _, id := range r.Owned {
+				if got[id] || !want[id] {
+					t.Fatalf("rows %v: run %d owns cell %d twice or from a clean band", rows, i, id)
+				}
+				got[id] = true
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("rows %v: runs own %d cells, dirty bands %d", rows, len(got), len(want))
 		}
 	}
 }
 
-// TestDirtyBandsOverhangCrossing is the regression test for tall-cell
+// TestDirtyRunsOverhangCrossing is the regression test for tall-cell
 // overhangs: a multi-row cell assigned near the top of its band occupies
 // rows inside the next band's territory, and dirtying only one of those
 // overhang rows must still pull in the *owner* band — it is the only band
 // allowed to move the cell.
-func TestDirtyBandsOverhangCrossing(t *testing.T) {
+func TestDirtyRunsOverhangCrossing(t *testing.T) {
 	d := genDesign(t, "fft_2", 0.004)
 	p, err := Partition(d, 2, 1)
 	if err != nil {
@@ -51,12 +77,14 @@ func TestDirtyBandsOverhangCrossing(t *testing.T) {
 	}
 	// Find a cell whose occupied span crosses its band's owned upper bound.
 	cross, owner := -1, -1
-	for id, o := range p.Owner {
-		if o < 0 {
-			continue
+	for bi, b := range p.Bands {
+		for _, id := range b.Owned {
+			if p.AssignedRow[id]+d.Cells[id].RowSpan > b.RowHi {
+				cross, owner = id, bi
+				break
+			}
 		}
-		if top := p.AssignedRow[id] + d.Cells[id].RowSpan; top > p.Bands[o].RowHi {
-			cross, owner = id, o
+		if cross >= 0 {
 			break
 		}
 	}
@@ -64,67 +92,67 @@ func TestDirtyBandsOverhangCrossing(t *testing.T) {
 		t.Skip("no overhang-crossing cell at this partition; benchmark geometry changed")
 	}
 	overhangRow := p.Bands[owner].RowHi // first row past the owned range
-	sel := p.DirtyBands(map[int]bool{overhangRow: true})
-	if !containsBand(sel, owner) {
-		t.Fatalf("dirty overhang row %d did not select owner band %d: %v", overhangRow, owner, sel)
+	runs, _ := p.DirtyRuns(map[int]bool{overhangRow: true})
+	for _, r := range runs {
+		if slices.Contains(r.Owned, cross) {
+			return
+		}
 	}
+	t.Fatalf("dirty overhang row %d did not pull in owner band %d of cell %d: runs %v", overhangRow, owner, cross, runs)
 }
 
-func containsBand(sel []int, want int) bool {
-	for _, bi := range sel {
-		if bi == want {
-			return true
-		}
+// subDigest hashes everything a built sub-design carries.
+func subDigest(sub *design.Design, idx []int) string {
+	h := fnv.New64a()
+	fmt.Fprint(h, sub.Name, sub.Core, sub.RowHeight, sub.SiteW, sub.Rows, idx, sub.Nets == nil)
+	for _, c := range sub.Cells {
+		fmt.Fprint(h, *c)
 	}
-	return false
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestBuildRunMergesBands checks that a run built from two adjacent bands
-// owns exactly the union of their owned cells, movable, with global
-// positions preserved — and that cells outside the run appear only as fixed
-// context or not at all.
-func TestBuildRunMergesBands(t *testing.T) {
-	d := genDesign(t, "fft_2", 0.004)
-	p, err := Partition(d, 4, 2)
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
-	}
-	if len(p.Bands) < 2 {
-		t.Fatalf("need at least 2 bands, got %d", len(p.Bands))
-	}
-	sub, idx := p.BuildRun(d, []int{0, 1}, new(SubBuf))
-
-	want := make(map[int]bool)
-	for _, bi := range []int{0, 1} {
-		for _, id := range p.Bands[bi].Owned {
-			want[id] = true
+// TestDirtyRunsBuildPinnedSubs pins the sub-designs SubBuf.Build makes of
+// DirtyRuns' runs to digests recorded when the ECO apply merged the dirty
+// bands itself and the plan built each run from its list of band indices,
+// for the same dirty rows. The cases cover runs of consecutive bands, of
+// bands with a clean band between them, and several runs at once.
+func TestDirtyRunsBuildPinnedSubs(t *testing.T) {
+	for _, tc := range []struct {
+		bench                  string
+		scale                  float64
+		windowRows, marginRows int
+		rows                   []int
+		bands                  int
+		digests                []string
+	}{
+		{"fft_2", 0.004, 4, 2, []int{5}, 2, []string{"168f62ad871fc6ce"}},
+		{"fft_2", 0.004, 4, 2, []int{0, 13}, 3, []string{"119556cf7431bb7f"}},
+		{"fft_2", 0.004, 2, 1, []int{5}, 3, []string{"fcc428c3be881bbf"}},
+		{"fft_2", 0.004, 2, 1, []int{0, 6}, 3, []string{"8e7b85539b3673e7"}},
+		{"superblue19", 0.01, 4, 2, []int{3, 17, 18, 40}, 7, []string{"2c870f55e2908819", "885e1f4113dc8443"}},
+		{"superblue19", 0.01, 4, 2, []int{10, 11, 12, 50, 70}, 9, []string{"a5b0393e8a5414a8", "aba60b2a34ca090c", "09a8a8ff3f622fc4"}},
+		{"superblue19", 0.01, 2, 1, []int{0, 40, 41, 87}, 6, []string{"2cb20583d120def1", "4b1cae360fe1c2a0", "e4f12c66b9e87a01"}},
+		{"superblue19", 0.01, 2, 1, []int{0, 7}, 4, []string{"b7f13fd24310100a"}},
+	} {
+		d := genDesign(t, tc.bench, tc.scale)
+		p, err := Partition(d, tc.windowRows, tc.marginRows)
+		if err != nil {
+			t.Fatalf("Partition: %v", err)
 		}
-	}
-	got := make(map[int]bool)
-	for i, c := range sub.Cells {
-		if idx[i] < 0 {
-			if !c.Fixed {
-				t.Fatalf("context cell %d (%s) not fixed", i, c.Name)
-			}
-			continue
+		dirty := map[int]bool{}
+		for _, r := range tc.rows {
+			dirty[r] = true
 		}
-		id := idx[i]
-		if !want[id] {
-			t.Fatalf("run owns cell %d, not owned by bands 0-1", id)
+		runs, bands := p.DirtyRuns(dirty)
+		var got []string
+		var buf SubBuf
+		for i := range runs {
+			got = append(got, subDigest(buf.Build(d, p, &runs[i])))
 		}
-		if c.Fixed {
-			t.Fatalf("owned cell %d fixed in run sub-design", id)
+		if bands != tc.bands || !slices.Equal(got, tc.digests) {
+			t.Errorf("%s %dx%d rows %v: %d bands, subs %q; want %d bands, subs %q",
+				tc.bench, tc.windowRows, tc.marginRows, tc.rows, bands, got, tc.bands, tc.digests)
 		}
-		if c.GX != d.Cells[id].GX || c.GY != d.Cells[id].GY {
-			t.Fatalf("cell %d global position (%g,%g) != (%g,%g)", id, c.GX, c.GY, d.Cells[id].GX, d.Cells[id].GY)
-		}
-		got[id] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("run owns %d cells, want %d", len(got), len(want))
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("run sub-design invalid: %v", err)
 	}
 }
 
@@ -164,8 +192,7 @@ func TestRepartitionReusesPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: Partition: %v", step, err)
 		}
-		if !reflect.DeepEqual(p.AssignedRow, want.AssignedRow) || !reflect.DeepEqual(p.Owner, want.Owner) ||
-			!reflect.DeepEqual(p.Bands, want.Bands) || p.WindowRows != want.WindowRows || p.ContextRows != want.ContextRows {
+		if !reflect.DeepEqual(p.AssignedRow, want.AssignedRow) || !reflect.DeepEqual(p.Bands, want.Bands) {
 			t.Fatalf("step %d: plan rebuilt in place differs from a fresh Partition", step)
 		}
 	}
@@ -174,36 +201,39 @@ func TestRepartitionReusesPlan(t *testing.T) {
 	}
 }
 
-// TestBuildRunReusesBuffer checks that runs built one after another into
-// one buffer equal runs built into fresh buffers, and that rebuilding a run
-// allocates nothing.
-func TestBuildRunReusesBuffer(t *testing.T) {
-	d := genDesign(t, "fft_2", 0.004)
+// TestSubBufBuildReusesBuffer checks that DirtyRuns' runs built one after
+// another into one buffer equal runs built into fresh buffers, and that
+// recomputing the runs and rebuilding a run allocates nothing.
+func TestSubBufBuildReusesBuffer(t *testing.T) {
+	d := genDesign(t, "superblue19", 0.01)
 	p, err := Partition(d, 4, 2)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
 	}
-	n := len(p.Bands)
-	if n < 4 {
-		t.Fatalf("need at least 4 bands, got %d", n)
+	dirty := map[int]bool{3: true, 17: true, 50: true, 70: true, 87: true}
+	runs, _ := p.DirtyRuns(dirty)
+	if len(runs) < 3 {
+		t.Fatalf("need at least 3 runs, got %d", len(runs))
 	}
 	var buf SubBuf
-	runs := [][]int{{0, 1}, {n - 1}, {1, 2, 3}, {2}, {0, 1}}
-	for _, r := range runs {
-		sub, idx := p.BuildRun(d, r, &buf)
-		want, wantIdx := p.BuildRun(d, r, new(SubBuf))
+	for _, i := range []int{0, len(runs) - 1, 1, 0} {
+		sub, idx := buf.Build(d, p, &runs[i])
+		want, wantIdx := new(SubBuf).Build(d, p, &runs[i])
 		if sub.Name != want.Name || sub.Core != want.Core || sub.RowHeight != want.RowHeight ||
 			sub.SiteW != want.SiteW || !reflect.DeepEqual(sub.Rows, want.Rows) || !reflect.DeepEqual(idx, wantIdx) ||
 			len(sub.Cells) != len(want.Cells) {
-			t.Fatalf("run %v: sub-design built into a reused buffer differs from a fresh build", r)
+			t.Fatalf("run %d: sub-design built into a reused buffer differs from a fresh build", i)
 		}
-		for i, c := range sub.Cells {
-			if *c != *want.Cells[i] {
-				t.Fatalf("run %v: cell %d = %v, want %v", r, i, c, want.Cells[i])
+		for k, c := range sub.Cells {
+			if *c != *want.Cells[k] {
+				t.Fatalf("run %d: cell %d = %v, want %v", i, k, c, want.Cells[k])
 			}
 		}
 	}
-	if a := testing.AllocsPerRun(10, func() { p.BuildRun(d, runs[0], &buf) }); a != 0 {
-		t.Errorf("rebuilding a run: %.0f allocs, want 0", a)
+	if a := testing.AllocsPerRun(10, func() {
+		runs, _ := p.DirtyRuns(dirty)
+		buf.Build(d, p, &runs[0])
+	}); a != 0 {
+		t.Errorf("recomputing the runs and rebuilding one: %.0f allocs, want 0", a)
 	}
 }

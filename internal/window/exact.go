@@ -177,23 +177,20 @@ func refineExact(ctx context.Context, d *design.Design, plan *Plan, opts Options
 			MaxDispBefore: cand.disp,
 			MaxDispAfter:  cand.disp,
 		}
-		if sol.Cost < before-1e-9 {
-			// Candidate improvement: re-check on the whole design before
-			// committing — the solver verified the window, not the chip.
-			work := d.Clone()
+		// A candidate improvement is re-checked on the whole design before
+		// it commits: the solver verified the window, not the chip.
+		if sol.Cost < before-1e-9 && design.CommitLegal(d, "exact", func(w *design.Design) error {
 			for i, fullID := range idx {
-				if fullID < 0 {
-					continue
+				if fullID >= 0 {
+					c := w.Cells[fullID]
+					c.X, c.Y, c.Flipped = sol.X[i], sol.Y[i], sol.Flipped[i]
 				}
-				c := work.Cells[fullID]
-				c.X, c.Y, c.Flipped = sol.X[i], sol.Y[i], sol.Flipped[i]
 			}
-			if design.IsLegal(work) {
-				design.CopyPlacement(d, work)
-				wg.Improved = true
-				wg.MaxDispAfter = maxDispSites(d, b.Owned)
-				st.Improved++
-			}
+			return nil
+		}) == nil {
+			wg.Improved = true
+			wg.MaxDispAfter = maxDispSites(d, b.Owned)
+			st.Improved++
 		}
 		if wg.Proven && wg.Gap == 0 {
 			st.Proven++

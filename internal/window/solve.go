@@ -31,24 +31,22 @@ type Result struct {
 }
 
 // BuildSub materializes band b of plan p as an independent sub-design in
-// fresh storage (see SubBuf.build), for a local solve or for shipping to a
+// fresh storage (see SubBuf.Build), for a local solve or for shipping to a
 // cluster worker. The returned idx maps sub cell index to full-design cell ID
 // for owned (movable) cells and is -1 for frozen context cells. The
 // sub-design carries no nets; window solves are displacement-driven.
 func BuildSub(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
-	return new(SubBuf).build(d, p, b)
+	return new(SubBuf).Build(d, p, b)
 }
 
-// SubBuf is reusable storage for the sub-designs Plan.BuildRun builds: the
-// sub-design with its cells, cell pointers and rows, the index map, the
-// merged band with its owned list, and an owner mask as long as the full
-// design's cell list. A sub-design built into a SubBuf is valid until the
-// next build into the same buffer.
+// SubBuf is reusable storage for the sub-designs Build builds: the
+// sub-design with its cells, cell pointers and rows, the index map, and an
+// owner mask as long as the full design's cell list. A sub-design built
+// into a SubBuf is valid until the next build into the same buffer.
 type SubBuf struct {
 	sub   design.Design
 	cells []design.Cell
 	idx   []int
-	band  Band
 	owned []bool
 
 	// nameOf and nameIndex key the cached sub-design name.
@@ -56,17 +54,19 @@ type SubBuf struct {
 	nameIndex int
 }
 
-// build materializes band b as an independent sub-design: the sub rows
+// Build materializes band b — one of p.Bands, or a run that Plan.DirtyRuns
+// merged from several — as an independent sub-design in buf: the sub rows
 // [SubLo, SubHi) at their absolute coordinates, the owned cells movable
 // (re-IDed 0..n-1, global positions preserved), and every other cell whose
 // snapshot rectangle intersects the band frozen as fixed context. The
-// returned idx maps sub cell index to full-design ID for owned cells.
+// returned idx maps sub cell index to full-design ID for owned cells and is
+// -1 for context. Both live in buf's storage.
 //
 // Frozen context always comes from the plan's snapshot (GX, assigned-row Y)
 // — never from another window's result — so the sub-design, and therefore
 // the window's solution, is identical for every attempt, worker count, and
 // resume history.
-func (buf *SubBuf) build(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
+func (buf *SubBuf) Build(d *design.Design, p *Plan, b *Band) (*design.Design, []int) {
 	sub := &buf.sub
 	if sub.Name == "" || buf.nameOf != d.Name || buf.nameIndex != b.Index {
 		// Not fmt.Sprintf, whose per-processor printer pool would make an
@@ -179,11 +179,13 @@ func ApplyCells(d *design.Design, cells []CellPos) {
 // the final whole-design legality check still gates the commit.
 func degradeSub(ctx context.Context, d *design.Design, p *Plan, b *Band) *Result {
 	sub, idx := BuildSub(d, p, b)
-	if err := sub.Validate(); err == nil {
-		sub.ResetToGlobal()
-		if err := chow.LegalizeContext(ctx, sub); err == nil && design.IsLegal(sub) {
-			return &Result{Window: b.Index, Degraded: true, Cells: AppendOwned(nil, sub, idx)}
+	if design.CommitLegal(sub, "degrade", func(w *design.Design) error {
+		if err := w.Validate(); err != nil {
+			return err
 		}
+		return chow.LegalizeContext(ctx, w)
+	}) == nil {
+		return &Result{Window: b.Index, Degraded: true, Cells: AppendOwned(nil, sub, idx)}
 	}
 	res := &Result{Window: b.Index, Degraded: true}
 	for _, id := range b.Owned {
@@ -193,38 +195,28 @@ func degradeSub(ctx context.Context, d *design.Design, p *Plan, b *Band) *Result
 	return res
 }
 
-// stitch applies every window's owned-cell positions to a working clone,
-// runs the deterministic Tetris allocator as the boundary-reconciliation
-// pass (repairing any cross-band overlap in the context margins), verifies
-// whole-design legality, and only then commits the positions to d.
+// stitch applies every window's owned-cell positions to a working copy of
+// d, runs the deterministic Tetris allocator as the boundary-reconciliation
+// pass (repairing any cross-band overlap in the context margins), and
+// commits the positions to d only when the whole design passes the legality
+// checker (design.CommitLegal).
 func stitch(ctx context.Context, d *design.Design, results []*Result) (err error) {
 	// The mclg_stage label separates stitch time from the per-window solves
 	// (labeled mmsim-fused/mmsim-residual by the lcp package) in CPU
 	// profiles.
 	pprof.Do(ctx, pprof.Labels("mclg_stage", "window-stitch"), func(ctx context.Context) {
-		err = stitchLabeled(ctx, d, results)
+		err = design.CommitLegal(d, "stitch", func(w *design.Design) error {
+			for _, res := range results {
+				if res == nil {
+					return mclgerr.Invalidf("window: missing result during stitch")
+				}
+				ApplyCells(w, res.Cells)
+			}
+			if _, err := tetris.AllocateContext(ctx, w); err != nil {
+				return mclgerr.Stage("stitch", err)
+			}
+			return nil
+		})
 	})
 	return err
-}
-
-func stitchLabeled(ctx context.Context, d *design.Design, results []*Result) error {
-	work := d.Clone()
-	for _, res := range results {
-		if res == nil {
-			return mclgerr.Invalidf("window: missing result during stitch")
-		}
-		ApplyCells(work, res.Cells)
-	}
-	if _, err := tetris.AllocateContext(ctx, work); err != nil {
-		return mclgerr.Stage("stitch", err)
-	}
-	if !design.IsLegal(work) {
-		return &mclgerr.StageError{
-			Stage:  "stitch",
-			Err:    mclgerr.ErrUnplacedCells,
-			Detail: "stitched placement failed the legality checker: " + design.CheckLegal(work).String(),
-		}
-	}
-	design.CopyPlacement(d, work)
-	return nil
 }

@@ -37,7 +37,8 @@ type Band struct {
 	// plus the context margin and any overhang of tall owned cells.
 	SubLo, SubHi int
 	// Owned lists the full-design IDs of the cells this window moves, in
-	// ascending ID order.
+	// ascending ID order (a run from Plan.DirtyRuns concatenates its bands'
+	// lists).
 	Owned []int
 }
 
@@ -50,18 +51,13 @@ type Plan struct {
 	// AssignedRow maps full-design cell ID to its nearest rail-compatible
 	// row (-1 for fixed cells).
 	AssignedRow []int
-	// Owner maps full-design cell ID to the owning band index (-1 for
-	// fixed cells).
-	Owner []int
 	// Bands lists the non-empty windows in ascending row order.
 	Bands []Band
 
-	WindowRows  int
-	ContextRows int
-
-	// ids backs every band's Owned list; slots counts cells per band slot
-	// and then maps slots to Bands indices. Both are reused by Repartition.
-	ids, slots []int
+	// ids backs every band's Owned list and slots counts cells per band
+	// slot; Repartition reuses both. runs and runIDs hold DirtyRuns' result.
+	ids, slots, runIDs []int
+	runs               []Band
 }
 
 // Partition decomposes the design into bands of windowRows owned rows with
@@ -89,9 +85,7 @@ func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error 
 		return mclgerr.Invalidf("window: contextRows %d must be non-negative", contextRows)
 	}
 	n := len(d.Cells)
-	p.WindowRows, p.ContextRows = windowRows, contextRows
 	p.AssignedRow = slices.Grow(p.AssignedRow[:0], n)[:n]
-	p.Owner = slices.Grow(p.Owner[:0], n)[:n]
 	p.Bands = p.Bands[:0]
 	numBands := (len(d.Rows) + windowRows - 1) / windowRows
 	count := slices.Grow(p.slots[:0], numBands)[:numBands] // cells each band slot owns
@@ -101,7 +95,6 @@ func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error 
 	for _, c := range d.Cells {
 		if c.Fixed {
 			p.AssignedRow[c.ID] = -1
-			p.Owner[c.ID] = -1
 			continue
 		}
 		row := d.NearestCorrectRow(c, c.GY)
@@ -113,9 +106,7 @@ func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error 
 			}
 		}
 		p.AssignedRow[c.ID] = row
-		b := row / windowRows
-		p.Owner[c.ID] = b
-		count[b]++
+		count[row/windowRows]++
 		owned++
 	}
 	// Carve every slot's owned list, in ascending ID order, from one array:
@@ -126,7 +117,8 @@ func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error 
 	ids := slices.Grow(p.ids[:0], owned)[:owned]
 	p.ids = ids
 	for id := n - 1; id >= 0; id-- {
-		if b := p.Owner[id]; b >= 0 {
+		if row := p.AssignedRow[id]; row >= 0 {
+			b := row / windowRows
 			count[b]--
 			ids[count[b]] = id
 		}
@@ -157,15 +149,6 @@ func (p *Plan) Repartition(d *design.Design, windowRows, contextRows int) error 
 		band.SubLo = max(0, band.RowLo-contextRows)
 		band.SubHi = min(len(d.Rows), top+contextRows)
 		p.Bands = append(p.Bands, band)
-	}
-	// Re-map owners from raw band slots to compacted Plan.Bands indices.
-	for i, b := range p.Bands {
-		count[b.RowLo/windowRows] = i
-	}
-	for id, b := range p.Owner {
-		if b >= 0 {
-			p.Owner[id] = count[b]
-		}
 	}
 	return nil
 }

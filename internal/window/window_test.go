@@ -68,7 +68,7 @@ func leakCheck(t *testing.T) func() {
 }
 
 // TestPartitionCoversEveryMovableCellOnce pins the ownership contract that
-// Plan.DirtyBands' range test relies on: every movable cell has exactly one
+// Plan.DirtyRuns' range test relies on: every movable cell has exactly one
 // owner band, and each band's sub range holds the owned cells' whole
 // spans, SubLo ≤ RowLo ≤ AssignedRow and AssignedRow + RowSpan ≤ SubHi, on
 // the default-like partition, on two-row bands whose tall cells overhang
@@ -101,9 +101,6 @@ func TestPartitionCoversEveryMovableCellOnce(t *testing.T) {
 			}
 			for _, id := range b.Owned {
 				seen[id]++
-				if p.Owner[id] != b.Index {
-					t.Fatalf("%s: cell %d: owner %d != band %d", tc.name, id, p.Owner[id], b.Index)
-				}
 				r := p.AssignedRow[id]
 				if r < b.RowLo || r >= b.RowHi {
 					t.Fatalf("%s: cell %d: assigned row %d outside band [%d,%d)", tc.name, id, r, b.RowLo, b.RowHi)
@@ -127,15 +124,24 @@ func TestPartitionCoversEveryMovableCellOnce(t *testing.T) {
 	}
 }
 
+// windowedHashes pins the trio's windowed placements under baseOptions,
+// without and with exactOptions' post-pass, as recorded before the stitch
+// and the exact pass committed through design.CommitLegal.
+var windowedHashes = map[string][2]string{
+	"des_perf_1":  {"3a264d44a2befb15", "e78f7ac29844a893"},
+	"fft_2":       {"3272c82426100a8d", "6bbc71ba9b1a9a4d"},
+	"superblue19": {"652b93282c604e8e", "84cb9d7e77db7f90"},
+}
+
 // TestWindowedLegalAndDeterministic pins the windowed determinism contract
 // on the regress trio: every worker count produces a checker-legal placement
-// with one bit-identical position hash.
+// with the one pinned position hash.
 func TestWindowedLegalAndDeterministic(t *testing.T) {
 	for _, tc := range trioCases {
 		tc := tc
 		t.Run(tc.bench, func(t *testing.T) {
 			t.Parallel()
-			var wantHash string
+			wantHash := windowedHashes[tc.bench][0]
 			for _, workers := range []int{1, 2, 8} {
 				d := genDesign(t, tc.bench, tc.scale)
 				st, err := Legalize(context.Background(), d, baseOptions(workers))
@@ -149,11 +155,8 @@ func TestWindowedLegalAndDeterministic(t *testing.T) {
 					t.Fatalf("workers=%d: solved %d + resumed %d != windows %d",
 						workers, st.Solved, st.Resumed, st.Windows)
 				}
-				h := regress.PositionHash(d)
-				if wantHash == "" {
-					wantHash = h
-				} else if h != wantHash {
-					t.Fatalf("workers=%d: hash %s != workers=1 hash %s", workers, h, wantHash)
+				if h := regress.PositionHash(d); h != wantHash {
+					t.Fatalf("workers=%d: hash %s, pinned %s", workers, h, wantHash)
 				}
 			}
 		})
