@@ -54,8 +54,8 @@ func main() {
 		windowRows   = flag.Int("window-rows", 0, "default rows per window for windowed jobs (0 = 16)")
 		hedgeQ       = flag.Float64("hedge", 0, "default straggler-hedging quantile in (0,1] for windowed jobs (0 = off)")
 		exactK       = flag.Int("exact", 0, "default exact-refinement window count for windowed jobs: re-solve the K worst windows with the branch-and-bound legalizer after stitch (0 = off)")
-		journalDir   = flag.String("journal-dir", "", "directory for per-job write-ahead window journals; a restarted daemon resumes interrupted windowed jobs from it (empty = journaling off)")
-		ecoDir       = flag.String("eco-dir", "", "directory for durable /v1/eco session delta logs; a restarted daemon replays them to resume live sessions (empty = sessions are memory-only)")
+		journalDir   = flag.String("journal-dir", "", "directory, created at startup, for per-job write-ahead window journals; a restarted daemon resumes interrupted windowed jobs from it (empty = journaling off)")
+		ecoDir       = flag.String("eco-dir", "", "directory, created at startup, for durable /v1/eco session delta logs; a restarted daemon replays them to resume live sessions (empty = sessions are memory-only)")
 		ecoSessions  = flag.Int("eco-sessions", 8, "max concurrently open /v1/eco sessions")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 		jobTimeout   = flag.Duration("job-timeout", 60*time.Second, "default per-job deadline (requests may shorten it)")
@@ -70,6 +70,17 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mclgd:", err)
 		os.Exit(2)
+	}
+	// The durable directories are made once, here: a daemon that cannot
+	// make them refuses to start rather than serve without durability.
+	for _, dir := range []string{*journalDir, *ecoDir} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "mclgd:", err)
+			os.Exit(2)
+		}
 	}
 
 	switch *role {

@@ -5,11 +5,14 @@ package mclg
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -336,6 +339,34 @@ func TestE2EMclgdServeSubmitAndDrain(t *testing.T) {
 	}
 	if lg := <-logs; !strings.Contains(lg, "mclgd stopped") {
 		t.Errorf("daemon logs missing drain completion:\n%s", lg)
+	}
+}
+
+// TestE2EMclgdRefusesUnusableDirs starts mclgd with a journal or ECO
+// directory below a regular file, which no mkdir can create: in either role
+// the daemon must exit 2 naming the mkdir error instead of serving.
+func TestE2EMclgdRefusesUnusableDirs(t *testing.T) {
+	mclgd := buildCmd(t, "mclgd")
+	file := filepath.Join(t.TempDir(), "F")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-journal-dir", filepath.Join(file, "j")},
+		{"-eco-dir", filepath.Join(file, "e")},
+		{"-role", "worker", "-eco-dir", filepath.Join(file, "e")},
+	} {
+		// A daemon that serves instead is killed at the deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, mclgd, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		cancel()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("mclgd %v: %v, want exit code 2:\n%s", args, err, out)
+			continue
+		}
+		if want := "mclgd: mkdir " + file + ": not a directory\n"; string(out) != want {
+			t.Errorf("mclgd %v printed %q, want %q", args, out, want)
+		}
 	}
 }
 

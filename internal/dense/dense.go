@@ -1,7 +1,7 @@
-// Package dense provides small dense matrices with LU and Cholesky
-// factorizations. It backs the reference solvers (active-set QP, Lemke)
-// used to validate the MMSIM legalizer on small instances; the production
-// path never touches dense algebra.
+// Package dense provides small dense matrices with an LU factorization. It
+// backs the reference solvers (active-set QP, Lemke) used to validate the
+// MMSIM legalizer on small instances; the production path never touches
+// dense algebra.
 package dense
 
 import (
@@ -63,57 +63,6 @@ func (m *Matrix) MulVec(dst, x []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// MulVecT computes dst = mᵀ * x.
-func (m *Matrix) MulVecT(dst, x []float64) {
-	if len(dst) != m.C || len(x) != m.R {
-		panic("dense: MulVecT dimension mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.R; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.C : (i+1)*m.C]
-		for j, v := range row {
-			dst[j] += v * xi
-		}
-	}
-}
-
-// Mul returns m * o as a new matrix.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.C != o.R {
-		panic("dense: Mul dimension mismatch")
-	}
-	out := New(m.R, o.C)
-	for i := 0; i < m.R; i++ {
-		for k := 0; k < m.C; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < o.C; j++ {
-				out.Data[i*out.C+j] += a * o.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := New(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
 }
 
 // LU holds a partially pivoted LU factorization PA = LU.
@@ -205,67 +154,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Cholesky holds the lower-triangular factor of a symmetric positive
-// definite matrix, A = L Lᵀ.
-type Cholesky struct {
-	n int
-	l *Matrix
-}
-
-// FactorCholesky computes the Cholesky factorization of a symmetric positive
-// definite matrix. Only the lower triangle of a is read.
-func FactorCholesky(a *Matrix) (*Cholesky, error) {
-	if a.R != a.C {
-		return nil, fmt.Errorf("dense: Cholesky of non-square matrix")
-	}
-	n := a.R
-	l := New(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("dense: matrix not positive definite (pivot %d = %g)", j, d)
-		}
-		d = math.Sqrt(d)
-		l.Set(j, j, d)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/d)
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
-}
-
-// Solve computes x with A x = b for the factored SPD matrix.
-func (c *Cholesky) Solve(b []float64) []float64 {
-	if len(b) != c.n {
-		panic("dense: Cholesky.Solve dimension mismatch")
-	}
-	n := c.n
-	x := make([]float64, n)
-	copy(x, b)
-	// L y = b
-	for i := 0; i < n; i++ {
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= c.l.At(i, j) * x[j]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
-	// Lᵀ x = y
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= c.l.At(j, i) * x[j]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
-	return x
 }

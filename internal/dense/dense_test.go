@@ -36,27 +36,6 @@ func TestMulVecAndT(t *testing.T) {
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Errorf("MulVec = %v", dst)
 	}
-	dt := make([]float64, 3)
-	m.MulVecT(dt, []float64{1, 1})
-	if dt[0] != 5 || dt[1] != 7 || dt[2] != 9 {
-		t.Errorf("MulVecT = %v", dt)
-	}
-}
-
-func TestMulAndTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{0, 1}, {1, 0}})
-	c := a.Mul(b)
-	want := FromRows([][]float64{{2, 1}, {4, 3}})
-	for i := range c.Data {
-		if c.Data[i] != want.Data[i] {
-			t.Fatalf("Mul = %v, want %v", c.Data, want.Data)
-		}
-	}
-	at := a.T()
-	if at.At(0, 1) != 3 || at.At(1, 0) != 2 {
-		t.Error("transpose wrong")
-	}
 }
 
 func TestLUSolveKnown(t *testing.T) {
@@ -115,64 +94,6 @@ func TestLURandomRoundTrip(t *testing.T) {
 			if math.Abs(got[i]-want[i]) > 1e-8 {
 				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(12)
-		// SPD: A = GᵀG + I.
-		g := New(n, n)
-		for i := range g.Data {
-			g.Data[i] = rng.NormFloat64()
-		}
-		a := g.T().Mul(g)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+1)
-		}
-		ch, err := FactorCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		a.MulVec(b, want)
-		got := ch.Solve(b)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -1}})
-	if _, err := FactorCholesky(a); err == nil {
-		t.Error("expected not-positive-definite error")
-	}
-}
-
-func TestCholeskyAgreesWithLU(t *testing.T) {
-	a := FromRows([][]float64{{4, 1, 0}, {1, 3, 1}, {0, 1, 2}})
-	b := []float64{1, 2, 3}
-	ch, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x1 := ch.Solve(b)
-	x2, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x1 {
-		if math.Abs(x1[i]-x2[i]) > 1e-10 {
-			t.Errorf("Cholesky vs LU differ at %d: %g vs %g", i, x1[i], x2[i])
 		}
 	}
 }

@@ -9,10 +9,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mclg/internal/abacus"
@@ -70,9 +68,7 @@ type Table1Row struct {
 // Table1 runs the MMSIM legalization on every benchmark and reports the
 // illegal-cell statistics the Tetris stage has to repair. The solve is the
 // paper's MMSIM alone (Options.MMSIMOnly), so the counts are those its
-// stopping rule leaves. Benchmarks run concurrently (each on its own design
-// clone); the output order is the suite order regardless of completion
-// order.
+// stopping rule leaves. Benchmarks run one at a time, in suite order.
 func Table1(cfg Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
 	cfg.Opts.MMSIMOnly = true
@@ -80,68 +76,27 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Table1Row, len(entries))
-	err = forEachEntry(entries, func(i int, e gen.SuiteEntry) error {
+	rows := make([]Table1Row, 0, len(entries))
+	for _, e := range entries {
 		d, err := gen.Generate(gen.SuiteSpec(e, cfg.Scale))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		stats, err := core.New(cfg.Opts).Legalize(d)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
+			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
 		n := len(d.Cells)
-		rows[i] = Table1Row{
+		rows = append(rows, Table1Row{
 			Name:       e.Name,
 			SCells:     countSpan(d, 1),
 			DCells:     countSpan(d, 2),
 			Density:    d.Density(),
 			IllegalN:   stats.Illegal,
 			IllegalPct: 100 * float64(stats.Illegal) / float64(n),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
 	return rows, nil
-}
-
-// forEachEntry runs fn over the entries with a bounded worker pool and
-// returns the first error.
-func forEachEntry(entries []gen.SuiteEntry, fn func(i int, e gen.SuiteEntry) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type job struct {
-		i int
-		e gen.SuiteEntry
-	}
-	jobs := make(chan job)
-	errs := make(chan error, len(entries))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if err := fn(j.i, j.e); err != nil {
-					errs <- err
-				}
-			}
-		}()
-	}
-	for i, e := range entries {
-		jobs <- job{i, e}
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	return <-errs
 }
 
 func countSpan(d *design.Design, span int) int {
@@ -184,20 +139,20 @@ type Table2Row struct {
 	Results map[Method]MethodResult
 }
 
-// Table2 runs all four legalizers on every benchmark. Benchmarks run
-// concurrently; the four methods of one benchmark run sequentially so the
-// per-method runtimes stay comparable.
+// Table2 runs all four legalizers on every benchmark. Every run is timed
+// alone, in suite and paper order, so no other run shares the CPU with it
+// and the runtime column stays comparable.
 func Table2(cfg Config) ([]Table2Row, error) {
 	cfg = cfg.withDefaults()
 	entries, err := cfg.entries()
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Table2Row, len(entries))
-	err = forEachEntry(entries, func(i int, e gen.SuiteEntry) error {
+	rows := make([]Table2Row, 0, len(entries))
+	for _, e := range entries {
 		base, err := gen.Generate(gen.SuiteSpec(e, cfg.Scale))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		row := Table2Row{
 			Name:    e.Name,
@@ -219,11 +174,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			}
 			row.Results[m] = res
 		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -16,7 +16,15 @@ func spdProblem(rng *rand.Rand, n int) (*Problem, *dense.Matrix) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	a := g.T().Mul(g)
+	a := dense.New(n, n) // GᵀG
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			gki := g.At(k, i)
+			for j := 0; j < n; j++ {
+				a.Data[i*n+j] += gki * g.At(k, j)
+			}
+		}
+	}
 	// Make the matrix strictly diagonally dominant (still symmetric positive
 	// definite): both Lemke and the diagonal MMSIM splitting are then
 	// guaranteed to converge, keeping the cross-checks deterministic.

@@ -140,9 +140,6 @@ type ecoRegistry struct {
 }
 
 func newEcoRegistry(cap int, dir string) *ecoRegistry {
-	if dir != "" {
-		_ = os.MkdirAll(dir, 0o755)
-	}
 	return &ecoRegistry{cap: cap, dir: dir, sessions: map[string]*eco.Session{}}
 }
 

@@ -305,9 +305,9 @@ func (r *Request) loadDesign() (*design.Design, error) {
 
 // Solve runs the job's legalizer on d and returns the report. The context
 // carries the job deadline; every solver stage polls it. A windowed job
-// solves through legalizeWindows (window.Legalize, or the daemon's journaled
-// and dispatched form of it). A placement the checker rejects returns the
-// report with an ErrUnplacedCells stage error.
+// solves through legalizeWindows (window.Legalize, or the daemon's form of
+// it that names a journal and may dispatch the windows). A placement the
+// checker rejects returns the report with an ErrUnplacedCells stage error.
 func (r *Request) Solve(ctx context.Context, d *design.Design,
 	legalizeWindows func(context.Context, *design.Design, window.Options) (*window.Stats, error)) (*report.Report, error) {
 	t0 := time.Now()

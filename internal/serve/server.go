@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
+	"path/filepath"
 	"runtime/metrics"
 	"strconv"
 	"sync"
@@ -77,17 +78,17 @@ type Config struct {
 	// windowed jobs whose request leaves exact unset; 0 disables the
 	// post-pass by default (requests can still opt in per job).
 	ExactWindows int
-	// JournalDir, when non-empty, enables the per-job write-ahead window
-	// journal: each windowed job fsyncs verified window results to
-	// JournalDir/<job-key>.wal and a restarted daemon replays completed
-	// windows instead of re-solving them. The journal is removed when the
-	// job commits.
+	// JournalDir, when non-empty, names an existing directory for the
+	// per-job write-ahead window journal: each windowed job journals to
+	// JournalDir/<job-key>.wal (window.Options.JournalPath), so a restarted
+	// daemon replays its completed windows instead of re-solving them.
 	JournalDir string
-	// ECODir, when non-empty, makes /v1/eco sessions durable: each session
-	// appends its delta log write-ahead to ECODir/<id>.ecolog, and a
-	// restarted daemon rebuilds every live session by replaying its log from
-	// the base design stored in the log header. Empty means sessions are
-	// memory-only and die with the process.
+	// ECODir, when non-empty, names an existing directory that makes
+	// /v1/eco sessions durable: each session appends its delta log
+	// write-ahead to ECODir/<id>.ecolog, and a restarted daemon rebuilds
+	// every live session by replaying its log from the base design stored in
+	// the log header. Empty means sessions are memory-only and die with the
+	// process.
 	ECODir string
 	// ECOSessionCap bounds concurrently open /v1/eco sessions; 0 means 8.
 	ECOSessionCap int
@@ -293,8 +294,19 @@ func (s *Server) runJob(ctx context.Context, id uint64, slot bool, key string, r
 			samples := mallocSamples()
 			m0 := mallocs(samples)
 			rep, err = req.Solve(ctx, d, func(ctx context.Context, d *design.Design, o window.Options) (*window.Stats, error) {
-				return s.legalizeWindows(ctx, d, o, key)
+				// The journal is named by the job's cache key, and its
+				// header signs the plan, so a resubmitted job resumes it.
+				if s.cfg.JournalDir != "" {
+					o.JournalPath = filepath.Join(s.cfg.JournalDir, key+".wal")
+				}
+				if s.cfg.Dispatcher != nil {
+					return s.cfg.Dispatcher.DispatchWindows(ctx, d, o)
+				}
+				return window.Legalize(ctx, d, o)
 			})
+			if rep != nil && rep.Windows != nil {
+				s.stats.windowDone(rep.Windows)
+			}
 			if err == nil {
 				rep.CapturePlacement(d) // cached for any later request that asks for it
 			}

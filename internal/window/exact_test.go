@@ -177,38 +177,15 @@ func TestStitchCancellationNoPartialCommit(t *testing.T) {
 	check()
 }
 
-// cancelingJournal wraps a Journal and fires cancel once `after` windows
-// have been recorded — simulating a job killed between the last window
-// solve and the stitch commit.
-type cancelingJournal struct {
-	Journal
-	mu     sync.Mutex
-	after  int
-	n      int
-	cancel context.CancelFunc
-}
-
-func (c *cancelingJournal) Record(w int, cells []CellPos) error {
-	err := c.Journal.Record(w, cells)
-	c.mu.Lock()
-	c.n++
-	fire := c.n >= c.after
-	c.mu.Unlock()
-	if fire {
-		c.cancel()
-	}
-	return err
-}
-
 // TestCancelBeforeStitchLeavesJournalResumable cancels the job the moment
-// the last window result is journaled: the run must fail canceled with no
-// partial commit, and a fresh run over the same journal must replay every
-// window (zero re-solves) and land on the uninterrupted placement.
+// the last window solve returns: the run must fail canceled with no partial
+// commit while every window result is journaled, and a fresh run over the
+// same journal must replay every window (zero re-solves) and land on the
+// uninterrupted placement.
 func TestCancelBeforeStitchLeavesJournalResumable(t *testing.T) {
 	check := leakCheck(t)
 	d := genDesign(t, "fft_2", 0.004)
 	opts := baseOptions(2)
-	sig := Sig(d, opts.WindowRows, DefaultContextRows, opts.Core)
 	p, err := Partition(d, opts.WindowRows, DefaultContextRows)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
@@ -223,17 +200,28 @@ func TestCancelBeforeStitchLeavesJournalResumable(t *testing.T) {
 	wantHash := regress.PositionHash(ref)
 
 	path := filepath.Join(t.TempDir(), "cancel.wal")
-	j, err := OpenFileJournal(path, sig, windows)
-	if err != nil {
-		t.Fatalf("OpenFileJournal: %v", err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts.Journal = &cancelingJournal{Journal: j, after: windows, cancel: cancel}
+	var (
+		mu       sync.Mutex
+		returned int
+	)
+	base := opts.Core
+	opts.JournalPath = path
+	opts.SolveWindow = func(ctx context.Context, d *design.Design, p *Plan, w, attempt int) (*Result, error) {
+		res, err := solveClean(ctx, d, p, w, base)
+		mu.Lock()
+		returned++
+		last := returned == windows
+		mu.Unlock()
+		if last {
+			cancel()
+		}
+		return res, err
+	}
 
 	preHash := regress.PositionHash(d)
 	_, err = Legalize(ctx, d, opts)
-	j.Close()
 	if err == nil {
 		t.Fatal("Legalize succeeded despite cancellation before stitch")
 	}
@@ -247,16 +235,8 @@ func TestCancelBeforeStitchLeavesJournalResumable(t *testing.T) {
 
 	// Resume: every window replays from the journal, nothing re-solves.
 	d2 := genDesign(t, "fft_2", 0.004)
-	j2, err := OpenFileJournal(path, sig, windows)
-	if err != nil {
-		t.Fatalf("reopen journal: %v", err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != windows {
-		t.Fatalf("journal resumed %d windows, want %d", j2.Resumed(), windows)
-	}
 	opts2 := baseOptions(2)
-	opts2.Journal = j2
+	opts2.JournalPath = path
 	st, err := Legalize(context.Background(), d2, opts2)
 	if err != nil {
 		t.Fatalf("resumed Legalize: %v", err)

@@ -4,21 +4,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 
 	"mclg/internal/wal"
 )
 
-// Journal persists verified window results so a crashed or killed job can
-// resume by replaying completed windows instead of re-solving them. Every
-// recorded result is checker-verified within its window; degraded results
+// The write-ahead journal behind Options.JournalPath is an append-only,
+// fsync'd JSON-lines log (internal/wal): a header, then one record per
+// verified window. An append returns only after its line is fsync'd, so
+// every acknowledged window survives a process kill; a torn final line from
+// a crash mid-write is detected by checksum and ignored. Degraded results
 // are never journaled.
-type Journal interface {
-	// Lookup returns the recorded owned-cell positions for a window.
-	Lookup(window int) ([]CellPos, bool)
-	// Record durably persists a window's verified result.
-	Record(window int, cells []CellPos) error
-}
 
 // journalHeader is the first line of a journal file. Sig content-addresses
 // the plan (design geometry + global positions + window/solver parameters):
@@ -39,6 +34,11 @@ type journalRecord struct {
 	W     int       `json:"w"`
 	Cells []CellPos `json:"cells"`
 	Sum   string    `json:"sum"`
+}
+
+// newRecord returns the checksummed journal record of window w's cells.
+func newRecord(w int, cells []CellPos) journalRecord {
+	return journalRecord{W: w, Cells: cells, Sum: recordSum(w, cells)}
 }
 
 func recordSum(w int, cells []CellPos) string {
@@ -64,72 +64,15 @@ func recordSum(w int, cells []CellPos) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// FileJournal is the write-ahead implementation of Journal on an
-// append-only, fsync'd JSON-lines log (internal/wal): a header, then one
-// record per completed window. Record returns only after its line is
-// fsync'd, so every acknowledged window survives a process kill; a torn
-// final line from a crash mid-write is detected by checksum and ignored.
-type FileJournal struct {
-	log       *wal.Log[journalRecord]
-	mu        sync.Mutex
-	completed map[int][]CellPos
-	resumed   int
-}
-
-// OpenFileJournal opens (or creates) the journal at path for a plan with
-// the given signature and window count. An existing file with a matching
-// header has its intact records loaded for replay; a missing, unreadable,
-// torn, or mismatching file is reset to a fresh header.
-func OpenFileJournal(path string, sig uint64, windows int) (*FileJournal, error) {
+// openJournal opens (or creates) the journal at path for a plan with the
+// given signature and window count, and returns the intact records to
+// replay. A missing, unreadable, torn, or mismatching file is reset to a
+// fresh header.
+func openJournal(path string, sig uint64, windows int) (*wal.Log[journalRecord], []journalRecord, error) {
 	hdr := journalHeader{V: 1, Sig: fmt.Sprintf("%016x", sig), Windows: windows}
-	log, recs, err := wal.Open(path, "journal", hdr,
+	return wal.Open(path, "journal", hdr,
 		func(h journalHeader) bool { return h == hdr },
 		func(_ int, r journalRecord) bool {
 			return r.W >= 0 && r.W < windows && r.Sum == recordSum(r.W, r.Cells)
 		})
-	if err != nil {
-		return nil, err
-	}
-	j := &FileJournal{log: log, completed: make(map[int][]CellPos, len(recs))}
-	for _, r := range recs {
-		j.completed[r.W] = r.Cells
-	}
-	j.resumed = len(j.completed)
-	return j, nil
 }
-
-// Lookup implements Journal.
-func (j *FileJournal) Lookup(window int) ([]CellPos, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	cells, ok := j.completed[window]
-	return cells, ok
-}
-
-// Record implements Journal: append one record line, flush, fsync.
-func (j *FileJournal) Record(window int, cells []CellPos) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.completed[window]; ok {
-		return nil
-	}
-	if err := j.log.Append(journalRecord{W: window, Cells: cells, Sum: recordSum(window, cells)}); err != nil {
-		return err
-	}
-	j.completed[window] = cells
-	return nil
-}
-
-// Resumed reports how many windows were loaded from a pre-existing journal.
-func (j *FileJournal) Resumed() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.resumed
-}
-
-// Close closes the underlying file. Further Records fail.
-func (j *FileJournal) Close() error { return j.log.Close() }
-
-// Remove closes and deletes the journal file — called when the job it
-// backs has committed, so a completed job never resumes.
-func (j *FileJournal) Remove() error { return j.log.Remove() }

@@ -3,6 +3,7 @@ package window
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -12,7 +13,9 @@ import (
 
 	"mclg/internal/core"
 	"mclg/internal/design"
+	"mclg/internal/mclgerr"
 	"mclg/internal/regress"
+	"mclg/internal/wal"
 )
 
 var updateFixture = flag.Bool("update", false, "rewrite testdata/journal_v1.wal from the current writer")
@@ -32,13 +35,13 @@ var fixtureRecords = []struct {
 func TestJournalFixtureResumes(t *testing.T) {
 	fixture := filepath.Join("testdata", "journal_v1.wal")
 	fresh := filepath.Join(t.TempDir(), "fresh.wal")
-	j, err := OpenFileJournal(fresh, 42, 3)
+	j, _, err := openJournal(fresh, 42, 3)
 	if err != nil {
-		t.Fatalf("OpenFileJournal: %v", err)
+		t.Fatalf("openJournal: %v", err)
 	}
 	for _, r := range fixtureRecords {
-		if err := j.Record(r.w, r.cells); err != nil {
-			t.Fatalf("Record(%d): %v", r.w, err)
+		if err := j.Append(newRecord(r.w, r.cells)); err != nil {
+			t.Fatalf("Append(%d): %v", r.w, err)
 		}
 	}
 	j.Close()
@@ -63,50 +66,67 @@ func TestJournalFixtureResumes(t *testing.T) {
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := OpenFileJournal(path, 42, 3)
+	j2, recs, err := openJournal(path, 42, 3)
 	if err != nil {
 		t.Fatalf("reopen fixture: %v", err)
 	}
 	defer j2.Close()
-	if j2.Resumed() != len(fixtureRecords) {
-		t.Fatalf("Resumed() = %d, want %d", j2.Resumed(), len(fixtureRecords))
+	if len(recs) != len(fixtureRecords) {
+		t.Fatalf("resumed %d records, want %d", len(recs), len(fixtureRecords))
 	}
-	for _, r := range fixtureRecords {
-		if got, ok := j2.Lookup(r.w); !ok || !reflect.DeepEqual(got, r.cells) {
-			t.Fatalf("Lookup(%d) = %v, %v; want %v", r.w, got, ok, r.cells)
+	for i, r := range fixtureRecords {
+		if recs[i].W != r.w || !reflect.DeepEqual(recs[i].Cells, r.cells) {
+			t.Fatalf("record %d = window %d %v; want window %d %v", i, recs[i].W, recs[i].Cells, r.w, r.cells)
 		}
 	}
-	if _, ok := j2.Lookup(1); ok {
-		t.Fatal("window 1 was never recorded")
+}
+
+// defaultSig is Sig of fft_2@0.004 in 4-row windows under the resolved
+// default options: the signature a journal of such a job carries.
+const defaultSig = "e932ca71ecfb5326"
+
+// TestJournalSignsResolvedOptions pins the journal's header to Sig over the
+// resolved solver options: a job with zero Core options signs its journal
+// with the default signature, so journals written by earlier daemons, which
+// signed the resolved options, still resume.
+func TestJournalSignsResolvedOptions(t *testing.T) {
+	d := genDesign(t, "fft_2", 0.004)
+	path := filepath.Join(t.TempDir(), "job.wal")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Options{
+		WindowRows:  4,
+		JournalPath: path,
+		SolveWindow: func(context.Context, *design.Design, *Plan, int, int) (*Result, error) {
+			cancel()
+			return nil, mclgerr.Canceled(context.Canceled)
+		},
+	}
+	if _, err := Legalize(ctx, d, opts); !errors.Is(err, mclgerr.ErrCanceled) {
+		t.Fatalf("Legalize = %v, want a canceled error", err)
+	}
+	var hdr journalHeader
+	if err := wal.ReadHeader(path, &hdr); err != nil {
+		t.Fatalf("the canceled job's journal was not kept: %v", err)
+	}
+	if hdr.V != 1 || hdr.Sig != defaultSig {
+		t.Fatalf("journal header %+v, want version 1 and sig %s", hdr, defaultSig)
 	}
 }
 
-// journaledRun solves the benchmark with a FileJournal at path and returns
-// the run stats and final hash.
-func journaledRun(t *testing.T, d *design.Design, path string, sig uint64, windows int) (*Stats, string) {
-	t.Helper()
-	j, err := OpenFileJournal(path, sig, windows)
-	if err != nil {
-		t.Fatalf("OpenFileJournal: %v", err)
-	}
-	defer j.Close()
-	opts := baseOptions(2)
-	opts.Journal = j
-	st, err := Legalize(context.Background(), d, opts)
-	if err != nil {
-		t.Fatalf("Legalize: %v", err)
-	}
-	return st, regress.PositionHash(d)
-}
-
-// TestJournalResume simulates a crash mid-job: a journal holding only the
-// first half of the windows must be replayed — the resumed run re-solves
-// only the incomplete windows (verified by the solve counters) and lands on
-// the same placement hash as the uninterrupted run.
+// TestJournalResume simulates a crash mid-job: a journal holding the first
+// half of the windows must be replayed. The resumed run re-solves only the
+// other windows (verified by the solve counters), lands on the placement of
+// the run without a journal, and deletes the journal once it commits.
 func TestJournalResume(t *testing.T) {
+	ref := genDesign(t, "fft_2", 0.004)
+	if _, err := Legalize(context.Background(), ref, baseOptions(2)); err != nil {
+		t.Fatalf("reference Legalize: %v", err)
+	}
+	wantHash := regress.PositionHash(ref)
+
 	d := genDesign(t, "fft_2", 0.004)
 	opts := baseOptions(2)
-	sig := Sig(d, opts.WindowRows, DefaultContextRows, opts.Core)
 	p, err := Partition(d, opts.WindowRows, DefaultContextRows)
 	if err != nil {
 		t.Fatalf("Partition: %v", err)
@@ -116,59 +136,74 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("need multiple windows, got %d", windows)
 	}
 
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.wal")
-	st1, hash1 := journaledRun(t, d, full, sig, windows)
-	if st1.Resumed != 0 || st1.Solved != windows {
-		t.Fatalf("fresh run stats %+v, want all solved", st1)
-	}
-
-	// Truncate the completed journal to header + half the records — the
-	// state a SIGKILL halfway through the job would have left behind.
-	data, err := os.ReadFile(full)
+	// Seed the journal with the first half of the windows: the state a
+	// SIGKILL halfway through the job would have left behind.
+	path := filepath.Join(t.TempDir(), "job.wal")
+	sig := Sig(d, opts.WindowRows, DefaultContextRows, core.New(opts.Core).Opts)
+	j, _, err := openJournal(path, sig, windows)
 	if err != nil {
-		t.Fatalf("read journal: %v", err)
+		t.Fatalf("openJournal: %v", err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	keep := 1 + windows/2 // header + half the windows
-	partial := filepath.Join(dir, "partial.wal")
-	if err := os.WriteFile(partial, bytes.Join(lines[:keep], nil), 0o644); err != nil {
-		t.Fatalf("write partial journal: %v", err)
+	for w := 0; w < windows/2; w++ {
+		res, err := solveClean(context.Background(), d, p, w, opts.Core)
+		if err != nil {
+			t.Fatalf("solve window %d: %v", w, err)
+		}
+		if err := j.Append(newRecord(w, res.Cells)); err != nil {
+			t.Fatalf("Append(%d): %v", w, err)
+		}
 	}
+	j.Close()
 
-	d2 := genDesign(t, "fft_2", 0.004)
-	j, err := OpenFileJournal(partial, sig, windows)
-	if err != nil {
-		t.Fatalf("reopen partial journal: %v", err)
-	}
-	if j.Resumed() != windows/2 {
-		t.Fatalf("Resumed() = %d, want %d", j.Resumed(), windows/2)
-	}
-	opts2 := baseOptions(2)
-	opts2.Journal = j
-	st2, err := Legalize(context.Background(), d2, opts2)
+	opts.JournalPath = path
+	st, err := Legalize(context.Background(), d, opts)
 	if err != nil {
 		t.Fatalf("resumed Legalize: %v", err)
 	}
-	j.Close()
-	if st2.Resumed != windows/2 {
-		t.Fatalf("resumed run replayed %d windows, want %d (stats %+v)", st2.Resumed, windows/2, st2)
+	if st.Resumed != windows/2 {
+		t.Fatalf("resumed run replayed %d windows, want %d (stats %+v)", st.Resumed, windows/2, st)
 	}
-	if st2.Solved != windows-windows/2 {
-		t.Fatalf("resumed run solved %d windows, want %d (stats %+v)", st2.Solved, windows-windows/2, st2)
+	if st.Solved != windows-windows/2 {
+		t.Fatalf("resumed run solved %d windows, want %d (stats %+v)", st.Solved, windows-windows/2, st)
 	}
-	if h := regress.PositionHash(d2); h != hash1 {
-		t.Fatalf("resumed hash %s != uninterrupted hash %s", h, hash1)
+	if h := regress.PositionHash(d); h != wantHash {
+		t.Fatalf("resumed hash %s != uninterrupted hash %s", h, wantHash)
 	}
-	if rep := design.CheckLegal(d2); !rep.Legal() {
+	if rep := design.CheckLegal(d); !rep.Legal() {
 		t.Fatalf("resumed placement illegal: %s", rep.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("journal not deleted after the commit: %v", err)
+	}
+}
+
+// TestJournalUnopenableIsSkipped runs a job whose journal cannot be created
+// (its directory is missing): the job solves every window and commits the
+// placement of a run without a journal.
+func TestJournalUnopenableIsSkipped(t *testing.T) {
+	ref := genDesign(t, "fft_2", 0.004)
+	if _, err := Legalize(context.Background(), ref, baseOptions(2)); err != nil {
+		t.Fatalf("reference Legalize: %v", err)
+	}
+	d := genDesign(t, "fft_2", 0.004)
+	opts := baseOptions(2)
+	opts.JournalPath = filepath.Join(t.TempDir(), "missing", "job.wal")
+	st, err := Legalize(context.Background(), d, opts)
+	if err != nil {
+		t.Fatalf("Legalize with an unopenable journal: %v", err)
+	}
+	if st.Resumed != 0 || st.Solved != st.Windows {
+		t.Fatalf("stats %+v, want every window solved", st)
+	}
+	if got, want := regress.PositionHash(d), regress.PositionHash(ref); got != want {
+		t.Fatalf("hash %s != hash without a journal %s", got, want)
 	}
 }
 
 // TestJournalTornTail verifies a crash mid-append is harmless. A torn
 // final line is detected by checksum, dropped on replay, and overwritten by
-// the next Record; an intact final record that lost only its newline is
-// kept, and the next Record starts on a fresh line after it.
+// the next append; an intact final record that lost only its newline is
+// kept, and the next append starts on a fresh line after it.
 func TestJournalTornTail(t *testing.T) {
 	cells0 := []CellPos{{ID: 1, X: 2, Y: 3}, {ID: 4, X: 5, Y: 6, Flipped: true}}
 	for _, tc := range []struct {
@@ -182,12 +217,12 @@ func TestJournalTornTail(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "torn.wal")
-			j, err := OpenFileJournal(path, 42, 3)
+			j, _, err := openJournal(path, 42, 3)
 			if err != nil {
-				t.Fatalf("OpenFileJournal: %v", err)
+				t.Fatalf("openJournal: %v", err)
 			}
-			if err := j.Record(0, cells0); err != nil {
-				t.Fatalf("Record: %v", err)
+			if err := j.Append(newRecord(0, cells0)); err != nil {
+				t.Fatalf("Append: %v", err)
 			}
 			j.Close()
 			data, err := os.ReadFile(path)
@@ -198,31 +233,28 @@ func TestJournalTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			j2, err := OpenFileJournal(path, 42, 3)
+			j2, recs, err := openJournal(path, 42, 3)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			if j2.Resumed() != tc.resumed {
-				t.Fatalf("Resumed() = %d, want %d", j2.Resumed(), tc.resumed)
+			if len(recs) != tc.resumed {
+				t.Fatalf("resumed %d records, want %d", len(recs), tc.resumed)
 			}
-			if got, ok := j2.Lookup(0); tc.resumed == 1 && (!ok || !reflect.DeepEqual(got, cells0)) {
-				t.Fatalf("Lookup(0) = %v, %v; want %v", got, ok, cells0)
-			}
-			if _, ok := j2.Lookup(1); ok {
-				t.Fatalf("torn record for window 1 must not replay")
+			if tc.resumed == 1 && (recs[0].W != 0 || !reflect.DeepEqual(recs[0].Cells, cells0)) {
+				t.Fatalf("record = window %d %v; want window 0 %v", recs[0].W, recs[0].Cells, cells0)
 			}
 			// The next acknowledged record must survive another reopen.
-			if err := j2.Record(1, []CellPos{{ID: 7, X: 8, Y: 9}}); err != nil {
-				t.Fatalf("Record after tampered tail: %v", err)
+			if err := j2.Append(newRecord(1, []CellPos{{ID: 7, X: 8, Y: 9}})); err != nil {
+				t.Fatalf("Append after tampered tail: %v", err)
 			}
 			j2.Close()
-			j3, err := OpenFileJournal(path, 42, 3)
+			j3, recs, err := openJournal(path, 42, 3)
 			if err != nil {
 				t.Fatalf("reopen after repair: %v", err)
 			}
 			defer j3.Close()
-			if j3.Resumed() != tc.resumed+1 {
-				t.Fatalf("Resumed() = %d after repair, want %d", j3.Resumed(), tc.resumed+1)
+			if len(recs) != tc.resumed+1 || recs[tc.resumed].W != 1 {
+				t.Fatalf("resumed %+v after repair, want %d records ending in window 1", recs, tc.resumed+1)
 			}
 		})
 	}
@@ -232,22 +264,22 @@ func TestJournalTornTail(t *testing.T) {
 // signature (changed input or options) is invalidated, not replayed.
 func TestJournalSigMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sig.wal")
-	j, err := OpenFileJournal(path, 1, 2)
+	j, _, err := openJournal(path, 1, 2)
 	if err != nil {
-		t.Fatalf("OpenFileJournal: %v", err)
+		t.Fatalf("openJournal: %v", err)
 	}
-	if err := j.Record(0, []CellPos{{ID: 0, X: 1, Y: 2}}); err != nil {
-		t.Fatalf("Record: %v", err)
+	if err := j.Append(newRecord(0, []CellPos{{ID: 0, X: 1, Y: 2}})); err != nil {
+		t.Fatalf("Append: %v", err)
 	}
 	j.Close()
 
-	j2, err := OpenFileJournal(path, 2, 2)
+	j2, recs, err := openJournal(path, 2, 2)
 	if err != nil {
 		t.Fatalf("reopen with new sig: %v", err)
 	}
 	defer j2.Close()
-	if j2.Resumed() != 0 {
-		t.Fatalf("Resumed() = %d under a different signature, want 0", j2.Resumed())
+	if len(recs) != 0 {
+		t.Fatalf("resumed %d records under a different signature, want 0", len(recs))
 	}
 }
 
@@ -281,15 +313,14 @@ var sigNeutral = map[string]string{
 // TestSigCoversEveryOption sets each field of core.Options in turn and
 // requires Sig to change, unless the field is on sigNeutral, in which case
 // Sig must not change. A new option therefore fails here until Sig hashes
-// it or it is listed with its reason. Default options keep the signature
-// pinned below, so journals and ECO logs written under it still resume.
+// it or it is listed with its reason. Default options keep defaultSig, so
+// journals and ECO logs written under it still resume.
 func TestSigCoversEveryOption(t *testing.T) {
 	d := genDesign(t, "fft_2", 0.004)
-	const wantDefault = "e932ca71ecfb5326"
 	def := core.New(core.Options{}).Opts
 	base := Sig(d, 4, DefaultContextRows, def)
-	if got := fmt.Sprintf("%016x", base); got != wantDefault {
-		t.Fatalf("default-option Sig = %s, want %s", got, wantDefault)
+	if got := fmt.Sprintf("%016x", base); got != defaultSig {
+		t.Fatalf("default-option Sig = %s, want %s", got, defaultSig)
 	}
 	seen := map[string]bool{}
 	rt := reflect.TypeOf(core.Options{})

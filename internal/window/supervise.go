@@ -11,6 +11,7 @@ import (
 	"mclg/internal/core"
 	"mclg/internal/design"
 	"mclg/internal/mclgerr"
+	"mclg/internal/wal"
 )
 
 // HedgeAttempt is the attempt index hedge solves run under, and so the one
@@ -21,9 +22,9 @@ import (
 const HedgeAttempt = 1 << 20
 
 // Partition parameters, exported so callers that need the resolved values
-// up front (e.g. to compute Sig for a journal before Legalize runs) agree
-// with Legalize: DefaultWindowRows is what a zero Options.WindowRows means,
-// and every windowed run freezes DefaultContextRows rows of context.
+// up front (e.g. to compute Sig for a window cache key) agree with Legalize:
+// DefaultWindowRows is what a zero Options.WindowRows means, and every
+// windowed run freezes DefaultContextRows rows of context.
 const (
 	DefaultWindowRows  = 16
 	DefaultContextRows = 2
@@ -74,9 +75,14 @@ type Options struct {
 	// (internal/faults.WindowChaos).
 	SolveWindow func(ctx context.Context, d *design.Design, p *Plan, w, attempt int) (*Result, error)
 
-	// Journal, when non-nil, records every verified window result and
-	// replays previously recorded windows instead of re-solving them.
-	Journal Journal
+	// JournalPath, when non-empty, names the job's write-ahead journal.
+	// Legalize replays the windows it holds under the same Sig (of the
+	// resolved Core options) instead of re-solving them, appends every
+	// verified window result, and deletes the file once the placement
+	// commits; on any error the file is kept, so a retry resumes from it. A
+	// journal that will not open, like a failed append, is skipped: it
+	// serves restarts and is never a correctness dependency.
+	JournalPath string
 
 	// ExactWindows, when positive, enables the exact refinement post-pass:
 	// after stitch, the ExactWindows windows with the worst committed max
@@ -133,10 +139,11 @@ type Stats struct {
 // supervisor drives one windowed run. mu guards stats, hedging and every
 // windowState.
 type supervisor struct {
-	d      *design.Design
-	plan   *Plan
-	opts   Options
-	states []windowState
+	d       *design.Design
+	plan    *Plan
+	opts    Options
+	states  []windowState
+	journal *wal.Log[journalRecord] // nil unless Options.JournalPath opened
 
 	mu      sync.Mutex
 	stats   Stats
@@ -161,7 +168,7 @@ type windowState struct {
 // commits the placement to d only after the whole-design legality checker
 // passes. The stitched placement is bit-identical for any worker count and
 // any retry/hedge/resume history.
-func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, error) {
+func Legalize(ctx context.Context, d *design.Design, opts Options) (_ *Stats, err error) {
 	opts = opts.withDefaults()
 	if err := d.Validate(); err != nil {
 		return nil, mclgerr.Stage("validate", err)
@@ -172,6 +179,24 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 	}
 	s := &supervisor{d: d, plan: plan, opts: opts, states: make([]windowState, len(plan.Bands))}
 	s.stats.Windows = len(plan.Bands)
+	if opts.JournalPath != "" {
+		sig := Sig(d, opts.WindowRows, DefaultContextRows, core.New(opts.Core).Opts)
+		if journal, recs, jerr := openJournal(opts.JournalPath, sig, len(plan.Bands)); jerr == nil {
+			s.journal = journal
+			defer func() {
+				// Errors are dropped: a journal left behind only replays
+				// verified windows of this same plan.
+				if err == nil {
+					_ = journal.Remove() // committed: nothing left to resume
+				} else {
+					_ = journal.Close() // kept for the retry
+				}
+			}()
+			for _, r := range recs {
+				s.states[r.W].committed = &Result{Window: r.W, Cells: r.Cells}
+			}
+		}
+	}
 	// Every window's context descends from run, so returning cancels them all.
 	run, stop := context.WithCancel(ctx)
 	defer stop()
@@ -180,12 +205,9 @@ func Legalize(ctx context.Context, d *design.Design, opts Options) (*Stats, erro
 	for i := range s.states {
 		st := &s.states[i]
 		st.ctx, st.cancel = context.WithCancel(run)
-		if opts.Journal != nil {
-			if cells, ok := opts.Journal.Lookup(i); ok {
-				st.committed = &Result{Window: i, Cells: cells}
-				s.stats.Resumed++
-				continue
-			}
+		if st.committed != nil {
+			s.stats.Resumed++
+			continue
 		}
 		pending <- i
 	}
@@ -360,10 +382,8 @@ func (s *supervisor) commit(wi int, res *Result, fromHedge bool) {
 	}
 	s.mu.Unlock()
 
-	if s.opts.Journal != nil && !res.Degraded {
-		// Journal errors are non-fatal: the journal is an optimization for
-		// restart, never a correctness dependency.
-		_ = s.opts.Journal.Record(wi, res.Cells)
+	if s.journal != nil && !res.Degraded {
+		_ = s.journal.Append(newRecord(wi, res.Cells)) // a failed append only costs the restart
 	}
 }
 
