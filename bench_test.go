@@ -42,6 +42,7 @@ import (
 	"mclg/internal/lcp"
 	"mclg/internal/metrics"
 	"mclg/internal/qp"
+	"mclg/internal/recycle"
 	"mclg/internal/refine"
 	"mclg/internal/render"
 	"mclg/internal/serve"
@@ -71,7 +72,7 @@ func genBench(b *testing.B, name string, scale float64) *design.Design {
 
 // primePools runs op four times, untimed, so the pools it reaches (the core
 // arena, the Tetris scratch, design.CommitLegal's working copies, the
-// request body buffers) hold storage sized for it. Each pool keeps its last
+// request body buffers, the parse stores) hold storage sized for it. Each pool keeps its last
 // release in a slot that survives collections and serves any processor, so
 // a -benchtime=1x allocation count reads primed storage; the alloc-smoke
 // gate relies on that. It collects before the last op, so that the timed op
@@ -968,8 +969,10 @@ func BenchmarkClusterDispatch(b *testing.B) {
 
 // BenchmarkUploadParse measures the daemon's ingest: parsing the in-memory
 // Bookshelf texts of one serve-mix-sized upload (fft_2 at scale 0.03, about
-// 1k cells) into a validated design. The texts are written and read back
-// once in setup, so only the parse is timed.
+// 1k cells) into a validated design, in a bookshelf.Store taken from a
+// recycle.Pool and put back after each parse, as the daemon's jobs do. The
+// texts are written and read back once in setup, and the pool is primed, so
+// a -benchtime=1x count reads the steady state.
 func BenchmarkUploadParse(b *testing.B) {
 	d := genBench(b, "fft_2", 0.03)
 	files := uploadFiles(b, d)
@@ -978,18 +981,24 @@ func BenchmarkUploadParse(b *testing.B) {
 		Scl: []byte(files["scl"]), Wts: []byte(files["wts"]),
 	}
 	size := len(texts.Nodes) + len(texts.Nets) + len(texts.Pl) + len(texts.Scl) + len(texts.Wts)
-
-	b.ReportAllocs()
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := bookshelf.ReadTexts(texts, "upload")
+	var stores recycle.Pool[bookshelf.Store]
+	parse := func() {
+		s := stores.Get()
+		defer stores.Put(s)
+		got, err := bookshelf.ReadTextsIn(s, texts, "upload")
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(got.Cells) != len(d.Cells) {
 			b.Fatalf("parsed %d cells, want %d", len(got.Cells), len(d.Cells))
 		}
+	}
+	primePools(b, parse)
+	b.ReportAllocs()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parse()
 	}
 }
 

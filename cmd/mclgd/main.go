@@ -64,6 +64,18 @@ func main() {
 	)
 	flag.Parse()
 
+	switch *role {
+	case "standalone", "coordinator", "worker":
+	default:
+		fmt.Fprintf(os.Stderr, "mclgd: unknown -role %q (want standalone, coordinator, or worker)\n", *role)
+		os.Exit(2)
+	}
+	// A flag the role does not read is refused, not silently dropped.
+	if msg := unreadFlag(*role); msg != "" {
+		fmt.Fprintln(os.Stderr, "mclgd:", msg)
+		os.Exit(2)
+	}
+
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 
 	limits, err := cluster.ParseTenantLimits(*tenantLimits)
@@ -83,14 +95,9 @@ func main() {
 		}
 	}
 
-	switch *role {
-	case "worker":
+	if *role == "worker" {
 		runWorker(logger, *addr, *pool, *ecoDir, *ecoSessions, *drainTimeout)
 		return
-	case "standalone", "coordinator":
-	default:
-		fmt.Fprintf(os.Stderr, "mclgd: unknown -role %q (want standalone, coordinator, or worker)\n", *role)
-		os.Exit(2)
 	}
 
 	cfg := serve.Config{
@@ -167,6 +174,28 @@ func main() {
 		"eco_dir", *ecoDir, "eco_sessions", *ecoSessions)
 	serveUntilSignal(logger, ln, handler, srv.Drain, *drainTimeout)
 	logger.Info("mclgd stopped")
+}
+
+// workerFlags are the flags a worker reads.
+var workerFlags = map[string]bool{
+	"addr": true, "role": true, "pool": true, "eco-dir": true, "eco-sessions": true, "drain-timeout": true,
+}
+
+// unreadFlag describes the first explicitly set flag, in name order, that
+// role does not read: any but workerFlags for a worker, and -peers for any
+// role but coordinator. It returns "" when role reads every set flag.
+func unreadFlag(role string) string {
+	msg := ""
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case msg != "":
+		case role == "worker" && !workerFlags[f.Name]:
+			msg = "-role worker does not read -" + f.Name
+		case role != "coordinator" && f.Name == "peers":
+			msg = "-peers requires -role coordinator"
+		}
+	})
+	return msg
 }
 
 // runWorker serves the shard protocol: remote window solves and hosted ECO

@@ -370,6 +370,43 @@ func TestE2EMclgdRefusesUnusableDirs(t *testing.T) {
 	}
 }
 
+// TestE2EMclgdRefusesUnreadFlags starts mclgd with a flag its role does not
+// read: a worker reads only -addr, -role, -pool, -eco-dir, -eco-sessions and
+// -drain-timeout, and only a coordinator reads -peers. The daemon must exit
+// 2 naming the flag, before it creates any directory, instead of serving
+// without it.
+func TestE2EMclgdRefusesUnreadFlags(t *testing.T) {
+	mclgd := buildCmd(t, "mclgd")
+	dir := filepath.Join(t.TempDir(), "j")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-role", "worker", "-tenant-limits", "a=1/1"}, "-role worker does not read -tenant-limits"},
+		{[]string{"-role", "worker", "-windows", "-audit"}, "-role worker does not read -audit"},
+		{[]string{"-role", "worker", "-eco-dir", dir, "-journal-dir", dir}, "-role worker does not read -journal-dir"},
+		{[]string{"-role", "worker", "-pprof"}, "-role worker does not read -pprof"},
+		{[]string{"-role", "worker", "-peers", "http://127.0.0.1:1"}, "-role worker does not read -peers"},
+		{[]string{"-peers", "http://127.0.0.1:1"}, "-peers requires -role coordinator"},
+		{[]string{"-role", "standalone", "-peers", "http://127.0.0.1:1", "-journal-dir", dir}, "-peers requires -role coordinator"},
+	} {
+		// A daemon that serves instead is killed at the deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, mclgd, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()
+		cancel()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("mclgd %v: %v, want exit code 2:\n%s", tc.args, err, out)
+			continue
+		}
+		if want := "mclgd: " + tc.want + "\n"; string(out) != want {
+			t.Errorf("mclgd %v printed %q, want %q", tc.args, out, want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("mclgd %v created %s before refusing (stat: %v)", tc.args, dir, err)
+		}
+	}
+}
+
 // TestE2EMclgServerParity runs the same jobs through mclg locally and through
 // mclg -server against one mclgd: both build the daemon's request, so an
 // accepted job reports the same placement, rung, window counts and

@@ -1,22 +1,31 @@
 package bookshelf
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"mclg/internal/gen"
 	"mclg/internal/mclgerr"
 )
 
 // FuzzReadFiles feeds arbitrary bytes through the core parsers, once from
-// files (ReadFiles) and once from memory (ReadTexts). The invariants: the
-// reader must return either a well-formed design or an error — never panic
-// and never produce a design with invalid geometry — and both entry points
-// must read what oracleRead reads, the reader that grows all its storage as
-// lines arrive: the same error (its text too, from memory), or the same
-// design, every row, cell, net and pin field included.
+// files (ReadFiles), once from memory (ReadTexts), and from memory into a
+// Store that already holds another parse: a larger valid design, with fixed
+// macros, multi-row cells on both rails and weighted nets, or a read of it
+// that failed in its nets. The invariants: the reader must return either a
+// well-formed design or an error — never panic and never produce a design
+// with invalid geometry — and every entry point must read what oracleRead
+// reads, the reader that grows all its storage as lines arrive: the same
+// error (its text too, from memory), or the same design, every row, cell,
+// net and pin field included.
 func FuzzReadFiles(f *testing.F) {
+	larger := largerTexts(f)
+	failed := larger
+	failed.Nets = append(bytes.Clone(larger.Nets), "  zz I : 0 0\n"...)
 	f.Add(
 		"UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 0\n  a 4 10\n",
 		"UCLA pl 1.0\na 3 0 : N\n",
@@ -74,6 +83,15 @@ func FuzzReadFiles(f *testing.F) {
 		"CoreRow Horizontal\n  Coordinate : 0\n  Height : 10\n  Sitewidth : 1\n  SubrowOrigin : 0  NumSites : 50\nEnd\n",
 		"NumNets:1\nNumPins:2\nNumPins:2\nNetDegree:2\n  a I : 0 0\n  b O : 1 1\n",
 	)
+	// Names the larger design also holds ("o6", "macro0"): a store that kept
+	// its name index would find "macro0", which these texts never declare,
+	// or call "o6" a duplicate.
+	f.Add(
+		"UCLA nodes 1.0\n  o6 4 10\n",
+		"o6 3 0 : N\nmacro0 1 1 : N /FIXED\n",
+		"CoreRow Horizontal\n  Coordinate : 0\n  Height : 10\n  Sitewidth : 1\n  SubrowOrigin : 0  NumSites : 50\nEnd\n",
+		"NetDegree : 1 n\n  o6 I : 0 0\n",
+	)
 	f.Fuzz(func(t *testing.T, nodes, pl, scl, nets string) {
 		dir := t.TempDir()
 		files := Files{
@@ -91,6 +109,18 @@ func FuzzReadFiles(f *testing.F) {
 		dm, errm := ReadTexts(tx, "fuzz")
 		sameRead(t, "ReadFiles", tx, d, err, false)
 		sameRead(t, "ReadTexts", tx, dm, errm, true)
+		for _, prior := range []struct {
+			name string
+			tx   Texts
+			ok   bool
+		}{{"a larger design", larger, true}, {"a failed parse", failed, false}} {
+			var s Store
+			if _, err := ReadTextsIn(&s, prior.tx, "prior"); (err == nil) != prior.ok {
+				t.Fatalf("reading %s: %v", prior.name, err)
+			}
+			ds, errs := ReadTextsIn(&s, tx, "fuzz")
+			sameRead(t, "ReadTextsIn after "+prior.name, tx, ds, errs, true)
+		}
 		if errm != nil && !errors.Is(errm, mclgerr.ErrInvalidInput) {
 			t.Fatalf("in-memory parse failed with %v, which does not match ErrInvalidInput", errm)
 		}
@@ -111,4 +141,28 @@ func FuzzReadFiles(f *testing.F) {
 			}
 		}
 	})
+}
+
+// largerTexts writes a generated design of 160 cells, fixed macros, double-
+// and triple-row cells and two weighted nets among them, and returns its
+// texts.
+func largerTexts(tb testing.TB) Texts {
+	g, err := gen.Generate(gen.Spec{Name: "larger", SingleCells: 120, DoubleCells: 25, TripleCells: 10,
+		FixedMacros: 5, Density: 0.6, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.Nets[0].Weight, g.Nets[len(g.Nets)-1].Weight = 3, 0.25
+	aux := filepath.Join(tb.TempDir(), "larger.aux")
+	if err := Write(g, aux); err != nil {
+		tb.Fatal(err)
+	}
+	read := func(comp string) []byte {
+		b, err := os.ReadFile(strings.TrimSuffix(aux, "aux") + comp)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	return Texts{Nodes: read("nodes"), Pl: read("pl"), Scl: read("scl"), Nets: read("nets"), Wts: read("wts")}
 }

@@ -1,6 +1,7 @@
 package bookshelf
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -17,16 +18,19 @@ import (
 // the lines arrive. It keeps the keyword rules of the current reader: the
 // header and NetDegree keywords match only as a whole first field, alone or
 // with a colon and maybe the count attached, and a node is fixed by a
-// "/FIXED" or "/FIXED_NI" field after its coordinates. FuzzReadFiles holds both entry points to it.
+// "/FIXED" or "/FIXED_NI" field after its coordinates. It reads the rows and
+// the weights with the reader's own parsers, into a fresh Store.
+// FuzzReadFiles holds every entry point to it.
 func oracleRead(t Texts, name string) (*design.Design, error) {
-	rows, err := readScl(bytes.NewReader(t.Scl), "scl")
+	var s Store
+	rows, err := s.readScl(bytes.NewReader(t.Scl), "scl")
 	if err != nil {
 		return nil, err
 	}
 	if len(rows) == 0 {
 		return nil, mclgerr.Invalidf("bookshelf: scl: no rows")
 	}
-	d, err := designFromRows(name, rows)
+	d, err := s.designFromRows(name, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -49,13 +53,21 @@ func oracleRead(t Texts, name string) (*design.Design, error) {
 	if err := oracleNets(bytes.NewReader(t.Nets), "nets", d, idx); err != nil {
 		return nil, err
 	}
-	if err := readWts(bytes.NewReader(t.Wts), "wts", d); err != nil {
+	if err := s.readWts(bytes.NewReader(t.Wts), "wts"); err != nil {
 		return nil, err
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// oracleScanner is the line scanner the reader used before it kept its line
+// buffer in a Store.
+func oracleScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
+	return sc
 }
 
 // oracleKeyword is the keyword rule, spelled out on strings.
@@ -66,7 +78,7 @@ func oracleKeyword(field []byte, kw string) bool {
 
 func oracleNodes(r io.Reader, label string, d *design.Design) (map[string]int, error) {
 	idx := make(map[string]int)
-	sc := newScanner(r, maxLine)
+	sc := oracleScanner(r)
 	var f [][]byte
 	lineNo := 1
 	for ; sc.Scan(); lineNo++ {
@@ -102,7 +114,7 @@ func oracleNodes(r io.Reader, label string, d *design.Design) (map[string]int, e
 }
 
 func oraclePl(r io.Reader, label string, d *design.Design, idx map[string]int) error {
-	sc := newScanner(r, maxLine)
+	sc := oracleScanner(r)
 	var f [][]byte
 	lineNo := 1
 	for ; sc.Scan(); lineNo++ {
@@ -135,7 +147,7 @@ func oraclePl(r io.Reader, label string, d *design.Design, idx map[string]int) e
 }
 
 func oracleNets(r io.Reader, label string, d *design.Design, idx map[string]int) error {
-	sc := newScanner(r, maxLine)
+	sc := oracleScanner(r)
 	first := len(d.Nets)
 	var pins []design.Pin
 	start := 0

@@ -59,37 +59,12 @@ type Config struct {
 
 // NewDesign builds an empty design with the given row/site structure. It
 // panics on malformed configs and is intended for programmatic construction;
-// paths fed by user input (file loaders, CLI flags) must use
-// NewDesignChecked, which returns a typed error instead.
+// paths fed by user input (file loaders) must use Reset, which returns a
+// typed error instead.
 func NewDesign(cfg Config) *Design {
-	d, err := NewDesignChecked(cfg)
-	if err != nil {
+	d := new(Design)
+	if err := d.Reset(cfg); err != nil {
 		panic(fmt.Sprintf("design: invalid config %+v: %v", cfg, err))
-	}
-	return d
-}
-
-// newDesign builds the design from an already-validated config.
-func newDesign(cfg Config) *Design {
-	d := &Design{
-		Name:      cfg.Name,
-		RowHeight: cfg.RowHeight,
-		SiteW:     cfg.SiteW,
-		Core: geom.NewRect(cfg.OriginX, cfg.OriginY,
-			float64(cfg.NumSites)*cfg.SiteW, float64(cfg.NumRows)*cfg.RowHeight),
-	}
-	rail := cfg.BottomRail
-	for i := 0; i < cfg.NumRows; i++ {
-		d.Rows = append(d.Rows, Row{
-			Index:    i,
-			Y:        cfg.OriginY + float64(i)*cfg.RowHeight,
-			Height:   cfg.RowHeight,
-			OriginX:  cfg.OriginX,
-			SiteW:    cfg.SiteW,
-			NumSites: cfg.NumSites,
-			Rail:     rail,
-		})
-		rail = rail.Opposite()
 	}
 	return d
 }

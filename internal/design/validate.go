@@ -2,28 +2,51 @@ package design
 
 import (
 	"math"
+	"slices"
 
+	"mclg/internal/geom"
 	"mclg/internal/mclgerr"
 )
 
-// NewDesignChecked is NewDesign returning a typed error instead of panicking
-// on a malformed configuration. User-input-reachable paths (Bookshelf
-// loading, CLI flags) must use this variant; NewDesign remains for
-// programmatic construction with known-good configs.
-func NewDesignChecked(cfg Config) (*Design, error) {
+// Reset makes d the empty design that cfg describes, as NewDesign builds
+// it, in d's own storage: its row array, its net list and its cell pointer
+// slots, with the Cells they point at, keep their capacity for the rows,
+// nets and cells added next (see GrowCells). On a malformed configuration it
+// returns a typed error instead of panicking and leaves d unchanged, so
+// user-input-reachable paths (Bookshelf loading) must use it. No other
+// design may still read d's cells or netlist: the next ones overwrite them.
+func (d *Design) Reset(cfg Config) error {
 	switch {
 	case !isFinite(cfg.RowHeight) || cfg.RowHeight <= 0:
-		return nil, mclgerr.Invalidf("design %q: row height %g must be positive and finite", cfg.Name, cfg.RowHeight)
+		return mclgerr.Invalidf("design %q: row height %g must be positive and finite", cfg.Name, cfg.RowHeight)
 	case !isFinite(cfg.SiteW) || cfg.SiteW <= 0:
-		return nil, mclgerr.Invalidf("design %q: site width %g must be positive and finite", cfg.Name, cfg.SiteW)
+		return mclgerr.Invalidf("design %q: site width %g must be positive and finite", cfg.Name, cfg.SiteW)
 	case cfg.NumRows <= 0:
-		return nil, mclgerr.Invalidf("design %q: NumRows %d must be positive", cfg.Name, cfg.NumRows)
+		return mclgerr.Invalidf("design %q: NumRows %d must be positive", cfg.Name, cfg.NumRows)
 	case cfg.NumSites <= 0:
-		return nil, mclgerr.Invalidf("design %q: NumSites %d must be positive", cfg.Name, cfg.NumSites)
+		return mclgerr.Invalidf("design %q: NumSites %d must be positive", cfg.Name, cfg.NumSites)
 	case !isFinite(cfg.OriginX) || !isFinite(cfg.OriginY):
-		return nil, mclgerr.Invalidf("design %q: origin (%g, %g) must be finite", cfg.Name, cfg.OriginX, cfg.OriginY)
+		return mclgerr.Invalidf("design %q: origin (%g, %g) must be finite", cfg.Name, cfg.OriginX, cfg.OriginY)
 	}
-	return newDesign(cfg), nil
+	d.Name, d.RowHeight, d.SiteW = cfg.Name, cfg.RowHeight, cfg.SiteW
+	d.Core = geom.NewRect(cfg.OriginX, cfg.OriginY,
+		float64(cfg.NumSites)*cfg.SiteW, float64(cfg.NumRows)*cfg.RowHeight)
+	d.Rows = slices.Grow(d.Rows[:0], cfg.NumRows)
+	rail := cfg.BottomRail
+	for i := 0; i < cfg.NumRows; i++ {
+		d.Rows = append(d.Rows, Row{
+			Index:    i,
+			Y:        cfg.OriginY + float64(i)*cfg.RowHeight,
+			Height:   cfg.RowHeight,
+			OriginX:  cfg.OriginX,
+			SiteW:    cfg.SiteW,
+			NumSites: cfg.NumSites,
+			Rail:     rail,
+		})
+		rail = rail.Opposite()
+	}
+	d.Cells, d.Nets = d.Cells[:0], d.Nets[:0]
+	return nil
 }
 
 // AddCellChecked is AddCell returning a typed error instead of panicking

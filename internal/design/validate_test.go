@@ -2,6 +2,7 @@ package design
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -86,7 +87,19 @@ func TestValidateIgnoresFixedOddGeometry(t *testing.T) {
 	}
 }
 
-func TestNewDesignChecked(t *testing.T) {
+// TestResetChecksConfig resets a design that holds rows, cells and nets:
+// a malformed configuration is refused with ErrInvalidInput and leaves it
+// as it was, and a good one makes it the design NewDesign builds while its
+// rows, cells and nets keep their storage, so re-adding as many cells as
+// it held allocates nothing and reuses its Cells.
+func TestResetChecksConfig(t *testing.T) {
+	d := NewDesign(Config{Name: "old", NumRows: 4, NumSites: 50, RowHeight: 10, SiteW: 1})
+	var held []*Cell
+	for i := 0; i < 5; i++ {
+		held = append(held, d.AddCell("c", 2, 20, VDD))
+	}
+	d.Nets = append(d.Nets, Net{Name: "n", Weight: 2, Pins: []Pin{{CellID: 1}}})
+	before := fmt.Sprintf("%+v %v", *d, d.Cells)
 	bad := []Config{
 		{NumRows: 0, NumSites: 10, RowHeight: 10, SiteW: 1},
 		{NumRows: 2, NumSites: 0, RowHeight: 10, SiteW: 1},
@@ -96,12 +109,38 @@ func TestNewDesignChecked(t *testing.T) {
 		{NumRows: 2, NumSites: 10, RowHeight: 10, SiteW: 1, OriginX: math.Inf(-1)},
 	}
 	for i, cfg := range bad {
-		if _, err := NewDesignChecked(cfg); !errors.Is(err, mclgerr.ErrInvalidInput) {
+		if err := d.Reset(cfg); !errors.Is(err, mclgerr.ErrInvalidInput) {
 			t.Errorf("config %d: got %v, want ErrInvalidInput", i, err)
 		}
+		if after := fmt.Sprintf("%+v %v", *d, d.Cells); after != before {
+			t.Fatalf("config %d changed the design:\n%s\nwant\n%s", i, after, before)
+		}
 	}
-	if _, err := NewDesignChecked(Config{NumRows: 2, NumSites: 10, RowHeight: 10, SiteW: 1}); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	cfg := Config{Name: "new", NumRows: 3, NumSites: 20, RowHeight: 8, SiteW: 2, BottomRail: VDD, OriginX: -4, OriginY: 6}
+	rows, cells, nets := &d.Rows[0], cap(d.Cells), cap(d.Nets)
+	if err := d.Reset(cfg); err != nil {
+		t.Fatalf("good config rejected: %v", err)
+	}
+	want := NewDesign(cfg)
+	if d.Name != want.Name || d.Core != want.Core || d.RowHeight != want.RowHeight || d.SiteW != want.SiteW ||
+		fmt.Sprint(d.Rows) != fmt.Sprint(want.Rows) || len(d.Cells) != 0 || len(d.Nets) != 0 {
+		t.Fatalf("reset design %+v, want %+v", *d, *want)
+	}
+	if &d.Rows[0] != rows || cap(d.Cells) != cells || cap(d.Nets) != nets {
+		t.Error("reset dropped the design's row, cell or net storage")
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		_ = d.Reset(cfg)
+		for range held {
+			d.AddCell("c", 2, 8, VSS)
+		}
+	}); allocs != 0 {
+		t.Errorf("resetting and re-adding %d cells took %g allocations, want 0", len(held), allocs)
+	}
+	for i, c := range d.Cells {
+		if c != held[i] || c.ID != i || c.RowSpan != 1 || c.BottomRail != VSS {
+			t.Errorf("cell %d = %+v, want a fresh one-row cell in the held Cell", i, *c)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package recycle is the per-call storage policy shared by every pooled
 // scratch in the repository: the solve arena in core, design.CommitLegal's
-// working copy, Tetris's scratch, the legality checker's sweep and the
-// /v1/legalize body buffer.
+// working copy, Tetris's scratch, the legality checker's sweep, and the
+// /v1/legalize body buffer and parse storage.
 package recycle
 
 import (

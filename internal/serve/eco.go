@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mclg/internal/audit"
+	"mclg/internal/bookshelf"
 	"mclg/internal/eco"
 	"mclg/internal/mclgerr"
 	"mclg/internal/serve/report"
@@ -259,7 +260,7 @@ func (s *Server) recoverSessions() {
 // the registry is durable the original request is stored as the log's meta
 // payload, closing the recovery loop.
 func (s *Server) createSession(ctx context.Context, id string, req *ecoRequest) (*eco.Session, error) {
-	d, err := req.legalizeView().loadDesign()
+	d, err := req.legalizeView().loadDesign(new(bookshelf.Store)) // the session keeps d
 	if err != nil {
 		return nil, err
 	}
