@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -333,7 +334,7 @@ func TestHeadersPresizeOrFallBack(t *testing.T) {
 			if len(d.Cells) != len(g.Cells) || len(d.Nets) != len(g.Nets) {
 				t.Fatalf("read %d cells and %d nets, want %d and %d", len(d.Cells), len(d.Nets), len(g.Cells), len(g.Nets))
 			}
-			mallocs, bytes := parseCost(t, tx)
+			mallocs, bytes := parseCost(t, tx, nil)
 			if limit := 64 * (len(tx.Nodes) + len(tx.Nets)); bytes > uint64(limit) {
 				t.Errorf("parse allocated %d bytes, over 64 per byte of nodes and nets text (%d)", bytes, limit)
 			}
@@ -382,15 +383,59 @@ func TestDeclaredCounts(t *testing.T) {
 	}
 }
 
-// parseCost returns the allocations and bytes one ReadTexts of tx takes,
-// the least of three reads: the counters are process-wide, so another
-// goroutine's allocation (a finalizer, the race detector's) may land in one.
-func parseCost(t *testing.T, tx Texts) (mallocs, bytes uint64) {
+// TestStoreReusesItsStorage reads the same texts twice into one Store. The
+// second read must build its design in the first one's storage: the same
+// Design, Cell structs, net list and pin array. It must also allocate less
+// than a tenth of the bytes a fresh read does, which is what the store
+// saves a daemon's ingest.
+func TestStoreReusesItsStorage(t *testing.T) {
+	tx := largerTexts(t)
+	var s Store
+	first, err := ReadTextsIn(&s, tx, "fuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Nets) == 0 || len(first.Nets[0].Pins) == 0 {
+		t.Fatal("the design has no pinned net")
+	}
+	cells := slices.Clone(first.Cells)
+	nets, pins := &first.Nets[0], &first.Nets[0].Pins[0]
+	second, err := ReadTextsIn(&s, tx, "fuzz")
+	sameRead(t, "second ReadTextsIn", tx, second, err, true)
+	if second != first {
+		t.Fatal("the second read built a new Design")
+	}
+	for i, c := range second.Cells {
+		if c != cells[i] {
+			t.Fatalf("the second read built a new Cell for cell %d", i)
+		}
+	}
+	if &second.Nets[0] != nets {
+		t.Error("the second read built a new net list")
+	}
+	if &second.Nets[0].Pins[0] != pins {
+		t.Error("the second read built a new pin array")
+	}
+	_, fresh := parseCost(t, tx, nil)
+	if _, reused := parseCost(t, tx, &s); reused*10 > fresh {
+		t.Errorf("a read into a used store allocated %d bytes, a fresh read %d; want under a tenth", reused, fresh)
+	}
+}
+
+// parseCost returns the allocations and bytes one ReadTextsIn of tx into s,
+// or into a fresh Store when s is nil, takes: the least of three reads,
+// because the counters are process-wide, so another goroutine's allocation
+// (a finalizer, the race detector's) may land in one.
+func parseCost(t *testing.T, tx Texts, s *Store) (mallocs, bytes uint64) {
 	mallocs, bytes = math.MaxUint64, math.MaxUint64
 	for range 3 {
+		into := s
+		if into == nil {
+			into = new(Store)
+		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, err := ReadTexts(tx, "cost")
+		_, err := ReadTextsIn(into, tx, "cost")
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
