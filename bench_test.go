@@ -117,10 +117,12 @@ func BenchmarkTable2Legalizers(b *testing.B) {
 		name string
 		run  func(d *design.Design) error
 	}{
-		{"DAC16", chow.Legalize},
-		{"DAC16-Imp", func(d *design.Design) error { return chow.LegalizeImproved(d, chow.Options{}) }},
+		{"DAC16", func(d *design.Design) error { return chow.LegalizeContext(context.Background(), d) }},
+		{"DAC16-Imp", func(d *design.Design) error {
+			return chow.LegalizeImprovedContext(context.Background(), d, chow.Options{})
+		}},
 		{"ASPDAC17", func(d *design.Design) error {
-			if err := wang.Legalize(d); err != nil {
+			if err := wang.LegalizeContext(context.Background(), d); err != nil {
 				return err
 			}
 			_, err := tetris.Allocate(d)
@@ -194,11 +196,11 @@ func BenchmarkSingleRowMMSIMvsPlaceRow(b *testing.B) {
 		b.Run(name+"/MMSIM", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := base.Clone()
-				p, err := core.BuildProblem(d, 1000)
+				p, err := core.BuildProblemBounded(d, 1000, false)
 				if err != nil {
 					b.Fatal(err)
 				}
-				x, _, err := core.SolveMMSIM(p, core.New(core.Options{Eps: 1e-6}).Opts)
+				x, _, err := core.SolveMMSIMContext(context.Background(), p, core.New(core.Options{Eps: 1e-6}).Opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,7 +281,7 @@ func BenchmarkSolverComparison(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := lcp.MMSIM(prob, sp, lcp.Options{Eps: 1e-10}); err != nil {
+			if _, err := lcp.MMSIMContext(context.Background(), prob, sp, lcp.Options{Eps: 1e-10}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -392,11 +394,11 @@ func BenchmarkSchurAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			p, err := core.BuildProblem(d, 1000)
+			p, err := core.BuildProblemBounded(d, 1000, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.NewStructuredSplitting(p, 0.5, 0.5); err != nil {
+			if _, err := core.NewStructuredSplittingOmegaR(p, 0.5, 0.5, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -447,7 +449,7 @@ func BenchmarkMMSIMIteration(b *testing.B) {
 			if err := core.AssignRows(d); err != nil {
 				b.Fatal(err)
 			}
-			p, err := core.BuildProblem(d, 1000)
+			p, err := core.BuildProblemBounded(d, 1000, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,7 +458,7 @@ func BenchmarkMMSIMIteration(b *testing.B) {
 			opts.MaxIter = 0
 			opts.OnIter = func(k int, dz float64) { iters++ }
 			solve := func() {
-				if _, _, err := core.SolveMMSIM(p, opts); err != nil {
+				if _, _, err := core.SolveMMSIMContext(context.Background(), p, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -687,7 +689,7 @@ func BenchmarkMMSIMSteadyState(b *testing.B) {
 	if err := core.AssignRows(d); err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.BuildProblem(d, 1000)
+	p, err := core.BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -696,8 +698,7 @@ func BenchmarkMMSIMSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	prob := &lcp.Problem{A: p.AssembleLCPMatrix(), Q: p.LCPVector()}
-	ws := lcp.NewWorkspace(p.NumVars + p.NumCons)
-	sv, err := lcp.NewSolver(prob, sp, lcp.Options{Workspace: ws, MaxIter: 1 << 30})
+	sv, err := lcp.NewSolver(prob, sp, lcp.Options{Workspace: new(lcp.Workspace), MaxIter: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestCrossCheckCatchesPerturbation(t *testing.T) {
 	opts.Eps = 1e-11
 	opts.MaxIter = 500000
 	opts.ResidualTol = -1
-	x, _, err := core.SolveMMSIM(p, opts)
+	x, _, err := core.SolveMMSIMContext(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

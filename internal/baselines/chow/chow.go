@@ -10,8 +10,8 @@
 // Two variants are provided, matching the two comparison columns of
 // Table 2:
 //
-//   - Legalize (DAC'16): the one-pass greedy.
-//   - LegalizeImproved (DAC'16-Imp): the same pass followed by iterative
+//   - LegalizeContext (DAC'16): the one-pass greedy.
+//   - LegalizeImprovedContext (DAC'16-Imp): the same pass followed by iterative
 //     local refinement, modeling the authors' improved post-conference
 //     binary.
 package chow
@@ -29,30 +29,20 @@ import (
 // Options tunes the baseline.
 type Options struct {
 	// RefinePasses is the number of refinement sweeps for
-	// LegalizeImproved; 0 means 3.
+	// LegalizeImprovedContext; 0 means 3.
 	RefinePasses int
 }
 
-// Legalize runs the one-pass greedy legalizer (the "DAC'16" column).
-// Cells are processed in global x order; each is placed at the free
-// position nearest to its global-placement location.
-func Legalize(d *design.Design) error {
-	return LegalizeContext(context.Background(), d)
-}
-
-// LegalizeContext is Legalize with cooperative cancellation.
+// LegalizeContext runs the one-pass greedy legalizer (the "DAC'16" column)
+// with cooperative cancellation. Cells are processed in global x order; each
+// is placed at the free position nearest to its global-placement location.
 func LegalizeContext(ctx context.Context, d *design.Design) error {
 	_, err := run(ctx, d, Options{RefinePasses: -1})
 	return err
 }
 
-// LegalizeImproved runs the greedy pass plus local refinement (the
-// "DAC'16-Imp" column).
-func LegalizeImproved(d *design.Design, opts Options) error {
-	return LegalizeImprovedContext(context.Background(), d, opts)
-}
-
-// LegalizeImprovedContext is LegalizeImproved with cooperative cancellation.
+// LegalizeImprovedContext runs the greedy pass plus local refinement (the
+// "DAC'16-Imp" column) with cooperative cancellation.
 func LegalizeImprovedContext(ctx context.Context, d *design.Design, opts Options) error {
 	if opts.RefinePasses == 0 {
 		opts.RefinePasses = 3

@@ -1,6 +1,7 @@
 package chow
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,7 +24,7 @@ func genSmall(t *testing.T, seed int64, density float64) *design.Design {
 func TestLegalizeProducesLegalPlacement(t *testing.T) {
 	for _, density := range []float64{0.3, 0.6, 0.85} {
 		d := genSmall(t, 21, density)
-		if err := Legalize(d); err != nil {
+		if err := LegalizeContext(context.Background(), d); err != nil {
 			t.Fatalf("density %g: %v", density, err)
 		}
 		if rep := design.CheckLegal(d); !rep.Legal() {
@@ -35,10 +36,10 @@ func TestLegalizeProducesLegalPlacement(t *testing.T) {
 func TestLegalizeImprovedNotWorse(t *testing.T) {
 	d1 := genSmall(t, 23, 0.7)
 	d2 := d1.Clone()
-	if err := Legalize(d1); err != nil {
+	if err := LegalizeContext(context.Background(), d1); err != nil {
 		t.Fatal(err)
 	}
-	if err := LegalizeImproved(d2, Options{}); err != nil {
+	if err := LegalizeImprovedContext(context.Background(), d2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if rep := design.CheckLegal(d2); !rep.Legal() {
@@ -59,7 +60,7 @@ func TestLegalizeKeepsFixedCells(t *testing.T) {
 	c := d.AddCell("c", 6, 10, design.VSS)
 	c.GX, c.GY = 22, 0 // wants to sit inside the fixed cell
 	c.X, c.Y = c.GX, c.GY
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if f.X != 20 || f.Y != 0 {
@@ -83,7 +84,7 @@ func TestLegalizeEvenCellsOnMatchingRails(t *testing.T) {
 		c.GY = rng.Float64() * 60
 		c.X, c.Y = c.GX, c.GY
 	}
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	rep := design.CheckLegal(d)

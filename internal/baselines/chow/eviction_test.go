@@ -1,6 +1,7 @@
 package chow
 
 import (
+	"context"
 	"testing"
 
 	"mclg/internal/design"
@@ -24,7 +25,7 @@ func TestLegalizeEvictionPath(t *testing.T) {
 	w := d.AddCell("wide", 4, 10, design.VSS)
 	w.GX, w.GY = 27.5, 0
 	w.X, w.Y = w.GX, w.GY
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if rep := design.CheckLegal(d); !rep.Legal() {
@@ -51,7 +52,7 @@ func TestLegalizeTerminalFallback(t *testing.T) {
 			c.X, c.Y = c.GX, c.GY
 		}
 	}
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if rep := design.CheckLegal(d); !rep.Legal() {
@@ -70,7 +71,7 @@ func TestLegalizeImprovedAfterFallback(t *testing.T) {
 			c.X, c.Y = c.GX, c.GY
 		}
 	}
-	if err := LegalizeImproved(d, Options{RefinePasses: 2}); err != nil {
+	if err := LegalizeImprovedContext(context.Background(), d, Options{RefinePasses: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if rep := design.CheckLegal(d); !rep.Legal() {

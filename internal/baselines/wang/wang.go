@@ -67,18 +67,13 @@ func (st *state) park(c *design.Cell) {
 	st.d.Move(c, c.GX, st.d.RowY(row))
 }
 
-// Legalize runs the baseline, mutating cell positions. Positions are left
-// real-valued within segments; callers snap via the tetris allocator.
-func Legalize(d *design.Design) error {
-	return LegalizeContext(context.Background(), d)
-}
-
 // cancelCheckEvery is how many per-cell sweep steps pass between context
 // polls.
 const cancelCheckEvery = 256
 
-// LegalizeContext is Legalize with cooperative cancellation in the per-cell
-// Abacus sweep.
+// LegalizeContext runs the baseline, mutating cell positions, with
+// cooperative cancellation in the per-cell Abacus sweep. Positions are left
+// real-valued within segments; callers snap via the tetris allocator.
 func LegalizeContext(ctx context.Context, d *design.Design) error {
 	st := &state{d: d}
 

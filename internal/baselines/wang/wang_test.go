@@ -1,6 +1,7 @@
 package wang
 
 import (
+	"context"
 	"testing"
 
 	"mclg/internal/design"
@@ -16,7 +17,7 @@ func TestLegalizePlusSnapIsLegal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Legalize(d); err != nil {
+		if err := LegalizeContext(context.Background(), d); err != nil {
 			t.Fatalf("density %g: %v", density, err)
 		}
 		// Positions are real-valued; snap with the tetris allocator.
@@ -36,7 +37,7 @@ func TestMultiRowCellsPlacedFirstAndCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range d.Cells {
@@ -63,7 +64,7 @@ func TestSegmentsRespectObstacles(t *testing.T) {
 		c.GX, c.GY = float64(20+i*2), 0
 		c.X, c.Y = c.GX, c.GY
 	}
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range d.Cells {
@@ -83,7 +84,7 @@ func TestOrderingPreservedWithinSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Legalize(d); err != nil {
+	if err := LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	// Single-height cells in the same row must keep their GX order unless

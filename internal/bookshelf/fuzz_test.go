@@ -106,7 +106,7 @@ func FuzzReadFiles(f *testing.F) {
 		os.WriteFile(files.Nets, []byte(nets), 0o644)
 		d, err := ReadFiles(files, "fuzz")
 		tx := texts(nodes, pl, scl, nets, "")
-		dm, errm := ReadTexts(tx, "fuzz")
+		dm, errm := ReadTextsIn(new(Store), tx, "fuzz")
 		sameRead(t, "ReadFiles", tx, d, err, false)
 		sameRead(t, "ReadTexts", tx, dm, errm, true)
 		for _, prior := range []struct {

@@ -128,7 +128,7 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 			}{
 				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, scl, nets), "corrupt") }},
 				{"ReadTexts", func() (*design.Design, error) {
-					return ReadTexts(texts(nodes, pl, scl, nets, ""), "corrupt")
+					return ReadTextsIn(new(Store), texts(nodes, pl, scl, nets, ""), "corrupt")
 				}},
 			} {
 				_, err := read.read()
@@ -249,7 +249,9 @@ func TestKeywordsMatchWholeFields(t *testing.T) {
 				read  func() (*design.Design, error)
 			}{
 				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, goodScl, nets), "kw") }},
-				{"ReadTexts", func() (*design.Design, error) { return ReadTexts(texts(nodes, pl, goodScl, nets, ""), "kw") }},
+				{"ReadTexts", func() (*design.Design, error) {
+					return ReadTextsIn(new(Store), texts(nodes, pl, goodScl, nets, ""), "kw")
+				}},
 			} {
 				d, err := read.read()
 				if err != nil {
@@ -326,7 +328,7 @@ func TestHeadersPresizeOrFallBack(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tx := texts(tc.apply(nodes), pl, scl, tc.apply(nets), wts)
-			d, err := ReadTexts(tx, "fuzz")
+			d, err := ReadTextsIn(new(Store), tx, "fuzz")
 			sameRead(t, "ReadTexts", tx, d, err, true)
 			if err != nil {
 				t.Fatal(err)

@@ -172,7 +172,7 @@ func TestFailedCascadeLeavesCallerUntouched(t *testing.T) {
 		return cells, nets
 	}
 	cells, nets := snapshot(d)
-	if _, err := core.NewResilient(core.Options{}).Legalize(big.Clone()); err != nil {
+	if _, err := core.NewResilient(core.Options{}).LegalizeContext(context.Background(), big.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	failing := core.NewResilient(core.Options{MaxIter: 1, Eps: 1e-12, MMSIMOnly: true})
@@ -184,7 +184,7 @@ func TestFailedCascadeLeavesCallerUntouched(t *testing.T) {
 		t.Fatal("a failed cascade changed the caller's cells or netlist")
 	}
 
-	if _, err := core.NewResilient(core.Options{}).Legalize(d); err != nil {
+	if _, err := core.NewResilient(core.Options{}).LegalizeContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	gotCells, gotNets = snapshot(d)
@@ -204,7 +204,7 @@ func TestConcurrentPooledSolves(t *testing.T) {
 	seq := arenaSequence(t)
 	solve := func(i int) (string, error) {
 		d := seq[i].d.Clone()
-		if _, err := core.NewResilient(seq[i].opts).Legalize(d); err != nil {
+		if _, err := core.NewResilient(seq[i].opts).LegalizeContext(context.Background(), d); err != nil {
 			return "", err
 		}
 		return regress.PositionHash(d), nil

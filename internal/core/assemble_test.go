@@ -123,7 +123,7 @@ func TestAssembleLCPMatrixMatchesTriplets(t *testing.T) {
 func TestAssembleLCPMatrixAllocs(t *testing.T) {
 	var counts []float64
 	for _, bench := range []string{"fft_2", "superblue19"} {
-		p, err := BuildProblem(assemblyDesign(t, bench, 0.01), 1000)
+		p, err := BuildProblemBounded(assemblyDesign(t, bench, 0.01), 1000, false)
 		if err != nil {
 			t.Fatal(err)
 		}

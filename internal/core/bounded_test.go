@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,11 +28,11 @@ func TestBoundedRightNoViolations(t *testing.T) {
 	relaxed := d.Clone()
 	bounded := d.Clone()
 
-	pr, err := BuildProblem(relaxed, 1000)
+	pr, err := BuildProblemBounded(relaxed, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xr, _, err := SolveMMSIM(pr, New(Options{Eps: 1e-6}).Opts)
+	xr, _, err := SolveMMSIMContext(context.Background(), pr, New(Options{Eps: 1e-6}).Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestBoundedRightNoViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xb, st, err := SolveMMSIM(pb, New(Options{Eps: 1e-6}).Opts)
+	xb, st, err := SolveMMSIMContext(context.Background(), pb, New(Options{Eps: 1e-6}).Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestBoundedMatchesQPReference(t *testing.T) {
 		if p.NumCons == 0 {
 			continue
 		}
-		x, st, err := SolveMMSIM(p, Options{
+		x, st, err := SolveMMSIMContext(context.Background(), p, Options{
 			Lambda: lambda, Beta: 0.5, Theta: 0.5, Gamma: 1,
 			Eps: 1e-10, MaxIter: 400000,
 		})

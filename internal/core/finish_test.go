@@ -111,7 +111,7 @@ func TestFinishFallbackMatchesMMSIMOnly(t *testing.T) {
 			if err := AssignRows(d); err != nil {
 				t.Fatal(err)
 			}
-			p, err := BuildProblem(d, 1000)
+			p, err := BuildProblemBounded(d, 1000, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestFinishAllocatesNothing(t *testing.T) {
 	if err := AssignRows(d); err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestReleasedArenaDropsCallerProblem(t *testing.T) {
 	if err := AssignRows(d); err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestFinishHonorsCancellation(t *testing.T) {
 	if err := AssignRows(d); err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}

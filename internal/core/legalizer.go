@@ -295,15 +295,10 @@ type SolveStats struct {
 	Finish FinishStats
 }
 
-// SolveMMSIM assembles the LCP for an already-built problem and runs the
-// structured MMSIM. It returns the subcell x solution (length p.NumVars,
-// relative to the core's left edge).
-func SolveMMSIM(p *Problem, opts Options) ([]float64, *SolveStats, error) {
-	return SolveMMSIMContext(context.Background(), p, opts)
-}
-
-// SolveMMSIMContext is SolveMMSIM with cooperative cancellation in the
-// MMSIM hot loop.
+// SolveMMSIMContext assembles the LCP for an already-built problem and runs
+// the structured MMSIM, with cooperative cancellation in its hot loop. It
+// returns the subcell x solution (length p.NumVars, relative to the core's
+// left edge).
 func SolveMMSIMContext(ctx context.Context, p *Problem, opts Options) ([]float64, *SolveStats, error) {
 	z, st, err := SolveMMSIMFull(ctx, p, opts)
 	if err != nil || z == nil {

@@ -83,14 +83,14 @@ func TestMMSIMMatchesActiveSetQP(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambda := 100.0 // keep the QP reference well conditioned
-		p, err := BuildProblem(d, lambda)
+		p, err := BuildProblemBounded(d, lambda, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.NumCons == 0 {
 			continue
 		}
-		x, st, err := SolveMMSIM(p, Options{
+		x, st, err := SolveMMSIMContext(context.Background(), p, Options{
 			Lambda: lambda, Beta: 0.5, Theta: 0.5, Gamma: 1,
 			Eps: 1e-10, MaxIter: 200000, AutoTheta: true,
 		})
@@ -189,7 +189,7 @@ func feasibleStart(p *Problem) []float64 {
 
 func TestRestoreAveragesSubcells(t *testing.T) {
 	d, cells := figure3Design()
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +293,11 @@ func TestThetaBoundPositive(t *testing.T) {
 	if err := AssignRows(d); err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewStructuredSplitting(p, 0.5, 0.5)
+	sp, err := NewStructuredSplittingOmegaR(p, 0.5, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func figure2Design() (*design.Design, []*design.Cell) {
 
 func TestFigure2ConstraintMatrix(t *testing.T) {
 	d, cells := figure2Design()
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func figure3Design() (*design.Design, []*design.Cell) {
 
 func TestFigure3Matrices(t *testing.T) {
 	d, cells := figure3Design()
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBFullRowRank(t *testing.T) {
 	// Proposition 2: B has full row rank. Verify on the Figure 3 example by
 	// Gaussian elimination over the dense expansion.
 	d, _ := figure3Design()
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func matRank(a [][]float64) int {
 
 func TestApplyHMatchesAssembled(t *testing.T) {
 	d, _ := figure3Design()
-	p, err := BuildProblem(d, 7)
+	p, err := BuildProblemBounded(d, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestApplyHMatchesAssembled(t *testing.T) {
 func TestSolveHShiftedInvertsApply(t *testing.T) {
 	d, _ := figure3Design()
 	lambda := 13.0
-	p, err := BuildProblem(d, lambda)
+	p, err := BuildProblemBounded(d, lambda, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSolveHShiftedTripleHeight(t *testing.T) {
 	c.GX, c.GY = 10, 0
 	c.X, c.Y = 10, 0
 	lambda := 9.0
-	p, err := BuildProblem(d, lambda)
+	p, err := BuildProblemBounded(d, lambda, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestBlockSolvesPastStackScratch(t *testing.T) {
 	c.GX, c.GY = 10, 0
 	c.X, c.Y = 10, 0
 	lambda := 9.0
-	p, err := BuildProblem(d, lambda)
+	p, err := BuildProblemBounded(d, lambda, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestBlockSolvesPastStackScratch(t *testing.T) {
 func TestApplyHInvSparseMatchesDenseSolve(t *testing.T) {
 	d, _ := figure3Design()
 	lambda := 1000.0
-	p, err := BuildProblem(d, lambda)
+	p, err := BuildProblemBounded(d, lambda, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +376,11 @@ func TestSchurTridiagClosedFormDoubleHeight(t *testing.T) {
 	// computation against that formula on Figure 3.
 	d, _ := figure3Design()
 	lambda := 1000.0
-	p, err := BuildProblem(d, lambda)
+	p, err := BuildProblemBounded(d, lambda, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.SchurTridiag()
+	got := sparse.GramTridiagApply(p.B, p.ApplyHInvSparse)
 	// Closed form via dense arithmetic.
 	bD := p.B.Dense()
 	eD := p.E.Dense()
@@ -446,11 +446,12 @@ func applyHInvSparseMap(p *Problem, idx []int, val []float64, emit func(int, flo
 	}
 }
 
-// TestSchurTridiagMatchesMapReference pins ApplyHInvSparse and SchurTridiag
-// to the map-based versions bit for bit on designs with single-, double- and
-// triple-row cells, on B's rows and on random sparse vectors that put
+// TestSchurTridiagMatchesMapReference pins ApplyHInvSparse and the Schur
+// tridiagonal D = tridiag(B H⁻¹ Bᵀ) that sparse.GramTridiagApply builds from
+// it to the map-based versions bit for bit on designs with single-, double-
+// and triple-row cells, on B's rows and on random sparse vectors that put
 // several entries in one block, and pins their allocations: none per
-// ApplyHInvSparse call, and a constant per SchurTridiag however large B is.
+// ApplyHInvSparse call, and a constant per D however large B is.
 func TestSchurTridiagMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var schurAllocs []float64
@@ -465,7 +466,7 @@ func TestSchurTridiagMatchesMapReference(t *testing.T) {
 		if err := AssignRows(d); err != nil {
 			t.Fatal(err)
 		}
-		p, err := BuildProblem(d, 1000)
+		p, err := BuildProblemBounded(d, 1000, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,12 +495,12 @@ func TestSchurTridiagMatchesMapReference(t *testing.T) {
 		ref := sparse.GramTridiagApply(p.B, func(idx []int, val []float64, emit func(int, float64)) {
 			applyHInvSparseMap(p, idx, val, emit)
 		})
-		got := p.SchurTridiag()
+		got := sparse.GramTridiagApply(p.B, p.ApplyHInvSparse)
 		for i := range got.Diag {
 			if math.Float64bits(got.Diag[i]) != math.Float64bits(ref.Diag[i]) ||
 				math.Float64bits(got.Sub[i]) != math.Float64bits(ref.Sub[i]) ||
 				math.Float64bits(got.Sup[i]) != math.Float64bits(ref.Sup[i]) {
-				t.Fatalf("%d cells, row %d: SchurTridiag differs from the map reference", cells, i)
+				t.Fatalf("%d cells, row %d: D differs from the map reference", cells, i)
 			}
 		}
 
@@ -510,10 +511,10 @@ func TestSchurTridiagMatchesMapReference(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { p.ApplyHInvSparse(idx, val, emit) }); a != 0 {
 			t.Errorf("%d cells: ApplyHInvSparse allocates %.0f times per call", cells, a)
 		}
-		schurAllocs = append(schurAllocs, testing.AllocsPerRun(5, func() { p.SchurTridiag() }))
+		schurAllocs = append(schurAllocs, testing.AllocsPerRun(5, func() { sparse.GramTridiagApply(p.B, p.ApplyHInvSparse) }))
 	}
 	if schurAllocs[1] != schurAllocs[0] || schurAllocs[0] > 10 {
-		t.Errorf("SchurTridiag allocations %v per call: want one constant ≤ 10 at both sizes", schurAllocs)
+		t.Errorf("D allocations %v per call: want one constant ≤ 10 at both sizes", schurAllocs)
 	}
 }
 

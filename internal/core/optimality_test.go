@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,11 +30,11 @@ func TestMMSIMEqualsPlaceRowSingleHeight(t *testing.T) {
 		placerow := d.Clone()
 
 		// MMSIM path.
-		p, err := BuildProblem(mmsim, 1000)
+		p, err := BuildProblemBounded(mmsim, 1000, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, st, err := SolveMMSIM(p, Options{
+		x, st, err := SolveMMSIMContext(context.Background(), p, Options{
 			Lambda: 1000, Beta: 0.5, Theta: 0.5, Gamma: 1,
 			Eps: 1e-9, MaxIter: 100000,
 		})
@@ -111,11 +112,11 @@ func TestSubcellMismatchShrinksWithLambda(t *testing.T) {
 		if err := AssignRows(d); err != nil {
 			t.Fatal(err)
 		}
-		p, err := BuildProblem(d, lambda)
+		p, err := BuildProblemBounded(d, lambda, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, _, err := SolveMMSIM(p, Options{
+		x, _, err := SolveMMSIMContext(context.Background(), p, Options{
 			Lambda: lambda, Beta: 0.5, Theta: 0.5, Gamma: 1, Eps: 1e-8, MaxIter: 100000,
 		})
 		if err != nil {

@@ -114,27 +114,23 @@ func AssignRows(d *design.Design) error {
 // benchmark change (ROADMAP item 9).
 func AssignRowsP(d *design.Design, workers int) error { return AssignRows(d) }
 
-// BuildProblem assembles the relaxed QP (13) for a design whose cells have
-// already been assigned to rows (c.Y on a row boundary for every movable
+// BuildProblemBounded assembles the relaxed QP (13) for a design whose cells
+// have already been assigned to rows (c.Y on a row boundary for every movable
 // cell). Cells in each row are ordered by their global x position, honoring
 // the global-placement ordering; ties break by cell ID for determinism.
 //
 // Fixed cells are not variables and, matching the paper's benchmarks
 // (which strip fence regions and blockages), do not constrain the QP;
 // overlaps with fixed cells are repaired by the Tetris allocation stage.
-func BuildProblem(d *design.Design, lambda float64) (*Problem, error) {
-	return BuildProblemBounded(d, lambda, false)
-}
-
-// BuildProblemBounded is BuildProblem with an optional exact right-boundary
-// mode (an extension beyond the paper, which relaxes the right boundary and
-// repairs violators in the Tetris stage): when boundRight is true, the
-// rightmost subcell of every row gets an extra constraint
-// −x ≥ −(X_max − w), i.e. x + w ≤ X_max. These single-entry rows keep B of
-// full row rank (they only touch the last variable of each row chain), so
-// the MMSIM convergence argument is unchanged, and the solution is the true
-// optimum of the boundary-constrained problem — no out-of-boundary cells
-// remain for the allocation stage to fix.
+//
+// boundRight adds an optional exact right-boundary mode (an extension beyond
+// the paper, which relaxes the right boundary and repairs violators in the
+// Tetris stage): when boundRight is true, the rightmost subcell of every row
+// gets an extra constraint −x ≥ −(X_max − w), i.e. x + w ≤ X_max. These
+// single-entry rows keep B of full row rank (they only touch the last
+// variable of each row chain), so the MMSIM convergence argument is
+// unchanged, and the solution is the true optimum of the boundary-constrained
+// problem — no out-of-boundary cells remain for the allocation stage to fix.
 func BuildProblemBounded(d *design.Design, lambda float64, boundRight bool) (*Problem, error) {
 	p := &Problem{}
 	if err := p.build(d, lambda, boundRight); err != nil {
@@ -497,15 +493,6 @@ next:
 			}
 		}
 	}
-}
-
-// SchurTridiag computes D = tridiag(B H⁻¹ Bᵀ), the tridiagonal
-// approximation of the Schur complement used by the splitting (Eq. 16).
-// For designs with only single- and double-row cells this equals the
-// paper's Sherman–Morrison closed form; for taller cells it generalizes via
-// exact per-block solves.
-func (p *Problem) SchurTridiag() *sparse.Tridiag {
-	return sparse.GramTridiagApply(p.B, p.ApplyHInvSparse)
 }
 
 // AssembleLCPMatrix builds the full saddle-point matrix

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -16,13 +17,13 @@ func TestMMSIMOutputSatisfiesConstraints(t *testing.T) {
 		if err := AssignRows(d); err != nil {
 			t.Fatal(err)
 		}
-		p, err := BuildProblem(d, 1000)
+		p, err := BuildProblemBounded(d, 1000, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := New(Options{Eps: 1e-7}).Opts
 		opts.MaxIter = 300000 // uniform-random GPs converge slowly at high density
-		x, st, err := SolveMMSIM(p, opts)
+		x, st, err := SolveMMSIMContext(context.Background(), p, opts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

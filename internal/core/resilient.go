@@ -77,11 +77,6 @@ func NewResilient(opts Options) *ResilientLegalizer {
 	return &ResilientLegalizer{Opts: New(opts).Opts}
 }
 
-// Legalize runs the cascade without cancellation.
-func (r *ResilientLegalizer) Legalize(d *design.Design) (*ResilientStats, error) {
-	return r.LegalizeContext(context.Background(), d)
-}
-
 // LegalizeContext runs the cascade. On success the returned stats carry the
 // successful rung and the full attempt trace; on total failure the design is
 // unchanged and the error joins every rung's failure (still matching the

@@ -41,7 +41,7 @@ func TestSolvePGSMatchesMMSIM(t *testing.T) {
 	}
 
 	opts := New(Options{Eps: 1e-9}).Opts
-	xm, st, err := SolveMMSIM(p, opts)
+	xm, st, err := SolveMMSIMContext(context.Background(), p, opts)
 	if err != nil {
 		t.Fatalf("MMSIM: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestSolvePGSMatchesMMSIM(t *testing.T) {
 
 func TestResilientFirstRungSucceeds(t *testing.T) {
 	d := genBench(t, 150, 20, 0.7, 11)
-	rs, err := NewResilient(Options{}).Legalize(d)
+	rs, err := NewResilient(Options{}).LegalizeContext(context.Background(), d)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -176,7 +176,7 @@ func panicOnIter(int, float64) { panic("injected rung panic") }
 // ErrPanic-matching error and the next rung runs.
 func TestResilientPanickingRungDegrades(t *testing.T) {
 	d := genBench(t, 120, 15, 0.7, 3)
-	rs, err := NewResilient(Options{OnIter: panicOnIter}).Legalize(d)
+	rs, err := NewResilient(Options{OnIter: panicOnIter}).LegalizeContext(context.Background(), d)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -238,7 +238,7 @@ func TestResilientCanceledContextShortCircuits(t *testing.T) {
 
 func TestResilientRejectsInvalidOptions(t *testing.T) {
 	d := genBench(t, 20, 2, 0.5, 19)
-	_, err := NewResilient(Options{Beta: 2.5}).Legalize(d)
+	_, err := NewResilient(Options{Beta: 2.5}).LegalizeContext(context.Background(), d)
 	if !errors.Is(err, mclgerr.ErrInvalidInput) {
 		t.Fatalf("error = %v, want ErrInvalidInput", err)
 	}
@@ -254,8 +254,11 @@ func TestTerminalEdgePastSiteBoundaryStaysLegal(t *testing.T) {
 		run  func(*design.Design) error
 	}{
 		{"tetris", func(d *design.Design) error { _, err := tetris.Allocate(d); return err }},
-		{"cascade", func(d *design.Design) error { _, err := NewResilient(Options{}).Legalize(d); return err }},
-		{"chow", chow.Legalize},
+		{"cascade", func(d *design.Design) error {
+			_, err := NewResilient(Options{}).LegalizeContext(context.Background(), d)
+			return err
+		}},
+		{"chow", func(d *design.Design) error { return chow.LegalizeContext(context.Background(), d) }},
 	} {
 		d := design.NewDesign(design.Config{NumRows: 2, NumSites: 20, RowHeight: 10, SiteW: 1})
 		f, err := d.AddTerminalChecked("f", 3.0000000005, 10)

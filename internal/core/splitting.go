@@ -31,15 +31,10 @@ type StructuredSplitting struct {
 	bT       sparse.CSR           // Bᵀ, precomputed so ApplyN runs one row pass
 }
 
-// NewStructuredSplitting builds the splitting for an assembled problem with
-// Ω = I, exactly as in the paper's Algorithm 1. beta and theta are the β*
-// and θ* constants; the paper uses 0.5 for both.
-func NewStructuredSplitting(p *Problem, beta, theta float64) (*StructuredSplitting, error) {
-	return newStructured(p, beta, theta, false, 1)
-}
-
-// NewStructuredSplittingOmegaR builds the paper's splitting but with
-// Ω_r = omegaR instead of 1 on the multiplier block. D's low-frequency
+// NewStructuredSplittingOmegaR builds the splitting of the paper's
+// Algorithm 1 for an assembled problem, with Ω_r = omegaR on the multiplier
+// block; omegaR = 1 gives the paper's Ω = I. beta and theta are the β* and
+// θ* constants; the paper uses 0.5 for both. D's low-frequency
 // modes (long constraint chains in dense rows) have eigenvalues O(1/m²);
 // with Ω_r = 1 they barely move per iteration and the multipliers ramp for
 // tens of thousands of iterations on dense designs. A small Ω_r lets the
@@ -130,7 +125,7 @@ func (s *StructuredSplitting) ApplyN(dst, src []float64) {
 	s.p.ApplyH(s.scratchX, src[:n])
 	coef := 1/s.beta - 1
 	// Bᵀ src_r via the precomputed transpose, one dot product per output
-	// row instead of the scatter AddMulVecT would do. The (1/β*−1)·H src_x
+	// row instead of a scatter over B's rows. The (1/β*−1)·H src_x
 	// scaling is fused into the same row pass
 	// (dst[i] = coef·scratchX[i] + 1·(Bᵀ src_r)_i — identical per-element
 	// arithmetic, one less full-length store/load).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func buildMixedProblem(t *testing.T, seed int64) *Problem {
 	if err := AssignRows(d); err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(d, 1000)
+	p, err := BuildProblemBounded(d, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func denseH(p *Problem) [][]float64 {
 func TestSolveMOmegaMatchesExplicitSystem(t *testing.T) {
 	p := buildMixedProblem(t, 61)
 	beta, theta := 0.5, 0.5
-	sp, err := NewStructuredSplitting(p, beta, theta)
+	sp, err := NewStructuredSplittingOmegaR(p, beta, theta, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSolveMOmegaMatchesExplicitSystem(t *testing.T) {
 func TestApplyNMatchesExplicitMatrix(t *testing.T) {
 	p := buildMixedProblem(t, 63)
 	beta, theta := 0.5, 0.5
-	sp, err := NewStructuredSplitting(p, beta, theta)
+	sp, err := NewStructuredSplittingOmegaR(p, beta, theta, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestOmegaVariantsSameSolution(t *testing.T) {
 		{Lambda: lambda, OmegaR: 0.1},
 		{Lambda: lambda, ScaledOmegaX: true},
 	} {
-		p, err := BuildProblem(d, lambda)
+		p, err := BuildProblemBounded(d, lambda, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestOmegaVariantsSameSolution(t *testing.T) {
 		full.Eps = 1e-10
 		full.MaxIter = 300000
 		full.ResidualTol = 1e-6
-		x, st, err := SolveMMSIM(p, full)
+		x, st, err := SolveMMSIMContext(context.Background(), p, full)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -185,13 +186,13 @@ func TestOmegaVariantsSameSolution(t *testing.T) {
 
 func TestSplittingParameterValidation(t *testing.T) {
 	p := buildMixedProblem(t, 71)
-	if _, err := NewStructuredSplitting(p, 0, 0.5); err == nil {
+	if _, err := NewStructuredSplittingOmegaR(p, 0, 0.5, 1); err == nil {
 		t.Error("beta = 0 accepted")
 	}
-	if _, err := NewStructuredSplitting(p, 2, 0.5); err == nil {
+	if _, err := NewStructuredSplittingOmegaR(p, 2, 0.5, 1); err == nil {
 		t.Error("beta = 2 accepted")
 	}
-	if _, err := NewStructuredSplitting(p, 0.5, 0); err == nil {
+	if _, err := NewStructuredSplittingOmegaR(p, 0.5, 0, 1); err == nil {
 		t.Error("theta = 0 accepted")
 	}
 	if _, err := NewStructuredSplittingOmegaR(p, 0.5, 0.5, -1); err == nil {
@@ -201,7 +202,7 @@ func TestSplittingParameterValidation(t *testing.T) {
 
 func TestHDiag(t *testing.T) {
 	d, _ := figure3Design()
-	p, err := BuildProblem(d, 7)
+	p, err := BuildProblemBounded(d, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mclg/internal/design"
@@ -52,7 +53,7 @@ func TestTripleSubcellChain(t *testing.T) {
 	c := d.AddCell("t", 5, 30, design.VSS)
 	c.GX, c.GY = 10, 0
 	c.X, c.Y = 10, 0
-	p, err := BuildProblem(d, 500)
+	p, err := BuildProblemBounded(d, 500, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestTripleSubcellChain(t *testing.T) {
 		}
 	}
 	// Solve: a lone cell stays at its target.
-	x, st, err := SolveMMSIM(p, New(Options{Eps: 1e-10}).Opts)
+	x, st, err := SolveMMSIMContext(context.Background(), p, New(Options{Eps: 1e-10}).Opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,12 +69,6 @@ func (c *Cell) GlobalBounds() geom.Rect { return geom.NewRect(c.GX, c.GY, c.W, c
 // Area returns W*H.
 func (c *Cell) Area() float64 { return c.W * c.H }
 
-// Displacement returns the Euclidean distance between the current and
-// global-placement positions.
-func (c *Cell) Displacement() float64 {
-	return geom.Point{X: c.X, Y: c.Y}.Dist(geom.Point{X: c.GX, Y: c.GY})
-}
-
 // DisplacementSq returns the squared displacement, the quantity the paper's
 // objective (1) sums over all cells.
 func (c *Cell) DisplacementSq() float64 {

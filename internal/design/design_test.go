@@ -215,9 +215,6 @@ func TestCellDisplacement(t *testing.T) {
 	c := d.AddCell("c", 4, 10, VSS)
 	c.GX, c.GY = 10, 20
 	c.X, c.Y = 13, 24
-	if got := c.Displacement(); got != 5 {
-		t.Errorf("Displacement = %g, want 5", got)
-	}
 	if got := c.DisplacementSq(); got != 25 {
 		t.Errorf("DisplacementSq = %g, want 25", got)
 	}

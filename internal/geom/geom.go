@@ -17,20 +17,9 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
-// DistL1 returns the Manhattan distance between p and q.
-func (p Point) DistL1(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
 // DistSq returns the squared Euclidean distance between p and q.
@@ -72,22 +61,6 @@ func (iv Interval) ContainsInterval(o Interval) bool {
 // Overlaps reports whether the two half-open intervals share any points.
 func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Lo < o.Hi && o.Lo < iv.Hi && !iv.Empty() && !o.Empty()
-}
-
-// Intersect returns the common part of the two intervals (possibly empty).
-func (iv Interval) Intersect(o Interval) Interval {
-	return Interval{math.Max(iv.Lo, o.Lo), math.Min(iv.Hi, o.Hi)}
-}
-
-// Union returns the smallest interval covering both (the hull).
-func (iv Interval) Union(o Interval) Interval {
-	if iv.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return iv
-	}
-	return Interval{math.Min(iv.Lo, o.Lo), math.Max(iv.Hi, o.Hi)}
 }
 
 // Clamp returns x restricted to [Lo, Hi].
@@ -142,11 +115,6 @@ func (r Rect) XSpan() Interval { return Interval{r.Lo.X, r.Hi.X} }
 // YSpan returns the vertical extent as an interval.
 func (r Rect) YSpan() Interval { return Interval{r.Lo.Y, r.Hi.Y} }
 
-// Contains reports whether the point lies inside the half-open rectangle.
-func (r Rect) Contains(p Point) bool {
-	return r.XSpan().Contains(p.X) && r.YSpan().Contains(p.Y)
-}
-
 // ContainsRect reports whether o lies entirely within r.
 func (r Rect) ContainsRect(o Rect) bool {
 	if o.Empty() {
@@ -168,30 +136,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	}
 }
 
-// Union returns the bounding box of the two rectangles.
-func (r Rect) Union(o Rect) Rect {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	return Rect{
-		Point{math.Min(r.Lo.X, o.Lo.X), math.Min(r.Lo.Y, o.Lo.Y)},
-		Point{math.Max(r.Hi.X, o.Hi.X), math.Max(r.Hi.Y, o.Hi.Y)},
-	}
-}
-
-// Translate returns r shifted by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
-	return Rect{Point{r.Lo.X + dx, r.Lo.Y + dy}, Point{r.Hi.X + dx, r.Hi.Y + dy}}
-}
-
-// MoveTo returns r with its bottom-left corner at (x, y), preserving size.
-func (r Rect) MoveTo(x, y float64) Rect {
-	return NewRect(x, y, r.W(), r.H())
-}
-
 // Center returns the centroid.
 func (r Rect) Center() Point {
 	return Point{(r.Lo.X + r.Hi.X) / 2, (r.Lo.Y + r.Hi.Y) / 2}
@@ -199,13 +143,4 @@ func (r Rect) Center() Point {
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g %gx%g]", r.Lo.X, r.Lo.Y, r.W(), r.H())
-}
-
-// OverlapArea returns the interior area shared by two rectangles.
-func OverlapArea(a, b Rect) float64 {
-	inter := a.Intersect(b)
-	if inter.Empty() {
-		return 0
-	}
-	return inter.Area()
 }

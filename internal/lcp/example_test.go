@@ -1,21 +1,22 @@
 package lcp_test
 
 import (
+	"context"
 	"fmt"
 
 	"mclg/internal/lcp"
 	"mclg/internal/sparse"
 )
 
-// ExampleMMSIM solves the textbook LCP with A = I, q = (−3, 2):
+// ExampleMMSIMContext solves the textbook LCP with A = I, q = (−3, 2):
 // complementarity forces z = (3, 0), w = (0, 2).
-func ExampleMMSIM() {
+func ExampleMMSIMContext() {
 	p := &lcp.Problem{A: sparse.Identity(2), Q: []float64{-3, 2}}
 	sp, err := lcp.NewDiagSplitting(p.A, 1)
 	if err != nil {
 		panic(err)
 	}
-	res, err := lcp.MMSIM(p, sp, lcp.Options{Eps: 1e-12})
+	res, err := lcp.MMSIMContext(context.Background(), p, sp, lcp.Options{Eps: 1e-12})
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package lcp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -153,7 +154,7 @@ func TestMMSIMDiagSplittingSPD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MMSIM(p, sp, Options{Eps: 1e-12, MaxIter: 100000})
+		res, err := MMSIMContext(context.Background(), p, sp, Options{Eps: 1e-12, MaxIter: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestMMSIMGammaInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MMSIM(p, sp, Options{Gamma: gamma, Eps: 1e-12, MaxIter: 100000})
+		res, err := MMSIMContext(context.Background(), p, sp, Options{Gamma: gamma, Eps: 1e-12, MaxIter: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestMMSIMOnIterCallback(t *testing.T) {
 	p, _ := spdProblem(rng, 5)
 	sp, _ := NewDiagSplitting(p.A, 0.9)
 	calls := 0
-	res, err := MMSIM(p, sp, Options{Eps: 1e-10, OnIter: func(k int, dz float64) {
+	res, err := MMSIMContext(context.Background(), p, sp, Options{Eps: 1e-10, OnIter: func(k int, dz float64) {
 		if k != calls {
 			t.Errorf("OnIter k = %d, want %d", k, calls)
 		}
@@ -224,7 +225,7 @@ func TestMMSIMOnIterCallback(t *testing.T) {
 func TestMMSIMDimensionMismatch(t *testing.T) {
 	p := &Problem{A: sparse.Identity(3), Q: []float64{1, 2}}
 	sp, _ := NewDiagSplitting(p.A, 1)
-	if _, err := MMSIM(p, sp, Options{}); err == nil {
+	if _, err := MMSIMContext(context.Background(), p, sp, Options{}); err == nil {
 		t.Error("expected dimension error")
 	}
 }

@@ -87,20 +87,15 @@ type Result struct {
 // matches mclgerr.ErrDiverged via errors.Is.
 var ErrDiverged = fmt.Errorf("lcp: MMSIM diverged (non-finite iterate): %w", mclgerr.ErrDiverged)
 
-// MMSIM runs Algorithm 1 of the paper: the modulus-based matrix splitting
-// iteration for LCP(q, A) with the caller-supplied splitting.
-func MMSIM(p *Problem, sp Splitting, opts Options) (*Result, error) {
-	return MMSIMContext(context.Background(), p, sp, opts)
-}
-
 // cancelCheckEvery is how many MMSIM iterations pass between context polls:
 // rare enough to stay off the profile, frequent enough that cancellation
 // lands within a few milliseconds even on large instances.
 const cancelCheckEvery = 16
 
-// MMSIMContext is MMSIM with cooperative cancellation: the hot loop polls
-// ctx every few iterations and aborts with an mclgerr.ErrCanceled-matching
-// error when the context is done.
+// MMSIMContext runs Algorithm 1 of the paper: the modulus-based matrix
+// splitting iteration for LCP(q, A) with the caller-supplied splitting. It
+// cancels cooperatively: the hot loop polls ctx every few iterations and
+// aborts with an mclgerr.ErrCanceled-matching error when the context is done.
 func MMSIMContext(ctx context.Context, p *Problem, sp Splitting, opts Options) (*Result, error) {
 	sv, err := NewSolver(p, sp, opts)
 	if err != nil {

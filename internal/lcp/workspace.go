@@ -15,13 +15,6 @@ type Workspace struct {
 	s, sNext, absS, rhs, z, zPrev, w []float64
 }
 
-// NewWorkspace returns a workspace sized for n-dimensional problems.
-func NewWorkspace(n int) *Workspace {
-	ws := &Workspace{}
-	ws.Ensure(n)
-	return ws
-}
-
 // Ensure grows the workspace to hold n-dimensional iterates. Shrinking never
 // reallocates: buffers are re-sliced, so a workspace sized for the largest
 // instance of a sweep serves every smaller one without further allocation.

@@ -20,7 +20,7 @@ func TestMMSIMS0LengthValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 4, 6, 50} {
-		_, err := MMSIM(p, sp, Options{S0: make([]float64, n)})
+		_, err := MMSIMContext(context.Background(), p, sp, Options{S0: make([]float64, n)})
 		if err == nil {
 			t.Fatalf("S0 of length %d accepted for a 5-dim problem", n)
 		}
@@ -29,10 +29,10 @@ func TestMMSIMS0LengthValidation(t *testing.T) {
 		}
 	}
 	// Exact length and nil both remain accepted.
-	if _, err := MMSIM(p, sp, Options{S0: make([]float64, 5)}); err != nil {
+	if _, err := MMSIMContext(context.Background(), p, sp, Options{S0: make([]float64, 5)}); err != nil {
 		t.Errorf("exact-length S0 rejected: %v", err)
 	}
-	if _, err := MMSIM(p, sp, Options{}); err != nil {
+	if _, err := MMSIMContext(context.Background(), p, sp, Options{}); err != nil {
 		t.Errorf("nil S0 rejected: %v", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestWorkspaceReuseMatchesPooled(t *testing.T) {
 		}
 		o := opts
 		o.Workspace = ws
-		res, err := MMSIM(p, sp, o)
+		res, err := MMSIMContext(context.Background(), p, sp, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,8 @@ func TestWorkspaceReuseMatchesPooled(t *testing.T) {
 		return res
 	}
 
-	ws := NewWorkspace(24)
+	ws := new(Workspace)
+	ws.Ensure(24)
 	for name, p := range map[string]*Problem{"big": big, "small": small} {
 		own := solve(p, nil)
 		first := append([]float64(nil), solve(p, ws).Z...)
@@ -93,7 +94,7 @@ func TestResultZDetachedFromPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MMSIM(p, sp, Options{Eps: 1e-10, MaxIter: 100000})
+	res, err := MMSIMContext(context.Background(), p, sp, Options{Eps: 1e-10, MaxIter: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestResultZDetachedFromPool(t *testing.T) {
 	q, _ := spdProblem(rng, 12)
 	spq, _ := NewDiagSplitting(q.A, 0.9)
 	for i := 0; i < 4; i++ {
-		if _, err := MMSIM(q, spq, Options{Eps: 1e-10, MaxIter: 100000}); err != nil {
+		if _, err := MMSIMContext(context.Background(), q, spq, Options{Eps: 1e-10, MaxIter: 100000}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,8 +126,7 @@ func TestSolverStepZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWorkspace(p.N())
-	sv, err := NewSolver(p, sp, Options{Workspace: ws, MaxIter: 1 << 20})
+	sv, err := NewSolver(p, sp, Options{Workspace: new(Workspace), MaxIter: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestSolverRunMatchesMMSIM(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Eps: 1e-10, MaxIter: 100000}
-	whole, err := MMSIM(p, sp, opts)
+	whole, err := MMSIMContext(context.Background(), p, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := opts
-	o.Workspace = NewWorkspace(p.N())
+	o.Workspace = new(Workspace)
 	sv, err := NewSolver(p, sp, o)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,8 @@ func TestSolverRunMatchesMMSIM(t *testing.T) {
 }
 
 func TestWorkspaceEnsure(t *testing.T) {
-	ws := NewWorkspace(10)
+	ws := new(Workspace)
+	ws.Ensure(10)
 	s := &ws.s[0]
 	ws.Ensure(4)
 	if len(ws.z) != 4 || len(ws.w) != 4 {
@@ -218,7 +219,7 @@ func TestZeroDimensionSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MMSIM(p, sp, Options{MaxIter: 3})
+	res, err := MMSIMContext(context.Background(), p, sp, Options{MaxIter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,11 @@ func TestRunToPauseResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Eps: 1e-10, MaxIter: 100000, ResidualTol: 1e-9}
-	want, err := MMSIM(p, sp, opts)
+	want, err := MMSIMContext(context.Background(), p, sp, opts)
 	if err != nil || !want.Converged || want.Iterations <= 7 {
 		t.Fatalf("reference solve: %+v, %v", want, err)
 	}
-	opts.Workspace = NewWorkspace(p.N())
+	opts.Workspace = new(Workspace)
 	sv, err := NewSolver(p, sp, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -64,14 +64,6 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	}
 }
 
-// Clear drops every entry; the eviction count is kept.
-func (c *Cache[K, V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.m)
-}
-
 // Len reports the number of resident entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

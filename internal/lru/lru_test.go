@@ -26,14 +26,6 @@ func TestEvictionOrder(t *testing.T) {
 	if c.Len() != 3 || c.Evictions() != 2 {
 		t.Errorf("Len = %d, Evictions = %d; want 3, 2", c.Len(), c.Evictions())
 	}
-	c.Clear()
-	if _, ok := c.Get("c"); ok || c.Len() != 0 || c.Evictions() != 2 {
-		t.Errorf("after Clear: Len = %d, Evictions = %d; want 0, 2", c.Len(), c.Evictions())
-	}
-	c.Put("f", 5)
-	if v, ok := c.Get("f"); !ok || v != 5 {
-		t.Error("Put after Clear lost the entry")
-	}
 }
 
 func TestDisabled(t *testing.T) {

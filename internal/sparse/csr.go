@@ -108,25 +108,6 @@ func (m *CSR) AddMulVec(dst, x []float64, alpha float64) {
 	}
 }
 
-// AddMulVecT computes dst += alpha * mᵀ * x.
-func (m *CSR) AddMulVecT(dst, x []float64, alpha float64) {
-	if len(dst) != m.Cols || len(x) != m.Rows {
-		panic("sparse: AddMulVecT dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := alpha * x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			dst[m.ColIdx[k]] += m.Val[k] * xi
-		}
-	}
-}
-
-// Transpose returns a new CSR holding mᵀ.
-func (m *CSR) Transpose() *CSR { return m.TransposeInto(new(CSR)) }
-
 // TransposeInto writes mᵀ into t, reusing t's storage, and returns t.
 func (m *CSR) TransposeInto(t *CSR) *CSR {
 	t.Rows, t.Cols = m.Cols, m.Rows

@@ -52,9 +52,6 @@ func (t *Tridiag) MulVec(dst, x []float64) {
 	dst[n-1] = diag[n-1]*x[n-1] + sub[n-1]*x[n-2]
 }
 
-// Shifted returns t + shift*I as a new matrix.
-func (t *Tridiag) Shifted(shift float64) *Tridiag { return t.ShiftedInto(new(Tridiag), shift) }
-
 // ShiftedInto writes t + shift*I into out, reusing out's storage, and
 // returns out.
 func (t *Tridiag) ShiftedInto(out *Tridiag, shift float64) *Tridiag {
@@ -67,9 +64,6 @@ func (t *Tridiag) ShiftedInto(out *Tridiag, shift float64) *Tridiag {
 	}
 	return out
 }
-
-// Scaled returns alpha*t as a new matrix.
-func (t *Tridiag) Scaled(alpha float64) *Tridiag { return t.ScaledInto(new(Tridiag), alpha) }
 
 // ScaledInto writes alpha*t into out, reusing out's storage, and returns out.
 func (t *Tridiag) ScaledInto(out *Tridiag, alpha float64) *Tridiag {

@@ -126,11 +126,11 @@ func TestShiftedScaled(t *testing.T) {
 	tr := NewTridiag(2)
 	tr.Diag[0], tr.Diag[1] = 1, 2
 	tr.Sup[0], tr.Sub[1] = 3, 4
-	sh := tr.Shifted(10)
+	sh := tr.ShiftedInto(new(Tridiag), 10)
 	if sh.Diag[0] != 11 || sh.Diag[1] != 12 || sh.Sup[0] != 3 || sh.Sub[1] != 4 {
 		t.Errorf("Shifted wrong: %+v", sh)
 	}
-	sc := tr.Scaled(2)
+	sc := tr.ScaledInto(new(Tridiag), 2)
 	if sc.Diag[0] != 2 || sc.Sup[0] != 6 || sc.Sub[1] != 8 {
 		t.Errorf("Scaled wrong: %+v", sc)
 	}
