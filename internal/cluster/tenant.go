@@ -25,8 +25,18 @@ const (
 
 // batchReserve is the fraction of a tenant's burst capacity reserved for
 // interactive work: a batch admission must leave at least this share of the
-// bucket behind.
+// bucket behind, or, when the burst is below 4/3, take a full bucket.
 const batchReserve = 0.25
+
+// maxRefill bounds how long a tenant's bucket takes to refill its burst. It
+// is under 2⁵³ ns, so every Retry-After hint, which is never longer, fits a
+// time.Duration, and each nanosecond refills at least 2⁻⁵³ of the burst.
+const maxRefill = 90 * 24 * time.Hour
+
+// minSweep is the bucket count at which Admit first drops refilled buckets.
+// Each sweep sets the next at twice the buckets it keeps, so sweeps cost
+// O(1) amortized per new bucket.
+const minSweep = 64
 
 // TenantLimit is one tenant's token-bucket parameters: Rate tokens/second
 // refill up to Burst capacity; every admitted job costs one token.
@@ -40,7 +50,8 @@ type TenantLimit struct {
 //	tenant=rate/burst[,tenant=rate/burst...]
 //
 // e.g. "acme=5/10,*=1/2". The "*" tenant is the default applied to tenants
-// not listed; with no "*" entry, unlisted tenants are unlimited.
+// not listed; with no "*" entry, unlisted tenants are unlimited. A rate must
+// be positive and a burst at least 1, refilled within maxRefill.
 func ParseTenantLimits(s string) (map[string]TenantLimit, error) {
 	out := make(map[string]TenantLimit)
 	if strings.TrimSpace(s) == "" {
@@ -60,12 +71,13 @@ func ParseTenantLimits(s string) (map[string]TenantLimit, error) {
 			return nil, mclgerr.Invalidf("cluster: tenant limit %q is not tenant=rate/burst", part)
 		}
 		rate, err := strconv.ParseFloat(rateS, 64)
-		if err != nil || rate <= 0 || math.IsInf(rate, 0) {
+		if err != nil || !(rate > 0) || math.IsInf(rate, 0) {
 			return nil, mclgerr.Invalidf("cluster: tenant %q rate %q must be a positive number", name, rateS)
 		}
 		burst, err := strconv.ParseFloat(burstS, 64)
-		if err != nil || burst < 1 || math.IsInf(burst, 0) {
-			return nil, mclgerr.Invalidf("cluster: tenant %q burst %q must be a number >= 1", name, burstS)
+		if err != nil || !(burst >= 1) || burst/rate > maxRefill.Seconds() {
+			return nil, mclgerr.Invalidf("cluster: tenant %q burst %q must be a number >= 1 that refills within %v",
+				name, burstS, maxRefill)
 		}
 		if _, dup := out[name]; dup {
 			return nil, mclgerr.Invalidf("cluster: tenant %q listed twice", name)
@@ -99,6 +111,7 @@ type TenantGate struct {
 	mu      sync.Mutex
 	limits  map[string]TenantLimit
 	buckets map[string]*bucket
+	sweepAt int              // bucket count at which Admit next sweeps
 	now     func() time.Time // injectable for deterministic tests
 
 	reg                 prom.Registry
@@ -111,10 +124,16 @@ type bucket struct {
 	limit  TenantLimit
 }
 
+// refilled returns the bucket's tokens at now: continuous refill since the
+// last charge, capped at burst.
+func (b *bucket) refilled(now time.Time) float64 {
+	return math.Min(b.limit.Burst, b.tokens+max(now.Sub(b.last).Seconds(), 0)*b.limit.Rate)
+}
+
 // NewTenantGate builds a gate from parsed limits. A nil or empty map admits
 // everything (the gate still counts admissions).
 func NewTenantGate(limits map[string]TenantLimit) *TenantGate {
-	g := &TenantGate{limits: limits, buckets: make(map[string]*bucket), now: time.Now}
+	g := &TenantGate{limits: limits, buckets: make(map[string]*bucket), sweepAt: minSweep, now: time.Now}
 	d := g.reg.CounterVec("mclgd_cluster_admissions_total", "Tenant-gate decisions at the admission queue.", "decision",
 		"admitted", "throttled")
 	g.admitted, g.throttled = d.With("admitted"), d.With("throttled")
@@ -149,20 +168,20 @@ func (g *TenantGate) Admit(tenant, priority string) (ok bool, retryAfter time.Du
 	now := g.now()
 	b := g.buckets[tenant]
 	if b == nil || b.limit != limit {
+		if len(g.buckets) >= g.sweepAt {
+			g.sweep(now)
+		}
 		b = &bucket{tokens: limit.Burst, last: now, limit: limit}
 		g.buckets[tenant] = b
 	}
-	// Continuous refill since the last charge, capped at burst.
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(limit.Burst, b.tokens+dt*limit.Rate)
-	}
-	b.last = now
+	b.tokens, b.last = b.refilled(now), now
 
 	// Interactive may take the bucket to zero; batch must leave the
 	// reserved headroom so interactive traffic always has tokens standing.
+	// The cap lets a full bucket admit one batch job whatever the burst.
 	need := 1.0
 	if priority != PriorityInteractive {
-		need = 1.0 + batchReserve*limit.Burst
+		need = math.Min(1+batchReserve*limit.Burst, limit.Burst)
 	}
 	if b.tokens >= need {
 		b.tokens--
@@ -170,8 +189,28 @@ func (g *TenantGate) Admit(tenant, priority string) (ok bool, retryAfter time.Du
 		return true, 0
 	}
 	g.throttled.Inc()
-	wait := (need - b.tokens) / limit.Rate
-	return false, time.Duration(math.Ceil(wait * float64(time.Second)))
+	// The hint is the first whole nanosecond at which the refill reaches
+	// need. The loop steps past the refill's rounding, which the division
+	// does not see: a few ulps of need, and each nanosecond of a limit the
+	// parser accepts refills at least 2⁻⁵³ of the burst.
+	wait := time.Duration(math.Ceil((need - b.tokens) / limit.Rate * float64(time.Second)))
+	for i := 0; i < 64 && b.refilled(now.Add(wait)) < need; i++ {
+		wait++
+	}
+	return false, wait
+}
+
+// sweep drops every bucket that has refilled to its burst: a full bucket
+// admits exactly as the fresh one Admit makes in its place. It only reads
+// the buckets it keeps, since refilling one here and again at its next
+// charge would round differently from refilling it once.
+func (g *TenantGate) sweep(now time.Time) {
+	for name, b := range g.buckets {
+		if b.refilled(now) >= b.limit.Burst {
+			delete(g.buckets, name)
+		}
+	}
+	g.sweepAt = max(minSweep, 2*len(g.buckets))
 }
 
 // Counts reports lifetime admissions and throttles (metrics/test helper).

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,12 +25,16 @@ func TestParseTenantLimits(t *testing.T) {
 	if got := FormatTenantLimits(limits); got != "*=1/2,acme=5/10,big=0.5/4" {
 		t.Fatalf("FormatTenantLimits = %q", got)
 	}
+	if _, err := ParseTenantLimits("acme=1e-4/100"); err != nil {
+		t.Errorf("a burst that refills in 12 days refused: %v", err)
+	}
 	if empty, err := ParseTenantLimits("  "); err != nil || len(empty) != 0 {
 		t.Fatalf("empty spec: %v %v", empty, err)
 	}
 	for _, bad := range []string{
 		"acme", "acme=5", "acme=x/2", "acme=5/x", "acme=-1/2",
 		"acme=5/0.5", "=5/2", "acme=5/2,acme=1/1",
+		"acme=NaN/2", "acme=5/NaN", "acme=1e-7/1", // the last refills in 116 days
 	} {
 		if _, err := ParseTenantLimits(bad); !errors.Is(err, mclgerr.ErrInvalidInput) {
 			t.Errorf("ParseTenantLimits(%q) = %v, want invalid-input", bad, err)
@@ -137,5 +144,116 @@ func TestTenantGateWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// retryAdmits reports whether tenant, refused by g at the given tier with the
+// given Retry-After hint, is admitted when it retries after exactly that
+// wait with no other traffic. It probes a copy of the tenant's bucket, so g
+// is left as it was.
+func retryAdmits(g *TenantGate, tenant, tier string, hint time.Duration) bool {
+	probe, now := gateAt(g.limits)
+	b := *g.buckets[tenant]
+	probe.buckets[tenant] = &b
+	*now = b.last.Add(hint)
+	ok, _ := probe.Admit(tenant, tier)
+	return ok
+}
+
+// TestTenantGateRetryAfterAdmits pins the Retry-After contract for limits
+// the parser accepts, bursts below 4/3 included, in both tiers: a refused
+// job that retries after its hint, with no other traffic, is admitted.
+// Without the batch need's cap at the burst, a burst below 4/3 refused
+// every batch job forever while its hint promised admission.
+func TestTenantGateRetryAfterAdmits(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	specs := []string{"acme=5/1", "acme=1/1.3", "acme=0.5/2.5", "acme=1/4"}
+	for len(specs) < 300 {
+		rate := math.Pow(10, -2+4*rng.Float64())
+		burst := 1 + rng.Float64()/3 // a third of the draws sit below 4/3
+		if rng.Intn(3) > 0 {
+			burst = 1 + math.Pow(10, -2+4*rng.Float64())
+		}
+		specs = append(specs, "acme="+strconv.FormatFloat(rate, 'g', -1, 64)+"/"+strconv.FormatFloat(burst, 'g', -1, 64))
+	}
+	for _, spec := range specs {
+		limits, err := ParseTenantLimits(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refill := limits["acme"].Burst / limits["acme"].Rate
+		for _, tier := range []string{PriorityBatch, PriorityInteractive} {
+			g, now := gateAt(limits)
+			refusals := 0
+			for i := 0; i < 200; i++ {
+				*now = now.Add(time.Duration(rng.ExpFloat64() * refill / 4 * float64(time.Second)))
+				ok, hint := g.Admit("acme", tier)
+				if ok {
+					continue
+				}
+				refusals++
+				if hint <= 0 || !retryAdmits(g, "acme", tier, hint) {
+					t.Fatalf("%s, %s job %d: refused with Retry-After %v, and refused again after waiting it",
+						spec, tier, i, hint)
+				}
+			}
+			if spec == "acme=5/1" && tier == PriorityBatch && refusals == 200 {
+				t.Fatalf("%s: every %s job refused", spec, tier)
+			}
+		}
+	}
+}
+
+// TestTenantGateDropsRefilledBuckets sends 100,000 tenants, one job each,
+// at 10 jobs/s under a "*=1/2" default. Each bucket is full again 1 s after
+// its job, so the gate keeps only the few charged in the last second, not
+// one bucket per name it ever saw.
+func TestTenantGateDropsRefilledBuckets(t *testing.T) {
+	g, now := gateAt(map[string]TenantLimit{"*": {Rate: 1, Burst: 2}})
+	for i := 0; i < 100_000; i++ {
+		if ok, _ := g.Admit("tenant-"+strconv.Itoa(i), PriorityBatch); !ok {
+			t.Fatalf("tenant %d refused its only job", i)
+		}
+		if n := len(g.buckets); n > 128 {
+			t.Fatalf("after %d tenants the gate holds %d buckets, want at most 128", i+1, n)
+		}
+		*now = now.Add(100 * time.Millisecond)
+	}
+}
+
+// TestTenantGateSweepKeepsDecisions replays a mixed trace, repeat and
+// one-off tenants at both tiers under listed and default limits, through a
+// gate and an unpruned reference, and requires every decision and every
+// Retry-After to match.
+func TestTenantGateSweepKeepsDecisions(t *testing.T) {
+	limits, err := ParseTenantLimits("acme=5/10,big=0.5/4,tiny=2/1.1,*=1/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, now := gateAt(limits)
+	ref, refNow := gateAt(limits)
+	ref.sweepAt = math.MaxInt
+	rng := rand.New(rand.NewSource(7))
+	named := []string{"acme", "big", "tiny", "", "r0", "r1", "r2"}
+	for i := 0; i < 50_000; i++ {
+		tenant := named[rng.Intn(len(named))]
+		if rng.Intn(2) == 0 {
+			tenant = "once-" + strconv.Itoa(i)
+		}
+		tier := PriorityBatch
+		if rng.Intn(3) == 0 {
+			tier = PriorityInteractive
+		}
+		ok, hint := g.Admit(tenant, tier)
+		refOK, refHint := ref.Admit(tenant, tier)
+		if ok != refOK || hint != refHint {
+			t.Fatalf("job %d (%q, %s): admitted %v, Retry-After %v; unpruned reference %v, %v",
+				i, tenant, tier, ok, hint, refOK, refHint)
+		}
+		step := time.Duration(rng.ExpFloat64() * float64(50*time.Millisecond))
+		*now, *refNow = now.Add(step), refNow.Add(step)
+	}
+	if len(g.buckets) >= len(ref.buckets)/10 {
+		t.Fatalf("gate holds %d buckets against the reference's %d: the sweep did not run", len(g.buckets), len(ref.buckets))
 	}
 }

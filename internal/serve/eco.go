@@ -173,7 +173,9 @@ func (r *ecoRegistry) reserve(id string) (string, error) {
 	if len(r.sessions) >= r.cap {
 		return "", mclgerr.Invalidf("serve: eco session capacity %d reached; close a session first", r.cap)
 	}
-	if id == "" {
+	// An anonymous create takes the next sN that no client or recovered
+	// session holds.
+	for taken := id == ""; taken; _, taken = r.sessions[id] {
 		r.seq++
 		id = fmt.Sprintf("s%d", r.seq)
 	}

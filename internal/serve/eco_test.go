@@ -327,3 +327,42 @@ func TestECOMetricsSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestECOAnonymousCreateSkipsTakenIDs pins the generated session ids: an
+// anonymous create takes the next sN that no session holds, both after a
+// restart that recovered a durable s1 and after a client named its own
+// session s1.
+func TestECOAnonymousCreateSkipsTakenIDs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves benchmarks")
+	}
+	create := func(url, id string) string {
+		t.Helper()
+		created, resp := postECO(t, url, &ecoRequest{Action: "create", Session: id, Bench: "fft_2", Scale: 0.004})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("create %q: HTTP %d, want 200", id, resp.StatusCode)
+		}
+		return created.Session
+	}
+
+	dir := t.TempDir()
+	if id := create(serveHTTP(t, New(Config{ECODir: dir})), ""); id != "s1" {
+		t.Fatalf("first anonymous create opened %q, want s1", id)
+	}
+	restarted := New(Config{ECODir: dir})
+	if id := create(serveHTTP(t, restarted), ""); id == "" || id == "s1" {
+		t.Errorf("anonymous create after recovering s1 opened %q, want a fresh id", id)
+	}
+	if n := restarted.eco.count(); n != 2 {
+		t.Errorf("%d sessions after the restart's create, want the recovered s1 and the new one", n)
+	}
+
+	s, ts := newTestServer(t, Config{})
+	create(ts.URL, "s1")
+	if id := create(ts.URL, ""); id == "" || id == "s1" {
+		t.Errorf("anonymous create after a client's s1 opened %q, want a fresh id", id)
+	}
+	if n := s.eco.count(); n != 2 {
+		t.Errorf("%d sessions, want the client's s1 and the anonymous one", n)
+	}
+}
