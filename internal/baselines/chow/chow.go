@@ -11,9 +11,9 @@
 // Table 2:
 //
 //   - LegalizeContext (DAC'16): the one-pass greedy.
-//   - LegalizeImprovedContext (DAC'16-Imp): the same pass followed by iterative
-//     local refinement, modeling the authors' improved post-conference
-//     binary.
+//   - LegalizeImprovedContext (DAC'16-Imp): the same pass followed by
+//     iterative local refinement, modeling the authors' improved
+//     post-conference binary.
 package chow
 
 import (

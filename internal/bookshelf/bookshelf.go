@@ -133,9 +133,10 @@ func ReadFiles(files Files, name string) (*design.Design, error) {
 // ReadTextsIn loads a design from in-memory component texts, such as an
 // upload, with the same parsers and checks as ReadFiles, building it in s.
 // Errors name the component and line ("nodes:6"); every one matches
-// ErrInvalidInput. The design lives in s until the next read into s, which overwrites it whether or not either read
-// succeeds, so s must not be read into while anything still reads the
-// design. A Store serves one read at a time.
+// ErrInvalidInput. The design lives in s until the next read into s, which
+// overwrites it whether or not either read succeeds, so s must not be read
+// into while anything still reads the design. A Store serves one read at a
+// time.
 func ReadTextsIn(s *Store, texts Texts, name string) (*design.Design, error) {
 	text := func(b []byte, comp string) source {
 		return func(parse parser) error { return parse(bytes.NewReader(b), comp, len(b)) }

@@ -13,15 +13,15 @@ import (
 )
 
 // FuzzReadFiles feeds arbitrary bytes through the core parsers, once from
-// files (ReadFiles), once from memory (ReadTexts), and from memory into a
-// Store that already holds another parse: a larger valid design, with fixed
-// macros, multi-row cells on both rails and weighted nets, or a read of it
-// that failed in its nets. The invariants: the reader must return either a
-// well-formed design or an error — never panic and never produce a design
-// with invalid geometry — and every entry point must read what oracleRead
-// reads, the reader that grows all its storage as lines arrive: the same
-// error (its text too, from memory), or the same design, every row, cell,
-// net and pin field included.
+// files (ReadFiles), once from memory into a fresh Store (ReadTextsIn), and
+// from memory into a Store that already holds another parse: a larger valid
+// design, with fixed macros, multi-row cells on both rails and weighted
+// nets, or a read of it that failed in its nets. The invariants: the reader
+// must return either a well-formed design or an error — never panic and
+// never produce a design with invalid geometry — and every entry point must
+// read what oracleRead reads, the reader that grows all its storage as lines
+// arrive: the same error (its text too, from memory), or the same design,
+// every row, cell, net and pin field included.
 func FuzzReadFiles(f *testing.F) {
 	larger := largerTexts(f)
 	failed := larger
@@ -108,7 +108,7 @@ func FuzzReadFiles(f *testing.F) {
 		tx := texts(nodes, pl, scl, nets, "")
 		dm, errm := ReadTextsIn(new(Store), tx, "fuzz")
 		sameRead(t, "ReadFiles", tx, d, err, false)
-		sameRead(t, "ReadTexts", tx, dm, errm, true)
+		sameRead(t, "ReadTextsIn", tx, dm, errm, true)
 		for _, prior := range []struct {
 			name string
 			tx   Texts

@@ -127,7 +127,7 @@ func TestReadRejectsCorruptFiles(t *testing.T) {
 				read  func() (*design.Design, error)
 			}{
 				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, scl, nets), "corrupt") }},
-				{"ReadTexts", func() (*design.Design, error) {
+				{"ReadTextsIn", func() (*design.Design, error) {
 					return ReadTextsIn(new(Store), texts(nodes, pl, scl, nets, ""), "corrupt")
 				}},
 			} {
@@ -249,7 +249,7 @@ func TestKeywordsMatchWholeFields(t *testing.T) {
 				read  func() (*design.Design, error)
 			}{
 				{"ReadFiles", func() (*design.Design, error) { return ReadFiles(writeSet(t, nodes, pl, goodScl, nets), "kw") }},
-				{"ReadTexts", func() (*design.Design, error) {
+				{"ReadTextsIn", func() (*design.Design, error) {
 					return ReadTextsIn(new(Store), texts(nodes, pl, goodScl, nets, ""), "kw")
 				}},
 			} {
@@ -329,7 +329,7 @@ func TestHeadersPresizeOrFallBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tx := texts(tc.apply(nodes), pl, scl, tc.apply(nets), wts)
 			d, err := ReadTextsIn(new(Store), tx, "fuzz")
-			sameRead(t, "ReadTexts", tx, d, err, true)
+			sameRead(t, "ReadTextsIn", tx, d, err, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,12 +34,13 @@ type StructuredSplitting struct {
 // NewStructuredSplittingOmegaR builds the splitting of the paper's
 // Algorithm 1 for an assembled problem, with Ω_r = omegaR on the multiplier
 // block; omegaR = 1 gives the paper's Ω = I. beta and theta are the β* and
-// θ* constants; the paper uses 0.5 for both. D's low-frequency
-// modes (long constraint chains in dense rows) have eigenvalues O(1/m²);
-// with Ω_r = 1 they barely move per iteration and the multipliers ramp for
-// tens of thousands of iterations on dense designs. A small Ω_r lets the
-// (1/θ*)D term dominate and removes the stall while keeping Ω positive
-// diagonal, the only requirement of the MMSIM theory.
+// θ* constants; the paper uses 0.5 for both.
+//
+// D's low-frequency modes (long constraint chains in dense rows) have
+// eigenvalues O(1/m²); with Ω_r = 1 they barely move per iteration and the
+// multipliers ramp for tens of thousands of iterations on dense designs. A
+// small Ω_r lets the (1/θ*)D term dominate and removes the stall while
+// keeping Ω positive diagonal, the only requirement of the MMSIM theory.
 func NewStructuredSplittingOmegaR(p *Problem, beta, theta, omegaR float64) (*StructuredSplitting, error) {
 	return newStructured(p, beta, theta, false, omegaR)
 }

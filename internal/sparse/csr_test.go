@@ -190,7 +190,7 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-// Property: MulVecT agrees with Transpose().MulVec.
+// Property: MulVecT agrees with MulVec on the transpose.
 func TestMulVecTMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {

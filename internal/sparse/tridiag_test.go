@@ -128,15 +128,15 @@ func TestShiftedScaled(t *testing.T) {
 	tr.Sup[0], tr.Sub[1] = 3, 4
 	sh := tr.ShiftedInto(new(Tridiag), 10)
 	if sh.Diag[0] != 11 || sh.Diag[1] != 12 || sh.Sup[0] != 3 || sh.Sub[1] != 4 {
-		t.Errorf("Shifted wrong: %+v", sh)
+		t.Errorf("ShiftedInto wrong: %+v", sh)
 	}
 	sc := tr.ScaledInto(new(Tridiag), 2)
 	if sc.Diag[0] != 2 || sc.Sup[0] != 6 || sc.Sub[1] != 8 {
-		t.Errorf("Scaled wrong: %+v", sc)
+		t.Errorf("ScaledInto wrong: %+v", sc)
 	}
 	// Originals untouched.
 	if tr.Diag[0] != 1 || tr.Sup[0] != 3 {
-		t.Error("Shifted/Scaled mutated receiver")
+		t.Error("ShiftedInto/ScaledInto mutated receiver")
 	}
 }
 
