@@ -13,8 +13,9 @@ import (
 // step before it, in sixteenths of the time the burst takes to refill. Only
 // the first 1,024 jobs run, enough to cross several sweeps. It checks that
 // every refused job, retried after its Retry-After hint with no other
-// traffic, is admitted, and that the gate holds at most twice as many
-// buckets as tenants could still be refilling, or minSweep.
+// traffic, is admitted, and that the gate never holds more than minSweep
+// buckets or twice the most tenants admitted within two refill times, the
+// only buckets a sweep may keep.
 func FuzzTenantGate(f *testing.F) {
 	f.Add(1.0, 2.0, []byte{0, 2, 1, 0x13, 0, 0, 0x21, 3, 0xff, 2, 2, 2})
 	f.Add(5.0, 1.0, []byte{0x10, 0x10, 0x10, 0, 0, 0x11, 1})

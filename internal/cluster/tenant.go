@@ -76,8 +76,8 @@ func ParseTenantLimits(s string) (map[string]TenantLimit, error) {
 		}
 		burst, err := strconv.ParseFloat(burstS, 64)
 		if err != nil || !(burst >= 1) || burst/rate > maxRefill.Seconds() {
-			return nil, mclgerr.Invalidf("cluster: tenant %q burst %q must be a number >= 1 that refills within %v",
-				name, burstS, maxRefill)
+			return nil, mclgerr.Invalidf("cluster: tenant %q burst %q must be a number >= 1 that rate %q refills within %v",
+				name, burstS, rateS, maxRefill)
 		}
 		if _, dup := out[name]; dup {
 			return nil, mclgerr.Invalidf("cluster: tenant %q listed twice", name)
