@@ -189,10 +189,10 @@ func (g *TenantGate) Admit(tenant, priority string) (ok bool, retryAfter time.Du
 		return true, 0
 	}
 	g.throttled.Inc()
-	// The hint is the first whole nanosecond at which the refill reaches
-	// need. The loop steps past the refill's rounding, which the division
-	// does not see: a few ulps of need, and each nanosecond of a limit the
-	// parser accepts refills at least 2⁻⁵³ of the burst.
+	// The hint is the wait, in whole nanoseconds, after which the refill
+	// reaches need. The loop steps past the refill's rounding, which the
+	// division does not see: a few ulps of need, and each nanosecond of a
+	// limit the parser accepts refills at least 2⁻⁵³ of the burst.
 	wait := time.Duration(math.Ceil((need - b.tokens) / limit.Rate * float64(time.Second)))
 	for i := 0; i < 64 && b.refilled(now.Add(wait)) < need; i++ {
 		wait++
